@@ -1,23 +1,28 @@
-//! Fixture: `unpolled-hot-loop` (3 expected). The driver `run` reaches
-//! no polled loop at all (rule 1 fires on the root), its drain `while`
-//! never polls, and the `loop` two calls down in `rescue_spin` never
+//! Fixture: `unpolled-hot-loop` (3 expected). The entry point `run`
+//! reaches no polled loop at all (rule 1 fires on the root): the one
+//! super-step loop in `drive` drains with a `while` that never polls,
+//! and the rescue spin two calls down in `classify_rescuing` never
 //! polls either (rule 2 fires on each).
 
 pub struct Step;
 
 pub fn run(steps: &[Step]) {
+    drive(steps);
+}
+
+fn drive(steps: &[Step]) {
     let mut pos = 0;
     while pos < steps.len() {
-        advance_window(steps, pos);
+        inspect(steps, pos);
         pos += 1;
     }
 }
 
-fn advance_window(steps: &[Step], pos: usize) {
-    rescue_spin(steps.len() - pos);
+fn inspect(steps: &[Step], pos: usize) {
+    classify_rescuing(steps.len() - pos);
 }
 
-fn rescue_spin(mut budget: usize) {
+fn classify_rescuing(mut budget: usize) {
     loop {
         if budget == 0 {
             break;

@@ -7,9 +7,10 @@
 //! re-opens it. This pass checks it statically over the call graph:
 //!
 //! 1. **Driver coverage.** Each root (`run` / `run_sharded` in
-//!    `crates/core`) must reach at least one loop that polls a probe
-//!    (`…probe….check(…)`). A driver that never polls can never be
-//!    stopped.
+//!    `crates/core` — the one-lane and K-lane entry points of the single
+//!    super-step loop, `engine::drive`) must reach at least one loop
+//!    that polls a probe (`…probe….check(…)`). An entry point that
+//!    never polls can never be stopped.
 //! 2. **Unbounded loops.** Every `while`/`loop` in a function
 //!    reachable from a root must poll inside the loop — lexically, or
 //!    by calling (inside the loop) a function that polls. A `for` loop
@@ -28,7 +29,9 @@ use crate::callgraph::{loops_in, CallGraph, FnId, LoopKind, LoopSpan};
 use crate::findings::{Finding, Severity};
 use crate::source::SourceFile;
 
-/// Root driver names, looked up in `crates/core` src files.
+/// Entry points of the super-step loop, looked up in `crates/core` src
+/// files; everything the loop runs (its rescue spin included) is
+/// reachable from either.
 const ROOTS: [&str; 2] = ["run", "run_sharded"];
 
 /// Does token `i` look like a probe poll — `.check(` with a `probe`
@@ -175,7 +178,11 @@ mod tests {
         analyze(&files, &cg)
     }
 
-    const POLLED_DRIVER: &str = "pub fn run(opts: &EngineOptions) {\n\
+    /// Both entry points over one polled super-step loop, like
+    /// `crates/core/src/engine.rs`.
+    const POLLED_DRIVER: &str = "pub fn run(opts: &EngineOptions) { drive(opts); }\n\
+       pub fn run_sharded(opts: &EngineOptions) { drive(opts); }\n\
+       fn drive(opts: &EngineOptions) {\n\
          for iteration in 0..opts.max_iterations {\n\
            if let Some(reason) = opts.probe.check(iteration) { break; }\n\
            step();\n\
@@ -190,7 +197,8 @@ mod tests {
 
     #[test]
     fn driver_without_any_poll_is_flagged() {
-        let src = "pub fn run(opts: &EngineOptions) {\n\
+        let src = "pub fn run(opts: &EngineOptions) { drive(opts); }\n\
+           fn drive(opts: &EngineOptions) {\n\
              for iteration in 0..opts.max_iterations { step(); }\n\
            }\n\
            fn step() {}";
@@ -201,18 +209,14 @@ mod tests {
 
     #[test]
     fn unbounded_callee_loop_without_poll_is_flagged() {
+        // The rescue spin under the shared loop, without its poll.
         let src = format!(
             "{POLLED_DRIVER}\n\
-             fn run_sharded(opts: &EngineOptions) {{\n\
-               for i in 0..opts.max_supersteps {{\n\
-                 if let Some(r) = opts.probe.check(i) {{ break; }}\n\
-                 drain();\n\
-               }}\n\
-             }}\n\
              fn drain() {{ while pending() {{ relax(); }} }}\n\
              fn pending() -> bool {{ false }}\n\
              fn relax() {{}}"
-        );
+        )
+        .replace("fn step() {}", "fn step() { drain(); }");
         let f = run_pass(&[("crates/core/src/engine.rs", &src)]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "unpolled-hot-loop");

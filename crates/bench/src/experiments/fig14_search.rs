@@ -9,7 +9,7 @@ use crate::runners::source_of;
 use crate::table::{ms, Table};
 use gswitch_algos::Bfs;
 use gswitch_core::oracle::{analyze_pull, analyze_push, price_direction};
-use gswitch_core::{AppCaps, DecisionContext, Direction, GraphApp, KernelConfig, LoadBalance};
+use gswitch_core::{AppCaps, Direction, GraphApp, History, KernelConfig, LoadBalance};
 use gswitch_kernels::{classify, expand, materialize};
 use gswitch_simt::DeviceSpec;
 use std::fmt::Write;
@@ -28,7 +28,7 @@ pub fn run(cfg: &ExpConfig) -> String {
     let src = source_of(&g);
     let app = Bfs::new(g.num_vertices(), src);
     let caps = AppCaps::of::<Bfs>();
-    let mut ctx = DecisionContext::initial(*g.stats());
+    let mut hist = History::new(*g.stats());
 
     let mut out = String::new();
     let _ = writeln!(
@@ -58,12 +58,12 @@ pub fn run(cfg: &ExpConfig) -> String {
     let mut total = 0usize;
     for iteration in 0..64u32 {
         app.advance(iteration);
-        ctx.iteration = iteration;
+        hist.ctx.iteration = iteration;
         let co = classify(&g, &app, &spec);
         if co.stats.v_active == 0 {
             break;
         }
-        ctx.stats = co.stats;
+        hist.ctx.stats = co.stats;
 
         // Price all 8 (direction × lb) pairs at their best format.
         let push = analyze_push(&g, &co.status);
@@ -85,7 +85,7 @@ pub fn run(cfg: &ExpConfig) -> String {
             cells.push((Direction::Pull, lb, cell(&pull_prices, lb)));
         }
         let best = cells.iter().copied().min_by(|a, b| a.2.partial_cmp(&b.2).unwrap()).unwrap();
-        let picked = cfg.policy.decide(&ctx, &caps);
+        let picked = cfg.policy.decide(&hist.ctx, &caps);
 
         let label = |d: Direction, l: LoadBalance| {
             format!(
@@ -129,13 +129,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         let eo = expand(&g, &app, &frontier, &co.status, exec, &spec);
         let filter_ms = spec.kernel_time_ms(&co.profile) + spec.kernel_time_ms(&mat);
         let expand_ms = spec.kernel_time_ms(&eo.profile);
-        ctx.prev_prev_workload_edges = ctx.prev_workload_edges;
-        ctx.prev_workload_edges = eo.edges_touched;
-        ctx.t_f = filter_ms;
-        ctx.t_e = expand_ms;
-        let done = iteration as f64 + 1.0;
-        ctx.t_f_avg = (ctx.t_f_avg * (done - 1.0) + filter_ms) / done;
-        ctx.t_e_avg = (ctx.t_e_avg * (done - 1.0) + expand_ms) / done;
+        hist.fold(filter_ms, expand_ms, eo.edges_touched);
     }
 
     let _ = writeln!(out, "{}", table.render());

@@ -1,19 +1,21 @@
 //! The Inspector → Selector → Executor loop (Fig. 10).
 
 use crate::cancel::{ProbeHandle, StopReason};
-use crate::features::DecisionContext;
+use crate::features::History;
 use crate::policy::{AppCaps, Policy};
+use crate::sharded::{fan_out, ShardError};
 use gswitch_graph::Graph;
 use gswitch_graph::VertexId;
-use gswitch_kernels::bucket::{self, DegreeSource, WorkPlan};
+use gswitch_kernels::bucket::{DegreeSource, WorkPlan};
 use gswitch_kernels::filter::status_of;
 use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
 use gswitch_kernels::{
-    classify, expand_planned, materialize, EdgeApp, Frontier, IterStats, Status,
+    classify, expand_planned, materialize, ClassifyOutput, EdgeApp, ExpandOutput, Frontier,
+    IterStats, Status,
 };
-use gswitch_obs::{Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
+use gswitch_obs::{LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
 use gswitch_simt::{DeviceSpec, SimMs};
 
 /// Which patterns the Selector may actually switch — the ablation knob
@@ -36,24 +38,12 @@ pub struct PatternMask {
 impl PatternMask {
     /// Everything on (production configuration).
     pub fn all() -> Self {
-        PatternMask {
-            direction: true,
-            format: true,
-            load_balance: true,
-            stepping: true,
-            fusion: true,
-        }
+        Self::up_to(5)
     }
 
     /// Everything off: the non-switching "GSWITCH baseline" of Fig. 16.
     pub fn none() -> Self {
-        PatternMask {
-            direction: false,
-            format: false,
-            load_balance: false,
-            stepping: false,
-            fusion: false,
-        }
+        Self::up_to(0)
     }
 
     /// Enable patterns P1..=Pk in the paper's numbering (Fig. 16's
@@ -335,340 +325,403 @@ pub fn run_with_seed_config<A: EdgeApp>(
     opts: &EngineOptions,
     seed: Option<KernelConfig>,
 ) -> RunReport {
-    let caps = AppCaps::of::<A>();
-    let spec = &opts.device;
+    // One lane — the whole graph, the app itself — so every phase runs
+    // inline on this thread and there is nothing to exchange.
+    let mut lanes = [Lane::new(g, app, None, opts.spans.local())];
     let mut report = RunReport::default();
-    let mut ctx = DecisionContext::initial(*g.stats());
+    let end = drive(app, &mut lanes, policy, opts, seed, &mut |t, _| report.iterations.append(t));
+    // An inline lane has no worker to lose, so `drive` cannot fail here;
+    // were that ever to change, the report degrades to non-converged
+    // rather than panicking mid-query.
+    (report.converged, report.stopped) = end.unwrap_or_default();
+    report.sentinel = lanes[0].sentinel;
+    report
+}
 
-    // Legalize the seed exactly like a policy decision, so a config
-    // cached under a different mask or app cannot smuggle in an illegal
-    // shape.
-    let seed = seed.map(|c| caps.clamp(opts.mask.apply(c)));
+/// What is fixed for a whole run; `reference` is the shape every app can
+/// run (what the divergence sentinel pins to), legalized like the `seed`.
+struct RunEnv<'a> {
+    policy: &'a dyn Policy,
+    caps: AppCaps,
+    opts: &'a EngineOptions,
+    seed: Option<KernelConfig>,
+    reference: KernelConfig,
+}
 
-    // History accumulators for the Table 1 "historical information" block.
-    let mut tf_sum = 0.0f64;
-    let mut te_sum = 0.0f64;
-    let mut last_config: Option<KernelConfig> = seed;
-    // A seed counts as an established streak: the stability bypass may
-    // retain it as soon as runtime history exists (iteration 1).
-    let mut same_config_streak = if seed.is_some() { 2 } else { 0 };
+/// One simulated device's view of a run — the whole [`Graph`] with the
+/// app itself ([`run`]) or a `LocalShard` behind its `ShardView`
+/// (`run_sharded`) — and all the loop remembers about it between steps.
+pub(crate) struct Lane<'a, L: EdgeApp> {
+    g: &'a Graph,
+    app: &'a L,
+    /// Span and trace tag; `None` for the single whole-graph lane.
+    shard: Option<u32>,
+    /// Where this lane's phase spans stage (phases may run on a worker).
+    spans: LocalSpans,
+    /// Decision context + Table 1's historical block.
+    hist: History,
+    last_config: Option<KernelConfig>,
+    same_config_streak: u32,
+    /// The current super-step: its span id, P4 move, classification
+    /// snapshot and cost, and the host decision time charged to it so far.
+    step_span: u64,
+    stepping: SteppingDelta,
+    status: Vec<u8>,
+    classify_ms: SimMs,
+    select_ms: f64,
+    /// Direction-switch fast path: the previous Expand's work plan, whose
+    /// prefix sums are reused when the next workload's fingerprint matches
+    /// — also across a direction switch on symmetric graphs (in-degrees
+    /// equal out-degrees).
+    plan: Option<WorkPlan>,
+    /// Fused chain: the raw queue the previous Expand emitted with its
+    /// estimated stats, the chain's length and the moving average of its
+    /// expand times, and the last standalone Filter cost (what breaking
+    /// the chain buys back).
+    pending: Option<(Vec<u32>, IterStats)>,
+    chain_len: u32,
+    chain_pace_ms: f64,
+    last_filter_ms: f64,
+    /// Divergence sentinel: what it saw (once `pinned_at` is set the run
+    /// stays on the reference shape) and the standalone super-steps since
+    /// its last check — chain iterations have no status snapshot to
+    /// verify, so only verifiable ones count and a chain cannot starve it.
+    pub(crate) sentinel: SentinelReport,
+    since_check: u32,
+}
 
-    // Divergence-sentinel state: the legal reference shape every app can
-    // run, and whether a mismatch has pinned the run to it.
-    let reference_config = caps.clamp(opts.mask.apply(KernelConfig::push_baseline()));
-    let mut pinned = false;
-    // Standalone super-steps since the last check: fused-chain
-    // iterations have no status snapshot to verify against, so the
-    // cadence counts verifiable iterations (a chain cannot starve the
-    // sentinel past its budget).
-    let mut since_check = 0u32;
-
-    // Direction-switch fast path: the degree-bucketed work plan of the
-    // previous Expand. When the next workload's fingerprint matches, its
-    // prefix sums are reused instead of rescanned — including across a
-    // direction switch on symmetric graphs, where in-degrees equal
-    // out-degrees (so a push-built plan prices a pull workload exactly).
-    let mut last_plan: Option<WorkPlan> = None;
-    let degrees_symmetric = g.is_symmetric();
-
-    // Fused-chain state: the raw queue the previous Expand emitted, plus
-    // the estimated stats travelling with it.
-    let mut pending: Option<(Vec<u32>, IterStats)> = None;
-    let mut fused_te_sum = 0.0f64;
-    let mut fused_te_count = 0u32;
-    // Most recent standalone Filter cost — what breaking a chain buys back.
-    let mut last_filter_ms = 0.0f64;
-
-    // Span plumbing: one per-thread staging buffer for the whole run;
-    // each iteration opens a SuperStep span the phase spans nest under.
+/// The super-step loop of Fig. 10 — inspect → "is stable?" → select →
+/// filter → expand → feedback — over `lanes.len()` ≥ 1 lanes of one
+/// `root` application. Returns `(converged, stopped)`.
+///
+/// Each step ends in `sink(traces, overhead_ms)`, the record both report
+/// types project from: every lane's [`IterationTrace`] in lane order and
+/// the tuner overhead on the step's critical path (host decisions add up,
+/// the per-device feedback copies overlap). The lane count alone decides
+/// how phases run (`fan_out`: one lane inline, more on a panic-contained
+/// worker each, a barrier per phase) and whether the step closes with an
+/// `Exchange` span around `sink`, where the caller settles what the lanes
+/// sent each other. All else that differs between [`run`] and
+/// `run_sharded` is input: mask, `AppCaps` of the lane's app, seed.
+pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
+    root: &R,
+    lanes: &mut [Lane<'_, L>],
+    policy: &dyn Policy,
+    opts: &EngineOptions,
+    seed: Option<KernelConfig>,
+    sink: &mut dyn FnMut(&mut Vec<IterationTrace>, f64),
+) -> Result<(bool, Option<StopReason>), ShardError> {
+    let caps = AppCaps::of::<L>();
+    // Like any decision, so a config cached under a different mask or
+    // app cannot smuggle in an illegal shape.
+    let legal = |c| caps.clamp(opts.mask.apply(c));
+    let reference = legal(KernelConfig::push_baseline());
+    let run = RunEnv { policy, caps, opts, seed: seed.map(legal), reference };
+    for lane in lanes.iter_mut() {
+        // A seed counts as an established streak: the stability bypass
+        // may retain it as soon as runtime history exists (iteration 1).
+        lane.last_config = run.seed;
+        lane.same_config_streak = if run.seed.is_some() { 2 } else { 0 };
+    }
     let span_local = opts.spans.local();
-    let clock = span_local.clock().clone();
+    // Phase results and the step's traces, reused from step to step.
+    let (mut inspected, mut executed, mut traces) = (Vec::new(), Vec::new(), Vec::new());
 
-    'steps: for iteration in 0..opts.max_iterations {
-        // Cooperative stop: deadline/cancellation takes effect at
-        // super-step granularity, before this iteration does any work.
+    for iteration in 0..opts.max_iterations {
+        // Cooperative stop, before this iteration does any work.
         if let Some(reason) = opts.probe.check(iteration) {
-            report.stopped = Some(reason);
-            break;
+            return Ok((false, Some(reason)));
         }
         let step = span_local.start_tagged(SpanKind::SuperStep, opts.spans.parent, None, iteration);
         let step_id = step.id();
-        app.advance(iteration);
-        ctx.iteration = iteration;
+        // One advance however many lanes: they are windows onto one app.
+        root.advance(iteration);
 
-        // ---- Inspector + Selector (host). Decision time is real wall
-        // time — the analogue of the paper's 58–120 µs per iteration —
-        // measured around the policy calls only (kernel work is priced by
-        // the simulator, not the host clock).
-        let mut overhead_host_ms = 0.0;
-        let mut timed = |f: &mut dyn FnMut()| {
-            let t0 = clock.now_ns();
-            f();
-            let t1 = clock.now_ns();
-            overhead_host_ms += (t1.saturating_sub(t0)) as f64 / 1e6;
-            span_local.record_interval(SpanKind::Select, step_id, t0, t1, None, iteration);
-        };
-
-        // P4 must precede classification: the threshold feeds `filter`.
-        let mut stepping = SteppingDelta::Remain;
-        if caps.priority_driven && opts.mask.stepping {
-            timed(&mut || {
-                stepping = policy.decide_stepping(&ctx, &caps);
-            });
-            app.adjust_priority(stepping);
+        // ---- Inspector, per lane; converged when nothing is active anywhere.
+        fan_out(lanes, "classify", |_, l| l.inspect(&run, iteration, step_id), &mut inspected);
+        for r in inspected.drain(..) {
+            if let Err(reason) = r? {
+                return Ok((false, Some(reason)));
+            }
+        }
+        if lanes.iter().all(|l| l.hist.ctx.stats.v_active == 0 && l.pending.is_none()) {
+            return Ok((true, None));
         }
 
-        // ---- Executor: Filter phase (or fused continuation).
-        let (frontier, status, stats, filter_ms, estimated, mut config, decided, mut provenance);
-        // Whether the post-Expand half of the sentinel applies to this
-        // iteration (standalone + sentinel scheduled + not yet pinned).
-        let mut verify_values = false;
-        match pending.take() {
-            Some((queue, est_stats)) => {
-                // Fused chain: skip Filter entirely; reuse the last config.
-                stats = est_stats;
-                ctx.stats = stats;
-                // A fused chain implies a previous config; should that
-                // invariant ever break, the reference shape is a safe
-                // (if slower) continuation — never a panic mid-query.
-                config = last_config.unwrap_or(reference_config);
-                config.stepping = stepping;
-                decided = false;
-                provenance = Provenance::FusedChain;
-                estimated = true;
-                frontier = Frontier::RawQueue(queue);
-                status = Vec::new();
-                filter_ms = 0.0;
+        // ---- Selector → Executor → feedback, per lane; `sink` is the
+        // barrier where halo-directed updates are settled as exchange.
+        fan_out(lanes, "exchange", |_, lane| lane.execute(&run), &mut executed);
+        let _exchange = (lanes.len() > 1)
+            .then(|| span_local.start_tagged(SpanKind::Exchange, step_id, None, iteration));
+        let (mut overhead_ms, mut feedback_ms) = (0.0, 0.0);
+        for (lane, trace) in lanes.iter().zip(executed.drain(..)) {
+            #[cfg(feature = "fault-injection")]
+            if let Some(shard) = lane.shard.filter(|&s| crate::faults::take_shard_drop(s)) {
+                return Err(ShardError::WorkerLost { shard, phase: "exchange" });
             }
+            let trace = trace?;
+            overhead_ms += lane.select_ms;
+            if !trace.estimated {
+                feedback_ms = opts.device.feedback_time_ms();
+            }
+            traces.push(trace);
+        }
+        sink(&mut traces, overhead_ms + feedback_ms);
+        traces.clear();
+    }
+    // Hitting the bound without draining the frontier is non-convergence.
+    Ok((false, None))
+}
+
+/// The rescue loop: a priority-driven app may unlock deferred work
+/// (advance its threshold window) when the active set drains, and each
+/// retry pays a classification. Returns the last classification and the
+/// summed simulated cost. A pathological app can keep unlocking work, so
+/// the spin polls `probe` — cancellation and deadlines interrupt it
+/// rather than wait for it to drain.
+pub(crate) fn classify_rescuing<A: EdgeApp>(
+    g: &Graph,
+    app: &A,
+    spec: &DeviceSpec,
+    probe: &ProbeHandle,
+    iteration: u32,
+) -> Result<(ClassifyOutput, SimMs), StopReason> {
+    let mut classify_ms = 0.0;
+    loop {
+        let co = classify(g, app, spec);
+        classify_ms += spec.kernel_time_ms(&co.profile);
+        if co.stats.v_active > 0 || !app.rescue() {
+            return Ok((co, classify_ms));
+        }
+        if let Some(reason) = probe.check(iteration) {
+            return Err(reason);
+        }
+    }
+}
+
+impl<'a, L: EdgeApp> Lane<'a, L> {
+    /// A lane over `g` as seen through `app`, with no history yet.
+    pub(crate) fn new(g: &'a Graph, app: &'a L, shard: Option<u32>, spans: LocalSpans) -> Self {
+        Lane {
+            g,
+            app,
+            shard,
+            spans,
+            hist: History::new(*g.stats()),
+            last_config: None,
+            same_config_streak: 0,
+            step_span: 0,
+            stepping: SteppingDelta::Remain,
+            status: Vec::new(),
+            classify_ms: 0.0,
+            select_ms: 0.0,
+            plan: None,
+            pending: None,
+            chain_len: 0,
+            chain_pace_ms: 0.0,
+            last_filter_ms: 0.0,
+            sentinel: SentinelReport::default(),
+            since_check: 0,
+        }
+    }
+
+    /// Record a phase span of the current super-step, from `t0` to now.
+    fn record_interval(&self, kind: SpanKind, t0: u64) {
+        let (t1, it) = (self.spans.clock().now_ns(), self.hist.ctx.iteration);
+        self.spans.record_interval(kind, self.step_span, t0, t1, self.shard, it);
+    }
+
+    /// Charge the Selector call begun at `t0` to this step's overhead:
+    /// real wall time — the paper's 58–120 µs per iteration — around the
+    /// policy calls only (kernel work is priced by the simulator).
+    fn charge_select(&mut self, t0: u64) {
+        self.select_ms += self.spans.clock().now_ns().saturating_sub(t0) as f64 / 1e6;
+        self.record_interval(SpanKind::Select, t0);
+    }
+
+    /// Inspector: open super-step `iteration` and gather its runtime
+    /// characteristics — classified, or estimated along a fused chain.
+    fn inspect(&mut self, run: &RunEnv, iteration: u32, step_span: u64) -> Result<(), StopReason> {
+        self.hist.ctx.iteration = iteration;
+        (self.step_span, self.select_ms, self.stepping) = (step_span, 0.0, SteppingDelta::Remain);
+        // P4 must precede classification: the threshold feeds `filter`.
+        if run.caps.priority_driven && run.opts.mask.stepping {
+            let t0 = self.spans.clock().now_ns();
+            self.stepping = run.policy.decide_stepping(&self.hist.ctx, &run.caps);
+            self.charge_select(t0);
+            self.app.adjust_priority(self.stepping);
+        }
+        if let Some((_, estimate)) = &self.pending {
+            self.hist.ctx.stats = *estimate;
+            return Ok(());
+        }
+        let i0 = self.spans.clock().now_ns();
+        let classified =
+            classify_rescuing(self.g, self.app, &run.opts.device, &run.opts.probe, iteration);
+        self.record_interval(SpanKind::Inspect, i0);
+        let (co, classify_ms) = classified?;
+        self.hist.ctx.stats = co.stats;
+        (self.status, self.classify_ms) = (co.status, classify_ms);
+        Ok(())
+    }
+
+    /// Selector, with the Fig. 10 "is stable? → bypass the decision
+    /// making" fast path in front of the policy.
+    fn select(&mut self, run: &RunEnv, chained: bool) -> (KernelConfig, bool, Provenance) {
+        let ctx = &self.hist.ctx;
+        let stable = run.opts.stability_bypass
+            && self.same_config_streak >= 2
+            && ctx.t_e_avg > 0.0
+            && (ctx.t_e - ctx.t_e_avg).abs() <= 0.5 * ctx.t_e_avg;
+        let (mut config, decided, provenance) = if chained {
+            // A chain implies a last config; should that ever break, the
+            // reference shape is a safe continuation — never a panic.
+            (self.last_config.unwrap_or(run.reference), false, Provenance::FusedChain)
+        } else if self.sentinel.pinned_at.is_some() {
+            // A previous sentinel mismatch distrusts every tuned variant:
+            // run the reference shape to completion.
+            (run.reference, false, Provenance::Sentinel)
+        } else if let (true, Some(prev)) = (stable, self.last_config) {
+            // Requiring the Some (rather than unwrapping) means a broken
+            // streak counter degrades to a fresh decision.
+            (prev, false, Provenance::StabilityBypass)
+        } else if let Some(s) = run.seed.filter(|_| ctx.iteration == 0) {
+            // Warm start: the cached config plays the first decision.
+            (s, false, Provenance::WarmStart)
+        } else {
+            let t0 = self.spans.clock().now_ns();
+            let config = run.policy.decide(ctx, &run.caps);
+            self.charge_select(t0);
+            (config, true, Provenance::Decided)
+        };
+        config.stepping = self.stepping;
+        (run.caps.clamp(run.opts.mask.apply(config)), decided, provenance)
+    }
+
+    /// Selector → Executor → feedback: this lane's super-step after the
+    /// Inspector's barrier.
+    fn execute(&mut self, run: &RunEnv) -> IterationTrace {
+        #[cfg(feature = "fault-injection")]
+        if let Some(s) = self.shard {
+            crate::faults::maybe_shard_panic(s);
+        }
+        let (g, spec, clock) = (self.g, &run.opts.device, self.spans.clock().clone());
+        let chain = self.pending.take();
+        let estimated = chain.is_some();
+        let (mut config, decided, mut provenance) = self.select(run, estimated);
+        let (stats, status) = (self.hist.ctx.stats, std::mem::take(&mut self.status));
+        // Does the sentinel's post-Expand half apply (standalone step,
+        // check due, not pinned by the frontier half)?
+        let mut verify_values = false;
+        let (frontier, filter_ms) = match chain {
+            Some((queue, _)) => (Frontier::RawQueue(queue), 0.0),
             None => {
-                // The rescue loop: a priority-driven app may unlock
-                // deferred work (advance its threshold window) when the
-                // active set drains; each retry pays a classification.
-                let mut classify_ms = 0.0;
-                let i0 = clock.now_ns();
-                let co = loop {
-                    let co = classify(g, app, spec);
-                    classify_ms += spec.kernel_time_ms(&co.profile);
-                    if co.stats.v_active > 0 || !app.rescue() {
-                        break co;
-                    }
-                    // Every retry re-classifies the whole graph, and a
-                    // pathological app can keep unlocking work — poll the
-                    // probe so cancellation and deadlines can interrupt
-                    // the spin rather than waiting for it to drain.
-                    if let Some(reason) = opts.probe.check(iteration) {
-                        report.stopped = Some(reason);
-                        break 'steps;
-                    }
-                };
-                span_local.record_interval(
-                    SpanKind::Inspect,
-                    step_id,
-                    i0,
-                    clock.now_ns(),
-                    None,
-                    iteration,
-                );
-                if co.stats.v_active == 0 {
-                    report.converged = true;
-                    break;
-                }
-                ctx.stats = co.stats;
-                // Selector (with the Fig. 10 stability bypass).
-                let stable = opts.stability_bypass
-                    && same_config_streak >= 2
-                    && ctx.t_e_avg > 0.0
-                    && (ctx.t_e - ctx.t_e_avg).abs() <= 0.5 * ctx.t_e_avg;
-                let (mut cfg, dec, mut prov);
-                if pinned {
-                    // A previous sentinel mismatch distrusts every tuned
-                    // variant: run the reference shape to completion.
-                    cfg = reference_config;
-                    dec = false;
-                    prov = Provenance::Sentinel;
-                } else if let (true, Some(prev)) = (stable, last_config) {
-                    // Stability implies history; requiring the Some
-                    // here (rather than unwrapping) means a broken
-                    // streak counter degrades to a fresh decision.
-                    cfg = prev;
-                    dec = false;
-                    prov = Provenance::StabilityBypass;
-                } else if let Some(s) = seed.filter(|_| iteration == 0) {
-                    // Warm start: the cached configuration plays the
-                    // role of the first decision.
-                    cfg = s;
-                    dec = false;
-                    prov = Provenance::WarmStart;
-                } else {
-                    let mut c = KernelConfig::push_baseline();
-                    timed(&mut || {
-                        c = policy.decide(&ctx, &caps);
-                    });
-                    cfg = c;
-                    dec = true;
-                    prov = Provenance::Decided;
-                }
-                cfg.stepping = stepping;
-                cfg = caps.clamp(opts.mask.apply(cfg));
                 let f0 = clock.now_ns();
-                let (mut f, mat_profile) =
-                    materialize::<A>(g, &co.status, cfg.direction, cfg.format, spec);
-                span_local.record_interval(
-                    SpanKind::Filter,
-                    step_id,
-                    f0,
-                    clock.now_ns(),
-                    None,
-                    iteration,
-                );
-                let mut mat_ms = spec.kernel_time_ms(&mat_profile);
+                let (mut f, mat) =
+                    materialize::<L>(g, &status, config.direction, config.format, spec);
+                self.record_interval(SpanKind::Filter, f0);
+                let mut mat_ms = spec.kernel_time_ms(&mat);
                 #[cfg(feature = "fault-injection")]
-                crate::faults::corrupt_frontier(&mut f, cfg == reference_config);
+                crate::faults::corrupt_frontier(&mut f, config == run.reference);
 
                 // ---- Divergence sentinel, frontier half: the chosen
                 // format/direction must materialize exactly the workload
                 // the status snapshot implies.
-                since_check += 1;
-                let verify = opts.verify_every > 0 && !pinned && since_check >= opts.verify_every;
+                self.since_check += 1;
+                let every = run.opts.verify_every;
+                let pinned = self.sentinel.pinned_at.is_some();
+                let verify = every > 0 && !pinned && self.since_check >= every;
                 if verify {
                     let v0 = clock.now_ns();
-                    since_check = 0;
-                    report.sentinel.checks += 1;
-                    let expected = sentinel_expected_frontier::<A>(
-                        g.num_vertices(),
-                        &co.status,
-                        cfg.direction,
-                    );
+                    self.since_check = 0;
+                    self.sentinel.checks += 1;
                     let mut got = f.to_vec();
                     got.sort_unstable();
                     got.dedup();
-                    if got != expected {
-                        gswitch_obs::hardening::note_sentinel_mismatch();
-                        report.sentinel.mismatches += 1;
-                        report.sentinel.pinned_at.get_or_insert(iteration);
-                        pinned = true;
-                        cfg = reference_config;
-                        prov = Provenance::Sentinel;
+                    let n = g.num_vertices();
+                    if got != sentinel_expected_frontier::<L>(n, &status, config.direction) {
+                        self.mismatch();
+                        (config, provenance) = (run.reference, Provenance::Sentinel);
                         // Repair: rebuild the frontier with the reference
                         // shape so this very iteration completes correctly.
                         let (f2, mat2) =
-                            materialize::<A>(g, &co.status, cfg.direction, cfg.format, spec);
+                            materialize::<L>(g, &status, config.direction, config.format, spec);
                         f = f2;
                         mat_ms += spec.kernel_time_ms(&mat2);
                     }
-                    span_local.record_interval(
-                        SpanKind::Sentinel,
-                        step_id,
-                        v0,
-                        clock.now_ns(),
-                        None,
-                        iteration,
-                    );
+                    self.record_interval(SpanKind::Sentinel, v0);
                 }
-                verify_values = verify && !pinned;
-
-                frontier = f;
-                status = co.status;
-                stats = co.stats;
-                estimated = false;
-                filter_ms = classify_ms + mat_ms;
-                last_filter_ms = filter_ms;
-                config = cfg;
-                decided = dec;
-                provenance = prov;
+                verify_values = verify && self.sentinel.pinned_at.is_none();
+                self.last_filter_ms = self.classify_ms + mat_ms;
+                (f, self.last_filter_ms)
             }
-        }
-        // ---- Executor: work partition (build or reuse the degree plan).
+        };
+
+        // ---- Work partition: build or reuse the degree plan.
         let p0 = clock.now_ns();
         let need = DegreeSource::of(config.direction);
-        let fp = bucket::fingerprint_of(&frontier);
-        let plan = match last_plan.take() {
-            Some(p) if p.matches(fp, need, degrees_symmetric) => p,
+        let plan = match self.plan.take() {
+            Some(p) if p.matches_frontier(&frontier, need, g.is_symmetric()) => p,
             _ => WorkPlan::for_frontier(g, &frontier, config.direction),
         };
-        span_local.record_interval(
-            SpanKind::Partition,
-            step_id,
-            p0,
-            clock.now_ns(),
-            None,
-            iteration,
-        );
+        self.record_interval(SpanKind::Partition, p0);
 
-        // ---- Executor: Expand phase.
+        // ---- Expand.
         let e0 = clock.now_ns();
-        let mut eo = expand_planned(g, app, &frontier, &status, config, spec, Some(&plan));
-        span_local.record_interval(SpanKind::Expand, step_id, e0, clock.now_ns(), None, iteration);
-        last_plan = Some(plan);
+        let mut eo = expand_planned(g, self.app, &frontier, &status, config, spec, Some(&plan));
+        self.record_interval(SpanKind::Expand, e0);
+        self.plan = Some(plan);
         if estimated {
-            // Fused continuation: the expand runs inside the kernel the
-            // chain's first iteration launched — no fresh launch, and no
-            // device→host feedback copy (that is fusion's entire point).
+            // Fused continuation: it runs inside the kernel the chain's
+            // first iteration launched — no launch, no feedback copy.
             eo.profile.launches = 0;
         }
-        let expand_ms = spec.kernel_time_ms(&eo.profile);
 
         // ---- Divergence sentinel, value half: after a correct Expand a
         // serial re-application of emit/comp over the active vertices
-        // finds nothing left to do. Each successful comp is work the
-        // chosen variant missed — and is also the repair, so the run
-        // converges to the right answer even on the mismatch iteration.
-        // Only duplicate-tolerant (idempotent/monotonic) apps can absorb
-        // the re-application safely.
-        if verify_values && A::DUP_TOLERANT {
+        // finds nothing to do. Each successful comp is work the chosen
+        // variant missed — and also the repair, so even the mismatch
+        // iteration ends right. Only duplicate-tolerant (idempotent or
+        // monotonic) apps can absorb the re-application.
+        if verify_values && L::DUP_TOLERANT {
             let v0 = clock.now_ns();
-            report.sentinel.checks += 1;
-            let repairs = sentinel_value_sweep(g, app, &status);
-            if repairs > 0 {
-                gswitch_obs::hardening::note_sentinel_mismatch();
-                report.sentinel.mismatches += 1;
-                report.sentinel.pinned_at.get_or_insert(iteration);
-                pinned = true;
+            self.sentinel.checks += 1;
+            if sentinel_value_sweep(g, self.app, &status) > 0 {
+                self.mismatch();
                 provenance = Provenance::Sentinel;
             }
-            span_local.record_interval(
-                SpanKind::Sentinel,
-                step_id,
-                v0,
-                clock.now_ns(),
-                None,
-                iteration,
-            );
+            self.record_interval(SpanKind::Sentinel, v0);
         }
 
         // ---- Feedback (device→host copy) + trace.
-        let feedback_ms = if estimated { 0.0 } else { spec.feedback_time_ms() };
-        let overhead_ms = overhead_host_ms + feedback_ms;
-        let features = ctx.features(config.direction);
-        report.iterations.push(IterationTrace {
-            iteration,
+        let ctx = &self.hist.ctx;
+        let trace = IterationTrace {
+            iteration: ctx.iteration,
             config,
             decided,
             estimated,
             stats,
             filter_ms,
-            expand_ms,
-            overhead_ms,
+            expand_ms: spec.kernel_time_ms(&eo.profile),
+            overhead_ms: self.select_ms + if estimated { 0.0 } else { spec.feedback_time_ms() },
             activations: eo.activations,
             distinct_activated: eo.distinct_activated,
             edges_touched: eo.edges_touched,
             duplicates: eo.profile.duplicates,
-            features,
-        });
-
-        // Decision trace: one event per super-step. The prediction is
-        // the Inspector's historical expectation (`t_e_avg` *before*
-        // this iteration folds in) — the exact signal the stability
-        // bypass gambles on, so `measured - predicted` is its regret.
-        if let Some(rec) = opts.recorder.active() {
+            features: ctx.features(config.direction),
+        };
+        // Decision trace. The prediction is `t_e_avg` *before* this step
+        // folds in — the expectation the stability bypass gambles on, so
+        // `measured - predicted` is its regret.
+        if let Some(rec) = run.opts.recorder.active() {
             rec.record(&TraceEvent {
-                iteration,
+                iteration: trace.iteration,
                 config,
                 provenance,
                 predicted_ms: ctx.t_e_avg,
-                measured_ms: expand_ms,
+                measured_ms: trace.expand_ms,
                 filter_ms,
-                overhead_ms,
+                overhead_ms: trace.overhead_ms,
                 v_active: stats.v_active,
                 e_active: stats.e_active,
                 edges_touched: eo.edges_touched,
@@ -677,99 +730,64 @@ pub fn run_with_seed_config<A: EdgeApp>(
                 task_total_cycles: eo.profile.tasks.total_cycles,
                 task_max_cycles: eo.profile.tasks.max_cycles,
                 task_count: eo.profile.tasks.count,
-                features,
-                shard: None,
+                features: trace.features,
+                shard: self.shard,
             });
         }
-
-        // History for the next Inspector.
-        tf_sum += filter_ms;
-        te_sum += expand_ms;
-        let done = iteration as f64 + 1.0;
-        ctx.prev_prev_workload_edges = ctx.prev_workload_edges;
-        ctx.prev_workload_edges = eo.edges_touched;
-        ctx.t_f = filter_ms;
-        ctx.t_e = expand_ms;
-        ctx.t_f_avg = tf_sum / done;
-        ctx.t_e_avg = te_sum / done;
-        if last_config == Some(config) {
-            same_config_streak += 1;
-        } else {
-            same_config_streak = 0;
-        }
-        last_config = Some(config);
-
-        // Fused-chain continuation: keep chaining while the chain is
-        // healthy ("if the runtime of the last iteration is far longer
-        // than the average runtime in the fused mode, switch back").
-        if let Some(queue) = eo.next_queue.take() {
-            if queue.is_empty() {
-                fused_te_sum = 0.0;
-                fused_te_count = 0;
-                // Chain drained; next iteration re-classifies (and will
-                // observe convergence if nothing is active).
-            } else {
-                // Exponential moving average tracks the chain's recent
-                // pace, so gradual frontier growth does not read as an
-                // anomaly — only a sudden blow-up does.
-                fused_te_count += 1;
-                fused_te_sum = if fused_te_count == 1 {
-                    expand_ms
-                } else {
-                    0.7 * fused_te_sum + 0.3 * expand_ms
-                };
-                let chain_avg = fused_te_sum;
-                // Break the chain when the duplicated fraction of the next
-                // queue is predicted to waste more expand time than a
-                // standalone re-filter would cost (the social-graph
-                // failure mode of Fig. 9b), or when the last iteration ran
-                // far beyond the chain average (the paper's switch-back
-                // rule).
-                let waste_ms = fused_waste_ms(expand_ms, eo.profile.duplicates, queue.len());
-                let refilter_ms =
-                    last_filter_ms + spec.launch_overhead_us / 1e3 + spec.feedback_time_ms();
-                let dup_heavy = waste_ms > refilter_ms;
-                // Pre-emptive break on frontier explosion: the enqueued
-                // edge estimate is a side product of the fused kernel, and
-                // committing blind through a hump would skip the direction
-                // decision exactly where it matters (Enterprise's
-                // bottom-up switch uses the same signal).
-                let exploding = eo.activated_out_edges > 4 * eo.edges_touched.max(1);
-                let keep = !pinned
-                    && (!opts.break_fused_chains
-                        || (!dup_heavy && !exploding && expand_ms <= 4.0 * chain_avg));
-                if keep {
-                    let est = estimate_stats(&stats, &eo, queue.len() as u64);
-                    pending = Some((queue, est));
-                } else {
-                    fused_te_sum = 0.0;
-                    fused_te_count = 0;
-                }
-            }
-        } else {
-            fused_te_sum = 0.0;
-            fused_te_count = 0;
-        }
+        self.fold(run.opts, &trace, eo);
+        trace
     }
 
-    // Hitting the bound without draining the frontier is non-convergence
-    // (the loop breaks with `converged = true` otherwise).
-    if report.iterations.len() >= opts.max_iterations as usize {
-        report.converged = false;
+    /// The sentinel caught the chosen variant diverging: count it, pin the run.
+    fn mismatch(&mut self) {
+        gswitch_obs::hardening::note_sentinel_mismatch();
+        self.sentinel.mismatches += 1;
+        self.sentinel.pinned_at.get_or_insert(self.hist.ctx.iteration);
     }
-    report
-}
 
-/// Predicted expand time wasted re-processing the duplicated fraction of
-/// a fused kernel's raw queue — the signal the chain-break rule weighs
-/// against a standalone re-filter's cost. A zero-length queue wastes
-/// nothing (the guard matters: `0.0 * x / 0` would be NaN, and a NaN
-/// here poisons every comparison in the fusion decision downstream).
-fn fused_waste_ms(expand_ms: f64, duplicates: u64, queue_len: usize) -> f64 {
-    if queue_len == 0 {
-        0.0
-    } else {
-        expand_ms * duplicates as f64 / queue_len as f64
+    /// Fold the executed step into what the next one sees: Table 1's
+    /// history, the same-config streak, and whether a fused chain goes on.
+    fn fold(&mut self, opts: &EngineOptions, t: &IterationTrace, mut eo: ExpandOutput) {
+        self.hist.fold(t.filter_ms, t.expand_ms, t.edges_touched);
+        let same = self.last_config == Some(t.config);
+        self.same_config_streak = if same { self.same_config_streak + 1 } else { 0 };
+        self.last_config = Some(t.config);
+
+        let Some(queue) = eo.next_queue.take().filter(|q| !q.is_empty()) else {
+            // Chain drained or none: the next iteration re-classifies (and
+            // observes convergence if nothing is active).
+            self.chain_len = 0;
+            return;
+        };
+        // An exponential moving average: gradual frontier growth does not
+        // read as an anomaly, only a sudden blow-up does.
+        self.chain_len += 1;
+        self.chain_pace_ms = match self.chain_len {
+            1 => t.expand_ms,
+            _ => 0.7 * self.chain_pace_ms + 0.3 * t.expand_ms,
+        };
+        // Break the chain when the next queue's duplicates are predicted
+        // to waste more expand time than a standalone re-filter costs (the
+        // social-graph failure mode of Fig. 9b), or when the last iteration
+        // ran far beyond the chain's pace (the paper's switch-back rule).
+        let spec = &opts.device;
+        let waste_ms = t.expand_ms * t.duplicates as f64 / queue.len() as f64;
+        let refilter_ms =
+            self.last_filter_ms + spec.launch_overhead_us / 1e3 + spec.feedback_time_ms();
+        let dup_heavy = waste_ms > refilter_ms;
+        // Pre-emptive break on frontier explosion (the enqueued-edge
+        // estimate is a side product of the fused kernel): committing
+        // blind through a hump would skip the direction decision exactly
+        // where it matters — Enterprise's bottom-up switch, same signal.
+        let exploding = eo.activated_out_edges > 4 * t.edges_touched.max(1);
+        let healthy = !dup_heavy && !exploding && t.expand_ms <= 4.0 * self.chain_pace_ms;
+        let pinned = self.sentinel.pinned_at.is_some();
+        if !pinned && (!opts.break_fused_chains || healthy) {
+            let estimate = estimate_stats(&t.stats, &eo, queue.len() as u64);
+            self.pending = Some((queue, estimate));
+        } else {
+            self.chain_len = 0;
+        }
     }
 }
 
@@ -837,21 +855,21 @@ fn estimate_stats(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::policy::{AutoPolicy, StaticPolicy};
     use gswitch_graph::{gen, GraphBuilder, VertexId};
     use gswitch_kernels::atomics::AtomicArray;
     use gswitch_kernels::Status;
 
-    /// Minimal BFS app for engine tests.
-    struct Bfs {
-        level: AtomicArray<u32>,
+    /// Minimal BFS app, shared by the engine, sharded and oracle tests.
+    pub(crate) struct Bfs {
+        pub(crate) level: AtomicArray<u32>,
         current: std::sync::atomic::AtomicU32,
     }
 
     impl Bfs {
-        fn new(n: usize, src: VertexId) -> Self {
+        pub(crate) fn new(n: usize, src: VertexId) -> Self {
             let b = Bfs {
                 level: AtomicArray::filled(n, u32::MAX),
                 current: std::sync::atomic::AtomicU32::new(0),
@@ -898,7 +916,7 @@ mod tests {
     }
 
     /// Reference BFS.
-    fn bfs_reference(g: &Graph, src: VertexId) -> Vec<u32> {
+    pub(crate) fn bfs_reference(g: &Graph, src: VertexId) -> Vec<u32> {
         let mut dist = vec![u32::MAX; g.num_vertices()];
         dist[src as usize] = 0;
         let mut q = std::collections::VecDeque::from([src]);
@@ -956,22 +974,6 @@ mod tests {
         // Self-times decompose wall time: Σ excl ≤ Σ root inclusive.
         let p = gswitch_obs::profile(&spans);
         assert!(p.excl_total_ms() <= p.total_ms + 1e-9);
-    }
-
-    #[test]
-    fn fused_waste_is_zero_not_nan_on_empty_queue() {
-        // Regression: `expand_ms * dups / queue.len()` on a drained raw
-        // queue divides by zero; the guard must return a clean 0.0 that
-        // every downstream comparison handles.
-        let w = fused_waste_ms(3.5, 7, 0);
-        assert_eq!(w, 0.0);
-        assert!(w.is_finite());
-        // And the comparison the engine actually makes stays false.
-        assert!(w <= 0.1);
-        // Non-degenerate case: half the queue is duplicates.
-        assert!((fused_waste_ms(4.0, 5, 10) - 2.0).abs() < 1e-12);
-        // No duplicates wastes nothing.
-        assert_eq!(fused_waste_ms(4.0, 0, 10), 0.0);
     }
 
     #[test]

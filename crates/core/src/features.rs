@@ -125,6 +125,42 @@ impl DecisionContext {
     }
 }
 
+/// A [`DecisionContext`] plus the running sums behind Table 1's
+/// "historical information" block. Every driver of the super-step
+/// sequence — the engine's lanes, the oracle, the Fig. 14 search — owns
+/// one and calls [`History::fold`] once per executed super-step, so the
+/// Selector sees the same history however the step was driven.
+#[derive(Clone, Copy, Debug)]
+pub struct History {
+    /// What the Selector sees; set `iteration` and `stats` before deciding.
+    pub ctx: DecisionContext,
+    tf_sum: f64,
+    te_sum: f64,
+}
+
+impl History {
+    /// No history yet (iteration 0).
+    pub fn new(graph: GraphStats) -> Self {
+        History { ctx: DecisionContext::initial(graph), tf_sum: 0.0, te_sum: 0.0 }
+    }
+
+    /// Fold the super-step `ctx.iteration` just executed into the history
+    /// the next Inspector reads: last and mean Filter/Expand times, and the
+    /// two-step workload trend the P4 stepping rule compares.
+    pub fn fold(&mut self, filter_ms: f64, expand_ms: f64, edges_touched: u64) {
+        let ctx = &mut self.ctx;
+        self.tf_sum += filter_ms;
+        self.te_sum += expand_ms;
+        let done = ctx.iteration as f64 + 1.0;
+        ctx.prev_prev_workload_edges = ctx.prev_workload_edges;
+        ctx.prev_workload_edges = edges_touched;
+        ctx.t_f = filter_ms;
+        ctx.t_e = expand_ms;
+        ctx.t_f_avg = self.tf_sum / done;
+        ctx.t_e_avg = self.te_sum / done;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

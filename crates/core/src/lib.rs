@@ -34,7 +34,7 @@ pub use engine::{
     run, run_with_seed_config, EngineOptions, IterationTrace, PatternMask, RunReport,
     SentinelReport,
 };
-pub use features::DecisionContext;
+pub use features::{DecisionContext, History};
 pub use policy::{
     AppCaps, AutoPolicy, ModelEnvelope, ModelLoadReport, ModelPolicy, Policy, StaticPolicy,
     MODEL_SCHEMA_VERSION,

@@ -10,7 +10,9 @@
 //! then *executes* the argmin variant so the trajectory it labels is the
 //! optimal one, and emits one [`Record`] per iteration.
 
-use crate::features::DecisionContext;
+use crate::cancel::ProbeHandle;
+use crate::engine::classify_rescuing;
+use crate::features::History;
 use crate::policy::AppCaps;
 use gswitch_graph::Graph;
 use gswitch_kernels::expand::{analytic_pull_profile, analytic_push_profile};
@@ -19,7 +21,7 @@ use gswitch_kernels::lb::{edge_costs, price_all};
 use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
-use gswitch_kernels::{classify, expand, materialize, EdgeApp, Status};
+use gswitch_kernels::{expand, materialize, EdgeApp, Status};
 use gswitch_ml::{FeatureDb, Labels, Record};
 use gswitch_simt::{DeviceSpec, SimMs};
 use rayon::prelude::*;
@@ -179,38 +181,35 @@ pub fn oracle_run<A: EdgeApp>(
     let caps = AppCaps::of::<A>();
     let spec = &opts.device;
     let mut outcome = OracleOutcome::default();
-    let mut ctx = DecisionContext::initial(*g.stats());
-    let mut tf_sum = 0.0;
-    let mut te_sum = 0.0;
+    let mut hist = History::new(*g.stats());
     // Fusion labelling inputs from the previously executed iteration.
     let mut prev_dup_ratio = 1.0f64;
 
     for iteration in 0..opts.max_iterations {
         app.advance(iteration);
-        ctx.iteration = iteration;
+        hist.ctx.iteration = iteration;
 
         // P4: the oracle applies the paper's ±35% rule and labels with it
         // (the trained tree learns to reproduce the rule from features).
         let stepping = if caps.priority_driven {
-            let s = ctx.stepping_by_rule();
+            let s = hist.ctx.stepping_by_rule();
             app.adjust_priority(s);
             s
         } else {
             SteppingDelta::Remain
         };
 
-        let mut classify_ms = 0.0;
-        let co = loop {
-            let co = classify(g, app, spec);
-            classify_ms += spec.kernel_time_ms(&co.profile);
-            if co.stats.v_active > 0 || !app.rescue() {
-                break co;
-            }
+        // Offline labelling has no deadline: the rescue spin polls an empty
+        // probe, which never stops it.
+        let Ok((co, classify_ms)) =
+            classify_rescuing(g, app, spec, &ProbeHandle::none(), iteration)
+        else {
+            break;
         };
         if co.stats.v_active == 0 {
             break;
         }
-        ctx.stats = co.stats;
+        hist.ctx.stats = co.stats;
 
         // Brute force: price all 24 (direction × format × lb) shapes.
         let push = analyze_push(g, &co.status);
@@ -282,7 +281,7 @@ pub fn oracle_run<A: EdgeApp>(
         };
 
         // Record features + labels before executing.
-        let features = ctx.features(direction);
+        let features = hist.ctx.features(direction);
         outcome.records.push(Record {
             features,
             labels: Labels {
@@ -328,15 +327,7 @@ pub fn oracle_run<A: EdgeApp>(
         outcome.iterations += 1;
 
         // Feedback for the next iteration's features and fusion label.
-        tf_sum += filter_ms;
-        te_sum += expand_ms;
-        let done = outcome.iterations as f64;
-        ctx.prev_prev_workload_edges = ctx.prev_workload_edges;
-        ctx.prev_workload_edges = eo.edges_touched;
-        ctx.t_f = filter_ms;
-        ctx.t_e = expand_ms;
-        ctx.t_f_avg = tf_sum / done;
-        ctx.t_e_avg = te_sum / done;
+        hist.fold(filter_ms, expand_ms, eo.edges_touched);
         prev_dup_ratio = if eo.distinct_activated == 0 {
             1.0
         } else {
@@ -382,60 +373,8 @@ pub fn label_corpus<A: EdgeApp>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gswitch_graph::{gen, GraphBuilder, VertexId};
-    use gswitch_kernels::atomics::AtomicArray;
-
-    struct Bfs {
-        level: AtomicArray<u32>,
-        current: std::sync::atomic::AtomicU32,
-    }
-
-    impl Bfs {
-        fn new(n: usize, src: VertexId) -> Self {
-            let b = Bfs {
-                level: AtomicArray::filled(n, u32::MAX),
-                current: std::sync::atomic::AtomicU32::new(0),
-            };
-            b.level.store(src, 0);
-            b
-        }
-    }
-
-    impl EdgeApp for Bfs {
-        type Msg = u32;
-        const PULL_EARLY_EXIT: bool = true;
-        fn filter(&self, v: VertexId) -> Status {
-            let l = self.level.load(v);
-            let cur = self.current.load(std::sync::atomic::Ordering::Relaxed);
-            if l == cur {
-                Status::Active
-            } else if l == u32::MAX {
-                Status::Inactive
-            } else {
-                Status::Fixed
-            }
-        }
-        fn emit(&self, u: VertexId, _w: u32) -> u32 {
-            self.level.load(u) + 1
-        }
-        fn comp_atomic(&self, dst: VertexId, msg: u32) -> bool {
-            self.level.fetch_min(dst, msg) > msg
-        }
-        fn comp(&self, dst: VertexId, msg: u32) -> bool {
-            if msg < self.level.load(dst) {
-                self.level.store(dst, msg);
-                true
-            } else {
-                false
-            }
-        }
-        fn advance(&self, it: u32) {
-            self.current.store(it, std::sync::atomic::Ordering::Relaxed);
-        }
-        fn would_tie(&self, dst: VertexId, msg: u32) -> bool {
-            self.level.load(dst) == msg
-        }
-    }
+    use crate::engine::tests::Bfs;
+    use gswitch_graph::{gen, GraphBuilder};
 
     #[test]
     fn oracle_produces_one_record_per_iteration() {

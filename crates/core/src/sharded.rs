@@ -1,43 +1,32 @@
-//! Partitioned execution: the sharded super-step driver.
+//! Partitioned execution: K lanes of the engine's one super-step loop.
 //!
 //! [`run_sharded`] runs one application over a [`ShardedCsr`] — K
 //! locally-renumbered shards with halo tables (`gswitch_graph::shard`) —
-//! as a bulk-synchronous sequence of super-steps. Each super-step:
+//! by handing `engine::drive` one lane per shard. A lane sees its
+//! [`LocalShard`] through a [`ShardView`] that translates local vertex
+//! ids to global ones and pins halo copies to `Fixed` (the owning shard
+//! alone classifies, prepares and expands a vertex), and keeps its own
+//! decision history, so the Selector tunes the P2 format and P3 load
+//! balance per shard. P1 is pinned to push and P4/P5 off: cross-shard
+//! pull and fused chains would break the exchange protocol (DESIGN §4.11).
 //!
-//! 1. **Classify** every shard in parallel (one panic-isolated worker
-//!    per shard) through a [`ShardView`] adapter that translates local
-//!    vertex ids to global ones and pins halo copies to `Fixed`, so the
-//!    owning shard alone classifies, prepares and expands each vertex.
-//! 2. **Decide** per shard on the host: every shard carries its own
-//!    [`DecisionContext`] seeded from its local `GraphStats`, so the
-//!    Selector tunes the P2 active-set format and P3 load balance
-//!    independently per shard. P1 direction is pinned to push, P4/P5
-//!    are pinned off — cross-shard pull and fused chains would break
-//!    the exchange protocol (see DESIGN §4.11).
-//! 3. **Expand** every shard in parallel. App state lives in one global
-//!    set of atomic arrays shared by all shards, so a push update into
-//!    a halo vertex lands in the owner's data directly — the atomic *is*
-//!    the exchange payload. The view counts those halo hits (total and
-//!    distinct) and the driver prices the implied frontier-exchange
-//!    traffic with [`DeviceSpec::exchange_time_ms`], merging duplicates
-//!    first unless the app is `DUP_TOLERANT`.
-//!
-//! A shard worker that panics (or is lost) surfaces as a structured
-//! [`ShardError`], never a hang: the remaining workers of the phase run
-//! to completion, then the super-step aborts with the first failure.
+//! App state lives in one global set of atomic arrays, so a push update
+//! into a halo vertex lands in the owner's data directly — the atomic
+//! *is* the exchange payload. The view counts those halo hits, and each
+//! super-step's barrier prices the implied frontier-exchange traffic with
+//! [`DeviceSpec::exchange_time_ms`], merging duplicates first unless the
+//! app is `DUP_TOLERANT`. A lane worker that panics (or is lost) surfaces
+//! as a structured [`ShardError`], never a hang: the phase's other
+//! workers finish, then the super-step aborts with the first failure.
 
 use crate::cancel::{ProbeHandle, StopReason};
-use crate::engine::PatternMask;
-use crate::features::DecisionContext;
-use crate::policy::{AppCaps, Policy};
+use crate::engine::{drive, EngineOptions, IterationTrace, Lane, PatternMask};
+use crate::policy::Policy;
 use gswitch_graph::shard::{LocalShard, ShardedCsr};
 use gswitch_graph::{VertexId, Weight};
 use gswitch_kernels::exchange::ExchangeProfile;
-use gswitch_kernels::pattern::KernelConfig;
-use gswitch_kernels::{
-    classify, expand, materialize, ClassifyOutput, EdgeApp, ExpandOutput, Status,
-};
-use gswitch_obs::{Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
+use gswitch_kernels::{EdgeApp, Status};
+use gswitch_obs::{RecorderHandle, SpanCtx};
 use gswitch_simt::{DeviceSpec, SimMs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,21 +117,33 @@ impl ShardedOptions {
         ShardedOptions { device, ..Default::default() }
     }
 
-    /// The mask the per-shard selectors actually see: the caller's mask
-    /// with the driver's pinned patterns forced off.
-    fn effective_mask(&self) -> PatternMask {
-        PatternMask {
+    /// The sharded pins as inputs to the one loop: the patterns that
+    /// would break the exchange protocol masked off. The rest rides on
+    /// the lane's app type (`ShardView`: not priority-driven, no rescue)
+    /// and on defaults — no seed, and no sentinel (its serial sweep would
+    /// cross shard borders).
+    fn engine_options(&self) -> EngineOptions {
+        let mask = PatternMask {
             direction: false, // push only: halo rows are empty in the local out-CSR
-            format: self.mask.format,
-            load_balance: self.mask.load_balance,
-            stepping: false, // no global priority window across shards
-            fusion: false,   // a fused chain would skip the exchange barrier
+            stepping: false,  // no global priority window across shards
+            fusion: false,    // a fused chain would skip the exchange barrier
+            ..self.mask
+        };
+        EngineOptions {
+            device: self.device.clone(),
+            max_iterations: self.max_supersteps,
+            mask,
+            stability_bypass: self.stability_bypass,
+            recorder: self.recorder.clone(),
+            probe: self.probe.clone(),
+            spans: self.spans.clone(),
+            ..EngineOptions::default()
         }
     }
 }
 
 /// One bulk-synchronous super-step of a sharded run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SuperStep {
     /// Super-step index (0-based).
     pub iteration: u32,
@@ -270,12 +271,13 @@ impl<'a, A: EdgeApp> ShardView<'a, A> {
         self.shard.to_global(local)
     }
 
-    /// Drain this super-step's exchange counters: `(records, distinct)`.
-    fn take_exchange(&self) -> (u64, u64) {
+    /// Drain this super-step's exchange counters into a routed profile.
+    fn take_exchange(&self) -> ExchangeProfile {
         let records = self.halo_records.swap(0, Ordering::Relaxed);
         let distinct = self.halo_seen.count() as u64;
         self.halo_seen.clear();
-        (records, distinct)
+        let payload = std::mem::size_of::<A::Msg>() as u32;
+        ExchangeProfile::for_app(records, distinct, A::DUP_TOLERANT, payload)
     }
 }
 
@@ -351,44 +353,48 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run every shard's closure on its own thread, containing panics.
-/// Returns per-shard results; `Err` carries the structured failure.
-fn fan_out<'env, T: Send>(
-    k: usize,
+/// Run one phase's `job` for every lane, appending the results to `out`
+/// in lane order. A single lane runs inline on the calling thread — no
+/// spawn, and a panic is the caller's own. More lanes get a thread each,
+/// with panics contained: `Err` carries the structured failure.
+pub(crate) fn fan_out<I: Send, T: Send>(
+    lanes: &mut [I],
     phase: &'static str,
-    job: impl Fn(usize) -> T + Sync + 'env,
-) -> Vec<Result<T, ShardError>> {
+    job: impl Fn(usize, &mut I) -> T + Sync,
+    out: &mut Vec<Result<T, ShardError>>,
+) {
+    if let [only] = lanes {
+        return out.push(Ok(job(0, only)));
+    }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|s| {
+        let handles: Vec<_> = lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(s, lane)| {
                 let job = &job;
-                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| job(s))))
+                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| job(s, lane))))
             })
             .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(s, h)| match h.join() {
-                Ok(Ok(v)) => Ok(v),
-                Ok(Err(payload)) => Err(ShardError::WorkerPanicked {
-                    shard: s as u32,
-                    phase,
-                    message: panic_message(payload),
-                }),
-                Err(_) => Err(ShardError::WorkerLost { shard: s as u32, phase }),
-            })
-            .collect()
+        out.extend(handles.into_iter().enumerate().map(|(s, h)| match h.join() {
+            Ok(Ok(v)) => Ok(v),
+            Ok(Err(payload)) => Err(ShardError::WorkerPanicked {
+                shard: s as u32,
+                phase,
+                message: panic_message(payload),
+            }),
+            Err(_) => Err(ShardError::WorkerLost { shard: s as u32, phase }),
+        }));
     })
 }
 
 /// Run `app` over the partitioned graph until global convergence.
 ///
-/// Semantics match the single-shard engine exactly for push-mode apps:
-/// one global app instance, BSP barriers between classify and expand,
-/// `advance` called once per super-step, `prepare` exactly once per
-/// active vertex (its owner's classify). Priority-driven apps are
-/// rejected — their stepping window is global state the per-shard
-/// selectors cannot coordinate.
+/// Semantics match the single-graph engine exactly for push-mode apps —
+/// it is the same loop: one global app instance, barriers between
+/// classify and expand, `advance` called once per super-step, `prepare`
+/// exactly once per active vertex (its owner's classify). Priority-driven
+/// apps are rejected — their stepping window is global state the
+/// per-shard selectors cannot coordinate.
 pub fn run_sharded<A: EdgeApp>(
     sharded: &ShardedCsr,
     app: &A,
@@ -400,283 +406,54 @@ pub fn run_sharded<A: EdgeApp>(
             "priority-driven apps need a global stepping window; run them single-shard".into(),
         ));
     }
-    let k = sharded.k() as usize;
-    let spec = &opts.device;
-    let mask = opts.effective_mask();
-    let caps = AppCaps::of::<ShardView<'_, A>>();
-    let payload_bytes = std::mem::size_of::<A::Msg>() as u32;
-
+    let k = sharded.k();
     let views: Vec<ShardView<'_, A>> =
         sharded.shards().iter().map(|sh| ShardView::new(app, sh)).collect();
-
+    let mut lanes: Vec<_> = (0..k)
+        .zip(&views)
+        .map(|(s, v)| {
+            Lane::new(v.shard.graph(), v, Some(s), opts.spans.collector().local(s, opts.spans.job))
+        })
+        .collect();
     let mut report =
-        ShardedRunReport { k: k as u32, shard_busy_ms: vec![0.0; k], ..Default::default() };
+        ShardedRunReport { k, shard_busy_ms: vec![0.0; k as usize], ..Default::default() };
 
-    // Per-shard decision state, mirroring the engine's history block.
-    let mut ctxs: Vec<DecisionContext> =
-        sharded.shards().iter().map(|sh| DecisionContext::initial(*sh.graph().stats())).collect();
-    let mut tf_sums = vec![0.0f64; k];
-    let mut te_sums = vec![0.0f64; k];
-    let mut last_configs: Vec<Option<KernelConfig>> = vec![None; k];
-    let mut streaks = vec![0u32; k];
-
-    // Span plumbing: the driver thread stages into one local buffer;
-    // fan_out workers make their own per-call (shard phases are coarse
-    // enough that the per-thread buffer setup is noise).
-    let span_local = opts.spans.local();
-    let clock = span_local.clock().clone();
-    let sctx = opts.spans.clone();
-
-    for iteration in 0..opts.max_supersteps {
-        if let Some(reason) = opts.probe.check(iteration) {
-            report.stopped = Some(reason);
-            break;
-        }
-        let step_guard =
-            span_local.start_tagged(SpanKind::SuperStep, opts.spans.parent, None, iteration);
-        let step_id = step_guard.id();
-        // One global advance: the K views are windows onto one app.
-        app.advance(iteration);
-
-        // ---- Phase 1: classify all shards (parallel, panic-isolated).
-        let classified = fan_out(k, "classify", |s| {
-            let sl = sctx.collector().local(s as u32, sctx.job);
-            let _span = sl.start_tagged(SpanKind::Inspect, step_id, Some(s as u32), iteration);
-            classify(views[s].shard.graph(), &views[s], spec)
-        });
-        let mut outputs: Vec<ClassifyOutput> = Vec::with_capacity(k);
-        for r in classified {
-            outputs.push(r?);
-        }
-
-        let total_active: u64 = outputs.iter().map(|o| o.stats.v_active).sum();
-        if total_active == 0 {
-            report.converged = true;
-            break;
-        }
-
-        // ---- Phase 2: per-shard decisions on the host.
-        let mut overhead_host_ms = 0.0;
-        let mut decisions: Vec<(KernelConfig, Provenance, bool)> = Vec::with_capacity(k);
-        for s in 0..k {
-            let ctx = &mut ctxs[s];
-            ctx.iteration = iteration;
-            ctx.stats = outputs[s].stats;
-            let stable = opts.stability_bypass
-                && streaks[s] >= 2
-                && ctx.t_e_avg > 0.0
-                && (ctx.t_e - ctx.t_e_avg).abs() <= 0.5 * ctx.t_e_avg;
-            let (cfg, prov, decided) = match (stable, last_configs[s]) {
-                (true, Some(prev)) => (prev, Provenance::StabilityBypass, false),
-                _ => {
-                    let t0 = clock.now_ns();
-                    let c = policy.decide(ctx, &caps);
-                    let t1 = clock.now_ns();
-                    overhead_host_ms += t1.saturating_sub(t0) as f64 / 1e6;
-                    span_local.record_interval(
-                        SpanKind::Select,
-                        step_id,
-                        t0,
-                        t1,
-                        Some(s as u32),
-                        iteration,
-                    );
-                    (c, Provenance::Decided, true)
-                }
-            };
-            decisions.push((caps.clamp(mask.apply(cfg)), prov, decided));
-        }
-
-        // ---- Phase 3: materialize + expand all shards (parallel,
-        // panic-isolated). Every halo-directed comp_atomic inside is an
-        // exchange record; the barrier below settles the accounting.
-        let expanded = fan_out(k, "exchange", |s| {
-            #[cfg(feature = "fault-injection")]
-            crate::faults::maybe_shard_panic(s as u32);
-            let sl = sctx.collector().local(s as u32, sctx.job);
-            let _span = sl.start_tagged(SpanKind::Expand, step_id, Some(s as u32), iteration);
-            let view = &views[s];
-            let g = view.shard.graph();
-            let cfg = decisions[s].0;
-            let (frontier, mat_profile) = materialize::<ShardView<'_, A>>(
-                g,
-                &outputs[s].status,
-                cfg.direction,
-                cfg.format,
-                spec,
-            );
-            let eo = expand(g, view, &frontier, &outputs[s].status, cfg, spec);
-            (spec.kernel_time_ms(&mat_profile), eo)
-        });
-        let mut results: Vec<(SimMs, ExpandOutput)> = Vec::with_capacity(k);
-        for (s, r) in expanded.into_iter().enumerate() {
-            #[cfg(feature = "fault-injection")]
-            if crate::faults::take_shard_drop(s as u32) {
-                return Err(ShardError::WorkerLost { shard: s as u32, phase: "exchange" });
-            }
-            #[cfg(not(feature = "fault-injection"))]
-            let _ = s;
-            results.push(r?);
-        }
-
-        // ---- Phase 4: exchange accounting + feedback (the barrier).
-        let x0 = clock.now_ns();
-        let mut exchange = ExchangeProfile::default();
-        let mut step = SuperStep {
-            iteration,
-            filter_ms: 0.0,
-            expand_ms: 0.0,
-            exchange_ms: 0.0,
-            overhead_ms: overhead_host_ms + spec.feedback_time_ms(),
-            exchange: ExchangeProfile::default(),
-            active: total_active,
-            edges_touched: 0,
+    let sink = &mut |traces: &mut Vec<IterationTrace>, overhead_ms| {
+        // The barrier: settle every lane's halo records. Shards are
+        // parallel devices, so the step's filter/expand is the slowest
+        // shard's; each shard's own busy time feeds the imbalance metric.
+        let mut ss = SuperStep {
+            iteration: report.supersteps.len() as u32,
+            overhead_ms,
+            active: traces.iter().map(|t| t.stats.v_active).sum(),
+            ..SuperStep::default()
         };
-        for s in 0..k {
-            let (mat_ms, eo) = &results[s];
-            let classify_ms = spec.kernel_time_ms(&outputs[s].profile);
-            let filter_ms = classify_ms + mat_ms;
-            let expand_ms = spec.kernel_time_ms(&eo.profile);
-            let (records, distinct) = views[s].take_exchange();
-            exchange.absorb(&ExchangeProfile::for_app(
-                records,
-                distinct,
-                A::DUP_TOLERANT,
-                payload_bytes,
-            ));
-
-            // Shards are parallel devices: the step's filter/expand is
-            // the slowest shard's; each shard's own busy time feeds the
-            // imbalance metric.
-            step.filter_ms = step.filter_ms.max(filter_ms);
-            step.expand_ms = step.expand_ms.max(expand_ms);
-            step.edges_touched += eo.edges_touched;
-            report.shard_busy_ms[s] += filter_ms + expand_ms;
-
-            let (config, provenance, _) = decisions[s];
-            if let Some(rec) = opts.recorder.active() {
-                rec.record(&TraceEvent {
-                    iteration,
-                    config,
-                    provenance,
-                    predicted_ms: ctxs[s].t_e_avg,
-                    measured_ms: expand_ms,
-                    filter_ms,
-                    overhead_ms: 0.0,
-                    v_active: outputs[s].stats.v_active,
-                    e_active: outputs[s].stats.e_active,
-                    edges_touched: eo.edges_touched,
-                    activations: eo.activations,
-                    duplicates: eo.profile.duplicates,
-                    task_total_cycles: eo.profile.tasks.total_cycles,
-                    task_max_cycles: eo.profile.tasks.max_cycles,
-                    task_count: eo.profile.tasks.count,
-                    features: ctxs[s].features(config.direction),
-                    shard: Some(s as u32),
-                });
-            }
-
-            // Per-shard history for the next super-step's Inspector.
-            let ctx = &mut ctxs[s];
-            tf_sums[s] += filter_ms;
-            te_sums[s] += expand_ms;
-            let done = iteration as f64 + 1.0;
-            ctx.prev_prev_workload_edges = ctx.prev_workload_edges;
-            ctx.prev_workload_edges = eo.edges_touched;
-            ctx.t_f = filter_ms;
-            ctx.t_e = expand_ms;
-            ctx.t_f_avg = tf_sums[s] / done;
-            ctx.t_e_avg = te_sums[s] / done;
-            if last_configs[s] == Some(config) {
-                streaks[s] += 1;
-            } else {
-                streaks[s] = 0;
-            }
-            last_configs[s] = Some(config);
+        for ((view, busy_ms), t) in views.iter().zip(&mut report.shard_busy_ms).zip(traces.iter()) {
+            ss.exchange.absorb(&view.take_exchange());
+            ss.filter_ms = ss.filter_ms.max(t.filter_ms);
+            ss.expand_ms = ss.expand_ms.max(t.expand_ms);
+            ss.edges_touched += t.edges_touched;
+            *busy_ms += t.filter_ms + t.expand_ms;
         }
-        // Exchange: routed records cross the interconnect to k-1 peers.
-        step.exchange = exchange;
-        step.exchange_ms = spec.exchange_time_ms(exchange.bytes(), (k as u32).saturating_sub(1));
-        span_local.record_interval(
-            SpanKind::Exchange,
-            step_id,
-            x0,
-            clock.now_ns(),
-            None,
-            iteration,
-        );
-        report.supersteps.push(step);
-    }
-
-    if report.n_supersteps() >= opts.max_supersteps as usize {
-        report.converged = false;
-    }
+        // Routed records cross the interconnect to k-1 peers.
+        ss.exchange_ms = opts.device.exchange_time_ms(ss.exchange.bytes(), k.saturating_sub(1));
+        report.supersteps.push(ss);
+    };
+    (report.converged, report.stopped) =
+        drive(app, &mut lanes, policy, &opts.engine_options(), None, sink)?;
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::Bfs;
     use crate::engine::{run, EngineOptions};
     use crate::policy::{AutoPolicy, StaticPolicy};
     use gswitch_graph::{gen, Graph, GraphBuilder};
-    use gswitch_kernels::atomics::AtomicArray;
-    use gswitch_kernels::pattern::{Direction, Fusion, SteppingDelta};
+    use gswitch_kernels::pattern::{Direction, Fusion, KernelConfig, SteppingDelta};
     use gswitch_obs::TraceRing;
     use std::sync::Arc;
-
-    /// The engine-test BFS app, reused for equivalence checks.
-    struct Bfs {
-        level: AtomicArray<u32>,
-        current: std::sync::atomic::AtomicU32,
-    }
-
-    impl Bfs {
-        fn new(n: usize, src: VertexId) -> Self {
-            let b = Bfs {
-                level: AtomicArray::filled(n, u32::MAX),
-                current: std::sync::atomic::AtomicU32::new(0),
-            };
-            b.level.store(src, 0);
-            b
-        }
-    }
-
-    impl EdgeApp for Bfs {
-        type Msg = u32;
-        const PULL_EARLY_EXIT: bool = true;
-        fn filter(&self, v: VertexId) -> Status {
-            let l = self.level.load(v);
-            let cur = self.current.load(std::sync::atomic::Ordering::Relaxed);
-            if l == cur {
-                Status::Active
-            } else if l == u32::MAX {
-                Status::Inactive
-            } else {
-                Status::Fixed
-            }
-        }
-        fn emit(&self, u: VertexId, _w: u32) -> u32 {
-            self.level.load(u) + 1
-        }
-        fn comp_atomic(&self, dst: VertexId, msg: u32) -> bool {
-            self.level.fetch_min(dst, msg) > msg
-        }
-        fn comp(&self, dst: VertexId, msg: u32) -> bool {
-            if msg < self.level.load(dst) {
-                self.level.store(dst, msg);
-                true
-            } else {
-                false
-            }
-        }
-        fn advance(&self, it: u32) {
-            self.current.store(it, std::sync::atomic::Ordering::Relaxed);
-        }
-        fn would_tie(&self, dst: VertexId, msg: u32) -> bool {
-            self.level.load(dst) == msg
-        }
-    }
 
     /// A panicking app, to prove worker isolation.
     struct Bomb;
@@ -832,25 +609,24 @@ mod tests {
             })
             .collect();
 
-        // Inspect/Expand are per-shard children; every shard shows up.
-        let mut inspect_shards = std::collections::BTreeSet::new();
-        let mut expand_shards = std::collections::BTreeSet::new();
+        // Every lane phase is a per-shard child of its super-step, emitted
+        // by the shared step code; every shard shows up under every kind.
+        use gswitch_obs::SpanKind::{Exchange, Expand, Filter, Inspect, Partition};
+        let mut seen = std::collections::BTreeSet::new();
         for s in &spans {
-            match s.kind {
-                gswitch_obs::SpanKind::Inspect => {
-                    assert!(step_ids.contains(&s.parent));
-                    inspect_shards.insert(s.shard.expect("inspect span missing shard"));
-                }
-                gswitch_obs::SpanKind::Expand => {
-                    assert!(step_ids.contains(&s.parent));
-                    expand_shards.insert(s.shard.expect("expand span missing shard"));
-                }
-                gswitch_obs::SpanKind::Exchange => assert!(step_ids.contains(&s.parent)),
-                _ => {}
+            if [Inspect, Filter, Partition, Expand].contains(&s.kind) {
+                assert!(step_ids.contains(&s.parent));
+                seen.insert((s.kind.as_str(), s.shard.expect("lane span missing shard")));
+            } else if s.kind == Exchange {
+                assert!(step_ids.contains(&s.parent));
+                assert_eq!(s.shard, None, "one exchange per step, not per shard");
             }
         }
-        assert_eq!(inspect_shards, (0..3).collect());
-        assert_eq!(expand_shards, (0..3).collect());
+        assert_eq!(seen.len(), 4 * 3, "{seen:?}");
+        let n = |k| spans.iter().filter(|s| s.kind == k).count();
+        assert_eq!(n(Exchange), rep.n_supersteps());
+        assert_eq!(n(Filter), n(Expand));
+        assert_eq!(n(Partition), n(Expand));
 
         // Self-time accounting never exceeds root wall time.
         let p = profile(&spans);

@@ -256,6 +256,19 @@ impl WorkPlan {
     pub fn matches(&self, fp: u64, need: DegreeSource, symmetric: bool) -> bool {
         self.fingerprint == fp && (self.source == need || symmetric)
     }
+
+    /// [`WorkPlan::matches`] against a workload itself. The slot count is
+    /// compared first: a fingerprint match cannot survive a length
+    /// mismatch, and counting entries is far cheaper than hashing them —
+    /// so a frontier that changed size (every BFS level) costs no hash.
+    pub fn matches_frontier(
+        &self,
+        frontier: &Frontier,
+        need: DegreeSource,
+        symmetric: bool,
+    ) -> bool {
+        self.slots == frontier.len() && self.matches(fingerprint_of(frontier), need, symmetric)
+    }
 }
 
 /// Fingerprint of a frontier's workload identity: queue entries for

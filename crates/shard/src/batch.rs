@@ -107,8 +107,6 @@ pub struct BatchOptions {
     pub device: DeviceSpec,
     /// Concurrent query slots in the worker pool (minimum 1).
     pub slots: usize,
-    /// Per-shard stability bypass inside each query's run.
-    pub stability_bypass: bool,
     /// Decision-trace sink shared by every query in the batch.
     pub recorder: RecorderHandle,
     /// Span context for the batch: one `Batch` span covers the whole
@@ -123,7 +121,6 @@ impl Default for BatchOptions {
         BatchOptions {
             device: DeviceSpec::default(),
             slots: 4,
-            stability_bypass: true,
             recorder: RecorderHandle::none(),
             spans: SpanCtx::default(),
         }
@@ -268,7 +265,6 @@ pub fn execute_batch(plan: &ShardPlan, queries: &[BatchQuery], opts: &BatchOptio
     let slots = opts.slots.max(1).min(queries.len().max(1));
     let sharded_opts = ShardedOptions {
         device: opts.device.clone(),
-        stability_bypass: opts.stability_bypass,
         recorder: opts.recorder.clone(),
         ..ShardedOptions::default()
     };

@@ -8,9 +8,13 @@
 //! K concurrent shard workers, so its comparison is a tolerance well
 //! below the convergence threshold (see DESIGN §4.11).
 
-use gswitch_algos::{bfs, cc, pr};
-use gswitch_core::{AutoPolicy, EngineOptions};
+use gswitch_algos::{bfs, cc, pr, Bfs, Cc};
+use gswitch_core::{
+    run, run_sharded, AutoPolicy, EngineOptions, Fusion, GraphApp, KernelConfig, PatternMask,
+    Policy, RecorderHandle, ShardedOptions, StaticPolicy, SteppingDelta, TraceRing,
+};
 use gswitch_graph::corpus::representatives_small;
+use gswitch_graph::shard::ShardedCsr;
 use gswitch_graph::Graph;
 use gswitch_shard::{execute_batch, BatchOptions, BatchQuery, BatchResult, QueryStatus, ShardPlan};
 use std::sync::Arc;
@@ -112,4 +116,115 @@ fn mixed_batch_on_a_representative_matches_sequential_answers() {
     }
     // Concurrent queries overlapped: occupancy is meaningful and > 0.
     assert!(rep.occupancy() > 0.0);
+}
+
+/// One super-step as either entry point reports it.
+#[derive(Debug, PartialEq)]
+struct Step {
+    config: KernelConfig,
+    filter_bits: u64,
+    expand_bits: u64,
+    edges_touched: u64,
+    active: u64,
+}
+
+/// `run_sharded` at K = 1 and `run` under the sharded pins are the same
+/// loop over the same single lane, so they must agree step for step —
+/// config, simulated Filter/Expand time (bitwise), edges, active count —
+/// and on the answer. Configs of the sharded side come from its decision
+/// trace (`SuperStep` carries none).
+fn assert_k1_matches_unsharded<A: GraphApp>(
+    g: &Graph,
+    policy: &dyn Policy,
+    make: impl Fn() -> A,
+    answer: impl Fn(&A) -> Vec<u32>,
+    tag: &str,
+) {
+    // The mask `ShardedOptions` pins: push only, no stepping, no fusion.
+    let mask =
+        PatternMask { direction: false, stepping: false, fusion: false, ..PatternMask::all() };
+    let single_app = make();
+    let single = run(g, &single_app, policy, &EngineOptions { mask, ..Default::default() });
+    let single_steps: Vec<Step> = single
+        .iterations
+        .iter()
+        .map(|t| Step {
+            config: t.config,
+            filter_bits: t.filter_ms.to_bits(),
+            expand_bits: t.expand_ms.to_bits(),
+            edges_touched: t.edges_touched,
+            active: t.stats.v_active,
+        })
+        .collect();
+
+    let sharded = ShardedCsr::partition(g, 1).expect("partition");
+    let ring = Arc::new(TraceRing::new(1 << 16));
+    let opts = ShardedOptions {
+        recorder: RecorderHandle::new(ring.recorder(1, g.name(), tag)),
+        ..Default::default()
+    };
+    let sharded_app = make();
+    let rep = run_sharded(&sharded, &sharded_app, policy, &opts).expect("sharded run");
+    let events = ring.snapshot();
+    assert_eq!(events.len(), rep.supersteps.len(), "{tag}: one event per K=1 super-step");
+    let sharded_steps: Vec<Step> = rep
+        .supersteps
+        .iter()
+        .zip(&events)
+        .map(|(s, e)| Step {
+            config: e.event.config,
+            filter_bits: s.filter_ms.to_bits(),
+            expand_bits: s.expand_ms.to_bits(),
+            edges_touched: s.edges_touched,
+            active: s.active,
+        })
+        .collect();
+
+    assert_eq!(rep.converged, single.converged, "{tag} on {}", g.name());
+    assert_eq!(sharded_steps, single_steps, "{tag} on {}", g.name());
+    assert_eq!(answer(&sharded_app), answer(&single_app), "{tag} on {}", g.name());
+    assert_eq!(rep.exchange_total().records, 0, "{tag}: one shard has no peers");
+}
+
+/// AutoPolicy plus every push shape the sharded mask can express.
+fn k1_policies() -> Vec<(String, Box<dyn Policy>)> {
+    let mut policies: Vec<(String, Box<dyn Policy>)> = vec![("auto".into(), Box::new(AutoPolicy))];
+    for cfg in KernelConfig::all_shapes() {
+        let push = cfg.direction == gswitch_core::Direction::Push;
+        if push && cfg.fusion == Fusion::Standalone && cfg.stepping == SteppingDelta::Remain {
+            policies.push((cfg.to_string(), Box::new(StaticPolicy::new(cfg))));
+        }
+    }
+    policies
+}
+
+#[test]
+fn one_shard_bfs_matches_unsharded_trace_for_trace_on_whole_corpus() {
+    for g in corpus() {
+        for (name, policy) in k1_policies() {
+            let n = g.num_vertices();
+            let tag = format!("bfs/{name}");
+            assert_k1_matches_unsharded(&g, &*policy, || Bfs::new(n, 0), Bfs::levels, &tag);
+        }
+    }
+}
+
+#[test]
+fn one_shard_cc_matches_unsharded_trace_for_trace_on_whole_corpus() {
+    for r in representatives_small() {
+        // CC's `fetch_min` over differing labels makes per-step counters
+        // depend on thread interleaving once an Expand exceeds 256 bucketed
+        // tasks and runs in parallel; only these two twins get there (see
+        // `crates/algos/tests/golden_traces.rs`), and then neither side of
+        // the comparison reproduces even against itself.
+        if ["soc-orkut", "kron_g500-log21"].contains(&r.paper_name) {
+            continue;
+        }
+        let g = r.recipe.build();
+        for (name, policy) in k1_policies() {
+            let n = g.num_vertices();
+            let tag = format!("cc/{name}");
+            assert_k1_matches_unsharded(&g, &*policy, || Cc::new(n), Cc::labels, &tag);
+        }
+    }
 }
