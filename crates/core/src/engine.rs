@@ -3,7 +3,6 @@
 use crate::cancel::{ProbeHandle, StopReason};
 use crate::features::History;
 use crate::policy::{AppCaps, Policy};
-use crate::sharded::{fan_out, ShardError};
 use gswitch_graph::Graph;
 use gswitch_graph::VertexId;
 use gswitch_kernels::bucket::{DegreeSource, WorkPlan};
@@ -17,6 +16,8 @@ use gswitch_kernels::{
 };
 use gswitch_obs::{LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
 use gswitch_simt::{DeviceSpec, SimMs};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Which patterns the Selector may actually switch — the ablation knob
 /// behind Fig. 16 ("incremental performance of GSWITCH"). A masked
@@ -325,15 +326,15 @@ pub fn run_with_seed_config<A: EdgeApp>(
     opts: &EngineOptions,
     seed: Option<KernelConfig>,
 ) -> RunReport {
-    // One lane — the whole graph, the app itself — so every phase runs
-    // inline on this thread and there is nothing to exchange.
+    // One lane — the whole graph, the app itself: phases run inline on
+    // this thread (so a lane's panic is re-raised as the caller's own) and
+    // there is nothing to exchange.
     let mut lanes = [Lane::new(g, app, None, opts.spans.local())];
     let mut report = RunReport::default();
     let end = drive(app, &mut lanes, policy, opts, seed, &mut |t, _| report.iterations.append(t));
-    // An inline lane has no worker to lose, so `drive` cannot fail here;
-    // were that ever to change, the report degrades to non-converged
-    // rather than panicking mid-query.
-    (report.converged, report.stopped) = end.unwrap_or_default();
+    (report.converged, report.stopped) = end.unwrap_or_else(|f| {
+        resume_unwind(f.payload.unwrap_or_else(|| Box::new("engine lane lost")))
+    });
     report.sentinel = lanes[0].sentinel;
     report
 }
@@ -369,10 +370,9 @@ pub(crate) struct Lane<'a, L: EdgeApp> {
     status: Vec<u8>,
     classify_ms: SimMs,
     select_ms: f64,
-    /// Direction-switch fast path: the previous Expand's work plan, whose
-    /// prefix sums are reused when the next workload's fingerprint matches
-    /// — also across a direction switch on symmetric graphs (in-degrees
-    /// equal out-degrees).
+    /// Direction-switch fast path: the previous Expand's work plan, reused
+    /// when the next workload matches it — on symmetric graphs (in-degrees
+    /// equal out-degrees) also across a direction switch.
     plan: Option<WorkPlan>,
     /// Fused chain: the raw queue the previous Expand emitted with its
     /// estimated stats, the chain's length and the moving average of its
@@ -390,6 +390,41 @@ pub(crate) struct Lane<'a, L: EdgeApp> {
     since_check: u32,
 }
 
+/// A lane whose phase did not return: it panicked (`payload`) or, with no
+/// payload, its result was lost before the barrier.
+pub(crate) struct LaneFailure {
+    pub(crate) lane: u32,
+    pub(crate) phase: &'static str,
+    pub(crate) payload: Option<Box<dyn Any + Send>>,
+}
+
+/// Run one phase's `job` for every lane, appending the results to `out`
+/// in lane order, panics contained. A single lane runs inline on the
+/// calling thread — no spawn; more lanes get a thread each.
+fn fan_out<I: Send, T: Send>(
+    lanes: &mut [I],
+    phase: &'static str,
+    job: impl Fn(&mut I) -> T + Sync,
+    out: &mut Vec<Result<T, LaneFailure>>,
+) {
+    let fail = |lane: usize, payload| LaneFailure { lane: lane as u32, phase, payload };
+    let contained = |s: usize, lane: &mut I| {
+        catch_unwind(AssertUnwindSafe(|| job(lane))).map_err(|p| fail(s, Some(p)))
+    };
+    if let [only] = lanes {
+        return out.push(contained(0, only));
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(s, lane)| scope.spawn(move || contained(s, lane)))
+            .collect();
+        let joined = workers.into_iter().enumerate();
+        out.extend(joined.map(|(s, w)| w.join().unwrap_or_else(|_| Err(fail(s, None)))));
+    })
+}
+
 /// The super-step loop of Fig. 10 — inspect → "is stable?" → select →
 /// filter → expand → feedback — over `lanes.len()` ≥ 1 lanes of one
 /// `root` application. Returns `(converged, stopped)`.
@@ -398,8 +433,8 @@ pub(crate) struct Lane<'a, L: EdgeApp> {
 /// types project from: every lane's [`IterationTrace`] in lane order and
 /// the tuner overhead on the step's critical path (host decisions add up,
 /// the per-device feedback copies overlap). The lane count alone decides
-/// how phases run (`fan_out`: one lane inline, more on a panic-contained
-/// worker each, a barrier per phase) and whether the step closes with an
+/// how phases run ([`fan_out`]: one lane inline, more on a worker each, a
+/// barrier per phase) and whether the step closes with an
 /// `Exchange` span around `sink`, where the caller settles what the lanes
 /// sent each other. All else that differs between [`run`] and
 /// `run_sharded` is input: mask, `AppCaps` of the lane's app, seed.
@@ -410,7 +445,7 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
     opts: &EngineOptions,
     seed: Option<KernelConfig>,
     sink: &mut dyn FnMut(&mut Vec<IterationTrace>, f64),
-) -> Result<(bool, Option<StopReason>), ShardError> {
+) -> Result<(bool, Option<StopReason>), LaneFailure> {
     let caps = AppCaps::of::<L>();
     // Like any decision, so a config cached under a different mask or
     // app cannot smuggle in an illegal shape.
@@ -438,7 +473,7 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
         root.advance(iteration);
 
         // ---- Inspector, per lane; converged when nothing is active anywhere.
-        fan_out(lanes, "classify", |_, l| l.inspect(&run, iteration, step_id), &mut inspected);
+        fan_out(lanes, "classify", |l| l.inspect(&run, iteration, step_id), &mut inspected);
         for r in inspected.drain(..) {
             if let Err(reason) = r? {
                 return Ok((false, Some(reason)));
@@ -450,14 +485,14 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
 
         // ---- Selector → Executor → feedback, per lane; `sink` is the
         // barrier where halo-directed updates are settled as exchange.
-        fan_out(lanes, "exchange", |_, lane| lane.execute(&run), &mut executed);
+        fan_out(lanes, "exchange", |lane| lane.execute(&run), &mut executed);
         let _exchange = (lanes.len() > 1)
             .then(|| span_local.start_tagged(SpanKind::Exchange, step_id, None, iteration));
         let (mut overhead_ms, mut feedback_ms) = (0.0, 0.0);
         for (lane, trace) in lanes.iter().zip(executed.drain(..)) {
             #[cfg(feature = "fault-injection")]
-            if let Some(shard) = lane.shard.filter(|&s| crate::faults::take_shard_drop(s)) {
-                return Err(ShardError::WorkerLost { shard, phase: "exchange" });
+            if let Some(lane) = lane.shard.filter(|&s| crate::faults::take_shard_drop(s)) {
+                return Err(LaneFailure { lane, phase: "exchange", payload: None });
             }
             let trace = trace?;
             overhead_ms += lane.select_ms;
@@ -638,8 +673,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
                     let mut got = f.to_vec();
                     got.sort_unstable();
                     got.dedup();
-                    let n = g.num_vertices();
-                    if got != sentinel_expected_frontier::<L>(n, &status, config.direction) {
+                    if got != sentinel_expected_frontier::<L>(&status, config.direction) {
                         self.mismatch();
                         (config, provenance) = (run.reference, Provenance::Sentinel);
                         // Repair: rebuild the frontier with the reference
@@ -661,7 +695,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         let p0 = clock.now_ns();
         let need = DegreeSource::of(config.direction);
         let plan = match self.plan.take() {
-            Some(p) if p.matches_frontier(&frontier, need, g.is_symmetric()) => p,
+            Some(p) if p.matches(&frontier, need, g.is_symmetric()) => p,
             _ => WorkPlan::for_frontier(g, &frontier, config.direction),
         };
         self.record_interval(SpanKind::Partition, p0);
@@ -771,7 +805,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         // social-graph failure mode of Fig. 9b), or when the last iteration
         // ran far beyond the chain's pace (the paper's switch-back rule).
         let spec = &opts.device;
-        let waste_ms = t.expand_ms * t.duplicates as f64 / queue.len() as f64;
+        let waste_ms = fused_waste_ms(t.expand_ms, t.duplicates, queue.len());
         let refilter_ms =
             self.last_filter_ms + spec.launch_overhead_us / 1e3 + spec.feedback_time_ms();
         let dup_heavy = waste_ms > refilter_ms;
@@ -791,16 +825,22 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
     }
 }
 
+/// Expand time a fused chain's next iteration is predicted to waste on
+/// duplicate queue entries — 0.0, never NaN, on a drained queue.
+fn fused_waste_ms(expand_ms: f64, duplicates: u64, queue_len: usize) -> f64 {
+    if queue_len == 0 {
+        0.0
+    } else {
+        expand_ms * duplicates as f64 / queue_len as f64
+    }
+}
+
 /// Serially re-derive the workload the status snapshot implies for a
 /// direction — the sentinel's ground truth for the frontier check. The
 /// predicate mirrors `materialize` by construction: push visits actives,
 /// pull visits receivers.
-fn sentinel_expected_frontier<A: EdgeApp>(
-    n: usize,
-    status: &[u8],
-    direction: Direction,
-) -> Vec<VertexId> {
-    (0..n as VertexId)
+fn sentinel_expected_frontier<A: EdgeApp>(status: &[u8], direction: Direction) -> Vec<VertexId> {
+    (0..status.len() as VertexId)
         .filter(|&v| {
             let st = status_of(status[v as usize]);
             match direction {
@@ -839,11 +879,7 @@ fn sentinel_value_sweep<A: EdgeApp>(g: &Graph, app: &A, status: &[u8]) -> u64 {
 
 /// Estimate the next iteration's runtime characteristics from Expand
 /// feedback, without a classification pass (fused chain).
-fn estimate_stats(
-    prev: &IterStats,
-    eo: &gswitch_kernels::ExpandOutput,
-    queue_len: u64,
-) -> IterStats {
+fn estimate_stats(prev: &IterStats, eo: &ExpandOutput, queue_len: u64) -> IterStats {
     let mut s = *prev;
     s.v_active = eo.distinct_activated;
     s.e_active = eo.activated_out_edges;
@@ -974,6 +1010,22 @@ pub(crate) mod tests {
         // Self-times decompose wall time: Σ excl ≤ Σ root inclusive.
         let p = gswitch_obs::profile(&spans);
         assert!(p.excl_total_ms() <= p.total_ms + 1e-9);
+    }
+
+    #[test]
+    fn fused_waste_is_zero_not_nan_on_empty_queue() {
+        // Regression: `expand_ms * dups / queue.len()` on a drained raw
+        // queue divides by zero; the guard must return a clean 0.0 that
+        // every downstream comparison handles.
+        let w = fused_waste_ms(3.5, 7, 0);
+        assert_eq!(w, 0.0);
+        assert!(w.is_finite());
+        // And the comparison the engine actually makes stays false.
+        assert!(w <= 0.1);
+        // Non-degenerate case: half the queue is duplicates.
+        assert!((fused_waste_ms(4.0, 5, 10) - 2.0).abs() < 1e-12);
+        // No duplicates wastes nothing.
+        assert_eq!(fused_waste_ms(4.0, 0, 10), 0.0);
     }
 
     #[test]
@@ -1271,7 +1323,7 @@ pub(crate) mod tests {
         let spec = DeviceSpec::default();
         let co = classify(&g, &app, &spec);
         for dir in [Direction::Push, Direction::Pull] {
-            let expected = sentinel_expected_frontier::<Bfs>(g.num_vertices(), &co.status, dir);
+            let expected = sentinel_expected_frontier::<Bfs>(&co.status, dir);
             let (f, _) = materialize::<Bfs>(&g, &co.status, dir, AsFormat::Bitmap, &spec);
             assert_eq!(f.to_vec(), expected, "{dir:?}");
         }

@@ -20,7 +20,7 @@
 //! workers finish, then the super-step aborts with the first failure.
 
 use crate::cancel::{ProbeHandle, StopReason};
-use crate::engine::{drive, EngineOptions, IterationTrace, Lane, PatternMask};
+use crate::engine::{drive, EngineOptions, IterationTrace, Lane, LaneFailure, PatternMask};
 use crate::policy::Policy;
 use gswitch_graph::shard::{LocalShard, ShardedCsr};
 use gswitch_graph::{VertexId, Weight};
@@ -28,7 +28,6 @@ use gswitch_kernels::exchange::ExchangeProfile;
 use gswitch_kernels::{EdgeApp, Status};
 use gswitch_obs::{RecorderHandle, SpanCtx};
 use gswitch_simt::{DeviceSpec, SimMs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a sharded run could not complete.
@@ -240,8 +239,7 @@ impl ShardedRunReport {
 /// The per-shard adapter: presents one [`LocalShard`] to the kernels as
 /// a self-contained graph application while every semantic call lands in
 /// the *global* app. Halo copies classify as `Fixed` (their owner alone
-/// drives them) and halo-directed updates are counted as exchange
-/// records.
+/// drives them) and halo-directed updates count as exchange records.
 struct ShardView<'a, A: EdgeApp> {
     app: &'a A,
     shard: &'a LocalShard,
@@ -342,49 +340,16 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
     // shard while the barrier believes the run has drained.
 }
 
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+/// Every lane is a shard worker here: its contained failure is structured.
+impl From<LaneFailure> for ShardError {
+    fn from(LaneFailure { lane: shard, phase, payload }: LaneFailure) -> Self {
+        let Some(p) = payload else { return ShardError::WorkerLost { shard, phase } };
+        let message = match p.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().map_or("opaque panic payload", |s| s).to_string(),
+        };
+        ShardError::WorkerPanicked { shard, phase, message }
     }
-}
-
-/// Run one phase's `job` for every lane, appending the results to `out`
-/// in lane order. A single lane runs inline on the calling thread — no
-/// spawn, and a panic is the caller's own. More lanes get a thread each,
-/// with panics contained: `Err` carries the structured failure.
-pub(crate) fn fan_out<I: Send, T: Send>(
-    lanes: &mut [I],
-    phase: &'static str,
-    job: impl Fn(usize, &mut I) -> T + Sync,
-    out: &mut Vec<Result<T, ShardError>>,
-) {
-    if let [only] = lanes {
-        return out.push(Ok(job(0, only)));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(s, lane)| {
-                let job = &job;
-                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| job(s, lane))))
-            })
-            .collect();
-        out.extend(handles.into_iter().enumerate().map(|(s, h)| match h.join() {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(payload)) => Err(ShardError::WorkerPanicked {
-                shard: s as u32,
-                phase,
-                message: panic_message(payload),
-            }),
-            Err(_) => Err(ShardError::WorkerLost { shard: s as u32, phase }),
-        }));
-    })
 }
 
 /// Run `app` over the partitioned graph until global convergence.
@@ -646,6 +611,26 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn single_lane_panic_is_contained_sharded_and_reraised_unsharded() {
+        let g = GraphBuilder::new(8).edges([(0, 1), (2, 3), (4, 5), (6, 7)]).build();
+        // K = 1 runs inline (no spawn) but keeps the structured error...
+        let sharded = ShardedCsr::partition(&g, 1).expect("partition");
+        let err = run_sharded(&sharded, &Bomb, &AutoPolicy, &ShardedOptions::default())
+            .expect_err("bomb must fail");
+        assert!(
+            matches!(&err, ShardError::WorkerPanicked { shard: 0, phase: "classify", message }
+                if message.contains("boom")),
+            "{err:?}"
+        );
+        // ...while `run` hands the caller its own panic, payload intact.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(&g, &Bomb, &AutoPolicy, &EngineOptions::default());
+        }));
+        let payload = unwound.expect_err("bomb must unwind through run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom at vertex 3"));
     }
 
     #[test]

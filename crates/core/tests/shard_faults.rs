@@ -115,6 +115,28 @@ fn dropped_shard_result_yields_worker_lost() {
 }
 
 #[test]
+fn single_shard_faults_stay_structured() {
+    // K = 1 runs its lane inline (no spawn) and must keep the containment.
+    let _g = GUARD.lock();
+    let g = corpus_graph();
+    let sharded = ShardedCsr::partition(&g, 1).expect("partition");
+    let run = || {
+        let app = Bfs::new(g.num_vertices(), 0);
+        let err = run_sharded(&sharded, &app, &AutoPolicy, &ShardedOptions::default());
+        faults::reset();
+        err.expect_err("armed fault must abort the run")
+    };
+    faults::reset();
+    faults::arm_shard_panic(0);
+    assert!(
+        matches!(run(), ShardError::WorkerPanicked { shard: 0, phase: "exchange", .. }),
+        "inline lane's panic escaped as something else"
+    );
+    faults::arm_shard_drop(0);
+    assert_eq!(run(), ShardError::WorkerLost { shard: 0, phase: "exchange" });
+}
+
+#[test]
 fn run_recovers_cleanly_after_fault_reset() {
     let _g = GUARD.lock();
     faults::reset();

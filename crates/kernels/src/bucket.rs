@@ -248,26 +248,17 @@ impl WorkPlan {
         self.entries.as_deref()
     }
 
-    /// Whether this plan can stand in for a fresh scan of a workload with
-    /// fingerprint `fp` needing `need` degrees. A plan built from the
-    /// other CSR still matches when the graph is symmetric — in-degrees
-    /// equal out-degrees, so the prefix sums are identical (the
-    /// direction-switch fast path).
-    pub fn matches(&self, fp: u64, need: DegreeSource, symmetric: bool) -> bool {
-        self.fingerprint == fp && (self.source == need || symmetric)
-    }
-
-    /// [`WorkPlan::matches`] against a workload itself. The slot count is
-    /// compared first: a fingerprint match cannot survive a length
-    /// mismatch, and counting entries is far cheaper than hashing them —
-    /// so a frontier that changed size (every BFS level) costs no hash.
-    pub fn matches_frontier(
-        &self,
-        frontier: &Frontier,
-        need: DegreeSource,
-        symmetric: bool,
-    ) -> bool {
-        self.slots == frontier.len() && self.matches(fingerprint_of(frontier), need, symmetric)
+    /// Whether this plan can stand in for a fresh scan of `frontier`
+    /// needing `need` degrees. A plan built from the other CSR still
+    /// matches when the graph is symmetric — in-degrees equal out-degrees,
+    /// so the prefix sums are identical (the direction-switch fast path).
+    /// The slot count is compared first: counting entries is far cheaper
+    /// than hashing them, so a frontier that changed size (every BFS
+    /// level) costs no hash.
+    pub fn matches(&self, frontier: &Frontier, need: DegreeSource, symmetric: bool) -> bool {
+        (self.source == need || symmetric)
+            && self.slots == frontier.len()
+            && self.fingerprint == fingerprint_of(frontier)
     }
 }
 
@@ -275,7 +266,7 @@ impl WorkPlan {
 /// queues, raw words for bitmaps. Collisions only cost a stale-plan
 /// reuse of *identical-length* workloads, and the engine's plan cache is
 /// per-run, so FNV-1a is plenty.
-pub fn fingerprint_of(frontier: &Frontier) -> u64 {
+fn fingerprint_of(frontier: &Frontier) -> u64 {
     match frontier.as_queue() {
         Some(q) => fingerprint_queue(q),
         None => match frontier {
@@ -408,11 +399,13 @@ mod tests {
         let f2 = Frontier::UnsortedQueue(q2);
         assert_ne!(fingerprint_of(&f1), fingerprint_of(&f2));
         let plan = WorkPlan::for_queue(g.out_csr(), &q1, DegreeSource::Out);
-        assert!(plan.matches(fingerprint_of(&f1), DegreeSource::Out, false));
-        assert!(!plan.matches(fingerprint_of(&f2), DegreeSource::Out, false));
+        assert!(plan.matches(&f1, DegreeSource::Out, false));
+        assert!(!plan.matches(&f2, DegreeSource::Out, false));
+        // A different length is rejected before any hashing.
+        assert!(!plan.matches(&Frontier::UnsortedQueue(vec![1, 2]), DegreeSource::Out, false));
         // Cross-direction reuse only on symmetric graphs.
-        assert!(!plan.matches(fingerprint_of(&f1), DegreeSource::In, false));
-        assert!(plan.matches(fingerprint_of(&f1), DegreeSource::In, true));
+        assert!(!plan.matches(&f1, DegreeSource::In, false));
+        assert!(plan.matches(&f1, DegreeSource::In, true));
     }
 
     #[test]
