@@ -11,6 +11,7 @@
 //! | `unbounded-channel` | deny | `src/` of runtime | no unbounded `mpsc::channel` — admission control is explicit |
 //! | `unbounded-collection` | warn | `src/` of runtime | a `VecDeque` queue in a file with no notion of capacity |
 //! | `untimed-hot-section` | deny | `src/` of core, kernels, runtime, shard | wall-clock reads go through the obs `Clock`, so spans/profiles see them |
+//! | `hot-path-thread-spawn` | deny | `src/` of core, kernels | parallel work goes through the persistent `rayon` pool — no OS thread is created per kernel call or per phase |
 //! | `todo-marker` | deny | everywhere | no `todo!`/`unimplemented!`/`dbg!` ships |
 
 use crate::findings::{Finding, Severity};
@@ -50,6 +51,7 @@ pub fn lint_file(sf: &SourceFile) -> Vec<Finding> {
     unbounded_channel(sf, &mut out);
     unbounded_collection(sf, &mut out);
     untimed_hot_section(sf, &mut out);
+    hot_path_thread_spawn(sf, &mut out);
     todo_marker(sf, &mut out);
     out
 }
@@ -295,6 +297,47 @@ fn untimed_hot_section(sf: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// Crates whose parallel calls run thousands of times per query: the
+/// kernels, and the engine's per-phase lane fan-out.
+const POOLED_CRATES: [&str; 2] = ["core", "kernels"];
+
+/// `hot-path-thread-spawn`: `thread::scope` / `thread::spawn` /
+/// `thread::Builder` in non-test `src/` code of core or kernels. Creating
+/// and joining an OS thread costs tens of µs, which under a kernel call
+/// or a sharded phase is a floor beneath every super-step (ROADMAP
+/// item 1); parallel iterators and `with_max_len(1)` tasks run on the
+/// `rayon` stand-in's persistent pool instead.
+fn hot_path_thread_spawn(sf: &SourceFile, out: &mut Vec<Finding>) {
+    if !sf.crate_name().is_some_and(|c| POOLED_CRATES.contains(&c)) || !sf.in_crate_src() {
+        return;
+    }
+    let t = &sf.toks;
+    for i in 3..t.len() {
+        if sf.test_mask[i] {
+            continue;
+        }
+        if ["scope", "spawn", "Builder"].iter().any(|name| t[i].is_ident(name))
+            && t[i - 1].is_punct(':')
+            && t[i - 2].is_punct(':')
+            && t[i - 3].is_ident("thread")
+        {
+            out.push(Finding::new(
+                "hot-path-thread-spawn",
+                Severity::Deny,
+                &sf.rel,
+                t[i].line,
+                sf.snippet(t[i].line),
+                format!(
+                    "thread::{} in a kernel or engine crate — every call would pay an OS \
+                     thread's creation and join; run the work as parallel-iterator parts on the \
+                     persistent rayon pool",
+                    t[i].text
+                ),
+            ));
+        }
+    }
+}
+
 /// `todo-marker`: `todo!` / `unimplemented!` / `dbg!` anywhere.
 fn todo_marker(sf: &SourceFile, out: &mut Vec<Finding>) {
     let t = &sf.toks;
@@ -455,6 +498,29 @@ mod tests {
         // Other Instant methods (duration_since, elapsed on a stored
         // Instant handed over by the Clock) are fine.
         let f = lint("crates/core/src/x.rs", "fn f(at: Instant) { at.elapsed(); }");
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn thread_creation_flagged_in_pooled_crates_only() {
+        let src = "fn f(xs: &mut [u32]) { std::thread::scope(|s| { s.spawn(|| xs.len()); }); }";
+        for rel in ["crates/core/src/x.rs", "crates/kernels/src/x.rs"] {
+            assert_eq!(rules(&lint(rel, src)), vec!["hot-path-thread-spawn"], "{rel}");
+        }
+        let f = lint("crates/core/src/x.rs", "fn f() { thread::spawn(work); }");
+        assert_eq!(rules(&f), vec!["hot-path-thread-spawn"]);
+        let builder = "fn f() { let b = thread::Builder::new(); }";
+        assert_eq!(rules(&lint("crates/kernels/src/x.rs", builder)), vec!["hot-path-thread-spawn"]);
+        // The batch executor's one scope per batch and the scheduler's
+        // workers are created once per long-lived unit, not per call.
+        assert!(lint("crates/shard/src/x.rs", src).is_empty());
+        assert!(lint("crates/runtime/src/x.rs", src).is_empty());
+        // Tests may race real threads against the kernels' atomics.
+        let in_test = format!("#[cfg(test)]\nmod t {{ {src} }}");
+        assert!(lint("crates/kernels/src/x.rs", &in_test).is_empty());
+        assert!(lint("crates/core/tests/t.rs", src).is_empty());
+        // Naming the current thread or yielding creates nothing.
+        let f = lint("crates/core/src/x.rs", "fn f() { thread::yield_now(); thread::current(); }");
         assert!(f.is_empty(), "{f:?}");
     }
 

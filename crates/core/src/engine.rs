@@ -16,6 +16,7 @@ use gswitch_kernels::{
 };
 use gswitch_obs::{LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
 use gswitch_simt::{DeviceSpec, SimMs};
+use rayon::prelude::*;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -400,29 +401,30 @@ pub(crate) struct LaneFailure {
 
 /// Run one phase's `job` for every lane, appending the results to `out`
 /// in lane order, panics contained. A single lane runs inline on the
-/// calling thread — no spawn; more lanes get a thread each.
+/// calling thread; more lanes are one task each on the process-wide
+/// worker pool, which the calling thread works through as well — so K
+/// lanes need no K threads, and a lane's kernels may go parallel on the
+/// same pool.
 fn fan_out<I: Send, T: Send>(
     lanes: &mut [I],
     phase: &'static str,
     job: impl Fn(&mut I) -> T + Sync,
     out: &mut Vec<Result<T, LaneFailure>>,
 ) {
-    let fail = |lane: usize, payload| LaneFailure { lane: lane as u32, phase, payload };
+    let fail = |lane: usize, p| LaneFailure { lane: lane as u32, phase, payload: Some(p) };
     let contained = |s: usize, lane: &mut I| {
-        catch_unwind(AssertUnwindSafe(|| job(lane))).map_err(|p| fail(s, Some(p)))
+        catch_unwind(AssertUnwindSafe(|| job(lane))).map_err(|p| fail(s, p))
     };
     if let [only] = lanes {
         return out.push(contained(0, only));
     }
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(s, lane)| scope.spawn(move || contained(s, lane)))
-            .collect();
-        let joined = workers.into_iter().enumerate();
-        out.extend(joined.map(|(s, w)| w.join().unwrap_or_else(|_| Err(fail(s, None)))));
-    })
+    let results: Vec<_> = lanes
+        .par_chunks_mut(1)
+        .enumerate()
+        .with_max_len(1)
+        .map(|(s, lane)| contained(s, &mut lane[0]))
+        .collect();
+    out.extend(results);
 }
 
 /// The super-step loop of Fig. 10 — inspect → "is stable?" → select →
@@ -433,7 +435,7 @@ fn fan_out<I: Send, T: Send>(
 /// types project from: every lane's [`IterationTrace`] in lane order and
 /// the tuner overhead on the step's critical path (host decisions add up,
 /// the per-device feedback copies overlap). The lane count alone decides
-/// how phases run ([`fan_out`]: one lane inline, more on a worker each, a
+/// how phases run ([`fan_out`]: one lane inline, more as pool tasks, a
 /// barrier per phase) and whether the step closes with an
 /// `Exchange` span around `sink`, where the caller settles what the lanes
 /// sent each other. All else that differs between [`run`] and
@@ -965,6 +967,44 @@ pub(crate) mod tests {
             }
         }
         dist
+    }
+
+    #[test]
+    fn fan_out_returns_every_lane_in_order_with_more_lanes_than_cores() {
+        // Eight lanes is more than the pool has threads on a CI box, and
+        // each lane's job goes parallel itself, as a lane's kernels do.
+        let mut lanes: Vec<u64> = (1..=8).collect();
+        let mut out = Vec::new();
+        let job = |lane: &mut u64| {
+            *lane *= 10;
+            (0..*lane * 100).into_par_iter().sum::<u64>()
+        };
+        fan_out(&mut lanes, "classify", job, &mut out);
+        let sums: Vec<u64> = out.into_iter().map(|r| r.ok().expect("no lane failed")).collect();
+        assert_eq!(sums, (1..=8u64).map(|l| (0..l * 1000).sum()).collect::<Vec<_>>());
+        assert_eq!(lanes, (1..=8).map(|l| l * 10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn fan_out_contains_a_lane_panic_and_keeps_the_other_lanes() {
+        let mut lanes: Vec<u32> = (0..4).collect();
+        let mut out = Vec::new();
+        let job = |lane: &mut u32| {
+            assert!(*lane != 2, "lane {lane} failed");
+            *lane + 100
+        };
+        fan_out(&mut lanes, "exchange", job, &mut out);
+        assert_eq!(out.len(), 4);
+        for (s, r) in out.into_iter().enumerate() {
+            if s != 2 {
+                assert_eq!(r.ok(), Some(s as u32 + 100), "lane {s}");
+                continue;
+            }
+            let LaneFailure { lane, phase, payload } = r.expect_err("lane 2 panicked");
+            assert_eq!((lane, phase), (2, "exchange"));
+            let payload = payload.expect("a panic carries its payload");
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "lane 2 failed");
+        }
     }
 
     #[test]

@@ -273,19 +273,18 @@ pub fn materialize<A: EdgeApp>(
             // Block-order filling gives ascending vertex ids (the sorted
             // queue's promise; the unsorted queue holds the same entries
             // without the promise) with no per-block vector allocations.
-            let counts: Vec<usize> = (0..n)
-                .into_par_iter()
-                .chunks(CHUNK)
-                .map(|chunk| chunk.into_iter().filter(|&v| in_workload(v as VertexId)).count())
-                .collect();
+            let block = |ci: usize| {
+                let ids = ci * CHUNK..((ci + 1) * CHUNK).min(n);
+                ids.map(|v| v as VertexId).filter(|&v| in_workload(v))
+            };
+            let counts: Vec<usize> =
+                (0..n.div_ceil(CHUNK)).into_par_iter().map(|ci| block(ci).count()).collect();
             let w: u64 = counts.iter().map(|&c| c as u64).sum();
             let mut q = Vec::with_capacity(w as usize);
             for (ci, &c) in counts.iter().enumerate() {
-                if c == 0 {
-                    continue;
+                if c != 0 {
+                    q.extend(block(ci));
                 }
-                let block = ci * CHUNK..((ci + 1) * CHUNK).min(n);
-                q.extend(block.map(|v| v as VertexId).filter(|&v| in_workload(v)));
             }
             let f = match fmt {
                 AsFormat::SortedQueue => Frontier::SortedQueue(q),
