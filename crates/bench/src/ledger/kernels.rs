@@ -1,0 +1,116 @@
+//! Per-kernel rows: every hot kernel (classify, materialize × format ×
+//! direction, expand × format × direction) on a fixed mid-BFS workload.
+//! Frontier sizes, edges touched and the simulated ms of each Expand are
+//! exact; host wall µs are timed.
+
+use super::{round_to, Row, Snapshot, Timed, KERNEL_WALL_ABS_US};
+use gswitch_algos::Bfs;
+use gswitch_kernels::{
+    classify, expand, materialize, AsFormat, Direction, EdgeApp as _, Fusion, KernelConfig,
+    LoadBalance, SteppingDelta,
+};
+use gswitch_simt::DeviceSpec;
+use serde_json::json;
+use std::time::Instant;
+
+/// Kronecker scale of the fixed workload graph.
+const SCALE: u32 = 13;
+/// BFS level at which the kernels are measured (frontier in the hump).
+const LEVEL: u32 = 2;
+/// Wall samples per kernel.
+const REPEATS: usize = 7;
+
+const FORMATS: [(AsFormat, &str); 3] = [
+    (AsFormat::Bitmap, "bitmap"),
+    (AsFormat::SortedQueue, "sorted_queue"),
+    (AsFormat::UnsortedQueue, "unsorted_queue"),
+];
+const DIRECTIONS: [(Direction, &str); 2] = [(Direction::Push, "push"), (Direction::Pull, "pull")];
+
+/// A mid-frontier BFS state on a scale-free graph: the workload shape the
+/// selector sees most often.
+fn mid_bfs() -> (gswitch_graph::Graph, Bfs, Vec<u8>) {
+    let g = gswitch_graph::gen::kronecker(SCALE, 8, 42);
+    let app = Bfs::new(g.num_vertices(), 0);
+    let spec = DeviceSpec::k40m();
+    for it in 0..LEVEL {
+        app.advance(it);
+        let co = classify(&g, &app, &spec);
+        let (f, _) =
+            materialize::<Bfs>(&g, &co.status, Direction::Push, AsFormat::UnsortedQueue, &spec);
+        expand(&g, &app, &f, &co.status, KernelConfig::push_baseline(), &spec);
+    }
+    app.advance(LEVEL);
+    let co = classify(&g, &app, &spec);
+    (g, app, co.status)
+}
+
+fn wall_us(samples: Vec<f64>) -> Timed {
+    Timed::from_samples(samples, KERNEL_WALL_ABS_US)
+}
+
+/// Measure every kernel row.
+pub fn measure() -> Snapshot {
+    let spec = DeviceSpec::k40m();
+    let graph = format!("kronecker({SCALE},8,42)");
+    let mut snap = Snapshot::new("kernels", &spec.name, json!({ "graph": graph, "level": LEVEL }));
+
+    // classify: re-runs on the same state are idempotent, time in place.
+    {
+        let (g, app, _) = mid_bfs();
+        let mut wall = Vec::with_capacity(REPEATS);
+        let mut v_active = 0u64;
+        for _ in 0..REPEATS {
+            let t0 = Instant::now();
+            let co = classify(&g, &app, &spec);
+            wall.push(t0.elapsed().as_secs_f64() * 1e6);
+            v_active = co.stats.v_active;
+        }
+        let row = Row::default().exact("workload", v_active).timed("wall_us", wall_us(wall));
+        snap.rows.insert("classify".into(), row);
+    }
+
+    // materialize and expand, per format × direction. Expand mutates app
+    // state, so every repeat rebuilds a pristine mid-BFS state and times
+    // only the kernel under test.
+    for (dir, dname) in DIRECTIONS {
+        for (fmt, fname) in FORMATS {
+            let mut mat_wall = Vec::with_capacity(REPEATS);
+            let mut exp_wall = Vec::with_capacity(REPEATS);
+            let mut workload = 0u64;
+            let mut edges = 0u64;
+            let mut sim_ms = 0.0f64;
+            for _ in 0..REPEATS {
+                let (g, app, status) = mid_bfs();
+                let t0 = Instant::now();
+                let (frontier, _) = materialize::<Bfs>(&g, &status, dir, fmt, &spec);
+                mat_wall.push(t0.elapsed().as_secs_f64() * 1e6);
+                workload = frontier.len() as u64;
+                let cfg = KernelConfig {
+                    direction: dir,
+                    format: fmt,
+                    lb: LoadBalance::Twc,
+                    stepping: SteppingDelta::Remain,
+                    fusion: Fusion::Standalone,
+                };
+                let t1 = Instant::now();
+                let eo = expand(&g, &app, &frontier, &status, cfg, &spec);
+                exp_wall.push(t1.elapsed().as_secs_f64() * 1e6);
+                edges = eo.edges_touched;
+                sim_ms = spec.kernel_time_ms(&eo.profile);
+            }
+            snap.rows.insert(
+                format!("materialize/{fname}/{dname}"),
+                Row::default().exact("workload", workload).timed("wall_us", wall_us(mat_wall)),
+            );
+            snap.rows.insert(
+                format!("expand/{fname}/{dname}"),
+                Row::default()
+                    .exact("edges", edges)
+                    .exact("sim_ms", round_to(sim_ms, 3))
+                    .timed("wall_us", wall_us(exp_wall)),
+            );
+        }
+    }
+    snap
+}

@@ -1,12 +1,15 @@
-//! Shared harness machinery for the `repro` and `train` binaries and the
-//! criterion benches: benchmark runners (GSWITCH / Gunrock-like /
-//! specialist per algorithm), dataset twins, model loading, and plain-text
-//! table/series rendering that mirrors the paper's figure content.
+//! Shared harness machinery for the `repro` and `train` binaries:
+//! benchmark runners (GSWITCH / Gunrock-like / specialist per algorithm),
+//! dataset twins, model loading, and plain-text table/series rendering
+//! that mirrors the paper's figure content. [`ledger`] is the perf
+//! ledger behind the committed `BENCH_*.json` snapshots and the
+//! `perf-ledger` binary.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod labelling;
+pub mod ledger;
 pub mod runners;
 pub mod table;
 

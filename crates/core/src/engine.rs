@@ -14,11 +14,30 @@ use gswitch_kernels::{
     classify, expand_planned, materialize, ClassifyOutput, EdgeApp, ExpandOutput, Frontier,
     IterStats, Status,
 };
-use gswitch_obs::{LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
+use gswitch_obs::{faults, LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
 use gswitch_simt::{DeviceSpec, SimMs};
 use rayon::prelude::*;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+/// Fault-injection sites the super-step loop fires through
+/// [`gswitch_obs::faults`] — inlined no-ops unless the `fault-injection`
+/// feature is on. Each is fired with the lane's shard as its argument, so
+/// `Schedule::only(shard)` picks the lane.
+pub mod fault_site {
+    /// A sharded lane's Selector → Executor half, before any work: a
+    /// `Panic` here is a shard worker dying at the exchange step.
+    pub const SHARD_PANIC: &str = "shard::panic";
+    /// The exchange barrier, per collected sharded lane: a firing loses
+    /// that lane's result.
+    pub const SHARD_DROP: &str = "shard::drop";
+    /// After a lane (shard 0 for a whole-graph run) materializes a
+    /// frontier in any shape but the reference one: a firing silently
+    /// drops one workload entry — the buggy tuned variant the divergence
+    /// sentinel exists to catch. The reference shape is exempt, so the
+    /// sentinel's pinned fallback genuinely recovers.
+    pub const FRONTIER_CORRUPT: &str = "frontier::corrupt";
+}
 
 /// Which patterns the Selector may actually switch — the ablation knob
 /// behind Fig. 16 ("incremental performance of GSWITCH"). A masked
@@ -399,6 +418,20 @@ pub(crate) struct LaneFailure {
     pub(crate) payload: Option<Box<dyn Any + Send>>,
 }
 
+/// What a fired [`fault_site::FRONTIER_CORRUPT`] does to the frontier.
+fn lose_one_entry(f: &mut Frontier) {
+    match f {
+        Frontier::Bitmap(b) => {
+            if let Some(&v) = b.to_sorted_vec().first() {
+                b.unset(v);
+            }
+        }
+        Frontier::UnsortedQueue(q) | Frontier::SortedQueue(q) | Frontier::RawQueue(q) => {
+            q.pop();
+        }
+    }
+}
+
 /// Run one phase's `job` for every lane, appending the results to `out`
 /// in lane order, panics contained. A single lane runs inline on the
 /// calling thread; more lanes are one task each on the process-wide
@@ -492,8 +525,8 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
             .then(|| span_local.start_tagged(SpanKind::Exchange, step_id, None, iteration));
         let (mut overhead_ms, mut feedback_ms) = (0.0, 0.0);
         for (lane, trace) in lanes.iter().zip(executed.drain(..)) {
-            #[cfg(feature = "fault-injection")]
-            if let Some(lane) = lane.shard.filter(|&s| crate::faults::take_shard_drop(s)) {
+            let dropped = |&s: &u32| faults::fire_for(fault_site::SHARD_DROP, s.into());
+            if let Some(lane) = lane.shard.filter(dropped) {
                 return Err(LaneFailure { lane, phase: "exchange", payload: None });
             }
             let trace = trace?;
@@ -638,9 +671,8 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
     /// Selector → Executor → feedback: this lane's super-step after the
     /// Inspector's barrier.
     fn execute(&mut self, run: &RunEnv) -> IterationTrace {
-        #[cfg(feature = "fault-injection")]
         if let Some(s) = self.shard {
-            crate::faults::maybe_shard_panic(s);
+            faults::fire_for(fault_site::SHARD_PANIC, s.into());
         }
         let (g, spec, clock) = (self.g, &run.opts.device, self.spans.clock().clone());
         let chain = self.pending.take();
@@ -658,8 +690,12 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
                     materialize::<L>(g, &status, config.direction, config.format, spec);
                 self.record_interval(SpanKind::Filter, f0);
                 let mut mat_ms = spec.kernel_time_ms(&mat);
-                #[cfg(feature = "fault-injection")]
-                crate::faults::corrupt_frontier(&mut f, config == run.reference);
+                let shard = self.shard.unwrap_or(0);
+                if config != run.reference
+                    && faults::fire_for(fault_site::FRONTIER_CORRUPT, shard.into())
+                {
+                    lose_one_entry(&mut f);
+                }
 
                 // ---- Divergence sentinel, frontier half: the chosen
                 // format/direction must materialize exactly the workload

@@ -22,8 +22,6 @@
 
 pub mod cancel;
 pub mod engine;
-#[cfg(feature = "fault-injection")]
-pub mod faults;
 pub mod features;
 pub mod oracle;
 pub mod policy;

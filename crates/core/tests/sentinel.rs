@@ -1,18 +1,27 @@
-//! Divergence-sentinel integration tests, driven by the core fault
-//! hooks (`--features fault-injection`). The armed fault is
-//! process-global, so this suite lives in its own integration-test
-//! binary — its process contains nothing but these tests — and each
-//! test serializes behind `GUARD` and resets the fault state on entry.
+//! Divergence-sentinel integration tests, driven by the engine's
+//! `frontier::corrupt` fault site (`--features fault-injection`). The
+//! armed fault is process-global, so this suite lives in its own
+//! integration-test binary — its process contains nothing but these
+//! tests — and each test serializes behind `GUARD` and resets the fault
+//! state on entry.
 
 #![cfg(feature = "fault-injection")]
 
-use gswitch_core::{faults, run, EngineOptions, GraphApp, KernelConfig, StaticPolicy, Status};
+use gswitch_core::engine::fault_site::FRONTIER_CORRUPT;
+use gswitch_core::{run, EngineOptions, GraphApp, KernelConfig, StaticPolicy, Status};
 use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
 use gswitch_kernels::atomics::AtomicArray;
 use gswitch_kernels::pattern::AsFormat;
+use gswitch_obs::faults::{self, Fault};
 use gswitch_obs::sync::Lock;
 
 static GUARD: Lock<()> = Lock::new(());
+
+/// Every subsequent non-reference materialization silently loses one
+/// workload entry.
+fn arm_frontier_corruption() {
+    faults::arm(FRONTIER_CORRUPT, Fault::Trip);
+}
 
 /// Minimal BFS app (mirrors the engine's unit-test app).
 struct Bfs {
@@ -100,7 +109,7 @@ fn injected_fault_without_sentinel_corrupts_the_answer() {
     faults::reset();
     let g = path_graph(16);
     let app = Bfs::new(16, 0);
-    faults::arm_frontier_corruption();
+    arm_frontier_corruption();
     let rep = run(&g, &app, &buggy_variant(), &EngineOptions::default());
     faults::reset();
     // The path frontier is a single vertex; losing it ends the traversal
@@ -118,9 +127,9 @@ fn sentinel_detects_the_fault_and_recovers_the_exact_answer() {
     let expected = bfs_reference(&g, 0);
     let app = Bfs::new(16, 0);
     let before = gswitch_obs::hardening::snapshot();
-    faults::arm_frontier_corruption();
+    arm_frontier_corruption();
     let rep = run(&g, &app, &buggy_variant(), &EngineOptions::default().verify_every(1));
-    let fired = faults::fired();
+    let fired = faults::fired(FRONTIER_CORRUPT);
     faults::reset();
     assert!(fired >= 1, "the fault never actually fired");
     // Detection on the very first corrupted iteration, in-place repair,
@@ -145,7 +154,7 @@ fn sentinel_detects_within_the_configured_cadence() {
     for s in [1, 2, 3] {
         app.level.store(s, 0);
     }
-    faults::arm_frontier_corruption();
+    arm_frontier_corruption();
     let rep = run(&g, &app, &buggy_variant(), &EngineOptions::default().verify_every(2));
     faults::reset();
     assert!(rep.converged);
@@ -170,7 +179,7 @@ fn pinned_run_reports_sentinel_provenance() {
     let app = Bfs::new(12, 0);
     let ring = std::sync::Arc::new(gswitch_obs::TraceRing::new(64));
     let recorder = gswitch_core::RecorderHandle::new(ring.recorder(1, "path", "bfs"));
-    faults::arm_frontier_corruption();
+    arm_frontier_corruption();
     let opts = EngineOptions { recorder, ..EngineOptions::default().verify_every(1) };
     let rep = run(&g, &app, &buggy_variant(), &opts);
     faults::reset();
@@ -189,7 +198,7 @@ fn reference_shape_is_exempt_from_the_fault() {
     let g = path_graph(10);
     let expected = bfs_reference(&g, 0);
     let app = Bfs::new(10, 0);
-    faults::arm_frontier_corruption();
+    arm_frontier_corruption();
     // AutoPolicy on a path picks push baseline shapes; wherever it picks
     // exactly the reference config the fault must not apply. Run the
     // reference statically to prove the exemption end to end.

@@ -1,5 +1,6 @@
 //! Shard-worker fault-injection tests for the partitioned driver
-//! (`--features fault-injection`). Arming is process-global, so this
+//! (`--features fault-injection`; sites in
+//! `gswitch_core::engine::fault_site`). Arming is process-global, so this
 //! suite lives in its own integration-test binary and each test
 //! serializes behind `GUARD` and resets fault state on entry.
 //!
@@ -10,13 +11,26 @@
 
 #![cfg(feature = "fault-injection")]
 
-use gswitch_core::{faults, run_sharded, AutoPolicy, GraphApp, ShardError, ShardedOptions, Status};
+use gswitch_core::engine::fault_site::{SHARD_DROP, SHARD_PANIC};
+use gswitch_core::{run_sharded, AutoPolicy, GraphApp, ShardError, ShardedOptions, Status};
 use gswitch_graph::shard::ShardedCsr;
 use gswitch_graph::{gen, Graph, VertexId};
 use gswitch_kernels::atomics::AtomicArray;
+use gswitch_obs::faults::{self, Fault, Schedule};
 use gswitch_obs::sync::Lock;
 
 static GUARD: Lock<()> = Lock::new(());
+
+/// One-shot panic in shard `shard`'s exchange-phase worker.
+fn arm_shard_panic(shard: u32) {
+    let died = Fault::Panic(format!("shard {shard} worker died at the exchange step"));
+    faults::arm_schedule(SHARD_PANIC, Schedule::once().only(shard.into()), died);
+}
+
+/// One-shot result loss for shard `shard` at the exchange barrier.
+fn arm_shard_drop(shard: u32) {
+    faults::arm_schedule(SHARD_DROP, Schedule::once().only(shard.into()), Fault::Trip);
+}
 
 /// Minimal BFS app (mirrors the engine's unit-test app).
 struct Bfs {
@@ -82,10 +96,10 @@ fn panicking_shard_worker_yields_structured_error() {
     let g = corpus_graph();
     let sharded = ShardedCsr::partition(&g, 4).expect("partition");
     let app = Bfs::new(g.num_vertices(), 0);
-    faults::arm_shard_panic(2);
+    arm_shard_panic(2);
     let err = run_sharded(&sharded, &app, &AutoPolicy, &ShardedOptions::default())
         .expect_err("armed panic must abort the run");
-    let fired = faults::shard_fired();
+    let fired = faults::fired(SHARD_PANIC);
     faults::reset();
     assert!(fired >= 1, "the armed panic never fired");
     match err {
@@ -105,10 +119,10 @@ fn dropped_shard_result_yields_worker_lost() {
     let g = corpus_graph();
     let sharded = ShardedCsr::partition(&g, 4).expect("partition");
     let app = Bfs::new(g.num_vertices(), 0);
-    faults::arm_shard_drop(1);
+    arm_shard_drop(1);
     let err = run_sharded(&sharded, &app, &AutoPolicy, &ShardedOptions::default())
         .expect_err("armed drop must abort the run");
-    let fired = faults::shard_fired();
+    let fired = faults::fired(SHARD_DROP);
     faults::reset();
     assert!(fired >= 1, "the armed drop never fired");
     assert_eq!(err, ShardError::WorkerLost { shard: 1, phase: "exchange" });
@@ -127,12 +141,12 @@ fn single_shard_faults_stay_structured() {
         err.expect_err("armed fault must abort the run")
     };
     faults::reset();
-    faults::arm_shard_panic(0);
+    arm_shard_panic(0);
     assert!(
         matches!(run(), ShardError::WorkerPanicked { shard: 0, phase: "exchange", .. }),
         "inline lane's panic escaped as something else"
     );
-    faults::arm_shard_drop(0);
+    arm_shard_drop(0);
     assert_eq!(run(), ShardError::WorkerLost { shard: 0, phase: "exchange" });
 }
 
@@ -145,7 +159,7 @@ fn run_recovers_cleanly_after_fault_reset() {
 
     // First run dies on the injected panic...
     let app = Bfs::new(g.num_vertices(), 0);
-    faults::arm_shard_panic(0);
+    arm_shard_panic(0);
     let err = run_sharded(&sharded, &app, &AutoPolicy, &ShardedOptions::default());
     assert!(err.is_err());
     faults::reset();

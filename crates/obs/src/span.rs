@@ -28,8 +28,9 @@
 //! that with the `untimed-hot-section` lint, so every measured section
 //! is attributable to a span or an explicit clock read.
 
-use crate::json::{JsonValue, JsonWriter};
 use crate::sync::Lock;
+use crate::wire;
+use serde_json::{json, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,52 +227,35 @@ impl SpanRecord {
 
     /// Encode as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.key("id");
-        w.uint(self.id);
-        w.key("parent");
-        w.uint(self.parent);
-        w.key("kind");
-        w.string(self.kind.as_str());
-        w.key("job");
-        w.uint(self.job);
-        w.key("worker");
-        w.uint(self.worker as u64);
-        if let Some(s) = self.shard {
-            w.key("shard");
-            w.uint(s as u64);
-        }
-        w.key("iter");
-        w.uint(self.iter as u64);
-        w.key("start_ns");
-        w.uint(self.start_ns);
-        w.key("dur_ns");
-        w.uint(self.dur_ns);
-        w.finish()
+        wire::encode(json!({
+            "id": self.id,
+            "parent": self.parent,
+            "kind": self.kind.as_str(),
+            "job": self.job,
+            "worker": self.worker,
+            "shard": self.shard,
+            "iter": self.iter,
+            "start_ns": self.start_ns,
+            "dur_ns": self.dur_ns,
+        }))
     }
 
     /// Decode one JSONL line.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let v = crate::json::parse(line)?;
-        let u = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing uint field `{k}`"))
-        };
-        let kind_name = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "missing string field `kind`".to_string())?;
+        let v = serde_json::parse(line).map_err(|e| e.to_string())?;
+        let kind_name = wire::string(&v, "kind")?;
         let kind =
             SpanKind::parse(kind_name).ok_or_else(|| format!("unknown span kind `{kind_name}`"))?;
         Ok(SpanRecord {
-            id: u("id")?,
-            parent: u("parent")?,
+            id: wire::uint(&v, "id")?,
+            parent: wire::uint(&v, "parent")?,
             kind,
-            job: u("job")?,
-            worker: u("worker")? as u32,
-            shard: v.get("shard").and_then(JsonValue::as_u64).map(|s| s as u32),
-            iter: u("iter")? as u32,
-            start_ns: u("start_ns")?,
-            dur_ns: u("dur_ns")?,
+            job: wire::uint(&v, "job")?,
+            worker: wire::uint(&v, "worker")? as u32,
+            shard: wire::shard(&v),
+            iter: wire::uint(&v, "iter")? as u32,
+            start_ns: wire::uint(&v, "start_ns")?,
+            dur_ns: wire::uint(&v, "dur_ns")?,
         })
     }
 }
@@ -695,96 +679,52 @@ impl SpanCtx {
 pub fn timeline_json(spans: &[SpanRecord]) -> String {
     // Track ids by first appearance, so the timeline reads top-down in
     // the order work actually started.
-    let mut tids: BTreeMap<String, u64> = BTreeMap::new();
     let mut tracks: Vec<String> = Vec::new();
-    for s in spans {
-        let label = match s.shard {
-            Some(shard) => format!("shard-{shard}"),
-            None => format!("worker-{}", s.worker),
-        };
-        if !tids.contains_key(&label) {
-            tids.insert(label.clone(), tracks.len() as u64);
-            tracks.push(label);
-        }
-    }
+    let tids: Vec<usize> = spans
+        .iter()
+        .map(|s| {
+            let label = match s.shard {
+                Some(shard) => format!("shard-{shard}"),
+                None => format!("worker-{}", s.worker),
+            };
+            tracks.iter().position(|t| *t == label).unwrap_or_else(|| {
+                tracks.push(label);
+                tracks.len() - 1
+            })
+        })
+        .collect();
 
-    let mut events = JsonWriter::array();
-    {
-        let mut m = JsonWriter::object();
-        m.key("name");
-        m.string("process_name");
-        m.key("ph");
-        m.string("M");
-        m.key("pid");
-        m.uint(1);
-        m.key("args");
-        m.raw("{\"name\":\"gswitch\"}");
-        events.raw(&m.finish());
-    }
+    let gswitch = json!({ "name": "gswitch" });
+    let mut events =
+        vec![json!({ "name": "process_name", "ph": "M", "pid": 1u64, "args": gswitch })];
     for (tid, label) in tracks.iter().enumerate() {
-        let mut m = JsonWriter::object();
-        m.key("name");
-        m.string("thread_name");
-        m.key("ph");
-        m.string("M");
-        m.key("pid");
-        m.uint(1);
-        m.key("tid");
-        m.uint(tid as u64);
-        m.key("args");
-        let mut a = JsonWriter::object();
-        a.key("name");
-        a.string(label);
-        m.raw(&a.finish());
-        events.raw(&m.finish());
+        let args = json!({ "name": label });
+        events.push(
+            json!({ "name": "thread_name", "ph": "M", "pid": 1u64, "tid": tid, "args": args }),
+        );
     }
-    for s in spans {
-        let label = match s.shard {
-            Some(shard) => format!("shard-{shard}"),
-            None => format!("worker-{}", s.worker),
-        };
-        let tid = tids.get(&label).copied().unwrap_or(0);
-        let mut e = JsonWriter::object();
-        e.key("name");
-        e.string(s.kind.as_str());
-        e.key("cat");
-        e.string("gswitch");
-        e.key("ph");
-        e.string("X");
+    for (s, tid) in spans.iter().zip(tids) {
+        let args = json!({
+            "id": s.id,
+            "parent": s.parent,
+            "job": s.job,
+            "iter": s.iter,
+            "shard": s.shard,
+        });
         // Trace-event timestamps are microseconds; fractional values
         // keep sub-µs host sections visible.
-        e.key("ts");
-        e.float(s.start_ns as f64 / 1.0e3);
-        e.key("dur");
-        e.float(s.dur_ns as f64 / 1.0e3);
-        e.key("pid");
-        e.uint(1);
-        e.key("tid");
-        e.uint(tid);
-        e.key("args");
-        let mut a = JsonWriter::object();
-        a.key("id");
-        a.uint(s.id);
-        a.key("parent");
-        a.uint(s.parent);
-        a.key("job");
-        a.uint(s.job);
-        a.key("iter");
-        a.uint(s.iter as u64);
-        if let Some(shard) = s.shard {
-            a.key("shard");
-            a.uint(shard as u64);
-        }
-        e.raw(&a.finish());
-        events.raw(&e.finish());
+        events.push(json!({
+            "name": s.kind.as_str(),
+            "cat": "gswitch",
+            "ph": "X",
+            "ts": s.start_ns as f64 / 1.0e3,
+            "dur": s.dur_ns as f64 / 1.0e3,
+            "pid": 1u64,
+            "tid": tid,
+            "args": args,
+        }));
     }
-
-    let mut w = JsonWriter::object();
-    w.key("displayTimeUnit");
-    w.string("ms");
-    w.key("traceEvents");
-    w.raw(&events.finish());
-    w.finish()
+    wire::encode(json!({ "displayTimeUnit": "ms", "traceEvents": events }))
 }
 
 /// One row of the self-time table: all spans of one kind.
@@ -959,36 +899,28 @@ impl SpanProfile {
     /// Render as one JSON object (the serve `stats.profile` section and
     /// the `BENCH_profile.json` phase table).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.key("spans");
-        w.uint(self.spans);
-        w.key("roots");
-        w.uint(self.roots);
-        w.key("total_ms");
-        w.float(self.total_ms);
-        w.key("self_total_ms");
-        w.float(self.excl_total_ms());
-        w.key("kinds");
-        let mut kinds = JsonWriter::object();
-        for k in &self.kinds {
-            kinds.key(k.kind.as_str());
-            let mut row = JsonWriter::object();
-            row.key("count");
-            row.uint(k.count);
-            row.key("incl_ms");
-            row.float(k.incl_ms);
-            row.key("excl_ms");
-            row.float(k.excl_ms);
-            row.key("p50_ms");
-            row.float(k.p50_ms);
-            row.key("p95_ms");
-            row.float(k.p95_ms);
-            row.key("p99_ms");
-            row.float(k.p99_ms);
-            kinds.raw(&row.finish());
-        }
-        w.raw(&kinds.finish());
-        w.finish()
+        let kinds = self
+            .kinds
+            .iter()
+            .map(|k| {
+                let row = json!({
+                    "count": k.count,
+                    "incl_ms": k.incl_ms,
+                    "excl_ms": k.excl_ms,
+                    "p50_ms": k.p50_ms,
+                    "p95_ms": k.p95_ms,
+                    "p99_ms": k.p99_ms,
+                });
+                (k.kind.as_str().to_string(), row)
+            })
+            .collect();
+        wire::encode(json!({
+            "spans": self.spans,
+            "roots": self.roots,
+            "total_ms": self.total_ms,
+            "self_total_ms": self.excl_total_ms(),
+            "kinds": Value::Object(kinds),
+        }))
     }
 }
 
@@ -1201,7 +1133,7 @@ mod tests {
         let text = p.render();
         assert!(text.contains("expand"));
         assert!(text.contains("total 10.000 ms"));
-        let json = crate::json::parse(&p.to_json()).unwrap();
+        let json = serde_json::parse(&p.to_json()).unwrap();
         assert_eq!(
             json.get("kinds")
                 .and_then(|k| k.get("expand"))
@@ -1249,8 +1181,8 @@ mod tests {
         ];
         spans[1].worker = 1;
         let json = timeline_json(&spans);
-        let v = crate::json::parse(&json).unwrap();
-        let events = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let v = serde_json::parse(&json).unwrap();
+        let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
         // 1 process_name + 3 thread_name (worker-0, shard-0, shard-1) +
         // 3 complete events.
         assert_eq!(events.len(), 7);

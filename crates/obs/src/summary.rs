@@ -126,8 +126,8 @@ pub struct TraceSummary {
 /// snapshot (`{"counters":{...},"gauges":{...}}`). Counters the
 /// document does not carry print as 0, so the summary works on
 /// pre-overload traces too.
-pub fn resilience_summary(doc: &crate::json::JsonValue) -> String {
-    let lookup = |name: &str| -> Option<&crate::json::JsonValue> {
+pub fn resilience_summary(doc: &serde_json::Value) -> String {
+    let lookup = |name: &str| -> Option<&serde_json::Value> {
         for scope in [doc.get("resilience"), doc.get("metrics"), Some(doc)] {
             let Some(scope) = scope else { continue };
             for inner in [scope.get("counters"), scope.get("gauges"), Some(scope)] {
@@ -144,7 +144,7 @@ pub fn resilience_summary(doc: &crate::json::JsonValue) -> String {
     let flag = |name: &str| {
         lookup(name)
             .map(|v| match v {
-                crate::json::JsonValue::Bool(b) => *b,
+                serde_json::Value::Bool(b) => *b,
                 other => other.as_i64().unwrap_or(0) != 0,
             })
             .unwrap_or(false)
@@ -568,7 +568,7 @@ mod tests {
     fn resilience_summary_reads_stats_and_raw_snapshots() {
         // A gswitch-serve `stats` response: counters live under
         // `resilience`, the brownout flag is a bool.
-        let stats = crate::json::parse(
+        let stats = serde_json::parse(
             r#"{"ok":"stats","resilience":{"jobs_shed":12,"jobs_breaker_open":7,
                 "breaker_opened":2,"breaker_closed":1,"breakers_open_now":1,
                 "brownout_active":true,"brownout_entered":3,"brownout_exited":2},
@@ -584,7 +584,7 @@ mod tests {
 
         // A bare registry snapshot: same counters flat under
         // `counters`, brownout as a 0/1 gauge.
-        let snap = crate::json::parse(
+        let snap = serde_json::parse(
             r#"{"counters":{"jobs_shed":5,"breaker_opened":1},
                 "gauges":{"brownout_active":0}}"#,
         )

@@ -9,13 +9,14 @@
 //! oldest events when full (and counting what it dropped — a trace that
 //! silently truncates would lie about coverage).
 
-use crate::json::{JsonValue, JsonWriter};
 use crate::sync::Lock;
+use crate::wire;
 use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
 use gswitch_ml::FEATURE_COUNT;
 use gswitch_simt::SimMs;
+use serde_json::{json, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -281,107 +282,67 @@ impl StampedEvent {
     /// Encode as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let e = &self.event;
-        let mut w = JsonWriter::object();
-        w.key("seq");
-        w.uint(self.seq);
-        w.key("job");
-        w.uint(self.job);
-        w.key("graph");
-        w.string(&self.graph);
-        w.key("algo");
-        w.string(&self.algo);
-        w.key("iter");
-        w.uint(e.iteration as u64);
-        w.key("direction");
-        w.string(names::direction(e.config.direction));
-        w.key("format");
-        w.string(names::format(e.config.format));
-        w.key("lb");
-        w.string(names::lb(e.config.lb));
-        w.key("stepping");
-        w.string(names::stepping(e.config.stepping));
-        w.key("fusion");
-        w.string(names::fusion(e.config.fusion));
-        w.key("provenance");
-        w.string(e.provenance.as_str());
-        w.key("predicted_ms");
-        w.float(e.predicted_ms);
-        w.key("measured_ms");
-        w.float(e.measured_ms);
-        w.key("filter_ms");
-        w.float(e.filter_ms);
-        w.key("overhead_ms");
-        w.float(e.overhead_ms);
-        w.key("v_active");
-        w.uint(e.v_active);
-        w.key("e_active");
-        w.uint(e.e_active);
-        w.key("edges_touched");
-        w.uint(e.edges_touched);
-        w.key("activations");
-        w.uint(e.activations);
-        w.key("duplicates");
-        w.uint(e.duplicates);
-        w.key("task_total_cycles");
-        w.float(e.task_total_cycles);
-        w.key("task_max_cycles");
-        w.float(e.task_max_cycles);
-        w.key("task_count");
-        w.uint(e.task_count);
-        w.key("features");
-        {
-            let mut a = JsonWriter::array();
-            for f in e.features {
-                a.float(f);
-            }
-            w.raw(&a.finish());
-        }
-        // Written only for sharded runs so pre-shard traces stay byte-stable.
-        if let Some(shard) = e.shard {
-            w.key("shard");
-            w.uint(shard as u64);
-        }
-        w.finish()
+        wire::encode(json!({
+            "seq": self.seq,
+            "job": self.job,
+            "graph": self.graph,
+            "algo": self.algo,
+            "iter": e.iteration,
+            "direction": names::direction(e.config.direction),
+            "format": names::format(e.config.format),
+            "lb": names::lb(e.config.lb),
+            "stepping": names::stepping(e.config.stepping),
+            "fusion": names::fusion(e.config.fusion),
+            "provenance": e.provenance.as_str(),
+            "predicted_ms": e.predicted_ms,
+            "measured_ms": e.measured_ms,
+            "filter_ms": e.filter_ms,
+            "overhead_ms": e.overhead_ms,
+            "v_active": e.v_active,
+            "e_active": e.e_active,
+            "edges_touched": e.edges_touched,
+            "activations": e.activations,
+            "duplicates": e.duplicates,
+            "task_total_cycles": e.task_total_cycles,
+            "task_max_cycles": e.task_max_cycles,
+            "task_count": e.task_count,
+            "features": e.features,
+            // Written only for sharded runs so pre-shard traces stay byte-stable.
+            "shard": e.shard,
+        }))
     }
 
     /// Decode one JSONL line.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let v = crate::json::parse(line)?;
-        let s = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{k}`"))
-        };
-        let u = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing uint field `{k}`"))
-        };
-        let f = |k: &str| -> Result<f64, String> {
-            v.get(k).and_then(JsonValue::as_f64).ok_or_else(|| format!("missing float field `{k}`"))
-        };
+        let v = serde_json::parse(line).map_err(|e| e.to_string())?;
+        let (s, u, f) = (
+            |k: &str| wire::string(&v, k),
+            |k: &str| wire::uint(&v, k),
+            |k: &str| wire::float(&v, k),
+        );
         let config = names::parse_config(
-            &s("direction")?,
-            &s("format")?,
-            &s("lb")?,
-            &s("stepping")?,
-            &s("fusion")?,
+            s("direction")?,
+            s("format")?,
+            s("lb")?,
+            s("stepping")?,
+            s("fusion")?,
         )
         .ok_or("unrecognized pattern value")?;
         let provenance =
-            Provenance::parse(&s("provenance")?).ok_or("unrecognized provenance value")?;
+            Provenance::parse(s("provenance")?).ok_or("unrecognized provenance value")?;
         let mut features = [0.0; FEATURE_COUNT];
-        let arr = v.get("features").and_then(JsonValue::as_arr).ok_or("missing `features`")?;
+        let arr = v.get("features").and_then(Value::as_array).ok_or("missing `features`")?;
         if arr.len() != FEATURE_COUNT {
             return Err(format!("expected {FEATURE_COUNT} features, got {}", arr.len()));
         }
         for (slot, item) in features.iter_mut().zip(arr) {
-            *slot = item.as_f64().ok_or("non-numeric feature")?;
+            *slot = item.as_f64().filter(|x| x.is_finite()).ok_or("non-numeric feature")?;
         }
         Ok(StampedEvent {
             seq: u("seq")?,
             job: u("job")?,
-            graph: s("graph")?,
-            algo: s("algo")?,
+            graph: s("graph")?.to_string(),
+            algo: s("algo")?.to_string(),
             event: TraceEvent {
                 iteration: u("iter")? as u32,
                 config,
@@ -399,8 +360,7 @@ impl StampedEvent {
                 task_max_cycles: f("task_max_cycles")?,
                 task_count: u("task_count")?,
                 features,
-                // Absent in traces written before partitioned execution.
-                shard: v.get("shard").and_then(JsonValue::as_u64).map(|s| s as u32),
+                shard: wire::shard(&v),
             },
         })
     }

@@ -1,35 +1,10 @@
-//! Deterministic fault injection for the serving runtime.
-//!
-//! Compiled to no-ops unless the `fault-injection` cargo feature is on,
-//! so production builds pay nothing and cannot be armed. With the
-//! feature on (CI runs `cargo test -p gswitch-runtime --features
-//! fault-injection`), tests arm faults at **named sites** — fixed
-//! strings listed in [`site`] — and the runtime fires them at exactly
-//! those points:
-//!
-//! * [`Fault::Panic`] — panic at the site (one-shot under [`arm`] /
-//!   [`arm_after`]: auto-disarms when it fires, so a retry of the same
-//!   job can succeed).
-//! * [`Fault::SlowMs`] — sleep at the site, every time it is reached
-//!   (how tests make a fast simulated job overrun a real deadline).
-//! * [`Fault::CorruptText`] — mangle text flowing through the site
-//!   (how tests corrupt a cache file between disk and parser).
-//!
-//! A `skip` count delays a fault past the first `skip` firings, which
-//! is what "panic mid-expand on iteration 3" means in the integration
-//! suite.
-//!
-//! Beyond the legacy one-shot/persistent arms, [`arm_schedule`] attaches
-//! a [`Schedule`] to a site: periodic firings (`every(n)`, optionally
-//! `.after(skip)` / `.times(limit)`) or seeded pseudo-random firings
-//! (`random(seed, one_in)`). Schedules apply to *every* fault kind —
-//! including recurring panics, which the chaos-soak harness uses to keep
-//! re-injuring the worker pool for thousands of jobs. All randomness is
-//! a pure function of `(seed, arrival index)`, so chaos runs replay
-//! bit-identically under a fixed seed.
-//!
-//! All state is process-global; tests that arm faults serialize
-//! themselves behind a mutex (see `tests/faults.rs`).
+//! The serving runtime's fault-injection sites. The mechanism — arming,
+//! [`Fault`] kinds, seeded [`Schedule`]s, the no-op twin compiled when
+//! the `fault-injection` feature is off — is `gswitch_obs::faults`,
+//! re-exported here; CI runs `cargo test -p gswitch-runtime --features
+//! fault-injection`.
+
+pub use gswitch_obs::faults::*;
 
 /// Named injection sites. Arming any other string is legal but will
 /// never fire.
@@ -52,349 +27,4 @@ pub mod site {
     /// the temp file is written and fsynced but **before** the rename —
     /// the crash window an atomic save must make harmless.
     pub const CACHE_SAVE: &str = "cache::save";
-}
-
-/// What an armed site does when reached.
-#[derive(Clone, Debug)]
-pub enum Fault {
-    /// Panic with this message. One-shot under [`arm`]/[`arm_after`]
-    /// (disarms as it fires); recurring under a [`Schedule`].
-    Panic(String),
-    /// Sleep this many milliseconds. Persistent until disarmed.
-    SlowMs(u64),
-    /// Replace text passing through the site with unparseable garbage.
-    /// Persistent until disarmed.
-    CorruptText,
-}
-
-/// When a scheduled fault fires, as a pure function of the site's
-/// arrival counter. Built with [`Schedule::every`] / [`Schedule::once`]
-/// / [`Schedule::random`] plus the [`Schedule::after`] and
-/// [`Schedule::times`] modifiers.
-#[derive(Clone, Debug)]
-pub struct Schedule {
-    /// Arrivals to let pass before the schedule starts.
-    skip: u64,
-    /// Fire every `period` arrivals once started (periodic mode).
-    period: u64,
-    /// Stop after this many firings (`None` = unlimited).
-    limit: Option<u64>,
-    /// Random mode: `(seed, one_in)` — fire when
-    /// `splitmix64(seed ^ arrival) % one_in == 0`.
-    random: Option<(u64, u64)>,
-}
-
-impl Schedule {
-    /// Fire on every `period`-th arrival (period 1 = every arrival).
-    pub fn every(period: u64) -> Self {
-        Schedule { skip: 0, period: period.max(1), limit: None, random: None }
-    }
-
-    /// Fire exactly once, on the first arrival (compose with
-    /// [`Schedule::after`] to delay it).
-    pub fn once() -> Self {
-        Schedule::every(1).times(1)
-    }
-
-    /// Fire pseudo-randomly on roughly one in `one_in` arrivals.
-    /// Deterministic: whether arrival `i` fires depends only on
-    /// `(seed, i)`, so a fixed seed replays identically.
-    pub fn random(seed: u64, one_in: u64) -> Self {
-        Schedule { skip: 0, period: 1, limit: None, random: Some((seed, one_in.max(1))) }
-    }
-
-    /// Let the first `skip` arrivals pass before the schedule starts.
-    pub fn after(mut self, skip: u64) -> Self {
-        self.skip = skip;
-        self
-    }
-
-    /// Disarm after `limit` firings.
-    pub fn times(mut self, limit: u64) -> Self {
-        self.limit = Some(limit.max(1));
-        self
-    }
-
-    /// The firing limit, if any (`Schedule::times`).
-    pub fn limit(&self) -> Option<u64> {
-        self.limit
-    }
-
-    /// Whether arrival number `arrival` (0-based) fires. Pure — a
-    /// function of the schedule and the index only — so tests can
-    /// predict a chaos run and replays agree bit-for-bit.
-    pub fn fires(&self, arrival: u64) -> bool {
-        if arrival < self.skip {
-            return false;
-        }
-        match self.random {
-            Some((seed, one_in)) => splitmix64(seed ^ arrival).is_multiple_of(one_in),
-            None => (arrival - self.skip).is_multiple_of(self.period),
-        }
-    }
-}
-
-/// SplitMix64: the standard 64-bit finalizer; a bijective scramble, so
-/// distinct arrival indices give independent-looking draws from one
-/// seed. Shared with the scheduler's retry jitter.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-#[cfg(feature = "fault-injection")]
-mod armed {
-    use super::{Fault, Schedule};
-    use gswitch_obs::sync::Lock;
-    use std::collections::HashMap;
-
-    /// How an armed fault decides to act on each arrival.
-    enum Cadence {
-        /// `arm`/`arm_after` semantics: skip, then Panic is one-shot
-        /// and Slow/Corrupt are persistent.
-        Legacy { skip: u64 },
-        /// `arm_schedule` semantics: the schedule decides; panics
-        /// recur.
-        Scheduled(Schedule),
-    }
-
-    struct ArmedFault {
-        fault: Fault,
-        cadence: Cadence,
-        /// Arrivals seen so far (including non-firing ones).
-        arrivals: u64,
-        /// Firings so far (for `Schedule::times`).
-        fired: u64,
-    }
-
-    static SITES: Lock<Option<HashMap<String, ArmedFault>>> = Lock::new(None);
-
-    fn with_sites<R>(f: impl FnOnce(&mut HashMap<String, ArmedFault>) -> R) -> R {
-        let mut guard = SITES.lock();
-        f(guard.get_or_insert_with(HashMap::new))
-    }
-
-    /// Arm `fault` at `site`, firing on the first arrival.
-    pub fn arm(site: &str, fault: Fault) {
-        arm_after(site, 0, fault);
-    }
-
-    /// Arm `fault` at `site`, letting the first `skip` arrivals pass.
-    pub fn arm_after(site: &str, skip: u64, fault: Fault) {
-        with_sites(|s| {
-            s.insert(
-                site.to_string(),
-                ArmedFault { fault, cadence: Cadence::Legacy { skip }, arrivals: 0, fired: 0 },
-            )
-        });
-    }
-
-    /// Arm `fault` at `site` on a deterministic [`Schedule`]. Unlike
-    /// [`arm`], a scheduled `Panic` recurs until the schedule's limit
-    /// (if any) is exhausted.
-    pub fn arm_schedule(site: &str, schedule: Schedule, fault: Fault) {
-        with_sites(|s| {
-            s.insert(
-                site.to_string(),
-                ArmedFault { fault, cadence: Cadence::Scheduled(schedule), arrivals: 0, fired: 0 },
-            )
-        });
-    }
-
-    /// Disarm one site.
-    pub fn disarm(site: &str) {
-        with_sites(|s| s.remove(site));
-    }
-
-    /// Disarm everything (test teardown).
-    pub fn reset() {
-        with_sites(|s| s.clear());
-    }
-
-    /// Decide what to do at `site` without holding the lock while
-    /// acting (a panic must not poison the fault table itself).
-    fn take_action(site: &str) -> Option<Fault> {
-        with_sites(|s| {
-            let armed = s.get_mut(site)?;
-            let arrival = armed.arrivals;
-            armed.arrivals += 1;
-            match &armed.cadence {
-                Cadence::Legacy { skip } => {
-                    if arrival < *skip {
-                        return None;
-                    }
-                    match armed.fault {
-                        // One-shot: remove before firing.
-                        Fault::Panic(_) => s.remove(site).map(|a| a.fault),
-                        ref f => Some(f.clone()),
-                    }
-                }
-                Cadence::Scheduled(schedule) => {
-                    if !schedule.fires(arrival) {
-                        return None;
-                    }
-                    armed.fired += 1;
-                    let exhausted = schedule.limit().is_some_and(|l| armed.fired >= l);
-                    if exhausted {
-                        s.remove(site).map(|a| a.fault)
-                    } else {
-                        Some(armed.fault.clone())
-                    }
-                }
-            }
-        })
-    }
-
-    /// Fire `site`: may panic or sleep.
-    pub fn fire(site: &str) {
-        match take_action(site) {
-            Some(Fault::Panic(msg)) => panic!("injected fault at {site}: {msg}"),
-            Some(Fault::SlowMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
-            Some(Fault::CorruptText) | None => {}
-        }
-    }
-
-    /// Pass `text` through `site`, corrupting it if so armed. Panics
-    /// and sleeps also apply here.
-    pub fn transform_text(site: &str, text: String) -> String {
-        match take_action(site) {
-            Some(Fault::CorruptText) => {
-                // Truncate mid-token and append garbage: defeats both
-                // full and partial JSON parses.
-                let mut cut = text.len() / 2;
-                while cut > 0 && !text.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                format!("{}\u{0}garbage%%", &text[..cut])
-            }
-            Some(Fault::Panic(msg)) => panic!("injected fault at {site}: {msg}"),
-            Some(Fault::SlowMs(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                text
-            }
-            None => text,
-        }
-    }
-}
-
-#[cfg(feature = "fault-injection")]
-pub use armed::{arm, arm_after, arm_schedule, disarm, fire, reset, transform_text};
-
-/// No-op stubs compiled when the `fault-injection` feature is off:
-/// sites cannot be armed and firing costs nothing.
-#[cfg(not(feature = "fault-injection"))]
-mod disarmed {
-    use super::{Fault, Schedule};
-
-    /// No-op (enable the `fault-injection` feature to arm faults).
-    pub fn arm(_site: &str, _fault: Fault) {}
-    /// No-op (enable the `fault-injection` feature to arm faults).
-    pub fn arm_after(_site: &str, _skip: u64, _fault: Fault) {}
-    /// No-op (enable the `fault-injection` feature to arm faults).
-    pub fn arm_schedule(_site: &str, _schedule: Schedule, _fault: Fault) {}
-    /// No-op.
-    pub fn disarm(_site: &str) {}
-    /// No-op.
-    pub fn reset() {}
-    /// No-op.
-    #[inline(always)]
-    pub fn fire(_site: &str) {}
-    /// Identity.
-    #[inline(always)]
-    pub fn transform_text(_site: &str, text: String) -> String {
-        text
-    }
-}
-
-#[cfg(not(feature = "fault-injection"))]
-pub use disarmed::{arm, arm_after, arm_schedule, disarm, fire, reset, transform_text};
-
-#[cfg(all(test, feature = "fault-injection"))]
-mod tests {
-    use super::*;
-
-    // Module-level serialization: fault state is process-global, and
-    // the integration suite (tests/faults.rs) runs in its own process,
-    // so only these unit tests share it.
-    static GUARD: gswitch_obs::sync::Lock<()> = gswitch_obs::sync::Lock::new(());
-
-    #[test]
-    fn panic_fault_is_one_shot_and_skippable() {
-        let _g = GUARD.lock();
-        reset();
-        arm_after(site::EXECUTOR_START, 2, Fault::Panic("boom".into()));
-        fire(site::EXECUTOR_START); // skip 1
-        fire(site::EXECUTOR_START); // skip 2
-        let err = std::panic::catch_unwind(|| fire(site::EXECUTOR_START)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("boom"), "panic message was `{msg}`");
-        // One-shot: the site is clean again.
-        fire(site::EXECUTOR_START);
-        reset();
-    }
-
-    #[test]
-    fn corrupt_text_mangles_until_disarmed() {
-        let _g = GUARD.lock();
-        reset();
-        let clean = "{\"version\":1}".to_string();
-        assert_eq!(transform_text(site::CACHE_LOAD, clean.clone()), clean);
-        arm(site::CACHE_LOAD, Fault::CorruptText);
-        let mangled = transform_text(site::CACHE_LOAD, clean.clone());
-        assert_ne!(mangled, clean);
-        assert!(serde_json::from_str::<serde_json::Value>(&mangled).is_err());
-        disarm(site::CACHE_LOAD);
-        assert_eq!(transform_text(site::CACHE_LOAD, clean.clone()), clean);
-    }
-
-    #[test]
-    fn scheduled_panic_recurs_on_its_period() {
-        let _g = GUARD.lock();
-        reset();
-        // Fire on arrivals 1 and 4 (skip 1, then every 3rd), twice only.
-        arm_schedule(
-            site::EXECUTOR_START,
-            Schedule::every(3).after(1).times(2),
-            Fault::Panic("recurring".into()),
-        );
-        let mut fired = Vec::new();
-        for arrival in 0..10 {
-            if std::panic::catch_unwind(|| fire(site::EXECUTOR_START)).is_err() {
-                fired.push(arrival);
-            }
-        }
-        assert_eq!(fired, vec![1, 4], "periodic panic must recur then hit its limit");
-        reset();
-    }
-
-    #[test]
-    fn random_schedule_is_deterministic_and_roughly_calibrated() {
-        let _g = GUARD.lock();
-        reset();
-        let run = || {
-            arm_schedule(site::ENGINE_ITERATION, Schedule::random(42, 5), Fault::SlowMs(0));
-            let sched = Schedule::random(42, 5);
-            let fired: Vec<u64> = (0..200).filter(|&i| sched.fires(i)).collect();
-            disarm(site::ENGINE_ITERATION);
-            fired
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seed must replay identically");
-        // one-in-5 over 200 arrivals: expect ~40, accept a wide band.
-        assert!(a.len() > 15 && a.len() < 80, "rate off: {} firings", a.len());
-        reset();
-    }
-
-    #[test]
-    fn once_schedule_fires_exactly_once() {
-        let _g = GUARD.lock();
-        reset();
-        arm_schedule(site::CACHE_SAVE, Schedule::once(), Fault::Panic("one save".into()));
-        assert!(std::panic::catch_unwind(|| fire(site::CACHE_SAVE)).is_err());
-        fire(site::CACHE_SAVE); // disarmed after its single firing
-        reset();
-    }
 }
