@@ -89,6 +89,12 @@ impl GraphApp for BcForward {
     fn advance(&self, iteration: u32) {
         self.current.store(iteration, Relaxed);
     }
+
+    fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
+        // As in BFS: the claiming comp reports every vertex that joins the
+        // next level, and the level that ended was Active.
+        true
+    }
 }
 
 /// Backward phase: dependency accumulation over frozen levels/σ.
@@ -101,6 +107,11 @@ pub struct BcBackward {
     delta: AtomicArray<f64>,
     max_level: u32,
     current: AtomicU32,
+    /// The reachable vertices grouped by level: level `l` is
+    /// `by_level[level_start[l]..level_start[l + 1]]` — the bucket that
+    /// turns Active when the backward sweep reaches `l`.
+    by_level: Vec<VertexId>,
+    level_start: Vec<usize>,
 }
 
 impl BcBackward {
@@ -109,12 +120,29 @@ impl BcBackward {
         let level = fwd.level.to_vec();
         let sigma = fwd.sigma.to_vec();
         let max_level = level.iter().copied().filter(|&l| l != u32::MAX).max().unwrap_or(0);
+        // Counting sort of the reachable vertices by level.
+        let reachable = || level.iter().enumerate().filter(|(_, &l)| l != u32::MAX);
+        let mut level_start = vec![0usize; max_level as usize + 2];
+        for (_, &l) in reachable() {
+            level_start[l as usize + 1] += 1;
+        }
+        for l in 0..=max_level as usize {
+            level_start[l + 1] += level_start[l];
+        }
+        let mut cursor = level_start.clone();
+        let mut by_level = vec![0; level_start[max_level as usize + 1]];
+        for (v, &l) in reachable() {
+            by_level[cursor[l as usize]] = v as VertexId;
+            cursor[l as usize] += 1;
+        }
         BcBackward {
             delta: AtomicArray::filled(level.len(), 0.0),
             level,
             sigma,
             max_level,
             current: AtomicU32::new(0),
+            by_level,
+            level_start,
         }
     }
 
@@ -177,6 +205,16 @@ impl GraphApp for BcBackward {
 
     fn advance(&self, iteration: u32) {
         self.current.store(iteration, Relaxed);
+    }
+
+    fn refilter_hint(&self, out: &mut Vec<VertexId>) -> bool {
+        // Activation is level-driven: the step counter turns the target
+        // level's bucket Active (the level above it was Active before and
+        // turns Fixed), and no other status moves.
+        if let Ok(l) = usize::try_from(self.target(self.current.load(Relaxed))) {
+            out.extend_from_slice(&self.by_level[self.level_start[l]..self.level_start[l + 1]]);
+        }
+        true
     }
 }
 

@@ -68,6 +68,12 @@ impl GraphApp for Bfs {
     fn would_tie(&self, dst: VertexId, msg: u32) -> bool {
         self.level.load(dst) == msg
     }
+
+    fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
+        // A status moves only when the level does (a successful comp) or
+        // when the vertex was on the level that just ended (Active).
+        true
+    }
 }
 
 /// Result of a BFS run.

@@ -96,6 +96,12 @@ impl GraphApp for Cc {
         // Labels may improve at any time: everyone gathers.
         !matches!(status, Status::Fixed)
     }
+
+    fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
+        // Active = stamped by last step's successful comp; last step's
+        // Active vertices expire with the epoch. Nothing else moves.
+        true
+    }
 }
 
 /// Result of a CC run.

@@ -102,6 +102,13 @@ impl GraphApp for PageRank {
         // Any vertex may accumulate fresh residual.
         true
     }
+
+    fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
+        // A residual leaves the threshold's low side only through the comp
+        // that reports the crossing, and its high side only through the
+        // `prepare` of an Active vertex.
+        true
+    }
 }
 
 /// Result of a PageRank run.

@@ -134,6 +134,12 @@ macro_rules! delegate_state {
             // Any vertex's distance may still improve.
             true
         }
+        fn refilter_hint(&self, out: &mut Vec<VertexId>) -> bool {
+            // Only a pending vertex can be (or, once the threshold moves
+            // or a rescue widens the window, become) Active.
+            self.state.pending.append_sorted(out);
+            true
+        }
     };
 }
 

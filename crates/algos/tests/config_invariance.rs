@@ -12,14 +12,23 @@
 //! which the single-kernel differential suite can reach — on one lane
 //! (`run`) and on K ∈ {1, 2, 4} lanes (`run_sharded`) for the three
 //! shardable apps.
+//!
+//! The same file holds the Inspector's own invariance: a run that
+//! re-`filter`s only what `refilter_hint` bounds is, step for step, the
+//! run that sweeps every vertex ([`SweepOnly`]).
 
-use gswitch_algos::{bc, bfs, cc, pr, reference, sssp, Bfs, Cc, PageRank};
-use gswitch_core::{
-    run_sharded, AppCaps, AsFormat, DecisionContext, Direction, EngineOptions, Fusion,
-    KernelConfig, LoadBalance, Policy, ShardedOptions, SteppingDelta,
+use gswitch_algos::bc::{BcBackward, BcForward};
+use gswitch_algos::{
+    bc, bfs, cc, pr, reference, sssp, BellmanFord, Bfs, Cc, DeltaStepping, PageRank, Sssp,
 };
+use gswitch_core::{
+    run, run_sharded, AppCaps, AsFormat, AutoPolicy, DecisionContext, Direction, EngineOptions,
+    Fusion, GraphApp, KernelConfig, LoadBalance, ModelPolicy, Policy, RunReport, ShardedOptions,
+    Status, SteppingDelta,
+};
+use gswitch_graph::corpus::representatives_small;
 use gswitch_graph::shard::ShardedCsr;
-use gswitch_graph::{gen, Graph, GraphBuilder};
+use gswitch_graph::{gen, Graph, GraphBuilder, VertexId, Weight};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -146,6 +155,169 @@ proptest! {
             let rep = run_sharded(&sharded, &app, &RandomPolicy::new(seed), &opts).expect("pr");
             prop_assert!(rep.converged);
             assert_pr_close(&app.ranks(), &g, &format!("pr k={k}"));
+        }
+    }
+}
+
+/// Test-only: `A` with `refilter_hint` left at its default, so every
+/// classification sweeps — the only way to turn the hint off.
+struct SweepOnly<A>(A);
+
+impl<A: GraphApp> GraphApp for SweepOnly<A> {
+    type Msg = A::Msg;
+    const PULL_EARLY_EXIT: bool = A::PULL_EARLY_EXIT;
+    const DUP_TOLERANT: bool = A::DUP_TOLERANT;
+    const NEEDS_WEIGHTS: bool = A::NEEDS_WEIGHTS;
+    const PRIORITY_DRIVEN: bool = A::PRIORITY_DRIVEN;
+
+    fn filter(&self, v: VertexId) -> Status {
+        self.0.filter(v)
+    }
+    fn prepare(&self, v: VertexId) {
+        self.0.prepare(v);
+    }
+    fn emit(&self, u: VertexId, w: Weight) -> A::Msg {
+        self.0.emit(u, w)
+    }
+    fn comp_atomic(&self, dst: VertexId, msg: A::Msg) -> bool {
+        self.0.comp_atomic(dst, msg)
+    }
+    fn comp(&self, dst: VertexId, msg: A::Msg) -> bool {
+        self.0.comp(dst, msg)
+    }
+    fn advance(&self, iteration: u32) {
+        self.0.advance(iteration);
+    }
+    fn pull_receives(status: Status) -> bool {
+        A::pull_receives(status)
+    }
+    fn adjust_priority(&self, delta: SteppingDelta) {
+        self.0.adjust_priority(delta);
+    }
+    fn rescue(&self) -> bool {
+        self.0.rescue()
+    }
+    fn would_tie(&self, dst: VertexId, msg: A::Msg) -> bool {
+        self.0.would_tie(dst, msg)
+    }
+}
+
+/// Every field of every iteration the two Inspectors must agree on.
+fn assert_same_trace(hinted: &RunReport, swept: &RunReport, tag: &str) {
+    assert_eq!(hinted.converged, swept.converged, "{tag}");
+    assert_eq!(hinted.n_iterations(), swept.n_iterations(), "{tag}: iteration count");
+    for (a, b) in hinted.iterations.iter().zip(&swept.iterations) {
+        let tag = format!("{tag} @ iteration {}", a.iteration);
+        assert_eq!(a.config, b.config, "{tag}");
+        assert_eq!((a.decided, a.estimated), (b.decided, b.estimated), "{tag}");
+        assert_eq!(a.stats, b.stats, "{tag}");
+        assert_eq!(a.features.map(f64::to_bits), b.features.map(f64::to_bits), "{tag}: features");
+        assert_eq!(a.filter_ms.to_bits(), b.filter_ms.to_bits(), "{tag}: filter_ms");
+        assert_eq!(a.expand_ms.to_bits(), b.expand_ms.to_bits(), "{tag}: expand_ms");
+        assert_eq!(a.edges_touched, b.edges_touched, "{tag}");
+        assert_eq!(a.activations, b.activations, "{tag}");
+    }
+}
+
+/// Run `make()` with its hint and again as [`SweepOnly`], each under a
+/// fresh `policy()`, and require the same per-iteration trace. Returns the
+/// hinted app, its answer and the sweeping run's.
+fn hinted_and_swept<A: GraphApp, T>(
+    tag: &str,
+    g: &Graph,
+    policy: &dyn Fn() -> Box<dyn Policy>,
+    make: impl Fn() -> A,
+    answer: impl Fn(&A) -> T,
+) -> (A, T, T) {
+    let (hinted, swept) = (make(), SweepOnly(make()));
+    let opts = EngineOptions::default();
+    let ra = run(g, &hinted, policy().as_ref(), &opts);
+    let rb = run(g, &swept, policy().as_ref(), &opts);
+    assert!(ra.converged && rb.converged, "{tag}");
+    assert_same_trace(&ra, &rb, tag);
+    let answers = (answer(&hinted), answer(&swept.0));
+    (hinted, answers.0, answers.1)
+}
+
+/// Incremental ≡ sweep: on the small corpus, under the rules, the trained
+/// trees and a seeded arbitrary configuration sequence, each algorithm run
+/// with its hint and run as [`SweepOnly`] gives the same answer and the
+/// same per-iteration trace.
+///
+/// Traces are deterministic only while every Expand stays below the
+/// 256-task parallel threshold, so the two scale-free twins that cross it
+/// (`golden_traces::PARALLEL_EXPAND`) are left to the answer checks above.
+/// The two size cuts keep the test affordable in a debug build (~40 s):
+/// the twins above 22 000 vertices (rgg, roadNet-CA) repeat the shapes of
+/// roadNet-TX and the two sc-* meshes, and an arbitrary configuration
+/// sequence (bitmaps and strict balancing on high-diameter graphs) costs
+/// several times a tuned one.
+#[test]
+fn hinted_inspector_matches_the_sweeping_one() {
+    const LARGEST: usize = 22_000;
+    const LARGEST_UNDER_RANDOM: usize = 13_000;
+    let model_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models/gswitch_model.json");
+    let (model, loaded) = ModelPolicy::load_or_fallback(model_path);
+    assert!(loaded.error.is_none() && loaded.kept > 0, "trained model unusable: {loaded:?}");
+    type MakePolicy = Box<dyn Fn() -> Box<dyn Policy>>;
+    let policies: [(&str, usize, MakePolicy); 3] = [
+        ("auto", LARGEST, Box::new(|| Box::new(AutoPolicy))),
+        ("model", LARGEST, Box::new(move || Box::new(model.clone()))),
+        ("random", LARGEST_UNDER_RANDOM, Box::new(|| Box::new(RandomPolicy::new(0xD1FF)))),
+    ];
+    let serial = |name: &str| !matches!(name, "soc-orkut" | "kron_g500-log21");
+    for r in representatives_small().into_iter().filter(|r| serial(r.paper_name)) {
+        let (name, g) = (r.paper_name, r.recipe.build());
+        let gw = gen::with_random_weights(&g, 64, 0xC0FFEE);
+        let n = g.num_vertices();
+        if n > LARGEST {
+            continue;
+        }
+        let (want_bfs, want_cc) = (reference::bfs(&g, 0), reference::cc(&g));
+        let (want_sssp, want_bc) = (reference::sssp(&gw, 0), reference::bc(&g, 0));
+        for (pname, _, policy) in policies.iter().filter(|p| n <= p.1) {
+            let tag = |algo: &str| format!("{name}/{algo}/{pname}");
+            let policy = policy.as_ref();
+
+            let t = tag("bfs");
+            let (_, a, b) = hinted_and_swept(&t, &g, policy, || Bfs::new(n, 0), Bfs::levels);
+            assert_eq!((&a, &b), (&want_bfs, &want_bfs), "{t}");
+
+            let t = tag("cc");
+            let (_, a, b) = hinted_and_swept(&t, &g, policy, || Cc::new(n), Cc::labels);
+            assert_eq!((&a, &b), (&want_cc, &want_cc), "{t}");
+
+            let t = tag("pr");
+            let new_pr = || PageRank::new(&g, 1e-3);
+            let (_, a, b) = hinted_and_swept(&t, &g, policy, new_pr, PageRank::ranks);
+            assert_eq!(a, b, "{t}");
+            if *pname == "auto" {
+                assert_pr_close(&a, &g, &t);
+            }
+
+            let t = tag("sssp");
+            let new_sssp = || Sssp::new(&gw, 0);
+            let (_, a, b) = hinted_and_swept(&t, &gw, policy, new_sssp, Sssp::distances);
+            assert_eq!((&a, &b), (&want_sssp, &want_sssp), "{t}");
+            let t = tag("bellman-ford");
+            let new_bf = || BellmanFord::new(&gw, 0);
+            let (_, a, b) = hinted_and_swept(&t, &gw, policy, new_bf, BellmanFord::distances);
+            assert_eq!((&a, &b), (&want_sssp, &want_sssp), "{t}");
+            let t = tag("delta-stepping");
+            let new_ds = || DeltaStepping::with_default_delta(&gw, 0);
+            let (_, a, b) = hinted_and_swept(&t, &gw, policy, new_ds, DeltaStepping::distances);
+            assert_eq!((&a, &b), (&want_sssp, &want_sssp), "{t}");
+
+            // BC: both backward runs start from the hinted forward phase
+            // (the sweeping one was just shown to trace the same).
+            let t = tag("bc");
+            let (fwd, _, _) = hinted_and_swept(&t, &g, policy, || BcForward::new(n, 0), |_| ());
+            let new_bwd = || BcBackward::new(&fwd);
+            let (_, a, b) = hinted_and_swept(&t, &g, policy, new_bwd, BcBackward::deltas);
+            assert_eq!(a, b, "{t}");
+            for (x, y) in a.iter().zip(&want_bc).skip(1) {
+                assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()), "{t}: {x} vs {y}");
+            }
         }
     }
 }

@@ -1,13 +1,13 @@
-//! Per-kernel rows: every hot kernel (classify, materialize × format ×
-//! direction, expand × format × direction) on a fixed mid-BFS workload.
-//! Frontier sizes, edges touched and the simulated ms of each Expand are
-//! exact; host wall µs are timed.
+//! Per-kernel rows: every hot kernel (classify, its dirty-set update,
+//! materialize × format × direction, expand × format × direction) on a
+//! fixed mid-BFS workload. Frontier and dirty-set sizes, edges touched and
+//! the simulated ms of each Expand are exact; host wall µs are timed.
 
 use super::{round_to, Row, Snapshot, Timed, KERNEL_WALL_ABS_US};
 use gswitch_algos::Bfs;
 use gswitch_kernels::{
-    classify, expand, materialize, AsFormat, Direction, EdgeApp as _, Fusion, KernelConfig,
-    LoadBalance, SteppingDelta,
+    classify, expand, materialize, AsFormat, Classification, Direction, EdgeApp as _, Fusion,
+    KernelConfig, LoadBalance, SteppingDelta,
 };
 use gswitch_simt::DeviceSpec;
 use serde_json::json;
@@ -68,6 +68,53 @@ pub fn measure() -> Snapshot {
         }
         let row = Row::default().exact("workload", v_active).timed("wall_us", wall_us(wall));
         snap.rows.insert("classify".into(), row);
+    }
+
+    // The dirty-set update next to the sweep it stands in for, the two
+    // ways the engine meets it. `active`: nothing changed, so only the
+    // level's own vertices are re-filtered — idempotent, timed in place.
+    // `next`: the step after a push Expand of this level re-filters the
+    // activated vertices and the old level, and as the first update after
+    // a sweep also compacts the Active list and counts receivers per
+    // in-degree; Expand mutates the app, so every repeat rebuilds it.
+    {
+        let (g, app, _) = mid_bfs();
+        let mut co = Classification::new(&g, &spec);
+        co.sweep(&app);
+        let (mut wall, mut dirty) = (Vec::with_capacity(REPEATS), Vec::new());
+        for _ in 0..REPEATS {
+            dirty.clear();
+            let t0 = Instant::now();
+            co.update(&app, &mut dirty);
+            wall.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+        let row = Row::default()
+            .exact("dirty", dirty.len() as u64)
+            .exact("v_active", co.stats().v_active)
+            .timed("wall_us", wall_us(wall));
+        snap.rows.insert("reclassify/active".into(), row);
+    }
+    {
+        let mut wall = Vec::with_capacity(REPEATS);
+        let (mut n_dirty, mut v_active) = (0u64, 0u64);
+        for _ in 0..REPEATS {
+            let (g, app, _) = mid_bfs();
+            let mut co = Classification::new(&g, &spec);
+            co.sweep(&app);
+            let (f, _) = co.materialize::<Bfs>(Direction::Push, AsFormat::UnsortedQueue, &spec);
+            let eo = expand(&g, &app, &f, co.status(), KernelConfig::push_baseline(), &spec);
+            app.advance(LEVEL + 1);
+            let mut dirty = eo.activated.to_sorted_vec();
+            let t0 = Instant::now();
+            co.update(&app, &mut dirty);
+            wall.push(t0.elapsed().as_secs_f64() * 1e6);
+            (n_dirty, v_active) = (dirty.len() as u64, co.stats().v_active);
+        }
+        let row = Row::default()
+            .exact("dirty", n_dirty)
+            .exact("v_active", v_active)
+            .timed("wall_us", wall_us(wall));
+        snap.rows.insert("reclassify/next".into(), row);
     }
 
     // materialize and expand, per format × direction. Expand mutates app

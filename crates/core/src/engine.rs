@@ -11,8 +11,7 @@ use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
 use gswitch_kernels::{
-    classify, expand_planned, materialize, ClassifyOutput, EdgeApp, ExpandOutput, Frontier,
-    IterStats, Status,
+    expand_planned, Classification, EdgeApp, ExpandOutput, Frontier, IterStats, Status,
 };
 use gswitch_obs::{faults, LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
 use gswitch_simt::{DeviceSpec, SimMs};
@@ -227,6 +226,15 @@ pub struct SentinelReport {
     pub pinned_at: Option<u32>,
 }
 
+impl SentinelReport {
+    /// A tuned shortcut diverged at `iteration`: count it, pin the run.
+    fn mismatch(&mut self, iteration: u32) {
+        gswitch_obs::hardening::note_sentinel_mismatch();
+        self.mismatches += 1;
+        self.pinned_at.get_or_insert(iteration);
+    }
+}
+
 /// The result of running an application to convergence.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
@@ -349,7 +357,7 @@ pub fn run_with_seed_config<A: EdgeApp>(
     // One lane — the whole graph, the app itself: phases run inline on
     // this thread (so a lane's panic is re-raised as the caller's own) and
     // there is nothing to exchange.
-    let mut lanes = [Lane::new(g, app, None, opts.spans.local())];
+    let mut lanes = [Lane::new(g, app, &opts.device, None, opts.spans.local())];
     let mut report = RunReport::default();
     let end = drive(app, &mut lanes, policy, opts, seed, &mut |t, _| report.iterations.append(t));
     (report.converged, report.stopped) = end.unwrap_or_else(|f| {
@@ -383,13 +391,18 @@ pub(crate) struct Lane<'a, L: EdgeApp> {
     hist: History,
     last_config: Option<KernelConfig>,
     same_config_streak: u32,
-    /// The current super-step: its span id, P4 move, classification
-    /// snapshot and cost, and the host decision time charged to it so far.
+    /// The current super-step: its span id, P4 move, classification cost
+    /// and the host decision time charged to it so far.
     step_span: u64,
     stepping: SteppingDelta,
-    status: Vec<u8>,
     classify_ms: SimMs,
     select_ms: f64,
+    /// The resident classification, and what the last Expand activated
+    /// when the step before this one was classified — the state in which
+    /// the Inspector may update the snapshot rather than rebuild it.
+    /// `None` (first step, after a fused chain's estimated steps) sweeps.
+    snap: Classification<'a>,
+    activated: Option<Vec<VertexId>>,
     /// Direction-switch fast path: the previous Expand's work plan, reused
     /// when the next workload matches it — on symmetric graphs (in-degrees
     /// equal out-degrees) also across a direction switch.
@@ -543,35 +556,106 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
     Ok((false, None))
 }
 
+/// Is re-filtering `dirty` of `n` vertices cheaper than sweeping them all?
+/// An update pays a sort and a retract per vertex where the sweep streams,
+/// so only below a quarter.
+fn worth_updating(dirty: usize, n: usize) -> bool {
+    dirty * 4 < n
+}
+
+/// The vertices whose `filter` result may differ from `snap`'s, or `None`
+/// when that cannot be bounded usefully: what the last Expand `activated`
+/// and what the app's hint names (`snap`'s own Active vertices are the
+/// update's business). Unsorted, duplicates possible.
+fn dirty_set<A: EdgeApp>(
+    app: &A,
+    snap: &Classification,
+    activated: Vec<VertexId>,
+) -> Option<Vec<VertexId>> {
+    let mut dirty = activated; // the hint appends to it
+    let bounded = app.refilter_hint(&mut dirty);
+    let visited = dirty.len() + snap.stats().v_active as usize;
+    (bounded && worth_updating(visited, snap.status().len())).then_some(dirty)
+}
+
+/// Divergence sentinel, hint half: with no `prepare` run yet, does every
+/// vertex whose pure `filter` result differs from the carried snapshot sit
+/// in `dirty` (sorted here) or among the snapshot's Active vertices?
+fn dirty_covers_changes<A: EdgeApp>(
+    app: &A,
+    snap: &Classification,
+    dirty: &mut [VertexId],
+) -> bool {
+    dirty.sort_unstable();
+    snap.status().iter().enumerate().all(|(v, &was)| {
+        let v = v as VertexId;
+        app.filter(v) as u8 == was || was == Status::Active as u8 || dirty.binary_search(&v).is_ok()
+    })
+}
+
 /// The rescue loop: a priority-driven app may unlock deferred work
 /// (advance its threshold window) when the active set drains, and each
-/// retry pays a classification. Returns the last classification and the
-/// summed simulated cost. A pathological app can keep unlocking work, so
-/// the spin polls `probe` — cancellation and deadlines interrupt it
-/// rather than wait for it to drain.
+/// retry pays a classification. Leaves the last classification in `snap`
+/// and returns the summed simulated cost. A pathological app can keep
+/// unlocking work, so the spin polls `probe` — cancellation and deadlines
+/// interrupt it rather than wait for it to drain.
+///
+/// Which vertices each pass visits is the one choice the Inspector makes,
+/// from what the lane can see: with `hinted` (the run trusts the app's
+/// `refilter_hint`) a pass updates `snap` from [`dirty_set`] whenever
+/// `snap` classifies the state just before — `activated` is `Some` (what
+/// the previous step's Expand activated), or this is a retry after a
+/// rescue, which ran nothing; every other pass sweeps. A `sentinel` (given
+/// when its check is due) makes every update prove its dirty set first
+/// ([`dirty_covers_changes`]): a failed proof is a mismatch, and that pass
+/// and all later ones sweep — no `prepare` ran yet, so the answer stays
+/// exact.
 pub(crate) fn classify_rescuing<A: EdgeApp>(
-    g: &Graph,
+    snap: &mut Classification,
     app: &A,
-    spec: &DeviceSpec,
-    probe: &ProbeHandle,
+    opts: &EngineOptions,
     iteration: u32,
-) -> Result<(ClassifyOutput, SimMs), StopReason> {
+    mut hinted: bool,
+    mut activated: Option<Vec<VertexId>>,
+    mut sentinel: Option<&mut SentinelReport>,
+) -> Result<SimMs, StopReason> {
+    let pass_ms = opts.device.kernel_time_ms(snap.profile());
     let mut classify_ms = 0.0;
     loop {
-        let co = classify(g, app, spec);
-        classify_ms += spec.kernel_time_ms(&co.profile);
-        if co.stats.v_active > 0 || !app.rescue() {
-            return Ok((co, classify_ms));
+        let mut dirty = activated.take().filter(|_| hinted).and_then(|a| dirty_set(app, snap, a));
+        if let (Some(report), Some(d)) = (sentinel.as_deref_mut(), dirty.as_mut()) {
+            report.checks += 1;
+            if !dirty_covers_changes(app, snap, d) {
+                report.mismatch(iteration);
+                (dirty, hinted) = (None, false);
+            }
         }
-        if let Some(reason) = probe.check(iteration) {
+        match dirty {
+            Some(mut d) => snap.update(app, &mut d),
+            None => snap.sweep(app),
+        }
+        classify_ms += pass_ms;
+        if snap.stats().v_active > 0 || !app.rescue() {
+            return Ok(classify_ms);
+        }
+        if let Some(reason) = opts.probe.check(iteration) {
             return Err(reason);
         }
+        // Nothing was active, so nothing ran: after the rescue only what
+        // the hint names can have moved.
+        activated = Some(Vec::new());
     }
 }
 
 impl<'a, L: EdgeApp> Lane<'a, L> {
     /// A lane over `g` as seen through `app`, with no history yet.
-    pub(crate) fn new(g: &'a Graph, app: &'a L, shard: Option<u32>, spans: LocalSpans) -> Self {
+    pub(crate) fn new(
+        g: &'a Graph,
+        app: &'a L,
+        spec: &DeviceSpec,
+        shard: Option<u32>,
+        spans: LocalSpans,
+    ) -> Self {
         Lane {
             g,
             app,
@@ -582,9 +666,10 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
             same_config_streak: 0,
             step_span: 0,
             stepping: SteppingDelta::Remain,
-            status: Vec::new(),
             classify_ms: 0.0,
             select_ms: 0.0,
+            snap: Classification::new(g, spec),
+            activated: None,
             plan: None,
             pending: None,
             chain_len: 0,
@@ -626,13 +711,24 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
             return Ok(());
         }
         let i0 = self.spans.clock().now_ns();
+        // A pinned run distrusts the hint like every other tuned shortcut;
+        // a step whose sentinel check is due proves it first.
+        let (hinted, activated) = (self.sentinel.pinned_at.is_none(), self.activated.take());
+        let sentinel = self.sentinel_due(run, 1).then_some(&mut self.sentinel);
+        let (snap, opts) = (&mut self.snap, run.opts);
         let classified =
-            classify_rescuing(self.g, self.app, &run.opts.device, &run.opts.probe, iteration);
+            classify_rescuing(snap, self.app, opts, iteration, hinted, activated, sentinel);
         self.record_interval(SpanKind::Inspect, i0);
-        let (co, classify_ms) = classified?;
-        self.hist.ctx.stats = co.stats;
-        (self.status, self.classify_ms) = (co.status, classify_ms);
+        self.classify_ms = classified?;
+        self.hist.ctx.stats = *self.snap.stats();
         Ok(())
+    }
+
+    /// Is a divergence-sentinel check due `ahead` standalone steps from the
+    /// last one counted?
+    fn sentinel_due(&self, run: &RunEnv, ahead: u32) -> bool {
+        let every = run.opts.verify_every;
+        every > 0 && self.sentinel.pinned_at.is_none() && self.since_check + ahead >= every
     }
 
     /// Selector, with the Fig. 10 "is stable? → bypass the decision
@@ -678,7 +774,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         let chain = self.pending.take();
         let estimated = chain.is_some();
         let (mut config, decided, mut provenance) = self.select(run, estimated);
-        let (stats, status) = (self.hist.ctx.stats, std::mem::take(&mut self.status));
+        let stats = self.hist.ctx.stats;
         // Does the sentinel's post-Expand half apply (standalone step,
         // check due, not pinned by the frontier half)?
         let mut verify_values = false;
@@ -687,7 +783,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
             None => {
                 let f0 = clock.now_ns();
                 let (mut f, mat) =
-                    materialize::<L>(g, &status, config.direction, config.format, spec);
+                    self.snap.materialize::<L>(config.direction, config.format, spec);
                 self.record_interval(SpanKind::Filter, f0);
                 let mut mat_ms = spec.kernel_time_ms(&mat);
                 let shard = self.shard.unwrap_or(0);
@@ -701,9 +797,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
                 // format/direction must materialize exactly the workload
                 // the status snapshot implies.
                 self.since_check += 1;
-                let every = run.opts.verify_every;
-                let pinned = self.sentinel.pinned_at.is_some();
-                let verify = every > 0 && !pinned && self.since_check >= every;
+                let verify = self.sentinel_due(run, 0);
                 if verify {
                     let v0 = clock.now_ns();
                     self.since_check = 0;
@@ -711,13 +805,14 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
                     let mut got = f.to_vec();
                     got.sort_unstable();
                     got.dedup();
-                    if got != sentinel_expected_frontier::<L>(&status, config.direction) {
+                    if got != sentinel_expected_frontier::<L>(self.snap.status(), config.direction)
+                    {
                         self.mismatch();
                         (config, provenance) = (run.reference, Provenance::Sentinel);
                         // Repair: rebuild the frontier with the reference
                         // shape so this very iteration completes correctly.
                         let (f2, mat2) =
-                            materialize::<L>(g, &status, config.direction, config.format, spec);
+                            self.snap.materialize::<L>(config.direction, config.format, spec);
                         f = f2;
                         mat_ms += spec.kernel_time_ms(&mat2);
                     }
@@ -740,7 +835,8 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
 
         // ---- Expand.
         let e0 = clock.now_ns();
-        let mut eo = expand_planned(g, self.app, &frontier, &status, config, spec, Some(&plan));
+        let status = self.snap.status();
+        let mut eo = expand_planned(g, self.app, &frontier, status, config, spec, Some(&plan));
         self.record_interval(SpanKind::Expand, e0);
         self.plan = Some(plan);
         if estimated {
@@ -758,7 +854,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         if verify_values && L::DUP_TOLERANT {
             let v0 = clock.now_ns();
             self.sentinel.checks += 1;
-            if sentinel_value_sweep(g, self.app, &status) > 0 {
+            if sentinel_value_sweep(g, self.app, self.snap.status()) > 0 {
                 self.mismatch();
                 provenance = Provenance::Sentinel;
             }
@@ -810,22 +906,26 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         trace
     }
 
-    /// The sentinel caught the chosen variant diverging: count it, pin the run.
+    /// The sentinel caught the chosen variant diverging.
     fn mismatch(&mut self) {
-        gswitch_obs::hardening::note_sentinel_mismatch();
-        self.sentinel.mismatches += 1;
-        self.sentinel.pinned_at.get_or_insert(self.hist.ctx.iteration);
+        self.sentinel.mismatch(self.hist.ctx.iteration);
     }
 
     /// Fold the executed step into what the next one sees: Table 1's
     /// history, the same-config streak, and whether a fused chain goes on.
-    fn fold(&mut self, opts: &EngineOptions, t: &IterationTrace, mut eo: ExpandOutput) {
+    fn fold(&mut self, opts: &EngineOptions, t: &IterationTrace, eo: ExpandOutput) {
         self.hist.fold(t.filter_ms, t.expand_ms, t.edges_touched);
         let same = self.last_config == Some(t.config);
         self.same_config_streak = if same { self.same_config_streak + 1 } else { 0 };
         self.last_config = Some(t.config);
+        // A chain's estimated step classified nothing, so what follows it
+        // has no snapshot of the step before to update; and more
+        // activations than an update would take are not worth listing.
+        let listed =
+            !t.estimated && worth_updating(t.distinct_activated as usize, self.g.num_vertices());
+        self.activated = listed.then(|| eo.activated.to_sorted_vec());
 
-        let Some(queue) = eo.next_queue.take().filter(|q| !q.is_empty()) else {
+        let Some(queue) = eo.next_queue.filter(|q| !q.is_empty()) else {
             // Chain drained or none: the next iteration re-classifies (and
             // observes convergence if nothing is active).
             self.chain_len = 0;
@@ -855,7 +955,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         let healthy = !dup_heavy && !exploding && t.expand_ms <= 4.0 * self.chain_pace_ms;
         let pinned = self.sentinel.pinned_at.is_some();
         if !pinned && (!opts.break_fused_chains || healthy) {
-            let estimate = estimate_stats(&t.stats, &eo, queue.len() as u64);
+            let estimate = estimate_stats(t, eo.activated_out_edges, queue.len() as u64);
             self.pending = Some((queue, estimate));
         } else {
             self.chain_len = 0;
@@ -917,14 +1017,14 @@ fn sentinel_value_sweep<A: EdgeApp>(g: &Graph, app: &A, status: &[u8]) -> u64 {
 
 /// Estimate the next iteration's runtime characteristics from Expand
 /// feedback, without a classification pass (fused chain).
-fn estimate_stats(prev: &IterStats, eo: &ExpandOutput, queue_len: u64) -> IterStats {
-    let mut s = *prev;
-    s.v_active = eo.distinct_activated;
-    s.e_active = eo.activated_out_edges;
-    s.v_inactive = prev.v_inactive.saturating_sub(eo.distinct_activated);
-    s.e_inactive = prev.e_inactive.saturating_sub(eo.activated_out_edges);
+fn estimate_stats(t: &IterationTrace, activated_out_edges: u64, queue_len: u64) -> IterStats {
+    let mut s = t.stats;
+    s.v_active = t.distinct_activated;
+    s.e_active = activated_out_edges;
+    s.v_inactive = t.stats.v_inactive.saturating_sub(t.distinct_activated);
+    s.e_inactive = t.stats.e_inactive.saturating_sub(activated_out_edges);
     s.push.vertices = queue_len;
-    s.push.edges = eo.activated_out_edges;
+    s.push.edges = activated_out_edges;
     s
 }
 
@@ -934,7 +1034,7 @@ pub(crate) mod tests {
     use crate::policy::{AutoPolicy, StaticPolicy};
     use gswitch_graph::{gen, GraphBuilder, VertexId};
     use gswitch_kernels::atomics::AtomicArray;
-    use gswitch_kernels::Status;
+    use gswitch_kernels::{classify, materialize};
 
     /// Minimal BFS app, shared by the engine, sharded and oracle tests.
     pub(crate) struct Bfs {
@@ -986,6 +1086,9 @@ pub(crate) mod tests {
         }
         fn would_tie(&self, dst: VertexId, msg: u32) -> bool {
             self.level.load(dst) == msg
+        }
+        fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
+            true // a status moves with a claimed level or off the ended one
         }
     }
 

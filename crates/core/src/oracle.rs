@@ -10,8 +10,7 @@
 //! then *executes* the argmin variant so the trajectory it labels is the
 //! optimal one, and emits one [`Record`] per iteration.
 
-use crate::cancel::ProbeHandle;
-use crate::engine::classify_rescuing;
+use crate::engine::{classify_rescuing, EngineOptions};
 use crate::features::History;
 use crate::policy::AppCaps;
 use gswitch_graph::Graph;
@@ -21,7 +20,7 @@ use gswitch_kernels::lb::{edge_costs, price_all};
 use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
-use gswitch_kernels::{expand, materialize, EdgeApp, Status};
+use gswitch_kernels::{expand, Classification, EdgeApp, Status};
 use gswitch_ml::{FeatureDb, Labels, Record};
 use gswitch_simt::{DeviceSpec, SimMs};
 use rayon::prelude::*;
@@ -182,6 +181,10 @@ pub fn oracle_run<A: EdgeApp>(
     let spec = &opts.device;
     let mut outcome = OracleOutcome::default();
     let mut hist = History::new(*g.stats());
+    // Offline labelling has no deadline (the default probe never stops the
+    // rescue spin) and no reason to hurry: every step sweeps.
+    let engine = EngineOptions::on(spec.clone());
+    let mut co = Classification::new(g, spec);
     // Fusion labelling inputs from the previously executed iteration.
     let mut prev_dup_ratio = 1.0f64;
 
@@ -199,21 +202,19 @@ pub fn oracle_run<A: EdgeApp>(
             SteppingDelta::Remain
         };
 
-        // Offline labelling has no deadline: the rescue spin polls an empty
-        // probe, which never stops it.
-        let Ok((co, classify_ms)) =
-            classify_rescuing(g, app, spec, &ProbeHandle::none(), iteration)
+        let Ok(classify_ms) =
+            classify_rescuing(&mut co, app, &engine, iteration, false, None, None)
         else {
             break;
         };
-        if co.stats.v_active == 0 {
+        if co.stats().v_active == 0 {
             break;
         }
-        hist.ctx.stats = co.stats;
+        hist.ctx.stats = *co.stats();
 
         // Brute force: price all 24 (direction × format × lb) shapes.
-        let push = analyze_push(g, &co.status);
-        let pull = analyze_pull::<A>(g, &co.status);
+        let push = analyze_push(g, co.status());
+        let pull = analyze_pull::<A>(g, co.status());
         let push_prices = price_direction::<A>(g, spec, Direction::Push, &push);
         let pull_prices = if pull.vertices > 0 {
             price_direction::<A>(g, spec, Direction::Pull, &pull)
@@ -266,7 +267,7 @@ pub fn oracle_run<A: EdgeApp>(
             let mat_ms = spec.kernel_time_ms(&materialize_cost(
                 best.0,
                 g.num_vertices(),
-                co.stats.push.vertices,
+                co.stats().push.vertices,
                 spec,
             ));
             let saving = classify_ms + mat_ms + spec.launch_overhead_us / 1e3;
@@ -317,9 +318,8 @@ pub fn oracle_run<A: EdgeApp>(
             stepping,
             fusion: Fusion::Standalone,
         };
-        let (frontier, mat_profile) =
-            materialize::<A>(g, &co.status, config.direction, config.format, spec);
-        let eo = expand(g, app, &frontier, &co.status, config, spec);
+        let (frontier, mat_profile) = co.materialize::<A>(config.direction, config.format, spec);
+        let eo = expand(g, app, &frontier, co.status(), config, spec);
 
         let filter_ms = classify_ms + spec.kernel_time_ms(&mat_profile);
         let expand_ms = spec.kernel_time_ms(&eo.profile);

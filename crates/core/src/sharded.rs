@@ -377,7 +377,13 @@ pub fn run_sharded<A: EdgeApp>(
     let mut lanes: Vec<_> = (0..k)
         .zip(&views)
         .map(|(s, v)| {
-            Lane::new(v.shard.graph(), v, Some(s), opts.spans.collector().local(s, opts.spans.job))
+            Lane::new(
+                v.shard.graph(),
+                v,
+                &opts.device,
+                Some(s),
+                opts.spans.collector().local(s, opts.spans.job),
+            )
         })
         .collect();
     let mut report =

@@ -1,6 +1,7 @@
 //! Divergence-sentinel integration tests, driven by the engine's
-//! `frontier::corrupt` fault site (`--features fault-injection`). The
-//! armed fault is process-global, so this suite lives in its own
+//! `frontier::corrupt` fault site (`--features fault-injection`) and by an
+//! app whose `refilter_hint` under-reports. The armed fault and the
+//! mismatch counter are process-global, so this suite lives in its own
 //! integration-test binary — its process contains nothing but these
 //! tests — and each test serializes behind `GUARD` and resets the fault
 //! state on entry.
@@ -8,7 +9,7 @@
 #![cfg(feature = "fault-injection")]
 
 use gswitch_core::engine::fault_site::FRONTIER_CORRUPT;
-use gswitch_core::{run, EngineOptions, GraphApp, KernelConfig, StaticPolicy, Status};
+use gswitch_core::{run, EngineOptions, GraphApp, KernelConfig, RunReport, StaticPolicy, Status};
 use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
 use gswitch_kernels::atomics::AtomicArray;
 use gswitch_kernels::pattern::AsFormat;
@@ -207,4 +208,122 @@ fn reference_shape_is_exempt_from_the_fault() {
     faults::reset();
     assert!(rep.converged);
     assert_eq!(app.level.to_vec(), expected, "reference run must be untouched");
+}
+
+/// Level-driven activation (the shape of BC's backward phase): vertex `v`
+/// is Active in super-step `v / WIDTH`, when `prepare` stamps it, and no
+/// message ever activates anything — so `refilter_hint` alone tells the
+/// Inspector which vertices turn Active, and `omit` makes it lie about one.
+struct Waves {
+    stamped_at: AtomicArray<u32>,
+    current: std::sync::atomic::AtomicU32,
+    omit: Option<VertexId>,
+}
+
+const WIDTH: u32 = 4;
+
+impl Waves {
+    fn new(n: usize, omit: Option<VertexId>) -> Self {
+        Waves {
+            stamped_at: AtomicArray::filled(n, u32::MAX),
+            current: std::sync::atomic::AtomicU32::new(0),
+            omit,
+        }
+    }
+
+    fn current(&self) -> u32 {
+        self.current.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Run on a path under the baseline shape; returns the report and the
+    /// step each vertex was stamped in.
+    fn run(n: usize, omit: Option<VertexId>, opts: &EngineOptions) -> (RunReport, Vec<u32>) {
+        let app = Waves::new(n, omit);
+        let policy = StaticPolicy::new(KernelConfig::push_baseline());
+        let rep = run(&path_graph(n), &app, &policy, opts);
+        (rep, app.stamped_at.to_vec())
+    }
+}
+
+impl GraphApp for Waves {
+    type Msg = ();
+    fn filter(&self, v: VertexId) -> Status {
+        match (v / WIDTH).cmp(&self.current()) {
+            std::cmp::Ordering::Less => Status::Fixed,
+            std::cmp::Ordering::Equal => Status::Active,
+            std::cmp::Ordering::Greater => Status::Inactive,
+        }
+    }
+    fn prepare(&self, v: VertexId) {
+        self.stamped_at.store(v, self.current());
+    }
+    fn emit(&self, _u: VertexId, _w: u32) {}
+    fn comp_atomic(&self, _dst: VertexId, _msg: ()) -> bool {
+        false
+    }
+    fn comp(&self, _dst: VertexId, _msg: ()) -> bool {
+        false
+    }
+    fn advance(&self, it: u32) {
+        self.current.store(it, std::sync::atomic::Ordering::Relaxed);
+    }
+    fn refilter_hint(&self, out: &mut Vec<VertexId>) -> bool {
+        let wave = self.current() * WIDTH..(self.current() + 1) * WIDTH;
+        out.extend(wave.filter(|&v| (v as usize) < self.stamped_at.len() && Some(v) != self.omit));
+        true
+    }
+}
+
+const WAVES_N: usize = 64;
+
+fn waves_reference() -> Vec<u32> {
+    (0..WAVES_N as u32).map(|v| v / WIDTH).collect()
+}
+
+#[test]
+fn lying_hint_without_sentinel_loses_the_omitted_vertex() {
+    let _g = GUARD.lock();
+    let (rep, stamped) = Waves::run(WAVES_N, Some(21), &EngineOptions::default());
+    assert!(rep.converged);
+    assert_eq!(rep.sentinel.mismatches, 0, "sentinel was off");
+    // The Inspector believed the hint: vertex 21 never turned Active.
+    assert_eq!(stamped[21], u32::MAX);
+}
+
+#[test]
+fn sentinel_catches_a_lying_hint_before_it_costs_the_answer() {
+    let _g = GUARD.lock();
+    let before = gswitch_obs::hardening::snapshot();
+    let ring = std::sync::Arc::new(gswitch_obs::TraceRing::new(64));
+    let recorder = gswitch_core::RecorderHandle::new(ring.recorder(1, "path", "waves"));
+    let opts = EngineOptions { recorder, ..EngineOptions::default().verify_every(1) };
+    let (rep, stamped) = Waves::run(WAVES_N, Some(21), &opts);
+    assert!(rep.converged);
+    // Caught in the step vertex 21 should have turned Active, before any
+    // `prepare` of that step ran; that step and all later ones sweep.
+    assert_eq!(rep.sentinel.mismatches, 1);
+    assert_eq!(rep.sentinel.pinned_at, Some(21 / WIDTH));
+    assert_eq!(stamped, waves_reference());
+    let after = gswitch_obs::hardening::snapshot();
+    assert!(after.sentinel_mismatch > before.sentinel_mismatch);
+    let pinned: Vec<u32> = ring
+        .snapshot()
+        .iter()
+        .filter(|e| e.event.provenance == gswitch_core::Provenance::Sentinel)
+        .map(|e| e.event.iteration)
+        .collect();
+    assert_eq!(pinned, (21 / WIDTH..WAVES_N as u32 / WIDTH).collect::<Vec<_>>());
+}
+
+#[test]
+fn honest_hint_never_trips_the_sentinel() {
+    let _g = GUARD.lock();
+    let (rep, stamped) = Waves::run(WAVES_N, None, &EngineOptions::default().verify_every(1));
+    assert!(rep.converged);
+    assert!(rep.sentinel.checks > WAVES_N as u32 / WIDTH, "the hint was never checked");
+    assert_eq!(rep.sentinel.mismatches, 0);
+    assert_eq!(rep.sentinel.pinned_at, None);
+    assert_eq!(stamped, waves_reference());
+    // The same run without the sentinel gives the same answer.
+    assert_eq!(Waves::run(WAVES_N, None, &EngineOptions::default()).1, waves_reference());
 }

@@ -97,6 +97,21 @@ pub trait EdgeApp: Sync {
         false
     }
 
+    /// Bound what the next classification has to re-`filter`. Asked
+    /// between two classifications, the engine already re-filters (a) every
+    /// vertex the earlier one found `Active` and (b) every vertex for which
+    /// `comp`/`comp_atomic` returned `true` since. Push onto `out` every
+    /// *other* vertex whose `filter` result may differ from the earlier
+    /// classification — a level that turns active with the step counter, a
+    /// deferred set a threshold move may admit — and return `true`. The
+    /// list may over-report (and repeat vertices) but must never
+    /// under-report; `false` means "I cannot bound it" and is always safe:
+    /// the engine sweeps all vertices, as it does for an app without the
+    /// hook.
+    fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
+        false
+    }
+
     /// Would a concurrent writer racing with this `msg` have enqueued a
     /// duplicate? On the GPU, two parents writing the *same* value to `dst`
     /// in one fused kernel both see their update "succeed" and both

@@ -302,6 +302,13 @@ impl AtomicBitSet {
     /// Collect the set bits in ascending order.
     pub fn to_sorted_vec(&self) -> Vec<VertexId> {
         let mut out = Vec::with_capacity(self.count());
+        self.append_sorted(&mut out);
+        out
+    }
+
+    /// Append the set bits to `out` in ascending order: one pass over the
+    /// words, zero words skipped.
+    pub fn append_sorted(&self, out: &mut Vec<VertexId>) {
         for (wi, w) in self.words.iter().enumerate() {
             let mut bits = w.load(Relaxed);
             while bits != 0 {
@@ -310,7 +317,6 @@ impl AtomicBitSet {
                 bits &= bits - 1;
             }
         }
-        out
     }
 }
 

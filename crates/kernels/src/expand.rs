@@ -29,6 +29,14 @@ pub struct ExpandOutput {
     pub activations: u64,
     /// Distinct vertices activated.
     pub distinct_activated: u64,
+    /// Those vertices, marked: every destination a `comp`/`comp_atomic`
+    /// returned `true` for — with the step's Active vertices, all the next
+    /// classification has to re-`filter` unless the app names more
+    /// (`EdgeApp::refilter_hint`). Left as the bitset the kernel marks (a
+    /// push kernel deduplicates with it anyway), so listing it
+    /// (`to_sorted_vec`, O(n/64 + distinct)) is paid only by a caller that
+    /// wants the list, and no edge loop pushes to a vector.
+    pub activated: AtomicBitSet,
     /// Failed atomics that lost a same-value race (`EdgeApp::would_tie`):
     /// the duplicates a fused kernel enqueues, counted in every mode so
     /// the oracle can estimate fusion's cost without running it.
@@ -202,10 +210,10 @@ where
         None => (plan.entries().unwrap_or(&[]), true),
     };
 
-    let tasks = plan.tasks().to_vec();
-    let accs: Vec<Acc> = tasks
-        .into_par_iter()
-        .map(|t| {
+    let accs: Vec<Acc> = plan
+        .tasks()
+        .par_iter()
+        .map(|&t| {
             let slots = plan.task_slots(t);
             let mut acc = Acc::default();
             acc.touched.reserve(slots.len());
@@ -311,7 +319,7 @@ fn expand_push<A: EdgeApp>(
     };
 
     let swept = run_bucketed(g, frontier, Direction::Push, plan, process);
-    finish(swept, frontier, cfg, spec, fused)
+    finish(swept, frontier, cfg, spec, fused, activated)
 }
 
 fn expand_pull<A: EdgeApp>(
@@ -325,6 +333,7 @@ fn expand_pull<A: EdgeApp>(
 ) -> ExpandOutput {
     let incoming = g.in_csr();
     let weights = g.in_weights();
+    let activated = AtomicBitSet::new(g.num_vertices());
 
     // One receiver vertex (SpMV row): gather from in-edges until
     // satisfied. The row's source ids stream contiguously out of the
@@ -361,13 +370,14 @@ fn expand_pull<A: EdgeApp>(
             acc.activations += 1;
             acc.distinct += 1;
             acc.activated_edges += g.out_csr().degree(v) as u64;
+            activated.set(v);
         }
         acc.edges += touched as u64;
         touched
     };
 
     let swept = run_bucketed(g, frontier, Direction::Pull, plan, process);
-    finish(swept, frontier, cfg, spec, false)
+    finish(swept, frontier, cfg, spec, false, activated)
 }
 
 /// Merge task accumulators, price the load balance, assemble the profile.
@@ -377,6 +387,7 @@ fn finish(
     cfg: KernelConfig,
     spec: &DeviceSpec,
     fused: bool,
+    activated: AtomicBitSet,
 ) -> ExpandOutput {
     let Swept { touched, accs, base_bytes_read } = swept;
     let mut next_queue =
@@ -431,6 +442,7 @@ fn finish(
         profile,
         activations,
         distinct_activated: distinct,
+        activated,
         ties,
         activated_out_edges,
         edges_touched: edges,

@@ -10,12 +10,19 @@
 //!
 //! Together they are the paper's Filter step; the engine sums both
 //! profiles into the iteration's `t_f`.
+//!
+//! The device runs both passes at full width every standalone step, and
+//! that is what the profiles charge. The host does not have to: a lane
+//! keeps its [`Classification`] resident and re-`filter`s only the
+//! vertices that can have changed since the last step
+//! ([`Classification::update`]), which leaves exactly what a sweep of all
+//! vertices would; a push frontier is then its Active list.
 
 use crate::app::{EdgeApp, Status};
 use crate::atomics::AtomicBitSet;
 use crate::frontier::Frontier;
 use crate::pattern::{AsFormat, Direction};
-use gswitch_graph::{Graph, VertexId};
+use gswitch_graph::{Csr, Graph, VertexId};
 use gswitch_simt::{DeviceSpec, KernelProfile, TaskStats};
 use rayon::prelude::*;
 
@@ -41,6 +48,11 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
+    /// A workload nothing has been observed into yet ([`finish`](Self::finish)
+    /// turns its sentinel minimum into 0).
+    const NONE: WorkloadStats =
+        WorkloadStats { vertices: 0, edges: 0, max_degree: 0, min_degree: u32::MAX };
+
     /// Average workload degree (`cd`).
     pub fn avg_degree(&self) -> f64 {
         if self.vertices == 0 {
@@ -137,75 +149,291 @@ pub fn status_of(byte: u8) -> Status {
     }
 }
 
-/// Classification pass: statuses, prepare, Table 1 runtime features.
-pub fn classify<A: EdgeApp>(g: &Graph, app: &A, spec: &DeviceSpec) -> ClassifyOutput {
-    let n = g.num_vertices();
-    let out = g.out_csr();
-    let incoming = g.in_csr();
-    let mut status = vec![0u8; n];
+/// Stats no vertex has been folded into yet.
+fn no_stats() -> IterStats {
+    IterStats { push: WorkloadStats::NONE, pull: WorkloadStats::NONE, ..Default::default() }
+}
 
-    let fresh = || IterStats {
-        push: WorkloadStats { min_degree: u32::MAX, ..Default::default() },
-        pull: WorkloadStats { min_degree: u32::MAX, ..Default::default() },
-        ..Default::default()
+/// Whether a vertex's pull-workload membership can change with its
+/// status. SSSP and PR gather everywhere: their pull workload never moves.
+fn pull_varies<A: EdgeApp>() -> bool {
+    let r = A::pull_receives;
+    r(Status::Active) != r(Status::Inactive) || r(Status::Inactive) != r(Status::Fixed)
+}
+
+/// The one per-vertex body of the classification pass: evaluate `filter`
+/// once, run the folded-in `prepare` once if `v` is Active, store the
+/// status byte and fold `v`'s contribution into `s`.
+#[inline]
+fn visit<A: EdgeApp>(
+    (out, incoming): (&Csr, &Csr),
+    app: &A,
+    v: VertexId,
+    slot: &mut u8,
+    s: &mut IterStats,
+) -> Status {
+    let st = app.filter(v);
+    *slot = st as u8;
+    let out_deg = out.degree(v);
+    match st {
+        Status::Active => {
+            app.prepare(v);
+            s.v_active += 1;
+            s.e_active += out_deg as u64;
+            s.push.observe(out_deg);
+        }
+        Status::Inactive => {
+            s.v_inactive += 1;
+            s.e_inactive += out_deg as u64;
+        }
+        Status::Fixed => s.v_fixed += 1,
+    }
+    if A::pull_receives(st) {
+        s.pull.observe(incoming.degree(v));
+    }
+    st
+}
+
+/// The members among `n` vertices, ascending — the device's count → scan →
+/// scatter: a parallel count per block, then one fill of a single
+/// exactly-sized allocation, skipping empty blocks.
+fn compact(n: usize, member: impl Fn(VertexId) -> bool + Sync) -> Vec<VertexId> {
+    let block = |ci: usize| {
+        let ids = ci * CHUNK..((ci + 1) * CHUNK).min(n);
+        ids.map(|v| v as VertexId).filter(|&v| member(v))
     };
+    let counts: Vec<usize> =
+        (0..n.div_ceil(CHUNK)).into_par_iter().map(|ci| block(ci).count()).collect();
+    let mut q = Vec::with_capacity(counts.iter().sum());
+    for (ci, &c) in counts.iter().enumerate() {
+        if c != 0 {
+            q.extend(block(ci));
+        }
+    }
+    q
+}
 
-    let partials: Vec<IterStats> = status
-        .par_chunks_mut(CHUNK)
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let base = (ci * CHUNK) as VertexId;
-            let mut s = fresh();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let v = base + i as VertexId;
-                let st = app.filter(v);
-                *slot = st as u8;
-                let out_deg = out.degree(v);
-                match st {
-                    Status::Active => {
-                        app.prepare(v);
-                        s.v_active += 1;
-                        s.e_active += out_deg as u64;
-                        s.push.observe(out_deg);
-                    }
-                    Status::Inactive => {
-                        s.v_inactive += 1;
-                        s.e_inactive += out_deg as u64;
-                    }
-                    Status::Fixed => s.v_fixed += 1,
+/// The classification of one lane, kept resident across super-steps: the
+/// status snapshot pull kernels probe, the Table 1 runtime characteristics
+/// and (once asked for) the ascending list of Active vertices. A [`sweep`](Self::sweep)
+/// rebuilds it from every vertex; an [`update`](Self::update) brings it
+/// up to date from the vertices that can have changed and leaves exactly
+/// what a sweep would.
+#[derive(Debug)]
+pub struct Classification<'g> {
+    g: &'g Graph,
+    status: Vec<u8>,
+    stats: IterStats,
+    /// The Active vertices, ascending: compacted out of a sweep's status
+    /// bytes when first needed, kept current by every update after.
+    active: Option<Vec<VertexId>>,
+    /// Pull receivers per in-degree — what keeps the pull workload's
+    /// extreme degrees exact when an update removes a receiver. Filled by
+    /// the first update after a sweep (`None` until then), and only for
+    /// apps whose pull membership follows the status.
+    receivers_by_in_degree: Option<Vec<u32>>,
+    /// Simulated cost of one pass: a function of `(n, spec)` only, so it
+    /// is priced once here, whichever vertices the host visits.
+    profile: KernelProfile,
+}
+
+impl<'g> Classification<'g> {
+    /// An unclassified snapshot of `g` on `spec`; [`sweep`](Self::sweep) first.
+    pub fn new(g: &'g Graph, spec: &DeviceSpec) -> Self {
+        let n = g.num_vertices();
+        // Price: one coalesced scan of vertex data + degrees, status write.
+        let mut profile = KernelProfile::launch();
+        let mut tasks = TaskStats::default();
+        let warp = spec.warp_size as u64;
+        for _ in 0..(n as u64).div_ceil(warp) {
+            tasks.add_task(FILTER_PREDICATE_CYCLES + 2.0 * spec.coalesced_cycles);
+        }
+        profile.tasks = tasks;
+        profile.bytes_read = 8 * n as u64; // vertex value + degree offsets
+        profile.bytes_written = n as u64; // status byte
+        Classification {
+            g,
+            status: vec![0u8; n],
+            stats: no_stats(),
+            active: None,
+            receivers_by_in_degree: None,
+            profile,
+        }
+    }
+
+    /// Per-vertex classification (`Status` as `u8`).
+    pub fn status(&self) -> &[u8] {
+        &self.status
+    }
+
+    /// Runtime characteristics for the Inspector.
+    pub fn stats(&self) -> &IterStats {
+        &self.stats
+    }
+
+    /// The Active vertices, ascending.
+    pub fn active(&mut self) -> &[VertexId] {
+        let (status, any) = (&self.status, self.stats.v_active > 0);
+        let is_active = |v: VertexId| status[v as usize] == Status::Active as u8;
+        self.active.get_or_insert_with(|| {
+            if any {
+                compact(status.len(), is_active)
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
+    /// Simulated cost of one classification pass.
+    pub fn profile(&self) -> &KernelProfile {
+        &self.profile
+    }
+
+    /// Classify every vertex.
+    pub fn sweep<A: EdgeApp>(&mut self, app: &A) {
+        let csrs = (self.g.out_csr(), self.g.in_csr());
+        let partials: Vec<IterStats> = self
+            .status
+            .par_chunks_mut(CHUNK)
+            .enumerate()
+            .map(|(ci, chunk)| {
+                let base = (ci * CHUNK) as VertexId;
+                let mut s = no_stats();
+                for (i, slot) in chunk.iter_mut().enumerate() {
+                    visit(csrs, app, base + i as VertexId, slot, &mut s);
                 }
-                if A::pull_receives(st) {
-                    s.pull.observe(incoming.degree(v));
+                s
+            })
+            .collect();
+
+        let mut stats = no_stats();
+        for p in &partials {
+            stats.v_active += p.v_active;
+            stats.v_inactive += p.v_inactive;
+            stats.v_fixed += p.v_fixed;
+            stats.e_active += p.e_active;
+            stats.e_inactive += p.e_inactive;
+            stats.push.merge(&p.push);
+            stats.pull.merge(&p.pull);
+        }
+        stats.push.finish();
+        stats.pull.finish();
+        self.stats = stats;
+        (self.active, self.receivers_by_in_degree) = (None, None);
+    }
+
+    /// Re-classify only `dirty` (duplicates and any order allowed; sorted
+    /// and deduplicated in place) plus the vertices Active so far. The
+    /// caller's promise: no other vertex's `filter` result differs from
+    /// the stored one. Each visited vertex's old contribution is
+    /// retracted and its new one added, so the snapshot ends bit-equal to
+    /// a sweep's, with `filter` evaluated once per visited vertex and
+    /// `prepare` once per Active one.
+    pub fn update<A: EdgeApp>(&mut self, app: &A, dirty: &mut Vec<VertexId>) {
+        dirty.extend_from_slice(self.active());
+        dirty.sort_unstable();
+        dirty.dedup();
+        let (out, incoming) = (self.g.out_csr(), self.g.in_csr());
+        let mut by_degree = pull_varies::<A>().then(|| {
+            self.receivers_by_in_degree.take().unwrap_or_else(|| {
+                let mut counts = Vec::new();
+                for (v, &b) in self.status.iter().enumerate() {
+                    if A::pull_receives(status_of(b)) {
+                        bump(&mut counts, incoming.degree(v as VertexId));
+                    }
+                }
+                counts
+            })
+        });
+
+        // Every Active vertex is visited, so the push workload and the
+        // active counts are refolded from nothing; the rest moves by the
+        // difference.
+        let s = &mut self.stats;
+        (s.v_active, s.e_active, s.push) = (0, 0, WorkloadStats::NONE);
+        if s.pull.vertices == 0 {
+            // Stored finished (minimum 0): un-finish before observing into it.
+            s.pull = WorkloadStats::NONE;
+        }
+        let mut active = self.active.take().unwrap_or_default();
+        active.clear();
+        for &v in dirty.iter() {
+            let slot = &mut self.status[v as usize];
+            let (old, in_deg) = (status_of(*slot), incoming.degree(v));
+            match old {
+                Status::Active => {}
+                Status::Inactive => {
+                    s.v_inactive -= 1;
+                    s.e_inactive -= out.degree(v) as u64;
+                }
+                Status::Fixed => s.v_fixed -= 1,
+            }
+            if A::pull_receives(old) {
+                s.pull.vertices -= 1;
+                s.pull.edges -= in_deg as u64;
+            }
+            let new = visit((out, incoming), app, v, slot, s);
+            if new == Status::Active {
+                active.push(v);
+            }
+            if let Some(counts) = &mut by_degree {
+                if A::pull_receives(old) {
+                    counts[in_deg as usize] -= 1;
+                }
+                if A::pull_receives(new) {
+                    bump(counts, in_deg);
                 }
             }
-            s
-        })
-        .collect();
-
-    let mut stats = fresh();
-    for p in &partials {
-        stats.v_active += p.v_active;
-        stats.v_inactive += p.v_inactive;
-        stats.v_fixed += p.v_fixed;
-        stats.e_active += p.e_active;
-        stats.e_inactive += p.e_inactive;
-        stats.push.merge(&p.push);
-        stats.pull.merge(&p.pull);
+        }
+        if let Some(counts) = &by_degree {
+            // No receiver lies beyond the stale extremes, so the nearest
+            // occupied degree inwards of each is the exact one.
+            let p = &mut s.pull;
+            if p.vertices == 0 {
+                *p = WorkloadStats::NONE;
+            } else {
+                while counts[p.max_degree as usize] == 0 {
+                    p.max_degree -= 1;
+                }
+                while counts[p.min_degree as usize] == 0 {
+                    p.min_degree += 1;
+                }
+            }
+        }
+        s.push.finish();
+        s.pull.finish();
+        (self.active, self.receivers_by_in_degree) = (Some(active), by_degree);
     }
-    stats.push.finish();
-    stats.pull.finish();
 
-    // Price: one coalesced scan of vertex data + degrees, status write.
-    let mut profile = KernelProfile::launch();
-    let mut tasks = TaskStats::default();
-    let warp = spec.warp_size as u64;
-    for _ in 0..(n as u64).div_ceil(warp) {
-        tasks.add_task(FILTER_PREDICATE_CYCLES + 2.0 * spec.coalesced_cycles);
+    /// [`materialize`] from the snapshot: after an update a push workload
+    /// is the Active list, built in O(|Active|); after a sweep, and for a
+    /// pull workload (O(n) in size anyway), it is scanned out of the
+    /// status bytes.
+    pub fn materialize<A: EdgeApp>(
+        &self,
+        direction: Direction,
+        format: AsFormat,
+        spec: &DeviceSpec,
+    ) -> (Frontier, KernelProfile) {
+        let listed = self.active.as_deref().filter(|_| direction == Direction::Push);
+        frontier_of::<A>(&self.status, listed, direction, format, spec)
     }
-    profile.tasks = tasks;
-    profile.bytes_read = 8 * n as u64; // vertex value + degree offsets
-    profile.bytes_written = n as u64; // status byte
-    ClassifyOutput { status, stats, profile }
+}
+
+/// One more receiver of in-degree `deg`.
+fn bump(counts: &mut Vec<u32>, deg: u32) {
+    if counts.len() <= deg as usize {
+        counts.resize(deg as usize + 1, 0);
+    }
+    counts[deg as usize] += 1;
+}
+
+/// Classification pass: statuses, prepare, Table 1 runtime features — a
+/// fresh [`Classification`] swept once.
+pub fn classify<A: EdgeApp>(g: &Graph, app: &A, spec: &DeviceSpec) -> ClassifyOutput {
+    let mut c = Classification::new(g, spec);
+    c.sweep(app);
+    ClassifyOutput { status: c.status, stats: c.stats, profile: c.profile }
 }
 
 /// Analytic cost of materializing a `w`-entry workload over `n` vertices
@@ -244,7 +472,22 @@ pub fn materialize<A: EdgeApp>(
     format: AsFormat,
     spec: &DeviceSpec,
 ) -> (Frontier, KernelProfile) {
-    let n = g.num_vertices();
+    debug_assert_eq!(status.len(), g.num_vertices());
+    frontier_of::<A>(status, None, direction, format, spec)
+}
+
+/// The one place a status snapshot becomes a [`Frontier`]: from `listed`,
+/// the workload's ascending entry list, when the caller holds one, else by
+/// scanning the status bytes. The simulated cost is that of the device's
+/// full-width compaction either way.
+fn frontier_of<A: EdgeApp>(
+    status: &[u8],
+    listed: Option<&[VertexId]>,
+    direction: Direction,
+    format: AsFormat,
+    spec: &DeviceSpec,
+) -> (Frontier, KernelProfile) {
+    let n = status.len();
     let in_workload = |v: VertexId| -> bool {
         let st = status_of(status[v as usize]);
         match direction {
@@ -256,36 +499,33 @@ pub fn materialize<A: EdgeApp>(
     let (frontier, w) = match format {
         AsFormat::Bitmap => {
             let bits = AtomicBitSet::new(n);
-            let count: u64 = (0..n)
-                .into_par_iter()
-                .filter(|&v| in_workload(v as VertexId))
-                .map(|v| {
-                    bits.set(v as VertexId);
-                    1u64
-                })
-                .sum();
+            let count: u64 = match listed {
+                Some(entries) => {
+                    entries.iter().for_each(|&v| {
+                        bits.set(v);
+                    });
+                    entries.len() as u64
+                }
+                None => (0..n)
+                    .into_par_iter()
+                    .filter(|&v| in_workload(v as VertexId))
+                    .map(|v| {
+                        bits.set(v as VertexId);
+                        1u64
+                    })
+                    .sum(),
+            };
             (Frontier::Bitmap(bits), count)
         }
         fmt => {
-            // Two-pass block compaction (the device's count → scan →
-            // scatter): a parallel count per block, then one fill of a
-            // single exactly-sized allocation, skipping empty blocks.
-            // Block-order filling gives ascending vertex ids (the sorted
-            // queue's promise; the unsorted queue holds the same entries
-            // without the promise) with no per-block vector allocations.
-            let block = |ci: usize| {
-                let ids = ci * CHUNK..((ci + 1) * CHUNK).min(n);
-                ids.map(|v| v as VertexId).filter(|&v| in_workload(v))
+            // Ascending vertex ids either way (the sorted queue's promise;
+            // the unsorted queue holds the same entries without the
+            // promise).
+            let q = match listed {
+                Some(entries) => entries.to_vec(),
+                None => compact(n, in_workload),
             };
-            let counts: Vec<usize> =
-                (0..n.div_ceil(CHUNK)).into_par_iter().map(|ci| block(ci).count()).collect();
-            let w: u64 = counts.iter().map(|&c| c as u64).sum();
-            let mut q = Vec::with_capacity(w as usize);
-            for (ci, &c) in counts.iter().enumerate() {
-                if c != 0 {
-                    q.extend(block(ci));
-                }
-            }
+            let w = q.len() as u64;
             let f = match fmt {
                 AsFormat::SortedQueue => Frontier::SortedQueue(q),
                 _ => Frontier::UnsortedQueue(q),

@@ -18,9 +18,10 @@
 //!   load balancer), cacheable across super-steps for prefix-sum reuse.
 //! * [`frontier`] — the P2 active-set formats (bitmap / unsorted queue /
 //!   sorted queue) with their generation cost accounting (Fig. 4).
-//! * [`filter`] — the Filter primitive: classify all vertices, update
-//!   private data of actives, emit runtime characteristics, and build the
-//!   workload frontier in the chosen format.
+//! * [`filter`] — the Filter primitive: classify vertices (all of them, or
+//!   only those that can have changed since the resident
+//!   [`Classification`]), update private data of actives, emit runtime
+//!   characteristics, and build the workload frontier in the chosen format.
 //! * [`expand()`](fn@expand) — the Expand primitive in push and pull
 //!   modes with fused/standalone variants (P1, P5).
 //! * [`lb`] — the P3 load-balancing strategies (TWC/WM/CM/STRICT of Fig. 6)
@@ -45,6 +46,6 @@ pub use app::{EdgeApp, Status};
 pub use bucket::{DegreeSource, WorkPlan};
 pub use exchange::ExchangeProfile;
 pub use expand::{expand, expand_planned, ExpandOutput};
-pub use filter::{classify, materialize, ClassifyOutput, IterStats, WorkloadStats};
+pub use filter::{classify, materialize, Classification, ClassifyOutput, IterStats, WorkloadStats};
 pub use frontier::Frontier;
 pub use pattern::{AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta};
