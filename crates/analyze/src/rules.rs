@@ -12,6 +12,7 @@
 //! | `unbounded-collection` | warn | `src/` of runtime | a `VecDeque` queue in a file with no notion of capacity |
 //! | `untimed-hot-section` | deny | `src/` of core, kernels, runtime, shard | wall-clock reads go through the obs `Clock`, so spans/profiles see them |
 //! | `hot-path-thread-spawn` | deny | `src/` of core, kernels | parallel work goes through the persistent `rayon` pool — no OS thread is created per kernel call or per phase |
+//! | `per-edge-shared-rmw` | warn | `src/` of core, kernels, algos, shard | an `EdgeApp` per-edge callback issues no read-modify-write on a whole-app atomic — per-edge accounting moves to a per-vertex hook or the barrier |
 //! | `todo-marker` | deny | everywhere | no `todo!`/`unimplemented!`/`dbg!` ships |
 
 use crate::findings::{Finding, Severity};
@@ -52,6 +53,7 @@ pub fn lint_file(sf: &SourceFile) -> Vec<Finding> {
     unbounded_collection(sf, &mut out);
     untimed_hot_section(sf, &mut out);
     hot_path_thread_spawn(sf, &mut out);
+    per_edge_shared_rmw(sf, &mut out);
     todo_marker(sf, &mut out);
     out
 }
@@ -338,6 +340,78 @@ fn hot_path_thread_spawn(sf: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// Crates whose `src/` implements `EdgeApp`s (algorithms, and the views
+/// and wrappers the drivers put in front of them).
+const APP_CRATES: [&str; 4] = ["core", "kernels", "algos", "shard"];
+
+/// The `EdgeApp` callbacks Expand calls once per traversed edge.
+const PER_EDGE_CALLBACKS: [&str; 4] = ["emit", "comp", "comp_atomic", "would_tie"];
+
+/// Read-modify-writes that take their cache line exclusive.
+const SHARED_RMW_OPS: [&str; 4] = ["fetch_add", "fetch_or", "fetch_and", "swap"];
+
+/// What tells a `std::sync::atomic` call from an `AtomicArray` /
+/// `AtomicBitSet` element access of the same name: only the former names
+/// a memory ordering.
+const ORDERING_IDENTS: [&str; 6] =
+    ["Ordering", "Relaxed", "SeqCst", "AcqRel", "Acquire", "Release"];
+
+/// `per-edge-shared-rmw`: `self.<field>.fetch_add/fetch_or/fetch_and/swap(
+/// .., <ordering>)` inside a per-edge `EdgeApp` callback. A per-vertex
+/// element (`AtomicArray`, `AtomicBitSet`) spreads its writers over the
+/// vertex space; a single `AtomicU64` of the app is one cache line every
+/// lane and every pool thread pulls exclusive once per edge — the sharded
+/// view's per-edge record counter cost two cores more than one (PR 23).
+/// Count per vertex (`prepare`) or at the barrier instead.
+fn per_edge_shared_rmw(sf: &SourceFile, out: &mut Vec<Finding>) {
+    if !sf.crate_name().is_some_and(|c| APP_CRATES.contains(&c)) || !sf.in_crate_src() {
+        return;
+    }
+    let t = &sf.toks;
+    for f in sf.functions() {
+        if f.is_test || !PER_EDGE_CALLBACKS.contains(&f.name.as_str()) {
+            continue;
+        }
+        let body = &t[f.body.clone()];
+        for k in 0..body.len().saturating_sub(5) {
+            let on_own_field = body[k].is_ident("self")
+                && body[k + 1].is_punct('.')
+                && body[k + 2].kind == crate::lexer::TokKind::Ident
+                && body[k + 3].is_punct('.')
+                && SHARED_RMW_OPS.iter().any(|op| body[k + 4].is_ident(op))
+                && body[k + 5].is_punct('(');
+            if !on_own_field {
+                continue;
+            }
+            // The call's arguments: up to the parenthesis that closes it.
+            let mut depth = 0usize;
+            let mut args = body[k + 5..].iter().take_while(|tok| {
+                depth += usize::from(tok.is_punct('('));
+                depth -= usize::from(tok.is_punct(')'));
+                depth > 0
+            });
+            if args.any(|tok| ORDERING_IDENTS.iter().any(|o| tok.is_ident(o))) {
+                let op = &body[k + 4];
+                out.push(Finding::new(
+                    "per-edge-shared-rmw",
+                    Severity::Warn,
+                    &sf.rel,
+                    op.line,
+                    sf.snippet(op.line),
+                    format!(
+                        "fn `{}` runs once per edge and does `self.{}.{}` on a whole-app atomic \
+                         — every lane and pool thread bounces that one cache line; count per \
+                         vertex (`prepare`) or at the barrier",
+                        f.name,
+                        body[k + 2].text,
+                        op.text
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 /// `todo-marker`: `todo!` / `unimplemented!` / `dbg!` anywhere.
 fn todo_marker(sf: &SourceFile, out: &mut Vec<Finding>) {
     let t = &sf.toks;
@@ -522,6 +596,33 @@ mod tests {
         // Naming the current thread or yielding creates nothing.
         let f = lint("crates/core/src/x.rs", "fn f() { thread::yield_now(); thread::current(); }");
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn whole_app_rmw_in_per_edge_callbacks_warns() {
+        let counter = "impl EdgeApp for V { fn comp_atomic(&self, d: u32, m: u32) -> bool { \
+                       self.records.fetch_add(1, Ordering::Relaxed); self.app.comp_atomic(d, m) } }";
+        for rel in ["crates/core/src/x.rs", "crates/algos/src/x.rs", "crates/shard/src/x.rs"] {
+            let f = lint(rel, counter);
+            assert_eq!(rules(&f), vec!["per-edge-shared-rmw"], "{rel}");
+            assert_eq!(f[0].severity, Severity::Warn);
+        }
+        let swap =
+            "fn would_tie(&self, d: u32, m: u32) -> bool { self.last.swap(d, Relaxed) == m }";
+        assert_eq!(rules(&lint("crates/algos/src/x.rs", swap)), vec!["per-edge-shared-rmw"]);
+        // Per-vertex elements are what the callbacks are for: no ordering
+        // argument, one cell per destination.
+        let cells = "fn comp_atomic(&self, d: u32, m: f64) -> bool { \
+                     self.seen.set(d); self.residual.fetch_add(d, m) < self.eps }";
+        assert!(lint("crates/algos/src/x.rs", cells).is_empty());
+        // Per-vertex hooks and barrier code may count on the app itself.
+        let prepare = "fn prepare(&self, v: u32) { self.records.fetch_add(1, Ordering::Relaxed); }";
+        assert!(lint("crates/core/src/x.rs", prepare).is_empty());
+        // Test apps count their own calls; other crates implement no apps.
+        let in_test = format!("#[cfg(test)]\nmod t {{ {counter} }}");
+        assert!(lint("crates/core/src/x.rs", &in_test).is_empty());
+        assert!(lint("crates/shard/tests/t.rs", counter).is_empty());
+        assert!(lint("crates/runtime/src/x.rs", counter).is_empty());
     }
 
     #[test]

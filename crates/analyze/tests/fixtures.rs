@@ -28,6 +28,7 @@ fn bad_fixture_tree_trips_every_rule() {
     assert_eq!(count("unbounded-collection"), 1);
     assert_eq!(count("uninstrumented-atomic"), 1);
     assert_eq!(count("hot-path-thread-spawn"), 2);
+    assert_eq!(count("per-edge-shared-rmw"), 1);
     assert_eq!(count("todo-marker"), 2);
     // cycle.rs (intra-function) plus interlock.rs (only visible across
     // the `append → compact` call edge).

@@ -48,6 +48,8 @@ pub const TIMED_FACTOR: f64 = 5.0;
 pub const KERNEL_WALL_ABS_US: f64 = 200.0;
 /// Additive tolerance on a phase's fastest self-time, ms.
 pub const PHASE_SELF_ABS_MS: f64 = 10.0;
+/// Additive tolerance on a sharded query's fastest wall time, ms.
+pub const QUERY_WALL_ABS_MS: f64 = 2.0;
 
 /// Middle element of the samples (upper middle for an even count).
 pub fn median<T: Copy + PartialOrd>(samples: &mut [T]) -> T {

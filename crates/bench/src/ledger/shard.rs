@@ -1,14 +1,16 @@
 //! Shard-scaling rows: BFS and PageRank over the small representative
 //! corpus at 1/2/4/8 shards, plus one mixed concurrent batch.
 //!
-//! Everything recorded is *simulated* time and volume from the cost
-//! model. Exchange records and bytes are exact and deterministic run to
-//! run (the driver charges routing per attempt, not per winning atomic).
-//! Simulated times and imbalance carry the cost model's
-//! atomic-contention term, which is scheduling-dependent — they wobble
-//! by ≲1 %, so they are near-class, stored at two decimals.
+//! Simulated time and volume come from the cost model. Exchange records
+//! and bytes are exact and deterministic run to run (the driver charges
+//! routing per attempt, not per winning atomic). Simulated times and
+//! imbalance carry the cost model's atomic-contention term, which is
+//! scheduling-dependent — they wobble by ≲1 %, so they are near-class,
+//! stored at two decimals. The K = 1 and K = 4 rows also time the query's
+//! host wall, so what K lanes cost the host over one has a committed
+//! number.
 
-use super::{median, round_to, Row, Snapshot};
+use super::{median, round_to, Row, Snapshot, Timed, QUERY_WALL_ABS_MS};
 use gswitch_graph::corpus::representatives_small;
 use gswitch_shard::{execute_batch, BatchOptions, BatchQuery, ShardPlan};
 use serde_json::json;
@@ -22,12 +24,18 @@ const MIXED_K: u32 = 4;
 /// (asserted below); the median tames the last-digit wobble of the
 /// simulated times.
 const REPEATS: usize = 3;
+/// Shard counts whose rows carry a timed `wall_ms`, and their wall samples.
+const TIMED_COUNTS: [u32; 2] = [1, 4];
+const TIMED_REPEATS: usize = 7;
 
 fn run_point(plan: &ShardPlan, query: BatchQuery, opts: &BatchOptions) -> Row {
-    let mut sims = Vec::with_capacity(REPEATS);
-    let mut imbalances = Vec::with_capacity(REPEATS);
+    let timed = TIMED_COUNTS.contains(&plan.sharded().k());
+    let repeats = if timed { TIMED_REPEATS } else { REPEATS };
+    let mut sims = Vec::with_capacity(repeats);
+    let mut imbalances = Vec::with_capacity(repeats);
+    let mut walls = Vec::with_capacity(repeats);
     let mut first: Option<(u64, u64, bool, u32)> = None;
-    for _ in 0..REPEATS {
+    for _ in 0..repeats {
         let report = execute_batch(plan, &[query], opts);
         let o = &report.outcomes[0];
         assert!(o.error.is_none(), "{}: {:?}", o.algo, o.error);
@@ -40,10 +48,14 @@ fn run_point(plan: &ShardPlan, query: BatchQuery, opts: &BatchOptions) -> Row {
         );
         sims.push(o.sim_ms);
         imbalances.push(o.imbalance);
+        walls.push(o.wall_ms);
     }
     let (records, bytes, converged, supersteps) = first.expect("REPEATS >= 1");
-    Row::default()
-        .exact("converged", converged)
+    let mut row = Row::default();
+    if timed {
+        row = row.timed("wall_ms", Timed::from_samples(walls, QUERY_WALL_ABS_MS));
+    }
+    row.exact("converged", converged)
         .exact("supersteps", supersteps)
         .exact("exchange_records", records)
         .exact("exchange_bytes", bytes)

@@ -380,6 +380,9 @@ struct RunEnv<'a> {
 /// One simulated device's view of a run — the whole [`Graph`] with the
 /// app itself ([`run`]) or a `LocalShard` behind its `ShardView`
 /// (`run_sharded`) — and all the loop remembers about it between steps.
+/// Pool threads write neighbouring lanes of one slice concurrently, so a
+/// lane starts on a cache-line pair of its own.
+#[repr(align(128))]
 pub(crate) struct Lane<'a, L: EdgeApp> {
     g: &'a Graph,
     app: &'a L,
@@ -445,15 +448,30 @@ fn lose_one_entry(f: &mut Frontier) {
     }
 }
 
+/// Work items — local vertices a phase visits or allocates for, plus the
+/// active vertices and edges an Expand follows — below which a phase's
+/// lanes run on the calling thread. A pool hand-off costs a wake-up and a
+/// join (tens of µs once the worker has parked), which a lane repays only
+/// with about that much work of its own; at 4–10 ns an item that is some
+/// thousands of items per lane. The two ends, measured (CHANGES.md, PR 23):
+/// with every phase on the pool the 300–1 200-vertex benchmark twins run
+/// K = 4 at 1.4–1.7× their K = 1 wall (1.0–1.3× under this rule); with
+/// every phase inline the 10⁴–10⁵-vertex ledger graphs lose the second
+/// core (K = 4 over K = 1, geometric mean: BFS 1.29 vs 1.01, PR 1.18 vs
+/// 0.87).
+const FAN_OUT_MIN_ITEMS: u64 = 16_384;
+
 /// Run one phase's `job` for every lane, appending the results to `out`
-/// in lane order, panics contained. A single lane runs inline on the
-/// calling thread; more lanes are one task each on the process-wide
-/// worker pool, which the calling thread works through as well — so K
-/// lanes need no K threads, and a lane's kernels may go parallel on the
-/// same pool.
+/// in lane order, panics contained. A single lane, or a phase with fewer
+/// than [`FAN_OUT_MIN_ITEMS`] `items` across its lanes, runs on the
+/// calling thread in lane order; otherwise the lanes are one task each on
+/// the process-wide worker pool, which the calling thread works through
+/// as well — so K lanes need no K threads, and a lane's kernels may go
+/// parallel on the same pool.
 fn fan_out<I: Send, T: Send>(
     lanes: &mut [I],
     phase: &'static str,
+    items: u64,
     job: impl Fn(&mut I) -> T + Sync,
     out: &mut Vec<Result<T, LaneFailure>>,
 ) {
@@ -461,8 +479,8 @@ fn fan_out<I: Send, T: Send>(
     let contained = |s: usize, lane: &mut I| {
         catch_unwind(AssertUnwindSafe(|| job(lane))).map_err(|p| fail(s, p))
     };
-    if let [only] = lanes {
-        return out.push(contained(0, only));
+    if lanes.len() == 1 || items < FAN_OUT_MIN_ITEMS {
+        return out.extend(lanes.iter_mut().enumerate().map(|(s, lane)| contained(s, lane)));
     }
     let results: Vec<_> = lanes
         .par_chunks_mut(1)
@@ -480,9 +498,10 @@ fn fan_out<I: Send, T: Send>(
 /// Each step ends in `sink(traces, overhead_ms)`, the record both report
 /// types project from: every lane's [`IterationTrace`] in lane order and
 /// the tuner overhead on the step's critical path (host decisions add up,
-/// the per-device feedback copies overlap). The lane count alone decides
-/// how phases run ([`fan_out`]: one lane inline, more as pool tasks, a
-/// barrier per phase) and whether the step closes with an
+/// the per-device feedback copies overlap). The lane count and the phase's
+/// size decide how phases run ([`fan_out`]: one lane or a small phase
+/// inline, else pool tasks; a barrier per phase either way), the lane
+/// count alone whether the step closes with an
 /// `Exchange` span around `sink`, where the caller settles what the lanes
 /// sent each other. All else that differs between [`run`] and
 /// `run_sharded` is input: mask, `AppCaps` of the lane's app, seed.
@@ -507,6 +526,10 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
         lane.same_config_streak = if run.seed.is_some() { 2 } else { 0 };
     }
     let span_local = opts.spans.local();
+    // What a phase touches whatever the frontier: a classification pass
+    // visits every local vertex, and an Expand allocates (and in bitmap
+    // mode prices) per local vertex before it follows an edge.
+    let local_vertices: u64 = lanes.iter().map(|l| l.g.num_vertices() as u64).sum();
     // Phase results and the step's traces, reused from step to step.
     let (mut inspected, mut executed, mut traces) = (Vec::new(), Vec::new(), Vec::new());
 
@@ -521,7 +544,8 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
         root.advance(iteration);
 
         // ---- Inspector, per lane; converged when nothing is active anywhere.
-        fan_out(lanes, "classify", |l| l.inspect(&run, iteration, step_id), &mut inspected);
+        let inspect = |l: &mut Lane<'_, L>| l.inspect(&run, iteration, step_id);
+        fan_out(lanes, "classify", local_vertices, inspect, &mut inspected);
         for r in inspected.drain(..) {
             if let Err(reason) = r? {
                 return Ok((false, Some(reason)));
@@ -533,7 +557,10 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
 
         // ---- Selector → Executor → feedback, per lane; `sink` is the
         // barrier where halo-directed updates are settled as exchange.
-        fan_out(lanes, "exchange", |lane| lane.execute(&run), &mut executed);
+        let frontier_work: u64 =
+            lanes.iter().map(|l| l.hist.ctx.stats).map(|s| s.v_active + s.e_active).sum();
+        let execute = |lane: &mut Lane<'_, L>| lane.execute(&run);
+        fan_out(lanes, "exchange", local_vertices + frontier_work, execute, &mut executed);
         let _exchange = (lanes.len() > 1)
             .then(|| span_local.start_tagged(SpanKind::Exchange, step_id, None, iteration));
         let (mut overhead_ms, mut feedback_ms) = (0.0, 0.0);
@@ -1118,31 +1145,71 @@ pub(crate) mod tests {
             *lane *= 10;
             (0..*lane * 100).into_par_iter().sum::<u64>()
         };
-        fan_out(&mut lanes, "classify", job, &mut out);
+        fan_out(&mut lanes, "classify", FAN_OUT_MIN_ITEMS, job, &mut out);
         let sums: Vec<u64> = out.into_iter().map(|r| r.ok().expect("no lane failed")).collect();
         assert_eq!(sums, (1..=8u64).map(|l| (0..l * 1000).sum()).collect::<Vec<_>>());
         assert_eq!(lanes, (1..=8).map(|l| l * 10).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn fan_out_contains_a_lane_panic_and_keeps_the_other_lanes() {
+    fn fan_out_below_the_threshold_stays_on_the_calling_thread_in_lane_order() {
         let mut lanes: Vec<u32> = (0..4).collect();
-        let mut out = Vec::new();
+        let order = gswitch_obs::sync::Lock::new(Vec::new());
         let job = |lane: &mut u32| {
-            assert!(*lane != 2, "lane {lane} failed");
-            *lane + 100
+            order.lock().push(*lane);
+            std::thread::current().id()
         };
-        fan_out(&mut lanes, "exchange", job, &mut out);
-        assert_eq!(out.len(), 4);
-        for (s, r) in out.into_iter().enumerate() {
-            if s != 2 {
-                assert_eq!(r.ok(), Some(s as u32 + 100), "lane {s}");
-                continue;
+        let mut out = Vec::new();
+        fan_out(&mut lanes, "exchange", FAN_OUT_MIN_ITEMS - 1, job, &mut out);
+        let me = std::thread::current().id();
+        assert!(out.into_iter().all(|r| r.ok() == Some(me)), "a lane left the calling thread");
+        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn fan_out_at_the_threshold_shares_the_lanes_with_a_worker() {
+        // With a second core the pool has a worker: lanes 0 and 1 wait for
+        // each other, so the phase only ends if two threads ran lanes at
+        // the same time. (On one core the pool is the caller alone.)
+        let pooled = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
+        let meet = std::sync::Barrier::new(2);
+        let mut lanes: Vec<u32> = (0..4).collect();
+        let job = |lane: &mut u32| {
+            if pooled && *lane < 2 {
+                meet.wait();
             }
-            let LaneFailure { lane, phase, payload } = r.expect_err("lane 2 panicked");
-            assert_eq!((lane, phase), (2, "exchange"));
-            let payload = payload.expect("a panic carries its payload");
-            assert_eq!(payload.downcast_ref::<String>().unwrap(), "lane 2 failed");
+            (*lane, std::thread::current().id())
+        };
+        let mut out = Vec::new();
+        fan_out(&mut lanes, "exchange", FAN_OUT_MIN_ITEMS, job, &mut out);
+        let (ids, threads): (Vec<_>, Vec<_>) =
+            out.into_iter().map(|r| r.ok().expect("no lane failed")).unzip();
+        assert_eq!(ids, vec![0, 1, 2, 3], "results come back in lane order");
+        assert_eq!(threads[0] != threads[1], pooled);
+    }
+
+    #[test]
+    fn fan_out_contains_a_lane_panic_and_keeps_the_other_lanes() {
+        // The same failure from the inline path and from the pool.
+        for items in [0, FAN_OUT_MIN_ITEMS] {
+            let mut lanes: Vec<u32> = (0..4).collect();
+            let mut out = Vec::new();
+            let job = |lane: &mut u32| {
+                assert!(*lane != 2, "lane {lane} failed");
+                *lane + 100
+            };
+            fan_out(&mut lanes, "exchange", items, job, &mut out);
+            assert_eq!(out.len(), 4);
+            for (s, r) in out.into_iter().enumerate() {
+                if s != 2 {
+                    assert_eq!(r.ok(), Some(s as u32 + 100), "lane {s}");
+                    continue;
+                }
+                let LaneFailure { lane, phase, payload } = r.expect_err("lane 2 panicked");
+                assert_eq!((lane, phase), (2, "exchange"));
+                let payload = payload.expect("a panic carries its payload");
+                assert_eq!(payload.downcast_ref::<String>().unwrap(), "lane 2 failed");
+            }
         }
     }
 

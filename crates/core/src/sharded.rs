@@ -25,6 +25,7 @@ use crate::policy::Policy;
 use gswitch_graph::shard::{LocalShard, ShardedCsr};
 use gswitch_graph::{VertexId, Weight};
 use gswitch_kernels::exchange::ExchangeProfile;
+use gswitch_kernels::pattern::{Direction, Fusion};
 use gswitch_kernels::{EdgeApp, Status};
 use gswitch_obs::{RecorderHandle, SpanCtx};
 use gswitch_simt::{DeviceSpec, SimMs};
@@ -240,6 +241,12 @@ impl ShardedRunReport {
 /// a self-contained graph application while every semantic call lands in
 /// the *global* app. Halo copies classify as `Fixed` (their owner alone
 /// drives them) and halo-directed updates count as exchange records.
+///
+/// The K views of a run sit side by side in one `Vec` while pool threads
+/// run their lanes concurrently, so each is aligned to a cache-line pair
+/// of its own (adjacent-line prefetch included): one lane's counter never
+/// shares a line with its neighbour's.
+#[repr(align(128))]
 struct ShardView<'a, A: EdgeApp> {
     app: &'a A,
     shard: &'a LocalShard,
@@ -249,6 +256,12 @@ struct ShardView<'a, A: EdgeApp> {
     /// concurrent owner-side write, so every boundary-crossing message
     /// is routed (this also keeps the count deterministic run to run,
     /// which the `BENCH_shard.json` snapshot relies on).
+    ///
+    /// Counted per vertex, not per edge: a lane is pinned to standalone
+    /// push, which expands the whole out-row of every Active owned vertex
+    /// exactly once per super-step, so the step's attempts are exactly
+    /// Σ `cut_degree(v)` over the Active vertices — added in `prepare`,
+    /// which the Filter runs once per Active vertex.
     halo_records: AtomicU64,
     /// Distinct halo destinations this super-step.
     halo_seen: gswitch_kernels::atomics::AtomicBitSet,
@@ -300,6 +313,8 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
     }
 
     fn prepare(&self, v: VertexId) {
+        // This step's Expand will send one record down each cut edge of `v`.
+        self.halo_records.fetch_add(u64::from(self.shard.cut_degree(v)), Ordering::Relaxed);
         self.app.prepare(self.global(v));
     }
 
@@ -311,9 +326,9 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
         if self.shard.is_halo(dst) {
             // The atomic below delivers the update to the owner's data
             // directly; what remains is the routing cost — charged per
-            // attempt, because a real shard must send the message
-            // before knowing whether it wins at the owner.
-            self.halo_records.fetch_add(1, Ordering::Relaxed);
+            // attempt (`prepare` counted this edge), because a real shard
+            // must send the message before knowing whether it wins at the
+            // owner. Only the first record to a destination writes here.
             self.halo_seen.set(dst - self.shard.n_owned() as VertexId);
         }
         self.app.comp_atomic(self.global(dst), msg)
@@ -390,6 +405,16 @@ pub fn run_sharded<A: EdgeApp>(
         ShardedRunReport { k, shard_busy_ms: vec![0.0; k as usize], ..Default::default() };
 
     let sink = &mut |traces: &mut Vec<IterationTrace>, overhead_ms| {
+        // The per-vertex exchange count holds only where every Active
+        // vertex's whole row is pushed exactly once: pull sends nothing
+        // down a cut edge, a fused chain re-`prepare`s queue entries.
+        debug_assert!(
+            traces.iter().all(|t| {
+                let c = t.config;
+                !t.estimated && c.direction == Direction::Push && c.fusion == Fusion::Standalone
+            }),
+            "a sharded lane ran a shape its exchange accounting does not price"
+        );
         // The barrier: settle every lane's halo records. Shards are
         // parallel devices, so the step's filter/expand is the slowest
         // shard's; each shard's own busy time feeds the imbalance metric.
@@ -422,7 +447,7 @@ mod tests {
     use crate::engine::{run, EngineOptions};
     use crate::policy::{AutoPolicy, StaticPolicy};
     use gswitch_graph::{gen, Graph, GraphBuilder};
-    use gswitch_kernels::pattern::{Direction, Fusion, KernelConfig, SteppingDelta};
+    use gswitch_kernels::pattern::{KernelConfig, SteppingDelta};
     use gswitch_obs::TraceRing;
     use std::sync::Arc;
 
@@ -682,6 +707,28 @@ mod tests {
         assert_eq!(rep.shard_busy_ms.len(), 4);
         let imb = rep.imbalance();
         assert!(imb >= 1.0, "busiest/avg must be >= 1, got {imb}");
+    }
+
+    #[test]
+    fn pins_hold_against_a_policy_asking_for_pull_and_fusion() {
+        // The per-vertex exchange count is only right for standalone push;
+        // the barrier asserts that shape on every step (debug builds), so a
+        // policy that wants otherwise must come out as the pinned baseline.
+        let g = gen::erdos_renyi(300, 1_500, 2);
+        let sharded = ShardedCsr::partition(&g, 4).expect("partition");
+        let run_under = |cfg| {
+            let app = Bfs::new(g.num_vertices(), 0);
+            let rep =
+                run_sharded(&sharded, &app, &StaticPolicy::new(cfg), &ShardedOptions::default())
+                    .expect("run");
+            assert!(rep.converged);
+            assert_eq!(app.level.to_vec(), single_levels(&g, 0));
+            rep.supersteps.iter().map(|s| s.exchange).collect::<Vec<_>>()
+        };
+        let baseline = KernelConfig::push_baseline();
+        let unpinned =
+            KernelConfig { direction: Direction::Pull, fusion: Fusion::Fused, ..baseline };
+        assert_eq!(run_under(unpinned), run_under(baseline));
     }
 
     #[test]

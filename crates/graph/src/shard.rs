@@ -36,6 +36,8 @@ pub struct LocalShard {
     n_owned: usize,
     owner_start: VertexId,
     halo_global: Vec<VertexId>,
+    /// Per owned vertex, its out-edges whose target is a halo vertex.
+    cut_degree: Vec<u32>,
     cut_edges: usize,
 }
 
@@ -95,6 +97,15 @@ impl LocalShard {
     #[inline]
     pub fn cut_edges(&self) -> usize {
         self.cut_edges
+    }
+
+    /// Out-edges of local vertex `local` whose target is a halo vertex:
+    /// the exchange records one push expansion of its row produces. Sums
+    /// to [`cut_edges`](Self::cut_edges) over the owned vertices; zero on
+    /// halo rows, which are empty.
+    #[inline]
+    pub fn cut_degree(&self, local: VertexId) -> u32 {
+        self.cut_degree.get(local as usize).copied().unwrap_or(0)
     }
 
     /// Whether `local` is a halo vertex (owned by another shard).
@@ -308,13 +319,13 @@ fn build_shard(
     let mut offsets: Vec<u64> = Vec::with_capacity(n_owned + halo_global.len() + 1);
     offsets.push(0);
     let mut targets: Vec<VertexId> = Vec::with_capacity(edge_hi - edge_lo);
-    let mut cut_edges = 0usize;
+    let mut cut_degree = vec![0u32; n_owned];
     for v in start..end {
         for &t in out.neighbors(v as VertexId) {
             let local = if owned_range.contains(&t) {
                 t - start as VertexId
             } else {
-                cut_edges += 1;
+                cut_degree[v - start] += 1;
                 // The target is in the halo set by construction.
                 let i = halo_global.partition_point(|&h| h < t);
                 (n_owned + i) as VertexId
@@ -323,6 +334,7 @@ fn build_shard(
         }
         offsets.push(targets.len() as u64);
     }
+    let cut_edges = cut_degree.iter().map(|&d| d as usize).sum();
     for _ in 0..halo_global.len() {
         offsets.push(targets.len() as u64);
     }
@@ -334,7 +346,15 @@ fn build_shard(
     let name = format!("{}#{}of{}", g.name(), id, k);
     let graph = Graph::from_parts(local_csr, None, local_weights, None, name);
 
-    LocalShard { id, graph, n_owned, owner_start: start as VertexId, halo_global, cut_edges }
+    LocalShard {
+        id,
+        graph,
+        n_owned,
+        owner_start: start as VertexId,
+        halo_global,
+        cut_degree,
+        cut_edges,
+    }
 }
 
 #[cfg(test)]
@@ -363,12 +383,19 @@ mod tests {
                     assert_eq!(s.to_local(gt), Some(lt), "round-trip failed");
                     rebuilt.push((gu, gt));
                 }
+                // The cut degree is the row's halo-directed edges.
+                let to_halo = lg.out_csr().neighbors(lu).iter().filter(|&&t| s.is_halo(t)).count();
+                assert_eq!(s.cut_degree(lu) as usize, to_halo, "shard {} vertex {lu}", s.id());
             }
+            let summed: usize =
+                (0..s.n_local() as VertexId).map(|v| s.cut_degree(v) as usize).sum();
+            assert_eq!(summed, s.cut_edges());
             // Halo rows are empty and halo ids round-trip too.
             for h in 0..s.n_halo() {
                 let l = (s.n_owned() + h) as VertexId;
                 assert!(s.is_halo(l));
                 assert_eq!(lg.out_csr().degree(l), 0);
+                assert_eq!(s.cut_degree(l), 0);
                 assert_eq!(s.to_local(s.to_global(l)), Some(l));
                 assert_ne!(sharded.owner_of(s.to_global(l)), s.id());
             }
@@ -384,6 +411,18 @@ mod tests {
             let sharded = ShardedCsr::partition(&g, k).unwrap();
             assert_eq!(sharded.k(), k);
             check_invariants(&g, &sharded);
+        }
+    }
+
+    #[test]
+    fn invariants_hold_over_the_generator_corpus() {
+        // One twin of every generator family (scale-free, web, road, mesh…).
+        for rep in crate::corpus::representatives_small() {
+            let g = rep.recipe.build();
+            for k in [2, 4] {
+                let sharded = ShardedCsr::partition(&g, k).unwrap();
+                check_invariants(&g, &sharded);
+            }
         }
     }
 

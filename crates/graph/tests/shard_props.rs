@@ -81,6 +81,32 @@ proptest! {
         }
     }
 
+    /// A vertex's cut degree is the number of its out-edges another
+    /// shard owns the target of; it sums to the shard's cut edges and is
+    /// zero on halo rows — what the sharded driver's per-vertex exchange
+    /// count rests on.
+    #[test]
+    fn cut_degree_counts_remote_targets((n, edges) in edge_list(), k in 1u32..9) {
+        let g = GraphBuilder::new(n).edges(edges).build();
+        let sharded = ShardedCsr::partition(&g, k).unwrap();
+        for shard in sharded.shards() {
+            let mut total = 0usize;
+            for local in 0..shard.n_local() as VertexId {
+                let remote = if shard.is_halo(local) {
+                    0
+                } else {
+                    let row = g.out_csr().neighbors(shard.to_global(local));
+                    row.iter().filter(|&&t| sharded.owner_of(t) != shard.id()).count()
+                };
+                prop_assert_eq!(shard.cut_degree(local) as usize, remote);
+                total += remote;
+            }
+            prop_assert_eq!(total, shard.cut_edges());
+        }
+        let cut: usize = sharded.shards().iter().map(|s| s.cut_edges()).sum();
+        prop_assert_eq!(cut, sharded.cut_edges_total());
+    }
+
     /// Partitioning preserves the graph-level invariants the serving
     /// layer keys on: vertex count, edge count, and weights carried
     /// 1:1 with the local edges.

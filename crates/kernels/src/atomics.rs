@@ -222,17 +222,29 @@ impl AtomicBitSet {
     }
 
     /// Set bit `v`; returns `true` when this call flipped it (i.e. `v` was
-    /// not already set) — the duplicate detector.
+    /// not already set) — the duplicate detector. The word is read first
+    /// and a bit already set costs no write: repeat hits on a hot
+    /// destination (a hub's activation bit, a halo vertex many cut edges
+    /// point at) then leave the cache line shared instead of pulling it
+    /// exclusive once per edge. A racing pair both see it clear and the
+    /// `fetch_or` decides, so exactly one caller gets `true` either way.
     #[inline]
     pub fn set(&self, v: VertexId) -> bool {
+        if self.get(v) {
+            return false;
+        }
         let (w, b) = (v as usize / 64, v as usize % 64);
         let prev = self.words[w].fetch_or(1 << b, Relaxed);
         prev & (1 << b) == 0
     }
 
-    /// Clear bit `v`; returns `true` when this call flipped it.
+    /// Clear bit `v`; returns `true` when this call flipped it. Reads
+    /// before it writes, like [`set`](Self::set).
     #[inline]
     pub fn unset(&self, v: VertexId) -> bool {
+        if !self.get(v) {
+            return false;
+        }
         let (w, b) = (v as usize / 64, v as usize % 64);
         let prev = self.words[w].fetch_and(!(1 << b), Relaxed);
         prev & (1 << b) != 0
@@ -431,6 +443,40 @@ mod tests {
         assert_eq!(b.to_sorted_vec(), vec![0, 64, 129]);
         b.clear();
         assert_eq!(b.count(), 0);
+    }
+
+    #[test]
+    fn racing_setters_get_exactly_one_true_per_bit() {
+        const THREADS: usize = 4;
+        const BITS: u32 = 200;
+        let b = AtomicBitSet::new(BITS as usize);
+        let start = std::sync::Barrier::new(THREADS);
+        let wins: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        // Released together so the threads race on the same
+                        // bits, set-after-load windows included.
+                        start.wait();
+                        (0..BITS).filter(|&v| b.set(v)).collect::<Vec<u32>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("setter panicked")).collect()
+        });
+        let mut won: Vec<u32> = wins.into_iter().flatten().collect();
+        won.sort_unstable();
+        assert_eq!(won, (0..BITS).collect::<Vec<_>>(), "each bit has exactly one winner");
+        assert_eq!(b.count(), BITS as usize);
+        // Same contract on the way down.
+        let cleared: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| s.spawn(|| (0..BITS).filter(|&v| b.unset(v)).count()))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("clearer panicked")).sum()
+        });
+        assert_eq!(cleared, BITS as usize);
+        assert!(!b.any());
     }
 
     #[test]

@@ -8,15 +8,20 @@
 //! K concurrent shard workers, so its comparison is a tolerance well
 //! below the convergence threshold (see DESIGN §4.11).
 
-use gswitch_algos::{bfs, cc, pr, Bfs, Cc};
+use gswitch_algos::{bfs, cc, pr, Bfs, Cc, PageRank};
 use gswitch_core::{
     run, run_sharded, AutoPolicy, EngineOptions, Fusion, GraphApp, KernelConfig, PatternMask,
-    Policy, RecorderHandle, ShardedOptions, StaticPolicy, SteppingDelta, TraceRing,
+    Policy, RecorderHandle, ShardedOptions, StaticPolicy, Status, SteppingDelta, SuperStep,
+    TraceRing,
 };
 use gswitch_graph::corpus::representatives_small;
 use gswitch_graph::shard::ShardedCsr;
-use gswitch_graph::Graph;
+use gswitch_graph::{Graph, VertexId, Weight};
+use gswitch_kernels::atomics::AtomicBitSet;
+use gswitch_kernels::exchange::ExchangeProfile;
+use gswitch_obs::sync::Lock;
 use gswitch_shard::{execute_batch, BatchOptions, BatchQuery, BatchResult, QueryStatus, ShardPlan};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const PR_EPS: f64 = 1e-3;
@@ -226,5 +231,139 @@ fn one_shard_cc_matches_unsharded_trace_for_trace_on_whole_corpus() {
             let tag = format!("cc/{name}");
             assert_k1_matches_unsharded(&g, &*policy, || Cc::new(n), Cc::labels, &tag);
         }
+    }
+}
+
+/// An app that counts its own cross-shard messages: every message carries
+/// its source, and a `comp_atomic` whose destination another shard owns is
+/// one exchange record, whatever the driver's accounting says.
+struct CutCounter<'a, A> {
+    app: A,
+    sharded: &'a ShardedCsr,
+    /// The open step's crossing messages, and per sending shard the
+    /// destinations they went to.
+    records: AtomicU64,
+    seen: Vec<AtomicBitSet>,
+    /// Records and distinct destinations of every closed step.
+    steps: Lock<Vec<(u64, u64)>>,
+}
+
+impl<'a, A: GraphApp> CutCounter<'a, A> {
+    fn new(app: A, sharded: &'a ShardedCsr) -> Self {
+        let seen = (0..sharded.k()).map(|_| AtomicBitSet::new(sharded.num_vertices())).collect();
+        CutCounter { app, sharded, records: AtomicU64::new(0), seen, steps: Lock::new(Vec::new()) }
+    }
+
+    /// The profile the driver must report for closed step `i`.
+    fn expected(&self, i: usize) -> ExchangeProfile {
+        let (records, distinct) = self.steps.lock()[i];
+        let payload = std::mem::size_of::<(VertexId, A::Msg)>() as u32;
+        ExchangeProfile::for_app(records, distinct, A::DUP_TOLERANT, payload)
+    }
+}
+
+impl<A: GraphApp> GraphApp for CutCounter<'_, A> {
+    type Msg = (VertexId, A::Msg);
+    const PULL_EARLY_EXIT: bool = A::PULL_EARLY_EXIT;
+    const DUP_TOLERANT: bool = A::DUP_TOLERANT;
+    const NEEDS_WEIGHTS: bool = A::NEEDS_WEIGHTS;
+    const PRIORITY_DRIVEN: bool = A::PRIORITY_DRIVEN;
+
+    fn filter(&self, v: VertexId) -> Status {
+        self.app.filter(v)
+    }
+    fn prepare(&self, v: VertexId) {
+        self.app.prepare(v);
+    }
+    fn emit(&self, u: VertexId, w: Weight) -> Self::Msg {
+        (u, self.app.emit(u, w))
+    }
+    fn comp_atomic(&self, dst: VertexId, (src, msg): Self::Msg) -> bool {
+        let from = self.sharded.owner_of(src);
+        if from != self.sharded.owner_of(dst) {
+            self.records.fetch_add(1, Ordering::Relaxed);
+            self.seen[from as usize].set(dst);
+        }
+        self.app.comp_atomic(dst, msg)
+    }
+    fn comp(&self, dst: VertexId, (_, msg): Self::Msg) -> bool {
+        self.app.comp(dst, msg)
+    }
+    /// Called once per super-step, before any lane works: closes the last.
+    fn advance(&self, iteration: u32) {
+        if iteration > 0 {
+            let distinct: usize = self.seen.iter().map(AtomicBitSet::count).sum();
+            self.seen.iter().for_each(AtomicBitSet::clear);
+            self.steps.lock().push((self.records.swap(0, Ordering::Relaxed), distinct as u64));
+        }
+        self.app.advance(iteration);
+    }
+    fn pull_receives(status: Status) -> bool {
+        A::pull_receives(status)
+    }
+    fn would_tie(&self, dst: VertexId, (_, msg): Self::Msg) -> bool {
+        self.app.would_tie(dst, msg)
+    }
+}
+
+/// The driver prices exchange from a per-vertex cut degree; the app counts
+/// the boundary-crossing `comp_atomic` calls themselves. Step for step they
+/// must be the same records, distinct destinations and bytes.
+fn assert_exchange_is_the_apps_own_count<A: GraphApp>(g: &Graph, k: u32, app: A, tag: &str) {
+    let sharded = ShardedCsr::partition(g, k).expect("partition");
+    let counter = CutCounter::new(app, &sharded);
+    let rep = run_sharded(&sharded, &counter, &AutoPolicy, &ShardedOptions::default())
+        .expect("sharded run");
+    assert!(rep.converged, "{tag} k={k} on {}", g.name());
+    // The converging step's `advance` closed the last step that ran.
+    assert_eq!(counter.steps.lock().len(), rep.n_supersteps(), "{tag} k={k} on {}", g.name());
+    for (i, step) in rep.supersteps.iter().enumerate() {
+        let expected = counter.expected(i);
+        assert_eq!(step.exchange, expected, "{tag} k={k} on {} step {i}", g.name());
+        assert_eq!(step.exchange.bytes(), expected.bytes());
+    }
+    assert!(rep.exchange_total().records > 0, "{tag} k={k} on {}: nothing crossed", g.name());
+}
+
+#[test]
+fn exchange_profile_equals_the_apps_own_cross_shard_count_step_by_step() {
+    for g in corpus() {
+        let n = g.num_vertices();
+        for k in [2u32, 4] {
+            assert_exchange_is_the_apps_own_count(&g, k, Bfs::new(n, 0), "bfs");
+            assert_exchange_is_the_apps_own_count(&g, k, Cc::new(n), "cc");
+            assert_exchange_is_the_apps_own_count(&g, k, PageRank::new(&g, PR_EPS), "pr");
+        }
+    }
+}
+
+/// Every field of a super-step the simulation decides (`overhead_ms` holds
+/// the measured host decision time).
+fn simulated(s: &SuperStep) -> (u32, [u64; 3], ExchangeProfile, u64, u64) {
+    let times = [s.filter_ms, s.expand_ms, s.exchange_ms].map(f64::to_bits);
+    (s.iteration, times, s.exchange, s.active, s.edges_touched)
+}
+
+/// Below the fan-out threshold the lanes of a step run one after another
+/// on the calling thread, so which lane's `fetch_min` lands first — and
+/// with it CC's label path, its conflicts and its simulated time — is the
+/// same on every run.
+#[test]
+fn small_sharded_cc_repeats_its_superstep_trace_exactly() {
+    // 900 vertices (at most 3 600 local ones with halos) and ~5 000
+    // directed edges: every phase of every step is below the threshold.
+    let g = gswitch_graph::gen::erdos_renyi(900, 2_500, 17);
+    let sharded = ShardedCsr::partition(&g, 4).expect("partition");
+    let trace = || {
+        let app = Cc::new(g.num_vertices());
+        let rep = run_sharded(&sharded, &app, &AutoPolicy, &ShardedOptions::default())
+            .expect("sharded run");
+        assert!(rep.converged);
+        rep.supersteps.iter().map(simulated).collect::<Vec<_>>()
+    };
+    let first = trace();
+    assert!(first.len() > 2, "CC converged in {} steps", first.len());
+    for run in 1..5 {
+        assert_eq!(trace(), first, "run {run} took another path");
     }
 }
