@@ -61,6 +61,7 @@ impl GraphApp for Cc {
         }
     }
 
+    #[inline]
     fn emit(&self, u: VertexId, _w: Weight) -> u32 {
         self.label.load(u)
     }
@@ -74,6 +75,7 @@ impl GraphApp for Cc {
         }
     }
 
+    #[inline]
     fn comp(&self, dst: VertexId, msg: u32) -> bool {
         if msg < self.label.load(dst) {
             self.label.store(dst, msg);

@@ -18,7 +18,9 @@ use gswitch_kernels::atomics::AtomicArray;
 pub struct PageRank {
     rank: AtomicArray<f64>,
     residual: AtomicArray<f64>,
-    consumed: AtomicArray<f64>,
+    /// What an Active vertex sends down each out-edge this step: the
+    /// residual it consumed × `share`, staged once in `prepare`.
+    staged: AtomicArray<f64>,
     /// α/deg per vertex, precomputed (0 for dangling vertices).
     share: Vec<f64>,
     /// Per-vertex activation threshold on the residual.
@@ -48,7 +50,7 @@ impl PageRank {
         PageRank {
             rank: AtomicArray::filled(n, 0.0),
             residual: AtomicArray::filled(n, (1.0 - Self::ALPHA) / n as f64),
-            consumed: AtomicArray::filled(n, 0.0),
+            staged: AtomicArray::filled(n, 0.0),
             share,
             threshold: tol / n as f64,
         }
@@ -78,12 +80,13 @@ impl GraphApp for PageRank {
     fn prepare(&self, v: VertexId) {
         // Consume the pending mass: credit the rank, stage the emission.
         let r = self.residual.swap(v, 0.0);
-        self.consumed.store(v, r);
+        self.staged.store(v, r * self.share[v as usize]);
         self.rank.store(v, self.rank.load(v) + r);
     }
 
+    #[inline]
     fn emit(&self, u: VertexId, _w: Weight) -> f64 {
-        self.consumed.load(u) * self.share[u as usize]
+        self.staged.load(u)
     }
 
     fn comp_atomic(&self, dst: VertexId, msg: f64) -> bool {
@@ -96,6 +99,21 @@ impl GraphApp for PageRank {
         let old = self.residual.load(dst);
         self.residual.store(dst, old + msg);
         old <= self.threshold && old + msg > self.threshold
+    }
+
+    /// `comp` over the row with `residual[dst]` held in a register: the
+    /// same additions in the same order, one load and one store instead of
+    /// one of each per edge. No message is negative (an Active vertex
+    /// consumed a residual above the positive threshold, shares are ≥ 0),
+    /// so the running sum never falls and `comp`'s crossing test succeeds
+    /// for at most one message — exactly when the row's first value is on
+    /// the threshold's low side and its last on the high side.
+    #[inline]
+    fn gather(&self, dst: VertexId, msgs: impl Iterator<Item = f64>) -> u64 {
+        let old = self.residual.load(dst);
+        let new = msgs.fold(old, |acc, msg| acc + msg);
+        self.residual.store(dst, new);
+        u64::from(old <= self.threshold && new > self.threshold)
     }
 
     fn pull_receives(_status: Status) -> bool {
@@ -173,6 +191,87 @@ mod tests {
         let pull_cfg = KernelConfig { direction: Direction::Pull, ..KernelConfig::push_baseline() };
         let pull = pagerank(&g, 1e-6, &StaticPolicy::new(pull_cfg), &EngineOptions::default());
         assert_close(&push.ranks, &pull.ranks, 1e-9, "push vs pull");
+    }
+
+    /// A pull Expand big enough to run on the pool (more than 256 tasks)
+    /// is exact whatever the schedule: a row writes only its own cell and
+    /// reads nothing another row writes. Five pooled repeats agree with
+    /// each other and with the same task list walked in order on this
+    /// thread, one `comp` per edge — the output fields and every residual
+    /// bit. (The pool is sized once per process, so the sequential side is
+    /// the walk, not a smaller pool.)
+    #[test]
+    fn pooled_pull_expand_is_exact() {
+        use gswitch_core::AsFormat;
+        use gswitch_kernels::{classify, expand, materialize, WorkPlan};
+        use gswitch_simt::DeviceSpec;
+
+        let g = gen::barabasi_albert(30_000, 16, 9);
+        let spec = DeviceSpec::k40m();
+        let cfg = KernelConfig {
+            direction: Direction::Pull,
+            format: AsFormat::UnsortedQueue,
+            ..KernelConfig::push_baseline()
+        };
+        let first_step = || {
+            let app = PageRank::new(&g, 1e-3);
+            let co = classify(&g, &app, &spec);
+            let (frontier, _) =
+                materialize::<PageRank>(&g, &co.status, cfg.direction, cfg.format, &spec);
+            (app, co.status, frontier)
+        };
+        let bits = |app: &PageRank| -> Vec<u64> {
+            app.residual.to_vec().into_iter().map(f64::to_bits).collect()
+        };
+
+        // In order on this thread: the plan's tasks, then each task's rows.
+        let (app, status, frontier) = first_step();
+        let plan = WorkPlan::for_frontier(&g, &frontier, cfg.direction);
+        assert!(plan.tasks().len() > 256, "{} tasks stay on the caller", plan.tasks().len());
+        let entries = frontier.as_queue().expect("a queue workload");
+        let incoming = g.in_csr();
+        let mut touched = vec![0u32; entries.len()];
+        let (mut hits, mut wins) = (0u64, 0u64);
+        let mut activated = Vec::new();
+        for &t in plan.tasks() {
+            for &s in plan.task_slots(t) {
+                let v = entries[s as usize];
+                let before = wins;
+                for &u in &incoming.targets()[incoming.edge_range(v)] {
+                    touched[s as usize] += 1;
+                    if status[u as usize] == Status::Active as u8 {
+                        hits += 1;
+                        wins += u64::from(app.comp(v, app.emit(u, 1)));
+                    }
+                }
+                if wins > before {
+                    activated.push(v);
+                }
+            }
+        }
+        activated.sort_unstable();
+        let edges: u64 = touched.iter().map(|&t| u64::from(t)).sum();
+        let want = bits(&app);
+
+        let mut profiles = Vec::new();
+        for repeat in 0..5 {
+            let (app, status, frontier) = first_step();
+            let out = expand(&g, &app, &frontier, &status, cfg, &spec);
+            assert_eq!(bits(&app), want, "repeat {repeat}: residual bits");
+            assert_eq!(out.touched, touched, "repeat {repeat}");
+            assert_eq!(out.edges_touched, edges, "repeat {repeat}");
+            assert_eq!(out.activated.to_sorted_vec(), activated, "repeat {repeat}");
+            assert_eq!(out.activations, activated.len() as u64, "repeat {repeat}");
+            assert_eq!(out.distinct_activated, activated.len() as u64, "repeat {repeat}");
+            let read = 4 * entries.len() as u64 + 5 * edges + 32 * hits;
+            assert_eq!(
+                (out.profile.bytes_read, out.profile.bytes_written),
+                (read, 8 * wins),
+                "repeat {repeat}"
+            );
+            profiles.push((out.profile, out.activated_out_edges));
+        }
+        assert!(profiles.windows(2).all(|w| w[0] == w[1]), "{profiles:?}");
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! (`run`) and on K ∈ {1, 2, 4} lanes (`run_sharded`) for the three
 //! shardable apps.
 //!
-//! The same file holds the Inspector's own invariance: a run that
-//! re-`filter`s only what `refilter_hint` bounds is, step for step, the
-//! run that sweeps every vertex ([`SweepOnly`]).
+//! The same file holds two invariances of optional hooks, each checked
+//! step for step against the app with that one hook left at its default:
+//! a run that re-`filter`s only what `refilter_hint` bounds is the run
+//! that sweeps every vertex ([`SweepOnly`]), and a run whose pull rows go
+//! through the app's own `gather` is the run that calls `comp` once per
+//! message ([`PerMessage`]).
 
 use gswitch_algos::bc::{BcBackward, BcForward};
 use gswitch_algos::{
@@ -24,7 +27,7 @@ use gswitch_algos::{
 use gswitch_core::{
     run, run_sharded, AppCaps, AsFormat, AutoPolicy, DecisionContext, Direction, EngineOptions,
     Fusion, GraphApp, KernelConfig, LoadBalance, ModelPolicy, Policy, RunReport, ShardedOptions,
-    Status, SteppingDelta,
+    StaticPolicy, Status, SteppingDelta,
 };
 use gswitch_graph::corpus::representatives_small;
 use gswitch_graph::shard::ShardedCsr;
@@ -159,54 +162,105 @@ proptest! {
     }
 }
 
+/// The `GraphApp` surface both test wrappers pass straight through to the
+/// app in `self.0`; each adds the one optional hook it keeps.
+macro_rules! forward_to_inner {
+    () => {
+        type Msg = A::Msg;
+        const PULL_EARLY_EXIT: bool = A::PULL_EARLY_EXIT;
+        const DUP_TOLERANT: bool = A::DUP_TOLERANT;
+        const NEEDS_WEIGHTS: bool = A::NEEDS_WEIGHTS;
+        const PRIORITY_DRIVEN: bool = A::PRIORITY_DRIVEN;
+
+        fn filter(&self, v: VertexId) -> Status {
+            self.0.filter(v)
+        }
+        fn prepare(&self, v: VertexId) {
+            self.0.prepare(v);
+        }
+        fn emit(&self, u: VertexId, w: Weight) -> A::Msg {
+            self.0.emit(u, w)
+        }
+        fn comp_atomic(&self, dst: VertexId, msg: A::Msg) -> bool {
+            self.0.comp_atomic(dst, msg)
+        }
+        fn comp(&self, dst: VertexId, msg: A::Msg) -> bool {
+            self.0.comp(dst, msg)
+        }
+        fn advance(&self, iteration: u32) {
+            self.0.advance(iteration);
+        }
+        fn pull_receives(status: Status) -> bool {
+            A::pull_receives(status)
+        }
+        fn adjust_priority(&self, delta: SteppingDelta) {
+            self.0.adjust_priority(delta);
+        }
+        fn rescue(&self) -> bool {
+            self.0.rescue()
+        }
+        fn would_tie(&self, dst: VertexId, msg: A::Msg) -> bool {
+            self.0.would_tie(dst, msg)
+        }
+    };
+}
+
+/// A test-only view of an app with one optional hook turned off; the
+/// family `W<A>` is named by its `W<()>` instance.
+trait Wrapper {
+    type Of<A: GraphApp>: GraphApp;
+    fn wrap<A: GraphApp>(app: A) -> Self::Of<A>;
+    fn inner<A: GraphApp>(wrapped: &Self::Of<A>) -> &A;
+}
+
 /// Test-only: `A` with `refilter_hint` left at its default, so every
 /// classification sweeps — the only way to turn the hint off.
 struct SweepOnly<A>(A);
 
 impl<A: GraphApp> GraphApp for SweepOnly<A> {
-    type Msg = A::Msg;
-    const PULL_EARLY_EXIT: bool = A::PULL_EARLY_EXIT;
-    const DUP_TOLERANT: bool = A::DUP_TOLERANT;
-    const NEEDS_WEIGHTS: bool = A::NEEDS_WEIGHTS;
-    const PRIORITY_DRIVEN: bool = A::PRIORITY_DRIVEN;
-
-    fn filter(&self, v: VertexId) -> Status {
-        self.0.filter(v)
-    }
-    fn prepare(&self, v: VertexId) {
-        self.0.prepare(v);
-    }
-    fn emit(&self, u: VertexId, w: Weight) -> A::Msg {
-        self.0.emit(u, w)
-    }
-    fn comp_atomic(&self, dst: VertexId, msg: A::Msg) -> bool {
-        self.0.comp_atomic(dst, msg)
-    }
-    fn comp(&self, dst: VertexId, msg: A::Msg) -> bool {
-        self.0.comp(dst, msg)
-    }
-    fn advance(&self, iteration: u32) {
-        self.0.advance(iteration);
-    }
-    fn pull_receives(status: Status) -> bool {
-        A::pull_receives(status)
-    }
-    fn adjust_priority(&self, delta: SteppingDelta) {
-        self.0.adjust_priority(delta);
-    }
-    fn rescue(&self) -> bool {
-        self.0.rescue()
-    }
-    fn would_tie(&self, dst: VertexId, msg: A::Msg) -> bool {
-        self.0.would_tie(dst, msg)
+    forward_to_inner!();
+    fn gather(&self, dst: VertexId, msgs: impl Iterator<Item = A::Msg>) -> u64 {
+        self.0.gather(dst, msgs)
     }
 }
 
-/// Every field of every iteration the two Inspectors must agree on.
-fn assert_same_trace(hinted: &RunReport, swept: &RunReport, tag: &str) {
-    assert_eq!(hinted.converged, swept.converged, "{tag}");
-    assert_eq!(hinted.n_iterations(), swept.n_iterations(), "{tag}: iteration count");
-    for (a, b) in hinted.iterations.iter().zip(&swept.iterations) {
+impl Wrapper for SweepOnly<()> {
+    type Of<A: GraphApp> = SweepOnly<A>;
+    fn wrap<A: GraphApp>(app: A) -> SweepOnly<A> {
+        SweepOnly(app)
+    }
+    fn inner<A: GraphApp>(wrapped: &SweepOnly<A>) -> &A {
+        &wrapped.0
+    }
+}
+
+/// Test-only: `A` with `gather` left at its default, so a pull row is one
+/// `comp` per message whatever `A` overrides.
+struct PerMessage<A>(A);
+
+impl<A: GraphApp> GraphApp for PerMessage<A> {
+    forward_to_inner!();
+    fn refilter_hint(&self, out: &mut Vec<VertexId>) -> bool {
+        self.0.refilter_hint(out)
+    }
+}
+
+impl Wrapper for PerMessage<()> {
+    type Of<A: GraphApp> = PerMessage<A>;
+    fn wrap<A: GraphApp>(app: A) -> PerMessage<A> {
+        PerMessage(app)
+    }
+    fn inner<A: GraphApp>(wrapped: &PerMessage<A>) -> &A {
+        &wrapped.0
+    }
+}
+
+/// Every field of every iteration two runs must agree on — all of
+/// `IterationTrace` but `overhead_ms`, which holds host time.
+fn assert_same_trace(plain: &RunReport, wrapped: &RunReport, tag: &str) {
+    assert_eq!(plain.converged, wrapped.converged, "{tag}");
+    assert_eq!(plain.n_iterations(), wrapped.n_iterations(), "{tag}: iteration count");
+    for (a, b) in plain.iterations.iter().zip(&wrapped.iterations) {
         let tag = format!("{tag} @ iteration {}", a.iteration);
         assert_eq!(a.config, b.config, "{tag}");
         assert_eq!((a.decided, a.estimated), (b.decided, b.estimated), "{tag}");
@@ -216,55 +270,65 @@ fn assert_same_trace(hinted: &RunReport, swept: &RunReport, tag: &str) {
         assert_eq!(a.expand_ms.to_bits(), b.expand_ms.to_bits(), "{tag}: expand_ms");
         assert_eq!(a.edges_touched, b.edges_touched, "{tag}");
         assert_eq!(a.activations, b.activations, "{tag}");
+        assert_eq!(a.distinct_activated, b.distinct_activated, "{tag}");
+        assert_eq!(a.duplicates, b.duplicates, "{tag}");
     }
 }
 
-/// Run `make()` with its hint and again as [`SweepOnly`], each under a
-/// fresh `policy()`, and require the same per-iteration trace. Returns the
-/// hinted app, its answer and the sweeping run's.
-fn hinted_and_swept<A: GraphApp, T>(
+/// Run `make()` as it is and again inside `W`, each under a fresh
+/// `policy()`, and require the same per-iteration trace. Returns the plain
+/// app, its answer and the wrapped run's.
+fn plain_and_wrapped<W: Wrapper, A: GraphApp, T>(
     tag: &str,
     g: &Graph,
     policy: &dyn Fn() -> Box<dyn Policy>,
     make: impl Fn() -> A,
     answer: impl Fn(&A) -> T,
 ) -> (A, T, T) {
-    let (hinted, swept) = (make(), SweepOnly(make()));
+    let (plain, wrapped) = (make(), W::wrap(make()));
     let opts = EngineOptions::default();
-    let ra = run(g, &hinted, policy().as_ref(), &opts);
-    let rb = run(g, &swept, policy().as_ref(), &opts);
+    let ra = run(g, &plain, policy().as_ref(), &opts);
+    let rb = run(g, &wrapped, policy().as_ref(), &opts);
     assert!(ra.converged && rb.converged, "{tag}");
     assert_same_trace(&ra, &rb, tag);
-    let answers = (answer(&hinted), answer(&swept.0));
-    (hinted, answers.0, answers.1)
+    let answers = (answer(&plain), answer(W::inner(&wrapped)));
+    (plain, answers.0, answers.1)
 }
 
-/// Incremental ≡ sweep: on the small corpus, under the rules, the trained
-/// trees and a seeded arbitrary configuration sequence, each algorithm run
-/// with its hint and run as [`SweepOnly`] gives the same answer and the
-/// same per-iteration trace.
+type MakePolicy = Box<dyn Fn() -> Box<dyn Policy>>;
+
+/// A named policy factory and the largest graph it is run on.
+type PolicyCase = (&'static str, usize, MakePolicy);
+
+const LARGEST: usize = 22_000;
+const LARGEST_UNDER_RANDOM: usize = 13_000;
+
+/// The rules, the trained trees and a seeded arbitrary configuration
+/// sequence.
+fn policies() -> Vec<PolicyCase> {
+    let model_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models/gswitch_model.json");
+    let (model, loaded) = ModelPolicy::load_or_fallback(model_path);
+    assert!(loaded.error.is_none() && loaded.kept > 0, "trained model unusable: {loaded:?}");
+    vec![
+        ("auto", LARGEST, Box::new(|| Box::new(AutoPolicy))),
+        ("model", LARGEST, Box::new(move || Box::new(model.clone()))),
+        ("random", LARGEST_UNDER_RANDOM, Box::new(|| Box::new(RandomPolicy::new(0xD1FF)))),
+    ]
+}
+
+/// On the small corpus, under each of `policies`, every algorithm run as
+/// it is and run inside `W` gives the same answer and the same
+/// per-iteration trace (PageRank's ranks and BC's deltas bit for bit).
 ///
 /// Traces are deterministic only while every Expand stays below the
 /// 256-task parallel threshold, so the two scale-free twins that cross it
 /// (`golden_traces::PARALLEL_EXPAND`) are left to the answer checks above.
-/// The two size cuts keep the test affordable in a debug build (~40 s):
+/// The two size cuts keep a test affordable in a debug build (~40 s):
 /// the twins above 22 000 vertices (rgg, roadNet-CA) repeat the shapes of
 /// roadNet-TX and the two sc-* meshes, and an arbitrary configuration
 /// sequence (bitmaps and strict balancing on high-diameter graphs) costs
 /// several times a tuned one.
-#[test]
-fn hinted_inspector_matches_the_sweeping_one() {
-    const LARGEST: usize = 22_000;
-    const LARGEST_UNDER_RANDOM: usize = 13_000;
-    let model_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models/gswitch_model.json");
-    let (model, loaded) = ModelPolicy::load_or_fallback(model_path);
-    assert!(loaded.error.is_none() && loaded.kept > 0, "trained model unusable: {loaded:?}");
-    type MakePolicy = Box<dyn Fn() -> Box<dyn Policy>>;
-    let policies: [(&str, usize, MakePolicy); 3] = [
-        ("auto", LARGEST, Box::new(|| Box::new(AutoPolicy))),
-        ("model", LARGEST, Box::new(move || Box::new(model.clone()))),
-        ("random", LARGEST_UNDER_RANDOM, Box::new(|| Box::new(RandomPolicy::new(0xD1FF)))),
-    ];
+fn wrapped_runs_match_plain_ones<W: Wrapper>(policies: &[PolicyCase]) {
     let serial = |name: &str| !matches!(name, "soc-orkut" | "kron_g500-log21");
     for r in representatives_small().into_iter().filter(|r| serial(r.paper_name)) {
         let (name, g) = (r.paper_name, r.recipe.build());
@@ -280,44 +344,117 @@ fn hinted_inspector_matches_the_sweeping_one() {
             let policy = policy.as_ref();
 
             let t = tag("bfs");
-            let (_, a, b) = hinted_and_swept(&t, &g, policy, || Bfs::new(n, 0), Bfs::levels);
+            let (_, a, b) =
+                plain_and_wrapped::<W, _, _>(&t, &g, policy, || Bfs::new(n, 0), Bfs::levels);
             assert_eq!((&a, &b), (&want_bfs, &want_bfs), "{t}");
 
             let t = tag("cc");
-            let (_, a, b) = hinted_and_swept(&t, &g, policy, || Cc::new(n), Cc::labels);
+            let (_, a, b) = plain_and_wrapped::<W, _, _>(&t, &g, policy, || Cc::new(n), Cc::labels);
             assert_eq!((&a, &b), (&want_cc, &want_cc), "{t}");
 
             let t = tag("pr");
             let new_pr = || PageRank::new(&g, 1e-3);
-            let (_, a, b) = hinted_and_swept(&t, &g, policy, new_pr, PageRank::ranks);
+            let bits =
+                |app: &PageRank| app.ranks().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let (app, a, b) = plain_and_wrapped::<W, _, _>(&t, &g, policy, new_pr, bits);
             assert_eq!(a, b, "{t}");
             if *pname == "auto" {
-                assert_pr_close(&a, &g, &t);
+                assert_pr_close(&app.ranks(), &g, &t);
             }
 
             let t = tag("sssp");
             let new_sssp = || Sssp::new(&gw, 0);
-            let (_, a, b) = hinted_and_swept(&t, &gw, policy, new_sssp, Sssp::distances);
+            let (_, a, b) =
+                plain_and_wrapped::<W, _, _>(&t, &gw, policy, new_sssp, Sssp::distances);
             assert_eq!((&a, &b), (&want_sssp, &want_sssp), "{t}");
             let t = tag("bellman-ford");
             let new_bf = || BellmanFord::new(&gw, 0);
-            let (_, a, b) = hinted_and_swept(&t, &gw, policy, new_bf, BellmanFord::distances);
+            let (_, a, b) =
+                plain_and_wrapped::<W, _, _>(&t, &gw, policy, new_bf, BellmanFord::distances);
             assert_eq!((&a, &b), (&want_sssp, &want_sssp), "{t}");
             let t = tag("delta-stepping");
             let new_ds = || DeltaStepping::with_default_delta(&gw, 0);
-            let (_, a, b) = hinted_and_swept(&t, &gw, policy, new_ds, DeltaStepping::distances);
+            let (_, a, b) =
+                plain_and_wrapped::<W, _, _>(&t, &gw, policy, new_ds, DeltaStepping::distances);
             assert_eq!((&a, &b), (&want_sssp, &want_sssp), "{t}");
 
-            // BC: both backward runs start from the hinted forward phase
-            // (the sweeping one was just shown to trace the same).
+            // BC: both backward runs start from the plain forward phase
+            // (the wrapped one was just shown to trace the same).
             let t = tag("bc");
-            let (fwd, _, _) = hinted_and_swept(&t, &g, policy, || BcForward::new(n, 0), |_| ());
+            let new_fwd = || BcForward::new(n, 0);
+            let (fwd, _, _) = plain_and_wrapped::<W, _, _>(&t, &g, policy, new_fwd, |_| ());
             let new_bwd = || BcBackward::new(&fwd);
-            let (_, a, b) = hinted_and_swept(&t, &g, policy, new_bwd, BcBackward::deltas);
-            assert_eq!(a, b, "{t}");
+            let (_, a, b) =
+                plain_and_wrapped::<W, _, _>(&t, &g, policy, new_bwd, BcBackward::deltas);
+            assert_eq!(
+                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "{t}"
+            );
             for (x, y) in a.iter().zip(&want_bc).skip(1) {
                 assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()), "{t}: {x} vs {y}");
             }
         }
     }
+}
+
+/// Incremental ≡ sweep: each algorithm run with its hint and run as
+/// [`SweepOnly`] gives the same answer and the same per-iteration trace.
+#[test]
+fn hinted_inspector_matches_the_sweeping_one() {
+    wrapped_runs_match_plain_ones::<SweepOnly<()>>(&policies());
+}
+
+/// `gather` ≡ one `comp` per message: each algorithm run with its own
+/// `gather` and run as [`PerMessage`] gives the same answer and the same
+/// per-iteration trace — also with every step pinned to pull, where the
+/// tuned policies leave sparse steps to push.
+#[test]
+fn gather_matches_one_comp_per_message() {
+    let mut policies = policies();
+    let pull = KernelConfig { direction: Direction::Pull, ..KernelConfig::push_baseline() };
+    policies.push(("pull", LARGEST, Box::new(move || Box::new(StaticPolicy::new(pull)))));
+    wrapped_runs_match_plain_ones::<PerMessage<()>>(&policies);
+}
+
+/// An app with a broken `gather`, to show the equivalence test above can
+/// fail: `REVERSED` folds a row's messages last to first (another rounding
+/// of the same sum), otherwise it folds them right and reports one win
+/// for every row.
+struct BrokenGather<A, const REVERSED: bool>(A);
+
+impl<A: GraphApp, const REVERSED: bool> GraphApp for BrokenGather<A, REVERSED> {
+    forward_to_inner!();
+    fn refilter_hint(&self, out: &mut Vec<VertexId>) -> bool {
+        self.0.refilter_hint(out)
+    }
+    fn gather(&self, dst: VertexId, msgs: impl Iterator<Item = A::Msg>) -> u64 {
+        if REVERSED {
+            let mut msgs: Vec<A::Msg> = msgs.collect();
+            msgs.reverse();
+            self.0.gather(dst, msgs.into_iter())
+        } else {
+            self.0.gather(dst, msgs);
+            1
+        }
+    }
+}
+
+#[test]
+fn a_wrong_gather_fails_the_equivalence() {
+    let g = gen::barabasi_albert(600, 6, 5);
+    let pull = KernelConfig { direction: Direction::Pull, ..KernelConfig::push_baseline() };
+    let opts = EngineOptions::default();
+    let plain = PageRank::new(&g, 1e-3);
+    let want = run(&g, &plain, &StaticPolicy::new(pull), &opts);
+
+    let reversed = BrokenGather::<_, true>(PageRank::new(&g, 1e-3));
+    run(&g, &reversed, &StaticPolicy::new(pull), &opts);
+    let bits = |app: &PageRank| app.ranks().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_ne!(bits(&plain), bits(&reversed.0), "a reversed sum must show in the rank bits");
+
+    let one_win = BrokenGather::<_, false>(PageRank::new(&g, 1e-3));
+    let got = run(&g, &one_win, &StaticPolicy::new(pull), &opts);
+    let caught = std::panic::catch_unwind(|| assert_same_trace(&want, &got, "one win per row"));
+    assert!(caught.is_err(), "one reported win per row must show in the trace");
 }

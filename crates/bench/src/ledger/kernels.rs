@@ -1,13 +1,16 @@
 //! Per-kernel rows: every hot kernel (classify, its dirty-set update,
 //! materialize × format × direction, expand × format × direction) on a
-//! fixed mid-BFS workload. Frontier and dirty-set sizes, edges touched and
-//! the simulated ms of each Expand are exact; host wall µs are timed.
+//! fixed mid-BFS workload, plus pull Expand at a dense level (the first
+//! step of PR and of CC: every vertex Active, every in-edge gathered) —
+//! the mid-BFS pull rows exit early after 229 edges and time only the
+//! call's fixed cost. Frontier and dirty-set sizes, edges touched and the
+//! simulated ms of each Expand are exact; host wall µs are timed.
 
 use super::{round_to, Row, Snapshot, Timed, KERNEL_WALL_ABS_US};
-use gswitch_algos::Bfs;
+use gswitch_algos::{Bfs, Cc, PageRank};
 use gswitch_kernels::{
-    classify, expand, materialize, AsFormat, Classification, Direction, EdgeApp as _, Fusion,
-    KernelConfig, LoadBalance, SteppingDelta,
+    classify, expand, expand_planned, materialize, AsFormat, Classification, Direction, EdgeApp,
+    KernelConfig, WorkPlan,
 };
 use gswitch_simt::DeviceSpec;
 use serde_json::json;
@@ -47,6 +50,37 @@ fn mid_bfs() -> (gswitch_graph::Graph, Bfs, Vec<u8>) {
 
 fn wall_us(samples: Vec<f64>) -> Timed {
     Timed::from_samples(samples, KERNEL_WALL_ABS_US)
+}
+
+/// The first super-step of `make()` as a pull Expand over a sorted queue
+/// of all receivers, with the work plan already built (the engine reuses
+/// it while the workload repeats, as PR's and CC's dense steps do), so the
+/// row times the gather and not the degree scan. Expand mutates the app:
+/// every repeat starts from a fresh one and times only the kernel.
+fn dense_pull<A: EdgeApp>(g: &gswitch_graph::Graph, make: impl Fn() -> A) -> Row {
+    let spec = DeviceSpec::k40m();
+    let cfg = KernelConfig {
+        direction: Direction::Pull,
+        format: AsFormat::SortedQueue,
+        ..KernelConfig::push_baseline()
+    };
+    let mut wall = Vec::with_capacity(REPEATS);
+    let (mut edges, mut sim_ms) = (0u64, 0.0f64);
+    for _ in 0..REPEATS {
+        let app = make();
+        app.advance(0);
+        let co = classify(g, &app, &spec);
+        let (frontier, _) = materialize::<A>(g, &co.status, cfg.direction, cfg.format, &spec);
+        let plan = WorkPlan::for_frontier(g, &frontier, cfg.direction);
+        let t0 = Instant::now();
+        let eo = expand_planned(g, &app, &frontier, &co.status, cfg, &spec, Some(&plan));
+        wall.push(t0.elapsed().as_secs_f64() * 1e6);
+        (edges, sim_ms) = (eo.edges_touched, spec.kernel_time_ms(&eo.profile));
+    }
+    Row::default()
+        .exact("edges", edges)
+        .exact("sim_ms", round_to(sim_ms, 3))
+        .timed("wall_us", wall_us(wall))
 }
 
 /// Measure every kernel row.
@@ -133,13 +167,8 @@ pub fn measure() -> Snapshot {
                 let (frontier, _) = materialize::<Bfs>(&g, &status, dir, fmt, &spec);
                 mat_wall.push(t0.elapsed().as_secs_f64() * 1e6);
                 workload = frontier.len() as u64;
-                let cfg = KernelConfig {
-                    direction: dir,
-                    format: fmt,
-                    lb: LoadBalance::Twc,
-                    stepping: SteppingDelta::Remain,
-                    fusion: Fusion::Standalone,
-                };
+                let cfg =
+                    KernelConfig { direction: dir, format: fmt, ..KernelConfig::push_baseline() };
                 let t1 = Instant::now();
                 let eo = expand(&g, &app, &frontier, &status, cfg, &spec);
                 exp_wall.push(t1.elapsed().as_secs_f64() * 1e6);
@@ -159,5 +188,11 @@ pub fn measure() -> Snapshot {
             );
         }
     }
+
+    // Pull where the edges are: a sum that folds every in-edge (PR) and a
+    // min that reads every in-edge and seldom wins (CC).
+    let g = gswitch_graph::gen::kronecker(SCALE, 8, 42);
+    snap.rows.insert("expand/pull/gather-sum".into(), dense_pull(&g, || PageRank::new(&g, 1e-3)));
+    snap.rows.insert("expand/pull/gather-min".into(), dense_pull(&g, || Cc::new(g.num_vertices())));
     snap
 }

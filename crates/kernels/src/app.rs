@@ -55,6 +55,30 @@ pub trait EdgeApp: Sync {
     /// by the calling lane). Returns `true` when the value changed.
     fn comp(&self, dst: VertexId, msg: Self::Msg) -> bool;
 
+    /// Combine one pull row: apply [`comp`](EdgeApp::comp)`(dst, m)` to
+    /// every message of `msgs` in order — stopping after the first success
+    /// when [`PULL_EARLY_EXIT`](EdgeApp::PULL_EARLY_EXIT) — and return the
+    /// number of successes. The pull kernel calls only this, once per
+    /// receiver, with the messages of the row's Active sources in row
+    /// order; `msgs` is lazy, so what an early exit leaves unconsumed is
+    /// never emitted (that is the edge skipping the kernel prices). The
+    /// default is the definition. An override exists to keep `dst`'s cell
+    /// in a register across the row (one load, one store) and must be
+    /// indistinguishable from the default: same final state bit for bit,
+    /// same count, same number of messages consumed.
+    fn gather(&self, dst: VertexId, msgs: impl Iterator<Item = Self::Msg>) -> u64 {
+        let mut wins = 0;
+        for m in msgs {
+            if self.comp(dst, m) {
+                wins += 1;
+                if Self::PULL_EARLY_EXIT {
+                    break;
+                }
+            }
+        }
+        wins
+    }
+
     /// Hook invoked once when a super-step begins, with its index
     /// (0-based). Apps tracking a level/iteration counter update it here.
     fn advance(&self, _iteration: u32) {}

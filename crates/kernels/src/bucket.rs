@@ -296,25 +296,6 @@ fn fnv1a(seed: u64, words: impl Iterator<Item = u64>) -> u64 {
     h
 }
 
-/// Software-prefetch hint for `slice[idx]` (no-op off x86_64, and on an
-/// out-of-range index). Purely a cache hint: never reads the data.
-#[inline(always)]
-pub fn prefetch_slice<T>(slice: &[T], idx: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if idx < slice.len() {
-        // SAFETY: idx is in bounds, so the pointer is valid; PREFETCHT0
-        // never faults and performs no actual memory access.
-        unsafe {
-            std::arch::x86_64::_mm_prefetch(
-                slice.as_ptr().add(idx) as *const i8,
-                std::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (slice, idx);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,14 +398,5 @@ mod tests {
         let fb = fingerprint_of(&Frontier::Bitmap(bits));
         let fq = fingerprint_of(&Frontier::SortedQueue(vec![1, 2, 3]));
         assert_ne!(fb, fq);
-    }
-
-    #[test]
-    fn prefetch_is_safe_at_any_index() {
-        let v = [1u8, 2, 3];
-        prefetch_slice(&v, 0);
-        prefetch_slice(&v, 2);
-        prefetch_slice(&v, 999); // out of range: no-op
-        prefetch_slice::<u8>(&[], 0);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::app::{EdgeApp, Status};
 use crate::atomics::AtomicBitSet;
-use crate::bucket::{prefetch_slice, WorkPlan};
+use crate::bucket::WorkPlan;
 use crate::filter::status_of;
 use crate::frontier::Frontier;
 use crate::lb::{self, EdgeCosts};
@@ -76,9 +76,9 @@ impl ExpandOutput {
     }
 }
 
-/// Lookahead distance (in edges) of the software-prefetch hint loops.
-/// Far enough that the line lands before the demand load, near enough
-/// that it is not evicted again on typical frontier rows.
+/// Lookahead distance (in edges) of the push loop's software-prefetch
+/// hint. Far enough that the line lands before the demand load, near
+/// enough that it is not evicted again on typical frontier rows.
 const PREFETCH_DIST: usize = 8;
 
 /// Analytic (no-execution) profile of a push Expand over a workload whose
@@ -148,6 +148,14 @@ pub fn expand_planned<A: EdgeApp>(
     }
 }
 
+/// The task count above which the pool's splitting rule
+/// (`rayon`'s 256 items per part) moves a sweep off the calling thread.
+const POOLED_TASKS: usize = 256;
+/// Parts a pooled sweep is cut into: enough that the slowest part is a
+/// few percent of the step whatever the bucket mix, few enough that the
+/// claims (one relaxed `fetch_add` each) stay invisible.
+const POOLED_PARTS: usize = 32;
+
 /// Per-task accumulator for the semantic pass.
 #[derive(Default)]
 struct Acc {
@@ -210,9 +218,18 @@ where
         None => (plan.entries().unwrap_or(&[]), true),
     };
 
-    let accs: Vec<Acc> = plan
-        .tasks()
+    // Whether a task list leaves the caller is the pool's rule and stays
+    // so (more than `POOLED_TASKS` tasks). When it does, halving the list
+    // by count is the wrong cut: hub rows sit in tasks of their own at the
+    // tail, so the first half carries nearly all the edges. Many small
+    // parts instead, which the pool's claim counter hands to whichever
+    // thread is free; the accumulators still come back in task order.
+    let tasks = plan.tasks();
+    let max_len =
+        if tasks.len() > POOLED_TASKS { tasks.len().div_ceil(POOLED_PARTS) } else { usize::MAX };
+    let accs: Vec<Acc> = tasks
         .par_iter()
+        .with_max_len(max_len)
         .map(|&t| {
             let slots = plan.task_slots(t);
             let mut acc = Acc::default();
@@ -335,38 +352,38 @@ fn expand_pull<A: EdgeApp>(
     let weights = g.in_weights();
     let activated = AtomicBitSet::new(g.num_vertices());
 
-    // One receiver vertex (SpMV row): gather from in-edges until
-    // satisfied. The row's source ids stream contiguously out of the
-    // blocked CSR range; the random access is the per-source status
-    // probe, so a software-prefetch hint runs a few edges ahead of it.
+    // One receiver vertex (SpMV row) is one `gather`: the row's source ids
+    // stream contiguously out of the blocked CSR range, the status probe
+    // is a byte of an n-byte array that stays cached, and what the app
+    // does with the messages of the Active sources is its own business —
+    // one cell write per row for an app that folds in a register. The
+    // simulated counters are functions of the row (`touched`, `hits`,
+    // `wins`), so they are added once per row, not bumped per edge.
+    let hit_bytes: u64 = 32 + if A::NEEDS_WEIGHTS { 4 } else { 0 };
     let process = |v: VertexId, acc: &mut Acc| -> u32 {
         let r = incoming.edge_range(v);
         let sources = &incoming.targets()[r.clone()];
-        let mut touched = 0u32;
-        let mut changed_any = false;
-        for (i, &u) in sources.iter().enumerate() {
-            if let Some(&ahead) = sources.get(i + PREFETCH_DIST) {
-                prefetch_slice(status, ahead as usize);
-            }
-            touched += 1;
-            acc.bytes_read += 5; // source id + frontier-bit probe
-            if status_of(status[u as usize]) == Status::Active {
-                let w: Weight = match (A::NEEDS_WEIGHTS, weights) {
-                    (true, Some(ws)) => ws[r.start + i],
-                    _ => 1,
-                };
-                let msg = app.emit(u, w);
-                acc.bytes_read += 32 + if A::NEEDS_WEIGHTS { 4 } else { 0 };
-                if app.comp(v, msg) {
-                    changed_any = true;
-                    acc.bytes_written += 8;
-                    if A::PULL_EARLY_EXIT {
-                        break; // edge skipping (Fig. 2)
-                    }
-                }
-            }
-        }
-        if changed_any {
+        // Messages of the row's Active sources, made as the gather asks
+        // for them: what an early exit leaves in `rest` was never read
+        // (Fig. 2's edge skipping).
+        let mut rest = sources.iter();
+        let mut hits = 0u64;
+        let msgs = std::iter::from_fn(|| {
+            let &u = rest.by_ref().find(|&&u| status_of(status[u as usize]) == Status::Active)?;
+            hits += 1;
+            let w: Weight = match (A::NEEDS_WEIGHTS, weights) {
+                (true, Some(ws)) => ws[r.end - rest.len() - 1],
+                _ => 1,
+            };
+            Some(app.emit(u, w))
+        });
+        let wins = app.gather(v, msgs);
+        let touched = (sources.len() - rest.len()) as u32;
+        // Per edge: source id + frontier-bit probe; per hit: the source's
+        // value (and the weight); per win: the receiver's cell.
+        acc.bytes_read += 5 * touched as u64 + hit_bytes * hits;
+        acc.bytes_written += 8 * wins;
+        if wins > 0 {
             acc.activations += 1;
             acc.distinct += 1;
             acc.activated_edges += g.out_csr().degree(v) as u64;
@@ -712,6 +729,24 @@ mod tests {
         // second is rejected by fetch_min (not strictly less).
         assert_eq!(out.activations, 1);
         assert_eq!(out.profile.atomic_conflicts, 1);
+    }
+
+    #[test]
+    fn reprice_is_the_profile_of_a_run_under_that_strategy() {
+        let g = star_graph();
+        let spec = DeviceSpec::k40m();
+        for format in [AsFormat::Bitmap, AsFormat::UnsortedQueue] {
+            let run = |lb: LoadBalance| {
+                let app = LevelApp::new(5, 0);
+                let f = filter(&g, &app, Direction::Push, format, &spec);
+                let cfg = KernelConfig { format, lb, ..cfg(Direction::Push, Fusion::Standalone) };
+                expand(&g, &app, &f.frontier, &f.status, cfg, &spec)
+            };
+            let base = run(LoadBalance::Twc);
+            for lb in [LoadBalance::Twc, LoadBalance::Wm, LoadBalance::Cm, LoadBalance::Strict] {
+                assert_eq!(base.reprice(&spec, lb), run(lb).profile, "{format:?}/{lb:?}");
+            }
+        }
     }
 
     #[test]

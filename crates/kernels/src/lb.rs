@@ -228,7 +228,9 @@ fn price_cm(spec: &DeviceSpec, costs: &EdgeCosts, touched: &[u32], bitmap: bool)
 /// balanced tasks; pays the partition scan up front (plus a compaction
 /// when fed a bitmap, which has no offsets array to search).
 fn price_strict(spec: &DeviceSpec, costs: &EdgeCosts, touched: &[u32], bitmap: bool) -> LbPrice {
-    let total_edges: u64 = touched.par_iter().map(|&d| d as u64).sum();
+    // Summed on the caller: n widening adds cost less than the wake-up a
+    // pooled sum pays to share them.
+    let total_edges: u64 = touched.iter().map(|&d| d as u64).sum();
     let per_edge = costs.lane + costs.strict_extra;
     let mut tasks = TaskStats::default();
     let mut scan_elems = touched.len() as u64; // offset scan for partitioning

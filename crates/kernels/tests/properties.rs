@@ -1,9 +1,12 @@
 //! Property-based tests of the kernel library.
 
-use gswitch_graph::{GraphBuilder, VertexId};
+use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
 use gswitch_kernels::atomics::{AtomicArray, AtomicBitSet};
 use gswitch_kernels::lb::{self, edge_costs};
-use gswitch_kernels::{classify, Classification, Direction, EdgeApp, LoadBalance, Status};
+use gswitch_kernels::{
+    classify, expand, Classification, Direction, EdgeApp, Frontier, KernelConfig, LoadBalance,
+    Status,
+};
 use gswitch_simt::{DeviceSpec, TaskStats};
 use proptest::prelude::*;
 
@@ -51,6 +54,114 @@ impl EdgeApp for Scripted {
     fn comp(&self, _d: VertexId, _m: ()) -> bool {
         false
     }
+}
+
+/// A weighted min-gather whose messages come from a fixed array, so a
+/// row's outcome does not depend on which rows ran before it. `EXIT`
+/// makes it stop at a row's first improvement.
+struct MinOf<const EXIT: bool> {
+    sent: Vec<u32>,
+    vals: AtomicArray<u32>,
+}
+
+impl<const EXIT: bool> MinOf<EXIT> {
+    fn new(sent: &[u32], start: &[u32]) -> Self {
+        let app = MinOf { sent: sent.to_vec(), vals: AtomicArray::filled(start.len(), 0) };
+        for (v, &x) in start.iter().enumerate() {
+            app.vals.store(v as VertexId, x);
+        }
+        app
+    }
+}
+
+impl<const EXIT: bool> EdgeApp for MinOf<EXIT> {
+    type Msg = u32;
+    const PULL_EARLY_EXIT: bool = EXIT;
+    const NEEDS_WEIGHTS: bool = true;
+    fn filter(&self, _v: VertexId) -> Status {
+        Status::Inactive // Expand reads the status bytes it is handed
+    }
+    fn emit(&self, u: VertexId, w: u32) -> u32 {
+        self.sent[u as usize] + w
+    }
+    fn comp_atomic(&self, dst: VertexId, msg: u32) -> bool {
+        self.vals.fetch_min(dst, msg) > msg
+    }
+    fn comp(&self, dst: VertexId, msg: u32) -> bool {
+        let improves = msg < self.vals.load(dst);
+        if improves {
+            self.vals.store(dst, msg);
+        }
+        improves
+    }
+}
+
+/// A pull Expand of `frontier` against the loop it replaced: one `comp`
+/// per Active in-edge, every counter bumped per edge.
+fn assert_pull_matches_per_edge_loop<const EXIT: bool>(
+    g: &Graph,
+    status: &[u8],
+    sent: &[u32],
+    start: &[u32],
+    frontier: Frontier,
+) -> Result<(), TestCaseError> {
+    let spec = DeviceSpec::k40m();
+    let cfg = KernelConfig { direction: Direction::Pull, ..KernelConfig::push_baseline() };
+    let app = MinOf::<EXIT>::new(sent, start);
+    let out = expand(g, &app, &frontier, status, cfg, &spec);
+
+    let old = MinOf::<EXIT>::new(sent, start);
+    let (incoming, weights) = (g.in_csr(), g.in_weights().expect("weighted graph"));
+    let n = g.num_vertices();
+    let bitmap = frontier.as_queue().is_none();
+    let slots = frontier.to_vec();
+    let mut touched = vec![0u32; if bitmap { n } else { slots.len() }];
+    let mut bytes_read = if bitmap { n.div_ceil(64) as u64 * 8 } else { 4 * slots.len() as u64 };
+    let (mut bytes_written, mut edges, mut out_edges) = (0u64, 0u64, 0u64);
+    let mut activated = Vec::new();
+    for (slot, &v) in slots.iter().enumerate() {
+        let mut changed = false;
+        let row = &mut touched[if bitmap { v as usize } else { slot }];
+        for i in incoming.edge_range(v) {
+            let u = incoming.targets()[i];
+            *row += 1;
+            bytes_read += 5;
+            if status[u as usize] == Status::Active as u8 {
+                bytes_read += 32 + 4;
+                if old.comp(v, old.emit(u, weights[i])) {
+                    changed = true;
+                    bytes_written += 8;
+                    if EXIT {
+                        break;
+                    }
+                }
+            }
+        }
+        if changed {
+            activated.push(v);
+            out_edges += g.out_csr().degree(v) as u64;
+        }
+        edges += *row as u64;
+    }
+    activated.sort_unstable();
+
+    prop_assert_eq!(app.vals.to_vec(), old.vals.to_vec());
+    prop_assert_eq!(&out.touched, &touched);
+    prop_assert_eq!(out.bitmap_mode, bitmap);
+    prop_assert_eq!(out.edges_touched, edges);
+    prop_assert_eq!(out.activations, activated.len() as u64);
+    prop_assert_eq!(out.distinct_activated, activated.len() as u64);
+    prop_assert_eq!(out.activated.to_sorted_vec(), activated);
+    prop_assert_eq!(out.activated_out_edges, out_edges);
+    prop_assert_eq!((out.ties, &out.next_queue), (0, &None));
+    let p = out.profile;
+    prop_assert_eq!((p.bytes_read, p.bytes_written), (bytes_read, bytes_written));
+    prop_assert_eq!(
+        (p.edges_expanded, p.atomics, p.atomic_conflicts, p.duplicates),
+        (edges, 0, 0, 0)
+    );
+    prop_assert_eq!(p, out.reprice(&spec, cfg.lb));
+    Ok(())
 }
 
 /// After `update`, the snapshot is what a fresh sweep of the same app
@@ -236,6 +347,51 @@ proptest! {
         }
         assert_update_matches_sweep(&mut snap, &g, &app, (0..n as u32).collect())?;
         prop_assert_eq!(snap.stats().pull.vertices, 0);
+    }
+
+    /// Every field of a pull Expand's output is what the per-edge loop
+    /// gives: any graph, any status bytes, queue or bitmap workload, with
+    /// and without early exit.
+    #[test]
+    fn pull_expand_equals_the_per_edge_loop(
+        (n, edges, receivers, seed) in (
+            2usize..80,
+            proptest::collection::vec((0u32..80, 0u32..80), 0..500),
+            0usize..80,
+            any::<u64>(),
+        ),
+        (status, sent, start, order) in (
+            proptest::collection::vec(0u8..3, 80..81),
+            proptest::collection::vec(0u32..40, 80..81),
+            proptest::collection::vec(0u32..100, 80..81),
+            proptest::collection::vec(any::<u32>(), 80..81),
+        ),
+        bitmap in any::<bool>(),
+        exit in any::<bool>(),
+    ) {
+        let fit = |v: u32| v % n as u32;
+        let g = GraphBuilder::new(n)
+            .symmetric(false)
+            .edges(edges.into_iter().map(|(a, b)| (fit(a), fit(b))))
+            .build();
+        let g = gen::with_random_weights(&g, 9, seed);
+        // A random subset of the vertices in a random order.
+        let mut queue: Vec<VertexId> = (0..n as VertexId).collect();
+        queue.sort_by_key(|&v| order[v as usize]);
+        queue.truncate(receivers.min(n));
+        let frontier = if bitmap {
+            let bits = AtomicBitSet::new(n);
+            queue.iter().for_each(|&v| { bits.set(v); });
+            Frontier::Bitmap(bits)
+        } else {
+            Frontier::UnsortedQueue(queue)
+        };
+        let (status, sent, start) = (&status[..n], &sent[..n], &start[..n]);
+        if exit {
+            assert_pull_matches_per_edge_loop::<true>(&g, status, sent, start, frontier)?;
+        } else {
+            assert_pull_matches_per_edge_loop::<false>(&g, status, sent, start, frontier)?;
+        }
     }
 
     /// Float values survive the bit-packing round trip.
