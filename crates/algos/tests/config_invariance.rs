@@ -4,8 +4,8 @@
 //! the trained trees happen to pick.
 //!
 //! [`RandomPolicy`] emits an arbitrary `KernelConfig` (and an arbitrary P4
-//! move) every time it is asked; the engine's `mask.apply` + `caps.clamp`
-//! legalise it. Over random graphs and seeds that drives the one
+//! move) every time it is asked; the engine's one legality rule,
+//! `AppCaps::legalise`, makes it runnable. Over random graphs and seeds that drives the one
 //! super-step loop through mid-run direction/format/load-balance/fusion
 //! flips, work-plan reuse across switches, fused chains that start and
 //! break at arbitrary points and rescue re-classification — none of
@@ -54,8 +54,7 @@ impl RandomPolicy {
     }
 
     fn stepping(&self) -> SteppingDelta {
-        [SteppingDelta::Increase, SteppingDelta::Decrease, SteppingDelta::Remain]
-            [(self.draw() % 3) as usize]
+        SteppingDelta::ALL[(self.draw() % 3) as usize]
     }
 }
 
@@ -67,13 +66,11 @@ impl Policy for RandomPolicy {
     fn decide(&self, _ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
         let r = self.draw();
         KernelConfig {
-            direction: [Direction::Push, Direction::Pull][(r & 1) as usize],
-            format: [AsFormat::Bitmap, AsFormat::UnsortedQueue, AsFormat::SortedQueue]
-                [((r >> 8) % 3) as usize],
-            lb: [LoadBalance::Twc, LoadBalance::Wm, LoadBalance::Cm, LoadBalance::Strict]
-                [((r >> 16) % 4) as usize],
+            direction: Direction::ALL[(r & 1) as usize],
+            format: AsFormat::ALL[((r >> 8) % 3) as usize],
+            lb: LoadBalance::ALL[((r >> 16) % 4) as usize],
             stepping: self.stepping(),
-            fusion: [Fusion::Standalone, Fusion::Fused][((r >> 24) & 1) as usize],
+            fusion: Fusion::ALL[((r >> 24) & 1) as usize],
         }
     }
 

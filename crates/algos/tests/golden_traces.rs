@@ -5,7 +5,10 @@
 //! `engine::run_with_seed_config` and `sharded::run_sharded` were merged
 //! into one loop, and must pass unchanged after it: every decision, every
 //! simulated time and every work counter of every super-step has to come
-//! out bit-for-bit the same.
+//! out bit-for-bit the same. The `*/model` cells (the shipped trained
+//! trees on the twins with no parallel cell) were added at the commit
+//! before the Selector's candidate tables replaced the hand-written class
+//! decoding, and hold the trees' decisions to the same standard.
 //!
 //! A `RunReport` digest covers, per iteration, `(config, decided,
 //! estimated, filter_ms.to_bits(), expand_ms.to_bits(), edges_touched,
@@ -50,7 +53,7 @@
 
 use gswitch_algos::{bc, bfs, cc, reference, sssp, Bfs, Cc};
 use gswitch_core::{
-    run_sharded, AutoPolicy, EngineOptions, Fusion, KernelConfig, Policy, RunReport,
+    run_sharded, AutoPolicy, EngineOptions, Fusion, KernelConfig, ModelPolicy, Policy, RunReport,
     ShardedOptions, ShardedRunReport, StaticPolicy,
 };
 use gswitch_graph::corpus::representatives_small;
@@ -126,11 +129,20 @@ fn fused_static() -> StaticPolicy {
     StaticPolicy::new(KernelConfig { fusion: Fusion::Fused, ..KernelConfig::push_baseline() })
 }
 
+/// The shipped trained trees.
+fn shipped_model() -> ModelPolicy {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models/gswitch_model.json");
+    let (model, loaded) = ModelPolicy::load_or_fallback(path);
+    assert!(loaded.error.is_none() && loaded.dropped.is_empty(), "model unusable: {loaded:?}");
+    model
+}
+
 /// Run every cell, check every answer against the CPU reference, and
 /// return the digests of the bitwise set as `(graph, cell, digest)`.
 fn compute() -> Vec<(String, String, u64)> {
     let auto = AutoPolicy;
     let fused = fused_static();
+    let model = shipped_model();
     let opts = EngineOptions::default();
     let mut out = Vec::new();
     for r in representatives_small() {
@@ -146,7 +158,14 @@ fn compute() -> Vec<(String, String, u64)> {
                 out.push((name.to_string(), cell, h.0));
             }
         };
-        for (policy, tag) in [(&auto as &dyn Policy, "auto"), (&fused, "fused")] {
+        // The trained trees run only on the twins that never reach a
+        // parallel Expand under any policy above.
+        let serial = !PARALLEL_EXPAND.iter().any(|&(twin, _)| twin == name);
+        let mut policies = vec![(&auto as &dyn Policy, "auto"), (&fused, "fused")];
+        if serial {
+            policies.push((&model, "model"));
+        }
+        for (policy, tag) in policies {
             let mut h = Fnv::new();
             let r = bfs::bfs(&g, 0, policy, &opts);
             assert_eq!(r.levels, want_bfs, "{name} bfs/{tag}");
@@ -212,6 +231,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("soc-pokec", "cc/fused", 0xe1b826ed94dfe06f),
     ("soc-pokec", "sssp/fused", 0x1898977b205d7f8e),
     ("soc-pokec", "bc/fused", 0x88ed125d57b065e3),
+    ("soc-pokec", "bfs/model", 0x0f6586ab45c3d7ea),
+    ("soc-pokec", "cc/model", 0x262fbb2ee0a75e62),
+    ("soc-pokec", "sssp/model", 0x0386ec274e61f275),
+    ("soc-pokec", "bc/model", 0x750a036e431de2f0),
     ("soc-pokec", "bfs/k2", 0x948741d842e6df43),
     ("soc-pokec", "bfs/k4", 0x52fe67341aa21034),
     ("web-uk-2005", "bfs/auto", 0x3bc0db59ab980ec4),
@@ -222,6 +245,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("web-uk-2005", "cc/fused", 0x25818a3714c47fd8),
     ("web-uk-2005", "sssp/fused", 0xff727a491083bfce),
     ("web-uk-2005", "bc/fused", 0x5aba7ccaf13bd1fc),
+    ("web-uk-2005", "bfs/model", 0xf8e51e73c616c279),
+    ("web-uk-2005", "cc/model", 0xff18e82e10b15aa0),
+    ("web-uk-2005", "sssp/model", 0xd7147a8d1541c694),
+    ("web-uk-2005", "bc/model", 0xfb37f019379c1d1e),
     ("web-uk-2005", "bfs/k2", 0xd5048c52aeda21c5),
     ("web-uk-2005", "bfs/k4", 0xa796d23a8be5c0e6),
     ("web-wikipedia-2009", "bfs/auto", 0x687d562ace1c3259),
@@ -232,6 +259,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("web-wikipedia-2009", "cc/fused", 0x2e404468d88ca003),
     ("web-wikipedia-2009", "sssp/fused", 0x87afa98f7243c853),
     ("web-wikipedia-2009", "bc/fused", 0xa34f05aaea5ef1f3),
+    ("web-wikipedia-2009", "bfs/model", 0xfe25adba2ba7f471),
+    ("web-wikipedia-2009", "cc/model", 0x8cb7910f219b1dbc),
+    ("web-wikipedia-2009", "sssp/model", 0xcb07b8e8da78e38d),
+    ("web-wikipedia-2009", "bc/model", 0xc8e88ab4b303637a),
     ("web-wikipedia-2009", "bfs/k2", 0xe7e8c88ffb0a6587),
     ("web-wikipedia-2009", "bfs/k4", 0xe2676922dffa09f0),
     ("kron_g500-log21", "bfs/auto", 0x0fd4f9ad06d22160),
@@ -247,6 +278,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("rgg_n_2_24", "cc/fused", 0x57571dfe100935af),
     ("rgg_n_2_24", "sssp/fused", 0xecb315a514d2fe65),
     ("rgg_n_2_24", "bc/fused", 0xfa65d6af37c2ba78),
+    ("rgg_n_2_24", "bfs/model", 0xb8781efd88dfcdf7),
+    ("rgg_n_2_24", "cc/model", 0x9f3f85fb2fbc0dfd),
+    ("rgg_n_2_24", "sssp/model", 0xb08af729404b0c18),
+    ("rgg_n_2_24", "bc/model", 0xf387a5e91c1aca9c),
     ("rgg_n_2_24", "bfs/k2", 0x14dc50f8bc4fe4b7),
     ("rgg_n_2_24", "bfs/k4", 0x0fceca9e37fe80fd),
     ("roadNet-CA", "bfs/auto", 0xe3d491d05b377185),
@@ -257,6 +292,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("roadNet-CA", "cc/fused", 0x28eeac91d6c7faae),
     ("roadNet-CA", "sssp/fused", 0x9b9b7fe204392f3d),
     ("roadNet-CA", "bc/fused", 0x7bc38132430d2451),
+    ("roadNet-CA", "bfs/model", 0xe272e82ad5932183),
+    ("roadNet-CA", "cc/model", 0xf60b1b0d68b1580b),
+    ("roadNet-CA", "sssp/model", 0x8165c83bf0421fe3),
+    ("roadNet-CA", "bc/model", 0x5e01172974168ca2),
     ("roadNet-CA", "bfs/k2", 0x12131499d7faed70),
     ("roadNet-CA", "bfs/k4", 0x2a06f630cc6d0f1d),
     ("roadNet-TX", "bfs/auto", 0x494d132da3e0f6f8),
@@ -267,6 +306,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("roadNet-TX", "cc/fused", 0xbcdb6c80aff0f911),
     ("roadNet-TX", "sssp/fused", 0x78dd5293d7f458c7),
     ("roadNet-TX", "bc/fused", 0x44abc7704455e760),
+    ("roadNet-TX", "bfs/model", 0xfdeef7b2f4a086d3),
+    ("roadNet-TX", "cc/model", 0xa3c384ecf10da18e),
+    ("roadNet-TX", "sssp/model", 0xeb82c2a52d96319d),
+    ("roadNet-TX", "bc/model", 0x0d131e77d64dff5d),
     ("roadNet-TX", "bfs/k2", 0xd98485e22e11780a),
     ("roadNet-TX", "bfs/k4", 0x95447b7c4a7e7b35),
     ("sc-msdoor", "bfs/auto", 0x2edc3bdb8ab2d90e),
@@ -277,6 +320,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("sc-msdoor", "cc/fused", 0x9ca508d9b77f313f),
     ("sc-msdoor", "sssp/fused", 0x56602cd4af4d037c),
     ("sc-msdoor", "bc/fused", 0x7fd6d31d1fa85f55),
+    ("sc-msdoor", "bfs/model", 0x19ad825a0f326ebc),
+    ("sc-msdoor", "cc/model", 0x3895b9e39366064b),
+    ("sc-msdoor", "sssp/model", 0x2f0601085ed980d9),
+    ("sc-msdoor", "bc/model", 0x755c84661bca356b),
     ("sc-msdoor", "bfs/k2", 0x4dd6df95e6c62786),
     ("sc-msdoor", "bfs/k4", 0xc045b7b0921fa056),
     ("sc-ldoor", "bfs/auto", 0xb26454ccf6997d6f),
@@ -287,6 +334,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("sc-ldoor", "cc/fused", 0xc902c7341306ea11),
     ("sc-ldoor", "sssp/fused", 0x580c9d93c748c334),
     ("sc-ldoor", "bc/fused", 0x9f805b50fc6e7ff5),
+    ("sc-ldoor", "bfs/model", 0x06b7f9f3a305cc87),
+    ("sc-ldoor", "cc/model", 0xef229342854d65e6),
+    ("sc-ldoor", "sssp/model", 0x2ca8e65afcda6c8d),
+    ("sc-ldoor", "bc/model", 0xf38615192da81b68),
     ("sc-ldoor", "bfs/k2", 0xf4a1e301c8a79be0),
     ("sc-ldoor", "bfs/k4", 0x6db3b21026ae0744),
 ];

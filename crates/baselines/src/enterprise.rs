@@ -26,7 +26,7 @@ impl Policy for EnterprisePolicy {
         "enterprise"
     }
 
-    fn decide(&self, ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig {
+    fn decide(&self, ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
         let frontier_share = ctx.active_vertex_ratio();
         let direction = if frontier_share > 0.02 && ctx.stats.pull.vertices > 0 {
             Direction::Pull
@@ -37,13 +37,13 @@ impl Policy for EnterprisePolicy {
             Direction::Pull => AsFormat::Bitmap,
             Direction::Push => AsFormat::UnsortedQueue,
         };
-        caps.clamp(KernelConfig {
+        KernelConfig {
             direction,
             format,
             lb: LoadBalance::Twc,
             stepping: SteppingDelta::Remain,
             fusion: Fusion::Standalone,
-        })
+        }
     }
 }
 

@@ -64,7 +64,7 @@ impl Policy for GunrockBfsPolicy {
         "gunrock-bfs"
     }
 
-    fn decide(&self, ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig {
+    fn decide(&self, ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
         let s = &ctx.stats;
         let was_pulling = self.pulling.load(Relaxed);
         let pull_now = if !was_pulling {
@@ -84,7 +84,7 @@ impl Policy for GunrockBfsPolicy {
             Direction::Pull => AsFormat::Bitmap,
             Direction::Push => AsFormat::UnsortedQueue,
         };
-        caps.clamp(KernelConfig { direction, format, ..gunrock_config() })
+        KernelConfig { direction, format, ..gunrock_config() }
     }
 }
 

@@ -9,17 +9,15 @@ use crate::runners::source_of;
 use crate::table::{ms, Table};
 use gswitch_algos::Bfs;
 use gswitch_core::oracle::{analyze_pull, analyze_push, price_direction};
-use gswitch_core::{AppCaps, Direction, GraphApp, History, KernelConfig, LoadBalance};
+use gswitch_core::{AppCaps, AsFormat, Direction, GraphApp, History, KernelConfig, LoadBalance};
 use gswitch_kernels::{classify, expand, materialize};
 use gswitch_simt::DeviceSpec;
 use std::fmt::Write;
 
-const LBS: [(LoadBalance, &str); 4] = [
-    (LoadBalance::Twc, "TWC"),
-    (LoadBalance::Wm, "WM"),
-    (LoadBalance::Cm, "CM"),
-    (LoadBalance::Strict, "STRICT"),
-];
+/// A strategy's column name: `push/TWC`.
+fn label(d: Direction, l: LoadBalance) -> String {
+    format!("{}/{}", d.wire(), l.wire().to_uppercase())
+}
 
 /// Run the experiment.
 pub fn run(cfg: &ExpConfig) -> String {
@@ -37,22 +35,16 @@ pub fn run(cfg: &ExpConfig) -> String {
         g.num_vertices(),
         g.num_edges()
     );
-    let mut table = Table::new(
-        "expand time (ms) per strategy; [x] = GSWITCH pick, * = true best",
-        &[
-            "it",
-            "push/TWC",
-            "push/WM",
-            "push/CM",
-            "push/STRICT",
-            "pull/TWC",
-            "pull/WM",
-            "pull/CM",
-            "pull/STRICT",
-            "GSWITCH",
-            "Best",
-        ],
-    );
+    let strategies: Vec<(Direction, LoadBalance)> = Direction::ALL
+        .iter()
+        .flat_map(|&d| LoadBalance::ALL.iter().map(move |&l| (d, l)))
+        .collect();
+    let mut header = vec!["it".to_string()];
+    header.extend(strategies.iter().map(|&(d, l)| label(d, l)));
+    header.extend(["GSWITCH".to_string(), "Best".to_string()]);
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut table =
+        Table::new("expand time (ms) per strategy; [x] = GSWITCH pick, * = true best", &header);
 
     let mut hits = 0usize;
     let mut total = 0usize;
@@ -70,30 +62,23 @@ pub fn run(cfg: &ExpConfig) -> String {
         let pull = analyze_pull::<Bfs>(&g, &co.status);
         let push_prices = price_direction::<Bfs>(&g, &spec, Direction::Push, &push);
         let pull_prices = price_direction::<Bfs>(&g, &spec, Direction::Pull, &pull);
-        let cell = |prices: &[(gswitch_core::AsFormat, LoadBalance, f64)], lb: LoadBalance| {
+        let cell = |prices: &[(AsFormat, LoadBalance, f64)], lb: LoadBalance| {
             prices
                 .iter()
                 .filter(|(_, l, _)| *l == lb)
                 .map(|(_, _, t)| *t)
                 .fold(f64::INFINITY, f64::min)
         };
-        let mut cells: Vec<(Direction, LoadBalance, f64)> = Vec::with_capacity(8);
-        for &(lb, _) in &LBS {
-            cells.push((Direction::Push, lb, cell(&push_prices, lb)));
-        }
-        for &(lb, _) in &LBS {
-            cells.push((Direction::Pull, lb, cell(&pull_prices, lb)));
-        }
-        let best = cells.iter().copied().min_by(|a, b| a.2.partial_cmp(&b.2).unwrap()).unwrap();
+        let cells: Vec<(Direction, LoadBalance, f64)> = strategies
+            .iter()
+            .map(|&(d, lb)| {
+                let prices = if d == Direction::Push { &push_prices } else { &pull_prices };
+                (d, lb, cell(prices, lb))
+            })
+            .collect();
+        // `total_cmp`, as the oracle ranks: a NaN price sorts last, never panics.
+        let best = cells.iter().copied().min_by(|a, b| a.2.total_cmp(&b.2)).expect("8 strategies");
         let picked = cfg.policy.decide(&hist.ctx, &caps);
-
-        let label = |d: Direction, l: LoadBalance| {
-            format!(
-                "{}/{}",
-                if d == Direction::Push { "push" } else { "pull" },
-                LBS.iter().find(|(lb, _)| *lb == l).map(|(_, n)| *n).unwrap()
-            )
-        };
         let row_cells: Vec<String> = cells
             .iter()
             .map(|&(d, l, t)| {
@@ -117,13 +102,13 @@ pub fn run(cfg: &ExpConfig) -> String {
             hits += 1;
         }
 
-        // Advance state along the selector's trajectory.
+        // Advance state along the selector's trajectory (standalone and
+        // unstepped, so legal for any app).
         let exec = KernelConfig {
             direction: picked.direction,
             lb: picked.lb,
             ..KernelConfig::push_baseline()
         };
-        let exec = caps.clamp(exec);
         let (frontier, mat) =
             materialize::<Bfs>(&g, &co.status, exec.direction, exec.format, &spec);
         let eo = expand(&g, &app, &frontier, &co.status, exec, &spec);

@@ -2,14 +2,13 @@
 
 use crate::cancel::{ProbeHandle, StopReason};
 use crate::features::History;
-use crate::policy::{AppCaps, Policy};
+use crate::policy::Policy;
 use gswitch_graph::Graph;
 use gswitch_graph::VertexId;
 use gswitch_kernels::bucket::{DegreeSource, WorkPlan};
 use gswitch_kernels::filter::status_of;
-use gswitch_kernels::pattern::{
-    AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
-};
+pub use gswitch_kernels::pattern::PatternMask;
+use gswitch_kernels::pattern::{AppCaps, Direction, KernelConfig, SteppingDelta};
 use gswitch_kernels::{
     expand_planned, Classification, EdgeApp, ExpandOutput, Frontier, IterStats, Status,
 };
@@ -36,73 +35,6 @@ pub mod fault_site {
     /// sentinel exists to catch. The reference shape is exempt, so the
     /// sentinel's pinned fallback genuinely recovers.
     pub const FRONTIER_CORRUPT: &str = "frontier::corrupt";
-}
-
-/// Which patterns the Selector may actually switch — the ablation knob
-/// behind Fig. 16 ("incremental performance of GSWITCH"). A masked
-/// pattern is pinned to the static baseline candidate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PatternMask {
-    /// P1 direction switching enabled.
-    pub direction: bool,
-    /// P2 active-set format switching enabled.
-    pub format: bool,
-    /// P3 load-balance switching enabled.
-    pub load_balance: bool,
-    /// P4 stepping enabled.
-    pub stepping: bool,
-    /// P5 fusion enabled.
-    pub fusion: bool,
-}
-
-impl PatternMask {
-    /// Everything on (production configuration).
-    pub fn all() -> Self {
-        Self::up_to(5)
-    }
-
-    /// Everything off: the non-switching "GSWITCH baseline" of Fig. 16.
-    pub fn none() -> Self {
-        Self::up_to(0)
-    }
-
-    /// Enable patterns P1..=Pk in the paper's numbering (Fig. 16's
-    /// incremental bars): `up_to(0)` = baseline, `up_to(5)` = all.
-    pub fn up_to(k: usize) -> Self {
-        PatternMask {
-            direction: k >= 1,
-            format: k >= 2,
-            load_balance: k >= 3,
-            stepping: k >= 4,
-            fusion: k >= 5,
-        }
-    }
-
-    /// Pin masked-off patterns to the baseline candidates.
-    pub fn apply(&self, mut cfg: KernelConfig) -> KernelConfig {
-        if !self.direction {
-            cfg.direction = Direction::Push;
-        }
-        if !self.format {
-            cfg.format = AsFormat::UnsortedQueue;
-        }
-        if !self.load_balance {
-            cfg.lb = LoadBalance::Strict;
-        }
-        if !self.stepping {
-            cfg.stepping = SteppingDelta::Remain;
-        }
-        if !self.fusion {
-            cfg.fusion = Fusion::Standalone;
-        }
-        cfg
-    }
-}
-
-impl Default for PatternMask {
-    fn default() -> Self {
-        PatternMask::all()
-    }
 }
 
 /// Engine configuration.
@@ -339,7 +271,7 @@ pub fn run<A: EdgeApp>(g: &Graph, app: &A, policy: &dyn Policy, opts: &EngineOpt
 /// configuration.
 ///
 /// When `seed` is `Some`, the first super-step executes the seed
-/// configuration (masked and clamped like any decision) instead of
+/// configuration (legalised like any decision) instead of
 /// consulting the policy, and the decision history is primed as if the
 /// seed had already run a stable streak — so the Fig. 10 stability
 /// bypass can keep it from the second iteration on. The policy regains
@@ -368,7 +300,7 @@ pub fn run_with_seed_config<A: EdgeApp>(
 }
 
 /// What is fixed for a whole run; `reference` is the shape every app can
-/// run (what the divergence sentinel pins to), legalized like the `seed`.
+/// run (what the divergence sentinel pins to), legalised like the `seed`.
 struct RunEnv<'a> {
     policy: &'a dyn Policy,
     caps: AppCaps,
@@ -516,7 +448,7 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
     let caps = AppCaps::of::<L>();
     // Like any decision, so a config cached under a different mask or
     // app cannot smuggle in an illegal shape.
-    let legal = |c| caps.clamp(opts.mask.apply(c));
+    let legal = |c| caps.legalise(opts.mask, c);
     let reference = legal(KernelConfig::push_baseline());
     let run = RunEnv { policy, caps, opts, seed: seed.map(legal), reference };
     for lane in lanes.iter_mut() {
@@ -727,7 +659,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         self.hist.ctx.iteration = iteration;
         (self.step_span, self.select_ms, self.stepping) = (step_span, 0.0, SteppingDelta::Remain);
         // P4 must precede classification: the threshold feeds `filter`.
-        if run.caps.priority_driven && run.opts.mask.stepping {
+        if run.caps.steps(run.opts.mask) {
             let t0 = self.spans.clock().now_ns();
             self.stepping = run.policy.decide_stepping(&self.hist.ctx, &run.caps);
             self.charge_select(t0);
@@ -787,8 +719,10 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
             self.charge_select(t0);
             (config, true, Provenance::Decided)
         };
+        // P4 was chosen before classification; the policy only proposed
+        // the other four, and the one legality rule has the last word.
         config.stepping = self.stepping;
-        (run.caps.clamp(run.opts.mask.apply(config)), decided, provenance)
+        (run.caps.legalise(run.opts.mask, config), decided, provenance)
     }
 
     /// Selector → Executor → feedback: this lane's super-step after the
@@ -1061,6 +995,7 @@ pub(crate) mod tests {
     use crate::policy::{AutoPolicy, StaticPolicy};
     use gswitch_graph::{gen, GraphBuilder, VertexId};
     use gswitch_kernels::atomics::AtomicArray;
+    use gswitch_kernels::pattern::{AsFormat, Fusion, LoadBalance};
     use gswitch_kernels::{classify, materialize};
 
     /// Minimal BFS app, shared by the engine, sharded and oracle tests.
@@ -1116,6 +1051,27 @@ pub(crate) mod tests {
         }
         fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
             true // a status moves with a claimed level or off the ended one
+        }
+    }
+
+    /// An inert priority-driven (and, by default, duplicate-tolerant) app:
+    /// every candidate is legal for it.
+    pub(crate) struct Stepped;
+
+    impl EdgeApp for Stepped {
+        type Msg = u32;
+        const PRIORITY_DRIVEN: bool = true;
+        fn filter(&self, _v: VertexId) -> Status {
+            Status::Fixed
+        }
+        fn emit(&self, _u: VertexId, _w: u32) -> u32 {
+            0
+        }
+        fn comp_atomic(&self, _d: VertexId, _m: u32) -> bool {
+            false
+        }
+        fn comp(&self, _d: VertexId, _m: u32) -> bool {
+            false
         }
     }
 

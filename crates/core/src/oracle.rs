@@ -12,13 +12,12 @@
 
 use crate::engine::{classify_rescuing, EngineOptions};
 use crate::features::History;
-use crate::policy::AppCaps;
 use gswitch_graph::Graph;
 use gswitch_kernels::expand::{analytic_pull_profile, analytic_push_profile};
 use gswitch_kernels::filter::materialize_cost;
 use gswitch_kernels::lb::{edge_costs, price_all};
 use gswitch_kernels::pattern::{
-    AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
+    AppCaps, AsFormat, Direction, Fusion, KernelConfig, LoadBalance, PatternMask, SteppingDelta,
 };
 use gswitch_kernels::{expand, Classification, EdgeApp, Status};
 use gswitch_ml::{FeatureDb, Labels, Record};
@@ -177,7 +176,8 @@ pub fn oracle_run<A: EdgeApp>(
     benchmark: &str,
     opts: &OracleOptions,
 ) -> OracleOutcome {
-    let caps = AppCaps::of::<A>();
+    // Labelling lets every pattern vary that the app permits.
+    let (caps, mask) = (AppCaps::of::<A>(), PatternMask::all());
     let spec = &opts.device;
     let mut outcome = OracleOutcome::default();
     let mut hist = History::new(*g.stats());
@@ -194,7 +194,7 @@ pub fn oracle_run<A: EdgeApp>(
 
         // P4: the oracle applies the paper's ±35% rule and labels with it
         // (the trained tree learns to reproduce the rule from features).
-        let stepping = if caps.priority_driven {
+        let stepping = if caps.steps(mask) {
             let s = hist.ctx.stepping_by_rule();
             app.adjust_priority(s);
             s
@@ -243,16 +243,18 @@ pub fn oracle_run<A: EdgeApp>(
         };
         // Per-pattern labels: each candidate's best time with the other
         // pattern free.
-        let lb_label = [LoadBalance::Twc, LoadBalance::Wm, LoadBalance::Cm, LoadBalance::Strict]
-            .into_iter()
+        let lb_label = LoadBalance::ALL
+            .iter()
+            .copied()
             .min_by(|&a, &b| {
                 let ta = min_time(chosen_prices, |(_, lb, _)| *lb == a);
                 let tb = min_time(chosen_prices, |(_, lb, _)| *lb == b);
                 ta.total_cmp(&tb)
             })
             .unwrap_or(LoadBalance::Twc);
-        let fmt_label = [AsFormat::Bitmap, AsFormat::UnsortedQueue, AsFormat::SortedQueue]
-            .into_iter()
+        let fmt_label = AsFormat::ALL
+            .iter()
+            .copied()
             .min_by(|&a, &b| {
                 let ta = min_time(chosen_prices, |(f, _, _)| *f == a);
                 let tb = min_time(chosen_prices, |(f, _, _)| *f == b);
@@ -262,8 +264,7 @@ pub fn oracle_run<A: EdgeApp>(
 
         // P5: fusion saves next iteration's classify+materialize+launch;
         // it costs the duplicate ratio on the expand side.
-        let fusion_applicable = KernelConfig::fusion_legal(caps.dup_tolerant, direction);
-        let fusion_label = if fusion_applicable {
+        let fusion_label = if caps.fuses(mask, direction) {
             let mat_ms = spec.kernel_time_ms(&materialize_cost(
                 best.0,
                 g.num_vertices(),
@@ -283,28 +284,16 @@ pub fn oracle_run<A: EdgeApp>(
 
         // Record features + labels before executing.
         let features = hist.ctx.features(direction);
+        let label = KernelConfig {
+            direction,
+            format: fmt_label,
+            lb: lb_label,
+            stepping,
+            fusion: fusion_label,
+        };
         outcome.records.push(Record {
             features,
-            labels: Labels {
-                direction: Some((direction == Direction::Pull) as u8),
-                format: Some(match fmt_label {
-                    AsFormat::Bitmap => 0,
-                    AsFormat::UnsortedQueue => 1,
-                    AsFormat::SortedQueue => 2,
-                }),
-                load_balance: Some(match lb_label {
-                    LoadBalance::Twc => 0,
-                    LoadBalance::Wm => 1,
-                    LoadBalance::Cm => 2,
-                    LoadBalance::Strict => 3,
-                }),
-                stepping: caps.priority_driven.then_some(match stepping {
-                    SteppingDelta::Increase => 0,
-                    SteppingDelta::Decrease => 1,
-                    SteppingDelta::Remain => 2,
-                }),
-                fusion: fusion_applicable.then_some((fusion_label == Fusion::Fused) as u8),
-            },
+            labels: labels_of(label, caps, mask),
             benchmark: benchmark.to_string(),
             graph: g.name().to_string(),
         });
@@ -339,6 +328,19 @@ pub fn oracle_run<A: EdgeApp>(
         };
     }
     outcome
+}
+
+/// Each pattern's class index in `label`, or `None` where `caps` and
+/// `mask` leave the pattern no choice (the trees learn only real ones).
+fn labels_of(label: KernelConfig, caps: AppCaps, mask: PatternMask) -> Labels {
+    let class = |k: usize| Some(k as u8);
+    Labels {
+        direction: class(label.direction.class()),
+        format: class(label.format.class()),
+        load_balance: class(label.lb.class()),
+        stepping: class(label.stepping.class()).filter(|_| caps.steps(mask)),
+        fusion: class(label.fusion.class()).filter(|_| caps.fuses(mask, label.direction)),
+    }
 }
 
 fn min_time(
@@ -444,6 +446,112 @@ mod tests {
         let names: std::collections::HashSet<_> =
             db.records.iter().map(|r| r.graph.clone()).collect();
         assert_eq!(names.len(), 3);
+    }
+
+    /// The candidate space is defined once. For each of the 144
+    /// configurations: trees that predict the oracle's labels make
+    /// `ModelPolicy` propose the configuration back (up to legality — the
+    /// oracle labels only what the app lets vary), and a trace line
+    /// carries it exactly; the ml crate's class metadata follows `ALL`.
+    #[test]
+    fn every_candidate_round_trips_through_labels_trees_and_trace_lines() {
+        use crate::engine::tests::Stepped;
+        use crate::policy::{ModelPolicy, Policy};
+        use gswitch_ml::{DecisionTree, Pattern, TrainParams, FEATURE_COUNT};
+        use gswitch_obs::{Provenance, StampedEvent, TraceEvent};
+
+        // `UnsortedQueue` is class name "unsorted_queue".
+        fn snake<T: std::fmt::Debug>(all: &[T]) -> Vec<String> {
+            let snake = |s: String| {
+                s.char_indices().fold(String::new(), |mut out, (i, c)| {
+                    if i > 0 && c.is_uppercase() {
+                        out.push('_');
+                    }
+                    out.push(c.to_ascii_lowercase());
+                    out
+                })
+            };
+            all.iter().map(|c| snake(format!("{c:?}"))).collect()
+        }
+        for (pattern, names) in [
+            (Pattern::Direction, snake(Direction::ALL)),
+            (Pattern::Format, snake(AsFormat::ALL)),
+            (Pattern::LoadBalance, snake(LoadBalance::ALL)),
+            (Pattern::Stepping, snake(SteppingDelta::ALL)),
+            (Pattern::Fusion, snake(Fusion::ALL)),
+        ] {
+            assert_eq!(pattern.n_classes(), names.len(), "{pattern:?}");
+            assert_eq!(pattern.class_names(), names, "{pattern:?}");
+        }
+
+        // A tree that answers `class` whatever it is shown.
+        let constant = |class: u8| {
+            let rows = [vec![0.0; FEATURE_COUNT]];
+            DecisionTree::train(&rows, &[class as usize], TrainParams::default()).unwrap()
+        };
+        let (caps, mask) = (AppCaps::of::<Stepped>(), PatternMask::all());
+        let mut ctx = History::new(*gen::erdos_renyi(50, 100, 1).stats()).ctx;
+        ctx.stats.pull.vertices = 1; // a pull has receivers
+        let event = TraceEvent {
+            iteration: 3,
+            config: KernelConfig::default(),
+            provenance: Provenance::Decided,
+            predicted_ms: 1.5,
+            measured_ms: 2.0,
+            filter_ms: 0.5,
+            overhead_ms: 0.05,
+            v_active: 10,
+            e_active: 80,
+            edges_touched: 75,
+            activations: 40,
+            duplicates: 3,
+            task_total_cycles: 1000.0,
+            task_max_cycles: 250.0,
+            task_count: 8,
+            features: [0.25; FEATURE_COUNT],
+            shard: None,
+        };
+        let mut seen = std::collections::HashSet::new();
+        for shape in KernelConfig::all_shapes() {
+            for &stepping in SteppingDelta::ALL {
+                let config = KernelConfig { stepping, ..shape };
+                assert!(seen.insert(config), "{config} listed twice");
+
+                let l = labels_of(config, caps, mask);
+                let labels = [
+                    (Pattern::Direction, l.direction),
+                    (Pattern::Format, l.format),
+                    (Pattern::LoadBalance, l.load_balance),
+                    (Pattern::Stepping, l.stepping),
+                    (Pattern::Fusion, l.fusion),
+                ];
+                let mut model = ModelPolicy::empty();
+                for (pattern, label) in labels {
+                    if let Some(class) = label {
+                        model = model.with_tree(pattern, constant(class));
+                    }
+                }
+                let proposed = KernelConfig {
+                    stepping: model.decide_stepping(&ctx, &caps),
+                    ..model.decide(&ctx, &caps)
+                };
+                assert_eq!(caps.legalise(mask, proposed), caps.legalise(mask, config), "{config}");
+                if labels.iter().all(|(_, label)| label.is_some()) {
+                    assert_eq!(proposed, config, "the trees alone decided");
+                }
+
+                let line = StampedEvent {
+                    seq: 0,
+                    job: 0,
+                    graph: String::new(),
+                    algo: String::new(),
+                    event: TraceEvent { config, ..event },
+                }
+                .to_json_line();
+                assert_eq!(StampedEvent::from_json_line(&line).unwrap().event.config, config);
+            }
+        }
+        assert_eq!(seen.len(), 144, "the paper's 144 expand variants");
     }
 
     #[test]

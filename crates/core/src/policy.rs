@@ -1,58 +1,30 @@
 //! The Selector: policies mapping features to kernel configurations.
 
 use crate::features::DecisionContext;
+pub use gswitch_kernels::pattern::AppCaps;
 use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
 use gswitch_ml::{DecisionTree, Pattern, FEATURE_COUNT};
 
-/// What the running application permits, derived from its `EdgeApp`
-/// constants. The Selector must never choose an illegal candidate.
-#[derive(Clone, Copy, Debug)]
-pub struct AppCaps {
-    /// Fused frontiers allowed (duplicate-tolerant `comp`).
-    pub dup_tolerant: bool,
-    /// P4 stepping applies (monotonic algorithm with a priority window).
-    pub priority_driven: bool,
-}
-
-impl AppCaps {
-    /// Derive from an `EdgeApp` implementation.
-    pub fn of<A: gswitch_kernels::EdgeApp>() -> Self {
-        AppCaps { dup_tolerant: A::DUP_TOLERANT, priority_driven: A::PRIORITY_DRIVEN }
-    }
-
-    /// Clamp a configuration to legality: pull never fuses, non-tolerant
-    /// apps never fuse, non-priority apps never step.
-    pub fn clamp(&self, mut cfg: KernelConfig) -> KernelConfig {
-        if !KernelConfig::fusion_legal(self.dup_tolerant, cfg.direction) {
-            cfg.fusion = Fusion::Standalone;
-        }
-        if !self.priority_driven {
-            cfg.stepping = SteppingDelta::Remain;
-        }
-        cfg
-    }
-}
-
-/// A Selector backend.
+/// A Selector backend. Policies only propose: the engine runs
+/// [`AppCaps::legalise`] of every proposal, so a policy need not know
+/// what the app or the pattern mask permits.
 pub trait Policy: Send + Sync {
     /// Human-readable name for reports.
     fn name(&self) -> &str;
 
-    /// Choose the configuration for the upcoming Expand given the current
-    /// iteration's context. Implementations should already respect
-    /// `caps` (the engine clamps again defensively).
+    /// Propose the direction, format, load balance and fusion for the
+    /// upcoming Expand given the current iteration's context. The
+    /// proposal's stepping move is ignored: P4 is
+    /// [`decide_stepping`](Self::decide_stepping)'s.
     fn decide(&self, ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig;
 
     /// Choose the stepping move *before* classification (the threshold
-    /// feeds the filter predicate). Defaults to the paper's ±35% rule.
-    fn decide_stepping(&self, ctx: &DecisionContext, caps: &AppCaps) -> SteppingDelta {
-        if caps.priority_driven {
-            ctx.stepping_by_rule()
-        } else {
-            SteppingDelta::Remain
-        }
+    /// feeds the filter predicate). The engine asks only where stepping
+    /// applies. Defaults to the paper's ±35% rule.
+    fn decide_stepping(&self, ctx: &DecisionContext, _caps: &AppCaps) -> SteppingDelta {
+        ctx.stepping_by_rule()
     }
 }
 
@@ -75,15 +47,11 @@ impl Policy for StaticPolicy {
     fn name(&self) -> &str {
         "static"
     }
-    fn decide(&self, _ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig {
-        caps.clamp(self.config)
+    fn decide(&self, _ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
+        self.config
     }
-    fn decide_stepping(&self, _ctx: &DecisionContext, caps: &AppCaps) -> SteppingDelta {
-        if caps.priority_driven {
-            self.config.stepping
-        } else {
-            SteppingDelta::Remain
-        }
+    fn decide_stepping(&self, _ctx: &DecisionContext, _caps: &AppCaps) -> SteppingDelta {
+        self.config.stepping
     }
 }
 
@@ -138,14 +106,11 @@ impl AutoPolicy {
         }
     }
 
-    fn fusion(ctx: &DecisionContext, direction: Direction, caps: &AppCaps) -> Fusion {
+    fn fusion(ctx: &DecisionContext) -> Fusion {
         // Fig. 12(f): fused kernels win on regular (low-Gini) graphs with
         // small stable frontiers — road networks — where launch overhead
         // dominates and duplicates are rare.
-        if KernelConfig::fusion_legal(caps.dup_tolerant, direction)
-            && ctx.graph.gini < 0.30
-            && ctx.active_vertex_ratio() < 0.05
-            && ctx.stats.e_active < 1 << 18
+        if ctx.graph.gini < 0.30 && ctx.active_vertex_ratio() < 0.05 && ctx.stats.e_active < 1 << 18
         {
             Fusion::Fused
         } else {
@@ -159,14 +124,13 @@ impl Policy for AutoPolicy {
         "auto-rules"
     }
 
-    fn decide(&self, ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig {
-        // Decision order P1 → P3 → P2 → P4 → P5 (§4.5).
+    fn decide(&self, ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
+        // Decision order P1 → P3 → P2 → P5 (§4.5); P4 precedes them all.
         let direction = Self::direction(ctx);
         let lb = Self::load_balance(ctx, direction);
         let format = Self::format(ctx, direction);
-        let stepping = self.decide_stepping(ctx, caps);
-        let fusion = Self::fusion(ctx, direction, caps);
-        caps.clamp(KernelConfig { direction, format, lb, stepping, fusion })
+        let fusion = Self::fusion(ctx);
+        KernelConfig { direction, format, lb, stepping: SteppingDelta::Remain, fusion }
     }
 }
 
@@ -473,69 +437,44 @@ impl Policy for ModelPolicy {
         "cart-model"
     }
 
-    fn decide(&self, ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig {
+    fn decide(&self, ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
         // P1 decides on push-side workload features (cd/r_cd are defined
         // only once a workload side is chosen; the paper breaks the cycle
         // the same way by ordering P1 first).
         let mut push_features = ctx.features(Direction::Push);
         self.clamp_features(&mut push_features);
-        let direction = match &self.direction {
-            Some(t) => match t.predict(&push_features) {
-                1 if ctx.stats.pull.vertices > 0 => Direction::Pull,
-                _ => Direction::Push,
-            },
+        let direction = match predicted(&self.direction, Direction::ALL, &push_features) {
+            Some(Direction::Pull) if ctx.stats.pull.vertices == 0 => Direction::Push,
+            Some(d) => d,
             None => AutoPolicy::direction(ctx),
         };
         let mut features = ctx.features(direction);
         self.clamp_features(&mut features);
-        let lb = match &self.load_balance {
-            Some(t) => match t.predict(&features) {
-                0 => LoadBalance::Twc,
-                1 => LoadBalance::Wm,
-                2 => LoadBalance::Cm,
-                _ => LoadBalance::Strict,
-            },
-            None => AutoPolicy::load_balance(ctx, direction),
-        };
-        let format = match &self.format {
-            Some(t) => match t.predict(&features) {
-                0 => AsFormat::Bitmap,
-                2 => AsFormat::SortedQueue,
-                _ => AsFormat::UnsortedQueue,
-            },
-            None => AutoPolicy::format(ctx, direction),
-        };
-        let stepping = self.decide_stepping(ctx, caps);
-        let fusion = match &self.fusion {
-            Some(t) if KernelConfig::fusion_legal(caps.dup_tolerant, direction) => {
-                match t.predict(&features) {
-                    1 => Fusion::Fused,
-                    _ => Fusion::Standalone,
-                }
-            }
-            Some(_) => Fusion::Standalone,
-            None => AutoPolicy::fusion(ctx, direction, caps),
-        };
-        caps.clamp(KernelConfig { direction, format, lb, stepping, fusion })
+        let lb = predicted(&self.load_balance, LoadBalance::ALL, &features)
+            .unwrap_or_else(|| AutoPolicy::load_balance(ctx, direction));
+        let format = predicted(&self.format, AsFormat::ALL, &features)
+            .unwrap_or_else(|| AutoPolicy::format(ctx, direction));
+        let fusion = predicted(&self.fusion, Fusion::ALL, &features)
+            .unwrap_or_else(|| AutoPolicy::fusion(ctx));
+        KernelConfig { direction, format, lb, stepping: SteppingDelta::Remain, fusion }
     }
 
-    fn decide_stepping(&self, ctx: &DecisionContext, caps: &AppCaps) -> SteppingDelta {
-        if !caps.priority_driven {
-            return SteppingDelta::Remain;
+    fn decide_stepping(&self, ctx: &DecisionContext, _caps: &AppCaps) -> SteppingDelta {
+        if self.stepping.is_none() {
+            return ctx.stepping_by_rule();
         }
-        match &self.stepping {
-            Some(t) => {
-                let mut features = ctx.features(Direction::Push);
-                self.clamp_features(&mut features);
-                match t.predict(&features) {
-                    0 => SteppingDelta::Increase,
-                    1 => SteppingDelta::Decrease,
-                    _ => SteppingDelta::Remain,
-                }
-            }
-            None => ctx.stepping_by_rule(),
-        }
+        let mut features = ctx.features(Direction::Push);
+        self.clamp_features(&mut features);
+        predicted(&self.stepping, SteppingDelta::ALL, &features)
+            .unwrap_or_else(|| ctx.stepping_by_rule())
     }
+}
+
+/// The candidate `tree` predicts: its class index into `all`, the
+/// pattern's class table. `None` — fall back to the rule — when no tree
+/// is installed or it names no candidate.
+fn predicted<T: Copy>(tree: &Option<DecisionTree>, all: &[T], features: &[f64]) -> Option<T> {
+    tree.as_ref().and_then(|t| all.get(t.predict(features)).copied())
 }
 
 #[cfg(test)]
@@ -546,7 +485,7 @@ mod tests {
     use gswitch_ml::TrainParams;
 
     fn caps() -> AppCaps {
-        AppCaps { dup_tolerant: true, priority_driven: false }
+        AppCaps::default()
     }
 
     fn ctx(v_active: u64, e_active: u64, e_inactive: u64) -> DecisionContext {
@@ -609,7 +548,7 @@ mod tests {
 
     #[test]
     fn clamp_blocks_illegal_candidates() {
-        let caps = AppCaps { dup_tolerant: false, priority_driven: false };
+        // A policy proposes what it is pinned to; legality is the engine's.
         let cfg = KernelConfig {
             direction: Direction::Push,
             format: AsFormat::Bitmap,
@@ -617,7 +556,8 @@ mod tests {
             stepping: SteppingDelta::Increase,
             fusion: Fusion::Fused,
         };
-        let c = caps.clamp(cfg);
+        assert_eq!(StaticPolicy::new(cfg).decide(&ctx(5, 10, 100), &caps()), cfg);
+        let c = caps().legalise(gswitch_kernels::pattern::PatternMask::all(), cfg);
         assert_eq!(c.fusion, Fusion::Standalone);
         assert_eq!(c.stepping, SteppingDelta::Remain);
     }

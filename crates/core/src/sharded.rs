@@ -298,9 +298,8 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
     const PULL_EARLY_EXIT: bool = A::PULL_EARLY_EXIT;
     const DUP_TOLERANT: bool = A::DUP_TOLERANT;
     const NEEDS_WEIGHTS: bool = A::NEEDS_WEIGHTS;
-    // The driver rejects priority-driven apps up front; the view never
-    // advertises the capability so per-shard selectors cannot step.
-    const PRIORITY_DRIVEN: bool = false;
+    // PRIORITY_DRIVEN stays at its default (false): the driver rejects
+    // priority-driven apps up front, and its mask pins stepping off.
 
     fn filter(&self, v: VertexId) -> Status {
         if self.shard.is_halo(v) {
@@ -443,7 +442,7 @@ pub fn run_sharded<A: EdgeApp>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::Bfs;
+    use crate::engine::tests::{Bfs, Stepped};
     use crate::engine::{run, EngineOptions};
     use crate::policy::{AutoPolicy, StaticPolicy};
     use gswitch_graph::{gen, Graph, GraphBuilder};
@@ -460,25 +459,6 @@ mod tests {
                 panic!("boom at vertex 3");
             }
             Status::Active
-        }
-        fn emit(&self, _u: VertexId, _w: u32) -> u32 {
-            0
-        }
-        fn comp_atomic(&self, _d: VertexId, _m: u32) -> bool {
-            false
-        }
-        fn comp(&self, _d: VertexId, _m: u32) -> bool {
-            false
-        }
-    }
-
-    /// A priority-driven stub, to prove the contract check.
-    struct Stepped;
-    impl EdgeApp for Stepped {
-        type Msg = u32;
-        const PRIORITY_DRIVEN: bool = true;
-        fn filter(&self, _v: VertexId) -> Status {
-            Status::Fixed
         }
         fn emit(&self, _u: VertexId, _w: u32) -> u32 {
             0
@@ -665,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn priority_driven_apps_are_rejected() {
+    fn stepping_apps_are_rejected() {
         let g = GraphBuilder::new(4).edges([(0, 1), (1, 2)]).build();
         let sharded = ShardedCsr::partition(&g, 2).expect("partition");
         let err = run_sharded(&sharded, &Stepped, &AutoPolicy, &ShardedOptions::default())

@@ -7,8 +7,10 @@
 //! via rayon, with every variant exactly instrumented for the
 //! `gswitch-simt` pricing model:
 //!
-//! * [`pattern`] — the candidate enums of the five patterns and the
-//!   [`pattern::KernelConfig`] tuple the Selector chooses each iteration.
+//! * [`pattern`] — the candidate enums of the five patterns (class order
+//!   and trace wire names), the [`pattern::KernelConfig`] tuple the
+//!   Selector chooses each iteration, and the one legality rule
+//!   ([`pattern::AppCaps::legalise`]) every configuration passes.
 //! * [`app`] — the [`EdgeApp`] trait (`filter`/`emit`/`comp`/`comp_atomic`
 //!   plus the `prepare` "Apply/Update" hook folded into Filter, §2.1).
 //! * [`atomics`] — lock-free vertex-value arrays (`u32`/`u64`/`f32`/`f64`)

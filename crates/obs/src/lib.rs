@@ -51,5 +51,5 @@ pub use summary::{
     parse_jsonl, resilience_summary, summarize, DirectionFlip, LbStats, ParsedTrace, TraceSummary,
 };
 pub use trace::{
-    names, NullRecorder, Provenance, Recorder, RecorderHandle, StampedEvent, TraceEvent, TraceRing,
+    NullRecorder, Provenance, Recorder, RecorderHandle, StampedEvent, TraceEvent, TraceRing,
 };

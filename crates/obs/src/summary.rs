@@ -3,7 +3,7 @@
 //! direction-flip timeline, prediction quality and regret, and
 //! load-balance imbalance per strategy.
 
-use crate::trace::{names, StampedEvent};
+use crate::trace::StampedEvent;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -206,8 +206,8 @@ pub fn summarize(events: &[StampedEvent]) -> TraceSummary {
                 s.flips.push(DirectionFlip {
                     job: ev.job,
                     iteration: e.iteration,
-                    from: names::direction(p.direction),
-                    to: names::direction(c.direction),
+                    from: p.direction.wire(),
+                    to: c.direction.wire(),
                 });
             }
             if p.format != c.format {
@@ -254,7 +254,7 @@ pub fn summarize(events: &[StampedEvent]) -> TraceSummary {
             regrets_ms.push(regret);
         }
 
-        let entry = lb_sums.entry(names::lb(e.config.lb)).or_insert((0, 0.0, 0.0));
+        let entry = lb_sums.entry(e.config.lb.wire()).or_insert((0, 0.0, 0.0));
         entry.0 += 1;
         let imb = e.imbalance();
         entry.1 += imb;

@@ -62,96 +62,6 @@ impl Provenance {
     }
 }
 
-/// Wire names for the five pattern dimensions.
-pub mod names {
-    use super::*;
-
-    /// Direction → wire name.
-    pub fn direction(d: Direction) -> &'static str {
-        match d {
-            Direction::Push => "push",
-            Direction::Pull => "pull",
-        }
-    }
-
-    /// Active-set format → wire name.
-    pub fn format(f: AsFormat) -> &'static str {
-        match f {
-            AsFormat::Bitmap => "bitmap",
-            AsFormat::UnsortedQueue => "queue",
-            AsFormat::SortedQueue => "sorted",
-        }
-    }
-
-    /// Load balancer → wire name.
-    pub fn lb(l: LoadBalance) -> &'static str {
-        match l {
-            LoadBalance::Twc => "twc",
-            LoadBalance::Wm => "wm",
-            LoadBalance::Cm => "cm",
-            LoadBalance::Strict => "strict",
-        }
-    }
-
-    /// Stepping move → wire name.
-    pub fn stepping(s: SteppingDelta) -> &'static str {
-        match s {
-            SteppingDelta::Increase => "increase",
-            SteppingDelta::Decrease => "decrease",
-            SteppingDelta::Remain => "remain",
-        }
-    }
-
-    /// Fusion mode → wire name.
-    pub fn fusion(f: Fusion) -> &'static str {
-        match f {
-            Fusion::Standalone => "standalone",
-            Fusion::Fused => "fused",
-        }
-    }
-
-    /// Parse a full config from the five wire names.
-    pub fn parse_config(
-        direction: &str,
-        format: &str,
-        lb: &str,
-        stepping: &str,
-        fusion: &str,
-    ) -> Option<KernelConfig> {
-        Some(KernelConfig {
-            direction: match direction {
-                "push" => Direction::Push,
-                "pull" => Direction::Pull,
-                _ => return None,
-            },
-            format: match format {
-                "bitmap" => AsFormat::Bitmap,
-                "queue" => AsFormat::UnsortedQueue,
-                "sorted" => AsFormat::SortedQueue,
-                _ => return None,
-            },
-            lb: match lb {
-                "twc" => LoadBalance::Twc,
-                "wm" => LoadBalance::Wm,
-                "cm" => LoadBalance::Cm,
-                "strict" => LoadBalance::Strict,
-                _ => return None,
-            },
-            stepping: match stepping {
-                "increase" => SteppingDelta::Increase,
-                "decrease" => SteppingDelta::Decrease,
-                "remain" => SteppingDelta::Remain,
-                _ => return None,
-            },
-            fusion: match fusion {
-                "standalone" => Fusion::Standalone,
-                "fused" => Fusion::Fused,
-                _ => return None,
-            },
-        })
-    }
-}
-
 /// Everything one engine super-step tells the observability layer.
 /// `Copy`, heap-free: building one costs a struct copy and nothing else.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -288,11 +198,11 @@ impl StampedEvent {
             "graph": self.graph,
             "algo": self.algo,
             "iter": e.iteration,
-            "direction": names::direction(e.config.direction),
-            "format": names::format(e.config.format),
-            "lb": names::lb(e.config.lb),
-            "stepping": names::stepping(e.config.stepping),
-            "fusion": names::fusion(e.config.fusion),
+            "direction": e.config.direction.wire(),
+            "format": e.config.format.wire(),
+            "lb": e.config.lb.wire(),
+            "stepping": e.config.stepping.wire(),
+            "fusion": e.config.fusion.wire(),
             "provenance": e.provenance.as_str(),
             "predicted_ms": e.predicted_ms,
             "measured_ms": e.measured_ms,
@@ -320,16 +230,14 @@ impl StampedEvent {
             |k: &str| wire::uint(&v, k),
             |k: &str| wire::float(&v, k),
         );
-        let config = names::parse_config(
-            s("direction")?,
-            s("format")?,
-            s("lb")?,
-            s("stepping")?,
-            s("fusion")?,
-        )
-        .ok_or("unrecognized pattern value")?;
-        let provenance =
-            Provenance::parse(s("provenance")?).ok_or("unrecognized provenance value")?;
+        let config = KernelConfig {
+            direction: wire::named(&v, "direction", Direction::from_wire)?,
+            format: wire::named(&v, "format", AsFormat::from_wire)?,
+            lb: wire::named(&v, "lb", LoadBalance::from_wire)?,
+            stepping: wire::named(&v, "stepping", SteppingDelta::from_wire)?,
+            fusion: wire::named(&v, "fusion", Fusion::from_wire)?,
+        };
+        let provenance = wire::named(&v, "provenance", Provenance::parse)?;
         let mut features = [0.0; FEATURE_COUNT];
         let arr = v.get("features").and_then(Value::as_array).ok_or("missing `features`")?;
         if arr.len() != FEATURE_COUNT {

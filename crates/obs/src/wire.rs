@@ -45,6 +45,13 @@ pub(crate) fn string<'a>(v: &'a Value, k: &str) -> Result<&'a str, String> {
     v.get(k).and_then(Value::as_str).ok_or_else(|| format!("missing string field `{k}`"))
 }
 
+/// String field `k` holding a wire name, read back by `parse` (a pattern
+/// candidate's `from_wire`, `Provenance::parse`).
+pub(crate) fn named<T>(v: &Value, k: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+    let name = string(v, k)?;
+    parse(name).ok_or_else(|| format!("unrecognized `{k}` value {name:?}"))
+}
+
 /// Optional `shard` tag: absent in whole-graph records and in traces
 /// written before partitioned execution.
 pub(crate) fn shard(v: &Value) -> Option<u32> {

@@ -3,9 +3,11 @@
 //! When queue occupancy stays above a high watermark, the runtime
 //! *browns out* rather than falling over: it sheds optional work to
 //! buy throughput — the divergence sentinel (`verify_every`) is
-//! suspended, per-job decision tracing is suppressed, and batch quota
-//! admission is tightened (see
-//! [`ShardService`](crate::shards::ShardService)). The `health` verb
+//! suspended and batch quota admission is tightened (see
+//! [`ShardService`](crate::shards::ShardService)). Decision tracing is
+//! not optional work here: it measures at 0.4–1.0 % of a run
+//! (`obs.trace_overhead_pct`), and degraded runs are the ones worth
+//! reading afterwards. The `health` verb
 //! reports the degraded state; normal service resumes automatically
 //! once occupancy stays below the low watermark.
 //!

@@ -35,8 +35,8 @@
 //! worker failures open the breaker and subsequent submissions fail
 //! fast with [`JobStatus::BreakerOpen`] until a cooldown probe
 //! succeeds. **Brownout** ([`Brownout`]): sustained high occupancy
-//! switches the pool to degraded mode — sentinel verification and
-//! decision tracing off — until pressure eases.
+//! switches the pool to degraded mode — sentinel verification off —
+//! until pressure eases. Decision tracing stays on: it costs about 1 %.
 
 use crate::breaker::{BreakerDecision, BreakerKey, BreakerSet};
 use crate::brownout::Brownout;
@@ -48,8 +48,7 @@ use crate::registry::GraphRegistry;
 use gswitch_core::{AutoPolicy, CancelToken, ProbeHandle, RunProbe, StopReason};
 use gswitch_obs::sync::{recover, Lock};
 use gswitch_obs::{
-    Clock, Counter, Gauge, Histogram, MetricsRegistry, RecorderHandle, SpanCtx, SpanKind,
-    SpanRecord,
+    Clock, Counter, Gauge, Histogram, MetricsRegistry, SpanCtx, SpanKind, SpanRecord,
 };
 use gswitch_simt::DeviceSpec;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -794,16 +793,12 @@ fn worker_loop(shared: &Shared, worker: u32) {
             }
         };
 
-        // Brownout sheds optional work: no decision tracing, and the
-        // divergence sentinel (a full serial re-derivation every N
-        // super-steps) is suspended until pressure eases.
-        let degraded = shared.brownout.active();
-        let recorder = if degraded {
-            RecorderHandle::none()
-        } else {
-            shared.obs.recorder_for(job.id, &job.spec.graph, job.spec.query.algo())
-        };
-        let verify_every = if degraded { 0 } else { shared.verify_every };
+        // Brownout suspends the divergence sentinel (a full serial
+        // re-derivation every N super-steps) until pressure eases.
+        // Tracing stays: it is ~1 % of a step, and a degraded run is the
+        // one an operator most wants to read.
+        let recorder = shared.obs.recorder_for(job.id, &job.spec.graph, job.spec.query.algo());
+        let verify_every = if shared.brownout.active() { 0 } else { shared.verify_every };
         // The job's cancel token doubles as its deadline probe: the
         // engine polls it each super-step, and `Scheduler::cancel` can
         // reach it through the `running` map while the job executes.

@@ -170,11 +170,7 @@ impl ShardService {
         let plan = self.store.get_or_partition(graph, k).map_err(release_neutral)?;
         let opts = BatchOptions {
             slots: self.slots,
-            recorder: if degraded {
-                gswitch_obs::RecorderHandle::none()
-            } else {
-                self.obs.recorder_for(job, graph_name, "batch")
-            },
+            recorder: self.obs.recorder_for(job, graph_name, "batch"),
             spans: gswitch_obs::SpanCtx::new(self.obs.span_collector(), 0, 0, job),
             ..BatchOptions::default()
         };

@@ -10,9 +10,8 @@
 
 use gswitch_algos::{bfs, cc, pr, Bfs, Cc, PageRank};
 use gswitch_core::{
-    run, run_sharded, AutoPolicy, EngineOptions, Fusion, GraphApp, KernelConfig, PatternMask,
-    Policy, RecorderHandle, ShardedOptions, StaticPolicy, Status, SteppingDelta, SuperStep,
-    TraceRing,
+    run, run_sharded, AppCaps, AutoPolicy, EngineOptions, GraphApp, KernelConfig, PatternMask,
+    Policy, RecorderHandle, ShardedOptions, StaticPolicy, Status, SuperStep, TraceRing,
 };
 use gswitch_graph::corpus::representatives_small;
 use gswitch_graph::shard::ShardedCsr;
@@ -145,9 +144,7 @@ fn assert_k1_matches_unsharded<A: GraphApp>(
     answer: impl Fn(&A) -> Vec<u32>,
     tag: &str,
 ) {
-    // The mask `ShardedOptions` pins: push only, no stepping, no fusion.
-    let mask =
-        PatternMask { direction: false, stepping: false, fusion: false, ..PatternMask::all() };
+    let mask = sharded_mask();
     let single_app = make();
     let single = run(g, &single_app, policy, &EngineOptions { mask, ..Default::default() });
     let single_steps: Vec<Step> = single
@@ -191,12 +188,16 @@ fn assert_k1_matches_unsharded<A: GraphApp>(
     assert_eq!(rep.exchange_total().records, 0, "{tag}: one shard has no peers");
 }
 
-/// AutoPolicy plus every push shape the sharded mask can express.
+/// The mask `ShardedOptions` pins: push only, no stepping, no fusion.
+fn sharded_mask() -> PatternMask {
+    PatternMask { direction: false, stepping: false, fusion: false, ..PatternMask::all() }
+}
+
+/// AutoPolicy plus every shape the sharded mask leaves as it is.
 fn k1_policies() -> Vec<(String, Box<dyn Policy>)> {
     let mut policies: Vec<(String, Box<dyn Policy>)> = vec![("auto".into(), Box::new(AutoPolicy))];
     for cfg in KernelConfig::all_shapes() {
-        let push = cfg.direction == gswitch_core::Direction::Push;
-        if push && cfg.fusion == Fusion::Standalone && cfg.stepping == SteppingDelta::Remain {
+        if AppCaps::default().legalise(sharded_mask(), cfg) == cfg {
             policies.push((cfg.to_string(), Box::new(StaticPolicy::new(cfg))));
         }
     }
