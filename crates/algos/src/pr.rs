@@ -193,13 +193,13 @@ mod tests {
         assert_close(&push.ranks, &pull.ranks, 1e-9, "push vs pull");
     }
 
-    /// A pull Expand big enough to run on the pool (more than 256 tasks)
-    /// is exact whatever the schedule: a row writes only its own cell and
-    /// reads nothing another row writes. Five pooled repeats agree with
-    /// each other and with the same task list walked in order on this
-    /// thread, one `comp` per edge — the output fields and every residual
-    /// bit. (The pool is sized once per process, so the sequential side is
-    /// the walk, not a smaller pool.)
+    /// A pull Expand big enough to run on the pool (`run_bucketed` pools
+    /// more than 256 tasks) is exact whatever the schedule: a row writes
+    /// only its own cell and reads nothing another row writes. Five pooled
+    /// repeats agree with each other and with the same task list walked in
+    /// order on this thread, one `comp` per edge — the output fields and
+    /// every residual bit. (The pool is sized once per process, so the
+    /// sequential side is the walk, not a smaller pool.)
     #[test]
     fn pooled_pull_expand_is_exact() {
         use gswitch_core::AsFormat;

@@ -22,8 +22,9 @@
 //! core at the parent commit; a cell is frozen only when it reproduced
 //! *and* there is an argument for why it must.
 //!
-//! * **Single graph.** The bucketed Expand runs its task list through the
-//!   vendored rayon, which stays on the calling thread up to 256 tasks.
+//! * **Single graph.** The bucketed Expand runs its task list on the
+//!   calling thread up to 256 tasks (`run_bucketed`'s own rule) and as
+//!   parts on the worker pool above that.
 //!   Below that everything is sequential and every field of every
 //!   algorithm reproduces. Above it push tasks race: BFS and BC still
 //!   reproduce (first writer claims the level, everyone else ties, so
@@ -61,8 +62,8 @@ use gswitch_graph::shard::ShardedCsr;
 use gswitch_graph::{gen, Graph};
 
 /// `(graph, cell)` pairs whose run reaches an Expand of more than 256
-/// bucketed tasks (so it runs in parallel) *and* whose trace depends on
-/// the interleaving — see the header.
+/// bucketed tasks (which `run_bucketed` cuts into pool parts) *and* whose
+/// trace depends on the interleaving — see the header.
 const PARALLEL_EXPAND: &[(&str, &str)] = &[
     ("soc-orkut", "cc/auto"),
     ("soc-orkut", "cc/fused"),

@@ -1,10 +1,12 @@
 //! Clean fixture: the parallel sweep runs as parts on the persistent
 //! pool, and only a test creates threads of its own.
 
-use rayon::prelude::*;
-
 pub fn count_active(status: &[u8]) -> usize {
-    status.par_iter().filter(|&&b| b == 1).count()
+    // Per vertex: one part per 256 vertices, on the caller up to 256.
+    let counts = gswitch_pool::ranges(status.len(), 256, |vs| {
+        status[vs].iter().filter(|&&b| b == 1).count()
+    });
+    counts.into_iter().sum()
 }
 
 #[cfg(test)]

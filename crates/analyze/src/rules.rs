@@ -11,7 +11,7 @@
 //! | `unbounded-channel` | deny | `src/` of runtime | no unbounded `mpsc::channel` — admission control is explicit |
 //! | `unbounded-collection` | warn | `src/` of runtime | a `VecDeque` queue in a file with no notion of capacity |
 //! | `untimed-hot-section` | deny | `src/` of core, kernels, runtime, shard | wall-clock reads go through the obs `Clock`, so spans/profiles see them |
-//! | `hot-path-thread-spawn` | deny | `src/` of core, kernels | parallel work goes through the persistent `rayon` pool — no OS thread is created per kernel call or per phase |
+//! | `hot-path-thread-spawn` | deny | `src/` of core, kernels | parallel work runs as `gswitch_pool` parts on the persistent pool — no OS thread is created per kernel call or per phase |
 //! | `per-edge-shared-rmw` | warn | `src/` of core, kernels, algos, shard | an `EdgeApp` per-edge callback issues no read-modify-write on a whole-app atomic — per-edge accounting moves to a per-vertex hook or the barrier |
 //! | `todo-marker` | deny | everywhere | no `todo!`/`unimplemented!`/`dbg!` ships |
 
@@ -307,8 +307,8 @@ const POOLED_CRATES: [&str; 2] = ["core", "kernels"];
 /// `thread::Builder` in non-test `src/` code of core or kernels. Creating
 /// and joining an OS thread costs tens of µs, which under a kernel call
 /// or a sharded phase is a floor beneath every super-step (ROADMAP
-/// item 1); parallel iterators and `with_max_len(1)` tasks run on the
-/// `rayon` stand-in's persistent pool instead.
+/// item 1); `gswitch_pool::parts` / `ranges` / `parts_mut` run the parts
+/// on the persistent pool instead.
 fn hot_path_thread_spawn(sf: &SourceFile, out: &mut Vec<Finding>) {
     if !sf.crate_name().is_some_and(|c| POOLED_CRATES.contains(&c)) || !sf.in_crate_src() {
         return;
@@ -331,8 +331,8 @@ fn hot_path_thread_spawn(sf: &SourceFile, out: &mut Vec<Finding>) {
                 sf.snippet(t[i].line),
                 format!(
                     "thread::{} in a kernel or engine crate — every call would pay an OS \
-                     thread's creation and join; run the work as parallel-iterator parts on the \
-                     persistent rayon pool",
+                     thread's creation and join; run the work as `gswitch_pool::parts` on the \
+                     persistent pool",
                     t[i].text
                 ),
             ));

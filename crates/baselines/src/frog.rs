@@ -11,7 +11,6 @@
 
 use gswitch_graph::{Graph, VertexId};
 use gswitch_simt::{DeviceSpec, KernelProfile, SimMs, TaskStats};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Result of a Frog-like SSSP run.
@@ -63,25 +62,31 @@ pub fn sssp_run(g: &Graph, src: VertexId, colors: usize, spec: &DeviceSpec) -> F
             if lo >= hi {
                 continue;
             }
-            let (changed, edges): (bool, u64) = (lo..hi)
-                .into_par_iter()
-                .map(|u| {
-                    let du = dist[u].load(Relaxed);
-                    if du == u32::MAX {
-                        return (false, 0u64);
+            let relax = |u: usize| {
+                let du = dist[u].load(Relaxed);
+                if du == u32::MAX {
+                    return (false, 0u64);
+                }
+                let r = csr.edge_range(u as VertexId);
+                let mut changed = false;
+                for (i, &v) in csr.neighbors(u as VertexId).iter().enumerate() {
+                    let w = ws.map(|w| w[r.start + i]).unwrap_or(1);
+                    let nd = du.saturating_add(w);
+                    if dist[v as usize].fetch_min(nd, Relaxed) > nd {
+                        changed = true;
                     }
-                    let r = csr.edge_range(u as VertexId);
-                    let mut changed = false;
-                    for (i, &v) in csr.neighbors(u as VertexId).iter().enumerate() {
-                        let w = ws.map(|w| w[r.start + i]).unwrap_or(1);
-                        let nd = du.saturating_add(w);
-                        if dist[v as usize].fetch_min(nd, Relaxed) > nd {
-                            changed = true;
-                        }
-                    }
-                    (changed, r.len() as u64)
-                })
-                .reduce(|| (false, 0), |(a, e1), (b, e2)| (a || b, e1 + e2));
+                }
+                (changed, r.len() as u64)
+            };
+            let join = |(a, e1): (bool, u64), (b, e2): (bool, u64)| (a || b, e1 + e2);
+            // Per vertex of the chunk: on the caller up to 256 vertices,
+            // else `min(threads, ⌈len / 256⌉)` parts.
+            let len = hi - lo;
+            let per = len.div_ceil(gswitch_pool::threads().min(len.div_ceil(256)).max(1));
+            let parts = gswitch_pool::ranges(len, per, |vs| {
+                vs.map(|i| relax(lo + i)).fold((false, 0), join)
+            });
+            let (changed, edges) = parts.into_iter().fold((false, 0), join);
             time_ms += spec.kernel_time_ms(&chunk_profile(edges, spec));
             any_change |= changed;
         }

@@ -11,7 +11,6 @@
 
 use gswitch_graph::{Graph, VertexId};
 use gswitch_simt::{DeviceSpec, KernelProfile, SimMs, TaskStats};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 
 /// Result of a GPUCC run.
@@ -64,44 +63,50 @@ pub fn cc_run(g: &Graph, spec: &DeviceSpec) -> GpuccResult {
     let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let mut time_ms = 0.0;
     let mut rounds = 0;
+    // Per vertex, hooking and jumping alike: on the caller up to 256
+    // vertices, else `min(threads, ⌈n / 256⌉)` parts.
+    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
 
     loop {
         rounds += 1;
         // Hooking: for each edge, attach the larger root under the
         // smaller. Min-hooking makes the final root the component minimum.
         let changed = AtomicBool::new(false);
-        let hooks: u64 = (0..n as VertexId)
-            .into_par_iter()
-            .map(|u| {
-                let mut local_hooks = 0u64;
-                for &v in g.out_csr().neighbors(u) {
-                    let pu = parent[u as usize].load(Relaxed);
-                    let pv = parent[v as usize].load(Relaxed);
-                    if pu == pv {
-                        continue;
-                    }
-                    let (hi, lo) = if pu > pv { (pu, pv) } else { (pv, pu) };
-                    // Hook only roots to keep trees shallow (Soman's
-                    // star-hooking condition).
-                    if parent[hi as usize].compare_exchange(hi, lo, Relaxed, Relaxed).is_ok() {
-                        changed.store(true, Relaxed);
-                        local_hooks += 1;
-                    }
+        let hook = |u: VertexId| {
+            let mut local_hooks = 0u64;
+            for &v in g.out_csr().neighbors(u) {
+                let pu = parent[u as usize].load(Relaxed);
+                let pv = parent[v as usize].load(Relaxed);
+                if pu == pv {
+                    continue;
                 }
-                local_hooks
-            })
-            .sum();
+                let (hi, lo) = if pu > pv { (pu, pv) } else { (pv, pu) };
+                // Hook only roots to keep trees shallow (Soman's
+                // star-hooking condition).
+                if parent[hi as usize].compare_exchange(hi, lo, Relaxed, Relaxed).is_ok() {
+                    changed.store(true, Relaxed);
+                    local_hooks += 1;
+                }
+            }
+            local_hooks
+        };
+        let hooks: u64 =
+            gswitch_pool::ranges(n, per, |vs| vs.map(|u| hook(u as VertexId)).sum::<u64>())
+                .into_iter()
+                .sum();
         time_ms += spec.kernel_time_ms(&hook_pass_profile(g, spec, hooks));
 
         // Pointer jumping to full compression.
         loop {
             let jumped = AtomicBool::new(false);
-            (0..n).into_par_iter().for_each(|v| {
-                let p = parent[v].load(Relaxed);
-                let gp = parent[p as usize].load(Relaxed);
-                if p != gp {
-                    parent[v].store(gp, Relaxed);
-                    jumped.store(true, Relaxed);
+            gswitch_pool::ranges(n, per, |vs| {
+                for v in vs {
+                    let p = parent[v].load(Relaxed);
+                    let gp = parent[p as usize].load(Relaxed);
+                    if p != gp {
+                        parent[v].store(gp, Relaxed);
+                        jumped.store(true, Relaxed);
+                    }
                 }
             });
             time_ms += spec.kernel_time_ms(&jump_pass_profile(g, spec));

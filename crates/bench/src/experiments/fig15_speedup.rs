@@ -7,7 +7,6 @@ use crate::runners::{prepare, run_gswitch, run_gunrock, Algo};
 use crate::table::{ms, Table};
 use gswitch_graph::corpus;
 use gswitch_simt::DeviceSpec;
-use rayon::prelude::*;
 use std::fmt::Write;
 
 struct Cell {
@@ -36,15 +35,13 @@ pub fn run(cfg: &ExpConfig) -> String {
             &["algo", "Gunrock avg ms", "Gswitch avg ms", "avg speedup", "% positive"],
         );
         for algo in Algo::ALL {
-            let cells: Vec<Cell> = recipes
-                .par_iter()
-                .map(|r| {
-                    let g = prepare(&r.build(), algo);
-                    let gs = run_gswitch(&g, algo, cfg.policy.as_ref(), &dev);
-                    let gr = run_gunrock(&g, algo, &dev);
-                    Cell { nnz: g.num_edges(), gswitch_ms: gs.time_ms, gunrock_ms: gr.time_ms }
-                })
-                .collect();
+            // Per graph: one part each.
+            let cells = gswitch_pool::parts(recipes.len(), |i| {
+                let g = prepare(&recipes[i].build(), algo);
+                let gs = run_gswitch(&g, algo, cfg.policy.as_ref(), &dev);
+                let gr = run_gunrock(&g, algo, &dev);
+                Cell { nnz: g.num_edges(), gswitch_ms: gs.time_ms, gunrock_ms: gr.time_ms }
+            });
             let n = cells.len() as f64;
             let g_avg = cells.iter().map(|c| c.gswitch_ms).sum::<f64>() / n;
             let r_avg = cells.iter().map(|c| c.gunrock_ms).sum::<f64>() / n;

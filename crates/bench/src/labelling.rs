@@ -8,7 +8,6 @@ use gswitch_core::oracle::{oracle_run, OracleOptions};
 use gswitch_graph::corpus;
 use gswitch_ml::FeatureDb;
 use gswitch_simt::DeviceSpec;
-use rayon::prelude::*;
 
 /// Label every `stride`-th training-set graph with all five benchmarks on
 /// `device`. `stride = 1` reproduces the paper's full 644-graph pass.
@@ -16,42 +15,40 @@ pub fn label_training_subset(stride: usize, device: &DeviceSpec) -> FeatureDb {
     let recipes: Vec<_> = corpus::training_set().into_iter().step_by(stride.max(1)).collect();
     let opts = OracleOptions { device: device.clone(), max_iterations: 10_000 };
 
-    let all: Vec<Vec<gswitch_ml::Record>> = recipes
-        .par_iter()
-        .map(|recipe| {
-            let g = recipe.build();
-            let mut records = Vec::new();
-            for algo in Algo::ALL {
-                let ga = prepare(&g, algo);
-                let src = source_of(&ga);
-                let out = match algo {
-                    Algo::Bfs => {
-                        let app = Bfs::new(ga.num_vertices(), src);
-                        oracle_run(&ga, &app, "bfs", &opts)
-                    }
-                    Algo::Cc => {
-                        let app = Cc::new(ga.num_vertices());
-                        oracle_run(&ga, &app, "cc", &opts)
-                    }
-                    Algo::Pr => {
-                        let app = PageRank::new(&ga, crate::runners::PR_TOL);
-                        oracle_run(&ga, &app, "pr", &opts)
-                    }
-                    Algo::Sssp => {
-                        let app = Sssp::new(&ga, src);
-                        oracle_run(&ga, &app, "sssp", &opts)
-                    }
-                    Algo::Bc => {
-                        // Label the forward phase (the expensive one).
-                        let app = gswitch_algos::bc::BcForward::new(ga.num_vertices(), src);
-                        oracle_run(&ga, &app, "bc", &opts)
-                    }
-                };
-                records.extend(out.records);
-            }
-            records
-        })
-        .collect();
+    // Per graph: one part each.
+    let all = gswitch_pool::parts(recipes.len(), |i| {
+        let g = recipes[i].build();
+        let mut records = Vec::new();
+        for algo in Algo::ALL {
+            let ga = prepare(&g, algo);
+            let src = source_of(&ga);
+            let out = match algo {
+                Algo::Bfs => {
+                    let app = Bfs::new(ga.num_vertices(), src);
+                    oracle_run(&ga, &app, "bfs", &opts)
+                }
+                Algo::Cc => {
+                    let app = Cc::new(ga.num_vertices());
+                    oracle_run(&ga, &app, "cc", &opts)
+                }
+                Algo::Pr => {
+                    let app = PageRank::new(&ga, crate::runners::PR_TOL);
+                    oracle_run(&ga, &app, "pr", &opts)
+                }
+                Algo::Sssp => {
+                    let app = Sssp::new(&ga, src);
+                    oracle_run(&ga, &app, "sssp", &opts)
+                }
+                Algo::Bc => {
+                    // Label the forward phase (the expensive one).
+                    let app = gswitch_algos::bc::BcForward::new(ga.num_vertices(), src);
+                    oracle_run(&ga, &app, "bc", &opts)
+                }
+            };
+            records.extend(out.records);
+        }
+        records
+    });
 
     let mut db = FeatureDb::new();
     for r in all {

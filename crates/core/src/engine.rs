@@ -14,7 +14,6 @@ use gswitch_kernels::{
 };
 use gswitch_obs::{faults, LocalSpans, Provenance, RecorderHandle, SpanCtx, SpanKind, TraceEvent};
 use gswitch_simt::{DeviceSpec, SimMs};
-use rayon::prelude::*;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -414,13 +413,8 @@ fn fan_out<I: Send, T: Send>(
     if lanes.len() == 1 || items < FAN_OUT_MIN_ITEMS {
         return out.extend(lanes.iter_mut().enumerate().map(|(s, lane)| contained(s, lane)));
     }
-    let results: Vec<_> = lanes
-        .par_chunks_mut(1)
-        .enumerate()
-        .with_max_len(1)
-        .map(|(s, lane)| contained(s, &mut lane[0]))
-        .collect();
-    out.extend(results);
+    // Per lane: one part each from `FAN_OUT_MIN_ITEMS` work items up.
+    out.extend(gswitch_pool::parts_mut(lanes, 1, |s, lane| contained(s, &mut lane[0])));
 }
 
 /// The super-step loop of Fig. 10 — inspect → "is stable?" → select →
@@ -1099,7 +1093,9 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         let job = |lane: &mut u64| {
             *lane *= 10;
-            (0..*lane * 100).into_par_iter().sum::<u64>()
+            gswitch_pool::ranges(*lane as usize * 100, 256, |r| r.sum::<usize>() as u64)
+                .into_iter()
+                .sum::<u64>()
         };
         fan_out(&mut lanes, "classify", FAN_OUT_MIN_ITEMS, job, &mut out);
         let sums: Vec<u64> = out.into_iter().map(|r| r.ok().expect("no lane failed")).collect();

@@ -22,7 +22,6 @@ use gswitch_kernels::pattern::{
 use gswitch_kernels::{expand, Classification, EdgeApp, Status};
 use gswitch_ml::{FeatureDb, Labels, Record};
 use gswitch_simt::{DeviceSpec, SimMs};
-use rayon::prelude::*;
 
 /// Oracle configuration.
 #[derive(Clone, Debug)]
@@ -66,16 +65,19 @@ pub struct DirAnalysis {
 
 /// Analyze the push workload without touching app state.
 pub fn analyze_push(g: &Graph, status: &[u8]) -> DirAnalysis {
-    let out = g.out_csr();
-    let full: Vec<u32> = (0..g.num_vertices())
-        .into_par_iter()
-        .map(|v| if status[v] == Status::Active as u8 { out.degree(v as u32) } else { 0 })
-        .collect();
-    let compact: Vec<u32> = (0..g.num_vertices())
-        .into_par_iter()
-        .filter(|&v| status[v] == Status::Active as u8)
-        .map(|v| out.degree(v as u32))
-        .collect();
+    let (out, n) = (g.out_csr(), g.num_vertices());
+    let active = |v: &usize| status[*v] == Status::Active as u8;
+    // Per vertex: on the caller up to 256 vertices, else
+    // `min(threads, ⌈n / 256⌉)` parts.
+    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
+    let full = gswitch_pool::ranges(n, per, |vs| {
+        vs.map(|v| if active(&v) { out.degree(v as u32) } else { 0 }).collect::<Vec<_>>()
+    })
+    .concat();
+    let compact = gswitch_pool::ranges(n, per, |vs| {
+        vs.filter(active).map(|v| out.degree(v as u32)).collect::<Vec<_>>()
+    })
+    .concat();
     let hits: u64 = compact.iter().map(|&d| d as u64).sum();
     let vertices = compact.len() as u64;
     DirAnalysis { compact, full, hits, vertices }
@@ -93,28 +95,31 @@ pub fn analyze_pull<A: EdgeApp>(g: &Graph, status: &[u8]) -> DirAnalysis {
             _ => Status::Fixed,
         })
     };
-    let per_vertex: Vec<(u32, u32)> = (0..g.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            if !is_receiver(v) {
-                return (0, 0);
-            }
-            let sources = incoming.neighbors(v as u32);
-            if A::PULL_EARLY_EXIT {
-                for (i, &u) in sources.iter().enumerate() {
-                    if status[u as usize] == Status::Active as u8 {
-                        return ((i + 1) as u32, 1);
-                    }
+    let scan = |v: usize| {
+        if !is_receiver(v) {
+            return (0, 0);
+        }
+        let sources = incoming.neighbors(v as u32);
+        if A::PULL_EARLY_EXIT {
+            for (i, &u) in sources.iter().enumerate() {
+                if status[u as usize] == Status::Active as u8 {
+                    return ((i + 1) as u32, 1);
                 }
-                (sources.len() as u32, 0)
-            } else {
-                let hits =
-                    sources.iter().filter(|&&u| status[u as usize] == Status::Active as u8).count()
-                        as u32;
-                (sources.len() as u32, hits)
             }
-        })
-        .collect();
+            (sources.len() as u32, 0)
+        } else {
+            let hits =
+                sources.iter().filter(|&&u| status[u as usize] == Status::Active as u8).count()
+                    as u32;
+            (sources.len() as u32, hits)
+        }
+    };
+    // Per vertex: on the caller up to 256 vertices, else
+    // `min(threads, ⌈n / 256⌉)` parts.
+    let n = g.num_vertices();
+    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
+    let per_vertex: Vec<(u32, u32)> =
+        gswitch_pool::ranges(n, per, |vs| vs.map(scan).collect::<Vec<_>>()).concat();
     let full: Vec<u32> = per_vertex.iter().map(|&(t, _)| t).collect();
     let mut compact = Vec::new();
     let mut hits = 0u64;
@@ -358,13 +363,11 @@ pub fn label_corpus<A: EdgeApp>(
     benchmark: &str,
     opts: &OracleOptions,
 ) -> FeatureDb {
-    let dbs: Vec<Vec<Record>> = graphs
-        .par_iter()
-        .map(|(_, g)| {
-            let app = make_app(g);
-            oracle_run(g, &app, benchmark, opts).records
-        })
-        .collect();
+    // Per graph: one part each.
+    let dbs = gswitch_pool::parts(graphs.len(), |i| {
+        let g = &graphs[i].1;
+        oracle_run(g, &make_app(g), benchmark, opts).records
+    });
     let mut db = FeatureDb::new();
     for records in dbs {
         db.records.extend(records);

@@ -29,7 +29,7 @@ pub enum Status {
 /// `prepare` run first over all vertices (the Filter kernel), then `emit` +
 /// `comp`/`comp_atomic` run over edges (the Expand kernel). App state must
 /// use interior mutability ([`crate::atomics`]) because kernels share the
-/// app across rayon workers.
+/// app across the worker pool's threads.
 pub trait EdgeApp: Sync {
     /// The message an active source sends along an edge (paper: `vmsg`).
     type Msg: Copy + Send;

@@ -4,7 +4,7 @@
 //! `atomicAdd`, `atomicCAS`. On the CPU we mirror them with `AtomicU32` /
 //! `AtomicU64` and bit-pattern encodings for floats. All operations use
 //! `Relaxed` ordering: kernels only need per-location atomicity inside a
-//! super-step, and the rayon join at the end of every kernel provides the
+//! super-step, and the pool's join at the end of every kernel provides the
 //! cross-thread happens-before the next step needs.
 
 use gswitch_graph::VertexId;

@@ -10,14 +10,13 @@
 
 use crate::app::{EdgeApp, Status};
 use crate::atomics::AtomicBitSet;
-use crate::bucket::WorkPlan;
+use crate::bucket::{Task, WorkPlan};
 use crate::filter::status_of;
 use crate::frontier::Frontier;
 use crate::lb::{self, EdgeCosts};
 use crate::pattern::{Direction, Fusion, KernelConfig};
 use gswitch_graph::{Graph, VertexId, Weight};
 use gswitch_simt::{DeviceSpec, KernelProfile};
-use rayon::prelude::*;
 
 /// Result of one Expand kernel.
 #[derive(Debug)]
@@ -148,8 +147,8 @@ pub fn expand_planned<A: EdgeApp>(
     }
 }
 
-/// The task count above which the pool's splitting rule
-/// (`rayon`'s 256 items per part) moves a sweep off the calling thread.
+/// Tasks a sweep runs on the calling thread: up to here a pool hand-off
+/// (a queue push and a futex wake, a few µs) costs more than it shares.
 const POOLED_TASKS: usize = 256;
 /// Parts a pooled sweep is cut into: enough that the slowest part is a
 /// few percent of the step whatever the bucket mix, few enough that the
@@ -218,33 +217,35 @@ where
         None => (plan.entries().unwrap_or(&[]), true),
     };
 
-    // Whether a task list leaves the caller is the pool's rule and stays
-    // so (more than `POOLED_TASKS` tasks). When it does, halving the list
-    // by count is the wrong cut: hub rows sit in tasks of their own at the
-    // tail, so the first half carries nearly all the edges. Many small
-    // parts instead, which the pool's claim counter hands to whichever
-    // thread is free; the accumulators still come back in task order.
+    // Per task: on the caller up to `POOLED_TASKS` tasks, else
+    // `POOLED_PARTS` parts. Halving the list by count would be the wrong
+    // cut: hub rows sit in tasks of their own at the tail, so the first
+    // half carries nearly all the edges. Many small parts instead, which
+    // the pool's claim counter hands to whichever thread is free; the
+    // accumulators still come back in task order.
     let tasks = plan.tasks();
-    let max_len =
-        if tasks.len() > POOLED_TASKS { tasks.len().div_ceil(POOLED_PARTS) } else { usize::MAX };
-    let accs: Vec<Acc> = tasks
-        .par_iter()
-        .with_max_len(max_len)
-        .map(|&t| {
-            let slots = plan.task_slots(t);
-            let mut acc = Acc::default();
-            acc.touched.reserve(slots.len());
-            if !bitmap_mode {
-                acc.bytes_read += 4 * slots.len() as u64; // queue entry reads
-            }
-            for &s in slots {
-                let v = entries[s as usize];
-                let deg = process(v, &mut acc);
-                acc.touched.push(deg);
-            }
-            acc
-        })
-        .collect();
+    let per =
+        if tasks.len() > POOLED_TASKS { tasks.len().div_ceil(POOLED_PARTS) } else { tasks.len() };
+    let run = |&t: &Task| {
+        let slots = plan.task_slots(t);
+        let mut acc = Acc::default();
+        acc.touched.reserve(slots.len());
+        if !bitmap_mode {
+            acc.bytes_read += 4 * slots.len() as u64; // queue entry reads
+        }
+        for &s in slots {
+            let v = entries[s as usize];
+            let deg = process(v, &mut acc);
+            acc.touched.push(deg);
+        }
+        acc
+    };
+    let parts: Vec<Vec<Acc>> =
+        gswitch_pool::ranges(tasks.len(), per, |r| tasks[r].iter().map(run).collect());
+    let mut accs = Vec::with_capacity(tasks.len());
+    for part in parts {
+        accs.extend(part);
+    }
 
     // Scatter per-task results back to workload order: each task's
     // `touched` is aligned with its slot sublist.

@@ -24,14 +24,21 @@ use crate::frontier::Frontier;
 use crate::pattern::{AsFormat, Direction};
 use gswitch_graph::{Csr, Graph, VertexId};
 use gswitch_simt::{DeviceSpec, KernelProfile, TaskStats};
-use rayon::prelude::*;
 
 /// Cycles a lane spends evaluating the filter predicate (a couple of
 /// compares on already-loaded data).
 const FILTER_PREDICATE_CYCLES: f64 = 6.0;
 
-/// Parallel chunk size for classification.
+/// Vertices per chunk of a per-chunk sweep; a chunk is one accumulator.
 const CHUNK: usize = 1 << 13;
+
+/// Chunks one part of a per-chunk sweep over `n` vertices takes. Per
+/// chunk: on the caller up to 256 chunks (2 Mi vertices), else
+/// `min(threads, ⌈chunks / 256⌉)` parts of whole chunks.
+fn chunks_per_part(n: usize) -> usize {
+    let chunks = n.div_ceil(CHUNK);
+    chunks.div_ceil(gswitch_pool::threads().min(chunks.div_ceil(256)).max(1))
+}
 
 /// Degree statistics of one prospective workload (Table 1: `cd`, `r_cd`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -202,8 +209,10 @@ fn compact(n: usize, member: impl Fn(VertexId) -> bool + Sync) -> Vec<VertexId> 
         let ids = ci * CHUNK..((ci + 1) * CHUNK).min(n);
         ids.map(|v| v as VertexId).filter(|&v| member(v))
     };
-    let counts: Vec<usize> =
-        (0..n.div_ceil(CHUNK)).into_par_iter().map(|ci| block(ci).count()).collect();
+    let counts = gswitch_pool::ranges(n.div_ceil(CHUNK), chunks_per_part(n), |chunks| {
+        chunks.map(|ci| block(ci).count()).collect::<Vec<_>>()
+    })
+    .concat();
     let mut q = Vec::with_capacity(counts.iter().sum());
     for (ci, &c) in counts.iter().enumerate() {
         if c != 0 {
@@ -292,19 +301,19 @@ impl<'g> Classification<'g> {
     /// Classify every vertex.
     pub fn sweep<A: EdgeApp>(&mut self, app: &A) {
         let csrs = (self.g.out_csr(), self.g.in_csr());
-        let partials: Vec<IterStats> = self
-            .status
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let base = (ci * CHUNK) as VertexId;
+        let per = chunks_per_part(self.status.len()) * CHUNK;
+        let partials = gswitch_pool::parts_mut(&mut self.status, per, |offset, part| {
+            let per_chunk = part.chunks_mut(CHUNK).enumerate().map(|(ci, chunk)| {
+                let base = (offset + ci * CHUNK) as VertexId;
                 let mut s = no_stats();
                 for (i, slot) in chunk.iter_mut().enumerate() {
                     visit(csrs, app, base + i as VertexId, slot, &mut s);
                 }
                 s
-            })
-            .collect();
+            });
+            per_chunk.collect::<Vec<_>>()
+        })
+        .concat();
 
         let mut stats = no_stats();
         for p in &partials {
@@ -506,14 +515,20 @@ fn frontier_of<A: EdgeApp>(
                     });
                     entries.len() as u64
                 }
-                None => (0..n)
-                    .into_par_iter()
-                    .filter(|&v| in_workload(v as VertexId))
-                    .map(|v| {
-                        bits.set(v as VertexId);
-                        1u64
-                    })
-                    .sum(),
+                None => {
+                    // Per vertex: on the caller up to 256 vertices, else
+                    // `min(threads, ⌈n / 256⌉)` parts.
+                    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
+                    let counts = gswitch_pool::ranges(n, per, |vs| {
+                        let mut count = 0u64;
+                        for v in vs.map(|v| v as VertexId).filter(|&v| in_workload(v)) {
+                            bits.set(v);
+                            count += 1;
+                        }
+                        count
+                    });
+                    counts.into_iter().sum()
+                }
             };
             (Frontier::Bitmap(bits), count)
         }

@@ -10,7 +10,6 @@
 
 use crate::pattern::{Direction, LoadBalance};
 use gswitch_simt::{DeviceSpec, TaskStats};
-use rayon::prelude::*;
 
 /// Per-edge cycle costs for the current direction/locality combination.
 #[derive(Clone, Copy, Debug)]
@@ -110,8 +109,33 @@ pub fn price_all(
     ]
 }
 
-/// Minimum slots per rayon chunk when pricing in parallel.
+/// Slots per pricing chunk: a part folds whole chunks.
 const PAR_CHUNK: usize = 1 << 14;
+
+/// `fold` over every `PAR_CHUNK`-slot chunk of `touched` into one
+/// accumulator per part, the parts' accumulators `merge`d in order.
+fn fold_chunks<T: Default + Send>(
+    touched: &[u32],
+    fold: impl Fn(&mut T, &[u32]) + Sync,
+    merge: impl Fn(&mut T, &T),
+) -> T {
+    // Per chunk: on the caller up to 256 chunks (4 Mi slots), else
+    // `min(threads, ⌈chunks / 256⌉)` parts of whole chunks. The part count
+    // is the `f64` summation order, so it moves only with a measurement.
+    let chunks = touched.len().div_ceil(PAR_CHUNK);
+    let parts = gswitch_pool::threads().min(chunks.div_ceil(256)).max(1);
+    let per = chunks.div_ceil(parts) * PAR_CHUNK;
+    let folds = gswitch_pool::ranges(touched.len(), per, |r| {
+        let mut acc = T::default();
+        touched[r].chunks(PAR_CHUNK).for_each(|chunk| fold(&mut acc, chunk));
+        acc
+    });
+    let merged = folds.into_iter().reduce(|mut acc, part| {
+        merge(&mut acc, &part);
+        acc
+    });
+    merged.unwrap_or_default()
+}
 
 /// TWC: degree-bucketed Thread / Warp / CTA mapping (B40C).
 ///
@@ -124,43 +148,37 @@ fn price_twc(spec: &DeviceSpec, costs: &EdgeCosts, touched: &[u32], bitmap: bool
     let warp = spec.warp_size;
     let cta = spec.cta_size;
     let wpc = spec.warps_per_cta() as u64;
-    let tasks = touched
-        .par_chunks(PAR_CHUNK)
-        .fold(TaskStats::default, |mut t, chunk| {
-            // Thread bucket: group small-degree slots 32 at a time.
-            let mut group_max = 0u32;
-            let mut group_fill = 0u32;
-            for &d in chunk {
-                if d < warp {
-                    // Inactive bitmap slots land here with d == 0.
-                    group_max = group_max.max(d);
-                    group_fill += 1;
-                    if group_fill == warp {
-                        t.add_task(group_max as f64 * costs.lane + costs.idle);
-                        group_max = 0;
-                        group_fill = 0;
-                    }
-                } else if d < cta {
-                    // Warp bucket: ceil(d / 32) lockstep steps.
-                    let steps = d.div_ceil(warp) as f64;
+    let twc = |t: &mut TaskStats, chunk: &[u32]| {
+        // Thread bucket: group small-degree slots 32 at a time.
+        let mut group_max = 0u32;
+        let mut group_fill = 0u32;
+        for &d in chunk {
+            if d < warp {
+                // Inactive bitmap slots land here with d == 0.
+                group_max = group_max.max(d);
+                group_fill += 1;
+                if group_fill == warp {
+                    t.add_task(group_max as f64 * costs.lane + costs.idle);
+                    group_max = 0;
+                    group_fill = 0;
+                }
+            } else if d < cta {
+                // Warp bucket: ceil(d / 32) lockstep steps.
+                let steps = d.div_ceil(warp) as f64;
+                t.add_task(steps * costs.lane);
+            } else {
+                // CTA bucket: each of the CTA's warps strides the list.
+                let steps = d.div_ceil(cta) as f64;
+                for _ in 0..wpc {
                     t.add_task(steps * costs.lane);
-                } else {
-                    // CTA bucket: each of the CTA's warps strides the list.
-                    let steps = d.div_ceil(cta) as f64;
-                    for _ in 0..wpc {
-                        t.add_task(steps * costs.lane);
-                    }
                 }
             }
-            if group_fill > 0 {
-                t.add_task(group_max as f64 * costs.lane + costs.idle);
-            }
-            t
-        })
-        .reduce(TaskStats::default, |mut a, b| {
-            a.merge(&b);
-            a
-        });
+        }
+        if group_fill > 0 {
+            t.add_task(group_max as f64 * costs.lane + costs.idle);
+        }
+    };
+    let tasks = fold_chunks(touched, twc, TaskStats::merge);
     let _ = bitmap; // idle lanes already carried by zero-degree slots
     LbPrice { tasks, syncs: 0, scan_elems: 0, extra_launches: 0 }
 }
@@ -170,21 +188,15 @@ fn price_twc(spec: &DeviceSpec, costs: &EdgeCosts, touched: &[u32], bitmap: bool
 fn price_wm(spec: &DeviceSpec, costs: &EdgeCosts, touched: &[u32], bitmap: bool) -> LbPrice {
     let warp = spec.warp_size as usize;
     let per_edge = costs.lane + costs.wm_extra;
-    let tasks = touched
-        .par_chunks(PAR_CHUNK)
-        .fold(TaskStats::default, |mut t, big| {
-            for chunk in big.chunks(warp) {
-                let edges: u64 = chunk.iter().map(|&d| d as u64).sum();
-                let steps = edges.div_ceil(warp as u64) as f64;
-                // A batch always pays at least the slot-scan cost.
-                t.add_task(steps * per_edge + costs.idle);
-            }
-            t
-        })
-        .reduce(TaskStats::default, |mut a, b| {
-            a.merge(&b);
-            a
-        });
+    let wm = |t: &mut TaskStats, big: &[u32]| {
+        for chunk in big.chunks(warp) {
+            let edges: u64 = chunk.iter().map(|&d| d as u64).sum();
+            let steps = edges.div_ceil(warp as u64) as f64;
+            // A batch always pays at least the slot-scan cost.
+            t.add_task(steps * per_edge + costs.idle);
+        }
+    };
+    let tasks = fold_chunks(touched, wm, TaskStats::merge);
     let _ = bitmap;
     LbPrice { tasks, syncs: 0, scan_elems: 0, extra_launches: 0 }
 }
@@ -195,30 +207,22 @@ fn price_cm(spec: &DeviceSpec, costs: &EdgeCosts, touched: &[u32], bitmap: bool)
     let cta = spec.cta_size as usize;
     let wpc = spec.warps_per_cta() as u64;
     let per_edge = costs.lane + costs.cm_extra;
-    let (tasks, syncs) = touched
-        .par_chunks(PAR_CHUNK)
-        .fold(
-            || (TaskStats::default(), 0u64),
-            |(mut t, mut syncs), big| {
-                for chunk in big.chunks(cta) {
-                    let edges: u64 = chunk.iter().map(|&d| d as u64).sum();
-                    let stages = edges.div_ceil(cta as u64);
-                    let warp_cycles = stages as f64 * per_edge + costs.idle;
-                    for _ in 0..wpc {
-                        t.add_task(warp_cycles);
-                    }
-                    syncs += stages;
-                }
-                (t, syncs)
-            },
-        )
-        .reduce(
-            || (TaskStats::default(), 0u64),
-            |(mut t, s), (t2, s2)| {
-                t.merge(&t2);
-                (t, s + s2)
-            },
-        );
+    let cm = |(t, syncs): &mut (TaskStats, u64), big: &[u32]| {
+        for chunk in big.chunks(cta) {
+            let edges: u64 = chunk.iter().map(|&d| d as u64).sum();
+            let stages = edges.div_ceil(cta as u64);
+            let warp_cycles = stages as f64 * per_edge + costs.idle;
+            for _ in 0..wpc {
+                t.add_task(warp_cycles);
+            }
+            *syncs += stages;
+        }
+    };
+    let merge = |(t, syncs): &mut (TaskStats, u64), (t2, s2): &(TaskStats, u64)| {
+        t.merge(t2);
+        *syncs += s2;
+    };
+    let (tasks, syncs) = fold_chunks(touched, cm, merge);
     let _ = bitmap;
     LbPrice { tasks, syncs, scan_elems: 0, extra_launches: 0 }
 }

@@ -4,8 +4,8 @@
 //! standalone filter kernels and 144 expand variants (§4.5) as C++
 //! templates. Here the same variant space is realised as Rust generics over
 //! an [`EdgeApp`] (the 4-function user API of Fig. 11) running on the CPU
-//! via rayon, with every variant exactly instrumented for the
-//! `gswitch-simt` pricing model:
+//! as parts on the `gswitch_pool` worker pool, with every variant exactly
+//! instrumented for the `gswitch-simt` pricing model:
 //!
 //! * [`pattern`] — the candidate enums of the five patterns (class order
 //!   and trace wire names), the [`pattern::KernelConfig`] tuple the

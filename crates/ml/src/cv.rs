@@ -2,7 +2,6 @@
 //! model accuracy; §5.4 reports the resulting per-pattern accuracies).
 
 use crate::tree::{DecisionTree, TrainParams};
-use rayon::prelude::*;
 
 /// Result of a cross-validation run.
 #[derive(Clone, Debug)]
@@ -55,37 +54,9 @@ pub fn cross_validate(
     assert_eq!(rows.len(), labels.len());
     let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
 
-    let folds: Vec<(f64, Vec<Vec<usize>>)> = (0..k)
-        .into_par_iter()
-        .map(|fold| {
-            let mut train_rows = Vec::new();
-            let mut train_labels = Vec::new();
-            let mut test_rows = Vec::new();
-            let mut test_labels = Vec::new();
-            for (i, (r, &l)) in rows.iter().zip(labels).enumerate() {
-                if i % k == fold {
-                    test_rows.push(r.clone());
-                    test_labels.push(l);
-                } else {
-                    train_rows.push(r.clone());
-                    train_labels.push(l);
-                }
-            }
-            let tree = DecisionTree::train(&train_rows, &train_labels, params)
-                .expect("cv folds are non-empty and rectangular");
-            let mut confusion = vec![vec![0usize; n_classes]; n_classes];
-            let mut hits = 0usize;
-            for (r, &l) in test_rows.iter().zip(&test_labels) {
-                let p = tree.predict(r).min(n_classes - 1);
-                confusion[l][p] += 1;
-                if p == l {
-                    hits += 1;
-                }
-            }
-            let acc = if test_rows.is_empty() { 1.0 } else { hits as f64 / test_rows.len() as f64 };
-            (acc, confusion)
-        })
-        .collect();
+    // Per fold: one part each.
+    let folds =
+        gswitch_pool::parts(k, |fold| evaluate_fold(rows, labels, n_classes, k, fold, params));
 
     let mut confusion = vec![vec![0usize; n_classes]; n_classes];
     let mut fold_accuracy = Vec::with_capacity(k);
@@ -98,6 +69,44 @@ pub fn cross_validate(
         }
     }
     CvReport { fold_accuracy, confusion, n_classes }
+}
+
+/// Train on every row but fold `fold`'s (rows `i` with `i % k == fold`),
+/// test on those: the held-out accuracy and `confusion[truth][predicted]`.
+fn evaluate_fold(
+    rows: &[Vec<f64>],
+    labels: &[usize],
+    n_classes: usize,
+    k: usize,
+    fold: usize,
+    params: TrainParams,
+) -> (f64, Vec<Vec<usize>>) {
+    let mut train_rows = Vec::new();
+    let mut train_labels = Vec::new();
+    let mut test_rows = Vec::new();
+    let mut test_labels = Vec::new();
+    for (i, (r, &l)) in rows.iter().zip(labels).enumerate() {
+        if i % k == fold {
+            test_rows.push(r.clone());
+            test_labels.push(l);
+        } else {
+            train_rows.push(r.clone());
+            train_labels.push(l);
+        }
+    }
+    let tree = DecisionTree::train(&train_rows, &train_labels, params)
+        .expect("cv folds are non-empty and rectangular");
+    let mut confusion = vec![vec![0usize; n_classes]; n_classes];
+    let mut hits = 0usize;
+    for (r, &l) in test_rows.iter().zip(&test_labels) {
+        let p = tree.predict(r).min(n_classes - 1);
+        confusion[l][p] += 1;
+        if p == l {
+            hits += 1;
+        }
+    }
+    let acc = if test_rows.is_empty() { 1.0 } else { hits as f64 / test_rows.len() as f64 };
+    (acc, confusion)
 }
 
 #[cfg(test)]
@@ -134,6 +143,28 @@ mod tests {
         assert!(rep.recall(0).unwrap() > 0.9);
         assert!(rep.recall(1).unwrap() > 0.9);
         assert!(rep.recall(7).is_none());
+    }
+
+    #[test]
+    fn pooled_folds_equal_a_fold_by_fold_serial_loop() {
+        let (rows, labels) = dataset(300);
+        for k in [2, 3, 5, 10] {
+            let rep = cross_validate(&rows, &labels, k, TrainParams::default());
+            let mut confusion = vec![vec![0usize; 2]; 2];
+            let mut accuracy = Vec::new();
+            for fold in 0..k {
+                let (acc, c) = evaluate_fold(&rows, &labels, 2, k, fold, TrainParams::default());
+                accuracy.push(acc.to_bits());
+                for (row, crow) in confusion.iter_mut().zip(&c) {
+                    for (cell, &v) in row.iter_mut().zip(crow) {
+                        *cell += v;
+                    }
+                }
+            }
+            let pooled: Vec<u64> = rep.fold_accuracy.iter().map(|a| a.to_bits()).collect();
+            assert_eq!(pooled, accuracy, "k = {k}: fold accuracies, in fold order");
+            assert_eq!(rep.confusion, confusion, "k = {k}");
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ impl TaskStats {
         self.count += 1;
     }
 
-    /// Merge another set of tasks into this one (rayon reduce step).
+    /// Merge another set of tasks into this one (one part's fold into the
+    /// next).
     #[inline]
     pub fn merge(&mut self, other: &TaskStats) {
         self.total_cycles += other.total_cycles;
@@ -63,7 +64,7 @@ impl TaskStats {
 /// Everything one simulated kernel did.
 ///
 /// Built incrementally by the kernel implementations in `gswitch-kernels`
-/// (sequentially or via rayon `fold`/`reduce` with [`KernelProfile::merge`])
+/// (sequentially, or per pool part and joined with [`KernelProfile::merge`])
 /// and priced by [`crate::DeviceSpec::kernel_time_ms`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct KernelProfile {
@@ -104,9 +105,9 @@ impl KernelProfile {
         self.tasks.imbalance()
     }
 
-    /// Merge another profile into this one (rayon reduce step). Launches
-    /// add — merging partial profiles of the *same* kernel should first
-    /// zero one side's `launches`.
+    /// Merge another profile into this one (one part's fold into the
+    /// next). Launches add — merging partial profiles of the *same* kernel
+    /// should first zero one side's `launches`.
     pub fn merge(&mut self, other: &KernelProfile) {
         self.tasks.merge(&other.tasks);
         self.bytes_read += other.bytes_read;
@@ -120,7 +121,7 @@ impl KernelProfile {
         self.duplicates += other.duplicates;
     }
 
-    /// Merge used as a rayon reduce operator.
+    /// By-value [`merge`](Self::merge), as a fold operator.
     pub fn merged(mut self, other: KernelProfile) -> Self {
         self.merge(&other);
         self
