@@ -79,7 +79,11 @@ impl GraphApp for PageRank {
 
     fn prepare(&self, v: VertexId) {
         // Consume the pending mass: credit the rank, stage the emission.
-        let r = self.residual.swap(v, 0.0);
+        // No `comp` reaches `v` meanwhile (`prepare`'s contract; PageRank
+        // never fuses, and a sharded halo copy is `Fixed`, so only the
+        // owner prepares), so a plain load and store consume it whole.
+        let r = self.residual.load(v);
+        self.residual.store(v, 0.0);
         self.staged.store(v, r * self.share[v as usize]);
         self.rank.store(v, self.rank.load(v) + r);
     }

@@ -396,10 +396,17 @@ fn wrapped_runs_match_plain_ones<W: Wrapper>(policies: &[PolicyCase]) {
 }
 
 /// Incremental ≡ sweep: each algorithm run with its hint and run as
-/// [`SweepOnly`] gives the same answer and the same per-iteration trace.
+/// [`SweepOnly`] gives the same answer and the same per-iteration trace —
+/// also with every step proposed fused, so the duplicate-tolerant apps
+/// (BFS, CC, the SSSP family) chain wherever the engine lets them and
+/// every step after a chain, which updates from the chain's activations,
+/// is compared with a sweep.
 #[test]
 fn hinted_inspector_matches_the_sweeping_one() {
-    wrapped_runs_match_plain_ones::<SweepOnly<()>>(&policies());
+    let mut policies = policies();
+    let fused = KernelConfig { fusion: Fusion::Fused, ..KernelConfig::push_baseline() };
+    policies.push(("fused", LARGEST, Box::new(move || Box::new(StaticPolicy::new(fused)))));
+    wrapped_runs_match_plain_ones::<SweepOnly<()>>(&policies);
 }
 
 /// `gather` ≡ one `comp` per message: each algorithm run with its own

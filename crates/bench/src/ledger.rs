@@ -21,9 +21,13 @@
 //!   only beyond `baseline min × `[`TIMED_FACTOR`]` + abs`, generous
 //!   against a slower CI runner and fatal for an order-of-magnitude
 //!   regression (a lost parallelism threshold, an accidentally quadratic
-//!   sweep, a frontier-proportional step gone O(n) again). The `median`
-//!   and the repeat-run `spread` ride along as the stated noise; they are
-//!   recorded, not gated.
+//!   sweep, a frontier-proportional step gone O(n) again). It also fails
+//!   below `baseline min × `[`STALE_BELOW`] wherever the baseline, not
+//!   `abs`, sets that gate: a gain that large means the baseline is stale
+//!   and must be regenerated, or the gate above it would pass a
+//!   regression all the way back. The `median` and the repeat-run
+//!   `spread` ride along as the stated noise; they are recorded, not
+//!   gated.
 //!
 //! `benchmark/` is the instrument for claimed host-time gains; this
 //! ledger is the trip-wire for structural drift.
@@ -42,6 +46,12 @@ use std::path::Path;
 pub const NEAR_REL: f64 = 0.10;
 /// Multiplicative tolerance on every timed minimum.
 pub const TIMED_FACTOR: f64 = 5.0;
+/// A timed minimum below this share of its baseline's fails too: the
+/// baseline is stale, and the `× TIMED_FACTOR` gate above it would pass a
+/// regression all the way back to it. Only where the baseline sets the
+/// gate: below `abs / TIMED_FACTOR` the additive term does, and a
+/// sub-millisecond phase halves with the noise.
+pub const STALE_BELOW: f64 = 0.5;
 /// Additive tolerance on a kernel's fastest wall time, µs: about twice the
 /// widest `spread` any kernel row has recorded (91 µs over 7 samples), so
 /// a 55 µs `classify` may grow 8×, not the 80× that 5000 admitted.
@@ -114,7 +124,9 @@ pub struct Row {
     /// Fields gated at ±[`NEAR_REL`]: a count, or a simulated quantity
     /// rounded to two decimals.
     pub near: BTreeMap<String, Value>,
-    /// Wall-clock fields gated at `baseline min × TIMED_FACTOR + abs`.
+    /// Wall-clock fields gated at `baseline min × TIMED_FACTOR + abs`, and
+    /// failed as stale below `baseline min × STALE_BELOW` (where
+    /// `baseline min × TIMED_FACTOR > abs`).
     pub timed: BTreeMap<String, Timed>,
 }
 
@@ -153,13 +165,20 @@ impl Row {
             })
         });
         check_class(&self.timed, &base.timed, &mut fail, |c, b| {
-            let limit = b.min * TIMED_FACTOR + c.abs;
-            (c.min > limit).then(|| {
-                let (cur, base, abs) = (c.min, b.min, c.abs);
-                format!(
+            let (cur, base, abs) = (c.min, b.min, c.abs);
+            let limit = base * TIMED_FACTOR + abs;
+            if cur > limit {
+                Some(format!(
                     "min {cur} exceeds {limit:.3} (baseline min {base} × {TIMED_FACTOR} + {abs})"
-                )
-            })
+                ))
+            } else if cur < base * STALE_BELOW && base * TIMED_FACTOR > abs {
+                Some(format!(
+                    "min {cur} is below {STALE_BELOW} × baseline min {base} \
+                     (stale baseline: regenerate)"
+                ))
+            } else {
+                None
+            }
         });
     }
 }
@@ -373,6 +392,10 @@ mod tests {
         let noisy = Timed { median: 1e6, ..wall(200.0) };
         let found = check_edited("expand/bitmap/push", |r| *r = r.clone().timed("wall_us", noisy));
         assert!(found.is_empty(), "{found:?}");
+        // A faster run passes down to half the baseline's fastest sample.
+        let found =
+            check_edited("expand/bitmap/push", |r| *r = r.clone().timed("wall_us", wall(100.0)));
+        assert!(found.is_empty(), "{found:?}");
         // The additive term comes from the fresh measurement: a baseline
         // edited to claim a wider one does not loosen the gate.
         let mut edited = synthetic("kernels");
@@ -380,6 +403,28 @@ mod tests {
         let mut cur = synthetic("kernels");
         cur.rows.get_mut("expand").unwrap().timed.insert("excl_ms".into(), wall(1e6));
         assert_eq!(cur.check(&edited).len(), 1);
+    }
+
+    #[test]
+    fn a_min_below_half_the_baseline_min_fails_as_a_stale_baseline() {
+        let found =
+            check_edited("expand/bitmap/push", |r| *r = r.clone().timed("wall_us", wall(99.999)));
+        assert_eq!(
+            found,
+            ["FAIL expand/bitmap/push: wall_us: min 99.999 is below 0.5 × baseline min 200 \
+              (stale baseline: regenerate)"]
+        );
+        // Every timed field, whichever tool wrote it.
+        let found = check_edited("expand", |r| *r = r.clone().timed("excl_ms", wall(399.0)));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].ends_with("(stale baseline: regenerate)"), "{}", found[0]);
+        // Not where the additive term sets the gate: a 30 µs baseline
+        // (× 5 = 150 < 200) may read 10 µs.
+        let mut base = synthetic("kernels");
+        base.rows.get_mut("expand").unwrap().timed.insert("excl_ms".into(), wall(30.0));
+        let mut cur = base.clone();
+        cur.rows.get_mut("expand").unwrap().timed.insert("excl_ms".into(), wall(10.0));
+        assert!(cur.check(&base).is_empty(), "{:?}", cur.check(&base));
     }
 
     #[test]

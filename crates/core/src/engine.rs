@@ -331,10 +331,10 @@ pub(crate) struct Lane<'a, L: EdgeApp> {
     stepping: SteppingDelta,
     classify_ms: SimMs,
     select_ms: f64,
-    /// The resident classification, and what the last Expand activated
-    /// when the step before this one was classified — the state in which
-    /// the Inspector may update the snapshot rather than rebuild it.
-    /// `None` (first step, after a fused chain's estimated steps) sweeps.
+    /// The resident classification, and what every Expand since it
+    /// activated — the state in which the Inspector may update the
+    /// snapshot rather than rebuild it. `None` (first step, too many
+    /// activations to list) sweeps.
     snap: Classification<'a>,
     activated: Option<Vec<VertexId>>,
     /// Direction-switch fast path: the previous Expand's work plan, reused
@@ -517,9 +517,9 @@ fn worth_updating(dirty: usize, n: usize) -> bool {
 }
 
 /// The vertices whose `filter` result may differ from `snap`'s, or `None`
-/// when that cannot be bounded usefully: what the last Expand `activated`
-/// and what the app's hint names (`snap`'s own Active vertices are the
-/// update's business). Unsorted, duplicates possible.
+/// when that cannot be bounded usefully: what the Expands since `snap`
+/// `activated` and what the app's hint names (`snap`'s own Active
+/// vertices are the update's business). Unsorted, duplicates possible.
 fn dirty_set<A: EdgeApp>(
     app: &A,
     snap: &Classification,
@@ -555,11 +555,12 @@ fn dirty_covers_changes<A: EdgeApp>(
 ///
 /// Which vertices each pass visits is the one choice the Inspector makes,
 /// from what the lane can see: with `hinted` (the run trusts the app's
-/// `refilter_hint`) a pass updates `snap` from [`dirty_set`] whenever
-/// `snap` classifies the state just before — `activated` is `Some` (what
-/// the previous step's Expand activated), or this is a retry after a
-/// rescue, which ran nothing; every other pass sweeps. A `sentinel` (given
-/// when its check is due) makes every update prove its dirty set first
+/// `refilter_hint`) a pass updates `snap` from [`dirty_set`] whenever the
+/// lane could list what moved since `snap` — `activated` is `Some` (what
+/// every Expand since then activated: the previous step's, or a fused
+/// chain's union), or this is a retry after a rescue, which ran nothing;
+/// every other pass sweeps. A `sentinel` (given when its check is due)
+/// makes every update prove its dirty set first
 /// ([`dirty_covers_changes`]): a failed proof is a mismatch, and that pass
 /// and all later ones sweep — no `prepare` ran yet, so the answer stays
 /// exact.
@@ -873,12 +874,20 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         let same = self.last_config == Some(t.config);
         self.same_config_streak = if same { self.same_config_streak + 1 } else { 0 };
         self.last_config = Some(t.config);
-        // A chain's estimated step classified nothing, so what follows it
-        // has no snapshot of the step before to update; and more
-        // activations than an update would take are not worth listing.
-        let listed =
-            !t.estimated && worth_updating(t.distinct_activated as usize, self.g.num_vertices());
-        self.activated = listed.then(|| eo.activated.to_sorted_vec());
+        // What the next classification has to re-filter besides the hint:
+        // everything activated since the resident one. A fused chain's
+        // estimated steps classify nothing, so along a chain that is the
+        // union of every step's activations, carried for as long as an
+        // update would take it (duplicates count, the update removes them).
+        let since = if t.estimated { self.activated.take() } else { Some(Vec::new()) };
+        let n = self.g.num_vertices();
+        self.activated = since
+            .filter(|a| worth_updating(a.len() + t.distinct_activated as usize, n))
+            .map(|mut a| {
+                a.reserve(t.distinct_activated as usize);
+                eo.activated.append_sorted(&mut a);
+                a
+            });
 
         let Some(queue) = eo.next_queue.filter(|q| !q.is_empty()) else {
             // Chain drained or none: the next iteration re-classifies (and

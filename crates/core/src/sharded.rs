@@ -312,8 +312,12 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
     }
 
     fn prepare(&self, v: VertexId) {
-        // This step's Expand will send one record down each cut edge of `v`.
-        self.halo_records.fetch_add(u64::from(self.shard.cut_degree(v)), Ordering::Relaxed);
+        // This step's Expand will send one record down each cut edge of
+        // `v`; an interior vertex sends none and skips the locked add.
+        let cut = self.shard.cut_degree(v);
+        if cut > 0 {
+            self.halo_records.fetch_add(u64::from(cut), Ordering::Relaxed);
+        }
         self.app.prepare(self.global(v));
     }
 

@@ -11,8 +11,8 @@
 use gswitch_core::engine::fault_site::FRONTIER_CORRUPT;
 use gswitch_core::{run, EngineOptions, GraphApp, KernelConfig, RunReport, StaticPolicy, Status};
 use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
-use gswitch_kernels::atomics::AtomicArray;
-use gswitch_kernels::pattern::AsFormat;
+use gswitch_kernels::atomics::{AtomicArray, AtomicBitSet};
+use gswitch_kernels::pattern::{AsFormat, Fusion};
 use gswitch_obs::faults::{self, Fault};
 use gswitch_obs::sync::Lock;
 
@@ -326,4 +326,145 @@ fn honest_hint_never_trips_the_sentinel() {
     assert_eq!(stamped, waves_reference());
     // The same run without the sentinel gives the same answer.
     assert_eq!(Waves::run(WAVES_N, None, &EngineOptions::default()).1, waves_reference());
+}
+
+/// BFS levels from two seeds on two paths, `0..LATE` and `LATE..BEACON_N`,
+/// where the seed `LATE` stays dormant until step `WAKE`. Run fused, the
+/// wave from vertex 0 is one chain from step 0 to the end of its path, and
+/// the step after it is the first to classify since step 0: the vertices
+/// the chain reached turned `Fixed` in between, and `LATE` turned Active
+/// with the step counter. No message ever activates `LATE`, so only
+/// `refilter_hint` names it; `omit` makes the hint leave it out.
+struct Beacon {
+    level: AtomicArray<u32>,
+    pending: AtomicBitSet,
+    current: std::sync::atomic::AtomicU32,
+    omit: bool,
+}
+
+const BEACON_N: usize = 256;
+const LATE: VertexId = 40;
+const WAKE: u32 = 5;
+
+impl Beacon {
+    /// Run fused push; returns the report and the levels.
+    fn run(omit: bool, opts: &EngineOptions) -> (RunReport, Vec<u32>) {
+        let app = Beacon {
+            level: AtomicArray::filled(BEACON_N, u32::MAX),
+            pending: AtomicBitSet::new(BEACON_N),
+            current: std::sync::atomic::AtomicU32::new(0),
+            omit,
+        };
+        for seed in [0, LATE] {
+            app.level.store(seed, 0);
+            app.pending.set(seed);
+        }
+        let paths = (0..BEACON_N as VertexId - 1).filter(|&v| v + 1 != LATE).map(|v| (v, v + 1));
+        let g = GraphBuilder::new(BEACON_N).edges(paths).build();
+        let fused = KernelConfig { fusion: Fusion::Fused, ..KernelConfig::push_baseline() };
+        let rep = run(&g, &app, &StaticPolicy::new(fused), opts);
+        (rep, app.level.to_vec())
+    }
+
+    fn current(&self) -> u32 {
+        self.current.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl GraphApp for Beacon {
+    type Msg = u32;
+    fn filter(&self, v: VertexId) -> Status {
+        let awake = v != LATE || self.current() >= WAKE;
+        match (self.pending.get(v), self.level.load(v)) {
+            (true, _) if awake => Status::Active,
+            (true, _) | (false, u32::MAX) => Status::Inactive,
+            // One seed per path: a level, once relaxed, is final.
+            (false, _) => Status::Fixed,
+        }
+    }
+    fn prepare(&self, v: VertexId) {
+        self.pending.unset(v);
+    }
+    fn emit(&self, u: VertexId, _w: u32) -> u32 {
+        self.level.load(u) + 1
+    }
+    fn comp_atomic(&self, dst: VertexId, msg: u32) -> bool {
+        let improved = self.level.fetch_min(dst, msg) > msg;
+        if improved {
+            self.pending.set(dst);
+        }
+        improved
+    }
+    fn comp(&self, dst: VertexId, msg: u32) -> bool {
+        let improved = msg < self.level.load(dst);
+        if improved {
+            self.level.store(dst, msg);
+            self.pending.set(dst);
+        }
+        improved
+    }
+    fn advance(&self, it: u32) {
+        self.current.store(it, std::sync::atomic::Ordering::Relaxed);
+    }
+    fn would_tie(&self, dst: VertexId, msg: u32) -> bool {
+        self.level.load(dst) == msg
+    }
+    fn refilter_hint(&self, out: &mut Vec<VertexId>) -> bool {
+        // `LATE` wakes with the step counter while it is pending.
+        if !self.omit && self.pending.get(LATE) {
+            out.push(LATE);
+        }
+        true
+    }
+}
+
+fn beacon_reference() -> Vec<u32> {
+    (0..BEACON_N as VertexId).map(|v| if v < LATE { v } else { v - LATE }).collect()
+}
+
+/// The first step after the fused chain that starts at step 0.
+fn post_chain_step(rep: &RunReport) -> u32 {
+    let chain = rep.iterations.iter().skip(1).take_while(|t| t.estimated).count() as u32;
+    assert!(chain >= WAKE, "the wave from vertex 0 should chain past step {WAKE}: {chain}");
+    chain + 1
+}
+
+#[test]
+fn lying_hint_after_a_fused_chain_loses_the_dormant_seed_without_the_sentinel() {
+    let _g = GUARD.lock();
+    faults::reset();
+    let (rep, level) = Beacon::run(true, &EngineOptions::default());
+    assert!(rep.converged);
+    post_chain_step(&rep);
+    // The post-chain step updated from the chain's activations and the
+    // hint, never saw `LATE` turn Active, and the run ended there.
+    assert_eq!(level[..LATE as usize], beacon_reference()[..LATE as usize]);
+    assert!(level[LATE as usize + 1..].iter().all(|&l| l == u32::MAX));
+}
+
+#[test]
+fn sentinel_catches_a_lying_hint_on_the_first_post_chain_step() {
+    let _g = GUARD.lock();
+    faults::reset();
+    let (rep, level) = Beacon::run(true, &EngineOptions::default().verify_every(1));
+    assert!(rep.converged);
+    assert_eq!(rep.sentinel.mismatches, 1);
+    assert_eq!(rep.sentinel.pinned_at, Some(post_chain_step(&rep)));
+    assert_eq!(level, beacon_reference());
+}
+
+/// The proof the sentinel runs covers the whole chain: every vertex the
+/// chain reached moved from `Inactive` to `Fixed` with no `comp` in the
+/// last chain step reporting it.
+#[test]
+fn honest_hint_after_a_fused_chain_never_trips_the_sentinel() {
+    let _g = GUARD.lock();
+    faults::reset();
+    let (rep, level) = Beacon::run(false, &EngineOptions::default().verify_every(1));
+    assert!(rep.converged);
+    post_chain_step(&rep);
+    assert!(rep.sentinel.checks > 0);
+    assert_eq!((rep.sentinel.mismatches, rep.sentinel.pinned_at), (0, None));
+    assert_eq!(level, beacon_reference());
+    assert_eq!(Beacon::run(false, &EngineOptions::default()).1, beacon_reference());
 }

@@ -39,7 +39,12 @@ pub trait EdgeApp: Sync {
 
     /// Update the private data of an *active* vertex (the "Apply/Update"
     /// step the paper folds into Filter, §2.1). Runs exactly once per
-    /// active vertex per super-step, before any `emit` of that step.
+    /// active vertex per super-step, before any `emit` of that step. The
+    /// Filter runs it with no Expand running and visits each vertex once,
+    /// so no `comp`/`comp_atomic` touches `v` concurrently and plain loads
+    /// and stores suffice — except inside a fused chain, where the fused
+    /// Expand prepares its queue entries while other rows combine into
+    /// them; only a [`DUP_TOLERANT`](EdgeApp::DUP_TOLERANT) app fuses.
     fn prepare(&self, _v: VertexId) {}
 
     /// The message `u` sends over an edge of weight `w` (1 when the graph
@@ -124,10 +129,12 @@ pub trait EdgeApp: Sync {
     /// Bound what the next classification has to re-`filter`. Asked
     /// between two classifications, the engine already re-filters (a) every
     /// vertex the earlier one found `Active` and (b) every vertex for which
-    /// `comp`/`comp_atomic` returned `true` since. Push onto `out` every
-    /// *other* vertex whose `filter` result may differ from the earlier
-    /// classification — a level that turns active with the step counter, a
-    /// deferred set a threshold move may admit — and return `true`. The
+    /// `comp`/`comp_atomic` returned `true` since — "since" reaching back
+    /// across a fused chain, whose steps classify nothing, to the
+    /// classification before it. Push onto `out` every *other* vertex
+    /// whose `filter` result may differ from the earlier classification —
+    /// a level that turns active with the step counter, a deferred set a
+    /// threshold move may admit — and return `true`. The
     /// list may over-report (and repeat vertices) but must never
     /// under-report; `false` means "I cannot bound it" and is always safe:
     /// the engine sweeps all vertices, as it does for an app without the

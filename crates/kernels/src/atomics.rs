@@ -130,12 +130,6 @@ impl<T: Value> AtomicArray<T> {
         self.cells[v as usize].store(val.to_bits_(), Relaxed);
     }
 
-    /// Unconditional atomic exchange; returns the previous value.
-    #[inline]
-    pub fn swap(&self, v: VertexId, val: T) -> T {
-        T::from_bits_(self.cells[v as usize].swap(val.to_bits_(), Relaxed))
-    }
-
     /// Atomic min by `Value::lt`; returns the *previous* value (so
     /// `prev.lt(msg) == false && msg.lt(prev)` means we improved it).
     #[inline]
@@ -208,6 +202,16 @@ impl AtomicBitSet {
     /// All-zero bitset over `n` bits.
     pub fn new(n: usize) -> Self {
         AtomicBitSet { words: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(), len: n }
+    }
+
+    /// The bitset over `n` bits whose word `w` is `words[w]` (bits
+    /// `64*w..64*w+64`): words built without atomics, handed over whole.
+    /// Bits at or past `n` must be clear.
+    pub fn from_words(words: Vec<u64>, n: usize) -> Self {
+        assert_eq!(words.len(), n.div_ceil(64), "one word per 64 bits");
+        let clear_past_n = words.last().is_none_or(|&w| n.is_multiple_of(64) || w >> (n % 64) == 0);
+        assert!(clear_past_n, "no bit past {n}");
+        AtomicBitSet { words: words.into_iter().map(AtomicU64::new).collect(), len: n }
     }
 
     /// Number of bits.
@@ -321,13 +325,17 @@ impl AtomicBitSet {
     /// Append the set bits to `out` in ascending order: one pass over the
     /// words, zero words skipped.
     pub fn append_sorted(&self, out: &mut Vec<VertexId>) {
-        for (wi, w) in self.words.iter().enumerate() {
-            let mut bits = w.load(Relaxed);
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push((wi * 64) as VertexId + b);
-                bits &= bits - 1;
-            }
+        append_set_bits(self.words.iter().map(|w| w.load(Relaxed)), out);
+    }
+}
+
+/// Append the set bits of `words` — bit `b` of word `w` is `64*w + b` —
+/// to `out` in ascending order, zero words skipped.
+pub fn append_set_bits(words: impl IntoIterator<Item = u64>, out: &mut Vec<VertexId>) {
+    for (wi, mut bits) in words.into_iter().enumerate() {
+        while bits != 0 {
+            out.push((wi * 64) as VertexId + bits.trailing_zeros());
+            bits &= bits - 1;
         }
     }
 }
@@ -363,14 +371,6 @@ mod tests {
         assert_eq!(a.load(0), 3.75);
         a.fetch_min(1, 0.5);
         assert_eq!(a.load(1), 0.5);
-    }
-
-    #[test]
-    fn f64_swap_roundtrip() {
-        let a = AtomicArray::<f64>::filled(1, std::f64::consts::PI);
-        let old = a.swap(0, 2.0);
-        assert_eq!(old, std::f64::consts::PI);
-        assert_eq!(a.load(0), 2.0);
     }
 
     #[test]

@@ -263,9 +263,9 @@ impl WorkPlan {
 }
 
 /// Fingerprint of a frontier's workload identity: queue entries for
-/// queues, raw words for bitmaps. Collisions only cost a stale-plan
-/// reuse of *identical-length* workloads, and the engine's plan cache is
-/// per-run, so FNV-1a is plenty.
+/// queues, raw words for bitmaps. Only workloads of identical length are
+/// ever compared, and the engine's plan cache is per-run, so a hash of one
+/// multiply per `u64` is plenty.
 fn fingerprint_of(frontier: &Frontier) -> u64 {
     match frontier.as_queue() {
         Some(q) => fingerprint_queue(q),
@@ -276,22 +276,28 @@ fn fingerprint_of(frontier: &Frontier) -> u64 {
     }
 }
 
+/// Two entries per word; the length seeds the hash, so an odd tail needs
+/// no padding of its own.
 fn fingerprint_queue(entries: &[VertexId]) -> u64 {
-    fnv1a(entries.len() as u64, entries.iter().map(|&v| v as u64))
+    let (pairs, tail) = entries.as_chunks::<2>();
+    let words = pairs.iter().map(|&[a, b]| u64::from(a) | u64::from(b) << 32);
+    hash_words(entries.len() as u64, words.chain(tail.iter().map(|&v| u64::from(v))))
 }
 
 fn fingerprint_bitmap(bits: &AtomicBitSet) -> u64 {
-    fnv1a(bits.len() as u64 | (1 << 63), (0..bits.num_words()).map(|w| bits.word(w)))
+    hash_words(bits.len() as u64 | (1 << 63), (0..bits.num_words()).map(|w| bits.word(w)))
 }
 
-fn fnv1a(seed: u64, words: impl Iterator<Item = u64>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET ^ seed.wrapping_mul(PRIME);
+/// One multiply per word, then the high half folded into the low one.
+/// Without the fold, flipping the top bit of two consecutive words would
+/// cancel: a multiply by an odd constant leaves a top-bit difference where
+/// it is.
+fn hash_words(seed: u64, words: impl Iterator<Item = u64>) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = seed.wrapping_mul(K);
     for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
+        h = (h ^ w).wrapping_mul(K);
+        h ^= h >> 32;
     }
     h
 }
@@ -398,5 +404,23 @@ mod tests {
         let fb = fingerprint_of(&Frontier::Bitmap(bits));
         let fq = fingerprint_of(&Frontier::SortedQueue(vec![1, 2, 3]));
         assert_ne!(fb, fq);
+    }
+
+    #[test]
+    fn one_vertex_moved_changes_the_word_hash() {
+        // Same size, one vertex moved: from a word's top bit into the next
+        // word (top bit or not), and within a packed queue pair.
+        let bitmap = |v: VertexId| {
+            let bits = AtomicBitSet::new(256);
+            bits.set(v);
+            fingerprint_of(&Frontier::Bitmap(bits))
+        };
+        let top = bitmap(63);
+        for moved in [64, 68, 95, 127, 191] {
+            assert_ne!(top, bitmap(moved), "{{63}} vs {{{moved}}}");
+        }
+        let queue = |q: Vec<VertexId>| fingerprint_of(&Frontier::UnsortedQueue(q));
+        assert_ne!(queue(vec![1, 2, 3]), queue(vec![2, 1, 3]));
+        assert_ne!(queue(vec![1, 2, 3]), queue(vec![1, 2, 4]));
     }
 }

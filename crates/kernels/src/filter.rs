@@ -19,7 +19,7 @@
 //! vertices would; a push frontier is then its Active list.
 
 use crate::app::{EdgeApp, Status};
-use crate::atomics::AtomicBitSet;
+use crate::atomics::{append_set_bits, AtomicBitSet};
 use crate::frontier::Frontier;
 use crate::pattern::{AsFormat, Direction};
 use gswitch_graph::{Csr, Graph, VertexId};
@@ -201,25 +201,75 @@ fn visit<A: EdgeApp>(
     st
 }
 
-/// The members among `n` vertices, ascending — the device's count → scan →
-/// scatter: a parallel count per block, then one fill of a single
-/// exactly-sized allocation, skipping empty blocks.
-fn compact(n: usize, member: impl Fn(VertexId) -> bool + Sync) -> Vec<VertexId> {
-    let block = |ci: usize| {
-        let ids = ci * CHUNK..((ci + 1) * CHUNK).min(n);
-        ids.map(|v| v as VertexId).filter(|&v| member(v))
-    };
-    let counts = gswitch_pool::ranges(n.div_ceil(CHUNK), chunks_per_part(n), |chunks| {
-        chunks.map(|ci| block(ci).count()).collect::<Vec<_>>()
-    })
-    .concat();
-    let mut q = Vec::with_capacity(counts.iter().sum());
-    for (ci, &c) in counts.iter().enumerate() {
-        if c != 0 {
-            q.extend(block(ci));
-        }
+/// Which status bytes a workload takes, indexed by `Status as u8`; a byte
+/// past `Fixed` counts as `Fixed`, as [`status_of`] decodes it.
+type Members = [bool; 3];
+
+/// The push workload: the Active vertices.
+const ACTIVE: Members = [true, false, false];
+
+/// The members of `direction`'s workload: push takes the Active vertices,
+/// pull the app's receivers.
+fn members<A: EdgeApp>(direction: Direction) -> Members {
+    match direction {
+        Direction::Push => ACTIVE,
+        Direction::Pull => [Status::Active, Status::Inactive, Status::Fixed].map(A::pull_receives),
     }
-    q
+}
+
+/// Bit `i` set where status byte `bytes[i]` is a member: eight bytes per
+/// `u64` operation, without a branch.
+fn member_bits(bytes: &[u8; 64], members: Members) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const LOW7: u64 = 0x7f * ONES;
+    const HIGH: u64 = 0x80 * ONES;
+    // 0x80 in each byte of `x` that is zero, 0 elsewhere: no sum carries
+    // out of its byte.
+    let zero = |x: u64| !(((x & LOW7) + LOW7) | x | LOW7);
+    let [m_active, m_inactive, m_fixed] = members.map(|m| if m { HIGH } else { 0 });
+    let mut word = 0;
+    for (k, eight) in bytes.as_chunks::<8>().0.iter().enumerate() {
+        let x = u64::from_le_bytes(*eight);
+        let (active, inactive) = (zero(x), zero(x ^ ONES));
+        let member =
+            (active & m_active) | (inactive & m_inactive) | (!(active | inactive) & m_fixed);
+        // Byte i's flag to bit i: every partial product of the multiply
+        // lands on a bit of its own, and bits 56..64 are the eight flags.
+        word |= ((member >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    word
+}
+
+/// The workload `members` picks out of `status` as bitmap words — bit `b`
+/// of word `w` is vertex `64*w + b` — and its size: one plain store and
+/// one popcount per 64 vertices. Per chunk of `CHUNK` vertices: on the
+/// caller up to 256 chunks (2 Mi vertices), else the parts
+/// [`Classification::sweep`] cuts.
+fn workload_words(status: &[u8], members: Members) -> (Vec<u64>, u64) {
+    let n = status.len();
+    let mut words = vec![0u64; n.div_ceil(64)];
+    let per = chunks_per_part(n) * (CHUNK / 64);
+    let counts = gswitch_pool::parts_mut(&mut words, per, |first, part| {
+        let bytes = &status[64 * first..n.min(64 * (first + part.len()))];
+        let (full, tail) = bytes.as_chunks::<64>();
+        for (word, bytes) in part.iter_mut().zip(full) {
+            *word = member_bits(bytes, members);
+        }
+        if !tail.is_empty() {
+            let mut padded = [0; 64];
+            padded[..tail.len()].copy_from_slice(tail);
+            part[full.len()] = member_bits(&padded, members) & !(u64::MAX << tail.len());
+        }
+        part.iter().map(|w| u64::from(w.count_ones())).sum::<u64>()
+    });
+    (words, counts.into_iter().sum())
+}
+
+/// The set bits of `words`, `count` of them, as an ascending vertex list.
+fn set_bits(words: Vec<u64>, count: u64) -> Vec<VertexId> {
+    let mut list = Vec::with_capacity(count as usize);
+    append_set_bits(words, &mut list);
+    list
 }
 
 /// The classification of one lane, kept resident across super-steps: the
@@ -283,10 +333,10 @@ impl<'g> Classification<'g> {
     /// The Active vertices, ascending.
     pub fn active(&mut self) -> &[VertexId] {
         let (status, any) = (&self.status, self.stats.v_active > 0);
-        let is_active = |v: VertexId| status[v as usize] == Status::Active as u8;
         self.active.get_or_insert_with(|| {
             if any {
-                compact(status.len(), is_active)
+                let (words, count) = workload_words(status, ACTIVE);
+                set_bits(words, count)
             } else {
                 Vec::new()
             }
@@ -416,8 +466,8 @@ impl<'g> Classification<'g> {
 
     /// [`materialize`] from the snapshot: after an update a push workload
     /// is the Active list, built in O(|Active|); after a sweep, and for a
-    /// pull workload (O(n) in size anyway), it is scanned out of the
-    /// status bytes.
+    /// pull workload (O(n) in size anyway), it is built a word at a time
+    /// from the status bytes.
     pub fn materialize<A: EdgeApp>(
         &self,
         direction: Direction,
@@ -486,9 +536,12 @@ pub fn materialize<A: EdgeApp>(
 }
 
 /// The one place a status snapshot becomes a [`Frontier`]: from `listed`,
-/// the workload's ascending entry list, when the caller holds one, else by
-/// scanning the status bytes. The simulated cost is that of the device's
-/// full-width compaction either way.
+/// the workload's ascending entry list, when the caller holds one, else
+/// from the workload's bitmap words ([`workload_words`]). A bitmap is the
+/// words; a queue is their set bits, ascending either way (the sorted
+/// queue's promise; the unsorted queue holds the same entries without the
+/// promise). The simulated cost is that of the device's full-width
+/// compaction whichever way the host builds it.
 fn frontier_of<A: EdgeApp>(
     status: &[u8],
     listed: Option<&[VertexId]>,
@@ -497,54 +550,24 @@ fn frontier_of<A: EdgeApp>(
     spec: &DeviceSpec,
 ) -> (Frontier, KernelProfile) {
     let n = status.len();
-    let in_workload = |v: VertexId| -> bool {
-        let st = status_of(status[v as usize]);
-        match direction {
-            Direction::Push => st == Status::Active,
-            Direction::Pull => A::pull_receives(st),
-        }
+    let bitmap = |words| Frontier::Bitmap(AtomicBitSet::from_words(words, n));
+    let queue = |q| match format {
+        AsFormat::SortedQueue => Frontier::SortedQueue(q),
+        _ => Frontier::UnsortedQueue(q),
     };
-
-    let (frontier, w) = match format {
-        AsFormat::Bitmap => {
-            let bits = AtomicBitSet::new(n);
-            let count: u64 = match listed {
-                Some(entries) => {
-                    entries.iter().for_each(|&v| {
-                        bits.set(v);
-                    });
-                    entries.len() as u64
-                }
-                None => {
-                    // Per vertex: on the caller up to 256 vertices, else
-                    // `min(threads, ⌈n / 256⌉)` parts.
-                    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
-                    let counts = gswitch_pool::ranges(n, per, |vs| {
-                        let mut count = 0u64;
-                        for v in vs.map(|v| v as VertexId).filter(|&v| in_workload(v)) {
-                            bits.set(v);
-                            count += 1;
-                        }
-                        count
-                    });
-                    counts.into_iter().sum()
-                }
-            };
-            (Frontier::Bitmap(bits), count)
+    let (frontier, w) = match (listed, format) {
+        (Some(entries), AsFormat::Bitmap) => {
+            let mut words = vec![0u64; n.div_ceil(64)];
+            for &v in entries {
+                words[v as usize / 64] |= 1 << (v % 64);
+            }
+            (bitmap(words), entries.len() as u64)
         }
-        fmt => {
-            // Ascending vertex ids either way (the sorted queue's promise;
-            // the unsorted queue holds the same entries without the
-            // promise).
-            let q = match listed {
-                Some(entries) => entries.to_vec(),
-                None => compact(n, in_workload),
-            };
-            let w = q.len() as u64;
-            let f = match fmt {
-                AsFormat::SortedQueue => Frontier::SortedQueue(q),
-                _ => Frontier::UnsortedQueue(q),
-            };
+        (Some(entries), _) => (queue(entries.to_vec()), entries.len() as u64),
+        (None, format) => {
+            let (words, w) = workload_words(status, members::<A>(direction));
+            let f =
+                if format == AsFormat::Bitmap { bitmap(words) } else { queue(set_bits(words, w)) };
             (f, w)
         }
     };

@@ -2,12 +2,13 @@
 
 use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
 use gswitch_kernels::atomics::{AtomicArray, AtomicBitSet};
+use gswitch_kernels::filter::{materialize_cost, status_of};
 use gswitch_kernels::lb::{self, edge_costs};
 use gswitch_kernels::{
-    classify, expand, Classification, Direction, EdgeApp, Frontier, KernelConfig, LoadBalance,
-    Status,
+    classify, expand, materialize, AsFormat, Classification, Direction, EdgeApp, Frontier,
+    KernelConfig, LoadBalance, Status,
 };
-use gswitch_simt::{DeviceSpec, TaskStats};
+use gswitch_simt::{DeviceSpec, KernelProfile, TaskStats};
 use proptest::prelude::*;
 
 fn touched_vec() -> impl Strategy<Value = Vec<u32>> {
@@ -54,6 +55,78 @@ impl EdgeApp for Scripted {
     fn comp(&self, _d: VertexId, _m: ()) -> bool {
         false
     }
+}
+
+/// An app whose pull workload is every vertex whatever its status (SSSP
+/// and PR gather everywhere); `materialize` reads only its statuses' bytes.
+struct GatherAll;
+
+impl EdgeApp for GatherAll {
+    type Msg = ();
+    fn filter(&self, _v: VertexId) -> Status {
+        Status::Inactive
+    }
+    fn emit(&self, _u: VertexId, _w: u32) {}
+    fn comp_atomic(&self, _d: VertexId, _m: ()) -> bool {
+        false
+    }
+    fn comp(&self, _d: VertexId, _m: ()) -> bool {
+        false
+    }
+    fn pull_receives(_status: Status) -> bool {
+        true
+    }
+}
+
+/// A built frontier holds exactly `want`, ascending, in `format`, priced
+/// at what `materialize_cost` charges for its size.
+fn assert_frontier(
+    (frontier, profile): (Frontier, KernelProfile),
+    format: AsFormat,
+    n: usize,
+    want: &[VertexId],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(frontier.format(), format);
+    prop_assert_eq!(frontier.is_sorted(), format == AsFormat::SortedQueue);
+    prop_assert_eq!(frontier.len(), want.len());
+    prop_assert_eq!(&frontier.to_vec()[..], want);
+    if let Frontier::Bitmap(bits) = &frontier {
+        prop_assert_eq!(bits.len(), n);
+    }
+    prop_assert_eq!(profile, materialize_cost(format, n, want.len() as u64, &DeviceSpec::k40m()));
+    Ok(())
+}
+
+/// Every frontier of `A`'s two workloads over `status`, built by
+/// `materialize` from the bytes and by `snap` (from its Active list once it
+/// holds one), against a per-vertex loop over the bytes.
+fn assert_word_built_frontiers<A: EdgeApp>(
+    g: &Graph,
+    status: &[u8],
+    snap: &Classification,
+) -> Result<(), TestCaseError> {
+    let (spec, n) = (DeviceSpec::k40m(), status.len());
+    for &direction in Direction::ALL {
+        let want: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| {
+                let st = status_of(status[v as usize]);
+                match direction {
+                    Direction::Push => st == Status::Active,
+                    Direction::Pull => A::pull_receives(st),
+                }
+            })
+            .collect();
+        for &format in AsFormat::ALL {
+            assert_frontier(
+                materialize::<A>(g, status, direction, format, &spec),
+                format,
+                n,
+                &want,
+            )?;
+            assert_frontier(snap.materialize::<A>(direction, format, &spec), format, n, &want)?;
+        }
+    }
+    Ok(())
 }
 
 /// A weighted min-gather whose messages come from a fixed array, so a
@@ -391,6 +464,35 @@ proptest! {
             assert_pull_matches_per_edge_loop::<true>(&g, status, sent, start, frontier)?;
         } else {
             assert_pull_matches_per_edge_loop::<false>(&g, status, sent, start, frontier)?;
+        }
+    }
+
+    /// Frontiers built a word at a time equal the per-vertex loop: any
+    /// status bytes (a byte past `Fixed` included) over a word boundary or
+    /// not, both directions, a pull workload that follows the status
+    /// (`Scripted`) and one that does not (`GatherAll`), scanned out of the
+    /// bytes and listed from the Active list — bitmap, sorted and unsorted
+    /// queue alike, at an unchanged price; and `Classification::active` is
+    /// the push workload.
+    #[test]
+    fn word_built_frontiers_equal_the_per_vertex_loop(
+        bytes in (0usize..6, 66usize..700)
+            .prop_map(|(k, random)| [0, 1, 63, 64, 65, random][k])
+            .prop_flat_map(|n| proptest::collection::vec(0u8..4, n..n + 1)),
+    ) {
+        let n = bytes.len();
+        let g = GraphBuilder::new(n).build();
+        let app = Scripted::new(&bytes.iter().map(|&b| u32::from(b)).collect::<Vec<_>>());
+        let mut snap = Classification::new(&g, &DeviceSpec::k40m());
+        snap.sweep(&app);
+        for listed in [false, true] {
+            if listed {
+                let active: Vec<VertexId> =
+                    (0..n as VertexId).filter(|&v| bytes[v as usize] == 0).collect();
+                prop_assert_eq!(snap.active(), &active[..]);
+            }
+            assert_word_built_frontiers::<Scripted>(&g, &bytes, &snap)?;
+            assert_word_built_frontiers::<GatherAll>(&g, &bytes, &snap)?;
         }
     }
 
