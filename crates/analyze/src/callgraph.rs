@@ -17,7 +17,7 @@
 //! set (`new`, `len`, …) carry no information and are skipped entirely.
 
 use crate::lexer::{Tok, TokKind};
-use crate::source::SourceFile;
+use crate::source::{matching, SourceFile};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -303,26 +303,18 @@ pub fn loops_in(toks: &[Tok], body: Range<usize>) -> Vec<LoopSpan> {
             i += 1;
             continue;
         };
-        let mut paren = 0usize;
-        let mut j = i + 1;
-        let open = loop {
-            if j >= body.end {
-                break None;
+        let mut open = i + 1;
+        while open < body.end && !toks[open].is_punct('{') {
+            if toks[open].is_punct('(') || toks[open].is_punct('[') {
+                open = matching(toks, open);
             }
-            if toks[j].is_punct('(') || toks[j].is_punct('[') {
-                paren += 1;
-            } else if toks[j].is_punct(')') || toks[j].is_punct(']') {
-                paren = paren.saturating_sub(1);
-            } else if toks[j].is_punct('{') && paren == 0 {
-                break Some(j);
-            }
-            j += 1;
-        };
-        let Some(open) = open else {
+            open += 1;
+        }
+        if open >= body.end {
             i += 1;
             continue;
-        };
-        let close = crate::source::matching_brace(toks, open);
+        }
+        let close = matching(toks, open);
         out.push(LoopSpan { kind, head: i, body: open + 1..close, line: toks[i].line });
         i = open + 1; // descend: nested loops get their own spans
     }

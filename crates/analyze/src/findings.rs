@@ -16,7 +16,7 @@ pub enum Severity {
 /// reads (`rule`, `severity`, `file`, `line`, `snippet`, `message`).
 #[derive(Clone, Debug, Serialize)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `hot-path-unwrap`).
+    /// Stable rule identifier (e.g. `relaxed-signal`).
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -29,13 +29,10 @@ pub struct Finding {
     pub snippet: String,
     /// Human explanation, including what to do about it.
     pub message: String,
-    /// True when an `analyze.allow.toml` entry suppressed this finding
-    /// (suppressed findings never affect the exit code).
-    pub suppressed: bool,
 }
 
 impl Finding {
-    /// Build an unsuppressed finding.
+    /// Build a finding.
     pub fn new(
         rule: &'static str,
         severity: Severity,
@@ -51,7 +48,6 @@ impl Finding {
             line,
             snippet: snippet.into(),
             message: message.into(),
-            suppressed: false,
         }
     }
 
@@ -61,17 +57,12 @@ impl Finding {
             Severity::Deny => "deny",
             Severity::Warn => "warn",
         };
-        let sup = if self.suppressed { " [suppressed]" } else { "" };
+        let head =
+            format!("{sev:4} {:24} {}:{} — {}", self.rule, self.file, self.line, self.message);
         if self.snippet.is_empty() {
-            format!(
-                "{sev:4} {:24} {}:{} — {}{}",
-                self.rule, self.file, self.line, self.message, sup
-            )
+            head
         } else {
-            format!(
-                "{sev:4} {:24} {}:{} — {}{}\n     | {}",
-                self.rule, self.file, self.line, self.message, sup, self.snippet
-            )
+            format!("{head}\n     | {}", self.snippet)
         }
     }
 }
@@ -79,14 +70,12 @@ impl Finding {
 /// The report the binary renders: findings plus counts.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Report {
-    /// All findings, suppressed ones included.
+    /// All findings.
     pub findings: Vec<Finding>,
-    /// Unsuppressed deny findings.
+    /// Deny findings.
     pub deny: usize,
-    /// Unsuppressed warn findings.
+    /// Warn findings.
     pub warn: usize,
-    /// Findings an allowlist entry silenced.
-    pub suppressed: usize,
     /// Files scanned by the source passes.
     pub files_scanned: usize,
     /// Model files checked by pass 3.
@@ -101,21 +90,16 @@ impl Report {
     /// Fold `findings` in and update the counters.
     pub fn absorb(&mut self, findings: Vec<Finding>) {
         for f in findings {
-            if f.suppressed {
-                self.suppressed += 1;
-            } else {
-                match f.severity {
-                    Severity::Deny => self.deny += 1,
-                    Severity::Warn => self.warn += 1,
-                }
+            match f.severity {
+                Severity::Deny => self.deny += 1,
+                Severity::Warn => self.warn += 1,
             }
             self.findings.push(f);
         }
     }
 
-    /// Exit code under the given strictness: nonzero on any
-    /// unsuppressed deny, or any unsuppressed warn when
-    /// `deny_warnings`.
+    /// Exit code under the given strictness: nonzero on any deny, or
+    /// any warn when `deny_warnings`.
     pub fn exit_code(&self, deny_warnings: bool) -> i32 {
         if self.deny > 0 || (deny_warnings && self.warn > 0) {
             1
@@ -132,23 +116,22 @@ mod tests {
     #[test]
     fn report_counts_and_exit_codes() {
         let mut r = Report::default();
-        let mut suppressed = Finding::new("raw-std-lock", Severity::Deny, "a.rs", 1, "", "m");
-        suppressed.suppressed = true;
-        r.absorb(vec![Finding::new("todo-marker", Severity::Warn, "a.rs", 2, "", "m"), suppressed]);
-        assert_eq!((r.deny, r.warn, r.suppressed), (0, 1, 1));
+        r.absorb(vec![Finding::new("unbounded-collection", Severity::Warn, "a.rs", 2, "", "m")]);
+        assert_eq!((r.deny, r.warn), (0, 1));
         assert_eq!(r.exit_code(false), 0);
         assert_eq!(r.exit_code(true), 1);
 
-        r.absorb(vec![Finding::new("hot-path-unwrap", Severity::Deny, "b.rs", 3, "x", "m")]);
+        r.absorb(vec![Finding::new("relaxed-signal", Severity::Deny, "b.rs", 3, "x", "m")]);
+        assert_eq!((r.deny, r.warn), (1, 1));
         assert_eq!(r.exit_code(false), 1);
     }
 
     #[test]
     fn render_shapes() {
-        let f = Finding::new("todo-marker", Severity::Deny, "a.rs", 7, "todo!()", "left in");
+        let f = Finding::new("relaxed-signal", Severity::Deny, "a.rs", 7, "x.load(Relaxed)", "m");
         let s = f.render();
         assert!(s.contains("deny"));
         assert!(s.contains("a.rs:7"));
-        assert!(s.contains("todo!()"));
+        assert!(s.contains("x.load(Relaxed)"));
     }
 }

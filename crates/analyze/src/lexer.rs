@@ -11,7 +11,7 @@
 //!
 //! No `syn`: the workspace vendors its few dependencies and a full
 //! parse is not needed — every rule is expressible over a flat token
-//! stream plus brace-depth tracking (see `rules.rs` / `lockorder.rs`).
+//! stream plus bracket matching (`source::matching`).
 
 /// What a token is. Only the distinctions the rules need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

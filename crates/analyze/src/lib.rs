@@ -1,13 +1,14 @@
 //! `gswitch-analyze` — the repo's own static analyzer, run as a CI
 //! gate (DESIGN §4.9).
 //!
-//! Generic lints (`clippy`) cannot see repo invariants: that every
-//! lock must be a poison-recovering `gswitch_obs::sync` wrapper, that
-//! kernel atomics must be accounted in the SIMT cost model, that
-//! checked-in decision trees must be sound against the 21-feature
-//! Inspector contract, that every hot loop polls its `RunProbe` and
-//! every terminal `JobStatus` lands in a counter. This crate encodes
-//! those invariants as passes:
+//! The repo invariants a lexical lint can express (raw std locks,
+//! serving-path unwraps, unbounded channels, raw `Instant::now`, OS
+//! threads, `todo!`) are clippy's, configured in the root `clippy.toml`.
+//! This crate keeps what clippy cannot see: that kernel atomics are
+//! accounted in the SIMT cost model, that checked-in decision trees are
+//! sound against the 21-feature Inspector contract, that every hot loop
+//! polls its `RunProbe` and every terminal `JobStatus` lands in a
+//! counter. It encodes those invariants as passes:
 //!
 //! 1. [`rules`] — token-level source lints over a hand-rolled lexer
 //!    ([`lexer`]): no syntax-tree dependency, comments and string
@@ -24,11 +25,11 @@
 //!    (`relaxed-signal`), and [`spans`] (`unregistered-span` /
 //!    `unguarded-span`).
 //!
-//! Findings are structured ([`findings::Finding`]); exceptions live in
-//! a checked-in, justified [`allow`] list. The binary exits nonzero on
-//! any unsuppressed deny finding (or warn, under `--deny-warnings`).
+//! Findings are structured ([`findings::Finding`]). There is no
+//! suppression: a pass states its own exemptions, each with its reason,
+//! next to its scope. The binary exits nonzero on any deny finding (or
+//! warn, under `--deny-warnings`).
 
-pub mod allow;
 pub mod callgraph;
 pub mod cancellation;
 pub mod conservation;
@@ -50,17 +51,15 @@ use std::path::{Path, PathBuf};
 pub struct Config {
     /// Workspace root; source passes walk `root/src` and `root/crates`.
     pub root: PathBuf,
-    /// Directory of model JSON files (`root/models` by default).
+    /// Directory of model JSON files (`root/models`).
     pub models: PathBuf,
-    /// The suppression file (`root/analyze.allow.toml` by default).
-    pub allow: PathBuf,
 }
 
 impl Config {
     /// Conventional layout under one workspace root.
     pub fn for_root(root: impl Into<PathBuf>) -> Self {
         let root = root.into();
-        Config { models: root.join("models"), allow: root.join("analyze.allow.toml"), root }
+        Config { models: root.join("models"), root }
     }
 }
 
@@ -95,12 +94,12 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) {
     }
 }
 
-/// Run all three passes plus the allowlist and produce the report.
+/// Run every pass and produce the report.
 pub fn run(cfg: &Config) -> Report {
     let mut report = Report::default();
     let mut findings = Vec::new();
 
-    // Pass 1 + parse for pass 2.
+    // Pass 1 + parse for the others.
     let mut parsed: Vec<SourceFile> = Vec::new();
     for (rel, path) in collect_sources(&cfg.root) {
         let Ok(text) = std::fs::read_to_string(&path) else { continue };
@@ -141,19 +140,6 @@ pub fn run(cfg: &Config) -> Report {
         report.models_checked += 1;
     }
 
-    // Allowlist: absent file means no suppressions (not an error).
-    if let Ok(text) = std::fs::read_to_string(&cfg.allow) {
-        let allow_name = cfg
-            .allow
-            .strip_prefix(&cfg.root)
-            .unwrap_or(&cfg.allow)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let (entries, problems) = allow::parse(&text, &allow_name);
-        allow::apply(&entries, &mut findings, &allow_name);
-        findings.extend(problems);
-    }
-
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report.absorb(findings);
     report
@@ -167,6 +153,6 @@ mod tests {
     fn config_layout() {
         let cfg = Config::for_root("/tmp/ws");
         assert!(cfg.models.ends_with("models"));
-        assert!(cfg.allow.ends_with("analyze.allow.toml"));
+        assert!(cfg.models.starts_with(&cfg.root));
     }
 }

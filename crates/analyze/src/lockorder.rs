@@ -10,8 +10,8 @@
 //! (DESIGN §4.15), *interprocedural*:
 //!
 //! 1. **Discover locks.** A struct field declared as
-//!    `Lock<…>` / `RwLock<…>` (the obs wrappers — pass 1 already
-//!    denies raw std locks) defines a lock identity `file::field`.
+//!    `Lock<…>` / `RwLock<…>` (the obs wrappers — clippy denies raw
+//!    std locks) defines a lock identity `file::field`.
 //! 2. **Track acquisitions per function.** `<field>.lock()`,
 //!    `<field>.read()`, `<field>.write()` acquire. A `let`-bound guard
 //!    is held until its enclosing block closes; a temporary guard (no
@@ -37,7 +37,7 @@
 use crate::callgraph::{CallGraph, FnId};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
+use crate::source::{matching, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A known lock: the struct field that declares it.
@@ -223,19 +223,7 @@ fn scan_function(
                 // call (`x.lock().len()`) makes the guard a statement
                 // temporary even under `let` — only the chain's result
                 // is bound.
-                let mut close = i + 1;
-                let mut d = 0usize;
-                while close < body.len() {
-                    if body[close].is_punct('(') {
-                        d += 1;
-                    } else if body[close].is_punct(')') {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    close += 1;
-                }
+                let close = matching(body, i + 1);
                 let chained = body.get(close + 1).map(|t| t.is_punct('.')).unwrap_or(false);
                 let bound = stmt_has_let && !chained;
                 held.push(Held {

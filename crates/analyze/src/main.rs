@@ -1,8 +1,7 @@
 //! `gswitch-analyze` — CLI for the repo's static analyzer.
 //!
 //! ```text
-//! gswitch-analyze [--root DIR] [--models DIR] [--allow FILE]
-//!                 [--json] [--deny-warnings]
+//! gswitch-analyze [--root DIR] [--json] [--deny-warnings]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings at or above the failing
@@ -12,11 +11,10 @@ use gswitch_analyze::{run, Config};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gswitch-analyze [--root DIR] [--models DIR] [--allow FILE] \
-         [--json] [--deny-warnings]\n\
+        "usage: gswitch-analyze [--root DIR] [--json] [--deny-warnings]\n\
          \n\
-         Static analysis over the gswitch workspace: source lints,\n\
-         model-file soundness, and interprocedural dataflow over the\n\
+         Static analysis over the gswitch workspace: source lints clippy\n\
+         cannot express, model-file soundness, and interprocedural dataflow over the\n\
          workspace call graph — cross-call lock order, cancellation\n\
          soundness (unpolled-hot-loop), outcome conservation\n\
          (unaccounted-terminal-status), atomic signaling\n\
@@ -24,8 +22,6 @@ fn usage() -> ! {
          unguarded-span). See DESIGN.md §4.9 and §4.15.\n\
          \n\
          --root DIR        workspace root (default: nearest dir with Cargo.toml, else .)\n\
-         --models DIR      model JSON directory (default: ROOT/models)\n\
-         --allow FILE      suppression file (default: ROOT/analyze.allow.toml)\n\
          --json            machine-readable report on stdout\n\
          --deny-warnings   warn findings also fail the build"
     );
@@ -53,16 +49,12 @@ fn find_root() -> std::path::PathBuf {
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut root: Option<std::path::PathBuf> = None;
-    let mut models: Option<std::path::PathBuf> = None;
-    let mut allow: Option<std::path::PathBuf> = None;
     let mut json = false;
     let mut deny_warnings = false;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--models" => models = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--allow" => allow = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
             "--help" | "-h" => usage(),
@@ -73,16 +65,7 @@ fn main() {
         }
     }
 
-    let root = root.unwrap_or_else(find_root);
-    let mut cfg = Config::for_root(root);
-    if let Some(m) = models {
-        cfg.models = m;
-    }
-    if let Some(a) = allow {
-        cfg.allow = a;
-    }
-
-    let report = run(&cfg);
+    let report = run(&Config::for_root(root.unwrap_or_else(find_root)));
 
     if json {
         match serde_json::to_string_pretty(&report) {
@@ -101,14 +84,13 @@ fn main() {
         }
         println!(
             "gswitch-analyze: {} file(s), {} fn(s), {} call edge(s), {} model(s) — \
-             {} deny, {} warn, {} suppressed",
+             {} deny, {} warn",
             report.files_scanned,
             report.functions_indexed,
             report.call_edges,
             report.models_checked,
             report.deny,
-            report.warn,
-            report.suppressed
+            report.warn
         );
     }
 

@@ -1,11 +1,11 @@
 //! Pass 3 — model soundness.
 //!
 //! The checked-in `models/*.json` files feed the serving decision path
-//! directly, so a structurally-valid-but-semantically-broken tree is a
-//! production bug waiting for the right feature vector. On top of the
-//! runtime's own `DecisionTree::validate` (indices in range, acyclic,
-//! finite thresholds) this pass checks what only an offline analyzer
-//! can afford to:
+//! directly. This pass first reads each file exactly as serving does
+//! ([`ModelPolicy::decode`], then [`validate_tree`] per pattern): a file
+//! serving rejects, or a tree it drops to the heuristic, is a deny
+//! finding. On top of that it checks what only an offline analyzer can
+//! afford to:
 //!
 //! * **Unreachable branches** — a split whose threshold contradicts an
 //!   ancestor split on the same feature leaves one child dead: it can
@@ -13,60 +13,27 @@
 //!   fallout or hand-edit damage.
 //! * **Leaf classes** within the pattern's legal variant set (P1
 //!   direction: 2, P2 format: 3, P3 load-balance: 4, P4 stepping: 3,
-//!   P5 fusion: 2).
-//! * **Feature indices** within the 21-feature vector of Table 1.
-//! * **Split thresholds inside the stamped training ranges** (envelope
-//!   files only): a threshold outside `[min, max]` can never change a
-//!   prediction once inference clamps features into the range, so one
-//!   subtree is dead weight at best and hides a train/serve skew at
-//!   worst.
+//!   P5 fusion: 2), named per leaf when a tree declares too many.
+//! * **Split thresholds inside the stamped training ranges**: a
+//!   threshold outside `[min, max]` can never change a prediction once
+//!   inference clamps features into the range, so one subtree is dead
+//!   weight at best and hides a train/serve skew at worst.
 
 use crate::findings::{Finding, Severity};
-use gswitch_core::policy::{ModelEnvelope, ModelPolicy};
-use gswitch_ml::dataset::FEATURE_COUNT;
+use gswitch_core::policy::{validate_tree, ModelPolicy, TreeRejection};
 use gswitch_ml::tree::Node;
 use gswitch_ml::{DecisionTree, Pattern};
 
 /// Check one model file's text. `file` is used for finding locations.
 pub fn check_model_text(file: &str, text: &str) -> Vec<Finding> {
-    // Envelope first (its JSON is a superset of the bare model), then
-    // legacy bare model.
-    let (model, ranges): (ModelPolicy, Option<Vec<(f64, f64)>>) =
-        match ModelEnvelope::from_json(text) {
-            Ok(env) => {
-                let mut out = Vec::new();
-                if let Err(e) = env.validate() {
-                    out.push(Finding::new(
-                        "model-envelope",
-                        Severity::Deny,
-                        file,
-                        0,
-                        "",
-                        format!("envelope fails validation: {e}"),
-                    ));
-                    return out;
-                }
-                (env.model, Some(env.feature_ranges))
-            }
-            Err(_) => match ModelPolicy::from_json(text) {
-                Ok(m) => (m, None),
-                Err(e) => {
-                    return vec![Finding::new(
-                        "model-envelope",
-                        Severity::Deny,
-                        file,
-                        0,
-                        "",
-                        format!("neither a model envelope nor a legacy bare model: {e}"),
-                    )];
-                }
-            },
-        };
-
+    let model = match ModelPolicy::decode(text) {
+        Ok((model, _)) => model,
+        Err(e) => return vec![Finding::new("model-envelope", Severity::Deny, file, 0, "", e)],
+    };
     let mut out = Vec::new();
     for pattern in Pattern::DECISION_ORDER {
         if let Some(tree) = model.tree(pattern) {
-            check_tree(file, pattern, tree, ranges.as_deref(), &mut out);
+            check_tree(file, pattern, tree, model.feature_ranges.as_deref(), &mut out);
         }
     }
     out
@@ -82,59 +49,40 @@ fn check_tree(
 ) {
     let pat = format!("{pattern:?}");
 
-    // The runtime's structural validation first: a tree that fails it
-    // is reported once and skipped (interval analysis assumes a sane
-    // arena).
-    if let Err(e) = tree.validate() {
+    // Serving's admission test first. A tree that is not even a sound
+    // arena is reported once and skipped (interval analysis assumes
+    // one); a sound one serving drops is still walked, so its bad
+    // leaves are named.
+    if let Err(rejection) = validate_tree(pattern, tree) {
+        let rule = match rejection {
+            TreeRejection::Invalid(_) => "model-tree-invalid",
+            TreeRejection::Arity(_) => "model-feature-arity",
+            TreeRejection::Classes { .. } => "model-class-range",
+        };
         out.push(Finding::new(
-            "model-tree-invalid",
+            rule,
             Severity::Deny,
             file,
             0,
             format!("pattern {pat}"),
-            format!("tree fails structural validation: {e}"),
+            format!("serving drops this tree: {rejection}"),
         ));
-        return;
-    }
-
-    if tree.n_features() > FEATURE_COUNT {
-        out.push(Finding::new(
-            "model-feature-arity",
-            Severity::Deny,
-            file,
-            0,
-            format!("pattern {pat}"),
-            format!(
-                "tree expects {} features but the Inspector computes {FEATURE_COUNT}",
-                tree.n_features()
-            ),
-        ));
+        if matches!(rejection, TreeRejection::Invalid(_)) {
+            return;
+        }
     }
 
     let legal = pattern.n_classes();
-    if tree.n_classes() > legal {
-        out.push(Finding::new(
-            "model-class-range",
-            Severity::Deny,
-            file,
-            0,
-            format!("pattern {pat}"),
-            format!(
-                "tree declares {} classes; pattern {pat} has {legal} legal variants",
-                tree.n_classes()
-            ),
-        ));
-    }
-
     let nodes = tree.nodes();
 
     // Per-node checks plus reachable-interval analysis. Walk from the
     // root carrying per-feature half-open intervals `[lo, hi)` of the
     // values that can reach each node. A split `feature < t` makes its
     // left child dead when `t <= lo` and its right child dead when
-    // `t >= hi`. (`validate()` above guarantees the walk terminates.)
+    // `t >= hi`. (`DecisionTree::validate` guarantees the walk
+    // terminates and every split feature is below `n_features`.)
     let mut stack: Vec<(usize, Vec<(f64, f64)>)> =
-        vec![(0, vec![(f64::NEG_INFINITY, f64::INFINITY); FEATURE_COUNT.max(tree.n_features())])];
+        vec![(0, vec![(f64::NEG_INFINITY, f64::INFINITY); tree.n_features()])];
     while let Some((at, bounds)) = stack.pop() {
         match &nodes[at] {
             Node::Leaf { class, .. } => {
@@ -153,20 +101,6 @@ fn check_tree(
                 }
             }
             Node::Split { feature, threshold, left, right } => {
-                if *feature >= FEATURE_COUNT {
-                    out.push(Finding::new(
-                        "model-feature-arity",
-                        Severity::Deny,
-                        file,
-                        0,
-                        format!("pattern {pat}, node {at}"),
-                        format!(
-                            "split on feature {feature}; the feature vector has \
-                             {FEATURE_COUNT} columns (0..{FEATURE_COUNT})"
-                        ),
-                    ));
-                    continue;
-                }
                 let (lo, hi) = bounds[*feature];
                 if *threshold <= lo {
                     out.push(dead_branch(file, &pat, at, *feature, *threshold, lo, hi, "left"));
@@ -231,13 +165,26 @@ fn dead_branch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gswitch_ml::TrainParams;
+    use gswitch_core::policy::ModelEnvelope;
+    use gswitch_ml::{TrainParams, FEATURE_COUNT};
 
-    /// A tree learned on clean data: must be clean.
-    fn trained() -> DecisionTree {
-        let rows: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64, (31 - i) as f64]).collect();
+    /// A tree learned on clean data over `n_features` columns.
+    fn trained_on(n_features: usize) -> DecisionTree {
+        let rows: Vec<Vec<f64>> = (0..32)
+            .map(|i| {
+                let mut row = vec![0.0; n_features];
+                (row[0], row[1]) = (i as f64, (31 - i) as f64);
+                row
+            })
+            .collect();
         let labels: Vec<usize> = (0..32).map(|i| usize::from(i >= 16)).collect();
         DecisionTree::train(&rows, &labels, TrainParams::default()).expect("train")
+    }
+
+    /// A tree learned on clean data over the Inspector's features: must
+    /// be clean.
+    fn trained() -> DecisionTree {
+        trained_on(FEATURE_COUNT)
     }
 
     #[test]
@@ -257,7 +204,7 @@ mod tests {
             {"Leaf":{"class":0,"weight":1}},
             {"Leaf":{"class":1,"weight":1}},
             {"Leaf":{"class":1,"weight":1}}],
-            "n_features":2,"n_classes":2}}"#;
+            "n_features":21,"n_classes":2}}"#;
         let f = check_model_text("m.json", json);
         let rules: Vec<&str> = f.iter().map(|x| x.rule).collect();
         assert_eq!(rules, vec!["model-dead-branch"], "{f:?}");
@@ -271,7 +218,7 @@ mod tests {
         // passes — only the pattern-aware check catches it.
         let json = r#"{"direction":{"nodes":[
             {"Leaf":{"class":5,"weight":1}}],
-            "n_features":2,"n_classes":6}}"#;
+            "n_features":21,"n_classes":6}}"#;
         let f = check_model_text("m.json", json);
         let rules: Vec<&str> = f.iter().map(|x| x.rule).collect();
         assert!(rules.contains(&"model-class-range"), "{f:?}");
@@ -287,6 +234,12 @@ mod tests {
         let f = check_model_text("m.json", json);
         let rules: Vec<&str> = f.iter().map(|x| x.rule).collect();
         assert!(rules.contains(&"model-feature-arity"), "{f:?}");
+
+        // Serving admits exactly FEATURE_COUNT features, so a narrower
+        // tree is dropped at load too.
+        let narrow = ModelPolicy::empty().with_tree(Pattern::Direction, trained_on(20));
+        let f = check_model_text("m.json", &narrow.to_json());
+        assert!(f.iter().any(|x| x.rule == "model-feature-arity"), "{f:?}");
     }
 
     #[test]

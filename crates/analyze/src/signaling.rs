@@ -17,7 +17,7 @@
 //!
 //! Pure counters are excluded by *type*: `AtomicU32`/`AtomicU64`
 //! statistics never gate control flow here, and `Relaxed` is exactly
-//! right for them — the allowlist never needs to enumerate them.
+//! right for them, so no exemption needs to enumerate them.
 //! Trade-offs (DESIGN §4.15): binding matching is name-based, like the
 //! lock-order pass; a same-function store+load pair is not a signal
 //! (no cross-thread edge proven) and stays unflagged.
@@ -25,7 +25,7 @@
 use crate::callgraph::{loops_in, CallGraph, LoopSpan};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
+use crate::source::{matching, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose `AtomicBool`s are treated as cross-thread signals.
@@ -93,21 +93,7 @@ fn signal_file(sf: &SourceFile) -> bool {
 
 /// Does the argument list opening at `open` mention `Relaxed`?
 fn args_mention_relaxed(sf: &SourceFile, open: usize) -> bool {
-    let t = &sf.toks;
-    let mut depth = 0usize;
-    for tok in &t[open..] {
-        if tok.is_punct('(') {
-            depth += 1;
-        } else if tok.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return false;
-            }
-        } else if tok.is_ident("Relaxed") {
-            return true;
-        }
-    }
-    false
+    sf.toks[open..matching(&sf.toks, open)].iter().any(|tok| tok.is_ident("Relaxed"))
 }
 
 /// Run the pass.

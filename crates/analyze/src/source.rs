@@ -106,9 +106,8 @@ impl SourceFile {
                     j += 1;
                 }
                 if let Some(open) = body {
-                    let close = matching_brace(t, open);
-                    let is_test =
-                        self.test_mask.get(i).copied().unwrap_or(false) || has_test_attr(t, i);
+                    let close = matching(t, open);
+                    let is_test = self.test_mask[i];
                     out.push(FnSpan { name, body: open + 1..close, line, is_test });
                     // Continue scanning *inside* the body too (nested
                     // fns appear as their own spans).
@@ -122,13 +121,19 @@ impl SourceFile {
     }
 }
 
-/// Index of the `}` matching the `{` at `open` (or the last token).
-pub fn matching_brace(t: &[Tok], open: usize) -> usize {
+/// Index of the bracket that closes the `{`, `[` or `(` at `open` (the
+/// last token when it is never closed).
+pub fn matching(t: &[Tok], open: usize) -> usize {
+    let (opens, closes) = match t[open].text.as_str() {
+        "{" => ('{', '}'),
+        "[" => ('[', ']'),
+        _ => ('(', ')'),
+    };
     let mut depth = 0usize;
     for (j, tok) in t.iter().enumerate().skip(open) {
-        if tok.is_punct('{') {
+        if tok.is_punct(opens) {
             depth += 1;
-        } else if tok.is_punct('}') {
+        } else if tok.is_punct(closes) {
             depth -= 1;
             if depth == 0 {
                 return j;
@@ -153,108 +158,27 @@ fn is_test_marking_attr(body: &[Tok]) -> bool {
     true
 }
 
-/// Does an `#[test]`-like attribute (`test`, `tokio::test`, ...)
-/// directly precede the `fn` at index `fn_idx`? Walks backwards over
-/// attributes.
-fn has_test_attr(t: &[Tok], fn_idx: usize) -> bool {
-    // Walk back over any run of attributes and modifiers.
-    let mut i = fn_idx;
-    while i > 0 {
-        let prev = &t[i - 1];
-        if prev.kind == TokKind::Ident
-            && matches!(prev.text.as_str(), "pub" | "const" | "unsafe" | "async" | "extern")
-        {
-            i -= 1;
-            continue;
-        }
-        if prev.is_punct(']') {
-            // Scan back to the matching `#[`.
-            let mut depth = 0isize;
-            let mut j = i - 1;
-            loop {
-                if t[j].is_punct(']') {
-                    depth += 1;
-                } else if t[j].is_punct('[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if j == 0 {
-                    return false;
-                }
-                j -= 1;
-            }
-            // Attribute contents are t[j+1 .. i-1]; `#` sits at j-1.
-            if is_test_marking_attr(&t[j + 1..i - 1]) {
-                return true;
-            }
-            i = j.saturating_sub(1);
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
-/// Mark every token inside a `#[cfg(test)]` item (module, fn, impl,
-/// use) and inside `#[test]` functions.
+/// Mark every token of an item under a test-marking attribute: a
+/// `#[cfg(test)]` module, fn, impl or use, and a `#[test]` function.
 fn compute_test_mask(t: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; t.len()];
     let mut i = 0;
     while i < t.len() {
         if t[i].is_punct('#') && t.get(i + 1).map(|n| n.is_punct('[')).unwrap_or(false) {
-            // Find the attribute's closing `]`.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            let mut close = None;
-            while j < t.len() {
-                if t[j].is_punct('[') {
-                    depth += 1;
-                } else if t[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(j);
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            let Some(close) = close else { break };
-            let body = &t[i + 2..close];
-            if is_test_marking_attr(body) {
+            let close = matching(t, i + 1);
+            if t.get(i + 2..close).is_some_and(is_test_marking_attr) {
                 // Skip further attributes, then mask the whole item.
                 let mut k = close + 1;
                 while k + 1 < t.len() && t[k].is_punct('#') && t[k + 1].is_punct('[') {
-                    let mut d = 0usize;
-                    while k < t.len() {
-                        if t[k].is_punct('[') {
-                            d += 1;
-                        } else if t[k].is_punct(']') {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    k += 1;
+                    k = matching(t, k + 1) + 1;
                 }
                 // The item runs to its closing `}` (mod/fn/impl) or to
                 // `;` (use/static), whichever comes first structurally.
-                let mut m = k;
-                let mut end = t.len().saturating_sub(1);
-                while m < t.len() {
-                    if t[m].is_punct(';') {
-                        end = m;
-                        break;
-                    }
-                    if t[m].is_punct('{') {
-                        end = matching_brace(t, m);
-                        break;
-                    }
-                    m += 1;
-                }
+                let end = match (k..t.len()).find(|&m| t[m].is_punct(';') || t[m].is_punct('{')) {
+                    Some(m) if t[m].is_punct('{') => matching(t, m),
+                    Some(m) => m,
+                    None => t.len().saturating_sub(1),
+                };
                 for slot in mask.iter_mut().take(end + 1).skip(i) {
                     *slot = true;
                 }

@@ -24,7 +24,7 @@
 
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
+use crate::source::{matching, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// RAII guard-creation entry points (`fn(SpanKind, ..)` shapes).
@@ -49,26 +49,12 @@ fn enum_variants(files: &[SourceFile]) -> Vec<Variant> {
             if !(t[i].is_ident("enum") && t[i + 1].is_ident("SpanKind") && t[i + 2].is_punct('{')) {
                 continue;
             }
-            let close = crate::source::matching_brace(t, i + 2);
+            let close = matching(t, i + 2);
             let mut j = i + 3;
             while j < close {
                 // Unit variants only: `Name ,` / `Name }` (attrs skipped).
-                if t[j].is_punct('#') {
-                    // `#[attr]` — skip to past the closing bracket.
-                    if t.get(j + 1).map(|n| n.is_punct('[')).unwrap_or(false) {
-                        let mut depth = 0usize;
-                        while j < close {
-                            if t[j].is_punct('[') {
-                                depth += 1;
-                            } else if t[j].is_punct(']') {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            j += 1;
-                        }
-                    }
+                if t[j].is_punct('#') && t[j + 1].is_punct('[') {
+                    j = matching(t, j + 1);
                 } else if t[j].kind == TokKind::Ident
                     && t.get(j + 1).map(|n| n.is_punct(',') || n.is_punct('}')).unwrap_or(true)
                 {
@@ -96,17 +82,9 @@ fn registered(files: &[SourceFile]) -> BTreeSet<String> {
             // Skip the type to the initializer: `= [ ... ]`.
             let Some(eq) = (i..t.len()).find(|&j| t[j].is_punct('=')) else { continue };
             let Some(open) = (eq..t.len()).find(|&j| t[j].is_punct('[')) else { continue };
-            let mut depth = 0usize;
-            for j in open..t.len() {
-                if t[j].is_punct('[') {
-                    depth += 1;
-                } else if t[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if variant_path_at(t, j).is_some() {
-                    out.insert(t[j + 3].text.clone());
+            for j in open..matching(t, open) {
+                if let Some(name) = variant_path_at(t, j) {
+                    out.insert(t[name].text.clone());
                 }
             }
         }

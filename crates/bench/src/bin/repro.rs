@@ -30,6 +30,7 @@ const EXPERIMENTS: &[Exp] = &[
     ("ablation", "extra   — engine design-choice ablations", experiments::ablation::run),
 ];
 
+#[expect(clippy::disallowed_methods, reason = "an offline tool reporting its own wall time")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {

@@ -20,6 +20,7 @@ use gswitch_ml::{
 use gswitch_simt::DeviceSpec;
 use std::time::Instant;
 
+#[expect(clippy::disallowed_methods, reason = "an offline tool reporting its own wall time")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stride: usize = args

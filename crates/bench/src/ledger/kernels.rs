@@ -6,6 +6,8 @@
 //! call's fixed cost. Frontier and dirty-set sizes, edges touched and the
 //! simulated ms of each Expand are exact; host wall µs are timed.
 
+#![expect(clippy::disallowed_methods, reason = "offline: times each kernel call on its own")]
+
 use super::{round_to, Row, Snapshot, Timed, KERNEL_WALL_ABS_US};
 use gswitch_algos::{Bfs, Cc, PageRank};
 use gswitch_kernels::{

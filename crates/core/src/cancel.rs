@@ -116,6 +116,11 @@ impl CancelToken {
 }
 
 impl RunProbe for CancelToken {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline comparison, not a measurement: no interval is produced, so there \
+                  is nothing for a span profile to miss"
+    )]
     fn check(&self, _iteration: u32) -> Option<StopReason> {
         if self.is_cancelled() {
             return Some(StopReason::Cancelled);
@@ -141,6 +146,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "deadlines are Instants")]
     fn token_cancel_and_deadline() {
         let t = CancelToken::new();
         assert_eq!(t.check(0), None);

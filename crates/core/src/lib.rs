@@ -19,6 +19,7 @@
 //! iteration for the feature database (§4.4).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cancel;
 pub mod engine;

@@ -192,6 +192,11 @@ impl ModelPolicy {
     }
 
     /// Serialize to JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing an owned, non-recursive tree arena cannot fail; the envelope \
+                  checksum downstream catches any corruption this could hide"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serializes")
     }
@@ -199,6 +204,27 @@ impl ModelPolicy {
     /// Deserialize from JSON.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
+    }
+
+    /// Read a model file's text as serving does: a [`ModelEnvelope`]
+    /// that must validate (its training ranges installed in the model),
+    /// else a legacy bare model. The flag says which it was. Trees are
+    /// not yet admitted: that is [`validate_tree`], per pattern.
+    pub fn decode(text: &str) -> Result<(Self, bool), String> {
+        // The envelope parse must come first: its JSON is a superset
+        // that would also deserialize as an (empty) bare model.
+        match ModelEnvelope::from_json(text) {
+            Ok(env) => match env.validate() {
+                Ok(()) => {
+                    Ok((Self { feature_ranges: Some(env.feature_ranges), ..env.model }, true))
+                }
+                Err(e) => Err(format!("model envelope rejected: {e}")),
+            },
+            Err(_) => match Self::from_json(text) {
+                Ok(m) => Ok((m, false)),
+                Err(e) => Err(format!("model JSON rejected: {e}")),
+            },
+        }
     }
 
     /// Save to a file.
@@ -244,37 +270,25 @@ impl ModelPolicy {
                 return (Self::empty(), report);
             }
         };
-        // The envelope parse must come first: its JSON is a superset
-        // that would also deserialize as an (empty) bare model.
-        let (mut model, ranges) = match ModelEnvelope::from_json(&s) {
-            Ok(env) => {
-                report.enveloped = true;
-                if let Err(e) = env.validate() {
-                    fail(&mut report, format!("model envelope rejected: {e}"));
-                    return (Self::empty(), report);
-                }
-                (env.model, Some(env.feature_ranges))
+        let mut model = match Self::decode(&s) {
+            Ok((model, enveloped)) => {
+                report.enveloped = enveloped;
+                model
             }
-            Err(_) => match Self::from_json(&s) {
-                Ok(m) => (m, None),
-                Err(e) => {
-                    fail(&mut report, format!("model JSON rejected: {e}"));
-                    return (Self::empty(), report);
-                }
-            },
+            Err(e) => {
+                fail(&mut report, e);
+                return (Self::empty(), report);
+            }
         };
         for p in Pattern::DECISION_ORDER {
             let bad = model.tree(p).and_then(|t| validate_tree(p, t).err());
             if let Some(e) = bad {
                 gswitch_obs::hardening::note_model_fallback();
-                report.dropped.push((p, e));
+                report.dropped.push((p, e.to_string()));
                 model.clear_tree(p);
             }
         }
         report.kept = model.n_trees();
-        if ranges.is_some() {
-            model.feature_ranges = ranges;
-        }
         (model, report)
     }
 
@@ -293,21 +307,49 @@ impl ModelPolicy {
     }
 }
 
-/// Structural admission test for one pattern's tree.
-fn validate_tree(pattern: Pattern, tree: &DecisionTree) -> Result<(), String> {
-    tree.validate()?;
+/// Why serving drops one pattern's tree at load.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TreeRejection {
+    /// The arena fails [`DecisionTree::validate`].
+    Invalid(String),
+    /// The tree reads this many features; the Inspector computes
+    /// [`FEATURE_COUNT`].
+    Arity(usize),
+    /// The tree predicts more classes than its pattern has variants.
+    Classes {
+        /// Classes the tree declares.
+        declared: usize,
+        /// The pattern's variant count.
+        legal: usize,
+    },
+}
+
+impl std::fmt::Display for TreeRejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeRejection::Invalid(e) => f.write_str(e),
+            TreeRejection::Arity(n) => {
+                write!(f, "tree expects {n} features, the engine produces {FEATURE_COUNT}")
+            }
+            TreeRejection::Classes { declared, legal } => {
+                write!(f, "tree predicts {declared} classes, its pattern has {legal}")
+            }
+        }
+    }
+}
+
+/// The admission test [`ModelPolicy::load_or_fallback`] applies to each
+/// pattern's tree: a tree that fails it falls back to the heuristic.
+pub fn validate_tree(pattern: Pattern, tree: &DecisionTree) -> Result<(), TreeRejection> {
+    tree.validate().map_err(TreeRejection::Invalid)?;
     if tree.n_features() != FEATURE_COUNT {
-        return Err(format!(
-            "tree expects {} features, the engine produces {FEATURE_COUNT}",
-            tree.n_features()
-        ));
+        return Err(TreeRejection::Arity(tree.n_features()));
     }
     if tree.n_classes() > pattern.n_classes() {
-        return Err(format!(
-            "tree predicts {} classes, pattern {pattern:?} has {}",
-            tree.n_classes(),
-            pattern.n_classes()
-        ));
+        return Err(TreeRejection::Classes {
+            declared: tree.n_classes(),
+            legal: pattern.n_classes(),
+        });
     }
     Ok(())
 }
@@ -394,6 +436,11 @@ impl ModelEnvelope {
     }
 
     /// Serialize to JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "plain structs with derived Serialize, as in ModelPolicy::to_json: an error \
+                  here is unreachable"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("envelope serializes")
     }
@@ -428,7 +475,7 @@ pub struct ModelLoadReport {
     pub dropped: Vec<(Pattern, String)>,
     /// Trees retained.
     pub kept: usize,
-    /// Whether the file used the versioned envelope format.
+    /// Whether the file was a valid versioned envelope.
     pub enveloped: bool,
 }
 

@@ -350,6 +350,7 @@ impl std::fmt::Debug for AtomicBitSet {
 pub type Cursor = AtomicU32;
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the tests race real threads on one cell")]
 mod tests {
     use super::*;
 

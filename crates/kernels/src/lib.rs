@@ -33,6 +33,7 @@
 //!   partitioned execution (duplicate-merge policy + routed-byte counts).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod app;
 pub mod atomics;

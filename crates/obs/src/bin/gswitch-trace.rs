@@ -21,6 +21,8 @@
 //!   snapshot — and the output is the overload-resilience summary
 //!   (shed/fast-fail counters, breaker transitions, brownout state).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io::Read;
 use std::process::ExitCode;
 

@@ -29,6 +29,7 @@
 //!   out-of-distribution feature clamps and sentinel mismatches.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod faults;
 pub mod hardening;

@@ -23,10 +23,10 @@
 //! folds spans into an inclusive/exclusive self-time table per kind
 //! with exact p50/p95/p99 over per-span self-times.
 //!
-//! This module is the *only* place in the workspace hot crates allowed
-//! to read `std::time::Instant` directly — `gswitch-analyze` enforces
-//! that with the `untimed-hot-section` lint, so every measured section
-//! is attributable to a span or an explicit clock read.
+//! [`Clock::monotonic`] is the *only* place in the serving crates allowed
+//! to call `std::time::Instant::now` — clippy's `disallowed_methods`
+//! (the root `clippy.toml`) enforces that, so every measured section is
+//! attributable to a span or an explicit clock read.
 
 use crate::sync::Lock;
 use crate::wire;
@@ -57,6 +57,7 @@ enum ClockInner {
 
 impl Clock {
     /// A wall clock anchored now.
+    #[expect(clippy::disallowed_methods, reason = "the one raw wall-clock read behind every span")]
     pub fn monotonic() -> Self {
         Clock(ClockInner::Monotonic(Instant::now()))
     }

@@ -15,6 +15,8 @@
 //! ([`poison_recoveries`]) so tests and operators can see that a poison
 //! event happened without the process dying over it.
 
+#![expect(clippy::disallowed_types, reason = "this module is the poison-recovering wrapper")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LockResult, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -79,6 +81,7 @@ impl<T> RwLock<T> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "poisoning a lock takes a thread that panics")]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -17,6 +17,7 @@ const BOUNDS: [f64; 4] = [1.0, 4.0, 16.0, 64.0];
 /// must equal the shared histogram exactly. Integer-valued samples keep
 /// the f64 sum order-independent, so even `sum` compares with `==`.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the writers must be real racing threads")]
 fn concurrent_writers_then_merge_is_exact() {
     const THREADS: usize = 8;
     const PER: usize = 5_000;

@@ -9,6 +9,8 @@
 //! cold (empty tuned-config cache) then warm (cache filled by the cold
 //! pass) — and print QPS, latency percentiles, and hit rates.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use gswitch_runtime::bench_load::bench_load_with_obs;
 use gswitch_runtime::protocol::Request;
 use gswitch_runtime::{

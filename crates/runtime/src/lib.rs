@@ -40,6 +40,7 @@
 //! stdin/stdout; see `protocol` and the README's "Serving" section.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bench_load;
 pub mod breaker;

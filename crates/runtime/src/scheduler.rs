@@ -355,6 +355,13 @@ impl Scheduler {
             breakers,
             brownout,
         });
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "workers spawn once, before any job is accepted; a process that cannot \
+                      spawn them cannot serve, and aborting startup loudly beats limping with \
+                      a partial pool"
+        )]
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -399,6 +406,11 @@ impl Scheduler {
         let key = BreakerKey { fingerprint: entry.fingerprint().0, algo: spec.query.algo() };
         drop(entry);
         let deadline = Duration::from_millis(spec.timeout_ms.unwrap_or(self.default_timeout_ms));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a one-shot rendezvous: exactly one JobOutcome is sent per channel, and queue \
+                      admission bounds how many channels exist at once"
+        )]
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let graph = spec.graph.clone();
@@ -908,6 +920,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests build job handles by hand, as submit does")]
 mod tests {
     use super::*;
     use crate::query::Query;

@@ -261,6 +261,11 @@ fn run_one(
 /// shards themselves are shared read-only. A query whose worker panics
 /// is reported as `Failed` with the panic payload — the rest of the
 /// batch is unaffected. Outcomes come back in submission order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "one scope per batch, not per kernel call: each slot runs whole queries, and a \
+              slot's panic must stay that query's Failed outcome"
+)]
 pub fn execute_batch(plan: &ShardPlan, queries: &[BatchQuery], opts: &BatchOptions) -> BatchReport {
     let slots = opts.slots.max(1).min(queries.len().max(1));
     let sharded_opts = ShardedOptions {

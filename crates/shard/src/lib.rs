@@ -27,6 +27,7 @@
 //! without a scheduler.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batch;
 pub mod quota;

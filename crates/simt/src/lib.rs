@@ -23,6 +23,7 @@
 //! details. See DESIGN.md §2 for the substitution argument.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod device;
 pub mod profile;
