@@ -91,21 +91,22 @@ fn workspace_is_clean_under_own_analysis() {
 }
 
 /// The overload-resilience modules (breaker, brownout, health, plus
-/// the scheduler that hosts the shed policy) are inside the scan
-/// surface and lint-clean: the source walk picks each of them up, and
-/// the full workspace analysis attributes no finding to any of them.
-/// Guards against the walk silently skipping new runtime files and
-/// against lint regressions in the overload machinery.
+/// the scheduler that hosts the shed policy and the executor it hands
+/// whole-graph and sharded jobs to) are inside the scan surface and
+/// lint-clean: the source walk picks each of them up, and the full
+/// workspace analysis attributes no finding to any of them. Guards
+/// against the walk silently skipping new runtime files and against
+/// lint regressions in the overload machinery.
 #[test]
 fn overload_modules_are_scanned_and_lint_clean() {
     let root = workspace_root();
     let sources = gswitch_analyze::collect_sources(&root);
     let modules = [
         "crates/runtime/src/scheduler.rs",
+        "crates/runtime/src/executor.rs",
         "crates/runtime/src/breaker.rs",
         "crates/runtime/src/brownout.rs",
         "crates/runtime/src/health.rs",
-        "crates/runtime/src/shards.rs",
     ];
     for module in modules {
         assert!(

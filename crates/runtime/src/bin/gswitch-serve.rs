@@ -1,52 +1,45 @@
 //! `gswitch-serve` — a line-delimited JSON query server over the
-//! GSWITCH runtime, plus a synthetic load generator.
-//!
-//! Serve mode (default): one JSON request per stdin line, one JSON
-//! response per stdout line; see `gswitch_runtime::protocol` for the
-//! command set.
-//!
-//! `--bench-load` mode: replay a deterministic mixed workload twice —
-//! cold (empty tuned-config cache) then warm (cache filled by the cold
-//! pass) — and print QPS, latency percentiles, and hit rates.
+//! GSWITCH runtime: one JSON request per stdin line, one JSON response
+//! per stdout line; see `gswitch_runtime::protocol` for the command set.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use gswitch_runtime::bench_load::bench_load_with_obs;
+use gswitch_runtime::executor::to_batch_query;
+use gswitch_runtime::obs::metric;
 use gswitch_runtime::protocol::Request;
 use gswitch_runtime::{
-    ConfigCache, GraphRegistry, JobSpec, RuntimeObs, Scheduler, SchedulerConfig, ShardService,
+    ConfigCache, GraphRegistry, JobSpec, JobStatus, RuntimeObs, Scheduler, SchedulerConfig,
     SubmitError,
 };
 use std::io::{BufRead, Write};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gswitch-serve [--bench-load] [--queries N] [--workers N] [--seed N] \
-         [--trace FILE] [--spans FILE] [--cache FILE] [--retries N] [--strict-load] \
-         [--verify-every N] [--shards K]\n\
+        "usage: gswitch-serve [--workers N] [--shards K] [--spans FILE] [--cache FILE] \
+         [--retries N] [--strict-load] [--verify-every N]\n\
          \n\
-         --shards K (serve mode): default shard count for `batch` requests — each\n\
-         batched graph is partitioned into K resident shards on first use (a request's\n\
-         own \"shards\" field overrides); default 4.\n\
-         --trace FILE (with --bench-load): record a decision trace of the whole run\n\
-         as JSONL to FILE; inspect it with `gswitch-trace FILE`.\n\
-         --spans FILE (with --bench-load): write the wall-clock span log (request →\n\
-         queue-wait → execute → super-step phases) as JSONL to FILE; render it with\n\
+         --workers N: scheduler worker threads; default min(available cores, 8).\n\
+         --shards K: default shard count for `batch` requests — each batched graph is\n\
+         partitioned into K resident shards on first use (a request's own \"shards\"\n\
+         field overrides); default 4.\n\
+         --spans FILE: on quit, write the wall-clock span log (request → queue-wait →\n\
+         execute → super-step phases) as JSONL to FILE; render it with\n\
          `gswitch-trace --timeline out.json FILE` or `gswitch-trace --profile FILE`.\n\
-         --cache FILE (serve mode): warm the tuned-config cache from FILE at startup\n\
-         (a missing or corrupt file degrades to an empty cache — the server always\n\
-         starts) and persist it back on quit.\n\
-         --retries N (serve mode): resubmit a query up to N times when it fails for\n\
-         an infrastructure reason (status `failed`, e.g. a worker panic); default 2.\n\
-         --strict-load (serve mode): refuse graph files that need repair (self loops,\n\
-         parallel edges) instead of silently fixing them; loads are always validated\n\
+         --cache FILE: warm the tuned-config cache from FILE at startup (a missing or\n\
+         corrupt file degrades to an empty cache — the server always starts) and\n\
+         persist it back on quit.\n\
+         --retries N: resubmit a query up to N times when it fails for an\n\
+         infrastructure reason (status `failed`, e.g. a worker panic); default 2.\n\
+         --strict-load: refuse graph files that need repair (self loops, parallel\n\
+         edges) instead of silently fixing them; loads are always validated\n\
          structurally and size-limited either way.\n\
-         --verify-every N (serve mode): run the engine's divergence sentinel every N\n\
-         super-steps — each check re-derives the frontier serially and, on mismatch,\n\
-         repairs in place and pins the run to the reference variant; default 0 (off).\n\
+         --verify-every N: run the engine's divergence sentinel every N super-steps —\n\
+         each check re-derives the frontier serially and, on mismatch, repairs in\n\
+         place and pins the run to the reference variant; default 0 (off).\n\
          \n\
-         Without flags, serves line-delimited JSON requests on stdin:\n\
+         Serves line-delimited JSON requests on stdin:\n\
            {{\"cmd\":\"load\",\"name\":\"kron\",\"gen\":{{\"kind\":\"rmat\",\"scale\":10}}}}\n\
            {{\"cmd\":\"query\",\"graph\":\"kron\",\"query\":{{\"Bfs\":{{\"src\":0}}}}}}\n\
            {{\"cmd\":\"batch\",\"graph\":\"kron\",\"queries\":[{{\"Bfs\":{{\"src\":0}}}},\"Cc\"],\"shards\":4}}\n\
@@ -60,32 +53,24 @@ fn usage() -> ! {
 }
 
 struct Args {
-    bench: bool,
-    queries: usize,
     workers: usize,
-    seed: u64,
-    trace: Option<String>,
+    shards: u32,
     spans: Option<String>,
     cache: Option<String>,
     retries: u32,
     strict_load: bool,
     verify_every: u32,
-    shards: u32,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        bench: false,
-        queries: 200,
-        workers: 0,
-        seed: 0x5EED,
-        trace: None,
+        workers: SchedulerConfig::default().workers,
+        shards: 4,
         spans: None,
         cache: None,
         retries: 2,
         strict_load: false,
         verify_every: 0,
-        shards: 4,
     };
     fn num(it: &mut impl Iterator<Item = String>, name: &str) -> u64 {
         it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -102,15 +87,11 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--bench-load" => args.bench = true,
-            "--queries" => args.queries = num(&mut it, "--queries") as usize,
             "--workers" => args.workers = num(&mut it, "--workers") as usize,
-            "--seed" => args.seed = num(&mut it, "--seed"),
             "--retries" => args.retries = num(&mut it, "--retries") as u32,
             "--strict-load" => args.strict_load = true,
             "--verify-every" => args.verify_every = num(&mut it, "--verify-every") as u32,
             "--shards" => args.shards = (num(&mut it, "--shards") as u32).max(1),
-            "--trace" => args.trace = Some(file(&mut it, "--trace")),
             "--spans" => args.spans = Some(file(&mut it, "--spans")),
             "--cache" => args.cache = Some(file(&mut it, "--cache")),
             "--help" | "-h" => usage(),
@@ -121,65 +102,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn run_bench_load(args: &Args) -> i32 {
-    let workers = if args.workers > 0 { args.workers } else { SchedulerConfig::default().workers };
-    println!(
-        "gswitch-serve --bench-load: {} queries, {} workers, seed {:#x}",
-        args.queries, workers, args.seed
-    );
-    println!("graphs: rmat-mid (2^10, ef 8), road-grid (40x40), social-ba (1500, d 6)");
-    println!("algorithms: bfs, pr, cc, sssp, bc (round-robin)\n");
-
-    let obs = Arc::new(RuntimeObs::new());
-    obs.set_tracing(args.trace.is_some());
-    let (cold, warm) = bench_load_with_obs(args.queries, workers, args.seed, &obs);
-    println!("{}", cold.render());
-    println!("{}", warm.render());
-
-    let speedup = if cold.qps > 0.0 { warm.qps / cold.qps } else { 0.0 };
-    println!(
-        "\nwarm/cold speedup: {speedup:.2}x  warm hit rate: {:.0}%  failures: {}",
-        warm.hit_rate() * 100.0,
-        cold.failed + warm.failed
-    );
-
-    let mut trace_ok = true;
-    if let Some(path) = &args.trace {
-        match std::fs::write(path, obs.trace.to_jsonl()) {
-            Ok(()) => println!(
-                "trace: {} events written to {path} ({} evicted from the ring)",
-                obs.trace.len(),
-                obs.trace.dropped()
-            ),
-            Err(e) => {
-                eprintln!("trace: writing {path}: {e}");
-                trace_ok = false;
-            }
-        }
-    }
-    if let Some(path) = &args.spans {
-        match std::fs::write(path, obs.spans.to_jsonl()) {
-            Ok(()) => println!(
-                "spans: {} spans written to {path} ({} evicted from the ring)",
-                obs.spans.len(),
-                obs.spans.dropped()
-            ),
-            Err(e) => {
-                eprintln!("spans: writing {path}: {e}");
-                trace_ok = false;
-            }
-        }
-    }
-
-    let ok = cold.failed == 0
-        && warm.failed == 0
-        && warm.qps > cold.qps
-        && warm.hit_rate() > 0.5
-        && trace_ok;
-    println!("verdict: {}", if ok { "PASS" } else { "FAIL" });
-    i32::from(!ok)
 }
 
 fn jline(v: serde_json::Value) -> String {
@@ -193,6 +115,17 @@ fn err_line(msg: impl std::fmt::Display) -> String {
     jline(serde_json::json!({ "error": msg.to_string() }))
 }
 
+/// Call `submit` until the queue has room: a full queue is back-pressure
+/// (sleep 1 ms and try again), any other refusal is the client's answer.
+fn admit<T>(mut submit: impl FnMut() -> Result<T, SubmitError>) -> Result<T, String> {
+    loop {
+        match submit() {
+            Err(SubmitError::QueueFull) => std::thread::sleep(Duration::from_millis(1)),
+            other => return other.map_err(|e| e.to_string()),
+        }
+    }
+}
+
 // The REPL dispatcher threads every service through one call; grouping
 // them into a context struct would add a layer for no reader benefit.
 #[allow(clippy::too_many_arguments)]
@@ -202,8 +135,7 @@ fn handle(
     cache: &Arc<ConfigCache>,
     scheduler: &Scheduler,
     obs: &Arc<RuntimeObs>,
-    shards: &ShardService,
-    batch_seq: &std::sync::atomic::AtomicU64,
+    shards: u32,
     retries: u32,
     strict_load: bool,
 ) -> Result<Option<String>, String> {
@@ -245,69 +177,61 @@ fn handle(
             // Transient worker failures (status `failed`) are retried
             // transparently up to --retries times; only the final
             // outcome reaches the client.
-            let outcome = loop {
-                match scheduler.submit_with_retry(
-                    spec.clone(),
-                    retries,
-                    std::time::Duration::from_millis(5),
-                ) {
-                    Ok(out) => break out,
-                    Err(SubmitError::QueueFull) => {
-                        std::thread::sleep(std::time::Duration::from_millis(1))
-                    }
-                    Err(e) => return Err(e.to_string()),
-                }
-            };
+            let outcome = admit(|| {
+                scheduler.submit_with_retry(spec.clone(), retries, Duration::from_millis(5))
+            })?;
             let outcome =
                 if req.payload.unwrap_or(false) { outcome } else { outcome.without_payload() };
             serde_json::to_string(&outcome).map(Some).map_err(|e| e.to_string())
         }
         "batch" => {
-            let graph_name = req.graph.ok_or("batch needs `graph`")?;
+            let graph = req.graph.ok_or("batch needs `graph`")?;
             let queries = req.queries.ok_or("batch needs `queries`")?;
-            let entry =
-                registry.get(&graph_name).ok_or_else(|| format!("unknown graph `{graph_name}`"))?;
-            let job = batch_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let report = shards.batch(
-                entry.graph(),
-                entry.fingerprint().0,
-                req.shards,
-                req.tenant.as_deref(),
-                &queries,
-                job,
-                &graph_name,
-            )?;
-            let outcomes: Vec<serde_json::Value> = report
-                .outcomes
-                .iter()
-                .map(|o| {
-                    serde_json::json!({
-                        "index": o.index,
-                        "algo": o.algo,
-                        "status": o.status,
-                        "error": o.error,
-                        "converged": o.converged,
-                        "supersteps": o.supersteps,
-                        "sim_ms": o.sim_ms,
-                        "wall_ms": o.wall_ms,
-                        "exchange_records": o.exchange_records,
-                        "exchange_bytes": o.exchange_bytes,
-                        "imbalance": o.imbalance,
-                    })
-                })
-                .collect();
+            if queries.is_empty() {
+                return Err("batch needs at least one query".into());
+            }
+            // Refuse the whole batch before any of it is admitted.
+            for q in &queries {
+                to_batch_query(q)?;
+            }
+            let k = req.shards.unwrap_or(shards);
+            // Submit every query as its own sharded job, then wait for
+            // all of them: each gets an id, a deadline, a priority and a
+            // breaker vote like any `query`. A refusal part-way cancels
+            // the jobs already admitted, so an error answer leaves no
+            // work behind.
+            let mut handles = Vec::with_capacity(queries.len());
+            for query in queries {
+                let spec = JobSpec {
+                    graph: graph.clone(),
+                    query,
+                    timeout_ms: req.timeout_ms,
+                    priority: req.priority,
+                };
+                match admit(|| scheduler.submit_sharded(spec.clone(), k)) {
+                    Ok(handle) => handles.push(handle),
+                    Err(e) => {
+                        for handle in &handles {
+                            scheduler.cancel(handle.id);
+                        }
+                        return Err(e);
+                    }
+                }
+            }
+            let outcomes: Vec<_> =
+                handles.into_iter().map(|h| h.wait().without_payload()).collect();
+            let values_of =
+                |name: &'static str| outcomes.iter().filter_map(move |o| o.metric(name));
             Ok(Some(jline(serde_json::json!({
                 "ok": "batch",
-                "graph": graph_name,
-                "shards": req.shards.unwrap_or_else(|| shards.default_k()),
-                "queries": report.outcomes.len(),
-                "ok_count": report.ok_count(),
-                "occupancy": report.occupancy(),
-                "wall_ms": report.wall_ms,
-                "sim_ms": report.sim_ms(),
-                "exchange_records": report.exchange_records(),
-                "exchange_bytes": report.exchange_bytes(),
-                "max_imbalance": report.max_imbalance(),
+                "graph": graph,
+                "shards": k,
+                "queries": outcomes.len(),
+                "ok_count": outcomes.iter().filter(|o| o.status == JobStatus::Ok).count(),
+                "sim_ms": outcomes.iter().map(|o| o.sim_ms).sum::<f64>(),
+                "exchange_records": values_of("exchange_records").sum::<f64>() as u64,
+                "exchange_bytes": values_of("exchange_bytes").sum::<f64>() as u64,
+                "max_imbalance": values_of("imbalance").fold(0.0, f64::max),
                 "outcomes": outcomes,
             }))))
         }
@@ -333,22 +257,17 @@ fn handle(
                 "ood_feature_clamped": h.ood_feature_clamped,
                 "sentinel_mismatch": h.sentinel_mismatch,
             });
-            // Partitioned-serving surface: resident plan cache, quota
-            // gate, and the batch telemetry counters (exchange volume,
-            // occupancy and imbalance histograms live in `metrics`).
-            use gswitch_runtime::obs::metric;
+            // Partitioned-serving surface: the scheduler's resident plan
+            // store and the exchange totals of every sharded job (the
+            // imbalance histogram lives in `metrics`).
+            let plans = scheduler.plans();
             let shard_stats = serde_json::json!({
-                "default_k": shards.default_k(),
-                "resident_plans": shards.store().len(),
-                "plan_keys": shards.store().keys(),
-                "plan_hits": shards.store().hits(),
-                "plan_misses": shards.store().misses(),
-                "plan_evictions": shards.store().evictions(),
-                "quota_limit": shards.quotas().limit(),
-                "quota_admissions": shards.quotas().admissions(),
-                "quota_rejections": shards.quotas().rejections(),
-                "batches": obs.metrics.counter(metric::BATCHES).get(),
-                "batch_queries": obs.metrics.counter(metric::BATCH_QUERIES).get(),
+                "default_k": shards,
+                "resident_plans": plans.len(),
+                "plan_keys": plans.keys(),
+                "plan_hits": plans.hits(),
+                "plan_misses": plans.misses(),
+                "plan_evictions": plans.evictions(),
                 "exchange_records": obs.metrics.counter(metric::SHARD_EXCHANGE_RECORDS).get(),
                 "exchange_bytes": obs.metrics.counter(metric::SHARD_EXCHANGE_BYTES).get(),
             });
@@ -410,7 +329,7 @@ fn handle(
             // Per-component liveness/degradation. Deliberately cheap:
             // reads atomics and short snapshots only, so it answers even
             // when every worker is busy and the queue is full.
-            let report = gswitch_runtime::HealthReport::gather(scheduler, cache, Some(shards));
+            let report = gswitch_runtime::HealthReport::gather(scheduler, cache);
             serde_json::to_string(&report).map(Some).map_err(|e| e.to_string())
         }
         "trace" => {
@@ -455,7 +374,7 @@ fn handle(
     }
 }
 
-fn serve(args: &Args) -> i32 {
+fn serve(args: &Args) {
     let registry = Arc::new(GraphRegistry::new());
     // --cache degrades, never blocks startup: a missing file is a
     // normal first run, a corrupt one comes up empty (and counted).
@@ -476,17 +395,13 @@ fn serve(args: &Args) -> i32 {
     let scheduler = Scheduler::with_obs(
         Arc::clone(&registry),
         Arc::clone(&cache),
-        SchedulerConfig { verify_every: args.verify_every, ..SchedulerConfig::default() },
+        SchedulerConfig {
+            workers: args.workers,
+            verify_every: args.verify_every,
+            ..SchedulerConfig::default()
+        },
         Arc::clone(&obs),
     );
-    let workers = if args.workers > 0 { args.workers } else { SchedulerConfig::default().workers };
-    // The batch path shares the scheduler's breakers and brownout
-    // detector: query and batch traffic see one (graph, algorithm)
-    // health picture, and brownout tightens batch quotas.
-    let shards = ShardService::new(Arc::clone(&obs), args.shards, workers)
-        .with_breakers(Arc::clone(scheduler.breakers()))
-        .with_brownout(Arc::clone(scheduler.brownout()));
-    let batch_seq = std::sync::atomic::AtomicU64::new(1);
 
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -505,8 +420,7 @@ fn serve(args: &Args) -> i32 {
                 &cache,
                 &scheduler,
                 &obs,
-                &shards,
-                &batch_seq,
+                args.shards,
                 args.retries,
                 args.strict_load,
             ) {
@@ -521,6 +435,8 @@ fn serve(args: &Args) -> i32 {
             break; // reader went away
         }
     }
+    // Workers flush their span buffers as they wind down, so the span
+    // log is complete only after shutdown.
     scheduler.shutdown();
     if let Some(path) = &args.cache {
         match cache.save(path) {
@@ -530,11 +446,18 @@ fn serve(args: &Args) -> i32 {
             Err(e) => eprintln!("cache: saving `{path}`: {e}"),
         }
     }
-    0
+    if let Some(path) = &args.spans {
+        match std::fs::write(path, obs.spans.to_jsonl()) {
+            Ok(()) => eprintln!(
+                "spans: {} spans written to `{path}` ({} evicted from the ring)",
+                obs.spans.len(),
+                obs.spans.dropped()
+            ),
+            Err(e) => eprintln!("spans: writing `{path}`: {e}"),
+        }
+    }
 }
 
 fn main() {
-    let args = parse_args();
-    let code = if args.bench { run_bench_load(&args) } else { serve(&args) };
-    std::process::exit(code);
+    serve(&parse_args());
 }

@@ -3,8 +3,9 @@
 //! When queue occupancy stays above a high watermark, the runtime
 //! *browns out* rather than falling over: it sheds optional work to
 //! buy throughput — the divergence sentinel (`verify_every`) is
-//! suspended and batch quota admission is tightened (see
-//! [`ShardService`](crate::shards::ShardService)). Decision tracing is
+//! suspended. Sharded (`batch`) jobs get no separate treatment: under
+//! pressure the scheduler sheds the lowest priority class first, for
+//! them as for any query. Decision tracing is
 //! not optional work here: it measures at 0.4–1.0 % of a run
 //! (`obs.trace_overhead_pct`), and degraded runs are the ones worth
 //! reading afterwards. The `health` verb

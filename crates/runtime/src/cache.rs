@@ -11,8 +11,8 @@
 //! is reserved for genuinely different workload shapes.
 //!
 //! The cache persists to disk as a single JSON document and keeps
-//! hit/miss/store counters for observability (`--bench-load` reports
-//! the hit rate; the serve protocol exposes it via `stats`).
+//! hit/miss/store counters for observability (the serve protocol
+//! exposes the hit rate via `stats`).
 
 use gswitch_graph::{Fingerprint, GraphStats};
 use gswitch_kernels::KernelConfig;
@@ -176,8 +176,8 @@ impl ConfigCache {
         }
     }
 
-    /// Zero the hit/miss/store counters (entries are kept) — used
-    /// between the cold and warm phases of `--bench-load`.
+    /// Zero the hit/miss/store counters (entries are kept), so one
+    /// phase of a workload can be counted on its own.
     pub fn reset_counters(&self) {
         self.hits.reset();
         self.misses.reset();

@@ -1,26 +1,30 @@
 //! Executing one query: cache lookup → (possibly seeded) engine run →
-//! structured result + cache fill.
+//! structured result + cache fill; or, for a sharded job, one run over
+//! a resident K-shard plan.
 
 use crate::cache::{feature_bucket, CacheKey, ConfigCache};
-use crate::query::{IterStat, Metric, Payload, Query};
+use crate::query::{IterStat, JobStatus, Metric, Payload, Query};
 use crate::registry::GraphEntry;
 use gswitch_algos::bc::{BcBackward, BcForward};
 use gswitch_algos::{Bfs, Cc, PageRank, Sssp};
+use gswitch_core::sharded::{ShardError, ShardedOptions};
 use gswitch_core::{
     run, run_with_seed_config, EngineOptions, Policy, ProbeHandle, RunReport, StopReason,
 };
 use gswitch_obs::{RecorderHandle, SpanCtx};
+use gswitch_shard::{run_query, BatchQuery, BatchResult, ShardStore};
 use gswitch_simt::DeviceSpec;
 
-/// What [`execute`] hands back to the scheduler.
+/// What [`execute`] and [`execute_sharded`] hand back to the scheduler.
 #[derive(Debug)]
 pub struct Execution {
     /// `Some` when the run probe stopped the engine early (deadline or
     /// cancellation); partial results are present but untrustworthy —
     /// the scheduler withholds them.
     pub stopped: Option<StopReason>,
-    /// Whether the tuned-config cache had a seed (`"hit"`/`"miss"`).
-    pub cache_hit: bool,
+    /// `"hit"` or `"miss"` when the tuned-config cache was consulted
+    /// (`None` on the sharded path, which has no seed).
+    pub cache: Option<&'static str>,
     /// Dominant configuration of the run, display form.
     pub config: Option<String>,
     /// Total simulated device time (ms).
@@ -188,13 +192,89 @@ pub fn execute(
 
     Ok(Execution {
         stopped,
-        cache_hit,
+        cache: Some(if cache_hit { "hit" } else { "miss" }),
         config: tuned.map(|c| c.to_string()),
         sim_ms,
         converged,
         metrics,
         iterations,
         payload,
+    })
+}
+
+/// Map a runtime [`Query`] onto the sharded engine's subset. SSSP
+/// (priority-driven stepping) and BC (two-phase Brandes) stay on the
+/// single-shard path by design — the error says so.
+pub fn to_batch_query(q: &Query) -> Result<BatchQuery, String> {
+    match *q {
+        Query::Bfs { src } => Ok(BatchQuery::Bfs { src }),
+        Query::Pr { eps } => Ok(BatchQuery::Pr { eps }),
+        Query::Cc => Ok(BatchQuery::Cc),
+        Query::Sssp { .. } => {
+            Err("sssp is priority-driven and runs single-shard; use `query`".into())
+        }
+        Query::Bc { .. } => Err("bc is two-phase and runs single-shard; use `query`".into()),
+    }
+}
+
+/// Run `query` over the resident `k`-shard plan of `entry`'s graph,
+/// partitioning it into `plans` on first use. `recorder`, `probe` and
+/// `spans` play the same part as for [`execute`]. The sharded engine
+/// takes no seed, so the tuned-config cache is not consulted; the
+/// metrics are the run's `supersteps`, `exchange_records`,
+/// `exchange_bytes` and shard `imbalance`.
+///
+/// An error carries its terminal status: a query outside the sharded
+/// subset, a plan that cannot be cut or a bad parameter is `Error`; a
+/// shard worker that died is `Failed`.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_sharded(
+    entry: &GraphEntry,
+    k: u32,
+    query: &Query,
+    plans: &ShardStore,
+    device: &DeviceSpec,
+    recorder: RecorderHandle,
+    probe: ProbeHandle,
+    spans: SpanCtx,
+) -> Result<Execution, (JobStatus, String)> {
+    crate::faults::fire(crate::faults::site::EXECUTOR_START);
+    let refuse = |msg: String| (JobStatus::Error, msg);
+    let batch_query = to_batch_query(query).map_err(refuse)?;
+    let plan = plans.get_or_partition(entry.graph(), k).map_err(refuse)?;
+    let opts = ShardedOptions {
+        device: device.clone(),
+        recorder,
+        probe,
+        spans,
+        ..ShardedOptions::default()
+    };
+    let (report, result) = run_query(&plan, batch_query, &opts).map_err(|e| {
+        let status = match e {
+            ShardError::Unsupported(_) => JobStatus::Error,
+            ShardError::WorkerPanicked { .. } | ShardError::WorkerLost { .. } => JobStatus::Failed,
+        };
+        (status, e.to_string())
+    })?;
+    let exchange = report.exchange_total();
+    Ok(Execution {
+        stopped: report.stopped,
+        cache: None,
+        config: None,
+        sim_ms: report.total_ms(),
+        converged: report.converged,
+        metrics: vec![
+            Metric::new("supersteps", report.n_supersteps() as f64),
+            Metric::new("exchange_records", exchange.routed as f64),
+            Metric::new("exchange_bytes", exchange.bytes() as f64),
+            Metric::new("imbalance", report.imbalance()),
+        ],
+        iterations: Vec::new(),
+        payload: match result {
+            BatchResult::Levels(values) => Payload::Levels { values },
+            BatchResult::Ranks(values) => Payload::Ranks { values },
+            BatchResult::Labels(values) => Payload::Labels { values },
+        },
     })
 }
 
@@ -228,7 +308,7 @@ mod tests {
             SpanCtx::default(),
         )
         .unwrap();
-        assert!(!r.cache_hit);
+        assert_eq!(r.cache, Some("miss"));
         assert!(r.converged);
         let Payload::Levels { values } = &r.payload else { panic!("wrong payload") };
         assert_eq!(values, &reference::bfs(e.graph(), 0));
@@ -247,7 +327,7 @@ mod tests {
             SpanCtx::default(),
         )
         .unwrap();
-        assert!(r2.cache_hit);
+        assert_eq!(r2.cache, Some("hit"));
         let Payload::Levels { values } = &r2.payload else { panic!("wrong payload") };
         assert_eq!(values, &reference::bfs(e.graph(), 0));
     }

@@ -9,7 +9,9 @@ pub use gswitch_obs::faults::*;
 /// Named injection sites. Arming any other string is legal but will
 /// never fire.
 pub mod site {
-    /// Fired by [`execute`](crate::execute) before the engine starts.
+    /// Fired by [`execute`](crate::execute) and
+    /// [`execute_sharded`](crate::execute_sharded) before the engine
+    /// starts.
     pub const EXECUTOR_START: &str = "executor::start";
     /// Fired once per engine super-step, from the scheduler's run
     /// probe (so `SlowMs` stretches iterations and `Panic` lands

@@ -16,7 +16,6 @@
 use crate::breaker::BreakerView;
 use crate::cache::ConfigCache;
 use crate::scheduler::Scheduler;
-use crate::shards::ShardService;
 
 /// One component's row in the health report.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -47,11 +46,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Assemble the report from live component state.
-    pub fn gather(
-        scheduler: &Scheduler,
-        cache: &ConfigCache,
-        shards: Option<&ShardService>,
-    ) -> Self {
+    pub fn gather(scheduler: &Scheduler, cache: &ConfigCache) -> Self {
         let queued = scheduler.queued();
         let capacity = scheduler.capacity();
         let occupancy = queued as f64 / capacity.max(1) as f64;
@@ -65,7 +60,7 @@ impl HealthReport {
         let breakers = scheduler.breakers();
         let open = breakers.open_count();
 
-        let mut components = vec![
+        let components = vec![
             ComponentHealth {
                 component: "scheduler".to_string(),
                 status: if occupancy >= 1.0 { "degraded" } else { "ok" }.to_string(),
@@ -104,19 +99,20 @@ impl HealthReport {
                     ),
                 }
             },
+            {
+                let plans = scheduler.plans();
+                ComponentHealth {
+                    component: "shards".to_string(),
+                    status: "ok".to_string(),
+                    detail: format!(
+                        "{} resident plans, {} hits / {} misses",
+                        plans.len(),
+                        plans.hits(),
+                        plans.misses()
+                    ),
+                }
+            },
         ];
-        if let Some(svc) = shards {
-            components.push(ComponentHealth {
-                component: "shards".to_string(),
-                status: "ok".to_string(),
-                detail: format!(
-                    "{} resident plans, {} admissions / {} rejections",
-                    svc.store().len(),
-                    svc.quotas().admissions(),
-                    svc.quotas().rejections()
-                ),
-            });
-        }
         HealthReport {
             status: if degraded || open > 0 { "degraded" } else { "ok" }.to_string(),
             brownout: degraded,
@@ -142,13 +138,14 @@ mod tests {
         registry.insert("kron", gen::kronecker(8, 8, 3));
         let cache = Arc::new(ConfigCache::new());
         let s = Scheduler::new(registry, Arc::clone(&cache), SchedulerConfig::default());
-        let report = HealthReport::gather(&s, &cache, None);
+        let report = HealthReport::gather(&s, &cache);
         assert_eq!(report.status, "ok");
         assert!(!report.brownout);
         assert_eq!(report.breakers_open, 0);
         assert!(report.breakers.is_empty());
+        // The shards row is there before any sharded job ran.
         let names: Vec<&str> = report.components.iter().map(|c| c.component.as_str()).collect();
-        assert_eq!(names, ["scheduler", "breakers", "brownout", "cache"]);
+        assert_eq!(names, ["scheduler", "breakers", "brownout", "cache", "shards"]);
         assert!(report.components.iter().all(|c| c.status == "ok"), "{report:?}");
         s.shutdown();
     }
@@ -166,7 +163,7 @@ mod tests {
         };
         let s = Scheduler::new(registry, Arc::clone(&cache), config);
         s.breakers().record_failure(BreakerKey { fingerprint: fp, algo: "bfs" }, false);
-        let report = HealthReport::gather(&s, &cache, None);
+        let report = HealthReport::gather(&s, &cache);
         assert_eq!(report.status, "degraded");
         assert_eq!(report.breakers_open, 1);
         assert_eq!(report.breakers.len(), 1);
@@ -179,16 +176,18 @@ mod tests {
         s.shutdown();
     }
 
+    /// The shards row reads the scheduler's own plan store.
     #[test]
     fn health_answers_with_shards_attached() {
+        use crate::query::{JobSpec, JobStatus};
         let registry = Arc::new(GraphRegistry::new());
-        registry.insert("kron", gen::kronecker(8, 8, 3));
+        registry.insert("er-h", gen::erdos_renyi(100, 400, 5));
         let cache = Arc::new(ConfigCache::new());
         let s = Scheduler::new(registry, Arc::clone(&cache), SchedulerConfig::default());
-        let svc = ShardService::new(Arc::clone(s.obs()), 4, 2);
-        let g = Arc::new(gen::erdos_renyi(100, 400, 5).with_name("er-h"));
-        let _ = svc.batch(&g, 0, None, None, &[Query::Cc], 1, "er-h").expect("batch");
-        let report = HealthReport::gather(&s, &cache, Some(&svc));
+        let spec =
+            JobSpec { graph: "er-h".into(), query: Query::Cc, timeout_ms: None, priority: None };
+        assert_eq!(s.submit_sharded(spec, 4).unwrap().wait().status, JobStatus::Ok);
+        let report = HealthReport::gather(&s, &cache);
         let shard_row = report.components.iter().find(|c| c.component == "shards").unwrap();
         assert!(shard_row.detail.contains("1 resident plans"), "{}", shard_row.detail);
         s.shutdown();

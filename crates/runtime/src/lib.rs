@@ -11,7 +11,10 @@
 //! - [`scheduler`] — a bounded-queue worker pool executing typed
 //!   queries ([`Query`]) with admission control, per-job timeouts and
 //!   cancellation, returning structured [`JobOutcome`]s with
-//!   per-iteration traces.
+//!   per-iteration traces. The same path runs sharded jobs
+//!   ([`Scheduler::submit_sharded`]) over resident K-shard plans
+//!   ([`gswitch_shard::ShardStore`]); the `batch` verb and the
+//!   `--shards` flag submit one per query.
 //! - [`cache`] — the tuned-config cache: keyed by (graph fingerprint,
 //!   algorithm, feature bucket), it persists the dominant
 //!   [`KernelConfig`](gswitch_kernels::KernelConfig) of a completed run
@@ -22,13 +25,6 @@
 //!   unless the `fault-injection` cargo feature is on; the lever the
 //!   fault-tolerance integration suite uses to prove the pool survives
 //!   panicking jobs, poisoned locks and corrupt cache files.
-//! - [`shards`] — partitioned serving: resident K-shard plans
-//!   ([`gswitch_shard::ShardStore`]), concurrent query batches over
-//!   them, and per-tenant admission quotas, behind the `batch` verb
-//!   and the `--shards` flag.
-//! - [`bench_load`] — the synthetic mixed workload behind
-//!   `gswitch-serve --bench-load`, reporting QPS and latency
-//!   percentiles cold (empty cache) versus warm.
 //! - [`breaker`] / [`brownout`] / [`health`] — overload resilience:
 //!   per-(graph, algorithm) circuit breakers that fail fast after
 //!   repeated worker failures, degraded-mode serving under sustained
@@ -42,7 +38,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod bench_load;
 pub mod breaker;
 pub mod brownout;
 pub mod cache;
@@ -54,15 +49,13 @@ pub mod protocol;
 pub mod query;
 pub mod registry;
 pub mod scheduler;
-pub mod shards;
 
 pub use breaker::{BreakerConfig, BreakerSet, BreakerState};
 pub use brownout::{Brownout, BrownoutConfig};
 pub use cache::{CacheCounters, CacheKey, ConfigCache};
-pub use executor::execute;
+pub use executor::{execute, execute_sharded};
 pub use health::HealthReport;
 pub use obs::RuntimeObs;
 pub use query::{IterStat, JobOutcome, JobSpec, JobStatus, Metric, Payload, Priority, Query};
 pub use registry::{GraphEntry, GraphRegistry};
 pub use scheduler::{JobHandle, Scheduler, SchedulerConfig, SubmitError};
-pub use shards::ShardService;

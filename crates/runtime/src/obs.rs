@@ -53,21 +53,13 @@ pub mod metric {
     /// Counter: persisted-cache loads that failed to parse and degraded
     /// to an empty cache.
     pub const CACHE_LOAD_FAILED: &str = "cache_load_failed";
-    /// Counter: batches executed against resident shard plans.
-    pub const BATCHES: &str = "shard_batches";
-    /// Counter: queries executed inside those batches.
-    pub const BATCH_QUERIES: &str = "shard_batch_queries";
     /// Counter: frontier-exchange records routed between shards.
     pub const SHARD_EXCHANGE_RECORDS: &str = "shard_exchange_records";
     /// Counter: frontier-exchange bytes routed between shards.
     pub const SHARD_EXCHANGE_BYTES: &str = "shard_exchange_bytes";
-    /// Histogram: per-batch worker-pool occupancy, percent.
-    pub const BATCH_OCCUPANCY: &str = "shard_batch_occupancy_pct";
-    /// Histogram: per-batch worst shard busy-time imbalance
+    /// Histogram: per sharded job, shard busy-time imbalance
     /// (busiest / average; 1.0 = balanced).
     pub const SHARD_IMBALANCE: &str = "shard_imbalance";
-    /// Counter: batch submissions refused by per-tenant quotas.
-    pub const QUOTA_REJECTED: &str = "shard_quota_rejected";
     /// Counter: queued jobs dropped by the overload shed policy to
     /// admit higher-priority work (terminal status `Shed`).
     pub const JOBS_SHED: &str = "jobs_shed";

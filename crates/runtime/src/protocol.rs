@@ -9,7 +9,7 @@
 //! {"cmd":"query","graph":"kron","query":{"Bfs":{"src":0}}}
 //! {"cmd":"query","graph":"kron","query":"Cc","timeout_ms":5000,"payload":true}
 //! {"cmd":"query","graph":"kron","query":"Cc","priority":"Interactive"}
-//! {"cmd":"batch","graph":"kron","queries":[{"Bfs":{"src":0}},"Cc"],"shards":4,"tenant":"t1"}
+//! {"cmd":"batch","graph":"kron","queries":[{"Bfs":{"src":0}},"Cc"],"shards":4,"timeout_ms":5000}
 //! {"cmd":"stats"}
 //! {"cmd":"health"}
 //! {"cmd":"save_cache","path":"tuned.json"}
@@ -19,13 +19,16 @@
 //! {"cmd":"quit"}
 //! ```
 //!
-//! `batch` runs its queries *concurrently* against a resident K-shard
-//! partitioning of the graph (built on first use, cached after), under
-//! the tenant's admission quota; the response reports per-query
-//! outcomes plus batch occupancy, exchange volume, and shard imbalance.
-//! Only BFS/PR/CC are batchable — SSSP and BC stay on the single-shard
-//! `query` path (priority-driven stepping and two-phase Brandes don't
-//! shard).
+//! `batch` submits each of its queries as a scheduler job over a
+//! resident K-shard partitioning of the graph (built on first use,
+//! cached after), then waits for all of them: each job gets the
+//! request's `timeout_ms` and `priority` and is queued, shed, timed out
+//! and counted like any `query`. The response lists every job's
+//! outcome (payload stripped) plus `ok_count`, summed `sim_ms` and
+//! exchange volume, and the worst shard imbalance. Only BFS/PR/CC are
+//! batchable — SSSP and BC stay on the single-shard `query` path
+//! (priority-driven stepping and two-phase Brandes don't shard), and a
+//! batch naming one is refused before any job is submitted.
 //!
 //! `query` responses are the full [`JobOutcome`](crate::JobOutcome)
 //! (per-vertex payload stripped unless `"payload":true`); other
@@ -77,10 +80,11 @@ pub struct Request {
     pub graph: Option<String>,
     /// The query itself (`query`).
     pub query: Option<Query>,
-    /// Per-job deadline override (`query`).
+    /// Per-job deadline override (`query`, and each job of a `batch`).
     pub timeout_ms: Option<u64>,
-    /// Admission class (`query`): `"Interactive"`, `"Batch"` (the
-    /// default when absent), or `"BestEffort"`.
+    /// Admission class (`query`, and each job of a `batch`):
+    /// `"Interactive"`, `"Batch"` (the default when absent), or
+    /// `"BestEffort"`.
     pub priority: Option<Priority>,
     /// Include per-vertex result vectors in the response (`query`).
     pub payload: Option<bool>,
@@ -88,14 +92,11 @@ pub struct Request {
     pub enable: Option<bool>,
     /// Empty the trace buffer, after any `path` dump (`trace`).
     pub clear: Option<bool>,
-    /// Queries to run concurrently against the sharded form (`batch`).
+    /// Queries to run as sharded jobs (`batch`).
     pub queries: Option<Vec<Query>>,
     /// Shard count override for this batch (`batch`); defaults to the
     /// server's `--shards` setting.
     pub shards: Option<u32>,
-    /// Tenant the batch is accounted to for quota admission (`batch`);
-    /// defaults to `"default"`.
-    pub tenant: Option<String>,
 }
 
 /// A synthetic graph recipe, mirroring `gswitch_graph::gen`.
@@ -186,6 +187,18 @@ mod tests {
         // And the field round-trips through serialization.
         let back: Request = serde_json::from_str(&serde_json::to_string(&req).unwrap()).unwrap();
         assert_eq!(back.priority, Some(Priority::Interactive));
+    }
+
+    /// Older clients still send `"tenant"` on `batch`; the field is no
+    /// longer read, and the line must still parse.
+    #[test]
+    fn batch_line_with_a_tenant_still_parses() {
+        let line = r#"{"cmd":"batch","graph":"g","queries":["Cc"],"shards":2,"tenant":"t1","timeout_ms":50}"#;
+        let req: Request = serde_json::from_str(line).unwrap();
+        assert_eq!(req.cmd, "batch");
+        assert_eq!(req.queries, Some(vec![Query::Cc]));
+        assert_eq!(req.shards, Some(2));
+        assert_eq!(req.timeout_ms, Some(50));
     }
 
     #[test]

@@ -37,19 +37,27 @@
 //! succeeds. **Brownout** ([`Brownout`]): sustained high occupancy
 //! switches the pool to degraded mode — sentinel verification off —
 //! until pressure eases. Decision tracing stays on: it costs about 1 %.
+//!
+//! A sharded job ([`Scheduler::submit_sharded`]) takes the same path
+//! from admission to terminal state — queue, priority, deadline,
+//! cancellation, breaker vote, counters, spans and job id are the ones
+//! every job gets. Only the worker's execute step differs: the query
+//! runs over a resident K-shard plan from the scheduler's
+//! [`ShardStore`].
 
 use crate::breaker::{BreakerDecision, BreakerKey, BreakerSet};
 use crate::brownout::Brownout;
 use crate::cache::ConfigCache;
-use crate::executor::execute;
+use crate::executor::{execute, execute_sharded};
 use crate::obs::{metric, RuntimeObs};
-use crate::query::{JobOutcome, JobSpec, JobStatus, Priority};
+use crate::query::{JobOutcome, JobSpec, JobStatus, Metric, Priority};
 use crate::registry::GraphRegistry;
 use gswitch_core::{AutoPolicy, CancelToken, ProbeHandle, RunProbe, StopReason};
 use gswitch_obs::sync::{recover, Lock};
 use gswitch_obs::{
     Clock, Counter, Gauge, Histogram, MetricsRegistry, SpanCtx, SpanKind, SpanRecord,
 };
+use gswitch_shard::ShardStore;
 use gswitch_simt::DeviceSpec;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,6 +70,10 @@ pub use crate::brownout::BrownoutConfig;
 /// Queue-wait observations required before the p95 estimate is trusted
 /// for deadline-unmeetable rejection (a cold histogram says nothing).
 pub const MIN_WAIT_SAMPLES: u64 = 16;
+
+/// Resident shard plans the sharded path keeps: a plan duplicates its
+/// graph's CSR, so only a handful.
+const PLAN_CAPACITY: usize = 8;
 
 /// Scheduler tuning knobs.
 #[derive(Clone, Debug)]
@@ -159,6 +171,8 @@ struct Job {
     key: BreakerKey,
     /// Whether this job holds its breaker's half-open probe slot.
     probe: bool,
+    /// Shard count of a sharded job; `None` runs on the whole graph.
+    shards: Option<u32>,
     tx: mpsc::Sender<JobOutcome>,
 }
 
@@ -189,6 +203,9 @@ struct SchedulerMetrics {
     queue_wait_ms: Histogram,
     execute_ms: Histogram,
     total_ms: Histogram,
+    exchange_records: Counter,
+    exchange_bytes: Counter,
+    imbalance: Histogram,
 }
 
 impl SchedulerMetrics {
@@ -211,7 +228,18 @@ impl SchedulerMetrics {
             queue_wait_ms: r.latency(metric::QUEUE_WAIT_MS),
             execute_ms: r.latency(metric::EXECUTE_MS),
             total_ms: r.latency(metric::JOB_TOTAL_MS),
+            exchange_records: r.counter(metric::SHARD_EXCHANGE_RECORDS),
+            exchange_bytes: r.counter(metric::SHARD_EXCHANGE_BYTES),
+            imbalance: r.histogram(metric::SHARD_IMBALANCE, &[1.1, 1.25, 1.5, 2.0, 4.0]),
         }
+    }
+
+    /// Fold one sharded run's exchange volume and shard imbalance in.
+    fn record_exchange(&self, metrics: &[Metric]) {
+        let value = |name: &str| metrics.iter().find(|m| m.name == name).map_or(0.0, |m| m.value);
+        self.exchange_records.add(value("exchange_records") as u64);
+        self.exchange_bytes.add(value("exchange_bytes") as u64);
+        self.imbalance.observe(value("imbalance"));
     }
 }
 
@@ -233,11 +261,12 @@ struct Shared {
     /// Cancel tokens of currently executing jobs, so [`Scheduler::cancel`]
     /// can reach a job mid-run.
     running: Lock<HashMap<u64, Arc<CancelToken>>>,
-    /// Circuit breakers per (graph fingerprint, algorithm); shared with
-    /// the batch path (see [`crate::shards::ShardService`]).
+    /// Circuit breakers per (graph fingerprint, algorithm).
     breakers: Arc<BreakerSet>,
     /// Degraded-mode detector, sampled at every admission.
     brownout: Arc<Brownout>,
+    /// Resident shard plans sharded jobs run over.
+    plans: ShardStore,
 }
 
 /// The engine-facing stop probe for one job: the job's cancel token
@@ -354,6 +383,7 @@ impl Scheduler {
             running: Lock::new(HashMap::new()),
             breakers,
             brownout,
+            plans: ShardStore::new(PLAN_CAPACITY),
         });
         #[expect(
             clippy::disallowed_methods,
@@ -392,6 +422,21 @@ impl Scheduler {
     /// (graph, algorithm) short-circuits everything: the returned
     /// handle resolves immediately to [`JobStatus::BreakerOpen`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
+        self.admit(spec, None)
+    }
+
+    /// [`submit`](Self::submit) for a query over the graph's resident
+    /// `k`-shard plan, partitioned on first use and kept in
+    /// [`plans`](Self::plans). Admission, shedding, deadline,
+    /// cancellation, breaker vote and accounting are `submit`'s; only
+    /// the execute step differs. BFS, PR and CC only — any other query
+    /// ends `Error`.
+    pub fn submit_sharded(&self, spec: JobSpec, k: u32) -> Result<JobHandle, SubmitError> {
+        self.admit(spec, Some(k))
+    }
+
+    /// The one admission routine behind both entry points.
+    fn admit(&self, spec: JobSpec, shards: Option<u32>) -> Result<JobHandle, SubmitError> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             self.shared.m.rejected.inc();
             return Err(SubmitError::ShuttingDown);
@@ -528,7 +573,18 @@ impl Scheduler {
                     }
                 }
             }
-            q.push_back(Job { id, spec, admitted_ns, span_id, deadline, priority, key, probe, tx });
+            q.push_back(Job {
+                id,
+                spec,
+                admitted_ns,
+                span_id,
+                deadline,
+                priority,
+                key,
+                probe,
+                shards,
+                tx,
+            });
             self.shared.m.queue_depth.set(q.len() as i64);
             occupancy = q.len() as f64 / self.capacity as f64;
         }
@@ -621,10 +677,14 @@ impl Scheduler {
         self.capacity
     }
 
-    /// The circuit-breaker set, shared with the batch path so query and
-    /// batch traffic see the same (graph, algorithm) health.
+    /// The circuit-breaker set.
     pub fn breakers(&self) -> &Arc<BreakerSet> {
         &self.shared.breakers
+    }
+
+    /// The resident shard plans sharded jobs run over.
+    pub fn plans(&self) -> &ShardStore {
+        &self.shared.plans
     }
 
     /// The brownout (degraded-mode) detector.
@@ -830,21 +890,38 @@ fn worker_loop(shared: &Shared, worker: u32) {
         // or any lock-holding bystander — down with it. The shared
         // state is poison-recovering, so unwinding through it is safe.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(
-                &entry,
-                &job.spec.query,
-                &shared.cache,
-                &AutoPolicy,
-                &shared.device,
-                recorder,
-                ProbeHandle::new(Arc::new(JobProbe { token: Arc::clone(&token) })),
-                verify_every,
-                exec_spans,
-            )
+            let probe = ProbeHandle::new(Arc::new(JobProbe { token: Arc::clone(&token) }));
+            match job.shards {
+                None => execute(
+                    &entry,
+                    &job.spec.query,
+                    &shared.cache,
+                    &AutoPolicy,
+                    &shared.device,
+                    recorder,
+                    probe,
+                    verify_every,
+                    exec_spans,
+                )
+                .map_err(|msg| (JobStatus::Error, msg)),
+                Some(k) => execute_sharded(
+                    &entry,
+                    k,
+                    &job.spec.query,
+                    &shared.plans,
+                    &shared.device,
+                    recorder,
+                    probe,
+                    exec_spans,
+                ),
+            }
         }));
         drop(exec_guard);
         shared.running.lock().remove(&job.id);
         shared.m.execute_ms.observe(clock.elapsed_ms(exec_start));
+        if let (Some(_), Ok(Ok(exec))) = (job.shards, &result) {
+            shared.m.record_exchange(&exec.metrics);
+        }
 
         let mut midrun_deadline = false;
         let mut out = match result {
@@ -856,7 +933,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
                 }
                 None => {
                     let mut out = outcome_skeleton(&job, JobStatus::Ok, &clock);
-                    out.cache = Some(if exec.cache_hit { "hit" } else { "miss" }.to_string());
+                    out.cache = exec.cache.map(str::to_string);
                     out.config = exec.config;
                     out.sim_ms = exec.sim_ms;
                     out.converged = exec.converged;
@@ -866,8 +943,8 @@ fn worker_loop(shared: &Shared, worker: u32) {
                     out
                 }
             },
-            Ok(Err(msg)) => {
-                let mut out = outcome_skeleton(&job, JobStatus::Error, &clock);
+            Ok(Err((status, msg))) => {
+                let mut out = outcome_skeleton(&job, status, &clock);
                 out.error = Some(msg);
                 out
             }
@@ -1337,6 +1414,7 @@ mod tests {
                 priority,
                 key: BreakerKey { fingerprint: 0, algo: "bfs" },
                 probe: false,
+                shards: None,
                 tx,
             }
         };
@@ -1492,5 +1570,205 @@ mod tests {
         }
         assert_eq!(busy.wait().status, JobStatus::Ok);
         s.shutdown();
+    }
+
+    fn sharded_spec(query: Query) -> JobSpec {
+        JobSpec { graph: "kron".into(), query, timeout_ms: None, priority: None }
+    }
+
+    /// A sharded job answers like the whole-graph engine at every K:
+    /// BFS and CC equal the references exactly, PR is within 1e-9 of
+    /// the unsharded job (f64 sums run in another order across shards).
+    /// Each K is its own resident plan.
+    #[test]
+    fn sharded_jobs_match_references_at_every_k() {
+        use crate::query::Payload;
+        use gswitch_algos::reference;
+
+        let (s, registry, _c) = make_scheduler(2);
+        let entry = registry.get("kron").unwrap();
+        let pr = Query::Pr { eps: 1e-3 };
+        let Some(Payload::Ranks { values: whole }) =
+            s.submit(sharded_spec(pr.clone())).unwrap().wait().payload
+        else {
+            panic!("unsharded pr payload")
+        };
+        for k in [1u32, 2, 4] {
+            let run = |query| {
+                let out = s.submit_sharded(sharded_spec(query), k).unwrap().wait();
+                assert_eq!(out.status, JobStatus::Ok, "k={k} {}: {:?}", out.algo, out.error);
+                assert_eq!(out.cache, None, "the sharded path has no tuned-config seed");
+                out.payload.expect("payload")
+            };
+            let levels = Payload::Levels { values: reference::bfs(entry.graph(), 0) };
+            assert_eq!(run(Query::Bfs { src: 0 }), levels, "bfs k={k}");
+            let labels = Payload::Labels { values: reference::cc(entry.graph()) };
+            assert_eq!(run(Query::Cc), labels, "cc k={k}");
+            let Payload::Ranks { values } = run(pr.clone()) else { panic!("pr payload") };
+            assert_eq!(values.len(), whole.len());
+            assert!(values.iter().zip(&whole).all(|(a, b)| (a - b).abs() <= 1e-9), "pr k={k}");
+        }
+        let ks: Vec<u32> = s.plans().keys().into_iter().map(|(_, k)| k).collect();
+        assert_eq!(ks, vec![1, 2, 4]);
+        s.shutdown();
+    }
+
+    /// Each sharded job records its exchange volume and imbalance once,
+    /// and the second job on a graph reuses the first one's plan.
+    #[test]
+    fn sharded_jobs_record_exchange_metrics_and_reuse_plans() {
+        let (s, _r, _c) = make_scheduler(1);
+        for query in [Query::Bfs { src: 0 }, Query::Cc] {
+            let out = s.submit_sharded(sharded_spec(query), 4).unwrap().wait();
+            assert_eq!(out.status, JobStatus::Ok, "{:?}", out.error);
+            assert!(out.metric("exchange_records").unwrap_or(0.0) > 0.0, "{:?}", out.metrics);
+            assert!(out.metric("supersteps").unwrap_or(0.0) > 0.0);
+        }
+        assert_eq!((s.plans().misses(), s.plans().hits()), (1, 1));
+        let snap = s.obs().metrics.snapshot();
+        assert!(snap.counter(metric::SHARD_EXCHANGE_RECORDS) > 0);
+        assert!(snap.counter(metric::SHARD_EXCHANGE_BYTES) > 0);
+        assert_eq!(snap.histograms.get(metric::SHARD_IMBALANCE).map(|h| h.count), Some(2));
+        assert_eq!(snap.counter(metric::JOBS_OK), 2);
+        s.shutdown();
+    }
+
+    /// SSSP and BC do not shard: such a job ends `Error` with a pointer
+    /// to `query`, and nothing is partitioned.
+    #[test]
+    fn unsupported_sharded_queries_end_error_without_partitioning() {
+        let (s, _r, _c) = make_scheduler(1);
+        for query in [Query::Sssp { src: 0 }, Query::Bc { src: 0 }] {
+            let out = s.submit_sharded(sharded_spec(query), 2).unwrap().wait();
+            assert_eq!(out.status, JobStatus::Error);
+            assert!(out.error.as_deref().unwrap_or("").contains("single-shard"), "{out:?}");
+        }
+        assert!(s.plans().is_empty(), "partitioned despite refusing the query");
+        // Bad parameters are refused as on the whole-graph path.
+        for query in
+            [Query::Bfs { src: 1 << 20 }, Query::Pr { eps: 0.0 }, Query::Pr { eps: f64::NAN }]
+        {
+            let out = s.submit_sharded(sharded_spec(query), 2).unwrap().wait();
+            assert_eq!(out.status, JobStatus::Error, "{out:?}");
+        }
+        assert_eq!(s.obs().metrics.snapshot().counter(metric::JOBS_ERROR), 5);
+        s.shutdown();
+    }
+
+    /// A sharded job votes under the same (graph, algorithm) breaker as
+    /// a whole-graph one: an open breaker fails it fast, before any
+    /// partitioning.
+    #[test]
+    fn open_breaker_fails_sharded_jobs_fast_without_partitioning() {
+        let registry = Arc::new(GraphRegistry::new());
+        registry.insert("kron", gen::kronecker(8, 8, 3));
+        let config = SchedulerConfig {
+            workers: 1,
+            breaker: BreakerConfig { failure_threshold: 2, cooldown_ms: 600_000 },
+            ..Default::default()
+        };
+        let s = Scheduler::new(Arc::clone(&registry), Arc::new(ConfigCache::new()), config);
+        let fingerprint = registry.get("kron").unwrap().fingerprint().0;
+        for _ in 0..2 {
+            s.breakers().record_failure(BreakerKey { fingerprint, algo: "cc" }, false);
+        }
+        let out = s.submit_sharded(sharded_spec(Query::Cc), 2).unwrap().wait();
+        assert_eq!(out.status, JobStatus::BreakerOpen);
+        assert!(s.plans().is_empty(), "partitioned despite the open breaker");
+        // Another algorithm is another key: it runs.
+        let ok = s.submit_sharded(sharded_spec(Query::Bfs { src: 0 }), 2).unwrap().wait();
+        assert_eq!(ok.status, JobStatus::Ok);
+        s.shutdown();
+    }
+
+    /// Batch jobs have no admission rule of their own: with the queue
+    /// full of `Batch`-class sharded jobs, an `Interactive` query sheds
+    /// one of them, as it would any lower-class query.
+    #[test]
+    fn queued_sharded_jobs_are_shed_for_higher_classes() {
+        let registry = Arc::new(GraphRegistry::new());
+        registry.insert("kron", gen::kronecker(8, 8, 3));
+        // Keeps the single worker busy while the queue fills.
+        registry.insert("big", gen::kronecker(12, 8, 3));
+        let config = SchedulerConfig { workers: 1, queue_capacity: 2, ..Default::default() };
+        let s = Scheduler::new(registry, Arc::new(ConfigCache::new()), config);
+        let busy = s
+            .submit(JobSpec {
+                graph: "big".into(),
+                query: Query::Pr { eps: 1e-10 },
+                timeout_ms: None,
+                priority: Some(Priority::Batch),
+            })
+            .unwrap();
+        while s.queued() > 0 {
+            std::thread::yield_now();
+        }
+        let batch = |query| JobSpec { priority: Some(Priority::Batch), ..sharded_spec(query) };
+        let a = s.submit_sharded(batch(Query::Bfs { src: 0 }), 2).unwrap();
+        let b = s.submit_sharded(batch(Query::Cc), 2).unwrap();
+        assert_eq!(s.queued(), 2, "queue should be at capacity");
+        let mut hi = bfs_spec(1);
+        hi.priority = Some(Priority::Interactive);
+        let hi = s.submit(hi).unwrap();
+
+        let mut statuses = [a.wait().status, b.wait().status];
+        statuses.sort();
+        let mut expected = [JobStatus::Ok, JobStatus::Shed];
+        expected.sort();
+        assert_eq!(statuses, expected);
+        assert_eq!(hi.wait().status, JobStatus::Ok);
+        assert_eq!(busy.wait().status, JobStatus::Ok);
+        assert_eq!(s.obs().metrics.snapshot().counter(metric::JOBS_SHED), 1);
+        s.shutdown();
+    }
+
+    /// One id space: with tracing on, run a query, then a two-query
+    /// batch. Every decision event and span of the batch carries one of
+    /// the ids its handles reported, and none carries the query's id.
+    #[test]
+    fn batch_jobs_trace_and_span_under_their_own_ids() {
+        let registry = Arc::new(GraphRegistry::new());
+        registry.insert("kron", gen::kronecker(8, 8, 3));
+        let obs = Arc::new(RuntimeObs::new());
+        obs.set_tracing(true);
+        let s = Scheduler::with_obs(
+            registry,
+            Arc::new(ConfigCache::new()),
+            SchedulerConfig { workers: 2, ..Default::default() },
+            Arc::clone(&obs),
+        );
+        let query = s.submit(bfs_spec(0)).unwrap();
+        let query_id = query.id;
+        assert_eq!(query.wait().status, JobStatus::Ok);
+        let batch: Vec<JobHandle> = [Query::Bfs { src: 0 }, Query::Cc]
+            .into_iter()
+            .map(|q| s.submit_sharded(sharded_spec(q), 2).unwrap())
+            .collect();
+        let ids: HashSet<u64> = batch.iter().map(|h| h.id).collect();
+        assert_eq!(ids.len(), 2);
+        assert!(!ids.contains(&query_id));
+        for h in batch {
+            assert_eq!(h.wait().status, JobStatus::Ok);
+        }
+        s.shutdown(); // flushes the workers' span buffers
+
+        let events = obs.trace.snapshot();
+        let spans = obs.spans.snapshot();
+        let known = |job: u64| job == query_id || ids.contains(&job);
+        assert!(events.iter().all(|e| known(e.job)), "an event under a foreign id");
+        assert!(spans.iter().all(|r| known(r.job)), "a span under a foreign id");
+        // Shard-tagged records are the batch's, and each batch job left
+        // sharded events and its own request span.
+        assert!(events.iter().filter(|e| e.event.shard.is_some()).all(|e| ids.contains(&e.job)));
+        assert!(spans.iter().filter(|r| r.shard.is_some()).all(|r| ids.contains(&r.job)));
+        for id in &ids {
+            assert!(events.iter().any(|e| e.job == *id && e.event.shard.is_some()), "job {id}");
+            assert!(spans.iter().any(|r| r.job == *id && r.kind == SpanKind::Request));
+            assert!(spans.iter().any(|r| r.job == *id && r.shard.is_some()), "job {id}");
+        }
+        // The query's records carry no shard.
+        assert!(events.iter().any(|e| e.job == query_id));
+        assert!(events.iter().filter(|e| e.job == query_id).all(|e| e.event.shard.is_none()));
+        assert!(spans.iter().filter(|r| r.job == query_id).all(|r| r.shard.is_none()));
     }
 }

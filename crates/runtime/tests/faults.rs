@@ -153,6 +153,53 @@ fn cancel_reaches_a_running_job() {
     h.scheduler.shutdown();
 }
 
+/// A sharded job is a scheduler job: a panic at executor start ends it
+/// `Failed`, its deadline stops it and `cancel` reaches it mid-run,
+/// exactly as for a whole-graph query.
+#[test]
+fn sharded_job_honours_faults_deadline_and_cancel() {
+    let _g = GUARD.lock();
+    reset();
+    let h = harness(1);
+    let pr = |timeout_ms| JobSpec {
+        graph: "kron".into(),
+        query: Query::Pr { eps: 1e-12 },
+        timeout_ms,
+        priority: None,
+    };
+
+    arm(site::EXECUTOR_START, Fault::Panic("sharded executor crash".into()));
+    let out = h.scheduler.submit_sharded(pr(None), 2).unwrap().wait();
+    assert_eq!(out.status, JobStatus::Failed);
+    assert!(out.error.as_deref().unwrap_or("").contains("sharded executor crash"), "{out:?}");
+    reset();
+
+    arm(site::ENGINE_ITERATION, Fault::SlowMs(20));
+    let out = h.scheduler.submit_sharded(pr(Some(1)), 2).unwrap().wait();
+    assert_eq!(out.status, JobStatus::DeadlineExceeded);
+    assert!(out.payload.is_none(), "deadline-exceeded job must withhold results");
+
+    arm(site::ENGINE_ITERATION, Fault::SlowMs(5));
+    let handle = h.scheduler.submit_sharded(pr(None), 2).unwrap();
+    // The only worker is idle, so the job starts at once; let it get
+    // well inside the super-step loop before cancelling.
+    std::thread::sleep(Duration::from_millis(30));
+    h.scheduler.cancel(handle.id);
+    let out = handle.wait();
+    assert_eq!(out.status, JobStatus::Cancelled);
+    assert!(out.payload.is_none());
+    reset();
+
+    let snap = h.obs.metrics.snapshot();
+    assert_eq!(snap.counter(metric::JOBS_FAILED), 1);
+    assert_eq!(snap.counter(metric::JOBS_CANCELLED), 1);
+    let timeouts = snap.counter(metric::JOBS_TIMEOUT_QUEUED)
+        + snap.counter(metric::JOBS_TIMEOUT_MIDRUN)
+        + snap.counter(metric::JOBS_TIMEOUT_LATE);
+    assert_eq!(timeouts, 1);
+    h.scheduler.shutdown();
+}
+
 /// A panic while the cache's write lock is held poisons the lock; the
 /// poison-recovering wrapper absorbs it and the cache keeps working.
 #[test]

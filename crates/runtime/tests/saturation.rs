@@ -8,10 +8,7 @@
 //!
 //! - every accepted submission settles in exactly one terminal state,
 //!   and the registry's terminal counters sum to `jobs_submitted`;
-//! - rejections at admission are counted and are *not* submissions;
-//! - tenant quota permits always drain back to zero, in any acquire /
-//!   release interleaving, capped or not, and an acquire never admits
-//!   past the effective limit.
+//! - rejections at admission are counted and are *not* submissions.
 //!
 //! The vendored proptest derives its RNG deterministically from the
 //! test name, so failures replay.
@@ -21,7 +18,6 @@ use gswitch_runtime::obs::metric;
 use gswitch_runtime::{
     ConfigCache, GraphRegistry, JobSpec, Priority, Query, RuntimeObs, Scheduler, SchedulerConfig,
 };
-use gswitch_shard::TenantQuotas;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -108,41 +104,5 @@ proptest! {
             + bucket(metric::JOBS_TIMEOUT_MIDRUN)
             + bucket(metric::JOBS_TIMEOUT_LATE);
         prop_assert_eq!(terminal, accepted);
-    }
-
-    /// Quota permits never leak: random acquire/release interleavings
-    /// across tenants — with random counts and random brownout-style
-    /// caps — always drain inflight back to zero, and no admission ever
-    /// exceeds the effective limit.
-    #[test]
-    fn quota_permits_never_leak(
-        ops in proptest::collection::vec((0u8..4, 1usize..6, 1usize..12, 0u8..2), 1..80),
-    ) {
-        let quotas = TenantQuotas::new(8);
-        let tenants = ["alpha", "beta", "gamma", "delta"];
-        let mut held = Vec::new();
-        for &(t, count, cap, release) in &ops {
-            let tenant = tenants[t as usize];
-            // Interleave: sometimes release the oldest held permit.
-            if release == 1 && !held.is_empty() {
-                held.remove(0);
-            }
-            let effective = quotas.limit().min(cap.max(1));
-            match quotas.acquire_capped(tenant, count, cap) {
-                Ok(permit) => {
-                    prop_assert!(quotas.inflight(tenant) <= effective,
-                        "admitted past the effective cap {}", effective);
-                    held.push(permit);
-                }
-                Err(_) => {
-                    // Refusal means the request genuinely did not fit.
-                    prop_assert!(quotas.inflight(tenant) + count > effective);
-                }
-            }
-        }
-        drop(held);
-        for tenant in tenants {
-            prop_assert_eq!(quotas.inflight(tenant), 0);
-        }
     }
 }

@@ -1,25 +1,24 @@
 //! The chaos-soak harness (DESIGN.md §4.14).
 //!
 //! One long scenario drives a mixed query/batch workload — thousands of
-//! submissions across priority classes and algorithms — through a
-//! scheduler under deterministic seeded fault schedules: a recurring
-//! panic storm that must open a circuit breaker, then sustained
-//! slow-downs plus random panics that must push the runtime into
-//! brownout. Throughout, the suite holds the serving invariants:
+//! submissions across priority classes and algorithms, with sharded
+//! batch jobs on a second graph — through a scheduler under
+//! deterministic seeded fault schedules: a recurring panic storm that
+//! must open a circuit breaker, then sustained slow-downs plus random
+//! panics that must push the runtime into brownout. Throughout, the
+//! suite holds the serving invariants:
 //!
-//! - **Outcome conservation** — every admitted job reaches exactly one
-//!   terminal state, and the terminal counters sum to `jobs_submitted`;
-//!   the client-side tally agrees with the metrics registry bucket by
-//!   bucket.
+//! - **Outcome conservation** — every admitted job, sharded or not,
+//!   reaches exactly one terminal state, and the terminal counters sum
+//!   to `jobs_submitted`; the client-side ledger agrees with the
+//!   metrics registry bucket by bucket.
 //! - **No deadlock** — every `JobHandle::wait` returns, even for work
 //!   shed at admission or failed fast by an open breaker.
-//! - **No quota-permit leak** — tenant inflight counts drain to zero
-//!   once the batches are done.
 //! - **Health always answers** — `HealthReport::gather` responds every
 //!   round, including while the queue is full and workers are dying.
-//! - **Self-healing** — the breaker re-closes after its cooldown probe
-//!   and brownout disengages once pressure eases; the run ends with an
-//!   all-ok health report.
+//! - **Self-healing** — every breaker the chaos opened re-closes after
+//!   its cooldown probe and brownout disengages once pressure eases;
+//!   the run ends with an all-ok health report.
 //!
 //! The fault schedule is fully determined by [`SEED`]; wall-clock
 //! timing only shifts *where* outcomes land between buckets, never out
@@ -32,7 +31,7 @@ use gswitch_runtime::faults::{arm, arm_schedule, reset, site, Fault, Schedule};
 use gswitch_runtime::obs::metric;
 use gswitch_runtime::{
     BreakerConfig, BrownoutConfig, ConfigCache, GraphRegistry, HealthReport, JobSpec, JobStatus,
-    Priority, Query, RuntimeObs, Scheduler, SchedulerConfig, ShardService,
+    Priority, Query, RuntimeObs, Scheduler, SchedulerConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,14 +39,21 @@ use std::time::Duration;
 
 /// Everything random in the soak derives from this one constant.
 const SEED: u64 = 0xC0FFEE;
-/// Fingerprint handed to the batch path's breaker key.
-const BATCH_FP: u64 = 0xE5;
 /// Breaker cooldown: long enough that a failure storm opens the breaker
 /// before its first probe window, short enough to re-close in-test.
 const COOLDOWN_MS: u64 = 120;
+/// Shards per batch job.
+const K: u32 = 4;
+/// The algorithms the batch jobs run (one breaker key each on
+/// `er-soak`).
+const BATCH_QUERIES: [Query; 2] = [Query::Bfs { src: 0 }, Query::Cc];
 
 fn spec(query: Query, priority: Priority, timeout_ms: Option<u64>) -> JobSpec {
     JobSpec { graph: "kron".into(), query, timeout_ms, priority: Some(priority) }
+}
+
+fn batch_spec(query: Query, priority: Priority) -> JobSpec {
+    JobSpec { graph: "er-soak".into(), query, timeout_ms: None, priority: Some(priority) }
 }
 
 fn rotate_query(i: u64) -> Query {
@@ -72,6 +78,7 @@ fn chaos_soak_upholds_serving_invariants() {
     reset();
     let registry = Arc::new(GraphRegistry::new());
     registry.insert("kron", gen::kronecker(8, 8, 3));
+    registry.insert("er-soak", gen::erdos_renyi(400, 1600, SEED));
     let cache = Arc::new(ConfigCache::new());
     let obs = Arc::new(RuntimeObs::new());
     let config = SchedulerConfig {
@@ -89,10 +96,6 @@ fn chaos_soak_upholds_serving_invariants() {
     };
     let scheduler =
         Scheduler::with_obs(Arc::clone(&registry), Arc::clone(&cache), config, Arc::clone(&obs));
-    let shards = ShardService::new(Arc::clone(&obs), 4, 2)
-        .with_breakers(Arc::clone(scheduler.breakers()))
-        .with_brownout(Arc::clone(scheduler.brownout()));
-    let batch_graph = Arc::new(gen::erdos_renyi(400, 1600, SEED).with_name("er-soak"));
 
     // Client-side ledger: every terminal status we ever observe.
     let mut tally: BTreeMap<JobStatus, u64> = BTreeMap::new();
@@ -139,27 +142,7 @@ fn chaos_soak_upholds_serving_invariants() {
         Fault::Panic("soak chaos".into()),
     );
     let mut handles = Vec::new();
-    let mut batches_tried: u64 = 0;
-    let mut batch_failures: u64 = 0;
-    // Batch queries share the registry's job counters, so the ledger
-    // tracks their per-query outcomes too: [ok, error, failed,
-    // breaker-open].
-    let mut batch_tally = [0u64; 4];
-    let settle_batch =
-        |tally: &mut [u64; 4], result: &Result<_, String>, queries: usize| match result {
-            Ok(report) => {
-                let report: &gswitch_shard::BatchReport = report;
-                for out in &report.outcomes {
-                    match out.status {
-                        gswitch_shard::QueryStatus::Ok => tally[0] += 1,
-                        gswitch_shard::QueryStatus::Error => tally[1] += 1,
-                        gswitch_shard::QueryStatus::Failed => tally[2] += 1,
-                    }
-                }
-            }
-            Err(e) if e.contains("circuit breaker open") => tally[3] += queries as u64,
-            Err(_) => {}
-        };
+    let mut batch_admitted: u64 = 0;
     for round in 0..40u64 {
         for i in 0..50u64 {
             attempts += 1;
@@ -171,29 +154,25 @@ fn chaos_soak_upholds_serving_invariants() {
             }
         }
         // Health must answer mid-overload, every round.
-        let report = HealthReport::gather(&scheduler, &cache, Some(&shards));
-        assert!(report.components.len() >= 4, "health went mute in round {round}");
-        // Sprinkle batch traffic through the same breakers and quotas.
+        let report = HealthReport::gather(&scheduler, &cache);
+        assert!(report.components.len() >= 5, "health went mute in round {round}");
+        // Sprinkle sharded batch jobs through the same queue, breakers
+        // and brownout.
         if round % 5 == 0 {
-            batches_tried += 1;
-            let queries = [Query::Bfs { src: round as u32 }, Query::Cc];
-            let result = shards.batch(
-                &batch_graph,
-                BATCH_FP,
-                None,
-                Some("soak"),
-                &queries,
-                round,
-                "er-soak",
-            );
-            settle_batch(&mut batch_tally, &result, queries.len());
-            if result.is_err() {
-                batch_failures += 1;
+            for query in BATCH_QUERIES {
+                attempts += 1;
+                match scheduler.submit_sharded(batch_spec(query, Priority::Interactive), K) {
+                    Ok(handle) => {
+                        batch_admitted += 1;
+                        handles.push(handle);
+                    }
+                    Err(_) => client_rejected += 1,
+                }
             }
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(batches_tried > 0 && batch_failures < batches_tried, "no batch ever ran");
+    assert!(batch_admitted > 0, "no batch job was ever admitted");
 
     // ---- Phase 3: heal the faults and drain everything. -------------
     reset();
@@ -213,12 +192,23 @@ fn chaos_soak_upholds_serving_invariants() {
         settle(&mut tally, out.status);
         assert_eq!(out.status, JobStatus::Ok, "recovery probe {n} on a healed runtime");
     }
-    // A clean batch re-closes the batch-path breaker if the chaos
-    // opened it, and proves quota admission recovered.
-    let recovery =
-        shards.batch(&batch_graph, BATCH_FP, None, Some("soak"), &[Query::Cc], 9_999, "er-soak");
-    settle_batch(&mut batch_tally, &recovery, 1);
-    recovery.expect("recovery batch on a healed runtime");
+    // One clean sharded probe per (er-soak, algorithm) key the batch
+    // jobs used re-closes any of those breakers the chaos opened.
+    for query in BATCH_QUERIES {
+        attempts += 1;
+        let out = scheduler
+            .submit_sharded(batch_spec(query, Priority::Interactive), K)
+            .expect("recovery submissions fit a drained queue")
+            .wait();
+        settle(&mut tally, out.status);
+        assert_eq!(
+            out.status,
+            JobStatus::Ok,
+            "sharded recovery probe {}: {:?}",
+            out.algo,
+            out.error
+        );
+    }
     // Low-occupancy traffic walks brownout back out.
     for n in 0..8u64 {
         attempts += 1;
@@ -244,18 +234,18 @@ fn chaos_soak_upholds_serving_invariants() {
         + bucket(metric::JOBS_TIMEOUT_MIDRUN)
         + bucket(metric::JOBS_TIMEOUT_LATE);
     assert_eq!(submitted, terminal, "outcome conservation: {tally:?}");
-    // The client ledger — scheduler handles plus per-query batch
-    // outcomes — agrees with the registry, bucket by bucket.
-    let client_total: u64 = tally.values().sum::<u64>() + batch_tally.iter().sum::<u64>();
+    // The client ledger — one entry per handle, sharded or not — agrees
+    // with the registry, bucket by bucket.
+    let client_total: u64 = tally.values().sum();
     assert_eq!(client_total, submitted, "every admitted job settled exactly once");
-    assert_eq!(tally.values().sum::<u64>() + client_rejected, attempts);
+    assert_eq!(client_total + client_rejected, attempts);
     assert_eq!(client_rejected, bucket(metric::JOBS_REJECTED));
     let client = |s: JobStatus| tally.get(&s).copied().unwrap_or(0);
-    assert_eq!(client(JobStatus::Ok) + batch_tally[0], bucket(metric::JOBS_OK));
-    assert_eq!(client(JobStatus::Error) + batch_tally[1], bucket(metric::JOBS_ERROR));
-    assert_eq!(client(JobStatus::Failed) + batch_tally[2], bucket(metric::JOBS_FAILED));
+    assert_eq!(client(JobStatus::Ok), bucket(metric::JOBS_OK));
+    assert_eq!(client(JobStatus::Error), bucket(metric::JOBS_ERROR));
+    assert_eq!(client(JobStatus::Failed), bucket(metric::JOBS_FAILED));
     assert_eq!(client(JobStatus::Shed), bucket(metric::JOBS_SHED));
-    assert_eq!(client(JobStatus::BreakerOpen) + batch_tally[3], bucket(metric::JOBS_BREAKER_OPEN));
+    assert_eq!(client(JobStatus::BreakerOpen), bucket(metric::JOBS_BREAKER_OPEN));
     assert_eq!(
         client(JobStatus::DeadlineExceeded),
         bucket(metric::JOBS_TIMEOUT_QUEUED)
@@ -273,12 +263,8 @@ fn chaos_soak_upholds_serving_invariants() {
     assert_eq!(scheduler.breakers().open_count(), 0, "a breaker is stuck open");
     assert!(!scheduler.brownout().active(), "brownout is stuck active");
 
-    // No quota-permit leak: the batch tenant drained to zero.
-    assert_eq!(shards.quotas().inflight("soak"), 0, "leaked batch quota permits");
-    assert_eq!(shards.quotas().inflight("default"), 0);
-
     // And the final health report is clean.
-    let report = HealthReport::gather(&scheduler, &cache, Some(&shards));
+    let report = HealthReport::gather(&scheduler, &cache);
     assert_eq!(report.status, "ok", "{report:?}");
     assert!(!report.brownout);
     assert_eq!(report.breakers_open, 0);

@@ -205,26 +205,33 @@ fn fill_from_report(out: &mut BatchOutcome, rep: &ShardedRunReport) {
     out.imbalance = rep.imbalance();
 }
 
-fn run_one(
+/// Run one query over `plan`'s resident shards: the sharded run's
+/// report and the per-vertex result. A source vertex outside the graph
+/// or a PageRank tolerance that is not positive and finite is refused
+/// as [`ShardError::Unsupported`] before any shard runs.
+pub fn run_query(
     plan: &ShardPlan,
     query: BatchQuery,
-    index: usize,
     opts: &ShardedOptions,
-) -> BatchOutcome {
-    let mut out = outcome_shell(index, query.algo());
+) -> Result<(ShardedRunReport, BatchResult), ShardError> {
     let n = plan.graph().num_vertices();
-    let result: Result<(ShardedRunReport, BatchResult), ShardError> = match query {
+    match query {
         BatchQuery::Bfs { src } => {
             if src as usize >= n {
-                out.status = QueryStatus::Error;
-                out.error = Some(format!("source {src} out of range (n = {n})"));
-                return out;
+                return Err(ShardError::Unsupported(format!(
+                    "source {src} out of range (n = {n})"
+                )));
             }
             let app = gswitch_algos::Bfs::new(n, src);
             run_sharded(plan.sharded(), &app, &AutoPolicy, opts)
                 .map(|rep| (rep, BatchResult::Levels(app.levels())))
         }
         BatchQuery::Pr { eps } => {
+            if !(eps.is_finite() && eps > 0.0) {
+                return Err(ShardError::Unsupported(format!(
+                    "pr tolerance must be positive and finite, got {eps}"
+                )));
+            }
             let app = PageRank::new(plan.graph(), eps);
             run_sharded(plan.sharded(), &app, &AutoPolicy, opts)
                 .map(|rep| (rep, BatchResult::Ranks(app.ranks())))
@@ -234,8 +241,17 @@ fn run_one(
             run_sharded(plan.sharded(), &app, &AutoPolicy, opts)
                 .map(|rep| (rep, BatchResult::Labels(app.labels())))
         }
-    };
-    match result {
+    }
+}
+
+fn run_one(
+    plan: &ShardPlan,
+    query: BatchQuery,
+    index: usize,
+    opts: &ShardedOptions,
+) -> BatchOutcome {
+    let mut out = outcome_shell(index, query.algo());
+    match run_query(plan, query, opts) {
         Ok((rep, payload)) => {
             fill_from_report(&mut out, &rep);
             out.status = QueryStatus::Ok;

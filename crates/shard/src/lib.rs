@@ -11,18 +11,18 @@
 //! but a *batch* keeps every worker busy across query boundaries.
 //!
 //! - [`store`] — [`ShardStore`]: a bounded cache of partitioned graphs
-//!   keyed by (graph name, K), each entry an `Arc` shared by every
+//!   keyed by graph identity and K, each entry an `Arc` shared by every
 //!   in-flight query.
-//! - [`batch`] — [`BatchQuery`]/[`execute_batch`]: run a set of
-//!   concurrent queries against one resident [`ShardPlan`] on a
-//!   panic-isolated worker pool, reporting per-query outcomes plus
-//!   batch-level occupancy, exchange volume, and shard imbalance.
-//! - [`quota`] — [`TenantQuotas`]: per-tenant in-flight admission
-//!   caps with RAII release, so one tenant's burst cannot monopolize
-//!   the batch slots.
+//! - [`batch`] — [`run_query`]: one query over a resident
+//!   [`ShardPlan`]; and [`execute_batch`]: a set of concurrent queries
+//!   against one plan on a panic-isolated slot pool, reporting
+//!   per-query outcomes plus batch-level occupancy, exchange volume,
+//!   and shard imbalance.
 //!
-//! `gswitch-runtime` mounts all three behind the `gswitch-serve`
-//! protocol (`--shards K`, the `batch` request); this crate stays
+//! `gswitch-runtime`'s scheduler runs a sharded job through
+//! [`run_query`] over its own [`ShardStore`] (the `batch` request and
+//! `--shards K` of `gswitch-serve`); [`execute_batch`] is the library
+//! call the perf ledger and the benchmark drive. This crate stays
 //! independent of the runtime so the partitioned path is testable
 //! without a scheduler.
 
@@ -30,11 +30,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batch;
-pub mod quota;
 pub mod store;
 
 pub use batch::{
-    execute_batch, BatchOptions, BatchOutcome, BatchQuery, BatchReport, BatchResult, QueryStatus,
+    execute_batch, run_query, BatchOptions, BatchOutcome, BatchQuery, BatchReport, BatchResult,
+    QueryStatus,
 };
-pub use quota::{QuotaError, QuotaPermit, TenantQuotas};
 pub use store::{ShardPlan, ShardStore};

@@ -3,7 +3,7 @@
 use gswitch_graph::shard::ShardedCsr;
 use gswitch_graph::Graph;
 use gswitch_obs::sync::Lock;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,20 +42,28 @@ impl ShardPlan {
     }
 }
 
+/// A plan's identity: the address of the `Arc<Graph>` it was cut from,
+/// and K. The resident plan holds a clone of that `Arc`, so no other
+/// graph can take the address while the key is in the store.
+type PlanKey = (usize, u32);
+
 #[derive(Debug, Default)]
 struct StoreInner {
-    plans: BTreeMap<(String, u32), Arc<ShardPlan>>,
+    plans: HashMap<PlanKey, Arc<ShardPlan>>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<(String, u32)>,
+    order: VecDeque<PlanKey>,
 }
 
-/// A bounded cache of [`ShardPlan`]s keyed by `(graph name, K)`.
+/// A bounded cache of [`ShardPlan`]s keyed by graph identity and K.
 ///
 /// Partitioning is the expensive step this subsystem exists to amortize,
 /// so plans are built once and shared by `Arc` with every query that
-/// needs them. The cache is bounded (FIFO eviction) because each plan
-/// duplicates the graph's CSR across shards; an evicted plan stays alive
-/// as long as any in-flight batch still holds its `Arc`.
+/// needs them. The key is the graph's `Arc`, not its name: two graphs
+/// that share a name (two files called `web.mtx`, or one file loaded
+/// again) are different graphs with different plans. The cache is
+/// bounded (FIFO eviction) because each plan duplicates the graph's CSR
+/// across shards; an evicted plan stays alive as long as any in-flight
+/// query still holds its `Arc`.
 #[derive(Debug)]
 pub struct ShardStore {
     inner: Lock<StoreInner>,
@@ -70,7 +78,7 @@ impl ShardStore {
     pub fn new(capacity: usize) -> Self {
         ShardStore {
             inner: Lock::new(StoreInner {
-                plans: BTreeMap::new(),
+                plans: HashMap::with_capacity(capacity.max(1)),
                 order: VecDeque::with_capacity(capacity.max(1)),
             }),
             capacity: capacity.max(1),
@@ -80,38 +88,31 @@ impl ShardStore {
         }
     }
 
-    /// Fetch the resident plan for `(graph.name(), k)`, partitioning and
+    /// Fetch the resident plan for `(graph, k)`, partitioning and
     /// inserting it on miss. Errors propagate from the partitioner
     /// (`k == 0`) without poisoning the cache.
+    ///
+    /// A miss partitions under the store's lock: the queries of one
+    /// batch ask for the same plan at the same moment, and one cut they
+    /// share is cheaper than one cut each.
     pub fn get_or_partition(&self, graph: &Arc<Graph>, k: u32) -> Result<Arc<ShardPlan>, String> {
-        let key = (graph.name().to_string(), k);
-        if let Some(plan) = self.inner.lock().plans.get(&key) {
+        let key = (Arc::as_ptr(graph) as usize, k);
+        let mut inner = self.inner.lock();
+        if let Some(plan) = inner.plans.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
-        // Partition outside the lock: cutting a large graph is the slow
-        // path, and concurrent misses for the same key just race to
-        // insert identical plans (the loser's work is dropped).
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(ShardPlan::new(Arc::clone(graph), k)?);
-        let mut inner = self.inner.lock();
-        if !inner.plans.contains_key(&key) {
-            while inner.plans.len() >= self.capacity {
-                match inner.order.pop_front() {
-                    Some(oldest) => {
-                        inner.plans.remove(&oldest);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
+        if inner.plans.len() >= self.capacity {
+            if let Some(oldest) = inner.order.pop_front() {
+                inner.plans.remove(&oldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            inner.order.push_back(key.clone());
-            inner.plans.insert(key.clone(), Arc::clone(&plan));
         }
-        match inner.plans.get(&key) {
-            Some(winner) => Ok(Arc::clone(winner)),
-            None => Ok(plan),
-        }
+        inner.order.push_back(key);
+        inner.plans.insert(key, Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Plans currently resident.
@@ -139,9 +140,15 @@ impl ShardStore {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The `(name, k)` keys currently resident, in eviction order.
+    /// The `(graph name, k)` of each resident plan, in eviction order.
     pub fn keys(&self) -> Vec<(String, u32)> {
-        self.inner.lock().order.iter().cloned().collect()
+        let inner = self.inner.lock();
+        inner
+            .order
+            .iter()
+            .filter_map(|key| inner.plans.get(key))
+            .map(|plan| (plan.graph().name().to_string(), plan.k()))
+            .collect()
     }
 }
 
@@ -177,11 +184,36 @@ mod tests {
         assert_eq!(store.len(), 2);
     }
 
+    /// Two graphs that share a name but not their edges get one plan
+    /// each, and a sharded BFS over each plan answers for its own graph.
+    #[test]
+    fn plans_are_keyed_by_graph_identity_not_name() {
+        use crate::{run_query, BatchQuery, BatchResult};
+        use gswitch_algos::reference;
+        use gswitch_core::sharded::ShardedOptions;
+
+        let store = ShardStore::new(4);
+        let x = Arc::new(gen::erdos_renyi(120, 480, 1).with_name("web"));
+        let y = Arc::new(gen::erdos_renyi(120, 480, 2).with_name("web"));
+        assert_ne!(reference::bfs(&x, 0), reference::bfs(&y, 0), "the two graphs must differ");
+        for g in [&x, &y] {
+            let plan = store.get_or_partition(g, 2).expect("partition");
+            assert!(Arc::ptr_eq(plan.graph(), g), "a plan cut from another graph");
+            let (_, levels) =
+                run_query(&plan, BatchQuery::Bfs { src: 0 }, &ShardedOptions::default())
+                    .expect("sharded bfs");
+            assert_eq!(levels, BatchResult::Levels(reference::bfs(g, 0)));
+        }
+        assert_eq!(store.misses(), 2);
+        assert_eq!(store.keys(), vec![("web".to_string(), 2), ("web".to_string(), 2)]);
+    }
+
     #[test]
     fn capacity_evicts_fifo() {
         let store = ShardStore::new(2);
-        for seed in 0..3 {
-            store.get_or_partition(&arc_graph(seed), 2).expect("partition");
+        let graphs: Vec<_> = (0..3).map(arc_graph).collect();
+        for g in &graphs {
+            store.get_or_partition(g, 2).expect("partition");
         }
         assert_eq!(store.len(), 2);
         assert_eq!(store.evictions(), 1);
