@@ -218,32 +218,6 @@ impl GraphApp for BcBackward {
     }
 }
 
-/// Betweenness-centrality entry points.
-#[derive(Debug)]
-pub struct Bc;
-
-impl Bc {
-    /// Single-source Brandes dependencies (see [`bc`]).
-    pub fn single_source(
-        g: &Graph,
-        src: VertexId,
-        policy: &dyn Policy,
-        opts: &EngineOptions,
-    ) -> BcResult {
-        bc(g, src, policy, opts)
-    }
-
-    /// Exact or sampled full centrality (see [`bc_all`]).
-    pub fn all_sources(
-        g: &Graph,
-        sources: impl IntoIterator<Item = VertexId>,
-        policy: &dyn Policy,
-        opts: &EngineOptions,
-    ) -> (Vec<f64>, f64) {
-        bc_all(g, sources, policy, opts)
-    }
-}
-
 /// Result of a BC run.
 #[derive(Debug)]
 pub struct BcResult {

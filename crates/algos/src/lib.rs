@@ -17,14 +17,11 @@
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod kcore;
 pub mod pr;
 pub mod reference;
 pub mod sssp;
 
-pub use bc::Bc;
 pub use bfs::Bfs;
 pub use cc::Cc;
-pub use kcore::KCore;
 pub use pr::PageRank;
 pub use sssp::{BellmanFord, DeltaStepping, Sssp};

@@ -1,7 +1,9 @@
-//! Fixture: `unaccounted-terminal-status` (1 expected).
+//! Fixture: `unaccounted-terminal-status` (2 expected).
 //! `shed_overflow` fabricates a terminal `JobStatus::Shed`, but
 //! neither it nor any caller increments a shed counter — the job
-//! vanishes from the books.
+//! vanishes from the books. `evict` hands its `Shed` directly to
+//! `finish`, a callee that counts nothing, so handing it over books
+//! nothing either.
 
 pub enum JobStatus {
     Queued,
@@ -18,4 +20,15 @@ pub fn shed_overflow(depth: usize, limit: usize) -> Option<Outcome> {
         return Some(Outcome { status: JobStatus::Shed });
     }
     None
+}
+
+pub fn evict(depth: usize, limit: usize) -> Option<Outcome> {
+    if depth >= limit {
+        return Some(finish(JobStatus::Shed));
+    }
+    None
+}
+
+fn finish(status: JobStatus) -> Outcome {
+    Outcome { status }
 }

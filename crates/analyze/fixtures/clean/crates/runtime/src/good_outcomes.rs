@@ -1,6 +1,7 @@
-//! Clean fixture: the terminal `JobStatus::Shed` is constructed in a
-//! helper and accounted by its caller — interprocedural accounting the
-//! conservation pass must accept.
+//! Clean fixture: terminal `JobStatus::Shed`s the conservation pass
+//! must accept. One is constructed in a helper and accounted by its
+//! caller; one is passed directly to `settle`, a callee that books
+//! whatever status it is handed.
 
 pub enum JobStatus {
     Queued,
@@ -23,6 +24,21 @@ impl Stats {
             return Some(shed_outcome());
         }
         None
+    }
+
+    pub fn evict(&self, depth: usize, limit: usize) -> Option<Outcome> {
+        if depth >= limit {
+            return Some(self.settle(JobStatus::Shed));
+        }
+        None
+    }
+
+    fn settle(&self, status: JobStatus) -> Outcome {
+        match status {
+            JobStatus::Shed => self.shed.inc(),
+            JobStatus::Queued | JobStatus::Running => {}
+        }
+        Outcome { status }
     }
 }
 

@@ -17,6 +17,13 @@
 //! `timeout_queued`/`timeout_midrun`/`timeout_late` all account for
 //! `DeadlineExceeded` — which of the three is a runtime decision).
 //!
+//! A status can also be booked by a `settle`-shaped callee, one that
+//! increments the variant's counter for whatever status it is handed:
+//! a construction passed directly as an argument to such a callee
+//! (`settle(…, JobStatus::Shed, …)`) is accounted, and so is one
+//! whose transitive caller calls such a callee (a status returned up
+//! to the code that settles it).
+//!
 //! Trade-offs (DESIGN §4.15): caller search follows *all* edges,
 //! ambiguous ones included — an unaccounted status is only reported
 //! when no plausible caller accounts for it, so the pass
@@ -25,7 +32,7 @@
 use crate::callgraph::{CallGraph, FnId};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
+use crate::source::{matching, SourceFile};
 
 /// Terminal variants and the counter identifiers that account for them.
 /// Gauges (`queue_depth`) and flow counters (`submitted`, `rejected`,
@@ -98,15 +105,47 @@ fn fn_accounts(files: &[SourceFile], cg: &CallGraph, f: FnId, variant: &str) -> 
     })
 }
 
-/// Is the construction in `f` accounted in `f` itself or any
-/// transitive caller? All call edges are followed (ambiguity included)
-/// — accounting through a dispatcher still counts.
-fn accounted(files: &[SourceFile], cg: &CallGraph, f: FnId, variant: &str) -> bool {
+/// Is the construction at token `i` of `f` a whole argument —
+/// `callee(…, JobStatus::V, …)` — of a call to a callee that accounts
+/// for `variant`?
+fn passed_to_booking(
+    files: &[SourceFile],
+    cg: &CallGraph,
+    f: FnId,
+    i: usize,
+    variant: &str,
+) -> bool {
+    let t = &files[cg.fns[f].file].toks;
+    let is = |k: usize, c: &str| t.get(k).is_some_and(|n| c.chars().any(|c| n.is_punct(c)));
+    if i == 0 || !is(i - 1, "(,") || !is(i + 4, ",)") {
+        return false;
+    }
+    cg.callees(f).any(|s| {
+        // Step over nested groups: only the call's own top level counts.
+        let mut k = s.tok + 2;
+        while k < i {
+            k = if is(k, "([{") { matching(t, k) + 1 } else { k + 1 };
+        }
+        k == i && i < matching(t, s.tok + 1) && fn_accounts(files, cg, s.callee, variant)
+    })
+}
+
+/// Is the construction at token `i` of `f` accounted: booked in `f`
+/// (a counter, or a direct argument to a booking callee), or in a
+/// transitive caller that increments the counter or calls a booking
+/// callee? All call edges are followed (ambiguity included) —
+/// accounting through a dispatcher still counts.
+fn accounted(files: &[SourceFile], cg: &CallGraph, f: FnId, i: usize, variant: &str) -> bool {
+    if passed_to_booking(files, cg, f, i, variant) {
+        return true;
+    }
     let mut seen = vec![false; cg.fns.len()];
     let mut stack = vec![f];
     seen[f] = true;
     while let Some(cur) = stack.pop() {
-        if fn_accounts(files, cg, cur, variant) {
+        if fn_accounts(files, cg, cur, variant)
+            || (cur != f && cg.callees(cur).any(|s| fn_accounts(files, cg, s.callee, variant)))
+        {
             return true;
         }
         for site in cg.callers(cur) {
@@ -132,7 +171,7 @@ pub fn analyze(files: &[SourceFile], cg: &CallGraph) -> Vec<Finding> {
             }
             let Some(variant) = construction_at(sf, i) else { continue };
             let Some(f) = cg.fn_containing(fi, i) else { continue };
-            if cg.fns[f].is_test || accounted(files, cg, f, variant) {
+            if cg.fns[f].is_test || accounted(files, cg, f, i, variant) {
                 continue;
             }
             let line = sf.toks[i].line;
@@ -144,7 +183,8 @@ pub fn analyze(files: &[SourceFile], cg: &CallGraph) -> Vec<Finding> {
                 sf.snippet(line),
                 format!(
                     "`JobStatus::{variant}` is constructed in `{}` but no counter accounting \
-                     for it ({}) is incremented there or in any caller — the soak ledger \
+                     for it ({}) is incremented there, by a callee it is passed to, or in \
+                     any caller — the soak ledger \
                      identity (submitted == Σ terminal counters) cannot hold through this path",
                     cg.fns[f].name,
                     accepts(variant).unwrap_or(&[]).join("/"),
@@ -230,6 +270,38 @@ mod tests {
             ("crates/runtime/src/lib.rs", in_cfg_test),
         ])
         .is_empty());
+    }
+
+    #[test]
+    fn status_passed_to_a_booking_callee_is_clean() {
+        let src = "fn evict(&self) { self.settle(victim, JobStatus::Shed); }\n\
+           fn settle(&self, job: Job, status: JobStatus) {\n\
+             match status { JobStatus::Shed => self.m.shed.inc(), _ => {} }\n\
+           }";
+        assert!(run_pass(&[("crates/runtime/src/sched.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn status_passed_to_a_non_counting_callee_is_flagged() {
+        // Only a direct argument counts: a status built first and
+        // passed through a local, or nested in another call's
+        // arguments, is still the constructor's to book.
+        let src = "fn evict(&self) { finish(JobStatus::Shed); }\n\
+           fn later(&self) { let s = JobStatus::Shed; self.settle(s); }\n\
+           fn nested(&self) { self.settle(finish(JobStatus::Shed)); }\n\
+           fn finish(status: JobStatus) { send(status); }\n\
+           fn settle(&self, status: JobStatus) { self.m.shed.inc(); }";
+        let f = run_pass(&[("crates/runtime/src/sched.rs", src)]);
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f.iter().all(|f| f.message.contains("Shed")));
+    }
+
+    #[test]
+    fn status_returned_to_a_settling_caller_is_clean() {
+        let src = "fn run(&self) -> Result<(), JobStatus> { Err(JobStatus::Failed) }\n\
+           fn worker(&self) { let r = run(); settle(r); }\n\
+           fn settle(r: Result<(), JobStatus>) { self.m.failed.inc(); }";
+        assert!(run_pass(&[("crates/runtime/src/sched.rs", src)]).is_empty());
     }
 
     #[test]

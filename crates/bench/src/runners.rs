@@ -3,7 +3,6 @@
 use gswitch_algos::{bc, bfs, cc, pr, sssp};
 use gswitch_baselines as base;
 use gswitch_core::{EngineOptions, Policy, RunReport, StaticPolicy};
-use gswitch_graph::corpus::Representative;
 use gswitch_graph::{gen, Graph, VertexId};
 use gswitch_simt::{DeviceSpec, SimMs};
 
@@ -78,12 +77,6 @@ pub fn prepare(g: &Graph, algo: Algo) -> Graph {
     } else {
         g.clone()
     }
-}
-
-/// Build a representative twin ready for `algo`.
-pub fn build_twin(rep: &Representative, algo: Algo) -> Graph {
-    let g = rep.recipe.build().with_name(rep.paper_name.to_string());
-    prepare(&g, algo)
 }
 
 /// Run GSWITCH (the autotuner) on one benchmark.

@@ -46,7 +46,7 @@ pub use metrics::{
 };
 pub use span::{
     parse_spans_jsonl, profile, timeline_json, Clock, KindProfile, LocalSpans, SpanCollector,
-    SpanCtx, SpanGuard, SpanKind, SpanProfile, SpanRecord, SpanRing,
+    SpanCtx, SpanGuard, SpanKind, SpanProfile, SpanRecord, SpanRing, ADMISSION_WORKER,
 };
 pub use summary::{
     parse_jsonl, resilience_summary, summarize, DirectionFlip, LbStats, ParsedTrace, TraceSummary,

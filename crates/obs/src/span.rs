@@ -191,6 +191,10 @@ impl SpanKind {
     }
 }
 
+/// The `worker` of spans the scheduler records at admission: no
+/// worker uses it, and timelines label its track `admission`.
+pub const ADMISSION_WORKER: u32 = u32::MAX;
+
 /// One timed section. `Copy`, heap-free: recording a span is a struct
 /// copy into a thread-local buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,7 +207,9 @@ pub struct SpanRecord {
     pub kind: SpanKind,
     /// Job / query id the span belongs to (0 outside serving).
     pub job: u64,
-    /// Worker or slot index that ran the section.
+    /// Worker or slot index that ran the section; [`ADMISSION_WORKER`]
+    /// for a job settled at admission (refused by an open breaker,
+    /// purged or shed), which no worker touched.
     pub worker: u32,
     /// Shard the section ran over (`None` for whole-graph work).
     pub shard: Option<u32>,
@@ -675,8 +681,8 @@ impl SpanCtx {
 
 /// Render spans as Chrome trace-event JSON (the `chrome://tracing` /
 /// Perfetto format): one complete event (`"ph":"X"`) per span with
-/// microsecond timestamps, one named track per worker (`worker-N`) or
-/// shard (`shard-N`), all under pid 1.
+/// microsecond timestamps, one named track per worker (`worker-N`),
+/// shard (`shard-N`) or the scheduler's `admission`, all under pid 1.
 pub fn timeline_json(spans: &[SpanRecord]) -> String {
     // Track ids by first appearance, so the timeline reads top-down in
     // the order work actually started.
@@ -686,6 +692,7 @@ pub fn timeline_json(spans: &[SpanRecord]) -> String {
         .map(|s| {
             let label = match s.shard {
                 Some(shard) => format!("shard-{shard}"),
+                None if s.worker == ADMISSION_WORKER => "admission".to_string(),
                 None => format!("worker-{}", s.worker),
             };
             tracks.iter().position(|t| *t == label).unwrap_or_else(|| {
@@ -1179,20 +1186,24 @@ mod tests {
             rec(1, 0, SpanKind::Batch, None, 9_000_000),
             rec(2, 1, SpanKind::Expand, Some(0), 2_000_000),
             rec(3, 1, SpanKind::Expand, Some(1), 3_000_000),
+            rec(4, 0, SpanKind::Request, None, 1_000_000),
         ];
         spans[1].worker = 1;
+        spans[3].worker = ADMISSION_WORKER;
         let json = timeline_json(&spans);
         let v = serde_json::parse(&json).unwrap();
         let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-        // 1 process_name + 3 thread_name (worker-0, shard-0, shard-1) +
-        // 3 complete events.
-        assert_eq!(events.len(), 7);
+        // 1 process_name + 4 thread_name (worker-0, shard-0, shard-1,
+        // admission) + 4 complete events.
+        assert_eq!(events.len(), 9);
         let metas: Vec<_> =
             events.iter().filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M")).collect();
-        assert_eq!(metas.len(), 4);
+        assert_eq!(metas.len(), 5);
+        let last = metas.last().and_then(|m| m.get("args")).and_then(|a| a.get("name"));
+        assert_eq!(last.and_then(|n| n.as_str()), Some("admission"));
         let completes: Vec<_> =
             events.iter().filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X")).collect();
-        assert_eq!(completes.len(), 3);
+        assert_eq!(completes.len(), 4);
         // Shards land on distinct tracks.
         let tid_of = |shard: u64| {
             completes

@@ -9,10 +9,17 @@
 //! cooperatively at the next engine super-step, and jobs that finish
 //! past it report [`JobStatus::DeadlineExceeded`] with the result
 //! withheld.
-//! Cancellation is cooperative at super-step granularity: a job
-//! cancelled before execution starts never runs; one already executing
-//! is stopped at its next engine super-step via the job's
-//! [`CancelToken`] and reports [`JobStatus::Cancelled`].
+//!
+//! Each job has one life-cycle. Admission gives it a [`CancelToken`]
+//! (anchored at its deadline) and registers it until the job settles,
+//! so a [`Scheduler::cancel`] accepted while the job is live always
+//! reaches it: a queued job never runs, and a running one stops at its
+//! next engine super-step; both report [`JobStatus::Cancelled`]. Every
+//! way a job ends — breaker fast-fail, purge or shed at admission,
+//! cancelled or expired at pickup, graph gone, executed — goes through
+//! one exit, `settle`, which alone books the terminal counter, votes
+//! the breaker, observes `job_total_ms`, records the `Request` span and
+//! sends the outcome.
 //!
 //! Workers are panic-isolated: each job body runs under
 //! `catch_unwind`, so a panicking job becomes a structured
@@ -39,27 +46,26 @@
 //! until pressure eases. Decision tracing stays on: it costs about 1 %.
 //!
 //! A sharded job ([`Scheduler::submit_sharded`]) takes the same path
-//! from admission to terminal state — queue, priority, deadline,
-//! cancellation, breaker vote, counters, spans and job id are the ones
-//! every job gets. Only the worker's execute step differs: the query
-//! runs over a resident K-shard plan from the scheduler's
-//! [`ShardStore`].
+//! from admission to terminal state. Only the worker's execute step
+//! differs: the query runs over a resident K-shard plan from the
+//! scheduler's [`ShardStore`].
 
 use crate::breaker::{BreakerDecision, BreakerKey, BreakerSet};
 use crate::brownout::Brownout;
 use crate::cache::ConfigCache;
-use crate::executor::{execute, execute_sharded};
+use crate::executor::{execute, execute_sharded, Execution};
 use crate::obs::{metric, RuntimeObs};
 use crate::query::{JobOutcome, JobSpec, JobStatus, Metric, Priority};
-use crate::registry::GraphRegistry;
+use crate::registry::{GraphEntry, GraphRegistry};
 use gswitch_core::{AutoPolicy, CancelToken, ProbeHandle, RunProbe, StopReason};
 use gswitch_obs::sync::{recover, Lock};
 use gswitch_obs::{
     Clock, Counter, Gauge, Histogram, MetricsRegistry, SpanCtx, SpanKind, SpanRecord,
+    ADMISSION_WORKER,
 };
 use gswitch_shard::ShardStore;
 use gswitch_simt::DeviceSpec;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar};
 use std::time::Duration;
@@ -163,23 +169,32 @@ struct Job {
     /// Pre-allocated id of this job's `Request` span, so queue-wait and
     /// execute spans can parent under it from any worker.
     span_id: u64,
-    deadline: Duration,
+    /// Deadline, nanoseconds after admission.
+    deadline_ns: u64,
     /// Resolved priority class (shed policy and pickup order).
     priority: Priority,
-    /// Circuit-breaker identity, resolved at admission so the worker
-    /// can vote the outcome even if the graph is replaced mid-flight.
+    /// Circuit-breaker identity, resolved at admission so the job can
+    /// vote its outcome even if the graph is replaced mid-flight.
     key: BreakerKey,
     /// Whether this job holds its breaker's half-open probe slot.
     probe: bool,
     /// Shard count of a sharded job; `None` runs on the whole graph.
     shards: Option<u32>,
+    /// Cancel flag and deadline probe, from admission to `settle`.
+    token: Arc<CancelToken>,
+    /// When a worker took the job from the queue.
+    picked_ns: Option<u64>,
     tx: mpsc::Sender<JobOutcome>,
 }
 
-impl Job {
-    fn deadline_ns(&self) -> u64 {
-        u64::try_from(self.deadline.as_nanos()).unwrap_or(u64::MAX)
-    }
+/// What [`settle`] is told beyond a job's status.
+enum Detail {
+    /// Nothing: the status says it all.
+    None,
+    /// Why the job ended, for the outcome's `error`.
+    Why(String),
+    /// The job ran: the executor's result, or the panic that ended it.
+    Ran(std::thread::Result<Result<Execution, (JobStatus, String)>>),
 }
 
 /// Pre-resolved metric handles, so the hot paths never touch the
@@ -254,13 +269,10 @@ struct Shared {
     queue: Lock<VecDeque<Job>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
-    /// Ids cancelled while still queued; pruned at pickup, and only
-    /// ever populated with ids actually present in the queue, so the
-    /// set stays bounded by the queue capacity.
-    cancelled: Lock<HashSet<u64>>,
-    /// Cancel tokens of currently executing jobs, so [`Scheduler::cancel`]
-    /// can reach a job mid-run.
-    running: Lock<HashMap<u64, Arc<CancelToken>>>,
+    /// Cancel tokens of live jobs, from admission until `settle`, so
+    /// [`Scheduler::cancel`] reaches a job wherever it is. Bounded by
+    /// the queue capacity plus one running job per worker.
+    live: Lock<HashMap<u64, Arc<CancelToken>>>,
     /// Circuit breakers per (graph fingerprint, algorithm).
     breakers: Arc<BreakerSet>,
     /// Degraded-mode detector, sampled at every admission.
@@ -325,11 +337,6 @@ impl JobHandle {
             },
         }
     }
-
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<JobOutcome> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// The worker pool.
@@ -379,8 +386,7 @@ impl Scheduler {
             queue: Lock::new(VecDeque::new()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            cancelled: Lock::new(HashSet::new()),
-            running: Lock::new(HashMap::new()),
+            live: Lock::new(HashMap::new()),
             breakers,
             brownout,
             plans: ShardStore::new(PLAN_CAPACITY),
@@ -437,118 +443,110 @@ impl Scheduler {
 
     /// The one admission routine behind both entry points.
     fn admit(&self, spec: JobSpec, shards: Option<u32>) -> Result<JobHandle, SubmitError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared.m.rejected.inc();
+        let shared = &*self.shared;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            shared.m.rejected.inc();
             return Err(SubmitError::ShuttingDown);
         }
-        let entry = match self.shared.registry.get(&spec.graph) {
-            Some(e) => e,
-            None => {
-                self.shared.m.rejected.inc();
-                return Err(SubmitError::UnknownGraph(spec.graph.clone()));
-            }
+        let Some(entry) = shared.registry.get(&spec.graph) else {
+            shared.m.rejected.inc();
+            return Err(SubmitError::UnknownGraph(spec.graph.clone()));
         };
         let key = BreakerKey { fingerprint: entry.fingerprint().0, algo: spec.query.algo() };
         drop(entry);
         let deadline = Duration::from_millis(spec.timeout_ms.unwrap_or(self.default_timeout_ms));
+        let deadline_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
         #[expect(
             clippy::disallowed_methods,
             reason = "a one-shot rendezvous: exactly one JobOutcome is sent per channel, and queue \
                       admission bounds how many channels exist at once"
         )]
         let (tx, rx) = mpsc::channel();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let graph = spec.graph.clone();
-        let algo = spec.query.algo().to_string();
-        let priority = spec.priority();
-        let clock = self.shared.obs.clock();
+        let clock = shared.obs.clock();
+        let admitted_ns = clock.now_ns();
+        // The token doubles as the job's deadline probe. A manual (test)
+        // clock has no `Instant` anchor; such jobs run without a mid-run
+        // deadline and are still caught at completion.
+        let token = match clock.instant_at_ns(admitted_ns.saturating_add(deadline_ns)) {
+            Some(at) => CancelToken::with_deadline(at),
+            None => CancelToken::new(),
+        };
+        let mut job = Job {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            priority: spec.priority(),
+            spec,
+            admitted_ns,
+            span_id: shared.obs.span_collector().alloc_id(),
+            deadline_ns,
+            key,
+            probe: false,
+            shards,
+            token: Arc::new(token),
+            picked_ns: None,
+            tx,
+        };
+        let (graph, algo) = (job.spec.graph.clone(), job.spec.query.algo().to_string());
+        let handle = JobHandle { id: job.id, rx, graph, algo, clock: clock.clone(), admitted_ns };
 
         // Circuit breaker: an open breaker answers before the queue is
-        // touched. The job still counts as submitted and resolves
-        // through its handle like any other terminal outcome, so the
-        // conservation invariant (submitted == sum of terminal states)
-        // holds with breakers in play.
-        let probe = match self.shared.breakers.admit(key) {
+        // touched. The job still counts as submitted and settles like
+        // any other, so the conservation identity (submitted == sum of
+        // terminal counters) holds with breakers in play.
+        job.probe = match shared.breakers.admit(key) {
             BreakerDecision::Allow => false,
             BreakerDecision::AllowProbe => true,
             BreakerDecision::FailFast { retry_after_ms } => {
-                self.shared.m.submitted.inc();
-                self.shared.m.breaker_fastfail.inc();
-                let admitted_ns = clock.now_ns();
-                let out = JobOutcome {
-                    id,
-                    graph: graph.clone(),
-                    algo: algo.clone(),
-                    status: JobStatus::BreakerOpen,
-                    error: Some(format!(
-                        "circuit breaker open for {graph}/{algo}: retry in ~{retry_after_ms} ms"
-                    )),
-                    cache: None,
-                    config: None,
-                    wall_ms: 0.0,
-                    sim_ms: 0.0,
-                    converged: false,
-                    metrics: Vec::new(),
-                    iterations: Vec::new(),
-                    payload: None,
-                };
-                let _ = tx.send(out);
-                return Ok(JobHandle { id, rx, graph, algo, clock, admitted_ns });
+                shared.m.submitted.inc();
+                let why = format!(
+                    "circuit breaker open for {}/{}: retry in ~{retry_after_ms} ms",
+                    handle.graph, handle.algo
+                );
+                settle(shared, job, ADMISSION_WORKER, JobStatus::BreakerOpen, Detail::Why(why));
+                return Ok(handle);
             }
         };
 
-        let admitted_ns = clock.now_ns();
-        let span_id = self.shared.obs.span_collector().alloc_id();
         let occupancy;
         {
-            let mut q = self.shared.queue.lock();
+            let mut q = shared.queue.lock();
             if q.len() >= self.capacity {
                 // Shed stage 1: purge queued jobs whose deadline has
                 // already passed — they could only ever report
-                // DeadlineExceeded, so resolve them now and free slots.
+                // DeadlineExceeded, so settle them now and free slots.
                 let now = clock.now_ns();
-                let mut i = 0;
-                while i < q.len() {
-                    let expired = q
-                        .get(i)
-                        .map(|j| now.saturating_sub(j.admitted_ns) > j.deadline_ns())
-                        .unwrap_or(false);
-                    if !expired {
-                        i += 1;
-                        continue;
-                    }
-                    if let Some(victim) = q.remove(i) {
-                        self.shared.m.timeout_queued.inc();
-                        self.resolve_dropped(&victim, JobStatus::DeadlineExceeded, &clock);
-                    }
+                let expired = |j: &Job| now.saturating_sub(j.admitted_ns) > j.deadline_ns;
+                let (purged, kept): (VecDeque<Job>, VecDeque<Job>) =
+                    std::mem::take(&mut *q).into_iter().partition(expired);
+                *q = kept;
+                for j in purged {
+                    settle(shared, j, ADMISSION_WORKER, JobStatus::DeadlineExceeded, Detail::None);
                 }
                 // Shed stage 2: evict the lowest-priority, most-expired
                 // queued job strictly below the incoming class. Equal
                 // priorities never shed each other — FIFO fairness
                 // within a class survives overload.
                 if q.len() >= self.capacity {
-                    let now = clock.now_ns();
                     let victim_idx = q
                         .iter()
                         .enumerate()
-                        .filter(|(_, j)| j.priority < priority)
+                        .filter(|(_, j)| j.priority < job.priority)
                         .min_by_key(|(_, j)| {
                             let age = now.saturating_sub(j.admitted_ns);
-                            (j.priority, j.deadline_ns().saturating_sub(age))
+                            (j.priority, j.deadline_ns.saturating_sub(age))
                         })
                         .map(|(i, _)| i);
-                    match victim_idx.and_then(|i| q.remove(i)) {
-                        Some(victim) => {
-                            self.shared.m.shed.inc();
-                            self.resolve_dropped(&victim, JobStatus::Shed, &clock);
-                        }
-                        None => {
-                            self.shared.m.rejected.inc();
-                            self.shared.breakers.record_neutral(key, probe);
-                            self.shared.brownout.on_sample(1.0);
-                            return Err(SubmitError::QueueFull);
-                        }
-                    }
+                    let Some(victim) = victim_idx.and_then(|i| q.remove(i)) else {
+                        shared.m.rejected.inc();
+                        shared.breakers.record_neutral(key, job.probe);
+                        shared.brownout.on_sample(1.0);
+                        return Err(SubmitError::QueueFull);
+                    };
+                    let why = format!(
+                        "shed at admission: queue full and a higher-priority submission \
+                         outranked this {} job",
+                        victim.priority.tag()
+                    );
+                    settle(shared, victim, ADMISSION_WORKER, JobStatus::Shed, Detail::Why(why));
                 }
             }
             // Queue-wait-aware rejection: above the watermark, refuse
@@ -557,15 +555,15 @@ impl Scheduler {
             // after burning a queue slot for the full wait.
             let occ_now = q.len() as f64 / self.capacity as f64;
             if occ_now >= self.shed_watermark {
-                let wait = self.shared.m.queue_wait_ms.snapshot();
+                let wait = shared.m.queue_wait_ms.snapshot();
                 let deadline_ms = deadline.as_millis().min(u128::from(u64::MAX)) as u64;
                 if wait.count >= MIN_WAIT_SAMPLES {
                     let p95 = wait.quantile(0.95);
                     if p95 > deadline_ms as f64 {
-                        self.shared.m.rejected.inc();
-                        self.shared.m.unmeetable.inc();
-                        self.shared.breakers.record_neutral(key, probe);
-                        self.shared.brownout.on_sample(occ_now);
+                        shared.m.rejected.inc();
+                        shared.m.unmeetable.inc();
+                        shared.breakers.record_neutral(key, job.probe);
+                        shared.brownout.on_sample(occ_now);
                         return Err(SubmitError::DeadlineUnmeetable {
                             p95_wait_ms: p95 as u64,
                             deadline_ms,
@@ -573,44 +571,17 @@ impl Scheduler {
                     }
                 }
             }
-            q.push_back(Job {
-                id,
-                spec,
-                admitted_ns,
-                span_id,
-                deadline,
-                priority,
-                key,
-                probe,
-                shards,
-                tx,
-            });
-            self.shared.m.queue_depth.set(q.len() as i64);
+            // Live before it is visible in the queue: a cancel issued
+            // once `submit` has returned always finds the job.
+            shared.live.lock().insert(job.id, Arc::clone(&job.token));
+            q.push_back(job);
+            shared.m.queue_depth.set(q.len() as i64);
             occupancy = q.len() as f64 / self.capacity as f64;
         }
-        self.shared.brownout.on_sample(occupancy);
-        self.shared.m.submitted.inc();
-        self.shared.work_ready.notify_one();
-        Ok(JobHandle { id, rx, graph, algo, clock, admitted_ns })
-    }
-
-    /// Resolve a job dropped from the queue at admission time (purged
-    /// past-deadline or shed for priority): send its terminal outcome,
-    /// settle the aggregates, and release any breaker probe slot. The
-    /// caller has already bumped the status-specific counter.
-    fn resolve_dropped(&self, victim: &Job, status: JobStatus, clock: &Clock) {
-        self.shared.cancelled.lock().remove(&victim.id);
-        self.shared.breakers.record_neutral(victim.key, victim.probe);
-        let mut out = outcome_skeleton(victim, status, clock);
-        if status == JobStatus::Shed {
-            out.error = Some(format!(
-                "shed at admission: queue full and a {} submission outranked this {} job",
-                "higher-priority",
-                victim.priority.tag()
-            ));
-        }
-        self.shared.m.total_ms.observe(out.wall_ms);
-        let _ = victim.tx.send(out);
+        shared.brownout.on_sample(occupancy);
+        shared.m.submitted.inc();
+        shared.work_ready.notify_one();
+        Ok(handle)
     }
 
     /// Submit `spec`, wait for the outcome, and transparently resubmit
@@ -642,27 +613,12 @@ impl Scheduler {
         unreachable!("the final attempt returns above")
     }
 
-    /// Request cancellation of job `id`, wherever it is:
-    ///
-    /// * still queued — it never runs and reports
-    ///   [`JobStatus::Cancelled`];
-    /// * currently executing — its engine run is stopped at the next
-    ///   super-step and reports [`JobStatus::Cancelled`];
-    /// * already finished (or unknown) — no-op, and nothing is
-    ///   remembered, so cancelling completed ids cannot grow any state.
+    /// Request cancellation of job `id`. A live job — queued or running
+    /// — always sees it: a queued job never runs, a running one stops
+    /// at its next super-step, and both report [`JobStatus::Cancelled`].
+    /// A settled (or unknown) id is a no-op that leaves no state behind.
     pub fn cancel(&self, id: u64) {
-        // Order matters: a job moves queue → running, never backwards,
-        // so checking the queue first narrows the race window to the
-        // instant between pickup and token registration (where a cancel
-        // is a benign no-op).
-        {
-            let q = self.shared.queue.lock();
-            if q.iter().any(|j| j.id == id) {
-                self.shared.cancelled.lock().insert(id);
-                return;
-            }
-        }
-        if let Some(token) = self.shared.running.lock().get(&id) {
+        if let Some(token) = self.shared.live.lock().get(&id) {
             token.cancel();
         }
     }
@@ -705,12 +661,8 @@ impl Scheduler {
     }
 
     /// Stop accepting jobs, drain the queue, and join the workers.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -721,24 +673,6 @@ impl Drop for Scheduler {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-fn outcome_skeleton(job: &Job, status: JobStatus, clock: &Clock) -> JobOutcome {
-    JobOutcome {
-        id: job.id,
-        graph: job.spec.graph.clone(),
-        algo: job.spec.query.algo().to_string(),
-        status,
-        error: None,
-        cache: None,
-        config: None,
-        wall_ms: clock.elapsed_ms(job.admitted_ns),
-        sim_ms: 0.0,
-        converged: false,
-        metrics: Vec::new(),
-        iterations: Vec::new(),
-        payload: None,
     }
 }
 
@@ -781,11 +715,145 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The one exit every job takes, however it ends, and the only code
+/// that books one: it picks the terminal counter, votes the breaker,
+/// observes `job_total_ms`, records the `Request` span (plus a
+/// `QueueWait` child for a job that was queued, ending at pickup or
+/// now) on `worker`'s track, and sends the outcome. A run passes `Ok`
+/// and its result decides; a result that arrives past the deadline is
+/// withheld.
+fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Detail) {
+    // Only a job that entered the queue was ever live.
+    let queued = shared.live.lock().remove(&job.id).is_some();
+    let (m, clock) = (&shared.m, shared.obs.clock());
+    let mut out = JobOutcome {
+        id: job.id,
+        graph: job.spec.graph,
+        algo: job.spec.query.algo().to_string(),
+        status,
+        error: None,
+        cache: None,
+        config: None,
+        wall_ms: 0.0,
+        sim_ms: 0.0,
+        converged: false,
+        metrics: Vec::new(),
+        iterations: Vec::new(),
+        payload: None,
+    };
+    let (ran, mut late) = (matches!(detail, Detail::Ran(_)), false);
+    match detail {
+        Detail::None => {}
+        Detail::Why(why) => out.error = Some(why),
+        Detail::Ran(Ok(Ok(exec))) => match exec.stopped {
+            Some(StopReason::Cancelled) => out.status = JobStatus::Cancelled,
+            Some(StopReason::DeadlineExceeded) => out.status = JobStatus::DeadlineExceeded,
+            None => {
+                out.cache = exec.cache.map(str::to_string);
+                out.config = exec.config;
+                out.sim_ms = exec.sim_ms;
+                out.converged = exec.converged;
+                late = clock.now_ns().saturating_sub(job.admitted_ns) > job.deadline_ns;
+                if late {
+                    out.status = JobStatus::DeadlineExceeded;
+                } else {
+                    out.metrics = exec.metrics;
+                    out.iterations = exec.iterations;
+                    out.payload = Some(exec.payload);
+                }
+            }
+        },
+        Detail::Ran(Ok(Err((refused, why)))) => (out.status, out.error) = (refused, Some(why)),
+        Detail::Ran(Err(panic)) => {
+            out.status = JobStatus::Failed;
+            out.error = Some(format!("worker panic: {}", panic_message(panic)));
+        }
+    }
+    match out.status {
+        JobStatus::Ok => m.ok.inc(),
+        JobStatus::Error => m.error.inc(),
+        JobStatus::Failed => m.failed.inc(),
+        JobStatus::Cancelled => m.cancelled.inc(),
+        JobStatus::DeadlineExceeded if late => m.timeout_late.inc(),
+        JobStatus::DeadlineExceeded if ran => m.timeout_midrun.inc(),
+        JobStatus::DeadlineExceeded => m.timeout_queued.inc(),
+        JobStatus::Shed => m.shed.inc(),
+        JobStatus::BreakerOpen => m.breaker_fastfail.inc(),
+    }
+    // Breaker vote. `Ok` and `Error` from a run are successes: an
+    // engine-level error (bad source vertex, unsupported query) means
+    // the infrastructure answered correctly. Only `Failed` (a panic)
+    // votes to open; every other end, a graph gone before the run
+    // included, says nothing either way and just releases any probe slot.
+    match out.status {
+        JobStatus::Ok | JobStatus::Error if ran => {
+            shared.breakers.record_success(job.key, job.probe)
+        }
+        JobStatus::Failed => shared.breakers.record_failure(job.key, job.probe),
+        _ => shared.breakers.record_neutral(job.key, job.probe),
+    }
+    out.wall_ms = clock.elapsed_ms(job.admitted_ns);
+    m.total_ms.observe(out.wall_ms);
+    // Recorded and flushed before the outcome is sent, so a waiter that
+    // wakes finds the job's whole span tree in the ring.
+    let (spans, now) = (shared.obs.span_collector().local(worker, job.id), clock.now_ns());
+    if queued {
+        let end = job.picked_ns.unwrap_or(now);
+        spans.record_interval(SpanKind::QueueWait, job.span_id, job.admitted_ns, end, None, 0);
+    }
+    spans.record(SpanRecord {
+        id: job.span_id,
+        parent: 0,
+        kind: SpanKind::Request,
+        job: job.id,
+        worker,
+        shard: None,
+        iter: 0,
+        start_ns: job.admitted_ns,
+        dur_ns: now.saturating_sub(job.admitted_ns),
+    });
+    drop(spans);
+    let _ = job.tx.send(out);
+}
+
+/// One job's engine run, on the whole graph or over its K-shard plan.
+/// A refusal carries its terminal status.
+fn execute_job(
+    shared: &Shared,
+    job: &Job,
+    entry: &GraphEntry,
+    spans: SpanCtx,
+) -> Result<Execution, (JobStatus, String)> {
+    // Brownout suspends the divergence sentinel (a full serial
+    // re-derivation every N super-steps) until pressure eases.
+    // Tracing stays: it is ~1 % of a step, and a degraded run is the
+    // one an operator most wants to read.
+    let recorder = shared.obs.recorder_for(job.id, &job.spec.graph, job.spec.query.algo());
+    let verify_every = if shared.brownout.active() { 0 } else { shared.verify_every };
+    let probe = ProbeHandle::new(Arc::new(JobProbe { token: Arc::clone(&job.token) }));
+    let (query, device) = (&job.spec.query, &shared.device);
+    match job.shards {
+        None => execute(
+            entry,
+            query,
+            &shared.cache,
+            &AutoPolicy,
+            device,
+            recorder,
+            probe,
+            verify_every,
+            spans,
+        )
+        .map_err(|why| (JobStatus::Error, why)),
+        Some(k) => execute_sharded(entry, k, query, &shared.plans, device, recorder, probe, spans),
+    }
+}
+
 fn worker_loop(shared: &Shared, worker: u32) {
     let collector = shared.obs.span_collector();
     let clock = shared.obs.clock();
     loop {
-        let job = {
+        let mut job = {
             let mut q = shared.queue.lock();
             loop {
                 if let Some(job) = pop_highest_priority(&mut q) {
@@ -798,201 +866,40 @@ fn worker_loop(shared: &Shared, worker: u32) {
                 q = recover(shared.work_ready.wait(q));
             }
         };
-        let spans = collector.local(worker, job.id);
-        // The Request span is closed on every path out of this job,
-        // covering admission → terminal state (queue wait included).
-        let finish_request = |job: &Job| {
-            let now = clock.now_ns();
-            spans.record(SpanRecord {
-                id: job.span_id,
-                parent: 0,
-                kind: SpanKind::Request,
-                job: job.id,
-                worker,
-                shard: None,
-                iter: 0,
-                start_ns: job.admitted_ns,
-                dur_ns: now.saturating_sub(job.admitted_ns),
-            });
-        };
         let picked_ns = clock.now_ns();
-        spans.record_interval(
-            SpanKind::QueueWait,
-            job.span_id,
-            job.admitted_ns,
-            picked_ns,
-            None,
-            0,
-        );
+        job.picked_ns = Some(picked_ns);
         shared.m.queue_wait_ms.observe(picked_ns.saturating_sub(job.admitted_ns) as f64 / 1e6);
-
-        // Cancelled while queued? Previously this outcome vanished from
-        // every aggregate — the counter is the only server-side record.
-        // The `remove` also prunes the id, keeping the set bounded.
-        if shared.cancelled.lock().remove(&job.id) {
-            shared.m.cancelled.inc();
-            shared.breakers.record_neutral(job.key, job.probe);
-            let out = outcome_skeleton(&job, JobStatus::Cancelled, &clock);
-            shared.m.total_ms.observe(out.wall_ms);
-            finish_request(&job);
-            let _ = job.tx.send(out);
+        if job.token.is_cancelled() {
+            settle(shared, job, worker, JobStatus::Cancelled, Detail::None);
             continue;
         }
-        // Deadline passed while queued? Same silent-loss fix as above.
-        if picked_ns.saturating_sub(job.admitted_ns) > job.deadline_ns() {
-            shared.m.timeout_queued.inc();
-            shared.breakers.record_neutral(job.key, job.probe);
-            let out = outcome_skeleton(&job, JobStatus::DeadlineExceeded, &clock);
-            shared.m.total_ms.observe(out.wall_ms);
-            finish_request(&job);
-            let _ = job.tx.send(out);
+        if picked_ns.saturating_sub(job.admitted_ns) > job.deadline_ns {
+            settle(shared, job, worker, JobStatus::DeadlineExceeded, Detail::None);
             continue;
         }
-
-        let entry = match shared.registry.get(&job.spec.graph) {
-            Some(e) => e,
-            None => {
-                // Registered at admission but replaced/removed since.
-                // Neutral for the breaker: this says nothing about the
-                // engine's health on the fingerprint the key names.
-                shared.m.error.inc();
-                shared.breakers.record_neutral(job.key, job.probe);
-                let mut out = outcome_skeleton(&job, JobStatus::Error, &clock);
-                out.error = Some(format!("graph `{}` disappeared", job.spec.graph));
-                finish_request(&job);
-                let _ = job.tx.send(out);
-                continue;
-            }
+        let Some(entry) = shared.registry.get(&job.spec.graph) else {
+            // Registered at admission but replaced/removed since.
+            let why = format!("graph `{}` disappeared", job.spec.graph);
+            settle(shared, job, worker, JobStatus::Error, Detail::Why(why));
+            continue;
         };
-
-        // Brownout suspends the divergence sentinel (a full serial
-        // re-derivation every N super-steps) until pressure eases.
-        // Tracing stays: it is ~1 % of a step, and a degraded run is the
-        // one an operator most wants to read.
-        let recorder = shared.obs.recorder_for(job.id, &job.spec.graph, job.spec.query.algo());
-        let verify_every = if shared.brownout.active() { 0 } else { shared.verify_every };
-        // The job's cancel token doubles as its deadline probe: the
-        // engine polls it each super-step, and `Scheduler::cancel` can
-        // reach it through the `running` map while the job executes.
-        // A manual (test) clock has no `Instant` anchor; such jobs run
-        // without a mid-run deadline and are still caught at completion.
-        let token = Arc::new(
-            match clock.instant_at_ns(job.admitted_ns.saturating_add(job.deadline_ns())) {
-                Some(at) => CancelToken::with_deadline(at),
-                None => CancelToken::new(),
-            },
-        );
-        shared.running.lock().insert(job.id, Arc::clone(&token));
-        let exec_guard = spans.start(SpanKind::Execute, job.span_id);
-        let exec_spans = SpanCtx::new(collector.clone(), exec_guard.id(), worker, job.id);
         let exec_start = clock.now_ns();
-        // Panic isolation: a panicking job must not take the worker —
-        // or any lock-holding bystander — down with it. The shared
-        // state is poison-recovering, so unwinding through it is safe.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let probe = ProbeHandle::new(Arc::new(JobProbe { token: Arc::clone(&token) }));
-            match job.shards {
-                None => execute(
-                    &entry,
-                    &job.spec.query,
-                    &shared.cache,
-                    &AutoPolicy,
-                    &shared.device,
-                    recorder,
-                    probe,
-                    verify_every,
-                    exec_spans,
-                )
-                .map_err(|msg| (JobStatus::Error, msg)),
-                Some(k) => execute_sharded(
-                    &entry,
-                    k,
-                    &job.spec.query,
-                    &shared.plans,
-                    &shared.device,
-                    recorder,
-                    probe,
-                    exec_spans,
-                ),
-            }
-        }));
-        drop(exec_guard);
-        shared.running.lock().remove(&job.id);
+        let result = {
+            let spans = collector.local(worker, job.id);
+            let exec = spans.start(SpanKind::Execute, job.span_id);
+            let exec_spans = SpanCtx::new(collector.clone(), exec.id(), worker, job.id);
+            // Panic isolation: a panicking job must not take the worker
+            // — or any lock-holding bystander — down with it. The shared
+            // state is poison-recovering, so unwinding through it is safe.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute_job(shared, &job, &entry, exec_spans)
+            }))
+        };
         shared.m.execute_ms.observe(clock.elapsed_ms(exec_start));
         if let (Some(_), Ok(Ok(exec))) = (job.shards, &result) {
             shared.m.record_exchange(&exec.metrics);
         }
-
-        let mut midrun_deadline = false;
-        let mut out = match result {
-            Ok(Ok(exec)) => match exec.stopped {
-                Some(StopReason::Cancelled) => outcome_skeleton(&job, JobStatus::Cancelled, &clock),
-                Some(StopReason::DeadlineExceeded) => {
-                    midrun_deadline = true;
-                    outcome_skeleton(&job, JobStatus::DeadlineExceeded, &clock)
-                }
-                None => {
-                    let mut out = outcome_skeleton(&job, JobStatus::Ok, &clock);
-                    out.cache = exec.cache.map(str::to_string);
-                    out.config = exec.config;
-                    out.sim_ms = exec.sim_ms;
-                    out.converged = exec.converged;
-                    out.metrics = exec.metrics;
-                    out.iterations = exec.iterations;
-                    out.payload = Some(exec.payload);
-                    out
-                }
-            },
-            Ok(Err((status, msg))) => {
-                let mut out = outcome_skeleton(&job, status, &clock);
-                out.error = Some(msg);
-                out
-            }
-            Err(payload) => {
-                let mut out = outcome_skeleton(&job, JobStatus::Failed, &clock);
-                out.error = Some(format!("worker panic: {}", panic_message(payload)));
-                out
-            }
-        };
-        // Deadline also enforced at completion: late results are
-        // withheld even when the run finished.
-        if out.status == JobStatus::Ok
-            && clock.now_ns().saturating_sub(job.admitted_ns) > job.deadline_ns()
-        {
-            out.status = JobStatus::DeadlineExceeded;
-            out.metrics.clear();
-            out.iterations.clear();
-            out.payload = None;
-        }
-        match out.status {
-            JobStatus::Ok => shared.m.ok.inc(),
-            JobStatus::Error => shared.m.error.inc(),
-            JobStatus::Failed => shared.m.failed.inc(),
-            JobStatus::Cancelled => shared.m.cancelled.inc(),
-            JobStatus::DeadlineExceeded => {
-                if midrun_deadline {
-                    shared.m.timeout_midrun.inc()
-                } else {
-                    shared.m.timeout_late.inc()
-                }
-            }
-            // Terminal at admission time, never inside a worker.
-            JobStatus::Shed | JobStatus::BreakerOpen => {}
-        }
-        // Breaker vote. `Ok` and `Error` are successes: an engine-level
-        // error (bad source vertex, unsupported query) means the
-        // infrastructure answered correctly. Only `Failed` (a panic)
-        // votes to open; cancel/deadline outcomes say nothing either
-        // way and just release any probe slot.
-        match out.status {
-            JobStatus::Ok | JobStatus::Error => shared.breakers.record_success(job.key, job.probe),
-            JobStatus::Failed => shared.breakers.record_failure(job.key, job.probe),
-            _ => shared.breakers.record_neutral(job.key, job.probe),
-        }
-        out.wall_ms = clock.elapsed_ms(job.admitted_ns);
-        shared.m.total_ms.observe(out.wall_ms);
-        finish_request(&job);
-        let _ = job.tx.send(out);
+        settle(shared, job, worker, JobStatus::Ok, Detail::Ran(result));
     }
 }
 
@@ -1002,6 +909,7 @@ mod tests {
     use super::*;
     use crate::query::Query;
     use gswitch_graph::gen;
+    use std::collections::HashSet;
 
     fn make_scheduler(workers: usize) -> (Scheduler, Arc<GraphRegistry>, Arc<ConfigCache>) {
         let registry = Arc::new(GraphRegistry::new());
@@ -1315,9 +1223,9 @@ mod tests {
     }
 
     /// Regression: cancelling ids of completed (or never-admitted) jobs
-    /// used to accumulate forever in the `cancelled` set. Now only ids
-    /// actually found in the queue are remembered, so the set stays
-    /// bounded and arbitrary cancels leave no residue.
+    /// used to accumulate forever in a cancelled-ids set. Now a cancel
+    /// only flips the token of a live job, and `settle` unregisters
+    /// every job, so arbitrary cancels leave no residue.
     #[test]
     fn cancel_of_completed_ids_leaves_no_residue() {
         let (s, _r, _c) = make_scheduler(2);
@@ -1330,11 +1238,7 @@ mod tests {
         for bogus in 1_000..1_100 {
             s.cancel(bogus);
         }
-        assert_eq!(
-            s.shared.cancelled.lock().len(),
-            0,
-            "cancelled set must not retain ids that were not queued"
-        );
+        assert_eq!(s.shared.live.lock().len(), 0, "a settled job must leave no live token");
 
         // The scheduler still works afterwards.
         assert_eq!(s.submit(bfs_spec(1)).unwrap().wait().status, JobStatus::Ok);
@@ -1410,11 +1314,13 @@ mod tests {
                 spec: bfs_spec(0),
                 admitted_ns: clock.now_ns(),
                 span_id: id,
-                deadline: Duration::from_secs(60),
+                deadline_ns: 60_000_000_000,
                 priority,
                 key: BreakerKey { fingerprint: 0, algo: "bfs" },
                 probe: false,
                 shards: None,
+                token: Arc::new(CancelToken::new()),
+                picked_ns: None,
                 tx,
             }
         };
@@ -1477,7 +1383,21 @@ mod tests {
         assert_eq!(snap.counter(metric::JOBS_SHED), 1);
         // Conservation: both terminal paths (run and shed) reported.
         assert_eq!(snap.counter(metric::JOBS_SUBMITTED), 4);
+        let obs = Arc::clone(s.obs());
         s.shutdown();
+        // The shed job's causal record: a root `Request` span on the
+        // admission track, with the queue wait it had as its child.
+        let spans = obs.spans.snapshot();
+        let shed_id = shed[0].id;
+        let of_shed = |kind| spans.iter().filter(move |r| r.job == shed_id && r.kind == kind);
+        let req: Vec<_> = of_shed(SpanKind::Request).collect();
+        assert_eq!(req.len(), 1, "{spans:?}");
+        assert_eq!((req[0].parent, req[0].worker), (0, ADMISSION_WORKER));
+        let qw: Vec<_> = of_shed(SpanKind::QueueWait).collect();
+        assert_eq!(qw.len(), 1);
+        assert_eq!(qw[0].parent, req[0].id);
+        assert!(qw[0].end_ns() <= req[0].end_ns());
+        assert_eq!(of_shed(SpanKind::Execute).count(), 0, "a shed job never ran");
     }
 
     /// An open breaker answers submissions immediately with the typed
@@ -1503,6 +1423,12 @@ mod tests {
         let out = s.submit(bfs_spec(0)).unwrap().wait();
         assert_eq!(out.status, JobStatus::BreakerOpen);
         assert!(out.error.as_deref().unwrap_or("").contains("circuit breaker open"));
+        // Settled at admission, it still leaves its root span — and no
+        // queue wait, since it never queued.
+        let spans = s.obs().spans.snapshot();
+        let mine: Vec<_> = spans.iter().filter(|r| r.job == out.id).collect();
+        assert_eq!(mine.len(), 1, "{mine:?}");
+        assert_eq!((mine[0].kind, mine[0].parent), (SpanKind::Request, 0));
         // A different algorithm on the same graph is its own key.
         let ok = s
             .submit(JobSpec {
@@ -1517,6 +1443,7 @@ mod tests {
         let snap = s.obs().metrics.snapshot();
         assert_eq!(snap.counter(metric::JOBS_BREAKER_OPEN), 1);
         assert_eq!(snap.counter(metric::JOBS_SUBMITTED), 2);
+        assert_eq!(snap.histograms.get(metric::JOB_TOTAL_MS).map(|h| h.count), Some(2));
         s.shutdown();
     }
 

@@ -8,17 +8,22 @@
 //!
 //! - every accepted submission settles in exactly one terminal state,
 //!   and the registry's terminal counters sum to `jobs_submitted`;
+//! - every accepted submission leaves exactly one root `Request` span
+//!   and one `job_total_ms` sample, whichever way it ended (run,
+//!   purged, shed or timed out at pickup);
 //! - rejections at admission are counted and are *not* submissions.
 //!
 //! The vendored proptest derives its RNG deterministically from the
 //! test name, so failures replay.
 
 use gswitch_graph::gen;
+use gswitch_obs::SpanKind;
 use gswitch_runtime::obs::metric;
 use gswitch_runtime::{
     ConfigCache, GraphRegistry, JobSpec, Priority, Query, RuntimeObs, Scheduler, SchedulerConfig,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const QUEUE_CAPACITY: usize = 8;
@@ -83,11 +88,24 @@ proptest! {
             }
         }
         let accepted = handles.len() as u64;
+        let ids: Vec<u64> = handles.iter().map(|h| h.id).collect();
         // No deadlock: every accepted handle resolves.
         for h in handles {
             let _ = h.wait();
         }
         scheduler.shutdown();
+
+        // One causal root per accepted job, and nothing evicted that
+        // could hide a missing one.
+        prop_assert_eq!(obs.spans.dropped(), 0);
+        let mut requests: HashMap<u64, usize> = HashMap::new();
+        for r in obs.spans.snapshot().iter().filter(|r| r.kind == SpanKind::Request) {
+            *requests.entry(r.job).or_default() += 1;
+        }
+        for id in &ids {
+            prop_assert_eq!((id, requests.get(id).copied()), (id, Some(1)));
+        }
+        prop_assert_eq!(requests.len(), ids.len());
 
         let snap = obs.metrics.snapshot();
         let bucket = |name: &str| snap.counter(name);
@@ -104,5 +122,7 @@ proptest! {
             + bucket(metric::JOBS_TIMEOUT_MIDRUN)
             + bucket(metric::JOBS_TIMEOUT_LATE);
         prop_assert_eq!(terminal, accepted);
+        let totals = snap.histograms.get(metric::JOB_TOTAL_MS).map_or(0, |h| h.count);
+        prop_assert_eq!(totals, accepted);
     }
 }
