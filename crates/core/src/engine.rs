@@ -2,7 +2,7 @@
 
 use crate::cancel::{ProbeHandle, StopReason};
 use crate::features::History;
-use crate::policy::Policy;
+use crate::policy::{Lookahead, Policy};
 use gswitch_graph::Graph;
 use gswitch_graph::VertexId;
 use gswitch_kernels::bucket::{DegreeSource, WorkPlan};
@@ -136,6 +136,9 @@ pub struct IterationTrace {
     pub activations: u64,
     /// Distinct vertices activated.
     pub distinct_activated: u64,
+    /// Comp attempts that tied an already-claimed value — what a fused
+    /// kernel would have enqueued anyway.
+    pub ties: u64,
     /// Edges traversed by Expand.
     pub edges_touched: u64,
     /// Duplicate frontier entries produced (fused only).
@@ -564,7 +567,7 @@ fn dirty_covers_changes<A: EdgeApp>(
 /// ([`dirty_covers_changes`]): a failed proof is a mismatch, and that pass
 /// and all later ones sweep — no `prepare` ran yet, so the answer stays
 /// exact.
-pub(crate) fn classify_rescuing<A: EdgeApp>(
+fn classify_rescuing<A: EdgeApp>(
     snap: &mut Classification,
     app: &A,
     opts: &EngineOptions,
@@ -709,8 +712,15 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
             // Warm start: the cached config plays the first decision.
             (s, false, Provenance::WarmStart)
         } else {
+            let look = Lookahead {
+                graph: self.g,
+                status: self.snap.status(),
+                device: &run.opts.device,
+                classify_ms: self.classify_ms,
+                price: crate::oracle::price::<L>,
+            };
             let t0 = self.spans.clock().now_ns();
-            let config = run.policy.decide(ctx, &run.caps);
+            let config = run.policy.decide_priced(ctx, &run.caps, &look);
             self.charge_select(t0);
             (config, true, Provenance::Decided)
         };
@@ -830,6 +840,7 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
             overhead_ms: self.select_ms + if estimated { 0.0 } else { spec.feedback_time_ms() },
             activations: eo.activations,
             distinct_activated: eo.distinct_activated,
+            ties: eo.ties,
             edges_touched: eo.edges_touched,
             duplicates: eo.profile.duplicates,
             features: ctx.features(config.direction),

@@ -126,28 +126,28 @@ impl DecisionContext {
 }
 
 /// A [`DecisionContext`] plus the running sums behind Table 1's
-/// "historical information" block. Every driver of the super-step
-/// sequence — the engine's lanes, the oracle, the Fig. 14 search — owns
-/// one and calls [`History::fold`] once per executed super-step, so the
-/// Selector sees the same history however the step was driven.
+/// "historical information" block. Each lane of the engine's one
+/// super-step loop owns one and calls [`History::fold`] once per executed
+/// super-step, so the Selector — serving, the oracle that labels its
+/// training data, the Fig. 14 search — sees the same history.
 #[derive(Clone, Copy, Debug)]
-pub struct History {
+pub(crate) struct History {
     /// What the Selector sees; set `iteration` and `stats` before deciding.
-    pub ctx: DecisionContext,
+    pub(crate) ctx: DecisionContext,
     tf_sum: f64,
     te_sum: f64,
 }
 
 impl History {
     /// No history yet (iteration 0).
-    pub fn new(graph: GraphStats) -> Self {
+    pub(crate) fn new(graph: GraphStats) -> Self {
         History { ctx: DecisionContext::initial(graph), tf_sum: 0.0, te_sum: 0.0 }
     }
 
     /// Fold the super-step `ctx.iteration` just executed into the history
     /// the next Inspector reads: last and mean Filter/Expand times, and the
     /// two-step workload trend the P4 stepping rule compares.
-    pub fn fold(&mut self, filter_ms: f64, expand_ms: f64, edges_touched: u64) {
+    pub(crate) fn fold(&mut self, filter_ms: f64, expand_ms: f64, edges_touched: u64) {
         let ctx = &mut self.ctx;
         self.tf_sum += filter_ms;
         self.te_sum += expand_ms;

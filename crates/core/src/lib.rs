@@ -16,7 +16,8 @@
 //!   characteristics back.
 //!
 //! [`oracle`] adds the offline half: brute-force labelling of every
-//! iteration for the feature database (§4.4).
+//! iteration for the feature database (§4.4), as a policy the same loop
+//! runs.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -33,10 +34,10 @@ pub use engine::{
     run, run_with_seed_config, EngineOptions, IterationTrace, PatternMask, RunReport,
     SentinelReport,
 };
-pub use features::{DecisionContext, History};
+pub use features::DecisionContext;
 pub use policy::{
-    AppCaps, AutoPolicy, ModelEnvelope, ModelLoadReport, ModelPolicy, Policy, StaticPolicy,
-    MODEL_SCHEMA_VERSION,
+    AppCaps, AutoPolicy, Lookahead, ModelEnvelope, ModelLoadReport, ModelPolicy, Policy, Priced,
+    StaticPolicy, MODEL_SCHEMA_VERSION,
 };
 pub use sharded::{run_sharded, ShardError, ShardedOptions, ShardedRunReport, SuperStep};
 

@@ -5,22 +5,30 @@
 //! real hardware is what the authors did offline; here the cost model
 //! makes it cheap: the *semantics* of Expand are identical across P2/P3
 //! candidates, so one read-only workload analysis per direction prices
-//! every (direction × format × load-balance) combination analytically,
-//! and fusion is priced from measured duplicate/tie feedback. The oracle
-//! then *executes* the argmin variant so the trajectory it labels is the
-//! optimal one, and emits one [`Record`] per iteration.
+//! every (direction × format × load-balance) combination analytically
+//! (`price`, what a [`Lookahead`] calls), and fusion is priced from
+//! measured duplicate/tie feedback.
+//!
+//! The oracle is a [`Policy`] that the engine's one super-step loop runs
+//! like any other: at every step it ranks the lookahead's prices and
+//! proposes the argmin shape, standalone, so the trajectory it labels is
+//! the optimal one and stays duplicate-free. [`oracle_run`] then reads
+//! one [`Record`] per iteration off the run's traces — the features the
+//! Inspector assembled, the same ones serving decides from.
 
-use crate::engine::{classify_rescuing, EngineOptions};
-use crate::features::History;
+use crate::engine::{run, EngineOptions};
+use crate::features::DecisionContext;
+use crate::policy::{Lookahead, Policy, Priced};
 use gswitch_graph::Graph;
 use gswitch_kernels::expand::{analytic_pull_profile, analytic_push_profile};
 use gswitch_kernels::filter::materialize_cost;
 use gswitch_kernels::lb::{edge_costs, price_all};
 use gswitch_kernels::pattern::{
-    AppCaps, AsFormat, Direction, Fusion, KernelConfig, LoadBalance, PatternMask, SteppingDelta,
+    AppCaps, AsFormat, Direction, Fusion, KernelConfig, LoadBalance, PatternMask,
 };
-use gswitch_kernels::{expand, Classification, EdgeApp, Status};
-use gswitch_ml::{FeatureDb, Labels, Record};
+use gswitch_kernels::{EdgeApp, Status};
+use gswitch_ml::{Labels, Record};
+use gswitch_obs::sync::Lock;
 use gswitch_simt::{DeviceSpec, SimMs};
 
 /// Oracle configuration.
@@ -45,26 +53,23 @@ pub struct OracleOutcome {
     pub records: Vec<Record>,
     /// Total simulated time of the optimal trajectory (ms).
     pub optimal_ms: SimMs,
-    /// Iterations executed.
-    pub iterations: u32,
 }
 
-/// Per-direction read-only workload analysis (public for the harness's
-/// per-iteration strategy matrices, Fig. 14).
+/// Per-direction read-only workload analysis.
 #[derive(Debug)]
-pub struct DirAnalysis {
+struct DirAnalysis {
     /// Compact per-entry touched counts (queue view).
-    pub compact: Vec<u32>,
+    compact: Vec<u32>,
     /// Full per-vertex touched counts (bitmap view; zero = idle slot).
-    pub full: Vec<u32>,
+    full: Vec<u32>,
     /// Emit-side hits (pull only; push: edges).
-    pub hits: u64,
+    hits: u64,
     /// Workload entry count.
-    pub vertices: u64,
+    vertices: u64,
 }
 
 /// Analyze the push workload without touching app state.
-pub fn analyze_push(g: &Graph, status: &[u8]) -> DirAnalysis {
+fn analyze_push(g: &Graph, status: &[u8]) -> DirAnalysis {
     let (out, n) = (g.out_csr(), g.num_vertices());
     let active = |v: &usize| status[*v] == Status::Active as u8;
     // Per vertex: on the caller up to 256 vertices, else
@@ -86,7 +91,7 @@ pub fn analyze_push(g: &Graph, status: &[u8]) -> DirAnalysis {
 /// Analyze the pull workload without touching app state: for early-exit
 /// apps each receiver scans until its first active in-neighbor; otherwise
 /// it scans everything and every active in-neighbor costs an emit.
-pub fn analyze_pull<A: EdgeApp>(g: &Graph, status: &[u8]) -> DirAnalysis {
+fn analyze_pull<A: EdgeApp>(g: &Graph, status: &[u8]) -> DirAnalysis {
     let incoming = g.in_csr();
     let is_receiver = |v: usize| {
         A::pull_receives(match status[v] {
@@ -136,12 +141,12 @@ pub fn analyze_pull<A: EdgeApp>(g: &Graph, status: &[u8]) -> DirAnalysis {
 
 /// Price every (format × lb) combination of one direction; returns
 /// `[(format, lb, expand_ms + materialize_ms); 12]`.
-pub fn price_direction<A: EdgeApp>(
+fn price_direction<A: EdgeApp>(
     g: &Graph,
     spec: &DeviceSpec,
     direction: Direction,
     analysis: &DirAnalysis,
-) -> Vec<(AsFormat, LoadBalance, SimMs)> {
+) -> Vec<Priced> {
     let n = g.num_vertices();
     let base = match direction {
         Direction::Push => analytic_push_profile(&analysis.compact, A::NEEDS_WEIGHTS),
@@ -173,6 +178,79 @@ pub fn price_direction<A: EdgeApp>(
     out
 }
 
+/// Every (format × lb) shape of `direction` over the classification
+/// `status` of `g`, priced for app `A` — the [`Lookahead`] of a lane
+/// running `A`.
+pub(crate) fn price<A: EdgeApp>(
+    g: &Graph,
+    spec: &DeviceSpec,
+    status: &[u8],
+    direction: Direction,
+) -> Vec<Priced> {
+    let analysis = match direction {
+        Direction::Push => analyze_push(g, status),
+        Direction::Pull => analyze_pull::<A>(g, status),
+    };
+    price_direction::<A>(g, spec, direction, &analysis)
+}
+
+/// What the oracle saw at one step: the per-pattern labels of direction,
+/// format and load balance, the best shape's priced ms, and what fusing
+/// that shape would save (next step's classify + materialize + launch).
+type Verdict = (KernelConfig, SimMs, SimMs);
+
+/// Proposes the argmin priced shape, standalone, and keeps each step's
+/// [`Verdict`] for the records pass.
+#[derive(Default)]
+struct OraclePolicy {
+    verdicts: Lock<Vec<Verdict>>,
+}
+
+impl Policy for OraclePolicy {
+    fn name(&self) -> &str {
+        "oracle"
+    }
+
+    /// Unpriced, the oracle has nothing to rank: the reference shape.
+    fn decide(&self, _ctx: &DecisionContext, _caps: &AppCaps) -> KernelConfig {
+        KernelConfig::push_baseline()
+    }
+
+    fn decide_priced(
+        &self,
+        ctx: &DecisionContext,
+        _caps: &AppCaps,
+        look: &Lookahead,
+    ) -> KernelConfig {
+        // Brute force: price all 24 (direction × format × lb) shapes, pull
+        // only where it has receivers.
+        let push = look.prices(Direction::Push);
+        let pull =
+            if ctx.stats.pull.vertices > 0 { look.prices(Direction::Pull) } else { Vec::new() };
+        let best_of = |prices: &[Priced]| prices.iter().copied().min_by(|a, b| a.2.total_cmp(&b.2));
+        let (direction, prices) = match (best_of(&push), best_of(&pull)) {
+            (Some(s), Some(l)) if l.2 < s.2 => (Direction::Pull, pull),
+            _ => (Direction::Push, push),
+        };
+        // Twelve shapes per direction, so never empty; were it, the
+        // reference shape runs, and its NaN price never labels fusion.
+        let base = KernelConfig::push_baseline();
+        let (format, lb, best_ms) = best_of(&prices).unwrap_or((base.format, base.lb, SimMs::NAN));
+        let label = KernelConfig {
+            direction,
+            format: best_class(AsFormat::ALL, &prices, |p| p.0).unwrap_or(format),
+            lb: best_class(LoadBalance::ALL, &prices, |p| p.1).unwrap_or(lb),
+            ..base
+        };
+        let (spec, n) = (look.device, look.graph.num_vertices());
+        let mat_ms =
+            spec.kernel_time_ms(&materialize_cost(format, n, ctx.stats.push.vertices, spec));
+        let saving_ms = look.classify_ms + mat_ms + spec.launch_overhead_us / 1e3;
+        self.verdicts.lock().push((label, best_ms, saving_ms));
+        KernelConfig { direction, format, lb, ..base }
+    }
+}
+
 /// Run `app` on `g` along the oracle-optimal trajectory, labelling every
 /// iteration. `benchmark` tags the records ("bfs", "pr", ...).
 pub fn oracle_run<A: EdgeApp>(
@@ -181,155 +259,45 @@ pub fn oracle_run<A: EdgeApp>(
     benchmark: &str,
     opts: &OracleOptions,
 ) -> OracleOutcome {
+    // Every step decides: no stability bypass, no seed, no sentinel, and
+    // a standalone proposal never starts a fused chain. Offline labelling
+    // has no deadline (the default probe never stops the rescue spin).
+    let engine = EngineOptions {
+        max_iterations: opts.max_iterations,
+        stability_bypass: false,
+        ..EngineOptions::on(opts.device.clone())
+    };
+    let policy = OraclePolicy::default();
+    let report = run(g, app, &policy, &engine);
+    let verdicts = std::mem::take(&mut *policy.verdicts.lock());
+    debug_assert_eq!(verdicts.len(), report.iterations.len(), "one decision per step");
+
     // Labelling lets every pattern vary that the app permits.
     let (caps, mask) = (AppCaps::of::<A>(), PatternMask::all());
-    let spec = &opts.device;
     let mut outcome = OracleOutcome::default();
-    let mut hist = History::new(*g.stats());
-    // Offline labelling has no deadline (the default probe never stops the
-    // rescue spin) and no reason to hurry: every step sweeps.
-    let engine = EngineOptions::on(spec.clone());
-    let mut co = Classification::new(g, spec);
-    // Fusion labelling inputs from the previously executed iteration.
-    let mut prev_dup_ratio = 1.0f64;
-
-    for iteration in 0..opts.max_iterations {
-        app.advance(iteration);
-        hist.ctx.iteration = iteration;
-
-        // P4: the oracle applies the paper's ±35% rule and labels with it
-        // (the trained tree learns to reproduce the rule from features).
-        let stepping = if caps.steps(mask) {
-            let s = hist.ctx.stepping_by_rule();
-            app.adjust_priority(s);
-            s
-        } else {
-            SteppingDelta::Remain
-        };
-
-        let Ok(classify_ms) =
-            classify_rescuing(&mut co, app, &engine, iteration, false, None, None)
-        else {
-            break;
-        };
-        if co.stats().v_active == 0 {
-            break;
-        }
-        hist.ctx.stats = *co.stats();
-
-        // Brute force: price all 24 (direction × format × lb) shapes.
-        let push = analyze_push(g, co.status());
-        let pull = analyze_pull::<A>(g, co.status());
-        let push_prices = price_direction::<A>(g, spec, Direction::Push, &push);
-        let pull_prices = if pull.vertices > 0 {
-            price_direction::<A>(g, spec, Direction::Pull, &pull)
-        } else {
-            Vec::new()
-        };
-
-        let best_of = |prices: &[(AsFormat, LoadBalance, SimMs)]| {
-            prices.iter().copied().min_by(|a, b| a.2.total_cmp(&b.2))
-        };
-        let Some(best_push) = best_of(&push_prices) else {
-            // No priceable push shape — cannot happen for a well-formed
-            // device spec, but nothing is labelable this iteration, so
-            // stop the trajectory rather than panic mid-labelling.
-            break;
-        };
-        let best_pull = best_of(&pull_prices);
-
-        let (direction, best) = match best_pull {
-            Some(bp) if bp.2 < best_push.2 => (Direction::Pull, bp),
-            _ => (Direction::Push, best_push),
-        };
-        let chosen_prices = match direction {
-            Direction::Push => &push_prices,
-            Direction::Pull => &pull_prices,
-        };
-        // Per-pattern labels: each candidate's best time with the other
-        // pattern free.
-        let lb_label = LoadBalance::ALL
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let ta = min_time(chosen_prices, |(_, lb, _)| *lb == a);
-                let tb = min_time(chosen_prices, |(_, lb, _)| *lb == b);
-                ta.total_cmp(&tb)
-            })
-            .unwrap_or(LoadBalance::Twc);
-        let fmt_label = AsFormat::ALL
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let ta = min_time(chosen_prices, |(f, _, _)| *f == a);
-                let tb = min_time(chosen_prices, |(f, _, _)| *f == b);
-                ta.total_cmp(&tb)
-            })
-            .unwrap_or(AsFormat::Bitmap);
-
+    // The previous step's duplicate ratio: what fusing would cost.
+    let mut dup_ratio = 1.0f64;
+    for (t, (label, best_ms, saving_ms)) in report.iterations.iter().zip(verdicts) {
         // P5: fusion saves next iteration's classify+materialize+launch;
-        // it costs the duplicate ratio on the expand side.
-        let fusion_label = if caps.fuses(mask, direction) {
-            let mat_ms = spec.kernel_time_ms(&materialize_cost(
-                best.0,
-                g.num_vertices(),
-                co.stats().push.vertices,
-                spec,
-            ));
-            let saving = classify_ms + mat_ms + spec.launch_overhead_us / 1e3;
-            let penalty = (prev_dup_ratio - 1.0) * best.2;
-            if saving > penalty {
-                Fusion::Fused
-            } else {
-                Fusion::Standalone
-            }
-        } else {
-            Fusion::Standalone
-        };
-
-        // Record features + labels before executing.
-        let features = hist.ctx.features(direction);
-        let label = KernelConfig {
-            direction,
-            format: fmt_label,
-            lb: lb_label,
-            stepping,
-            fusion: fusion_label,
-        };
+        // it costs the duplicate ratio on the expand side. P4: the engine
+        // applied the paper's ±35% rule, and the oracle labels with it.
+        let fused = caps.fuses(mask, label.direction) && saving_ms > (dup_ratio - 1.0) * best_ms;
+        let fusion = if fused { Fusion::Fused } else { Fusion::Standalone };
+        let label = KernelConfig { stepping: t.config.stepping, fusion, ..label };
         outcome.records.push(Record {
-            features,
+            features: t.features,
             labels: labels_of(label, caps, mask),
             benchmark: benchmark.to_string(),
             graph: g.name().to_string(),
         });
-
-        // Execute the argmin shape (standalone — state advance must stay
-        // duplicate-free so later labels stay exact).
-        let config = KernelConfig {
-            direction,
-            format: best.0,
-            lb: best.1,
-            stepping,
-            fusion: Fusion::Standalone,
-        };
-        let (frontier, mat_profile) = co.materialize::<A>(config.direction, config.format, spec);
-        let eo = expand(g, app, &frontier, co.status(), config, spec);
-
-        let filter_ms = classify_ms + spec.kernel_time_ms(&mat_profile);
-        let expand_ms = spec.kernel_time_ms(&eo.profile);
-        outcome.optimal_ms += filter_ms + expand_ms;
-        outcome.iterations += 1;
-
-        // Feedback for the next iteration's features and fusion label.
-        hist.fold(filter_ms, expand_ms, eo.edges_touched);
-        prev_dup_ratio = if eo.distinct_activated == 0 {
+        outcome.optimal_ms += t.filter_ms + t.expand_ms;
+        dup_ratio = if t.distinct_activated == 0 {
             1.0
         } else {
             // A fused kernel admits at most one racer per vertex (bitmap
             // marking), so the duplicate mass is capped by the distinct
             // count regardless of how many parents tied.
-            (eo.activations + eo.ties.min(eo.distinct_activated)) as f64
-                / eo.distinct_activated as f64
+            (t.activations + t.ties.min(t.distinct_activated)) as f64 / t.distinct_activated as f64
         };
     }
     outcome
@@ -348,31 +316,16 @@ fn labels_of(label: KernelConfig, caps: AppCaps, mask: PatternMask) -> Labels {
     }
 }
 
-fn min_time(
-    prices: &[(AsFormat, LoadBalance, SimMs)],
-    pred: impl Fn(&(AsFormat, LoadBalance, SimMs)) -> bool,
-) -> SimMs {
-    prices.iter().filter(|p| pred(p)).map(|p| p.2).fold(f64::INFINITY, f64::min)
-}
-
-/// Label a whole corpus: run the oracle for one app constructor over many
-/// graphs, merging all records into a [`FeatureDb`].
-pub fn label_corpus<A: EdgeApp>(
-    graphs: &[(String, Graph)],
-    make_app: impl Fn(&Graph) -> A + Sync,
-    benchmark: &str,
-    opts: &OracleOptions,
-) -> FeatureDb {
-    // Per graph: one part each.
-    let dbs = gswitch_pool::parts(graphs.len(), |i| {
-        let g = &graphs[i].1;
-        oracle_run(g, &make_app(g), benchmark, opts).records
-    });
-    let mut db = FeatureDb::new();
-    for records in dbs {
-        db.records.extend(records);
-    }
-    db
+/// A per-pattern label: the candidate in `all` whose best shape, the other
+/// pattern free, prices lowest.
+fn best_class<T: Copy + PartialEq>(
+    all: &[T],
+    prices: &[Priced],
+    class: fn(&Priced) -> T,
+) -> Option<T> {
+    let time =
+        |c: T| prices.iter().filter(|p| class(p) == c).map(|p| p.2).fold(f64::INFINITY, f64::min);
+    all.iter().copied().min_by(|&a, &b| time(a).total_cmp(&time(b)))
 }
 
 #[cfg(test)]
@@ -386,8 +339,7 @@ mod tests {
         let g = gen::erdos_renyi(400, 1_600, 5);
         let app = Bfs::new(400, 0);
         let out = oracle_run(&g, &app, "bfs", &OracleOptions::default());
-        assert_eq!(out.records.len() as u32, out.iterations);
-        assert!(out.iterations >= 2);
+        assert!(out.records.len() >= 2);
         assert!(out.optimal_ms > 0.0);
         for r in &out.records {
             assert!(r.labels.direction.is_some());
@@ -431,26 +383,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn label_corpus_merges_records() {
-        let graphs: Vec<(String, Graph)> = (0..3)
-            .map(|s| {
-                let g = gen::erdos_renyi(200, 800, s);
-                (g.name().to_string(), g)
-            })
-            .collect();
-        let db = label_corpus(
-            &graphs,
-            |g| Bfs::new(g.num_vertices(), 0),
-            "bfs",
-            &OracleOptions::default(),
-        );
-        assert!(db.len() >= 6);
-        let names: std::collections::HashSet<_> =
-            db.records.iter().map(|r| r.graph.clone()).collect();
-        assert_eq!(names.len(), 3);
-    }
-
     /// The candidate space is defined once. For each of the 144
     /// configurations: trees that predict the oracle's labels make
     /// `ModelPolicy` propose the configuration back (up to legality — the
@@ -459,7 +391,9 @@ mod tests {
     #[test]
     fn every_candidate_round_trips_through_labels_trees_and_trace_lines() {
         use crate::engine::tests::Stepped;
-        use crate::policy::{ModelPolicy, Policy};
+        use crate::features::History;
+        use crate::policy::ModelPolicy;
+        use gswitch_kernels::pattern::SteppingDelta;
         use gswitch_ml::{DecisionTree, Pattern, TrainParams, FEATURE_COUNT};
         use gswitch_obs::{Provenance, StampedEvent, TraceEvent};
 

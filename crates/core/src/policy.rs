@@ -1,11 +1,41 @@
 //! The Selector: policies mapping features to kernel configurations.
 
 use crate::features::DecisionContext;
+use gswitch_graph::Graph;
 pub use gswitch_kernels::pattern::AppCaps;
 use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
 use gswitch_ml::{DecisionTree, Pattern, FEATURE_COUNT};
+use gswitch_simt::{DeviceSpec, SimMs};
+
+/// One priced candidate shape: `(format, load balance, materialize +
+/// expand ms)`.
+pub type Priced = (AsFormat, LoadBalance, SimMs);
+
+/// What a decided step can price before it commits: the lane's resident
+/// classification of this super-step and what it cost. The engine builds
+/// one per decided step; policies that tune ignore it, the labelling
+/// ones (the brute-force oracle, the Fig. 14 search) rank its prices.
+#[derive(Debug)]
+pub struct Lookahead<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) status: &'a [u8],
+    pub(crate) device: &'a DeviceSpec,
+    /// This step's simulated classification cost, ms.
+    pub(crate) classify_ms: SimMs,
+    /// The lane app's pricing, its type hidden so [`Policy`] stays
+    /// object-safe.
+    pub(crate) price: fn(&Graph, &DeviceSpec, &[u8], Direction) -> Vec<Priced>,
+}
+
+impl Lookahead<'_> {
+    /// Every (format × load balance) shape of `direction`, priced
+    /// analytically over this step's classification.
+    pub fn prices(&self, direction: Direction) -> Vec<Priced> {
+        (self.price)(self.graph, self.device, self.status, direction)
+    }
+}
 
 /// A Selector backend. Policies only propose: the engine runs
 /// [`AppCaps::legalise`] of every proposal, so a policy need not know
@@ -19,6 +49,17 @@ pub trait Policy: Send + Sync {
     /// proposal's stepping move is ignored: P4 is
     /// [`decide_stepping`](Self::decide_stepping)'s.
     fn decide(&self, ctx: &DecisionContext, caps: &AppCaps) -> KernelConfig;
+
+    /// [`decide`](Self::decide), with candidate prices at hand. This is
+    /// what the engine calls; the default ignores `look`.
+    fn decide_priced(
+        &self,
+        ctx: &DecisionContext,
+        caps: &AppCaps,
+        _look: &Lookahead,
+    ) -> KernelConfig {
+        self.decide(ctx, caps)
+    }
 
     /// Choose the stepping move *before* classification (the threshold
     /// feeds the filter predicate). The engine asks only where stepping

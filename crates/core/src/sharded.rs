@@ -81,11 +81,6 @@ pub struct ShardedOptions {
     pub device: DeviceSpec,
     /// Safety bound on super-steps.
     pub max_supersteps: u32,
-    /// Pattern ablation mask. Intersected with the driver's own pinning:
-    /// direction, stepping and fusion are always off in sharded runs.
-    pub mask: PatternMask,
-    /// Per-shard Fig. 10 stability bypass.
-    pub stability_bypass: bool,
     /// Decision-trace sink; events carry `shard: Some(id)`.
     pub recorder: RecorderHandle,
     /// Cooperative stop probe, polled at every super-step barrier.
@@ -102,8 +97,6 @@ impl Default for ShardedOptions {
         ShardedOptions {
             device: DeviceSpec::default(),
             max_supersteps: 50_000,
-            mask: PatternMask::all(),
-            stability_bypass: true,
             recorder: RecorderHandle::none(),
             probe: ProbeHandle::none(),
             spans: SpanCtx::default(),
@@ -120,20 +113,19 @@ impl ShardedOptions {
     /// The sharded pins as inputs to the one loop: the patterns that
     /// would break the exchange protocol masked off. The rest rides on
     /// the lane's app type (`ShardView`: not priority-driven, no rescue)
-    /// and on defaults — no seed, and no sentinel (its serial sweep would
-    /// cross shard borders).
+    /// and on defaults — the per-shard stability bypass, no seed, and no
+    /// sentinel (its serial sweep would cross shard borders).
     fn engine_options(&self) -> EngineOptions {
         let mask = PatternMask {
             direction: false, // push only: halo rows are empty in the local out-CSR
             stepping: false,  // no global priority window across shards
             fusion: false,    // a fused chain would skip the exchange barrier
-            ..self.mask
+            ..PatternMask::all()
         };
         EngineOptions {
             device: self.device.clone(),
             max_iterations: self.max_supersteps,
             mask,
-            stability_bypass: self.stability_bypass,
             recorder: self.recorder.clone(),
             probe: self.probe.clone(),
             spans: self.spans.clone(),
