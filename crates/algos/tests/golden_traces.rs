@@ -15,6 +15,14 @@
 //! runs, and hold its training records to the same standard: BFS, BC's
 //! forward phase, CC and SSSP under `oracle_run` on every twin.
 //!
+//! Two oracle cells were re-frozen at the commit that made the oracle
+//! price an Expand with the function that charges it (`expand_cost`,
+//! `COST_MODEL_VERSION` 8): `roadNet-CA` and `roadNet-TX` `sssp/oracle`.
+//! The old price charged a bitmap's workload reads as 4 bytes per
+//! receiver, where the kernel reads the bitmap's words; priced as charged,
+//! a pull over a bitmap wins 8 steps of roadNet-CA and 6 of roadNet-TX.
+//! No other oracle cell and no executed digest moved.
+//!
 //! A `RunReport` digest covers, per iteration, `(config, decided,
 //! estimated, filter_ms.to_bits(), expand_ms.to_bits(), edges_touched,
 //! activations, duplicates)`; a `ShardedRunReport` digest covers, per
@@ -329,11 +337,11 @@ const ORACLE_GOLDEN: &[(&str, &str, u64)] = &[
     ("roadNet-CA", "bfs/oracle", 0x7d64cdb587efe515),
     ("roadNet-CA", "bc/oracle", 0x917814753fb5242b),
     ("roadNet-CA", "cc/oracle", 0xfdf1da931d1985f7),
-    ("roadNet-CA", "sssp/oracle", 0x5bdc973563508f9f),
+    ("roadNet-CA", "sssp/oracle", 0x385efca9cdd5ea84),
     ("roadNet-TX", "bfs/oracle", 0xa9cff7f67526efc3),
     ("roadNet-TX", "bc/oracle", 0x8fd5543a93c60d59),
     ("roadNet-TX", "cc/oracle", 0x8e43361220ab0976),
-    ("roadNet-TX", "sssp/oracle", 0x3ea8975ca57e7139),
+    ("roadNet-TX", "sssp/oracle", 0x3fbb7b03eb11047c),
     ("sc-msdoor", "bfs/oracle", 0x49980acc3e66b825),
     ("sc-msdoor", "bc/oracle", 0xac997bd3a3ca99f9),
     ("sc-msdoor", "cc/oracle", 0xfbf814375adb29a3),

@@ -1,7 +1,7 @@
 //! Pass — cancellation soundness (`unpolled-hot-loop`).
 //!
 //! The engine has no preemption: a run stops only when a super-step
-//! polls its [`RunProbe`] (§4.7). That invariant is load-bearing for
+//! polls its `RunProbe` (§4.7). That invariant is load-bearing for
 //! deadlines, cancellation, and shutdown — and it is exactly the kind
 //! of property a unit test can't hold, because every new kernel loop
 //! re-opens it. This pass checks it statically over the call graph:

@@ -1,7 +1,7 @@
 //! Pass — outcome conservation (`unaccounted-terminal-status`).
 //!
 //! The soak suite proves a ledger identity dynamically: every job the
-//! scheduler admits resolves to exactly one terminal [`JobStatus`], and
+//! scheduler admits resolves to exactly one terminal `JobStatus`, and
 //! every terminal status bumps its matching `jobs_*` counter — so
 //! `submitted == Σ terminal counters` holds under churn. This pass is
 //! the static mirror: every *construction site* of a terminal

@@ -1,6 +1,6 @@
 //! Pass — span discipline (`unregistered-span`, `unguarded-span`).
 //!
-//! The profiler's invariants (§4.11): every [`SpanKind`] variant is
+//! The profiler's invariants (§4.11): every `SpanKind` variant is
 //! enumerable by tooling through the `SPAN_KINDS` registry (the JSON
 //! importer round-trips through it, so an unregistered kind silently
 //! drops records), and every span is closed by an RAII guard — a

@@ -4,10 +4,11 @@
 //! experimentation." Running all 144 expand variants per iteration on
 //! real hardware is what the authors did offline; here the cost model
 //! makes it cheap: the *semantics* of Expand are identical across P2/P3
-//! candidates, so one read-only workload analysis per direction prices
-//! every (direction × format × load-balance) combination analytically
-//! (`price`, what a [`Lookahead`] calls), and fusion is priced from
-//! measured duplicate/tie feedback.
+//! candidates, so one read-only workload analysis per direction
+//! (`gswitch_kernels::expand::analyze`) prices every (direction × format ×
+//! load-balance) combination through the function that charges the run,
+//! `expand_cost` (`price`, what a [`Lookahead`] calls), and fusion is
+//! priced from measured duplicate/tie feedback.
 //!
 //! The oracle is a [`Policy`] that the engine's one super-step loop runs
 //! like any other: at every step it ranks the lookahead's prices and
@@ -20,13 +21,12 @@ use crate::engine::{run, EngineOptions};
 use crate::features::DecisionContext;
 use crate::policy::{Lookahead, Policy, Priced};
 use gswitch_graph::Graph;
-use gswitch_kernels::expand::{analytic_pull_profile, analytic_push_profile};
+use gswitch_kernels::expand::{analyze, expand_cost};
 use gswitch_kernels::filter::materialize_cost;
-use gswitch_kernels::lb::{edge_costs, price_all};
 use gswitch_kernels::pattern::{
     AppCaps, AsFormat, Direction, Fusion, KernelConfig, LoadBalance, PatternMask,
 };
-use gswitch_kernels::{EdgeApp, Status};
+use gswitch_kernels::EdgeApp;
 use gswitch_ml::{Labels, Record};
 use gswitch_obs::sync::Lock;
 use gswitch_simt::{DeviceSpec, SimMs};
@@ -55,143 +55,28 @@ pub struct OracleOutcome {
     pub optimal_ms: SimMs,
 }
 
-/// Per-direction read-only workload analysis.
-#[derive(Debug)]
-struct DirAnalysis {
-    /// Compact per-entry touched counts (queue view).
-    compact: Vec<u32>,
-    /// Full per-vertex touched counts (bitmap view; zero = idle slot).
-    full: Vec<u32>,
-    /// Emit-side hits (pull only; push: edges).
-    hits: u64,
-    /// Workload entry count.
-    vertices: u64,
-}
-
-/// Analyze the push workload without touching app state.
-fn analyze_push(g: &Graph, status: &[u8]) -> DirAnalysis {
-    let (out, n) = (g.out_csr(), g.num_vertices());
-    let active = |v: &usize| status[*v] == Status::Active as u8;
-    // Per vertex: on the caller up to 256 vertices, else
-    // `min(threads, ⌈n / 256⌉)` parts.
-    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
-    let full = gswitch_pool::ranges(n, per, |vs| {
-        vs.map(|v| if active(&v) { out.degree(v as u32) } else { 0 }).collect::<Vec<_>>()
-    })
-    .concat();
-    let compact = gswitch_pool::ranges(n, per, |vs| {
-        vs.filter(active).map(|v| out.degree(v as u32)).collect::<Vec<_>>()
-    })
-    .concat();
-    let hits: u64 = compact.iter().map(|&d| d as u64).sum();
-    let vertices = compact.len() as u64;
-    DirAnalysis { compact, full, hits, vertices }
-}
-
-/// Analyze the pull workload without touching app state: for early-exit
-/// apps each receiver scans until its first active in-neighbor; otherwise
-/// it scans everything and every active in-neighbor costs an emit.
-fn analyze_pull<A: EdgeApp>(g: &Graph, status: &[u8]) -> DirAnalysis {
-    let incoming = g.in_csr();
-    let is_receiver = |v: usize| {
-        A::pull_receives(match status[v] {
-            0 => Status::Active,
-            1 => Status::Inactive,
-            _ => Status::Fixed,
-        })
-    };
-    let scan = |v: usize| {
-        if !is_receiver(v) {
-            return (0, 0);
-        }
-        let sources = incoming.neighbors(v as u32);
-        if A::PULL_EARLY_EXIT {
-            for (i, &u) in sources.iter().enumerate() {
-                if status[u as usize] == Status::Active as u8 {
-                    return ((i + 1) as u32, 1);
-                }
-            }
-            (sources.len() as u32, 0)
-        } else {
-            let hits =
-                sources.iter().filter(|&&u| status[u as usize] == Status::Active as u8).count()
-                    as u32;
-            (sources.len() as u32, hits)
-        }
-    };
-    // Per vertex: on the caller up to 256 vertices, else
-    // `min(threads, ⌈n / 256⌉)` parts.
-    let n = g.num_vertices();
-    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
-    let per_vertex: Vec<(u32, u32)> =
-        gswitch_pool::ranges(n, per, |vs| vs.map(scan).collect::<Vec<_>>()).concat();
-    let full: Vec<u32> = per_vertex.iter().map(|&(t, _)| t).collect();
-    let mut compact = Vec::new();
-    let mut hits = 0u64;
-    let mut vertices = 0u64;
-    for (v, &(t, h)) in per_vertex.iter().enumerate() {
-        if is_receiver(v) {
-            compact.push(t);
-            hits += h as u64;
-            vertices += 1;
-        }
-    }
-    DirAnalysis { compact, full, hits, vertices }
-}
-
-/// Price every (format × lb) combination of one direction; returns
-/// `[(format, lb, expand_ms + materialize_ms); 12]`.
-fn price_direction<A: EdgeApp>(
-    g: &Graph,
-    spec: &DeviceSpec,
-    direction: Direction,
-    analysis: &DirAnalysis,
-) -> Vec<Priced> {
-    let n = g.num_vertices();
-    let base = match direction {
-        Direction::Push => analytic_push_profile(&analysis.compact, A::NEEDS_WEIGHTS),
-        Direction::Pull => {
-            analytic_pull_profile(&analysis.compact, A::NEEDS_WEIGHTS, analysis.hits)
-        }
-    };
-    let mut out = Vec::with_capacity(12);
-    for format in [AsFormat::Bitmap, AsFormat::UnsortedQueue, AsFormat::SortedQueue] {
-        let sorted = format == AsFormat::SortedQueue;
-        let bitmap = format == AsFormat::Bitmap;
-        let costs = edge_costs(spec, direction, sorted);
-        let touched = if bitmap { &analysis.full } else { &analysis.compact };
-        let gen_ms = spec.kernel_time_ms(&materialize_cost(format, n, analysis.vertices, spec));
-        for (lb, price) in price_all(spec, &costs, touched, bitmap) {
-            let mut p = base;
-            if sorted {
-                p.bytes_read = (p.bytes_read as f64
-                    * (1.0 - gswitch_kernels::lb::SORTED_BYTES_DISCOUNT))
-                    as u64;
-            }
-            p.tasks = price.tasks;
-            p.syncs = price.syncs;
-            p.scan_elems += price.scan_elems;
-            p.launches += price.extra_launches;
-            out.push((format, lb, gen_ms + spec.kernel_time_ms(&p)));
-        }
-    }
-    out
-}
-
 /// Every (format × lb) shape of `direction` over the classification
-/// `status` of `g`, priced for app `A` — the [`Lookahead`] of a lane
-/// running `A`.
+/// `status` of `g`, priced for app `A` as materialize + Expand ms — the
+/// [`Lookahead`] of a lane running `A`.
 pub(crate) fn price<A: EdgeApp>(
     g: &Graph,
     spec: &DeviceSpec,
     status: &[u8],
     direction: Direction,
 ) -> Vec<Priced> {
-    let analysis = match direction {
-        Direction::Push => analyze_push(g, status),
-        Direction::Pull => analyze_pull::<A>(g, status),
-    };
-    price_direction::<A>(g, spec, direction, &analysis)
+    let analysis = analyze::<A>(g, status, direction);
+    let n = g.num_vertices();
+    let mut out = Vec::with_capacity(AsFormat::ALL.len() * LoadBalance::ALL.len());
+    for &format in AsFormat::ALL {
+        let shape = analysis.shape(format);
+        let gen = materialize_cost(format, n, analysis.compact.len() as u64, spec);
+        let gen_ms = spec.kernel_time_ms(&gen);
+        for &lb in LoadBalance::ALL {
+            let p = expand_cost(spec, direction, lb, A::NEEDS_WEIGHTS, &shape, &analysis.counts);
+            out.push((format, lb, gen_ms + spec.kernel_time_ms(&p)));
+        }
+    }
+    out
 }
 
 /// What the oracle saw at one step: the per-pattern labels of direction,
@@ -332,7 +217,7 @@ fn best_class<T: Copy + PartialEq>(
 mod tests {
     use super::*;
     use crate::engine::tests::Bfs;
-    use gswitch_graph::{gen, GraphBuilder};
+    use gswitch_graph::gen;
 
     #[test]
     fn oracle_produces_one_record_per_iteration() {
@@ -489,29 +374,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 144, "the paper's 144 expand variants");
-    }
-
-    #[test]
-    fn analyze_push_counts_active_degrees() {
-        let g = GraphBuilder::new(4).edges([(0, 1), (0, 2), (1, 3)]).build();
-        // status: 0 active, others inactive
-        let status = vec![0u8, 1, 1, 1];
-        let a = analyze_push(&g, &status);
-        assert_eq!(a.vertices, 1);
-        assert_eq!(a.compact, vec![2]);
-        assert_eq!(a.full, vec![2, 0, 0, 0]);
-        assert_eq!(a.hits, 2);
-    }
-
-    #[test]
-    fn analyze_pull_respects_early_exit() {
-        // 3 has in-neighbors {1, 0... }; make 0 and 1 active, 2,3 inactive.
-        let g = GraphBuilder::new(4).edges([(0, 3), (1, 3), (0, 2)]).build();
-        let status = vec![0u8, 0, 1, 1];
-        let a = analyze_pull::<Bfs>(&g, &status);
-        // Receivers: 2 (parents {0}: 1 touch) and 3 (parents {0,1}: stop at first).
-        assert_eq!(a.vertices, 2);
-        assert_eq!(a.hits, 2);
-        assert!(a.compact.iter().all(|&t| t == 1));
     }
 }

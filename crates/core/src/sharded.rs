@@ -3,7 +3,7 @@
 //! [`run_sharded`] runs one application over a [`ShardedCsr`] — K
 //! locally-renumbered shards with halo tables (`gswitch_graph::shard`) —
 //! by handing `engine::drive` one lane per shard. A lane sees its
-//! [`LocalShard`] through a [`ShardView`] that translates local vertex
+//! [`LocalShard`] through a `ShardView` that translates local vertex
 //! ids to global ones and pins halo copies to `Fixed` (the owning shard
 //! alone classifies, prepares and expands a vertex), and keeps its own
 //! decision history, so the Selector tunes the P2 format and P3 load
@@ -74,7 +74,7 @@ impl std::fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 /// Options for [`run_sharded`] — the sharded analogue of
-/// [`EngineOptions`](crate::EngineOptions).
+/// [`EngineOptions`].
 #[derive(Clone, Debug)]
 pub struct ShardedOptions {
     /// The simulated GPU each shard occupies (one device per shard).

@@ -3,18 +3,23 @@
 //!
 //! Expand does the *real* semantic work of a super-step on the CPU —
 //! `emit` + `comp`/`comp_atomic` over every workload edge — while counting
-//! exactly the device-relevant operations. Per-slot touched-edge counts
-//! are then priced by the chosen load-balancing strategy (see
-//! [`crate::lb`]); because the semantics are strategy-independent, the
-//! same traversal can also price *all* strategies for oracle labelling.
+//! what its charge depends on ([`ExpandCounts`]: edges, pull hits and
+//! wins, push conflicts; and each slot's touched edges). One function,
+//! [`expand_cost`], turns those counts into the kernel's [`KernelProfile`],
+//! load balance included (see [`crate::lb`]). Its other caller is the
+//! oracle's lookahead: [`analyze`] predicts the counts of a direction from
+//! a classification without running anything, and the oracle prices them
+//! with `expand_cost`, as it prices a Materialize with
+//! [`materialize_cost`](crate::filter::materialize_cost) — so a label is
+//! priced by the function that charges the run.
 
 use crate::app::{EdgeApp, Status};
 use crate::atomics::AtomicBitSet;
 use crate::bucket::{Task, WorkPlan};
 use crate::filter::status_of;
 use crate::frontier::Frontier;
-use crate::lb::{self, EdgeCosts};
-use crate::pattern::{Direction, Fusion, KernelConfig};
+use crate::lb;
+use crate::pattern::{AsFormat, Direction, Fusion, KernelConfig, LoadBalance};
 use gswitch_graph::{Graph, VertexId, Weight};
 use gswitch_simt::{DeviceSpec, KernelProfile};
 
@@ -50,68 +55,167 @@ pub struct ExpandOutput {
     /// The next frontier, produced only by a fused kernel (duplicates
     /// preserved — that is fusion's cost).
     pub next_queue: Option<Vec<VertexId>>,
-    /// Per-slot touched-edge counts in workload order, reusable for
-    /// pricing other load-balance strategies (oracle mode).
+    /// Per-slot touched-edge counts in workload order: what the load
+    /// balance was priced over.
     pub touched: Vec<u32>,
     /// Whether the workload was a bitmap (slots = all vertices).
     pub bitmap_mode: bool,
-    /// The edge-cost table used (direction + locality), for re-pricing.
-    pub costs: EdgeCosts,
 }
 
-impl ExpandOutput {
-    /// Re-price this expansion under a different load-balance strategy —
-    /// the oracle's "run once, price all variants" trick (§4.4: labels
-    /// come from brute force; the traversal is identical across P3
-    /// candidates, only task formation differs).
-    pub fn reprice(&self, spec: &DeviceSpec, lb: crate::pattern::LoadBalance) -> KernelProfile {
-        let price = lb::price(spec, lb, &self.costs, &self.touched, self.bitmap_mode);
-        let mut p = self.profile;
-        p.tasks = price.tasks;
-        p.syncs = price.syncs;
-        p.scan_elems = price.scan_elems;
-        p.launches = 1 + price.extra_launches;
-        p
+/// What an Expand did, or will do, that its charge depends on beyond the
+/// per-slot touched edges of its [`ExpandShape`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExpandCounts {
+    /// Edges traversed: Σ touched.
+    pub edges: u64,
+    /// Pull: messages read, one per Active in-neighbour a receiver reached.
+    pub hits: u64,
+    /// Pull: receiver-cell writes, the successful `comp`s (≤ `hits`).
+    pub wins: u64,
+    /// Push: atomics that did not improve their destination (≤ `edges`).
+    pub conflicts: u64,
+}
+
+/// The workload an Expand runs over, as its charge sees it.
+#[derive(Clone, Copy, Debug)]
+pub struct ExpandShape<'a> {
+    /// Per-slot touched edges in workload order: one slot per queue entry,
+    /// or one per vertex for a bitmap (zero on unset bits).
+    pub touched: &'a [u32],
+    /// A bitmap workload: its `u64` words are read instead of queue entries.
+    pub bitmap: bool,
+    /// An ascending queue: coalesced reads (`lb::SORTED_BYTES_DISCOUNT`)
+    /// and the sorted-locality edge costs.
+    pub sorted: bool,
+}
+
+/// The one charge of an Expand: what a kernel in `direction` under `lb`
+/// that did `counts` over `shape` costs. [`expand`] charges its measured
+/// counts through it, and the oracle prices [`analyze`]'s predicted ones.
+pub fn expand_cost(
+    spec: &DeviceSpec,
+    direction: Direction,
+    lb: LoadBalance,
+    needs_weights: bool,
+    shape: &ExpandShape,
+    counts: &ExpandCounts,
+) -> KernelProfile {
+    let weight = if needs_weights { 4 } else { 0 };
+    let slots = shape.touched.len() as u64;
+    let mut p = KernelProfile::launch();
+    p.edges_expanded = counts.edges;
+    // Workload reads: a bitmap's backing words, each exactly once; a
+    // queue's entries.
+    p.bytes_read = if shape.bitmap { slots.div_ceil(64) * 8 } else { 4 * slots };
+    match direction {
+        Direction::Push => {
+            // Per edge: neighbour id (and weight), the source's value and
+            // the destination's cell in; one atomic writing the cell.
+            p.bytes_read += (20 + weight) * counts.edges;
+            p.bytes_written = 16 * counts.edges;
+            p.atomics = counts.edges;
+            p.atomic_conflicts = counts.conflicts;
+        }
+        Direction::Pull => {
+            // Per edge: source id + frontier-bit probe; per hit: the
+            // source's value (and the weight); per win: the receiver's cell.
+            p.bytes_read += 5 * counts.edges + (32 + weight) * counts.hits;
+            p.bytes_written = 8 * counts.wins;
+        }
     }
+    if shape.sorted {
+        // Coalescing: ascending vertex order moves fewer memory sectors.
+        p.bytes_read = (p.bytes_read as f64 * (1.0 - lb::SORTED_BYTES_DISCOUNT)) as u64;
+    }
+    let costs = lb::edge_costs(spec, direction, shape.sorted);
+    let price = lb::price(spec, lb, &costs, shape.touched, shape.bitmap);
+    p.tasks = price.tasks;
+    p.syncs = price.syncs;
+    p.scan_elems = price.scan_elems;
+    p.launches += price.extra_launches;
+    p
+}
+
+/// What an Expand in one direction will charge over a classification,
+/// found without running it: the counts and both views of the per-slot
+/// touched edges. It cannot know two execution-only terms and prices
+/// their bounds: push `conflicts` as 0, pull `wins` as `hits`.
+#[derive(Debug)]
+pub struct ExpandAnalysis {
+    /// The predicted counts.
+    pub counts: ExpandCounts,
+    /// Touched edges per workload entry (the queue view).
+    pub compact: Vec<u32>,
+    /// Touched edges per vertex (the bitmap view; zero = idle slot).
+    pub full: Vec<u32>,
+}
+
+impl ExpandAnalysis {
+    /// The workload shape of this direction materialized as `format`.
+    pub fn shape(&self, format: AsFormat) -> ExpandShape<'_> {
+        let bitmap = format == AsFormat::Bitmap;
+        ExpandShape {
+            touched: if bitmap { &self.full } else { &self.compact },
+            bitmap,
+            sorted: format == AsFormat::SortedQueue,
+        }
+    }
+}
+
+/// Predict what an Expand of app `A` in `direction` over the
+/// classification `status` of `g` will charge, touching no app state. The
+/// workload is the Active vertices (push) or the receivers (pull); a push
+/// row touches every out-edge, a pull row scans its in-edges — to its
+/// first Active source for early-exit apps, with every Active source a
+/// hit otherwise.
+pub fn analyze<A: EdgeApp>(g: &Graph, status: &[u8], direction: Direction) -> ExpandAnalysis {
+    let (out, incoming) = (g.out_csr(), g.in_csr());
+    let active = |u: u32| status[u as usize] == Status::Active as u8;
+    let member = |v: usize| match direction {
+        Direction::Push => active(v as u32),
+        Direction::Pull => A::pull_receives(status_of(status[v])),
+    };
+    // A row's (touched, hits).
+    let scan = |v: usize| -> (u32, u32) {
+        if !member(v) {
+            return (0, 0);
+        }
+        if direction == Direction::Push {
+            return (out.degree(v as u32), 0);
+        }
+        let sources = incoming.neighbors(v as u32);
+        if A::PULL_EARLY_EXIT {
+            match sources.iter().position(|&u| active(u)) {
+                Some(i) => (i as u32 + 1, 1),
+                None => (sources.len() as u32, 0),
+            }
+        } else {
+            (sources.len() as u32, sources.iter().filter(|&&u| active(u)).count() as u32)
+        }
+    };
+    // Per vertex: on the caller up to 256 vertices, else
+    // `min(threads, ⌈n / 256⌉)` parts.
+    let n = g.num_vertices();
+    let per = n.div_ceil(gswitch_pool::threads().min(n.div_ceil(256)).max(1));
+    let rows: Vec<(u32, u32)> =
+        gswitch_pool::ranges(n, per, |vs| vs.map(scan).collect::<Vec<_>>()).concat();
+    let mut counts = ExpandCounts::default();
+    let mut compact = Vec::new();
+    for (v, &(touched, hits)) in rows.iter().enumerate() {
+        if member(v) {
+            compact.push(touched);
+            counts.edges += touched as u64;
+            counts.hits += hits as u64;
+        }
+    }
+    counts.wins = counts.hits; // the bound: every hit a win
+    ExpandAnalysis { counts, compact, full: rows.into_iter().map(|(t, _)| t).collect() }
 }
 
 /// Lookahead distance (in edges) of the push loop's software-prefetch
 /// hint. Far enough that the line lands before the demand load, near
 /// enough that it is not evicted again on typical frontier rows.
 const PREFETCH_DIST: usize = 8;
-
-/// Analytic (no-execution) profile of a push Expand over a workload whose
-/// slot `i` touches `touched[i]` edges: the byte/atomic accounting the
-/// semantic pass would produce, minus conflicts and duplicates (unknown
-/// without running). Used by the brute-force oracle to price the
-/// *unchosen* direction without mutating app state.
-pub fn analytic_push_profile(touched: &[u32], needs_weights: bool) -> KernelProfile {
-    let edges: u64 = touched.iter().map(|&t| t as u64).sum();
-    let per_edge_read = 4 + if needs_weights { 4 } else { 0 } + 16;
-    KernelProfile {
-        launches: 1,
-        atomics: edges,
-        bytes_read: edges * per_edge_read + 4 * touched.len() as u64,
-        bytes_written: edges * 16,
-        edges_expanded: edges,
-        ..Default::default()
-    }
-}
-
-/// Analytic profile of a pull Expand; `hits` is the number of receivers
-/// with at least one active in-neighbor (each pays one emit-side read).
-pub fn analytic_pull_profile(touched: &[u32], needs_weights: bool, hits: u64) -> KernelProfile {
-    let edges: u64 = touched.iter().map(|&t| t as u64).sum();
-    KernelProfile {
-        launches: 1,
-        bytes_read: edges * 5
-            + hits * (32 + if needs_weights { 4 } else { 0 })
-            + 4 * touched.len() as u64,
-        bytes_written: hits * 8,
-        edges_expanded: edges,
-        ..Default::default()
-    }
-}
 
 /// Run the Expand kernel per `cfg` on the workload `frontier` produced by
 /// the Filter (or by a previous fused Expand). `status` is the Filter's
@@ -155,20 +259,20 @@ const POOLED_TASKS: usize = 256;
 /// claims (one relaxed `fetch_add` each) stay invisible.
 const POOLED_PARTS: usize = 32;
 
-/// Per-task accumulator for the semantic pass.
+/// Per-task accumulator for the semantic pass: counts only; the charge
+/// is [`expand_cost`]'s.
 #[derive(Default)]
 struct Acc {
     touched: Vec<u32>,
     out_queue: Vec<VertexId>,
-    bytes_read: u64,
-    bytes_written: u64,
-    atomics: u64,
+    edges: u64,
+    hits: u64,
+    wins: u64,
     conflicts: u64,
     activations: u64,
     distinct: u64,
     ties: u64,
     activated_edges: u64,
-    edges: u64,
 }
 
 /// Output of the bucketed sweep, before pricing.
@@ -178,11 +282,6 @@ struct Swept {
     touched: Vec<u32>,
     /// Per-task accumulators in task order (small → warp → cta).
     accs: Vec<Acc>,
-    /// Workload-read bytes charged once for the whole sweep: bitmap mode
-    /// reads each backing `u64` word exactly once, so the charge is
-    /// word-granular over the span — not per-chunk, which double-counted
-    /// partially shared words at chunk boundaries.
-    base_bytes_read: u64,
 }
 
 /// Run `process` over every workload slot, partitioned by degree buckets:
@@ -210,7 +309,7 @@ where
     let Some(plan) = plan else {
         // Unreachable by construction (owned is Some whenever plan was
         // None), but a degenerate empty sweep beats a panic in a kernel.
-        return Swept { touched: Vec::new(), accs: Vec::new(), base_bytes_read: 0 };
+        return Swept { touched: Vec::new(), accs: Vec::new() };
     };
     let (entries, bitmap_mode): (&[VertexId], bool) = match frontier.as_queue() {
         Some(q) => (q, false),
@@ -230,9 +329,6 @@ where
         let slots = plan.task_slots(t);
         let mut acc = Acc::default();
         acc.touched.reserve(slots.len());
-        if !bitmap_mode {
-            acc.bytes_read += 4 * slots.len() as u64; // queue entry reads
-        }
         for &s in slots {
             let v = entries[s as usize];
             let deg = process(v, &mut acc);
@@ -258,8 +354,7 @@ where
         }
     }
 
-    let base_bytes_read = if bitmap_mode { (g.num_vertices() as u64).div_ceil(64) * 8 } else { 0 };
-    Swept { touched, accs, base_bytes_read }
+    Swept { touched, accs }
 }
 
 fn expand_push<A: EdgeApp>(
@@ -305,9 +400,6 @@ fn expand_push<A: EdgeApp>(
                 _ => 1,
             };
             let msg = app.emit(v, w);
-            acc.atomics += 1;
-            acc.bytes_read += 4 + if A::NEEDS_WEIGHTS { 4 } else { 0 } + 16;
-            acc.bytes_written += 16;
             if app.comp_atomic(u, msg) {
                 acc.activations += 1;
                 if activated.set(u) {
@@ -337,7 +429,7 @@ fn expand_push<A: EdgeApp>(
     };
 
     let swept = run_bucketed(g, frontier, Direction::Push, plan, process);
-    finish(swept, frontier, cfg, spec, fused, activated)
+    finish::<A>(swept, frontier, cfg, spec, activated)
 }
 
 fn expand_pull<A: EdgeApp>(
@@ -358,9 +450,8 @@ fn expand_pull<A: EdgeApp>(
     // is a byte of an n-byte array that stays cached, and what the app
     // does with the messages of the Active sources is its own business —
     // one cell write per row for an app that folds in a register. The
-    // simulated counters are functions of the row (`touched`, `hits`,
-    // `wins`), so they are added once per row, not bumped per edge.
-    let hit_bytes: u64 = 32 + if A::NEEDS_WEIGHTS { 4 } else { 0 };
+    // counts are functions of the row (`touched`, `hits`, `wins`), so they
+    // are added once per row, not bumped per edge.
     let process = |v: VertexId, acc: &mut Acc| -> u32 {
         let r = incoming.edge_range(v);
         let sources = &incoming.targets()[r.clone()];
@@ -380,10 +471,8 @@ fn expand_pull<A: EdgeApp>(
         });
         let wins = app.gather(v, msgs);
         let touched = (sources.len() - rest.len()) as u32;
-        // Per edge: source id + frontier-bit probe; per hit: the source's
-        // value (and the weight); per win: the receiver's cell.
-        acc.bytes_read += 5 * touched as u64 + hit_bytes * hits;
-        acc.bytes_written += 8 * wins;
+        acc.hits += hits;
+        acc.wins += wins;
         if wins > 0 {
             acc.activations += 1;
             acc.distinct += 1;
@@ -395,43 +484,44 @@ fn expand_pull<A: EdgeApp>(
     };
 
     let swept = run_bucketed(g, frontier, Direction::Pull, plan, process);
-    finish(swept, frontier, cfg, spec, false, activated)
+    finish::<A>(swept, frontier, cfg, spec, activated)
 }
 
-/// Merge task accumulators, price the load balance, assemble the profile.
-fn finish(
+/// Merge the task accumulators and charge the counts through
+/// [`expand_cost`]; a fused kernel adds its frontier writes.
+fn finish<A: EdgeApp>(
     swept: Swept,
     frontier: &Frontier,
     cfg: KernelConfig,
     spec: &DeviceSpec,
-    fused: bool,
     activated: AtomicBitSet,
 ) -> ExpandOutput {
-    let Swept { touched, accs, base_bytes_read } = swept;
+    let Swept { touched, accs } = swept;
+    let fused = cfg.direction == Direction::Push && cfg.fusion == Fusion::Fused;
     let mut next_queue =
         fused.then(|| Vec::with_capacity(accs.iter().map(|a| a.out_queue.len()).sum()));
-    let mut profile = KernelProfile::launch();
-    profile.bytes_read += base_bytes_read;
+    let mut counts = ExpandCounts::default();
     let mut activations = 0u64;
     let mut distinct = 0u64;
     let mut ties = 0u64;
     let mut activated_out_edges = 0u64;
-    let mut edges = 0u64;
     for a in accs {
         if let Some(q) = next_queue.as_mut() {
             q.extend_from_slice(&a.out_queue);
         }
-        profile.bytes_read += a.bytes_read;
-        profile.bytes_written += a.bytes_written;
-        profile.atomics += a.atomics;
-        profile.atomic_conflicts += a.conflicts;
+        counts.edges += a.edges;
+        counts.hits += a.hits;
+        counts.wins += a.wins;
+        counts.conflicts += a.conflicts;
         activations += a.activations;
         distinct += a.distinct;
         ties += a.ties;
         activated_out_edges += a.activated_edges;
-        edges += a.edges;
     }
-    profile.edges_expanded = edges;
+    let bitmap_mode = frontier.as_queue().is_none();
+    let shape =
+        ExpandShape { touched: &touched, bitmap: bitmap_mode, sorted: frontier.is_sorted() };
+    let mut profile = expand_cost(spec, cfg.direction, cfg.lb, A::NEEDS_WEIGHTS, &shape, &counts);
     // Duplicate frontier entries: real (fused queue) or would-be
     // (standalone: same-value ties plus repeat improvements).
     profile.duplicates = match &next_queue {
@@ -444,18 +534,6 @@ fn finish(
         profile.atomics += (q.len() as u64).div_ceil(spec.warp_size as u64);
     }
 
-    let bitmap_mode = frontier.as_queue().is_none();
-    if frontier.is_sorted() {
-        // Coalescing: ascending vertex order moves fewer memory sectors.
-        profile.bytes_read = (profile.bytes_read as f64 * (1.0 - lb::SORTED_BYTES_DISCOUNT)) as u64;
-    }
-    let costs = lb::edge_costs(spec, cfg.direction, frontier.is_sorted());
-    let price = lb::price(spec, cfg.lb, &costs, &touched, bitmap_mode);
-    profile.tasks = price.tasks;
-    profile.syncs = price.syncs;
-    profile.scan_elems += price.scan_elems;
-    profile.launches += price.extra_launches;
-
     ExpandOutput {
         profile,
         activations,
@@ -463,11 +541,10 @@ fn finish(
         activated,
         ties,
         activated_out_edges,
-        edges_touched: edges,
+        edges_touched: counts.edges,
         next_queue,
         touched,
         bitmap_mode,
-        costs,
     }
 }
 
@@ -732,6 +809,16 @@ mod tests {
         assert_eq!(out.profile.atomic_conflicts, 1);
     }
 
+    /// The counts and shape of a push run, read back off its output.
+    fn push_counts(out: &ExpandOutput, frontier: &Frontier) -> (ExpandCounts, bool) {
+        let counts = ExpandCounts {
+            edges: out.edges_touched,
+            conflicts: out.profile.atomic_conflicts,
+            ..Default::default()
+        };
+        (counts, frontier.is_sorted())
+    }
+
     #[test]
     fn reprice_is_the_profile_of_a_run_under_that_strategy() {
         let g = star_graph();
@@ -741,11 +828,15 @@ mod tests {
                 let app = LevelApp::new(5, 0);
                 let f = filter(&g, &app, Direction::Push, format, &spec);
                 let cfg = KernelConfig { format, lb, ..cfg(Direction::Push, Fusion::Standalone) };
-                expand(&g, &app, &f.frontier, &f.status, cfg, &spec)
+                (expand(&g, &app, &f.frontier, &f.status, cfg, &spec), f.frontier)
             };
-            let base = run(LoadBalance::Twc);
-            for lb in [LoadBalance::Twc, LoadBalance::Wm, LoadBalance::Cm, LoadBalance::Strict] {
-                assert_eq!(base.reprice(&spec, lb), run(lb).profile, "{format:?}/{lb:?}");
+            let (base, frontier) = run(LoadBalance::Twc);
+            let (counts, sorted) = push_counts(&base, &frontier);
+            let shape = ExpandShape { touched: &base.touched, bitmap: base.bitmap_mode, sorted };
+            for &lb in LoadBalance::ALL {
+                let mut priced = expand_cost(&spec, Direction::Push, lb, false, &shape, &counts);
+                priced.duplicates = base.profile.duplicates;
+                assert_eq!(priced, run(lb).0.profile, "{format:?}/{lb:?}");
             }
         }
     }
@@ -764,9 +855,36 @@ mod tests {
             cfg(Direction::Push, Fusion::Standalone),
             &spec,
         );
-        let strict = out.reprice(&spec, LoadBalance::Strict);
+        let (counts, sorted) = push_counts(&out, &f.frontier);
+        let shape = ExpandShape { touched: &out.touched, bitmap: false, sorted };
+        let strict =
+            expand_cost(&spec, Direction::Push, LoadBalance::Strict, false, &shape, &counts);
         assert_eq!(strict.bytes_read, out.profile.bytes_read);
         assert_eq!(strict.atomics, out.profile.atomics);
         assert_ne!(strict.tasks, out.profile.tasks);
+    }
+
+    #[test]
+    fn analyze_push_counts_active_degrees() {
+        let g = GraphBuilder::new(4).edges([(0, 1), (0, 2), (1, 3)]).build();
+        // status: 0 active, others inactive
+        let status = vec![0u8, 1, 1, 1];
+        let a = analyze::<LevelApp>(&g, &status, Direction::Push);
+        assert_eq!(a.compact.len(), 1);
+        assert_eq!(a.compact, vec![2]);
+        assert_eq!(a.full, vec![2, 0, 0, 0]);
+        assert_eq!(a.counts.edges, 2);
+    }
+
+    #[test]
+    fn analyze_pull_respects_early_exit() {
+        // 3 has in-neighbors {1, 0... }; make 0 and 1 active, 2,3 inactive.
+        let g = GraphBuilder::new(4).edges([(0, 3), (1, 3), (0, 2)]).build();
+        let status = vec![0u8, 0, 1, 1];
+        let a = analyze::<LevelApp>(&g, &status, Direction::Pull);
+        // Receivers: 2 (parents {0}: 1 touch) and 3 (parents {0,1}: stop at first).
+        assert_eq!(a.compact.len(), 2);
+        assert_eq!(a.counts.hits, 2);
+        assert!(a.compact.iter().all(|&t| t == 1));
     }
 }

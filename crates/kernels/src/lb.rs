@@ -4,9 +4,9 @@
 //! edges get processed); what differs is how the workload's per-vertex edge
 //! counts are packed into warp tasks, and therefore the lockstep waste,
 //! search overheads, synchronization, and partitioning setup each strategy
-//! pays. This module turns a measured per-slot `touched` vector into
-//! [`TaskStats`] for any strategy — which also makes brute-force oracle
-//! labelling cheap: one semantic traversal prices all strategies.
+//! pays. This module turns a per-slot `touched` vector into [`TaskStats`]
+//! for any strategy; [`crate::expand::expand_cost`] is its one caller
+//! outside tests, for the kernel's charge and the oracle's price alike.
 
 use crate::pattern::{Direction, LoadBalance};
 use gswitch_simt::{DeviceSpec, TaskStats};
@@ -70,7 +70,7 @@ pub struct LbPrice {
 /// Fraction of expand memory traffic a sorted frontier saves: ascending
 /// vertex order turns scattered CSR row reads into near-contiguous ones,
 /// so fewer 32-byte sectors move (Fig. 4's "potentially contiguous
-/// memory access"). Applied uniformly by the executor and the oracle.
+/// memory access"). Applied in one place, [`crate::expand::expand_cost`].
 pub const SORTED_BYTES_DISCOUNT: f64 = 0.25;
 
 /// Price a workload under one strategy.
@@ -92,21 +92,6 @@ pub fn price(
         LoadBalance::Cm => price_cm(spec, costs, touched, bitmap),
         LoadBalance::Strict => price_strict(spec, costs, touched, bitmap),
     }
-}
-
-/// Price all four strategies from one traversal (oracle entry point).
-pub fn price_all(
-    spec: &DeviceSpec,
-    costs: &EdgeCosts,
-    touched: &[u32],
-    bitmap: bool,
-) -> [(LoadBalance, LbPrice); 4] {
-    [
-        (LoadBalance::Twc, price_twc(spec, costs, touched, bitmap)),
-        (LoadBalance::Wm, price_wm(spec, costs, touched, bitmap)),
-        (LoadBalance::Cm, price_cm(spec, costs, touched, bitmap)),
-        (LoadBalance::Strict, price_strict(spec, costs, touched, bitmap)),
-    ]
 }
 
 /// Slots per pricing chunk: a part folds whole chunks.
@@ -444,16 +429,5 @@ mod tests {
             "tasks {} vs expected ~{expect}",
             p.tasks.count
         );
-    }
-
-    #[test]
-    fn price_all_matches_individual() {
-        let v = hubby();
-        let all = price_all(&spec(), &costs(), &v, false);
-        for (lb, p) in all {
-            let q = price(&spec(), lb, &costs(), &v, false);
-            assert_eq!(p.tasks.total_cycles, q.tasks.total_cycles, "{lb:?}");
-            assert_eq!(p.tasks.count, q.tasks.count);
-        }
     }
 }

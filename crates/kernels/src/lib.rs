@@ -25,10 +25,11 @@
 //!   [`Classification`]), update private data of actives, emit runtime
 //!   characteristics, and build the workload frontier in the chosen format.
 //! * [`expand()`](fn@expand) — the Expand primitive in push and pull
-//!   modes with fused/standalone variants (P1, P5).
+//!   modes with fused/standalone variants (P1, P5), and its one charge,
+//!   [`expand::expand_cost`], which also prices the counts
+//!   [`expand::analyze`] predicts for the oracle.
 //! * [`lb`] — the P3 load-balancing strategies (TWC/WM/CM/STRICT of Fig. 6)
-//!   as warp-task pricing over the measured per-vertex workload, including
-//!   the `price_all` oracle entry point used for brute-force labelling.
+//!   as warp-task pricing over the per-slot workload.
 //! * [`exchange`] — inter-shard frontier-exchange volume accounting for
 //!   partitioned execution (duplicate-merge policy + routed-byte counts).
 

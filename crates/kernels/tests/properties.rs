@@ -2,6 +2,7 @@
 
 use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
 use gswitch_kernels::atomics::{AtomicArray, AtomicBitSet};
+use gswitch_kernels::expand::{analyze, expand_cost, ExpandCounts, ExpandShape};
 use gswitch_kernels::filter::{materialize_cost, status_of};
 use gswitch_kernels::lb::{self, edge_costs};
 use gswitch_kernels::{
@@ -10,6 +11,7 @@ use gswitch_kernels::{
 };
 use gswitch_simt::{DeviceSpec, KernelProfile, TaskStats};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 fn touched_vec() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..2_000, 0..512)
@@ -191,6 +193,7 @@ fn assert_pull_matches_per_edge_loop<const EXIT: bool>(
     let mut touched = vec![0u32; if bitmap { n } else { slots.len() }];
     let mut bytes_read = if bitmap { n.div_ceil(64) as u64 * 8 } else { 4 * slots.len() as u64 };
     let (mut bytes_written, mut edges, mut out_edges) = (0u64, 0u64, 0u64);
+    let (mut hits, mut wins) = (0u64, 0u64);
     let mut activated = Vec::new();
     for (slot, &v) in slots.iter().enumerate() {
         let mut changed = false;
@@ -201,9 +204,11 @@ fn assert_pull_matches_per_edge_loop<const EXIT: bool>(
             bytes_read += 5;
             if status[u as usize] == Status::Active as u8 {
                 bytes_read += 32 + 4;
+                hits += 1;
                 if old.comp(v, old.emit(u, weights[i])) {
                     changed = true;
                     bytes_written += 8;
+                    wins += 1;
                     if EXIT {
                         break;
                     }
@@ -233,7 +238,11 @@ fn assert_pull_matches_per_edge_loop<const EXIT: bool>(
         (p.edges_expanded, p.atomics, p.atomic_conflicts, p.duplicates),
         (edges, 0, 0, 0)
     );
-    prop_assert_eq!(p, out.reprice(&spec, cfg.lb));
+    // The per-edge loop's counts, charged through `expand_cost`, are the
+    // kernel's profile.
+    let counts = ExpandCounts { edges, hits, wins, conflicts: 0 };
+    let shape = ExpandShape { touched: &touched, bitmap, sorted: false };
+    prop_assert_eq!(p, expand_cost(&spec, Direction::Pull, cfg.lb, true, &shape, &counts));
     Ok(())
 }
 
@@ -264,6 +273,172 @@ fn assert_update_matches_sweep(
     Ok(())
 }
 
+/// The workload rules of the four algorithms the oracle labels, as `K`:
+/// [`BFS`] (levels; pull stops at the first parent, only the unvisited
+/// receive), [`CC`] (labels; every non-`Fixed` vertex receives), [`SSSP`]
+/// (weighted distances; everyone receives) and [`PR`] (a residual sum that
+/// activates on crossing a threshold, so a row wins at most once).
+struct Relax<const K: u8> {
+    val: AtomicArray<u32>,
+    staged: AtomicArray<u32>,
+    changed_at: AtomicArray<u32>,
+    current: AtomicU32,
+}
+
+const BFS: u8 = 0;
+const CC: u8 = 1;
+const SSSP: u8 = 2;
+const PR: u8 = 3;
+/// PR's activation threshold on the residual.
+const THRESHOLD: u32 = 4;
+
+impl<const K: u8> Relax<K> {
+    /// The app after `level` push steps from its start (source vertex 0),
+    /// and its classification at `level`.
+    fn at_level(g: &Graph, level: u32) -> (Self, Vec<u8>) {
+        let n = g.num_vertices();
+        let app = Relax {
+            val: AtomicArray::filled(n, if K == PR { 4 * THRESHOLD } else { u32::MAX }),
+            staged: AtomicArray::filled(n, 0),
+            changed_at: AtomicArray::filled(n, if K == CC { 0 } else { u32::MAX }),
+            current: AtomicU32::new(0),
+        };
+        match K {
+            CC => (0..n as VertexId).for_each(|v| app.val.store(v, v)),
+            PR => {}
+            _ => {
+                app.val.store(0, 0);
+                app.changed_at.store(0, 0);
+            }
+        }
+        let spec = DeviceSpec::k40m();
+        for it in 0..level {
+            app.advance(it);
+            let status = classify(g, &app, &spec).status;
+            let (frontier, _) =
+                materialize::<Self>(g, &status, Direction::Push, AsFormat::UnsortedQueue, &spec);
+            expand(g, &app, &frontier, &status, KernelConfig::push_baseline(), &spec);
+        }
+        app.advance(level);
+        let status = classify(g, &app, &spec).status;
+        (app, status)
+    }
+
+    fn mark(&self, v: VertexId) {
+        self.changed_at.store(v, self.current.load(Relaxed) + 1);
+    }
+}
+
+impl<const K: u8> EdgeApp for Relax<K> {
+    type Msg = u32;
+    const PULL_EARLY_EXIT: bool = K == BFS;
+    const NEEDS_WEIGHTS: bool = K == SSSP;
+    fn filter(&self, v: VertexId) -> Status {
+        let active = match K {
+            PR => self.val.load(v) > THRESHOLD,
+            _ => self.changed_at.load(v) == self.current.load(Relaxed),
+        };
+        match (active, K) {
+            (true, _) => Status::Active,
+            (false, BFS) if self.val.load(v) != u32::MAX => Status::Fixed,
+            _ => Status::Inactive,
+        }
+    }
+    fn prepare(&self, v: VertexId) {
+        if K == PR {
+            self.staged.store(v, self.val.load(v) / 2);
+            self.val.store(v, 0);
+        }
+    }
+    fn emit(&self, u: VertexId, w: u32) -> u32 {
+        match K {
+            BFS => self.val.load(u) + 1,
+            SSSP => self.val.load(u).saturating_add(w),
+            PR => self.staged.load(u),
+            _ => self.val.load(u),
+        }
+    }
+    fn comp_atomic(&self, dst: VertexId, msg: u32) -> bool {
+        if K == PR {
+            let old = self.val.fetch_add(dst, msg);
+            return old <= THRESHOLD && old + msg > THRESHOLD;
+        }
+        let improves = self.val.fetch_min(dst, msg) > msg;
+        if improves {
+            self.mark(dst);
+        }
+        improves
+    }
+    fn comp(&self, dst: VertexId, msg: u32) -> bool {
+        let old = self.val.load(dst);
+        if K == PR {
+            self.val.store(dst, old + msg);
+            return old <= THRESHOLD && old + msg > THRESHOLD;
+        }
+        if msg < old {
+            self.val.store(dst, msg);
+            self.mark(dst);
+        }
+        msg < old
+    }
+    fn advance(&self, it: u32) {
+        self.current.store(it, Relaxed);
+    }
+    fn would_tie(&self, dst: VertexId, msg: u32) -> bool {
+        K != PR && self.val.load(dst) == msg
+    }
+    fn pull_receives(status: Status) -> bool {
+        match K {
+            BFS => status == Status::Inactive,
+            CC => status != Status::Fixed,
+            _ => true,
+        }
+    }
+}
+
+/// Price = charge: at `level` of app `K` on `g`, in every (direction ×
+/// format × lb) shape, the `expand_cost` of what `analyze` predicts is
+/// the profile the executed Expand charges, field by field — except the
+/// two terms only execution knows, held to their bounds: `atomic_conflicts`
+/// (priced 0 ≤ charged ≤ `atomics`) and pull `bytes_written` (priced at
+/// `hits` wins, 8 bytes each, ≥ charged); `duplicates` is not priced.
+fn assert_priced_is_charged<const K: u8>(g: &Graph, level: u32) -> Result<(), TestCaseError> {
+    let spec = DeviceSpec::k40m();
+    for &direction in Direction::ALL {
+        for &format in AsFormat::ALL {
+            for &lb in LoadBalance::ALL {
+                let (app, status) = Relax::<K>::at_level(g, level);
+                let analysis = analyze::<Relax<K>>(g, &status, direction);
+                let shape = analysis.shape(format);
+                let counts = analysis.counts;
+                let priced = expand_cost(&spec, direction, lb, K == SSSP, &shape, &counts);
+
+                let (frontier, _) = materialize::<Relax<K>>(g, &status, direction, format, &spec);
+                let cfg = KernelConfig { direction, format, lb, ..KernelConfig::push_baseline() };
+                let out = expand(g, &app, &frontier, &status, cfg, &spec);
+                let charged = out.profile;
+                let at = format!("K={K} level {level} {cfg}");
+                prop_assert_eq!((&at, &out.touched[..]), (&at, shape.touched));
+                prop_assert_eq!((&at, priced.atomic_conflicts), (&at, 0));
+                prop_assert!(charged.atomic_conflicts <= charged.atomics, "{at}");
+                if direction == Direction::Pull {
+                    prop_assert_eq!((&at, priced.bytes_written), (&at, 8 * counts.hits));
+                    prop_assert!(charged.bytes_written <= priced.bytes_written, "{at}");
+                    prop_assert_eq!((&at, charged.bytes_written % 8), (&at, 0));
+                }
+                let bounded = KernelProfile {
+                    atomic_conflicts: priced.atomic_conflicts,
+                    bytes_written: priced.bytes_written,
+                    duplicates: priced.duplicates,
+                    ..charged
+                };
+                prop_assert_eq!((&at, bounded), (&at, priced));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -286,20 +461,6 @@ proptest! {
                 p2.tasks.total_cycles >= p.tasks.total_cycles,
                 "{lb_kind:?} shrank when work was added"
             );
-        }
-    }
-
-    /// price_all agrees with the individual pricing functions.
-    #[test]
-    fn price_all_consistent(touched in touched_vec()) {
-        let spec = DeviceSpec::p100();
-        let costs = edge_costs(&spec, Direction::Pull, true);
-        for (lb_kind, p) in lb::price_all(&spec, &costs, &touched, false) {
-            let q = lb::price(&spec, lb_kind, &costs, &touched, false);
-            prop_assert_eq!(p.tasks.count, q.tasks.count);
-            prop_assert!((p.tasks.total_cycles - q.tasks.total_cycles).abs() < 1e-6);
-            prop_assert_eq!(p.syncs, q.syncs);
-            prop_assert_eq!(p.scan_elems, q.scan_elems);
         }
     }
 
@@ -465,6 +626,30 @@ proptest! {
         } else {
             assert_pull_matches_per_edge_loop::<false>(&g, status, sent, start, frontier)?;
         }
+    }
+
+    /// Price = charge, for BFS, CC, SSSP and PR states at any level of
+    /// any weighted directed graph, in all 24 Expand shapes (see
+    /// `assert_priced_is_charged`).
+    #[test]
+    fn expand_cost_of_the_analysis_is_the_charge(
+        (n, edges, seed) in (
+            2usize..64,
+            proptest::collection::vec((0u32..64, 0u32..64), 0..300),
+            any::<u64>(),
+        ),
+        level in 0u32..5,
+    ) {
+        let fit = |v: u32| v % n as u32;
+        let g = GraphBuilder::new(n)
+            .symmetric(false)
+            .edges(edges.into_iter().map(|(a, b)| (fit(a), fit(b))))
+            .build();
+        let g = gen::with_random_weights(&g, 9, seed);
+        assert_priced_is_charged::<BFS>(&g, level)?;
+        assert_priced_is_charged::<CC>(&g, level)?;
+        assert_priced_is_charged::<SSSP>(&g, level)?;
+        assert_priced_is_charged::<PR>(&g, level)?;
     }
 
     /// Frontiers built a word at a time equal the per-vertex loop: any

@@ -40,5 +40,6 @@ pub type SimMs = f64;
 /// cached oracle labels and features are invalidated, never silently
 /// reused. v7: bitmap-mode Expand charges workload reads word-granularly
 /// (8 bytes per backing `u64`, each word once) instead of per-chunk
-/// `len/8` rounding.
-pub const COST_MODEL_VERSION: u32 = 7;
+/// `len/8` rounding. v8: Expand is priced and charged by one
+/// `expand_cost`; oracle bitmap prices are now word-granular.
+pub const COST_MODEL_VERSION: u32 = 8;
