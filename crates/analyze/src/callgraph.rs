@@ -1,10 +1,10 @@
 //! Workspace-wide function index and call graph (DESIGN §4.15).
 //!
-//! The interprocedural passes (cancellation-soundness, outcome
-//! conservation, atomic signaling, cross-call lock order) all need the
-//! same substrate: every function in the workspace with its body token
-//! span, plus resolved call edges between them. This module builds it
-//! once per run on top of [`SourceFile::functions`].
+//! The function-level rules, cancellation soundness and cross-call lock
+//! order all need the same substrate: every function in the workspace
+//! with its body token span, plus resolved call edges between them.
+//! This module builds it once per run on top of
+//! [`SourceFile::functions`], the run's one function scan.
 //!
 //! Resolution is name-based, the same discipline the lock-order pass
 //! uses for lock fields: a call site `name(` resolves same-file first,
@@ -17,28 +17,12 @@
 //! set (`new`, `len`, …) carry no information and are skipped entirely.
 
 use crate::lexer::{Tok, TokKind};
-use crate::source::{matching, SourceFile};
+use crate::source::{matching, FnNode, SourceFile};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Index into [`CallGraph::fns`].
 pub type FnId = usize;
-
-/// One indexed function.
-#[derive(Debug)]
-pub struct FnNode {
-    /// Index of the declaring file in the slice passed to
-    /// [`CallGraph::build`].
-    pub file: usize,
-    /// Function name.
-    pub name: String,
-    /// Token range of the body in that file (outer braces excluded).
-    pub body: Range<usize>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Test code (`#[test]` or inside `#[cfg(test)]`).
-    pub is_test: bool,
-}
 
 /// One resolved call site.
 #[derive(Debug)]
@@ -88,8 +72,6 @@ pub struct CallGraph {
     pub sites: Vec<CallSite>,
     /// Outgoing site indices per function.
     out: Vec<Vec<usize>>,
-    /// Incoming site indices per function.
-    inc: Vec<Vec<usize>>,
     /// Name → candidate functions.
     by_name: BTreeMap<String, Vec<FnId>>,
 }
@@ -112,21 +94,14 @@ impl CallGraph {
         // sites are attributed to the innermost enclosing body below.
         let mut file_fns: Vec<Vec<FnId>> = vec![Vec::new(); files.len()];
         for (fi, sf) in files.iter().enumerate() {
-            for f in sf.functions() {
+            for f in sf.functions(fi) {
                 let id = cg.fns.len();
-                cg.fns.push(FnNode {
-                    file: fi,
-                    name: f.name.clone(),
-                    body: f.body.clone(),
-                    line: f.line,
-                    is_test: f.is_test,
-                });
-                cg.by_name.entry(f.name).or_default().push(id);
+                cg.by_name.entry(f.name.clone()).or_default().push(id);
                 file_fns[fi].push(id);
+                cg.fns.push(f);
             }
         }
         cg.out = vec![Vec::new(); cg.fns.len()];
-        cg.inc = vec![Vec::new(); cg.fns.len()];
 
         for (fi, sf) in files.iter().enumerate() {
             let t = &sf.toks;
@@ -148,7 +123,6 @@ impl CallGraph {
                     let site = cg.sites.len();
                     cg.sites.push(CallSite { caller, callee, tok: i, line: t[i].line, ambiguous });
                     cg.out[caller].push(site);
-                    cg.inc[callee].push(site);
                 }
             }
         }
@@ -195,14 +169,6 @@ impl CallGraph {
             .min_by_key(|&f| self.fns[f].body.len())
     }
 
-    /// The innermost function in `file` whose body contains token
-    /// `tok`, if any (token may sit in item/const position).
-    pub fn fn_containing(&self, file: usize, tok: usize) -> Option<FnId> {
-        (0..self.fns.len())
-            .filter(|&f| self.fns[f].file == file && self.fns[f].body.contains(&tok))
-            .min_by_key(|&f| self.fns[f].body.len())
-    }
-
     /// Functions declared with `name`.
     pub fn named(&self, name: &str) -> &[FnId] {
         self.by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[])
@@ -211,11 +177,6 @@ impl CallGraph {
     /// Outgoing call sites of `f`.
     pub fn callees(&self, f: FnId) -> impl Iterator<Item = &CallSite> {
         self.out[f].iter().map(|&s| &self.sites[s])
-    }
-
-    /// Incoming call sites of `f`.
-    pub fn callers(&self, f: FnId) -> impl Iterator<Item = &CallSite> {
-        self.inc[f].iter().map(|&s| &self.sites[s])
     }
 
     /// `reached[f]` — `f` is one of `roots` or transitively called from
@@ -242,38 +203,6 @@ impl CallGraph {
             }
         }
         reached
-    }
-
-    /// `marked[f]` — some call site of `f` (or of a transitive caller)
-    /// sits inside a loop body, i.e. `f` may execute once per loop
-    /// iteration somewhere. Follows ambiguous edges: the question is
-    /// "could this be hot?", so over-approximating is the safe
-    /// direction. `loops[file]` must hold each file's loop spans.
-    pub fn loop_called(&self, loops: &[Vec<LoopSpan>]) -> Vec<bool> {
-        let mut marked = vec![false; self.fns.len()];
-        let mut queue: Vec<FnId> = Vec::new();
-        for site in &self.sites {
-            if self.fns[site.caller].is_test || marked[site.callee] {
-                continue;
-            }
-            let file = self.fns[site.caller].file;
-            // Header-inclusive: a call in a `while` condition runs once
-            // per iteration just like one in the body.
-            if loops[file].iter().any(|l| (l.head..l.body.end).contains(&site.tok)) {
-                marked[site.callee] = true;
-                queue.push(site.callee);
-            }
-        }
-        // A loop-called function makes everything it calls loop-called.
-        while let Some(f) = queue.pop() {
-            for site in self.callees(f) {
-                if !marked[site.callee] && !self.fns[site.callee].is_test {
-                    marked[site.callee] = true;
-                    queue.push(site.callee);
-                }
-            }
-        }
-        marked
     }
 }
 
@@ -397,24 +326,6 @@ mod tests {
         let loose = cg.reachable(&[entry], false);
         assert!(cg.named("dup").iter().all(|&d| !strict[d]));
         assert!(cg.named("dup").iter().all(|&d| loose[d]));
-    }
-
-    #[test]
-    fn loop_calledness_propagates_through_calls() {
-        let (files, cg) = graph(&[(
-            "crates/core/src/a.rs",
-            "fn driver() { for i in 0..10 { tick(); } once(); }\n\
-             fn tick() { leaf(); }\n\
-             fn leaf() {}\n\
-             fn once() {}",
-        )]);
-        let loops: Vec<Vec<LoopSpan>> =
-            files.iter().map(|sf| loops_in(&sf.toks, 0..sf.toks.len())).collect();
-        let marked = cg.loop_called(&loops);
-        assert!(marked[id(&cg, "tick")]);
-        assert!(marked[id(&cg, "leaf")], "loop-calledness must cross tick → leaf");
-        assert!(!marked[id(&cg, "once")]);
-        assert!(!marked[id(&cg, "driver")]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub enum Severity {
 /// reads (`rule`, `severity`, `file`, `line`, `snippet`, `message`).
 #[derive(Clone, Debug, Serialize)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `relaxed-signal`).
+    /// Stable rule identifier (e.g. `lock-order-cycle`).
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,

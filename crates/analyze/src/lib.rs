@@ -1,14 +1,18 @@
 //! `gswitch-analyze` — the repo's own static analyzer, run as a CI
 //! gate (DESIGN §4.9).
 //!
-//! The repo invariants a lexical lint can express (raw std locks,
-//! serving-path unwraps, unbounded channels, raw `Instant::now`, OS
-//! threads, `todo!`) are clippy's, configured in the root `clippy.toml`.
-//! This crate keeps what clippy cannot see: that kernel atomics are
-//! accounted in the SIMT cost model, that checked-in decision trees are
-//! sound against the 21-feature Inspector contract, that every hot loop
-//! polls its `RunProbe` and every terminal `JobStatus` lands in a
-//! counter. It encodes those invariants as passes:
+//! The repo invariants a lexical lint can express (raw std locks, raw
+//! `AtomicBool`s, serving-path unwraps, unbounded channels, raw
+//! `Instant::now`, OS threads, `todo!`) are clippy's, configured in the
+//! root `clippy.toml`. Invariants a type can hold are types: a
+//! cross-thread signal is a `gswitch_obs::sync::Flag` with fixed
+//! orderings, `SpanKind` and its registry come from one list, and a
+//! scheduler job is answered only through a reply that books its
+//! terminal counter. This crate keeps what neither can see: that kernel
+//! atomics are accounted in the SIMT cost model, that checked-in
+//! decision trees are sound against the 21-feature Inspector contract,
+//! that locks are taken in one order, and that every hot loop polls its
+//! `RunProbe`. It encodes those invariants as passes:
 //!
 //! 1. [`rules`] — token-level source lints over a hand-rolled lexer
 //!    ([`lexer`]): no syntax-tree dependency, comments and string
@@ -19,11 +23,11 @@
 //! 3. [`model`] — soundness checks over `models/*.json`: dead
 //!    branches, illegal leaf classes, feature arity, thresholds vs
 //!    stamped training ranges.
-//! 4. Interprocedural dataflow over the [`callgraph`]
-//!    (DESIGN §4.15): [`cancellation`] (`unpolled-hot-loop`),
-//!    [`conservation`] (`unaccounted-terminal-status`), [`signaling`]
-//!    (`relaxed-signal`), and [`spans`] (`unregistered-span` /
-//!    `unguarded-span`).
+//! 4. [`cancellation`] (`unpolled-hot-loop`) — interprocedural
+//!    dataflow over the [`callgraph`] (DESIGN §4.15).
+//!
+//! The source passes share one function index: [`callgraph`] scans each
+//! file's functions once, and the rules read the same nodes.
 //!
 //! Findings are structured ([`findings::Finding`]). There is no
 //! suppression: a pass states its own exemptions, each with its reason,
@@ -32,15 +36,12 @@
 
 pub mod callgraph;
 pub mod cancellation;
-pub mod conservation;
 pub mod findings;
 pub mod lexer;
 pub mod lockorder;
 pub mod model;
 pub mod rules;
-pub mod signaling;
 pub mod source;
-pub mod spans;
 
 use findings::Report;
 use source::SourceFile;
@@ -99,31 +100,23 @@ pub fn run(cfg: &Config) -> Report {
     let mut report = Report::default();
     let mut findings = Vec::new();
 
-    // Pass 1 + parse for the others.
-    let mut parsed: Vec<SourceFile> = Vec::new();
-    for (rel, path) in collect_sources(&cfg.root) {
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        let sf = SourceFile::parse(rel, &text);
-        findings.extend(rules::lint_file(&sf));
-        parsed.push(sf);
-    }
+    let parsed: Vec<SourceFile> = collect_sources(&cfg.root)
+        .into_iter()
+        .filter_map(|(rel, path)| {
+            Some(SourceFile::parse(rel, &std::fs::read_to_string(path).ok()?))
+        })
+        .collect();
     report.files_scanned = parsed.len();
 
-    // Call graph for the interprocedural passes (2 and 4).
+    // The one function index and call graph every source pass reads.
     let cg = callgraph::CallGraph::build(&parsed);
     report.functions_indexed = cg.fns.len();
     report.call_edges = cg.sites.len();
 
-    // Pass 2.
+    findings.extend(rules::analyze(&parsed, &cg));
     findings.extend(lockorder::analyze(&parsed, &cg));
-
-    // Pass 4: interprocedural dataflow.
     findings.extend(cancellation::analyze(&parsed, &cg));
-    findings.extend(conservation::analyze(&parsed, &cg));
-    findings.extend(signaling::analyze(&parsed, &cg));
-    findings.extend(spans::analyze(&parsed));
 
-    // Pass 3.
     let mut model_files: Vec<PathBuf> = std::fs::read_dir(&cfg.models)
         .into_iter()
         .flatten()

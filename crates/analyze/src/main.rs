@@ -15,11 +15,8 @@ fn usage() -> ! {
          \n\
          Static analysis over the gswitch workspace: source lints clippy\n\
          cannot express, model-file soundness, and interprocedural dataflow over the\n\
-         workspace call graph — cross-call lock order, cancellation\n\
-         soundness (unpolled-hot-loop), outcome conservation\n\
-         (unaccounted-terminal-status), atomic signaling\n\
-         (relaxed-signal), and span discipline (unregistered-span,\n\
-         unguarded-span). See DESIGN.md §4.9 and §4.15.\n\
+         workspace call graph — cross-call lock order and cancellation\n\
+         soundness (unpolled-hot-loop). See DESIGN.md §4.9 and §4.15.\n\
          \n\
          --root DIR        workspace root (default: nearest dir with Cargo.toml, else .)\n\
          --json            machine-readable report on stdout\n\

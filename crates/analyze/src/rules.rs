@@ -12,8 +12,9 @@
 //! threads, `todo!`) are clippy lints configured in the root
 //! `clippy.toml` and `[workspace.lints]` (DESIGN §4.9).
 
+use crate::callgraph::CallGraph;
 use crate::findings::{Finding, Severity};
-use crate::source::{matching, SourceFile};
+use crate::source::{matching, FnNode, SourceFile};
 
 /// Crates that implement the instrumented SIMT kernels: every atomic
 /// must be reflected in a `KernelProfile` counter.
@@ -41,12 +42,17 @@ const ATOMIC_OPS: [&str; 9] = [
 /// emits cost-model counters" (profile fields or accumulators).
 const EMISSION_IDENTS: [&str; 5] = ["atomics", "atomic_conflicts", "conflicts", "profile", "prof"];
 
-/// Run every source lint over one file.
-pub fn lint_file(sf: &SourceFile) -> Vec<Finding> {
+/// Run every source lint: the file rule over `files`, the function
+/// rules over the call graph's function index.
+pub fn analyze(files: &[SourceFile], cg: &CallGraph) -> Vec<Finding> {
     let mut out = Vec::new();
-    uninstrumented_atomic(sf, &mut out);
-    unbounded_collection(sf, &mut out);
-    per_edge_shared_rmw(sf, &mut out);
+    for sf in files {
+        unbounded_collection(sf, &mut out);
+    }
+    for f in cg.fns.iter().filter(|f| !f.is_test) {
+        uninstrumented_atomic(&files[f.file], f, &mut out);
+        per_edge_shared_rmw(&files[f.file], f, &mut out);
+    }
     out
 }
 
@@ -55,38 +61,32 @@ pub fn lint_file(sf: &SourceFile) -> Vec<Finding> {
 /// 21 features and the Executor's profiling feedback are computed from
 /// `KernelProfile`; an uncounted atomic silently skews every decision
 /// the autotuner makes.
-fn uninstrumented_atomic(sf: &SourceFile, out: &mut Vec<Finding>) {
+fn uninstrumented_atomic(sf: &SourceFile, f: &FnNode, out: &mut Vec<Finding>) {
     let in_scope = sf.crate_name().map(|c| KERNEL_CRATES.contains(&c)).unwrap_or(false);
     if !in_scope || !sf.in_crate_src() || sf.rel == ATOMIC_PRIMITIVES {
         return;
     }
-    let t = &sf.toks;
-    for f in sf.functions() {
-        if f.is_test {
-            continue;
-        }
-        let body = &t[f.body.clone()];
-        let first_atomic = body.iter().enumerate().find(|(k, tok)| {
-            ATOMIC_OPS.iter().any(|op| tok.is_ident(op))
-                && body.get(k + 1).map(|n| n.is_punct('(')).unwrap_or(false)
-        });
-        let Some((_, atomic_tok)) = first_atomic else { continue };
-        let emits = body.iter().any(|tok| EMISSION_IDENTS.iter().any(|e| tok.is_ident(e)));
-        if !emits {
-            out.push(Finding::new(
-                "uninstrumented-atomic",
-                Severity::Deny,
-                &sf.rel,
-                atomic_tok.line,
-                sf.snippet(atomic_tok.line),
-                format!(
-                    "fn `{}` issues `{}` but emits no cost-model counter \
-                     (KernelProfile::atomics/atomic_conflicts) — the SIMT model must account \
-                     for every atomic",
-                    f.name, atomic_tok.text
-                ),
-            ));
-        }
+    let body = &sf.toks[f.body.clone()];
+    let first_atomic = body.iter().enumerate().find(|(k, tok)| {
+        ATOMIC_OPS.iter().any(|op| tok.is_ident(op))
+            && body.get(k + 1).map(|n| n.is_punct('(')).unwrap_or(false)
+    });
+    let Some((_, atomic_tok)) = first_atomic else { return };
+    let emits = body.iter().any(|tok| EMISSION_IDENTS.iter().any(|e| tok.is_ident(e)));
+    if !emits {
+        out.push(Finding::new(
+            "uninstrumented-atomic",
+            Severity::Deny,
+            &sf.rel,
+            atomic_tok.line,
+            sf.snippet(atomic_tok.line),
+            format!(
+                "fn `{}` issues `{}` but emits no cost-model counter \
+                 (KernelProfile::atomics/atomic_conflicts) — the SIMT model must account \
+                 for every atomic",
+                f.name, atomic_tok.text
+            ),
+        ));
     }
 }
 
@@ -152,45 +152,42 @@ const ORDERING_IDENTS: [&str; 6] =
 /// lane and every pool thread pulls exclusive once per edge — the sharded
 /// view's per-edge record counter cost two cores more than one (PR 23).
 /// Count per vertex (`prepare`) or at the barrier instead.
-fn per_edge_shared_rmw(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if !sf.crate_name().is_some_and(|c| APP_CRATES.contains(&c)) || !sf.in_crate_src() {
+fn per_edge_shared_rmw(sf: &SourceFile, f: &FnNode, out: &mut Vec<Finding>) {
+    if !sf.crate_name().is_some_and(|c| APP_CRATES.contains(&c))
+        || !sf.in_crate_src()
+        || !PER_EDGE_CALLBACKS.contains(&f.name.as_str())
+    {
         return;
     }
-    let t = &sf.toks;
-    for f in sf.functions() {
-        if f.is_test || !PER_EDGE_CALLBACKS.contains(&f.name.as_str()) {
+    let body = &sf.toks[f.body.clone()];
+    for k in 0..body.len().saturating_sub(5) {
+        let on_own_field = body[k].is_ident("self")
+            && body[k + 1].is_punct('.')
+            && body[k + 2].kind == crate::lexer::TokKind::Ident
+            && body[k + 3].is_punct('.')
+            && SHARED_RMW_OPS.iter().any(|op| body[k + 4].is_ident(op))
+            && body[k + 5].is_punct('(');
+        if !on_own_field {
             continue;
         }
-        let body = &t[f.body.clone()];
-        for k in 0..body.len().saturating_sub(5) {
-            let on_own_field = body[k].is_ident("self")
-                && body[k + 1].is_punct('.')
-                && body[k + 2].kind == crate::lexer::TokKind::Ident
-                && body[k + 3].is_punct('.')
-                && SHARED_RMW_OPS.iter().any(|op| body[k + 4].is_ident(op))
-                && body[k + 5].is_punct('(');
-            if !on_own_field {
-                continue;
-            }
-            let args = &body[k + 5..matching(body, k + 5)];
-            if args.iter().any(|tok| ORDERING_IDENTS.iter().any(|o| tok.is_ident(o))) {
-                let op = &body[k + 4];
-                out.push(Finding::new(
-                    "per-edge-shared-rmw",
-                    Severity::Warn,
-                    &sf.rel,
-                    op.line,
-                    sf.snippet(op.line),
-                    format!(
-                        "fn `{}` runs once per edge and does `self.{}.{}` on a whole-app atomic \
-                         — every lane and pool thread bounces that one cache line; count per \
-                         vertex (`prepare`) or at the barrier",
-                        f.name,
-                        body[k + 2].text,
-                        op.text
-                    ),
-                ));
-            }
+        let args = &body[k + 5..matching(body, k + 5)];
+        if args.iter().any(|tok| ORDERING_IDENTS.iter().any(|o| tok.is_ident(o))) {
+            let op = &body[k + 4];
+            out.push(Finding::new(
+                "per-edge-shared-rmw",
+                Severity::Warn,
+                &sf.rel,
+                op.line,
+                sf.snippet(op.line),
+                format!(
+                    "fn `{}` runs once per edge and does `self.{}.{}` on a whole-app atomic \
+                     — every lane and pool thread bounces that one cache line; count per \
+                     vertex (`prepare`) or at the barrier",
+                    f.name,
+                    body[k + 2].text,
+                    op.text
+                ),
+            ));
         }
     }
 }
@@ -200,7 +197,8 @@ mod tests {
     use super::*;
 
     fn lint(rel: &str, src: &str) -> Vec<Finding> {
-        lint_file(&SourceFile::parse(rel, src))
+        let files = [SourceFile::parse(rel, src)];
+        analyze(&files, &CallGraph::build(&files))
     }
 
     fn rules(findings: &[Finding]) -> Vec<&str> {

@@ -19,9 +19,13 @@ pub struct SourceFile {
     lines: Vec<String>,
 }
 
-/// A function found in a file.
+/// A function found in a file: one node of the
+/// [`CallGraph`](crate::callgraph::CallGraph).
 #[derive(Debug)]
-pub struct FnSpan {
+pub struct FnNode {
+    /// Index of the declaring file in the slice the call graph was
+    /// built from.
+    pub file: usize,
     /// Function name.
     pub name: String,
     /// Token range of the body, *excluding* the outer braces.
@@ -80,8 +84,9 @@ impl SourceFile {
         self.toks.iter().any(|t| t.kind == TokKind::Ident && t.text.contains(needle))
     }
 
-    /// Extract every function with a body.
-    pub fn functions(&self) -> Vec<FnSpan> {
+    /// Extract every function with a body, stamped with `file`, this
+    /// file's index.
+    pub fn functions(&self, file: usize) -> Vec<FnNode> {
         let t = &self.toks;
         let mut out = Vec::new();
         let mut i = 0;
@@ -108,7 +113,7 @@ impl SourceFile {
                 if let Some(open) = body {
                     let close = matching(t, open);
                     let is_test = self.test_mask[i];
-                    out.push(FnSpan { name, body: open + 1..close, line, is_test });
+                    out.push(FnNode { file, name, body: open + 1..close, line, is_test });
                     // Continue scanning *inside* the body too (nested
                     // fns appear as their own spans).
                     i = open + 1;
@@ -228,7 +233,7 @@ mod tests {
     #[test]
     fn functions_found_with_test_flags() {
         let sf = SourceFile::parse("crates/core/src/x.rs", SRC);
-        let fns = sf.functions();
+        let fns = sf.functions(0);
         let names: Vec<(&str, bool)> = fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
         assert!(names.contains(&("hot", false)));
         assert!(names.contains(&("helper", true)), "{names:?}");
@@ -239,7 +244,7 @@ mod tests {
     fn test_attr_without_cfg_mod_is_detected() {
         let src = "#[test]\nfn standalone() { x.unwrap(); }\nfn normal() {}";
         let sf = SourceFile::parse("crates/core/src/y.rs", src);
-        let fns = sf.functions();
+        let fns = sf.functions(0);
         assert_eq!(fns.iter().find(|f| f.name == "standalone").map(|f| f.is_test), Some(true));
         assert_eq!(fns.iter().find(|f| f.name == "normal").map(|f| f.is_test), Some(false));
     }
@@ -261,7 +266,7 @@ mod tests {
     fn trait_method_declarations_have_no_body() {
         let src = "trait T { fn decl(&self) -> u32; fn with_default(&self) -> u32 { 1 } }";
         let sf = SourceFile::parse("crates/core/src/t.rs", src);
-        let fns = sf.functions();
+        let fns = sf.functions(0);
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "with_default");
     }

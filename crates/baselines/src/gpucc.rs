@@ -11,7 +11,7 @@
 
 use gswitch_graph::{Graph, VertexId};
 use gswitch_simt::{DeviceSpec, KernelProfile, SimMs, TaskStats};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Result of a GPUCC run.
 #[derive(Debug)]
@@ -58,7 +58,13 @@ fn jump_pass_profile(g: &Graph, spec: &DeviceSpec) -> KernelProfile {
 }
 
 /// Run GPUCC on the simulated device.
+#[expect(
+    clippy::disallowed_types,
+    reason = "change bits pool parts set and the caller reads once the pool call has joined; \
+              the join orders them, so they stay Relaxed like the GPU kernel's flags"
+)]
 pub fn cc_run(g: &Graph, spec: &DeviceSpec) -> GpuccResult {
+    use std::sync::atomic::AtomicBool;
     let n = g.num_vertices();
     let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let mut time_ms = 0.0;

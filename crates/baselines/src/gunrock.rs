@@ -18,7 +18,7 @@ use gswitch_core::{
     LoadBalance, Policy, SteppingDelta,
 };
 use gswitch_graph::{Graph, VertexId};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Gunrock's standard static shape: push + unsorted queue + LB (merge-
 /// path partitioning = our STRICT) + standalone kernels.
@@ -39,18 +39,23 @@ pub fn gunrock_config() -> KernelConfig {
 /// quotes best values of (0.12, 0.1) for soc-orkut but (1, 10) for
 /// roadNet-CA.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "`pulling` is a direction bit only the deciding thread touches, atomic because a \
+              `Policy` is `Sync`"
+)]
 pub struct GunrockBfsPolicy {
     /// Push→pull switch threshold (edge-ratio).
     pub do_a: f64,
     /// Pull→push switch-back threshold (vertex-ratio).
     pub do_b: f64,
-    pulling: AtomicBool,
+    pulling: std::sync::atomic::AtomicBool,
 }
 
 impl GunrockBfsPolicy {
     /// Policy with explicit thresholds.
     pub fn new(do_a: f64, do_b: f64) -> Self {
-        GunrockBfsPolicy { do_a, do_b, pulling: AtomicBool::new(false) }
+        GunrockBfsPolicy { do_a, do_b, pulling: Default::default() }
     }
 
     /// Gunrock's documented defaults.

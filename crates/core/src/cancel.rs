@@ -8,13 +8,13 @@
 //! `Option` check when no probe is installed — the same discipline as
 //! the decision-trace recorder.
 //!
-//! [`CancelToken`] is the standard probe: an atomic cancel flag plus an
+//! [`CancelToken`] is the standard probe: a cancel [`Flag`] plus an
 //! optional wall-clock deadline. A serving scheduler hands each job a
 //! token built from its admission deadline, keeps it while the job
 //! runs (so `cancel` can reach a job that already started), and maps
 //! the stop reason onto the job's terminal status.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use gswitch_obs::sync::Flag;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,10 +80,10 @@ impl std::fmt::Debug for ProbeHandle {
     }
 }
 
-/// The standard probe: an atomic cancel flag plus an optional deadline.
+/// The standard probe: a cancel flag plus an optional deadline.
 #[derive(Debug, Default)]
 pub struct CancelToken {
-    cancelled: AtomicBool,
+    cancelled: Flag,
     deadline: Option<Instant>,
 }
 
@@ -96,22 +96,19 @@ impl CancelToken {
 
     /// A token that additionally stops once `deadline` passes.
     pub fn with_deadline(deadline: Instant) -> Self {
-        CancelToken { cancelled: AtomicBool::new(false), deadline: Some(deadline) }
+        CancelToken { cancelled: Flag::new(false), deadline: Some(deadline) }
     }
 
-    /// Ask the run to stop at its next super-step.
-    ///
-    /// Release pairs with the Acquire in [`CancelToken::is_cancelled`]:
-    /// whatever the canceller wrote before flipping the flag (deadline
-    /// bookkeeping, outcome state) is visible to the run that observes
-    /// the flip.
+    /// Ask the run to stop at its next super-step. Whatever the
+    /// canceller wrote before (deadline bookkeeping, outcome state) is
+    /// visible to the run that observes the flip.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
+        self.cancelled.set(true);
     }
 
     /// Whether [`CancelToken::cancel`] was called.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
+        self.cancelled.get()
     }
 }
 

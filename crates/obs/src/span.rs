@@ -115,76 +115,63 @@ impl Default for Clock {
     }
 }
 
-/// What a span measures. One variant per structurally distinct section
-/// of the serving stack; the profile table groups by this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SpanKind {
-    /// A whole served job: admission to response.
-    Request,
-    /// Time a job sat in the scheduler queue before a worker took it.
-    QueueWait,
-    /// A worker executing one job (engine run + cache bookkeeping).
-    Execute,
-    /// One batched multi-query run over a shard plan.
-    Batch,
-    /// One query inside a batch, on its slot worker.
-    BatchQuery,
-    /// One engine super-step (whole-graph) or BSP super-step (sharded).
-    SuperStep,
-    /// Inspector pass: frontier advance / feature classification.
-    Inspect,
-    /// Selector decision (policy evaluation).
-    Select,
-    /// Filter phase: frontier materialization.
-    Filter,
-    /// Work-partition phase: building (or fingerprint-matching and
-    /// reusing) the degree-bucketed plan the Expand runs under.
-    Partition,
-    /// Expand phase: the priced kernel execution.
-    Expand,
-    /// Sharded frontier exchange accounting.
-    Exchange,
-    /// Divergence-sentinel verification of the chosen variant.
-    Sentinel,
+/// Declares [`SpanKind`], the [`SPAN_KINDS`] registry and the wire names
+/// from one list, so no kind can exist without a registry entry and a
+/// name.
+macro_rules! span_kinds {
+    ($($(#[$doc:meta])* $kind:ident => $wire:literal,)+) => {
+        /// What a span measures. One variant per structurally distinct
+        /// section of the serving stack; the profile table groups by this.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum SpanKind {
+            $($(#[$doc])* $kind,)+
+        }
+
+        /// Every kind, in stack order (requests before phases).
+        pub const SPAN_KINDS: [SpanKind; [$($wire),+].len()] = [$(SpanKind::$kind),+];
+
+        impl SpanKind {
+            /// Stable wire name.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $(SpanKind::$kind => $wire,)+
+                }
+            }
+        }
+    };
 }
 
-/// Every kind, in stack order (requests before phases).
-pub const SPAN_KINDS: [SpanKind; 13] = [
-    SpanKind::Request,
-    SpanKind::QueueWait,
-    SpanKind::Execute,
-    SpanKind::Batch,
-    SpanKind::BatchQuery,
-    SpanKind::SuperStep,
-    SpanKind::Inspect,
-    SpanKind::Select,
-    SpanKind::Filter,
-    SpanKind::Partition,
-    SpanKind::Expand,
-    SpanKind::Exchange,
-    SpanKind::Sentinel,
-];
+span_kinds! {
+    /// A whole served job: admission to response.
+    Request => "request",
+    /// Time a job sat in the scheduler queue before a worker took it.
+    QueueWait => "queue-wait",
+    /// A worker executing one job (engine run + cache bookkeeping).
+    Execute => "execute",
+    /// One batched multi-query run over a shard plan.
+    Batch => "batch",
+    /// One query inside a batch, on its slot worker.
+    BatchQuery => "batch-query",
+    /// One engine super-step (whole-graph) or BSP super-step (sharded).
+    SuperStep => "super-step",
+    /// Inspector pass: frontier advance / feature classification.
+    Inspect => "inspect",
+    /// Selector decision (policy evaluation).
+    Select => "select",
+    /// Filter phase: frontier materialization.
+    Filter => "filter",
+    /// Work-partition phase: building (or fingerprint-matching and
+    /// reusing) the degree-bucketed plan the Expand runs under.
+    Partition => "partition",
+    /// Expand phase: the priced kernel execution.
+    Expand => "expand",
+    /// Sharded frontier exchange accounting.
+    Exchange => "exchange",
+    /// Divergence-sentinel verification of the chosen variant.
+    Sentinel => "sentinel",
+}
 
 impl SpanKind {
-    /// Stable wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SpanKind::Request => "request",
-            SpanKind::QueueWait => "queue-wait",
-            SpanKind::Execute => "execute",
-            SpanKind::Batch => "batch",
-            SpanKind::BatchQuery => "batch-query",
-            SpanKind::SuperStep => "super-step",
-            SpanKind::Inspect => "inspect",
-            SpanKind::Select => "select",
-            SpanKind::Filter => "filter",
-            SpanKind::Partition => "partition",
-            SpanKind::Expand => "expand",
-            SpanKind::Exchange => "exchange",
-            SpanKind::Sentinel => "sentinel",
-        }
-    }
-
     /// Parse the wire name back.
     pub fn parse(s: &str) -> Option<Self> {
         SPAN_KINDS.iter().copied().find(|k| k.as_str() == s)

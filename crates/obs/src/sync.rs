@@ -1,4 +1,4 @@
-//! Poison-recovering lock wrappers.
+//! Poison-recovering lock wrappers, and a flag with fixed orderings.
 //!
 //! A `std` lock becomes *poisoned* when a thread panics while holding
 //! it, and every later `lock()/read()/write()` returns `Err` forever.
@@ -14,10 +14,17 @@
 //! that, counting every recovery in a process-wide counter
 //! ([`poison_recoveries`]) so tests and operators can see that a poison
 //! event happened without the process dying over it.
+//!
+//! A cross-thread signal is a [`Flag`]: its methods fix the memory
+//! ordering (a `set` is Release, a `get` Acquire, a `replace` AcqRel), so
+//! no call site can pick `Relaxed` for a bit another thread polls.
 
-#![expect(clippy::disallowed_types, reason = "this module is the poison-recovering wrapper")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the poison-recovering lock wrapper and the ordered flag"
+)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{LockResult, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// Process-wide count of lock acquisitions that recovered from poison.
@@ -77,6 +84,34 @@ impl<T> RwLock<T> {
     /// Acquire an exclusive write guard, recovering from poison.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         recover(self.0.write())
+    }
+}
+
+/// A cross-thread boolean signal whose orderings are fixed: whatever a
+/// thread wrote before [`Flag::set`] is visible to a thread whose
+/// [`Flag::get`] observes the new value.
+#[derive(Debug, Default)]
+pub struct Flag(AtomicBool);
+
+impl Flag {
+    /// A flag holding `value` (usable in `static` items).
+    pub const fn new(value: bool) -> Self {
+        Flag(AtomicBool::new(value))
+    }
+
+    /// Publish `value` (Release).
+    pub fn set(&self, value: bool) {
+        self.0.store(value, Ordering::Release);
+    }
+
+    /// Read the flag (Acquire).
+    pub fn get(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+
+    /// Publish `value` and return the previous value (AcqRel).
+    pub fn replace(&self, value: bool) -> bool {
+        self.0.swap(value, Ordering::AcqRel)
     }
 }
 

@@ -19,8 +19,9 @@
 //! watermarks (high in, low out) prevent flapping at the boundary.
 
 use crate::obs::metric;
+use gswitch_obs::sync::Flag;
 use gswitch_obs::{Counter, Gauge, MetricsRegistry};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Brownout detection thresholds.
 #[derive(Clone, Debug)]
@@ -53,7 +54,7 @@ impl Default for BrownoutConfig {
 #[derive(Debug)]
 pub struct Brownout {
     config: BrownoutConfig,
-    active: AtomicBool,
+    active: Flag,
     high_streak: AtomicU32,
     low_streak: AtomicU32,
     entered: Counter,
@@ -72,7 +73,7 @@ impl Brownout {
                 enter_after: config.enter_after.max(1),
                 exit_after: config.exit_after.max(1),
             },
-            active: AtomicBool::new(false),
+            active: Flag::new(false),
             high_streak: AtomicU32::new(0),
             low_streak: AtomicU32::new(0),
             entered: registry.counter(metric::BROWNOUT_ENTERED),
@@ -81,15 +82,12 @@ impl Brownout {
         }
     }
 
-    /// Whether degraded mode is currently engaged.
-    ///
-    /// Acquire pairs with the AcqRel swaps in
-    /// [`Brownout::on_sample`]: an admission thread that sees the flag
-    /// flip also sees the streak resets and gauge update that preceded
-    /// the transition.
+    /// Whether degraded mode is currently engaged. An admission thread
+    /// that sees the flag flip also sees the streak resets and gauge
+    /// update that preceded the transition.
     #[inline]
     pub fn active(&self) -> bool {
-        self.active.load(Ordering::Acquire)
+        self.active.get()
     }
 
     /// The configured thresholds.
@@ -117,7 +115,7 @@ impl Brownout {
         if self.active() {
             if occupancy <= self.config.exit_occupancy {
                 let low = self.low_streak.fetch_add(1, Ordering::Relaxed) + 1;
-                if low >= self.config.exit_after && self.active.swap(false, Ordering::AcqRel) {
+                if low >= self.config.exit_after && self.active.replace(false) {
                     self.exited.inc();
                     self.active_gauge.set(0);
                     self.low_streak.store(0, Ordering::Relaxed);
@@ -127,7 +125,7 @@ impl Brownout {
             }
         } else if occupancy >= self.config.enter_occupancy {
             let high = self.high_streak.fetch_add(1, Ordering::Relaxed) + 1;
-            if high >= self.config.enter_after && !self.active.swap(true, Ordering::AcqRel) {
+            if high >= self.config.enter_after && !self.active.replace(true) {
                 self.entered.inc();
                 self.active_gauge.set(1);
                 self.high_streak.store(0, Ordering::Relaxed);

@@ -17,6 +17,10 @@ pub mod site {
     /// probe (so `SlowMs` stretches iterations and `Panic` lands
     /// mid-run, between super-steps).
     pub const ENGINE_ITERATION: &str = "engine::iteration";
+    /// Fired by an idle worker **while it holds the queue lock**,
+    /// between its shutdown check and its wait for work — the window a
+    /// shutdown must not fall into.
+    pub const WORKER_IDLE: &str = "worker::idle";
     /// Fired inside [`ConfigCache::store`](crate::ConfigCache::store)
     /// **while the write lock is held** — a panic here poisons the
     /// cache lock, which is exactly what the poison-recovery tests

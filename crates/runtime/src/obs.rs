@@ -6,8 +6,8 @@
 //! Metric names are centralized here (the `metric` module) so the
 //! scheduler, the cache and the CLI agree on spelling.
 
+use gswitch_obs::sync::Flag;
 use gswitch_obs::{Clock, MetricsRegistry, RecorderHandle, SpanCollector, SpanRing, TraceRing};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Canonical metric names for the serving runtime.
@@ -16,7 +16,8 @@ pub mod metric {
     pub const QUEUE_DEPTH: &str = "scheduler_queue_depth";
     /// Counter: jobs admitted into the queue.
     pub const JOBS_SUBMITTED: &str = "jobs_submitted";
-    /// Counter: submissions refused (queue full, unknown graph, shutdown).
+    /// Counter: submissions refused (queue full, unknown graph,
+    /// unmeetable deadline).
     pub const JOBS_REJECTED: &str = "jobs_rejected";
     /// Counter: jobs that completed `Ok`.
     pub const JOBS_OK: &str = "jobs_ok";
@@ -105,7 +106,7 @@ pub struct RuntimeObs {
     /// Always collected (the ring is bounded; recording is one atomic
     /// push), and its clock is the runtime's only wall-time source.
     pub spans: Arc<SpanRing>,
-    tracing: AtomicBool,
+    tracing: Flag,
 }
 
 impl RuntimeObs {
@@ -120,7 +121,7 @@ impl RuntimeObs {
             metrics: Arc::new(MetricsRegistry::new()),
             trace: Arc::new(TraceRing::new(capacity)),
             spans: Arc::new(SpanRing::new(DEFAULT_SPAN_CAPACITY)),
-            tracing: AtomicBool::new(false),
+            tracing: Flag::new(false),
         }
     }
 
@@ -136,18 +137,15 @@ impl RuntimeObs {
     }
 
     /// Turn decision tracing on or off. Takes effect for jobs whose
-    /// execution starts after the call.
-    ///
-    /// Release pairs with the Acquire load in
-    /// [`RuntimeObs::tracing`]: a worker that observes the enable also
-    /// observes any trace-sink setup done before it.
+    /// execution starts after the call; a worker that observes the
+    /// enable also observes any trace-sink setup done before it.
     pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::Release);
+        self.tracing.set(on);
     }
 
     /// Whether decision tracing is currently on.
     pub fn tracing(&self) -> bool {
-        self.tracing.load(Ordering::Acquire)
+        self.tracing.get()
     }
 
     /// A recorder handle for one job: enabled (stamping `job`/`graph`/

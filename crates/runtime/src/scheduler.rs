@@ -17,9 +17,10 @@
 //! next engine super-step; both report [`JobStatus::Cancelled`]. Every
 //! way a job ends — breaker fast-fail, purge or shed at admission,
 //! cancelled or expired at pickup, graph gone, executed — goes through
-//! one exit, `settle`, which alone books the terminal counter, votes
-//! the breaker, observes `job_total_ms`, records the `Request` span and
-//! sends the outcome.
+//! one exit, `settle`, which votes the breaker, observes `job_total_ms`,
+//! records the `Request` span and answers the job. A job is answered
+//! only through its `Reply`, whose one method books the terminal
+//! counter before it sends, so no outcome reaches a waiter uncounted.
 //!
 //! Workers are panic-isolated: each job body runs under
 //! `catch_unwind`, so a panicking job becomes a structured
@@ -66,7 +67,7 @@ use gswitch_obs::{
 use gswitch_shard::ShardStore;
 use gswitch_simt::DeviceSpec;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar};
 use std::time::Duration;
 
@@ -132,8 +133,6 @@ pub enum SubmitError {
     QueueFull,
     /// The named graph is not registered.
     UnknownGraph(String),
-    /// The scheduler is shutting down.
-    ShuttingDown,
     /// The queue is above its watermark and the observed p95 queue wait
     /// already exceeds this job's deadline: admitting it would only
     /// manufacture a `DeadlineExceeded`. Retry with a looser deadline
@@ -151,7 +150,6 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::QueueFull => write!(f, "job queue is full"),
             SubmitError::UnknownGraph(g) => write!(f, "unknown graph `{g}`"),
-            SubmitError::ShuttingDown => write!(f, "scheduler is shutting down"),
             SubmitError::DeadlineUnmeetable { p95_wait_ms, deadline_ms } => write!(
                 f,
                 "deadline {deadline_ms} ms cannot be met: p95 queue wait is {p95_wait_ms} ms"
@@ -184,8 +182,66 @@ struct Job {
     token: Arc<CancelToken>,
     /// When a worker took the job from the queue.
     picked_ns: Option<u64>,
-    tx: mpsc::Sender<JobOutcome>,
+    reply: Reply,
 }
+
+/// The one way to answer a job. The sender is private to this module,
+/// so every outcome a waiter sees went through [`Reply::book`].
+mod reply {
+    use super::{JobOutcome, JobStatus, SchedulerMetrics};
+    use std::sync::mpsc;
+
+    /// Where a job was when it ended: what tells the three
+    /// `DeadlineExceeded` counters apart.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum Ended {
+        /// Never ran: ended at admission, in the queue or at pickup.
+        Queued,
+        /// A worker ran it: a deadline that ended it stopped it mid-run.
+        Ran,
+        /// Ran to completion, past its deadline.
+        Late,
+    }
+
+    /// The sending half of a job's one-shot outcome channel.
+    #[derive(Debug)]
+    pub(super) struct Reply(mpsc::Sender<JobOutcome>);
+
+    /// A job's reply and the receiver its handle waits on.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a one-shot rendezvous: exactly one JobOutcome is sent per channel, and queue \
+                  admission bounds how many channels exist at once"
+    )]
+    pub(super) fn channel() -> (Reply, mpsc::Receiver<JobOutcome>) {
+        let (tx, rx) = mpsc::channel();
+        (Reply(tx), rx)
+    }
+
+    impl Reply {
+        /// Book `out` in its terminal counter, then send it. The match
+        /// has no catch-all: a new status does not compile without one.
+        pub(super) fn book(self, m: &SchedulerMetrics, out: JobOutcome, ended: Ended) {
+            match out.status {
+                JobStatus::Ok => m.ok.inc(),
+                JobStatus::Error => m.error.inc(),
+                JobStatus::Failed => m.failed.inc(),
+                JobStatus::Cancelled => m.cancelled.inc(),
+                JobStatus::DeadlineExceeded => match ended {
+                    Ended::Queued => m.timeout_queued.inc(),
+                    Ended::Ran => m.timeout_midrun.inc(),
+                    Ended::Late => m.timeout_late.inc(),
+                },
+                JobStatus::Shed => m.shed.inc(),
+                JobStatus::BreakerOpen => m.breaker_fastfail.inc(),
+            }
+            // A waiter that gave up has nothing left to tell.
+            let _ = self.0.send(out);
+        }
+    }
+}
+
+use reply::{Ended, Reply};
 
 /// What [`settle`] is told beyond a job's status.
 enum Detail {
@@ -266,9 +322,8 @@ struct Shared {
     m: SchedulerMetrics,
     device: DeviceSpec,
     verify_every: u32,
-    queue: Lock<VecDeque<Job>>,
+    queue: Lock<Queue>,
     work_ready: Condvar,
-    shutdown: AtomicBool,
     /// Cancel tokens of live jobs, from admission until `settle`, so
     /// [`Scheduler::cancel`] reaches a job wherever it is. Bounded by
     /// the queue capacity plus one running job per worker.
@@ -279,6 +334,16 @@ struct Shared {
     brownout: Arc<Brownout>,
     /// Resident shard plans sharded jobs run over.
     plans: ShardStore,
+}
+
+/// The jobs waiting for a worker, and whether the workers should exit
+/// once it is empty. One lock guards both: a worker holds it from its
+/// shutdown check until `wait` releases it, so the shutdown and its
+/// wake-up cannot fall between the two.
+#[derive(Debug, Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 /// The engine-facing stop probe for one job: the job's cancel token
@@ -383,9 +448,8 @@ impl Scheduler {
             obs,
             device: config.device.clone(),
             verify_every: config.verify_every,
-            queue: Lock::new(VecDeque::new()),
+            queue: Lock::default(),
             work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             live: Lock::new(HashMap::new()),
             breakers,
             brownout,
@@ -444,10 +508,6 @@ impl Scheduler {
     /// The one admission routine behind both entry points.
     fn admit(&self, spec: JobSpec, shards: Option<u32>) -> Result<JobHandle, SubmitError> {
         let shared = &*self.shared;
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shared.m.rejected.inc();
-            return Err(SubmitError::ShuttingDown);
-        }
         let Some(entry) = shared.registry.get(&spec.graph) else {
             shared.m.rejected.inc();
             return Err(SubmitError::UnknownGraph(spec.graph.clone()));
@@ -456,12 +516,7 @@ impl Scheduler {
         drop(entry);
         let deadline = Duration::from_millis(spec.timeout_ms.unwrap_or(self.default_timeout_ms));
         let deadline_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a one-shot rendezvous: exactly one JobOutcome is sent per channel, and queue \
-                      admission bounds how many channels exist at once"
-        )]
-        let (tx, rx) = mpsc::channel();
+        let (reply, rx) = reply::channel();
         let clock = shared.obs.clock();
         let admitted_ns = clock.now_ns();
         // The token doubles as the job's deadline probe. A manual (test)
@@ -483,7 +538,7 @@ impl Scheduler {
             shards,
             token: Arc::new(token),
             picked_ns: None,
-            tx,
+            reply,
         };
         let (graph, algo) = (job.spec.graph.clone(), job.spec.query.algo().to_string());
         let handle = JobHandle { id: job.id, rx, graph, algo, clock: clock.clone(), admitted_ns };
@@ -508,7 +563,8 @@ impl Scheduler {
 
         let occupancy;
         {
-            let mut q = shared.queue.lock();
+            let mut queue = shared.queue.lock();
+            let q = &mut queue.jobs;
             if q.len() >= self.capacity {
                 // Shed stage 1: purge queued jobs whose deadline has
                 // already passed — they could only ever report
@@ -516,7 +572,7 @@ impl Scheduler {
                 let now = clock.now_ns();
                 let expired = |j: &Job| now.saturating_sub(j.admitted_ns) > j.deadline_ns;
                 let (purged, kept): (VecDeque<Job>, VecDeque<Job>) =
-                    std::mem::take(&mut *q).into_iter().partition(expired);
+                    std::mem::take(q).into_iter().partition(expired);
                 *q = kept;
                 for j in purged {
                     settle(shared, j, ADMISSION_WORKER, JobStatus::DeadlineExceeded, Detail::None);
@@ -625,7 +681,7 @@ impl Scheduler {
 
     /// Jobs currently waiting for a worker.
     pub fn queued(&self) -> usize {
-        self.shared.queue.lock().len()
+        self.shared.queue.lock().jobs.len()
     }
 
     /// The admission bound this scheduler was built with.
@@ -668,7 +724,9 @@ impl Scheduler {
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Published under the queue lock, so no worker sits between its
+        // shutdown check and its wait when the wake-up goes out.
+        self.shared.queue.lock().shutdown = true;
         self.shared.work_ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -715,13 +773,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The one exit every job takes, however it ends, and the only code
-/// that books one: it picks the terminal counter, votes the breaker,
-/// observes `job_total_ms`, records the `Request` span (plus a
+/// The one exit every job takes, however it ends: it votes the
+/// breaker, observes `job_total_ms`, records the `Request` span (plus a
 /// `QueueWait` child for a job that was queued, ending at pickup or
-/// now) on `worker`'s track, and sends the outcome. A run passes `Ok`
-/// and its result decides; a result that arrives past the deadline is
-/// withheld.
+/// now) on `worker`'s track, and answers through the job's [`Reply`],
+/// which books the terminal counter. A run passes `Ok` and its result
+/// decides; a result that arrives past the deadline is withheld.
 fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Detail) {
     // Only a job that entered the queue was ever live.
     let queued = shared.live.lock().remove(&job.id).is_some();
@@ -741,7 +798,7 @@ fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Det
         iterations: Vec::new(),
         payload: None,
     };
-    let (ran, mut late) = (matches!(detail, Detail::Ran(_)), false);
+    let mut ended = if matches!(detail, Detail::Ran(_)) { Ended::Ran } else { Ended::Queued };
     match detail {
         Detail::None => {}
         Detail::Why(why) => out.error = Some(why),
@@ -753,9 +810,8 @@ fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Det
                 out.config = exec.config;
                 out.sim_ms = exec.sim_ms;
                 out.converged = exec.converged;
-                late = clock.now_ns().saturating_sub(job.admitted_ns) > job.deadline_ns;
-                if late {
-                    out.status = JobStatus::DeadlineExceeded;
+                if clock.now_ns().saturating_sub(job.admitted_ns) > job.deadline_ns {
+                    (out.status, ended) = (JobStatus::DeadlineExceeded, Ended::Late);
                 } else {
                     out.metrics = exec.metrics;
                     out.iterations = exec.iterations;
@@ -769,24 +825,13 @@ fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Det
             out.error = Some(format!("worker panic: {}", panic_message(panic)));
         }
     }
-    match out.status {
-        JobStatus::Ok => m.ok.inc(),
-        JobStatus::Error => m.error.inc(),
-        JobStatus::Failed => m.failed.inc(),
-        JobStatus::Cancelled => m.cancelled.inc(),
-        JobStatus::DeadlineExceeded if late => m.timeout_late.inc(),
-        JobStatus::DeadlineExceeded if ran => m.timeout_midrun.inc(),
-        JobStatus::DeadlineExceeded => m.timeout_queued.inc(),
-        JobStatus::Shed => m.shed.inc(),
-        JobStatus::BreakerOpen => m.breaker_fastfail.inc(),
-    }
     // Breaker vote. `Ok` and `Error` from a run are successes: an
     // engine-level error (bad source vertex, unsupported query) means
     // the infrastructure answered correctly. Only `Failed` (a panic)
     // votes to open; every other end, a graph gone before the run
     // included, says nothing either way and just releases any probe slot.
     match out.status {
-        JobStatus::Ok | JobStatus::Error if ran => {
+        JobStatus::Ok | JobStatus::Error if ended != Ended::Queued => {
             shared.breakers.record_success(job.key, job.probe)
         }
         JobStatus::Failed => shared.breakers.record_failure(job.key, job.probe),
@@ -813,7 +858,7 @@ fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Det
         dur_ns: now.saturating_sub(job.admitted_ns),
     });
     drop(spans);
-    let _ = job.tx.send(out);
+    job.reply.book(m, out, ended);
 }
 
 /// One job's engine run, on the whole graph or over its K-shard plan.
@@ -856,13 +901,14 @@ fn worker_loop(shared: &Shared, worker: u32) {
         let mut job = {
             let mut q = shared.queue.lock();
             loop {
-                if let Some(job) = pop_highest_priority(&mut q) {
-                    shared.m.queue_depth.set(q.len() as i64);
+                if let Some(job) = pop_highest_priority(&mut q.jobs) {
+                    shared.m.queue_depth.set(q.jobs.len() as i64);
                     break job;
                 }
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if q.shutdown {
                     return;
                 }
+                crate::faults::fire(crate::faults::site::WORKER_IDLE);
                 q = recover(shared.work_ready.wait(q));
             }
         };
@@ -904,7 +950,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
 }
 
 #[cfg(test)]
-#[expect(clippy::disallowed_methods, reason = "tests build job handles by hand, as submit does")]
 mod tests {
     use super::*;
     use crate::query::Query;
@@ -971,18 +1016,6 @@ mod tests {
             assert_eq!(h.wait().status, JobStatus::Ok);
         }
         s.shutdown();
-    }
-
-    #[test]
-    fn submit_after_shutdown_is_refused() {
-        let (s, _r, _c) = make_scheduler(1);
-        s.shared.shutdown.store(true, Ordering::SeqCst);
-        s.shared.work_ready.notify_all();
-        match s.submit(bfs_spec(0)) {
-            Err(SubmitError::ShuttingDown) => {}
-            Err(e) => panic!("wrong admission error: {e}"),
-            Ok(_) => panic!("job accepted after shutdown"),
-        }
     }
 
     #[test]
@@ -1209,12 +1242,12 @@ mod tests {
     /// structured `Failed` outcome instead.
     #[test]
     fn wait_on_dropped_worker_reports_failed_not_panic() {
-        let (tx, rx) = mpsc::channel::<JobOutcome>();
+        let (reply, rx) = reply::channel();
         let clock = Clock::monotonic();
         let admitted_ns = clock.now_ns();
         let handle =
             JobHandle { id: 42, rx, graph: "kron".into(), algo: "bfs".into(), clock, admitted_ns };
-        drop(tx); // the "worker died" case
+        drop(reply); // the "worker died" case
         let out = handle.wait();
         assert_eq!(out.status, JobStatus::Failed);
         assert_eq!(out.id, 42);
@@ -1306,9 +1339,8 @@ mod tests {
     fn pop_highest_priority_orders_by_class_then_fifo() {
         let clock = Clock::manual();
         let mk = |id: u64, priority: Priority| {
-            let (tx, _rx) = mpsc::channel();
-            // The receiver is gone; these jobs are only popped, never run.
-            std::mem::forget(_rx);
+            // These jobs are only popped, never answered.
+            let (reply, _rx) = reply::channel();
             Job {
                 id,
                 spec: bfs_spec(0),
@@ -1321,7 +1353,7 @@ mod tests {
                 shards: None,
                 token: Arc::new(CancelToken::new()),
                 picked_ns: None,
-                tx,
+                reply,
             }
         };
         let mut q = VecDeque::new();
@@ -1652,6 +1684,8 @@ mod tests {
     /// One id space: with tracing on, run a query, then a two-query
     /// batch. Every decision event and span of the batch carries one of
     /// the ids its handles reported, and none carries the query's id.
+    /// With the sentinel on and one `execute_batch` over the same ring,
+    /// the ring then holds every span kind there is.
     #[test]
     fn batch_jobs_trace_and_span_under_their_own_ids() {
         let registry = Arc::new(GraphRegistry::new());
@@ -1659,9 +1693,9 @@ mod tests {
         let obs = Arc::new(RuntimeObs::new());
         obs.set_tracing(true);
         let s = Scheduler::with_obs(
-            registry,
+            Arc::clone(&registry),
             Arc::new(ConfigCache::new()),
-            SchedulerConfig { workers: 2, ..Default::default() },
+            SchedulerConfig { workers: 2, verify_every: 1, ..Default::default() },
             Arc::clone(&obs),
         );
         let query = s.submit(bfs_spec(0)).unwrap();
@@ -1677,6 +1711,8 @@ mod tests {
         for h in batch {
             assert_eq!(h.wait().status, JobStatus::Ok);
         }
+        let graph = Arc::clone(registry.get("kron").unwrap().graph());
+        let plan = s.plans().get_or_partition(&graph, 2).unwrap();
         s.shutdown(); // flushes the workers' span buffers
 
         let events = obs.trace.snapshot();
@@ -1697,5 +1733,18 @@ mod tests {
         assert!(events.iter().any(|e| e.job == query_id));
         assert!(events.iter().filter(|e| e.job == query_id).all(|e| e.event.shard.is_none()));
         assert!(spans.iter().filter(|r| r.job == query_id).all(|r| r.shard.is_none()));
+
+        // The library batch call records the two kinds no job does.
+        let opts = gswitch_shard::BatchOptions {
+            spans: SpanCtx::new(obs.span_collector(), 0, 0, 0),
+            ..Default::default()
+        };
+        gswitch_shard::execute_batch(&plan, &[gswitch_shard::BatchQuery::Cc], &opts);
+        let kinds: HashSet<SpanKind> = obs.spans.snapshot().iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            HashSet::from(gswitch_obs::span::SPAN_KINDS),
+            "a span kind nobody records"
+        );
     }
 }

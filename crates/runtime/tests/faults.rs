@@ -12,7 +12,7 @@
 
 use gswitch_graph::gen;
 use gswitch_obs::sync::{poison_recoveries, Lock};
-use gswitch_runtime::faults::{arm, arm_after, arm_schedule, reset, site, Fault, Schedule};
+use gswitch_runtime::faults::{arm, arm_after, arm_schedule, fired, reset, site, Fault, Schedule};
 use gswitch_runtime::obs::metric;
 use gswitch_runtime::{
     BreakerConfig, ConfigCache, GraphRegistry, JobSpec, JobStatus, Query, RuntimeObs, Scheduler,
@@ -380,4 +380,40 @@ fn retry_recovers_from_transient_panic() {
     assert_eq!(snap.counter(metric::JOBS_OK), 1);
     h.scheduler.shutdown();
     reset();
+}
+
+/// Regression: a shutdown that lands while an idle worker sits between
+/// its shutdown check and its wait for work must still wake it. The
+/// idle site holds the worker in that window; a shutdown that skipped
+/// the queue lock sent its wake-up there, the worker then waited
+/// forever, and `shutdown` never returned.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "shutdown runs on a thread of its own so that a hang fails the test instead of \
+              holding it"
+)]
+fn shutdown_reaches_a_worker_between_check_and_wait() {
+    let _g = GUARD.lock();
+    reset();
+    arm_schedule(site::WORKER_IDLE, Schedule::once(), Fault::SlowMs(300));
+    let h = harness(1);
+    // The worker found the queue empty and shutdown unset, and sleeps
+    // in the window with the queue lock held.
+    for _ in 0..5_000 {
+        if fired(site::WORKER_IDLE) > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(fired(site::WORKER_IDLE), 1, "the idle worker never reached its site");
+
+    let (done, joined) = std::sync::mpsc::sync_channel(1);
+    std::thread::spawn(move || {
+        h.scheduler.shutdown();
+        let _ = done.send(());
+    });
+    let returned = joined.recv_timeout(Duration::from_secs(10)).is_ok();
+    reset();
+    assert!(returned, "shutdown did not return: the idle worker missed its wake-up");
 }
