@@ -3,8 +3,8 @@
 //! app whose `refilter_hint` under-reports. The armed fault and the
 //! mismatch counter are process-global, so this suite lives in its own
 //! integration-test binary — its process contains nothing but these
-//! tests — and each test serializes behind `GUARD` and resets the fault
-//! state on entry.
+//! tests — and each test holds `faults::exclusive()`, which empties the
+//! fault table on entry.
 
 #![cfg(feature = "fault-injection")]
 
@@ -14,9 +14,6 @@ use gswitch_graph::{gen, Graph, GraphBuilder, VertexId};
 use gswitch_kernels::atomics::{AtomicArray, AtomicBitSet};
 use gswitch_kernels::pattern::{AsFormat, Fusion};
 use gswitch_obs::faults::{self, Fault};
-use gswitch_obs::sync::Lock;
-
-static GUARD: Lock<()> = Lock::new(());
 
 /// Every subsequent non-reference materialization silently loses one
 /// workload entry.
@@ -106,8 +103,7 @@ fn path_graph(n: usize) -> Graph {
 
 #[test]
 fn injected_fault_without_sentinel_corrupts_the_answer() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = path_graph(16);
     let app = Bfs::new(16, 0);
     arm_frontier_corruption();
@@ -122,8 +118,7 @@ fn injected_fault_without_sentinel_corrupts_the_answer() {
 
 #[test]
 fn sentinel_detects_the_fault_and_recovers_the_exact_answer() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = path_graph(16);
     let expected = bfs_reference(&g, 0);
     let app = Bfs::new(16, 0);
@@ -145,8 +140,7 @@ fn sentinel_detects_the_fault_and_recovers_the_exact_answer() {
 
 #[test]
 fn sentinel_detects_within_the_configured_cadence() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = gen::erdos_renyi(300, 2_400, 13);
     let app = Bfs::new(300, 0);
     // Multiple sources keep the traversal alive through the lost entry,
@@ -174,8 +168,7 @@ fn sentinel_detects_within_the_configured_cadence() {
 
 #[test]
 fn pinned_run_reports_sentinel_provenance() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = path_graph(12);
     let app = Bfs::new(12, 0);
     let ring = std::sync::Arc::new(gswitch_obs::TraceRing::new(64));
@@ -194,8 +187,7 @@ fn pinned_run_reports_sentinel_provenance() {
 
 #[test]
 fn reference_shape_is_exempt_from_the_fault() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = path_graph(10);
     let expected = bfs_reference(&g, 0);
     let app = Bfs::new(10, 0);
@@ -282,7 +274,7 @@ fn waves_reference() -> Vec<u32> {
 
 #[test]
 fn lying_hint_without_sentinel_loses_the_omitted_vertex() {
-    let _g = GUARD.lock();
+    let _g = faults::exclusive();
     let (rep, stamped) = Waves::run(WAVES_N, Some(21), &EngineOptions::default());
     assert!(rep.converged);
     assert_eq!(rep.sentinel.mismatches, 0, "sentinel was off");
@@ -292,7 +284,7 @@ fn lying_hint_without_sentinel_loses_the_omitted_vertex() {
 
 #[test]
 fn sentinel_catches_a_lying_hint_before_it_costs_the_answer() {
-    let _g = GUARD.lock();
+    let _g = faults::exclusive();
     let before = gswitch_obs::hardening::snapshot();
     let ring = std::sync::Arc::new(gswitch_obs::TraceRing::new(64));
     let recorder = gswitch_core::RecorderHandle::new(ring.recorder(1, "path", "waves"));
@@ -317,7 +309,7 @@ fn sentinel_catches_a_lying_hint_before_it_costs_the_answer() {
 
 #[test]
 fn honest_hint_never_trips_the_sentinel() {
-    let _g = GUARD.lock();
+    let _g = faults::exclusive();
     let (rep, stamped) = Waves::run(WAVES_N, None, &EngineOptions::default().verify_every(1));
     assert!(rep.converged);
     assert!(rep.sentinel.checks > WAVES_N as u32 / WIDTH, "the hint was never checked");
@@ -431,8 +423,7 @@ fn post_chain_step(rep: &RunReport) -> u32 {
 
 #[test]
 fn lying_hint_after_a_fused_chain_loses_the_dormant_seed_without_the_sentinel() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let (rep, level) = Beacon::run(true, &EngineOptions::default());
     assert!(rep.converged);
     post_chain_step(&rep);
@@ -444,8 +435,7 @@ fn lying_hint_after_a_fused_chain_loses_the_dormant_seed_without_the_sentinel() 
 
 #[test]
 fn sentinel_catches_a_lying_hint_on_the_first_post_chain_step() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let (rep, level) = Beacon::run(true, &EngineOptions::default().verify_every(1));
     assert!(rep.converged);
     assert_eq!(rep.sentinel.mismatches, 1);
@@ -458,8 +448,7 @@ fn sentinel_catches_a_lying_hint_on_the_first_post_chain_step() {
 /// last chain step reporting it.
 #[test]
 fn honest_hint_after_a_fused_chain_never_trips_the_sentinel() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let (rep, level) = Beacon::run(false, &EngineOptions::default().verify_every(1));
     assert!(rep.converged);
     post_chain_step(&rep);

@@ -2,7 +2,7 @@
 //! (`--features fault-injection`; sites in
 //! `gswitch_core::engine::fault_site`). Arming is process-global, so this
 //! suite lives in its own integration-test binary and each test
-//! serializes behind `GUARD` and resets fault state on entry.
+//! holds `faults::exclusive()`, which empties the fault table on entry.
 //!
 //! The property under test: a shard worker that dies (panic) or whose
 //! result is lost (drop) at the exchange step surfaces as a structured
@@ -17,9 +17,6 @@ use gswitch_graph::shard::ShardedCsr;
 use gswitch_graph::{gen, Graph, VertexId};
 use gswitch_kernels::atomics::AtomicArray;
 use gswitch_obs::faults::{self, Fault, Schedule};
-use gswitch_obs::sync::Lock;
-
-static GUARD: Lock<()> = Lock::new(());
 
 /// One-shot panic in shard `shard`'s exchange-phase worker.
 fn arm_shard_panic(shard: u32) {
@@ -91,8 +88,7 @@ fn corpus_graph() -> Graph {
 
 #[test]
 fn panicking_shard_worker_yields_structured_error() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = corpus_graph();
     let sharded = ShardedCsr::partition(&g, 4).expect("partition");
     let app = Bfs::new(g.num_vertices(), 0);
@@ -114,8 +110,7 @@ fn panicking_shard_worker_yields_structured_error() {
 
 #[test]
 fn dropped_shard_result_yields_worker_lost() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = corpus_graph();
     let sharded = ShardedCsr::partition(&g, 4).expect("partition");
     let app = Bfs::new(g.num_vertices(), 0);
@@ -131,7 +126,7 @@ fn dropped_shard_result_yields_worker_lost() {
 #[test]
 fn single_shard_faults_stay_structured() {
     // K = 1 runs its lane inline (no spawn) and must keep the containment.
-    let _g = GUARD.lock();
+    let _g = faults::exclusive();
     let g = corpus_graph();
     let sharded = ShardedCsr::partition(&g, 1).expect("partition");
     let run = || {
@@ -152,8 +147,7 @@ fn single_shard_faults_stay_structured() {
 
 #[test]
 fn run_recovers_cleanly_after_fault_reset() {
-    let _g = GUARD.lock();
-    faults::reset();
+    let _g = faults::exclusive();
     let g = corpus_graph();
     let sharded = ShardedCsr::partition(&g, 4).expect("partition");
 

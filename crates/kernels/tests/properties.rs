@@ -6,12 +6,12 @@ use gswitch_kernels::expand::{analyze, expand_cost, ExpandCounts, ExpandShape};
 use gswitch_kernels::filter::{materialize_cost, status_of};
 use gswitch_kernels::lb::{self, edge_costs};
 use gswitch_kernels::{
-    classify, expand, materialize, AsFormat, Classification, Direction, EdgeApp, Frontier,
+    classify, expand, materialize, AsFormat, Classification, Direction, EdgeApp, Frontier, Fusion,
     KernelConfig, LoadBalance, Status,
 };
 use gswitch_simt::{DeviceSpec, KernelProfile, TaskStats};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 fn touched_vec() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..2_000, 0..512)
@@ -283,6 +283,8 @@ struct Relax<const K: u8> {
     staged: AtomicArray<u32>,
     changed_at: AtomicArray<u32>,
     current: AtomicU32,
+    /// `comp_atomic` calls so far.
+    atomic_calls: AtomicU64,
 }
 
 const BFS: u8 = 0;
@@ -302,6 +304,7 @@ impl<const K: u8> Relax<K> {
             staged: AtomicArray::filled(n, 0),
             changed_at: AtomicArray::filled(n, if K == CC { 0 } else { u32::MAX }),
             current: AtomicU32::new(0),
+            atomic_calls: AtomicU64::new(0),
         };
         match K {
             CC => (0..n as VertexId).for_each(|v| app.val.store(v, v)),
@@ -359,6 +362,7 @@ impl<const K: u8> EdgeApp for Relax<K> {
         }
     }
     fn comp_atomic(&self, dst: VertexId, msg: u32) -> bool {
+        self.atomic_calls.fetch_add(1, Relaxed);
         if K == PR {
             let old = self.val.fetch_add(dst, msg);
             return old <= THRESHOLD && old + msg > THRESHOLD;
@@ -433,6 +437,32 @@ fn assert_priced_is_charged<const K: u8>(g: &Graph, level: u32) -> Result<(), Te
                     ..charged
                 };
                 prop_assert_eq!((&at, bounded), (&at, priced));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Atomics are charged where they are issued: at `level` of app `K` on
+/// `g`, in every push shape (format x lb x fusion), an Expand's
+/// `atomics` is its `comp_atomic` calls plus one per warp of fused-queue
+/// appends.
+fn assert_atomics_are_the_calls<const K: u8>(g: &Graph, level: u32) -> Result<(), TestCaseError> {
+    let spec = DeviceSpec::k40m();
+    for &format in AsFormat::ALL {
+        for &lb in LoadBalance::ALL {
+            for &fusion in Fusion::ALL {
+                let (app, status) = Relax::<K>::at_level(g, level);
+                let (frontier, _) =
+                    materialize::<Relax<K>>(g, &status, Direction::Push, format, &spec);
+                let cfg = KernelConfig { format, lb, fusion, ..KernelConfig::push_baseline() };
+                app.atomic_calls.store(0, Relaxed);
+                let out = expand(g, &app, &frontier, &status, cfg, &spec);
+                let appends = out.next_queue.as_ref().map_or(0, |q| q.len() as u64);
+                let issued =
+                    app.atomic_calls.load(Relaxed) + appends.div_ceil(u64::from(spec.warp_size));
+                let at = format!("K={K} level {level} {cfg}");
+                prop_assert_eq!((&at, out.profile.atomics), (&at, issued));
             }
         }
     }
@@ -630,7 +660,8 @@ proptest! {
 
     /// Price = charge, for BFS, CC, SSSP and PR states at any level of
     /// any weighted directed graph, in all 24 Expand shapes (see
-    /// `assert_priced_is_charged`).
+    /// `assert_priced_is_charged`); and a push Expand's atomics are the
+    /// ones it issued (`assert_atomics_are_the_calls`).
     #[test]
     fn expand_cost_of_the_analysis_is_the_charge(
         (n, edges, seed) in (
@@ -650,6 +681,10 @@ proptest! {
         assert_priced_is_charged::<CC>(&g, level)?;
         assert_priced_is_charged::<SSSP>(&g, level)?;
         assert_priced_is_charged::<PR>(&g, level)?;
+        assert_atomics_are_the_calls::<BFS>(&g, level)?;
+        assert_atomics_are_the_calls::<CC>(&g, level)?;
+        assert_atomics_are_the_calls::<SSSP>(&g, level)?;
+        assert_atomics_are_the_calls::<PR>(&g, level)?;
     }
 
     /// Frontiers built a word at a time equal the per-vertex loop: any

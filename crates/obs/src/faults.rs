@@ -35,8 +35,8 @@
 //! `(seed, arrival index)`, so chaos runs replay bit-identically under a
 //! fixed seed.
 //!
-//! All state is process-global; tests that arm faults serialize
-//! themselves behind a mutex (see `crates/runtime/tests/faults.rs`).
+//! All state is process-global; a test that arms faults holds
+//! `exclusive()` (compiled with the feature) for its whole body.
 
 /// What an armed site does when reached.
 #[derive(Clone, Debug)]
@@ -217,19 +217,17 @@ mod armed {
         })
     }
 
+    /// Decide whether this arrival at `site` fires, without acting on
+    /// it (see [`super::act`]).
+    pub fn arrive(site: &str) -> Option<Fault> {
+        take_action(site, 0)
+    }
+
     /// Fire `site` on behalf of `arg` (the lane's shard): may panic or
     /// sleep; returns whether a fault fired, which is all a
     /// [`Fault::Trip`] does.
     pub fn fire_for(site: &str, arg: u64) -> bool {
-        match take_action(site, arg) {
-            Some(Fault::Panic(msg)) => panic!("injected fault at {site}: {msg}"),
-            Some(Fault::SlowMs(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                true
-            }
-            Some(Fault::CorruptText | Fault::Trip) => true,
-            None => false,
-        }
+        super::act(site, take_action(site, arg))
     }
 
     /// Pass `text` through `site`, corrupting it if so armed. Panics
@@ -245,18 +243,50 @@ mod armed {
                 }
                 format!("{}\u{0}garbage%%", &text[..cut])
             }
-            Some(Fault::Panic(msg)) => panic!("injected fault at {site}: {msg}"),
-            Some(Fault::SlowMs(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
+            fault => {
+                super::act(site, fault);
                 text
             }
-            Some(Fault::Trip) | None => text,
         }
+    }
+
+    /// Holds the fault table for one test: see [`exclusive`].
+    #[derive(Debug)]
+    #[must_use = "the table is shared again as soon as the guard is dropped"]
+    pub struct Exclusive {
+        _table: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl Drop for Exclusive {
+        fn drop(&mut self) {
+            reset();
+        }
+    }
+
+    /// Serialize the tests that arm faults (the table is process-global):
+    /// the caller owns the table, emptied now and again when the guard
+    /// drops. A test holds this across every call it makes, so it stands
+    /// outside the lock order of [`crate::sync`] and is a plain std lock;
+    /// a test that failed while holding it poisoned it, which changes
+    /// nothing for the next one.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test serialization held across calls that take the order-checked locks"
+    )]
+    pub fn exclusive() -> Exclusive {
+        static TABLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let held =
+            Exclusive { _table: TABLE.lock().unwrap_or_else(std::sync::PoisonError::into_inner) };
+        reset();
+        held
     }
 }
 
 #[cfg(feature = "fault-injection")]
-pub use armed::{arm_after, arm_schedule, disarm, fire_for, fired, reset, transform_text};
+pub use armed::{
+    arm_after, arm_schedule, arrive, disarm, exclusive, fire_for, fired, reset, transform_text,
+    Exclusive,
+};
 
 /// No-op stubs compiled when the `fault-injection` feature is off:
 /// sites cannot be armed and firing costs nothing.
@@ -278,6 +308,11 @@ mod disarmed {
     }
     /// Never fires.
     #[inline(always)]
+    pub fn arrive(_site: &str) -> Option<Fault> {
+        None
+    }
+    /// Never fires.
+    #[inline(always)]
     pub fn fire_for(_site: &str, _arg: u64) -> bool {
         false
     }
@@ -289,7 +324,9 @@ mod disarmed {
 }
 
 #[cfg(not(feature = "fault-injection"))]
-pub use disarmed::{arm_after, arm_schedule, disarm, fire_for, fired, reset, transform_text};
+pub use disarmed::{
+    arm_after, arm_schedule, arrive, disarm, fire_for, fired, reset, transform_text,
+};
 
 /// Arm `fault` at `site`, firing on the first arrival.
 pub fn arm(site: &str, fault: Fault) {
@@ -302,22 +339,33 @@ pub fn fire(site: &str) {
     fire_for(site, 0);
 }
 
+/// Act on what [`arrive`] decided at `site`: panic or sleep as armed;
+/// returns whether a fault fired. A site that acts while it holds a lock
+/// arrives before taking it, since the fault table is itself a leaf lock
+/// ([`crate::sync`]) and nothing may be acquired under a leaf.
+#[inline(always)]
+pub fn act(site: &str, fault: Option<Fault>) -> bool {
+    match fault {
+        Some(Fault::Panic(msg)) => panic!("injected fault at {site}: {msg}"),
+        Some(Fault::SlowMs(ms)) => {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            true
+        }
+        Some(Fault::CorruptText | Fault::Trip) => true,
+        None => false,
+    }
+}
+
 #[cfg(all(test, feature = "fault-injection"))]
 mod tests {
     use super::*;
-
-    // Module-level serialization: fault state is process-global, and
-    // the integration suites that arm faults run in their own
-    // processes, so only these unit tests share it.
-    static GUARD: crate::sync::Lock<()> = crate::sync::Lock::new(());
 
     /// Sites are plain strings; this one belongs to no layer.
     const SITE: &str = "test::site";
 
     #[test]
     fn panic_fault_is_one_shot_and_skippable() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         arm_after(SITE, 2, Fault::Panic("boom".into()));
         fire(SITE); // skip 1
         fire(SITE); // skip 2
@@ -326,13 +374,11 @@ mod tests {
         assert!(msg.contains("boom"), "panic message was `{msg}`");
         // One-shot: the site is clean again.
         fire(SITE);
-        reset();
     }
 
     #[test]
     fn corrupt_text_mangles_until_disarmed() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         let clean = "{\"version\":1}".to_string();
         assert_eq!(transform_text(SITE, clean.clone()), clean);
         arm(SITE, Fault::CorruptText);
@@ -345,8 +391,7 @@ mod tests {
 
     #[test]
     fn scheduled_panic_recurs_on_its_period() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         // Fire on arrivals 1 and 4 (skip 1, then every 3rd), twice only.
         arm_schedule(SITE, Schedule::every(3).after(1).times(2), Fault::Panic("recurring".into()));
         let mut fired = Vec::new();
@@ -356,13 +401,11 @@ mod tests {
             }
         }
         assert_eq!(fired, vec![1, 4], "periodic panic must recur then hit its limit");
-        reset();
     }
 
     #[test]
     fn random_schedule_is_deterministic_and_roughly_calibrated() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         let run = || {
             arm_schedule(SITE, Schedule::random(42, 5), Fault::SlowMs(0));
             let sched = Schedule::random(42, 5);
@@ -375,23 +418,19 @@ mod tests {
         assert_eq!(a, b, "same seed must replay identically");
         // one-in-5 over 200 arrivals: expect ~40, accept a wide band.
         assert!(a.len() > 15 && a.len() < 80, "rate off: {} firings", a.len());
-        reset();
     }
 
     #[test]
     fn once_schedule_fires_exactly_once() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         arm_schedule(SITE, Schedule::once(), Fault::Panic("one save".into()));
         assert!(std::panic::catch_unwind(|| fire(SITE)).is_err());
         fire(SITE); // disarmed after its single firing
-        reset();
     }
 
     #[test]
     fn targeted_schedule_fires_for_its_argument_only_and_counts() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         arm_schedule(SITE, Schedule::once().only(2), Fault::Trip);
         assert!(!fire_for(SITE, 0));
         assert!(!fire_for(SITE, 1));
@@ -405,12 +444,10 @@ mod tests {
 
     #[test]
     fn trip_is_persistent_and_leaves_text_alone() {
-        let _g = GUARD.lock();
-        reset();
+        let _g = exclusive();
         arm(SITE, Fault::Trip);
         assert!(fire_for(SITE, 7) && fire_for(SITE, 8));
         assert_eq!(transform_text(SITE, "x".into()), "x");
         assert_eq!(fired(SITE), 3);
-        reset();
     }
 }

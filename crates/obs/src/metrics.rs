@@ -323,18 +323,14 @@ impl MetricsRegistry {
         self.histogram(name, &LATENCY_MS_BUCKETS)
     }
 
-    /// An owned snapshot of every registered metric.
+    /// An owned snapshot of every registered metric. Each map is read
+    /// under its own lock, released before the next is taken.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.read().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            gauges: self.gauges.read().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: self
-                .histograms
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-        }
+        let counters = self.counters.read().iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let gauges = self.gauges.read().iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let histograms =
+            self.histograms.read().iter().map(|(k, v)| (k.clone(), v.snapshot())).collect();
+        MetricsSnapshot { counters, gauges, histograms }
     }
 }
 

@@ -157,11 +157,13 @@ impl ConfigCache {
     /// Remember `config` as the tuned choice for `key`.
     pub fn store(&self, key: &CacheKey, config: KernelConfig) {
         self.stores.inc();
-        let mut entries = self.entries.write();
-        // Fault site fired *inside* the write lock on purpose: an
+        // Fault site acted on *inside* the write lock on purpose: an
         // injected panic here poisons the lock, which the poison-safe
-        // wrapper must survive (tests/faults.rs).
-        crate::faults::fire(crate::faults::site::CACHE_STORE);
+        // wrapper must survive (tests/faults.rs). It arrives first: the
+        // fault table is a lock too, and none is taken under this one.
+        let fault = crate::faults::arrive(crate::faults::site::CACHE_STORE);
+        let mut entries = self.entries.write();
+        crate::faults::act(crate::faults::site::CACHE_STORE, fault);
         entries.insert(key.flat(), config);
     }
 
@@ -216,11 +218,10 @@ impl ConfigCache {
     /// absorb a persisted cache without replacing what it has learned
     /// since startup.
     pub fn absorb(&self, other: &ConfigCache) {
-        let theirs = other.entries.read();
-        let mut mine = self.entries.write();
-        for (k, v) in theirs.iter() {
-            mine.insert(k.clone(), *v);
-        }
+        // Copied out first: `other` may be `self`, and a write taken
+        // under a read of the same lock never returns.
+        let theirs = other.entries.read().clone();
+        self.entries.write().extend(theirs);
     }
 
     /// Persist to `path` as JSON, crash-safely: the document is written
@@ -289,6 +290,25 @@ mod tests {
 
     fn key(n: u64) -> CacheKey {
         CacheKey::new(Fingerprint(n), "bfs", "v10d3g7")
+    }
+
+    #[test]
+    fn absorb_merges_and_a_cache_may_absorb_itself() {
+        let (mine, theirs) = (ConfigCache::new(), ConfigCache::new());
+        let pull =
+            KernelConfig { direction: gswitch_kernels::Direction::Pull, ..Default::default() };
+        mine.store(&key(1), KernelConfig::default());
+        mine.store(&key(2), KernelConfig::default());
+        theirs.store(&key(2), pull);
+        mine.absorb(&theirs);
+        assert_eq!(
+            (mine.peek(&key(1)), mine.peek(&key(2))),
+            (Some(KernelConfig::default()), Some(pull))
+        );
+        // Its own entries, read and written back: returns, changes nothing.
+        mine.absorb(&mine);
+        assert_eq!(mine.counters().entries, 2);
+        assert_eq!(mine.peek(&key(2)), Some(pull));
     }
 
     #[test]

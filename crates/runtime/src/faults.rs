@@ -21,10 +21,11 @@ pub mod site {
     /// between its shutdown check and its wait for work — the window a
     /// shutdown must not fall into.
     pub const WORKER_IDLE: &str = "worker::idle";
-    /// Fired inside [`ConfigCache::store`](crate::ConfigCache::store)
-    /// **while the write lock is held** — a panic here poisons the
-    /// cache lock, which is exactly what the poison-recovery tests
-    /// need to prove survivable.
+    /// Acted on inside [`ConfigCache::store`](crate::ConfigCache::store)
+    /// **while the write lock is held** (decided by `arrive` just before
+    /// the lock is taken) — a panic here poisons the cache lock, which
+    /// is exactly what the poison-recovery tests need to prove
+    /// survivable.
     pub const CACHE_STORE: &str = "cache::store";
     /// Text-transform site on the bytes read by
     /// [`ConfigCache::load_or_empty`](crate::ConfigCache::load_or_empty).

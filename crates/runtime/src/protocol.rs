@@ -122,37 +122,79 @@ pub struct GenSpec {
     pub seed: Option<u64>,
 }
 
+/// Most vertices a [`GenSpec`] may ask for (R-MAT's scale 24).
+pub const MAX_GEN_VERTICES: usize = 1 << 24;
+/// Most edges a [`GenSpec`] may ask for (R-MAT's scale 24 at edge
+/// factor 8).
+pub const MAX_GEN_EDGES: usize = 1 << 27;
+
+/// `x` if it lies in `lo..=hi`, else the error naming it.
+fn within(name: &str, x: usize, lo: usize, hi: usize) -> Result<usize, String> {
+    if (lo..=hi).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("{name} {x} out of range {lo}..={hi}"))
+    }
+}
+
+/// `a * b` edges, unless that overflows or exceeds [`MAX_GEN_EDGES`].
+fn edge_count(a: usize, b: usize) -> Result<usize, String> {
+    a.checked_mul(b)
+        .filter(|&m| m <= MAX_GEN_EDGES)
+        .ok_or_else(|| format!("{a} x {b} edges is more than {MAX_GEN_EDGES}"))
+}
+
 impl GenSpec {
     /// Materialize the graph, or explain what is wrong with the spec.
+    /// Every precondition a generator asserts is checked here first, and
+    /// every family is capped at [`MAX_GEN_VERTICES`] vertices and
+    /// [`MAX_GEN_EDGES`] edges, so no request line can panic the server
+    /// or make it allocate without bound.
     pub fn build(&self) -> Result<Graph, String> {
         let seed = self.seed.unwrap_or(1);
+        let n = |family: &str| {
+            let n = self.n.ok_or_else(|| format!("{family} needs `n`"))?;
+            within(&format!("{family} `n`"), n, 2, MAX_GEN_VERTICES)
+        };
         match self.kind.as_str() {
             "rmat" => {
                 let scale = self.scale.ok_or("rmat needs `scale`")?;
-                let ef = self.ef.unwrap_or(8);
                 if !(1..=24).contains(&scale) {
                     return Err(format!("rmat scale {scale} out of range 1..=24"));
                 }
+                let ef = self.ef.unwrap_or(8);
+                edge_count(1 << scale, ef)?;
                 Ok(gen::kronecker(scale, ef, seed))
             }
             "er" => {
-                let n = self.n.ok_or("er needs `n`")?;
-                let m = self.m.unwrap_or(n * 8);
+                let n = n("er")?;
+                let m = match self.m {
+                    Some(m) => edge_count(m, 1)?,
+                    None => edge_count(n, 8)?,
+                };
                 Ok(gen::erdos_renyi(n, m, seed))
             }
             "ba" => {
-                let n = self.n.ok_or("ba needs `n`")?;
-                let d = self.d.unwrap_or(4);
+                let n = n("ba")?;
+                let d = within("ba `d`", self.d.unwrap_or(4), 1, n - 1)?;
+                edge_count(n, d)?;
                 Ok(gen::barabasi_albert(n, d, seed))
             }
             "grid" => {
                 let w = self.w.ok_or("grid needs `w`")?;
                 let h = self.h.unwrap_or(w);
+                if w < 2 || h < 2 {
+                    return Err(format!("grid {w}x{h}: each side needs at least 2 vertices"));
+                }
+                w.checked_mul(h).filter(|&n| n <= MAX_GEN_VERTICES).ok_or_else(|| {
+                    format!("grid {w}x{h} is more than {MAX_GEN_VERTICES} vertices")
+                })?;
                 Ok(gen::grid2d(w, h, 0.0, seed))
             }
             "banded" => {
-                let n = self.n.ok_or("banded needs `n`")?;
-                let d = self.d.unwrap_or(8);
+                let n = n("banded")?;
+                let d = within("banded `d`", self.d.unwrap_or(8), 1, n - 1)?;
+                edge_count(n, d)?;
                 Ok(gen::banded(n, d, 0.0, seed))
             }
             other => Err(format!("unknown generator `{other}` (expected rmat|er|ba|grid|banded)")),
@@ -247,6 +289,52 @@ mod tests {
             let spec: GenSpec = serde_json::from_str(line).unwrap();
             let g = spec.build().unwrap_or_else(|e| panic!("{line}: {e}"));
             assert!(g.num_vertices() > 0, "{line}");
+        }
+    }
+
+    #[test]
+    fn generator_preconditions_are_errors_not_panics() {
+        let wide = format!(r#"{{"kind":"grid","w":{0},"h":{0}}}"#, usize::MAX / 2);
+        for line in [
+            r#"{"kind":"grid","w":1}"#,
+            r#"{"kind":"er","n":1}"#,
+            r#"{"kind":"ba","n":3}"#,
+            r#"{"kind":"banded","n":4}"#,
+            r#"{"kind":"er","n":16777217}"#,
+            r#"{"kind":"er","n":64,"m":134217729}"#,
+            r#"{"kind":"rmat","scale":24,"ef":9}"#,
+            r#"{"kind":"grid","w":4097,"h":4097}"#,
+            &wide,
+        ] {
+            let spec: GenSpec = serde_json::from_str(line).unwrap();
+            assert!(spec.build().is_err(), "{line}");
+        }
+    }
+
+    proptest::proptest! {
+        /// `build` answers any spec with a graph or an error: small
+        /// fields, absent ones, and ones past every cap or overflow.
+        #[test]
+        fn build_never_panics(
+            kind in 0usize..6,
+            scale in 0usize..7,
+            fields in proptest::collection::vec(0usize..12, 6..7),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let huge = [MAX_GEN_EDGES + 1, usize::MAX / 2 + 1, usize::MAX];
+            let value = |i: usize| [0, 1, 2, 3, 4, 5, 8, 17].iter().chain(&huge).nth(i).copied();
+            let spec = GenSpec {
+                kind: ["rmat", "er", "ba", "grid", "banded", "warp"][kind].to_string(),
+                scale: [None, Some(0), Some(1), Some(2), Some(5), Some(25), Some(u32::MAX)][scale],
+                ef: value(fields[0]),
+                n: value(fields[1]),
+                m: value(fields[2]),
+                d: value(fields[3]),
+                w: value(fields[4]),
+                h: value(fields[5]),
+                seed: Some(seed),
+            };
+            let _ = spec.build();
         }
     }
 }

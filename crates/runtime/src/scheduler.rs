@@ -59,7 +59,7 @@ use crate::obs::{metric, RuntimeObs};
 use crate::query::{JobOutcome, JobSpec, JobStatus, Metric, Priority};
 use crate::registry::{GraphEntry, GraphRegistry};
 use gswitch_core::{AutoPolicy, CancelToken, ProbeHandle, RunProbe, StopReason};
-use gswitch_obs::sync::{recover, Lock};
+use gswitch_obs::sync::Lock;
 use gswitch_obs::{
     Clock, Counter, Gauge, Histogram, MetricsRegistry, SpanCtx, SpanKind, SpanRecord,
     ADMISSION_WORKER,
@@ -322,6 +322,9 @@ struct Shared {
     m: SchedulerMetrics,
     device: DeviceSpec,
     verify_every: u32,
+    /// The one outer lock (`gswitch_obs::sync`): admission and the
+    /// workers touch `live`, the breakers, the metrics and the span ring
+    /// while they hold it, each a leaf taken and released in turn.
     queue: Lock<Queue>,
     work_ready: Condvar,
     /// Cancel tokens of live jobs, from admission until `settle`, so
@@ -448,7 +451,7 @@ impl Scheduler {
             obs,
             device: config.device.clone(),
             verify_every: config.verify_every,
-            queue: Lock::default(),
+            queue: Lock::outer(Queue::default()),
             work_ready: Condvar::new(),
             live: Lock::new(HashMap::new()),
             breakers,
@@ -909,7 +912,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
                     return;
                 }
                 crate::faults::fire(crate::faults::site::WORKER_IDLE);
-                q = recover(shared.work_ready.wait(q));
+                q = q.wait(&shared.work_ready);
             }
         };
         let picked_ns = clock.now_ns();

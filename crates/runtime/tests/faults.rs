@@ -5,14 +5,16 @@
 //! things: the *outcome* is the right structured failure (never a dead
 //! worker or a panicking client), and the *observability* agrees (the
 //! matching counter moved). Fault state is process-global, so every
-//! test serializes behind `GUARD` and resets the fault table on entry
-//! and exit.
+//! test holds `faults::exclusive()`, which empties the fault table on
+//! entry and exit.
 
 #![cfg(feature = "fault-injection")]
 
 use gswitch_graph::gen;
-use gswitch_obs::sync::{poison_recoveries, Lock};
-use gswitch_runtime::faults::{arm, arm_after, arm_schedule, fired, reset, site, Fault, Schedule};
+use gswitch_obs::sync::poison_recoveries;
+use gswitch_runtime::faults::{
+    arm, arm_after, arm_schedule, exclusive, fired, reset, site, Fault, Schedule,
+};
 use gswitch_runtime::obs::metric;
 use gswitch_runtime::{
     BreakerConfig, ConfigCache, GraphRegistry, JobSpec, JobStatus, Query, RuntimeObs, Scheduler,
@@ -20,10 +22,6 @@ use gswitch_runtime::{
 };
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Serializes tests sharing the process-global fault table. The lock is
-/// poison-recovering, so one failing test cannot wedge the rest.
-static GUARD: Lock<()> = Lock::new(());
 
 struct Harness {
     scheduler: Scheduler,
@@ -49,8 +47,7 @@ fn bfs(src: u32) -> JobSpec {
 /// message, the counter records it, and the pool keeps serving.
 #[test]
 fn panicking_job_fails_structured_and_pool_survives() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
 
     arm(site::EXECUTOR_START, Fault::Panic("simulated executor crash".into()));
@@ -74,8 +71,7 @@ fn panicking_job_fails_structured_and_pool_survives() {
 /// state is live — is isolated exactly the same way.
 #[test]
 fn panic_mid_expand_is_isolated() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
 
     arm_after(site::ENGINE_ITERATION, 3, Fault::Panic("boom on iteration 3".into()));
@@ -94,8 +90,7 @@ fn panic_mid_expand_is_isolated() {
 /// late one), withholding results.
 #[test]
 fn deadline_enforced_mid_run() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
 
     // Each super-step sleeps 20 ms; a tight PageRank tolerance needs
@@ -125,8 +120,7 @@ fn deadline_enforced_mid_run() {
 /// super-step via its cancel token.
 #[test]
 fn cancel_reaches_a_running_job() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
 
     // ~5 ms per super-step keeps the job running long enough to be
@@ -158,8 +152,7 @@ fn cancel_reaches_a_running_job() {
 /// exactly as for a whole-graph query.
 #[test]
 fn sharded_job_honours_faults_deadline_and_cancel() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
     let pr = |timeout_ms| JobSpec {
         graph: "kron".into(),
@@ -204,8 +197,7 @@ fn sharded_job_honours_faults_deadline_and_cancel() {
 /// poison-recovering wrapper absorbs it and the cache keeps working.
 #[test]
 fn poisoned_cache_lock_recovers() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
     let before = poison_recoveries();
 
@@ -238,8 +230,7 @@ fn poisoned_cache_lock_recovers() {
 /// `cache_load_failed` counter set — the server still starts.
 #[test]
 fn corrupt_cache_file_degrades_to_empty() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
 
     // Persist a healthy cache to disk.
     let path = std::env::temp_dir().join("gswitch-faults-corrupt-cache.json");
@@ -275,8 +266,7 @@ fn corrupt_cache_file_degrades_to_empty() {
 /// `load_or_empty` sees the previous generation with `load_failed` 0.
 #[test]
 fn interrupted_save_never_corrupts_the_cache() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let path = std::env::temp_dir().join("gswitch-faults-atomic-save.json");
     let tmp = std::env::temp_dir().join("gswitch-faults-atomic-save.json.tmp");
     let _ = std::fs::remove_file(&path);
@@ -316,8 +306,7 @@ fn interrupted_save_never_corrupts_the_cache() {
 /// re-closes it — all visible in the transition counters.
 #[test]
 fn breaker_opens_on_recurring_panics_then_recloses() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let registry = Arc::new(GraphRegistry::new());
     registry.insert("kron", gen::kronecker(8, 8, 3));
     let cache = Arc::new(ConfigCache::new());
@@ -366,8 +355,7 @@ fn breaker_opens_on_recurring_panics_then_recloses() {
 /// the injected panic is one-shot, so the resubmission runs clean.
 #[test]
 fn retry_recovers_from_transient_panic() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     let h = harness(1);
 
     arm(site::EXECUTOR_START, Fault::Panic("transient".into()));
@@ -394,8 +382,7 @@ fn retry_recovers_from_transient_panic() {
               holding it"
 )]
 fn shutdown_reaches_a_worker_between_check_and_wait() {
-    let _g = GUARD.lock();
-    reset();
+    let _g = exclusive();
     arm_schedule(site::WORKER_IDLE, Schedule::once(), Fault::SlowMs(300));
     let h = harness(1);
     // The worker found the queue empty and shutdown unset, and sleeps
