@@ -25,6 +25,7 @@
 pub mod cancel;
 pub mod engine;
 pub mod features;
+pub mod model;
 pub mod oracle;
 pub mod policy;
 pub mod sharded;
