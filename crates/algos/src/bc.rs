@@ -264,12 +264,29 @@ pub fn bc_all(
     (centrality, total_ms)
 }
 
+/// The backward phase after `forward`. A forward run its probe stopped
+/// left levels that are not a BFS tree (a reached vertex's neighbours may
+/// be unreached), so the backward phase does not run: its report carries
+/// the same stop, with no iterations, and every dependency stays 0.
+pub fn run_backward(
+    g: &Graph,
+    bwd: &BcBackward,
+    forward: &RunReport,
+    policy: &dyn Policy,
+    opts: &EngineOptions,
+) -> RunReport {
+    match forward.stopped {
+        Some(stop) => RunReport { stopped: Some(stop), ..RunReport::default() },
+        None => run(g, bwd, policy, opts),
+    }
+}
+
 /// Run single-source BC from `src` under `policy`.
 pub fn bc(g: &Graph, src: VertexId, policy: &dyn Policy, opts: &EngineOptions) -> BcResult {
     let fwd = BcForward::new(g.num_vertices(), src);
     let forward = run(g, &fwd, policy, opts);
     let bwd = BcBackward::new(&fwd);
-    let backward = run(g, &bwd, policy, opts);
+    let backward = run_backward(g, &bwd, &forward, policy, opts);
     let mut scores = bwd.deltas();
     if let Some(s) = scores.get_mut(src as usize) {
         *s = 0.0; // Brandes convention: the source accumulates nothing

@@ -2,11 +2,11 @@
 //! before every retry after a rescue, so a deadline or a cancel lands
 //! within one step of work, on every algorithm, sharded or not.
 
-use gswitch_algos::bc::BcForward;
+use gswitch_algos::bc::{self, BcForward};
 use gswitch_algos::{bfs, cc, pr, sssp, Bfs, Cc, PageRank, Sssp};
 use gswitch_core::{
-    run, run_sharded, AutoPolicy, EngineOptions, GraphApp, KernelConfig, ProbeHandle, RunProbe,
-    ShardedOptions, StaticPolicy, Status, SteppingDelta, StopReason,
+    run, run_sharded, AutoPolicy, EngineOptions, GraphApp, KernelConfig, Policy, ProbeHandle,
+    RunProbe, ShardedOptions, StaticPolicy, Status, SteppingDelta, StopReason,
 };
 use gswitch_graph::shard::ShardedCsr;
 use gswitch_graph::{gen, Graph, GraphBuilder, VertexId, Weight};
@@ -72,6 +72,27 @@ fn probe_stops_every_algorithm_at_its_iteration() {
         assert_eq!(rep.stopped, Some(StopReason::DeadlineExceeded), "sharded {algo}");
         assert!(!rep.converged, "sharded {algo}");
         assert_eq!(rep.n_supersteps(), K as usize, "sharded {algo}");
+    }
+}
+
+/// BC whose forward phase the probe stops: its levels are not a BFS tree
+/// (a reached vertex has unreached neighbours), so the backward phase
+/// must not run on them. Both phases report the stop, the backward one
+/// with no iterations, under the hand rules and under pinned push (where
+/// backward messages would reach the unreached vertices).
+#[test]
+fn bc_after_a_stopped_forward_reports_the_stop() {
+    let g = graph();
+    let opts =
+        EngineOptions { probe: ProbeHandle::new(Arc::new(StopAt(K))), ..EngineOptions::default() };
+    let push = StaticPolicy::new(KernelConfig::push_baseline());
+    for policy in [&AutoPolicy as &dyn Policy, &push] {
+        let r = bc::bc(&g, 0, policy, &opts);
+        assert_eq!(r.forward.stopped, Some(StopReason::DeadlineExceeded));
+        assert_eq!(r.forward.n_iterations(), K as usize);
+        assert_eq!(r.backward.stopped, Some(StopReason::DeadlineExceeded));
+        assert_eq!(r.backward.n_iterations(), 0);
+        assert!(r.scores.iter().all(|&s| s == 0.0));
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! The paper transforms every input to undirected form (§5.1 footnote 3);
 //! `symmetric(true)` (the default) mirrors that. Construction is a
-//! counting-sort into CSR — O(n + m), parallel-friendly, no comparison sort
-//! of the whole edge list.
+//! counting sort by source row — count degrees, take the prefix sum,
+//! scatter — after which each row is sorted and deduped on its own:
+//! O(n + m + Σ d log d), with no comparison sort of the whole edge list
+//! and no intermediate triple array.
 
 use crate::csr::Csr;
 use crate::{Graph, VertexId, Weight};
@@ -136,49 +138,94 @@ impl GraphBuilder {
         );
         let GraphBuilder { n, edges, weights, symmetric, dedup, drop_self_loops, name } = self;
         let mut report = BuildReport::default();
+        let kept = |u: VertexId, v: VertexId| !(drop_self_loops && u == v);
+        let mirrored = |u: VertexId, v: VertexId| symmetric && u != v;
 
-        // Expand to directed triples (u, v, w).
-        let mut triples: Vec<(VertexId, VertexId, Weight)> =
-            Vec::with_capacity(edges.len() * if symmetric { 2 } else { 1 });
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            if drop_self_loops && u == v {
+        // Count each row's slots, then turn the counts into row starts.
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in &edges {
+            if !kept(u, v) {
                 report.self_loops_dropped += 1;
                 continue;
             }
-            let w = if weighted { weights[i] } else { 1 };
-            triples.push((u, v, w));
-            if symmetric && u != v {
-                triples.push((v, u, w));
-            }
-        }
-
-        // Sort by (source, target) then dedup on the pair, keeping the first
-        // weight seen — deterministic regardless of input order because the
-        // sort is stable on the (u, v, w) triple.
-        triples.sort_unstable();
-        if dedup {
-            let before = triples.len();
-            triples.dedup_by_key(|t| (t.0, t.1));
-            report.parallel_edges_deduped = before - triples.len();
-        }
-
-        // Counting pass into CSR.
-        let m = triples.len();
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, _, _) in &triples {
             offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut targets = Vec::with_capacity(m);
-        let mut out_weights = if weighted { Vec::with_capacity(m) } else { Vec::new() };
-        for &(_, v, w) in &triples {
-            targets.push(v);
-            if weighted {
-                out_weights.push(w);
+            if mirrored(u, v) {
+                offsets[v as usize + 1] += 1;
             }
         }
+        prefix_sum(&mut offsets);
+
+        // Scatter every directed slot into its row, using the row start as
+        // the row's cursor: afterwards `offsets[u]` is the end of row `u`.
+        let m = offsets[n] as usize;
+        let mut targets = vec![0 as VertexId; m];
+        let mut out_weights = if weighted { vec![0 as Weight; m] } else { Vec::new() };
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            if !kept(u, v) {
+                continue;
+            }
+            let mut put = |from: VertexId, to: VertexId| {
+                let c = &mut offsets[from as usize];
+                targets[*c as usize] = to;
+                if weighted {
+                    out_weights[*c as usize] = weights[i];
+                }
+                *c += 1;
+            };
+            put(u, v);
+            if mirrored(u, v) {
+                put(v, u);
+            }
+        }
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
+        // The input list is dead once scattered.
+        drop((edges, weights));
+
+        // Sort each row by (target, weight) and, under dedup, keep the
+        // first of each target — its smallest weight. Rows compact towards
+        // the front in place, so a row never reads a slot already written.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        let mut pairs: Vec<(VertexId, Weight)> = Vec::new();
+        for u in 0..n {
+            let end = offsets[u + 1] as usize;
+            let first = write;
+            let fresh = |targets: &[VertexId], write: usize, v: VertexId| {
+                !dedup || write == first || targets[write - 1] != v
+            };
+            if weighted {
+                pairs.clear();
+                pairs.extend(
+                    targets[start..end]
+                        .iter()
+                        .copied()
+                        .zip(out_weights[start..end].iter().copied()),
+                );
+                pairs.sort_unstable();
+                for &(v, w) in &pairs {
+                    if fresh(&targets, write, v) {
+                        targets[write] = v;
+                        out_weights[write] = w;
+                        write += 1;
+                    }
+                }
+            } else {
+                targets[start..end].sort_unstable();
+                for i in start..end {
+                    let v = targets[i];
+                    if fresh(&targets, write, v) {
+                        targets[write] = v;
+                        write += 1;
+                    }
+                }
+            }
+            start = end;
+            offsets[u + 1] = write as u64;
+        }
+        report.parallel_edges_deduped = m - write;
+        targets.truncate(write);
+        out_weights.truncate(write);
         let out = Csr::new(offsets, targets);
 
         if symmetric {
@@ -186,25 +233,29 @@ impl GraphBuilder {
             return (g, report);
         }
 
-        // Directed: build the transpose for the pull direction.
+        // Directed: the transpose for the pull direction, scattered from
+        // the out-CSR in row order, so every in-row lists its sources in
+        // ascending order.
+        let m = out.num_edges();
         let mut in_offsets = vec![0u64; n + 1];
-        for &(_, v, _) in &triples {
+        for &v in out.targets() {
             in_offsets[v as usize + 1] += 1;
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
+        prefix_sum(&mut in_offsets);
         let mut in_targets = vec![0 as VertexId; m];
         let mut in_weights = if weighted { vec![0 as Weight; m] } else { Vec::new() };
-        for &(u, v, w) in &triples {
-            let c = &mut cursor[v as usize];
-            in_targets[*c as usize] = u;
-            if weighted {
-                in_weights[*c as usize] = w;
+        for u in 0..n as VertexId {
+            for e in out.edge_range(u) {
+                let c = &mut in_offsets[out.targets()[e] as usize];
+                in_targets[*c as usize] = u;
+                if weighted {
+                    in_weights[*c as usize] = out_weights[e];
+                }
+                *c += 1;
             }
-            *c += 1;
         }
+        in_offsets.copy_within(..n, 1);
+        in_offsets[0] = 0;
         let incoming = Csr::new(in_offsets, in_targets);
         let g = Graph::from_parts(
             out,
@@ -214,6 +265,14 @@ impl GraphBuilder {
             name,
         );
         (g, report)
+    }
+}
+
+/// Turn per-row counts in `offsets[1..]` into row starts: `offsets[u]`
+/// becomes the start of row `u` and `offsets[n]` the slot count.
+fn prefix_sum(offsets: &mut [u64]) {
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
 }
 

@@ -270,26 +270,25 @@ pub fn small_world(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
 }
 
 /// Attach uniformly random integer weights in `1..=max_w` to an existing
-/// graph, deterministic per (graph topology, seed). Symmetric edges get the
-/// same weight in both directions (weights keyed on the unordered pair).
+/// graph, deterministic per (graph topology, seed). An edge's weight is a
+/// hash of its unordered endpoint pair, so symmetric edges get the same
+/// weight in both directions without storing a map.
+///
+/// The twin is the same slots plus a weight array: it shares `g`'s out-
+/// and in-CSR (`Arc` clones) and its stats, and costs O(m) for the
+/// weights alone. Every graph [`GraphBuilder`] or [`crate::io`] produces
+/// (rows sorted, no parallel edges, no self loops) comes out exactly as a
+/// rebuild of its weighted edge list would; any other input keeps its own
+/// slots, self loops and parallel edges included — it is not
+/// canonicalized.
 pub fn with_random_weights(g: &Graph, max_w: Weight, seed: u64) -> Graph {
     assert!(max_w >= 1);
-    let csr = g.out_csr();
-    let mut b = GraphBuilder::with_capacity(g.num_vertices(), g.num_edges());
-    for u in 0..g.num_vertices() as VertexId {
-        for &v in csr.neighbors(u) {
-            if u <= v || !g.is_symmetric() {
-                // Hash the unordered pair with the seed -> deterministic and
-                // symmetric without storing a map.
-                let (a, z) = if u <= v { (u, v) } else { (v, u) };
-                let h = splitmix64(seed ^ ((a as u64) << 32 | z as u64));
-                let w = 1 + (h % max_w as u64) as Weight;
-                b.push_weighted_edge(u, v, w);
-            }
-        }
-    }
-    let b = if g.is_symmetric() { b.symmetric(true) } else { b.symmetric(false) };
-    b.name(format!("{}-w{max_w}", g.name())).build()
+    let weight = |u: VertexId, v: VertexId| {
+        let (a, z) = if u <= v { (u, v) } else { (v, u) };
+        let h = splitmix64(seed ^ ((a as u64) << 32 | z as u64));
+        1 + (h % max_w as u64) as Weight
+    };
+    g.reweighted(weight, format!("{}-w{max_w}", g.name()))
 }
 
 /// SplitMix64: tiny statelss mixer used for symmetric weight assignment.

@@ -179,6 +179,54 @@ impl Graph {
     pub fn max_degree_vertex(&self) -> Option<VertexId> {
         (0..self.num_vertices() as VertexId).max_by_key(|&v| self.out.degree(v))
     }
+
+    /// This graph's topology under `name`, with each slot of edge
+    /// `u → v` weighted `weight(u, v)`. The CSRs are shared, not copied,
+    /// and the stats carried over: only the weight arrays are new. An
+    /// edgeless graph stays unweighted, as a build from its (empty)
+    /// weighted edge list would.
+    pub(crate) fn reweighted(
+        &self,
+        weight: impl Fn(VertexId, VertexId) -> Weight,
+        name: String,
+    ) -> Graph {
+        if self.num_edges() == 0 {
+            return Graph { out_weights: None, in_weights: None, name, ..self.clone() };
+        }
+        let out_weights = slot_weights(&self.out, &weight);
+        let in_weights = if self.is_symmetric() {
+            std::sync::Arc::clone(&out_weights)
+        } else {
+            // An in-row lists the sources of edges into it.
+            slot_weights(&self.incoming, |row, u| weight(u, row))
+        };
+        Graph {
+            out: std::sync::Arc::clone(&self.out),
+            incoming: std::sync::Arc::clone(&self.incoming),
+            out_weights: Some(out_weights),
+            in_weights: Some(in_weights),
+            stats: self.stats,
+            name,
+        }
+    }
+}
+
+/// One weight per slot of `csr`, `weight(row, target)`, in slot order.
+/// The iterator has an exact length, so the array is allocated once.
+fn slot_weights(
+    csr: &Csr,
+    weight: impl Fn(VertexId, VertexId) -> Weight,
+) -> std::sync::Arc<[Weight]> {
+    let (offsets, targets) = (csr.offsets(), csr.targets());
+    let mut row = 0;
+    (0..targets.len())
+        .map(|e| {
+            while offsets[row + 1] as usize <= e {
+                row += 1;
+            }
+            weight(row as VertexId, targets[e])
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,11 +5,11 @@
 use crate::cache::{feature_bucket, CacheKey, ConfigCache};
 use crate::query::{IterStat, JobStatus, Metric, Payload, Query};
 use crate::registry::GraphEntry;
-use gswitch_algos::bc::{BcBackward, BcForward};
+use gswitch_algos::bc::{self, BcBackward, BcForward};
 use gswitch_algos::{Bfs, Cc, PageRank, Sssp};
 use gswitch_core::sharded::{ShardError, ShardedOptions};
 use gswitch_core::{
-    run, run_with_seed_config, EngineOptions, Policy, ProbeHandle, RunReport, StopReason,
+    run_with_seed_config, EngineOptions, Policy, ProbeHandle, RunReport, StopReason,
 };
 use gswitch_obs::{RecorderHandle, SpanCtx};
 use gswitch_shard::{run_query, BatchQuery, BatchResult, ShardStore};
@@ -161,7 +161,7 @@ pub fn execute(
             let fwd = BcForward::new(n, src);
             let forward = run_with_seed_config(g, &fwd, policy, &opts, seed);
             let bwd = BcBackward::new(&fwd);
-            let backward = run(g, &bwd, policy, &opts);
+            let backward = bc::run_backward(g, &bwd, &forward, policy, &opts);
             let mut scores = bwd.deltas();
             if let Some(s) = scores.get_mut(src as usize) {
                 *s = 0.0;
@@ -444,6 +444,41 @@ mod tests {
         assert_eq!(r.stopped, Some(StopReason::Cancelled));
         assert!(!r.converged);
         // A stopped run must never be remembered as "the tuned config".
+        assert_eq!(cache.counters().stores, 0);
+    }
+
+    #[test]
+    fn bc_stopped_in_its_forward_phase_ends_as_a_deadline() {
+        use gswitch_core::{KernelConfig, RunProbe, StaticPolicy};
+        use std::sync::Arc;
+
+        struct StopAt(u32);
+        impl RunProbe for StopAt {
+            fn check(&self, iteration: u32) -> Option<StopReason> {
+                (iteration >= self.0).then_some(StopReason::DeadlineExceeded)
+            }
+        }
+
+        // A 24 x 24 grid is ~46 BFS levels deep from vertex 0: stopped at
+        // level 3, and run pinned to push so a backward phase would send
+        // to unreached vertices.
+        let (reg, cache, dev) = setup();
+        let e = reg.insert("grid", gen::grid2d(24, 24, 0.0, 5));
+        let r = execute(
+            &e,
+            &Query::Bc { src: 0 },
+            &cache,
+            &StaticPolicy::new(KernelConfig::push_baseline()),
+            &dev,
+            RecorderHandle::none(),
+            ProbeHandle::new(Arc::new(StopAt(3))),
+            0,
+            SpanCtx::default(),
+        )
+        .unwrap();
+        assert_eq!(r.stopped, Some(StopReason::DeadlineExceeded));
+        assert!(!r.converged);
+        assert_eq!(r.iterations.len(), 3, "the backward phase ran");
         assert_eq!(cache.counters().stores, 0);
     }
 

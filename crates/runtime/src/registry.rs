@@ -209,8 +209,10 @@ mod tests {
         let w2 = e.weighted();
         assert!(Arc::ptr_eq(&w1, &w2));
         assert!(w1.is_weighted());
-        // Topology is unchanged by weighting.
-        assert_eq!(w1.out_csr(), e.graph().out_csr());
+        // Topology is unchanged by weighting: shared, not copied.
+        assert!(std::ptr::eq(w1.out_csr(), e.graph().out_csr()));
+        assert!(std::ptr::eq(w1.in_csr(), e.graph().in_csr()));
+        assert_eq!(w1.stats(), e.graph().stats());
     }
 
     #[test]
