@@ -368,6 +368,15 @@ pub(crate) struct LaneFailure {
     pub(crate) payload: Option<Box<dyn Any + Send>>,
 }
 
+/// The message a caught panic carried: a `panic!`'s `&str` or `String`,
+/// or a fixed text for any other payload.
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast_ref::<&str>().map_or("panic with a non-string payload", |s| s).into(),
+    }
+}
+
 /// What a fired [`fault_site::FRONTIER_CORRUPT`] does to the frontier.
 fn lose_one_entry(f: &mut Frontier) {
     match f {
@@ -1183,6 +1192,16 @@ pub(crate) mod tests {
                 assert_eq!(payload.downcast_ref::<String>().unwrap(), "lane 2 failed");
             }
         }
+    }
+
+    #[test]
+    fn panic_message_renders_str_string_and_other_payloads() {
+        let caught = |f: fn()| catch_unwind(f).expect_err("the closure panics");
+        assert_eq!(panic_message(caught(|| panic!("a literal"))), "a literal");
+        assert_eq!(panic_message(caught(|| panic!("formatted {}", 7))), "formatted 7");
+        assert_eq!(panic_message(Box::new("a &str")), "a &str");
+        assert_eq!(panic_message(Box::new(String::from("a String"))), "a String");
+        assert_eq!(panic_message(Box::new(42u32)), "panic with a non-string payload");
     }
 
     #[test]

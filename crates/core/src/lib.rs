@@ -32,8 +32,8 @@ pub mod sharded;
 
 pub use cancel::{CancelToken, ProbeHandle, RunProbe, StopReason};
 pub use engine::{
-    run, run_with_seed_config, EngineOptions, IterationTrace, PatternMask, RunReport,
-    SentinelReport,
+    panic_message, run, run_with_seed_config, EngineOptions, IterationTrace, PatternMask,
+    RunReport, SentinelReport,
 };
 pub use features::DecisionContext;
 pub use policy::{

@@ -20,7 +20,9 @@
 //! workers finish, then the super-step aborts with the first failure.
 
 use crate::cancel::{ProbeHandle, StopReason};
-use crate::engine::{drive, EngineOptions, IterationTrace, Lane, LaneFailure, PatternMask};
+use crate::engine::{
+    drive, panic_message, EngineOptions, IterationTrace, Lane, LaneFailure, PatternMask,
+};
 use crate::policy::Policy;
 use gswitch_graph::shard::{LocalShard, ShardedCsr};
 use gswitch_graph::{VertexId, Weight};
@@ -353,12 +355,10 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
 /// Every lane is a shard worker here: its contained failure is structured.
 impl From<LaneFailure> for ShardError {
     fn from(LaneFailure { lane: shard, phase, payload }: LaneFailure) -> Self {
-        let Some(p) = payload else { return ShardError::WorkerLost { shard, phase } };
-        let message = match p.downcast::<String>() {
-            Ok(s) => *s,
-            Err(p) => p.downcast_ref::<&str>().map_or("opaque panic payload", |s| s).to_string(),
-        };
-        ShardError::WorkerPanicked { shard, phase, message }
+        match payload {
+            Some(p) => ShardError::WorkerPanicked { shard, phase, message: panic_message(p) },
+            None => ShardError::WorkerLost { shard, phase },
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 //! * `--metrics`: the input is a single JSON document — a
 //!   `gswitch-serve` `stats` response or a bare metrics-registry
 //!   snapshot — and the output is the overload-resilience summary
-//!   (shed/fast-fail counters, breaker transitions, brownout state).
+//!   (shed/fast-fail counters, breaker transitions, sentinel skips).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

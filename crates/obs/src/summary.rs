@@ -123,31 +123,18 @@ pub struct TraceSummary {
 /// Render the overload-resilience counters out of a metrics document:
 /// either a `gswitch-serve` `stats` response (which carries a
 /// `resilience` object and a `metrics` snapshot) or a bare registry
-/// snapshot (`{"counters":{...},"gauges":{...}}`). Counters the
-/// document does not carry print as 0, so the summary works on
-/// pre-overload traces too.
+/// snapshot (`{"counters":{...}}`). Counters the document does not
+/// carry print as 0, so the summary works on pre-overload traces too.
 pub fn resilience_summary(doc: &serde_json::Value) -> String {
-    let lookup = |name: &str| -> Option<&serde_json::Value> {
-        for scope in [doc.get("resilience"), doc.get("metrics"), Some(doc)] {
-            let Some(scope) = scope else { continue };
-            for inner in [scope.get("counters"), scope.get("gauges"), Some(scope)] {
-                if let Some(v) = inner.and_then(|s| s.get(name)) {
-                    return Some(v);
-                }
-            }
-        }
-        None
-    };
-    let counter = |name: &str| lookup(name).and_then(|v| v.as_u64()).unwrap_or(0);
-    // `brownout_active` is a bool in the stats response but a 0/1 gauge
-    // in a raw snapshot; `breakers_open_now` only exists in stats.
-    let flag = |name: &str| {
-        lookup(name)
-            .map(|v| match v {
-                serde_json::Value::Bool(b) => *b,
-                other => other.as_i64().unwrap_or(0) != 0,
-            })
-            .unwrap_or(false)
+    // `breakers_open_now` only exists in stats.
+    let counter = |name: &str| {
+        [doc.get("resilience"), doc.get("metrics"), Some(doc)]
+            .into_iter()
+            .flatten()
+            .flat_map(|scope| [scope.get("counters"), Some(scope)])
+            .find_map(|inner| inner?.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
     };
     let mut out = String::from("overload resilience:\n");
     out.push_str(&format!(
@@ -163,12 +150,7 @@ pub fn resilience_summary(doc: &serde_json::Value) -> String {
         counter("breaker_closed"),
         counter("breakers_open_now"),
     ));
-    out.push_str(&format!(
-        "  brownout: {} (entered {} / exited {})\n",
-        if flag("brownout_active") { "ACTIVE" } else { "inactive" },
-        counter("brownout_entered"),
-        counter("brownout_exited"),
-    ));
+    out.push_str(&format!("  sentinel skipped under pressure: {}\n", counter("sentinel_skipped")));
     out
 }
 
@@ -567,11 +549,11 @@ mod tests {
     #[test]
     fn resilience_summary_reads_stats_and_raw_snapshots() {
         // A gswitch-serve `stats` response: counters live under
-        // `resilience`, the brownout flag is a bool.
+        // `resilience`.
         let stats = serde_json::parse(
             r#"{"ok":"stats","resilience":{"jobs_shed":12,"jobs_breaker_open":7,
                 "breaker_opened":2,"breaker_closed":1,"breakers_open_now":1,
-                "brownout_active":true,"brownout_entered":3,"brownout_exited":2},
+                "sentinel_skipped":3},
                 "metrics":{"counters":{"jobs_deadline_unmeetable":4}}}"#,
         )
         .unwrap();
@@ -580,18 +562,13 @@ mod tests {
         assert!(text.contains("deadline-unmeetable 4"), "{text}");
         assert!(text.contains("breaker fast-fails 7"), "{text}");
         assert!(text.contains("opened 2 / half-open 0 / closed 1 (open now: 1)"), "{text}");
-        assert!(text.contains("brownout: ACTIVE (entered 3 / exited 2)"), "{text}");
+        assert!(text.contains("sentinel skipped under pressure: 3"), "{text}");
 
-        // A bare registry snapshot: same counters flat under
-        // `counters`, brownout as a 0/1 gauge.
-        let snap = serde_json::parse(
-            r#"{"counters":{"jobs_shed":5,"breaker_opened":1},
-                "gauges":{"brownout_active":0}}"#,
-        )
-        .unwrap();
+        // A bare registry snapshot: same counters flat under `counters`.
+        let snap = serde_json::parse(r#"{"counters":{"jobs_shed":5,"breaker_opened":1}}"#).unwrap();
         let text = resilience_summary(&snap);
         assert!(text.contains("shed 5"), "{text}");
         assert!(text.contains("opened 1"), "{text}");
-        assert!(text.contains("brownout: inactive (entered 0 / exited 0)"), "{text}");
+        assert!(text.contains("sentinel skipped under pressure: 0"), "{text}");
     }
 }

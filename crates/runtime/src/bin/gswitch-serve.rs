@@ -6,7 +6,7 @@
 
 use gswitch_runtime::executor::to_batch_query;
 use gswitch_runtime::obs::metric;
-use gswitch_runtime::protocol::Request;
+use gswitch_runtime::protocol::{batch_shards, Request};
 use gswitch_runtime::{
     ConfigCache, GraphRegistry, JobSpec, JobStatus, RuntimeObs, Scheduler, SchedulerConfig,
     SubmitError,
@@ -23,7 +23,7 @@ fn usage() -> ! {
          --workers N: scheduler worker threads; default min(available cores, 8).\n\
          --shards K: default shard count for `batch` requests — each batched graph is\n\
          partitioned into K resident shards on first use (a request's own \"shards\"\n\
-         field overrides); default 4.\n\
+         field overrides); 1..=64, default 4.\n\
          --spans FILE: on quit, write the wall-clock span log (request → queue-wait →\n\
          execute → super-step phases) as JSONL to FILE; render it with\n\
          `gswitch-trace --timeline out.json FILE` or `gswitch-trace --profile FILE`.\n\
@@ -37,7 +37,8 @@ fn usage() -> ! {
          structurally and size-limited either way.\n\
          --verify-every N: run the engine's divergence sentinel every N super-steps —\n\
          each check re-derives the frontier serially and, on mismatch, repairs in\n\
-         place and pins the run to the reference variant; default 0 (off).\n\
+         place and pins the run to the reference variant; default 0 (off). A job\n\
+         picked up while the queue is at its shed watermark runs without it.\n\
          \n\
          Serves line-delimited JSON requests on stdin:\n\
            {{\"cmd\":\"load\",\"name\":\"kron\",\"gen\":{{\"kind\":\"rmat\",\"scale\":10}}}}\n\
@@ -194,7 +195,7 @@ fn handle(
             for q in &queries {
                 to_batch_query(q)?;
             }
-            let k = req.shards.unwrap_or(shards);
+            let k = batch_shards(req.shards.unwrap_or(shards))?;
             // Submit every query as its own sharded job, then wait for
             // all of them: each gets an id, a deadline, a priority and a
             // breaker vote like any `query`. A refusal part-way cancels
@@ -289,11 +290,10 @@ fn handle(
                 serde_json::from_str(&gswitch_obs::profile(&obs.spans.snapshot()).to_json())
                     .map_err(|e| format!("span profile: {e}"))?;
             // Overload-resilience surface: shed/fast-fail counters,
-            // breaker transitions, and brownout state. The raw counters
+            // breaker transitions, and sentinel skips. The raw counters
             // also appear inside `metrics`; this block is the curated
             // view clients and the soak harness key on.
             let breakers = scheduler.breakers();
-            let brownout = scheduler.brownout();
             let resilience = serde_json::json!({
                 "jobs_shed": obs.metrics.counter(metric::JOBS_SHED).get(),
                 "jobs_deadline_unmeetable": obs.metrics.counter(metric::JOBS_UNMEETABLE).get(),
@@ -302,9 +302,7 @@ fn handle(
                 "breaker_half_open": obs.metrics.counter(metric::BREAKER_HALF_OPEN).get(),
                 "breaker_closed": obs.metrics.counter(metric::BREAKER_CLOSED).get(),
                 "breakers_open_now": breakers.open_count(),
-                "brownout_active": brownout.active(),
-                "brownout_entered": brownout.entered(),
-                "brownout_exited": brownout.exited(),
+                "sentinel_skipped": obs.metrics.counter(metric::SENTINEL_SKIPPED).get(),
                 "queue_capacity": scheduler.capacity(),
                 "queue_wait_p95_ms": scheduler.queue_wait_p95_ms(),
             });

@@ -25,12 +25,12 @@
 //!   unless the `fault-injection` cargo feature is on; the lever the
 //!   fault-tolerance integration suite uses to prove the pool survives
 //!   panicking jobs, poisoned locks and corrupt cache files.
-//! - [`breaker`] / [`brownout`] / [`health`] — overload resilience:
-//!   per-(graph, algorithm) circuit breakers that fail fast after
-//!   repeated worker failures, degraded-mode serving under sustained
-//!   queue pressure, and the `health` verb's per-component report.
-//!   Priority-aware load shedding lives in [`scheduler`]; see
-//!   DESIGN.md §4.14.
+//! - [`breaker`] / [`health`] — overload resilience: per-(graph,
+//!   algorithm) circuit breakers that fail fast after repeated worker
+//!   failures, and the `health` verb's per-component report.
+//!   Priority-aware load shedding, and the sentinel skip for jobs picked
+//!   up under queue pressure, live in [`scheduler`]; see DESIGN.md
+//!   §4.14.
 //!
 //! The `gswitch-serve` binary speaks line-delimited JSON over
 //! stdin/stdout; see `protocol` and the README's "Serving" section.
@@ -39,7 +39,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod breaker;
-pub mod brownout;
 pub mod cache;
 pub mod executor;
 pub mod faults;
@@ -51,7 +50,6 @@ pub mod registry;
 pub mod scheduler;
 
 pub use breaker::{BreakerConfig, BreakerSet, BreakerState};
-pub use brownout::{Brownout, BrownoutConfig};
 pub use cache::{CacheCounters, CacheKey, ConfigCache};
 pub use executor::{execute, execute_sharded};
 pub use health::HealthReport;

@@ -77,13 +77,10 @@ pub mod metric {
     pub const BREAKER_HALF_OPEN: &str = "breaker_half_open";
     /// Counter: breaker transitions HalfOpen → Closed (probe succeeded).
     pub const BREAKER_CLOSED: &str = "breaker_closed";
-    /// Counter: brownout (degraded-mode) activations.
-    pub const BROWNOUT_ENTERED: &str = "brownout_entered";
-    /// Counter: brownout deactivations (pressure eased).
-    pub const BROWNOUT_EXITED: &str = "brownout_exited";
-    /// Gauge: 1 while the runtime is serving in degraded (brownout)
-    /// mode, 0 otherwise.
-    pub const BROWNOUT_ACTIVE: &str = "brownout_active";
+    /// Counter: jobs run without the divergence sentinel because the
+    /// queue their worker left behind was at or above the shed
+    /// watermark (only counted while the sentinel is on).
+    pub const SENTINEL_SKIPPED: &str = "sentinel_skipped";
 }
 
 /// Default decision-trace ring capacity (events, not bytes). A

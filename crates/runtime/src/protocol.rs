@@ -28,7 +28,8 @@
 //! exchange volume, and the worst shard imbalance. Only BFS/PR/CC are
 //! batchable — SSSP and BC stay on the single-shard `query` path
 //! (priority-driven stepping and two-phase Brandes don't shard), and a
-//! batch naming one is refused before any job is submitted.
+//! batch naming one, or a shard count outside `1..=`[`MAX_SHARDS`], is
+//! refused before any job is submitted.
 //!
 //! `query` responses are the full [`JobOutcome`](crate::JobOutcome)
 //! (per-vertex payload stripped unless `"payload":true`); other
@@ -50,8 +51,8 @@
 //! lower-priority queued work to admit the newcomer.
 //!
 //! `health` answers with a per-component report (scheduler occupancy,
-//! open breakers, brownout state, cache, shards) and an overall
-//! `"ok"`/`"degraded"` status; see [`crate::health::HealthReport`]. It
+//! open breakers, cache, shards) and an overall `"ok"`/`"degraded"`
+//! status; see [`crate::health::HealthReport`]. It
 //! never blocks on workers, so it answers even under full overload.
 //!
 //! `stats` returns the legacy cache/queue fields plus a `metrics`
@@ -127,6 +128,16 @@ pub const MAX_GEN_VERTICES: usize = 1 << 24;
 /// Most edges a [`GenSpec`] may ask for (R-MAT's scale 24 at edge
 /// factor 8).
 pub const MAX_GEN_EDGES: usize = 1 << 27;
+
+/// Most shards a `batch` may ask for: each shard is a graph of its own
+/// and an engine lane, so K is capped like a generator's size.
+pub const MAX_SHARDS: u32 = 64;
+
+/// `k` if it is a shard count a `batch` may run at (`1..=MAX_SHARDS`),
+/// else the error naming it.
+pub fn batch_shards(k: u32) -> Result<u32, String> {
+    within("batch `shards`", k as usize, 1, MAX_SHARDS as usize).map(|k| k as u32)
+}
 
 /// `x` if it lies in `lo..=hi`, else the error naming it.
 fn within(name: &str, x: usize, lo: usize, hi: usize) -> Result<usize, String> {
@@ -241,6 +252,16 @@ mod tests {
         assert_eq!(req.queries, Some(vec![Query::Cc]));
         assert_eq!(req.shards, Some(2));
         assert_eq!(req.timeout_ms, Some(50));
+    }
+
+    #[test]
+    fn batch_shard_counts_are_bounded() {
+        assert_eq!(batch_shards(1), Ok(1));
+        assert_eq!(batch_shards(MAX_SHARDS), Ok(MAX_SHARDS));
+        for k in [0, MAX_SHARDS + 1, u32::MAX] {
+            let err = batch_shards(k).unwrap_err();
+            assert!(err.contains(&format!("batch `shards` {k} out of range 1..=64")), "{err}");
+        }
     }
 
     #[test]

@@ -42,9 +42,10 @@
 //! ([`BreakerSet`]): per (graph fingerprint, algorithm), repeated
 //! worker failures open the breaker and subsequent submissions fail
 //! fast with [`JobStatus::BreakerOpen`] until a cooldown probe
-//! succeeds. **Brownout** ([`Brownout`]): sustained high occupancy
-//! switches the pool to degraded mode — sentinel verification off —
-//! until pressure eases. Decision tracing stays on: it costs about 1 %.
+//! succeeds. **Sentinel skip**: a job a worker picks up while the queue
+//! it leaves behind is at or above the watermark runs without the
+//! divergence sentinel; each pickup decides for itself, so nothing
+//! latches. Decision tracing stays on: it costs about 1 %.
 //!
 //! A sharded job ([`Scheduler::submit_sharded`]) takes the same path
 //! from admission to terminal state. Only the worker's execute step
@@ -52,13 +53,12 @@
 //! scheduler's [`ShardStore`].
 
 use crate::breaker::{BreakerDecision, BreakerKey, BreakerSet};
-use crate::brownout::Brownout;
 use crate::cache::ConfigCache;
 use crate::executor::{execute, execute_sharded, Execution};
 use crate::obs::{metric, RuntimeObs};
 use crate::query::{JobOutcome, JobSpec, JobStatus, Metric, Priority};
 use crate::registry::{GraphEntry, GraphRegistry};
-use gswitch_core::{AutoPolicy, CancelToken, ProbeHandle, RunProbe, StopReason};
+use gswitch_core::{panic_message, AutoPolicy, CancelToken, ProbeHandle, RunProbe, StopReason};
 use gswitch_obs::sync::Lock;
 use gswitch_obs::{
     Clock, Counter, Gauge, Histogram, MetricsRegistry, SpanCtx, SpanKind, SpanRecord,
@@ -72,7 +72,6 @@ use std::sync::{mpsc, Arc, Condvar};
 use std::time::Duration;
 
 pub use crate::breaker::BreakerConfig;
-pub use crate::brownout::BrownoutConfig;
 
 /// Queue-wait observations required before the p95 estimate is trusted
 /// for deadline-unmeetable rejection (a cold histogram says nothing).
@@ -98,16 +97,15 @@ pub struct SchedulerConfig {
     /// cross-check the tuned variant against the serial reference
     /// derivation every N standalone super-steps (0 = off, the
     /// default). See [`gswitch_core::EngineOptions::verify_every`].
-    /// Suspended while brownout is active.
+    /// Skipped for a job picked up under pressure (`shed_watermark`).
     pub verify_every: u32,
-    /// Queue occupancy (0.0–1.0) at or above which the overload
-    /// machinery engages: unmeetable-deadline rejection applies, and
-    /// brownout sampling counts the queue as pressured.
+    /// Queue occupancy (0.0–1.0) at or above which the queue is under
+    /// pressure: admission refuses unmeetable deadlines, a job picked
+    /// up leaving the queue there runs without the sentinel, and
+    /// `health` degrades the scheduler row.
     pub shed_watermark: f64,
     /// Circuit-breaker thresholds (per graph fingerprint × algorithm).
     pub breaker: BreakerConfig,
-    /// Brownout (degraded-mode) detection thresholds.
-    pub brownout: BrownoutConfig,
 }
 
 impl Default for SchedulerConfig {
@@ -120,7 +118,6 @@ impl Default for SchedulerConfig {
             verify_every: 0,
             shed_watermark: 0.75,
             breaker: BreakerConfig::default(),
-            brownout: BrownoutConfig::default(),
         }
     }
 }
@@ -271,6 +268,7 @@ struct SchedulerMetrics {
     shed: Counter,
     unmeetable: Counter,
     breaker_fastfail: Counter,
+    sentinel_skipped: Counter,
     queue_wait_ms: Histogram,
     execute_ms: Histogram,
     total_ms: Histogram,
@@ -296,6 +294,7 @@ impl SchedulerMetrics {
             shed: r.counter(metric::JOBS_SHED),
             unmeetable: r.counter(metric::JOBS_UNMEETABLE),
             breaker_fastfail: r.counter(metric::JOBS_BREAKER_OPEN),
+            sentinel_skipped: r.counter(metric::SENTINEL_SKIPPED),
             queue_wait_ms: r.latency(metric::QUEUE_WAIT_MS),
             execute_ms: r.latency(metric::EXECUTE_MS),
             total_ms: r.latency(metric::JOB_TOTAL_MS),
@@ -322,6 +321,10 @@ struct Shared {
     m: SchedulerMetrics,
     device: DeviceSpec,
     verify_every: u32,
+    /// Admission bound on queued jobs.
+    capacity: usize,
+    /// Occupancy fraction at or above which the queue is under pressure.
+    shed_watermark: f64,
     /// The one outer lock (`gswitch_obs::sync`): admission and the
     /// workers touch `live`, the breakers, the metrics and the span ring
     /// while they hold it, each a leaf taken and released in turn.
@@ -333,10 +336,15 @@ struct Shared {
     live: Lock<HashMap<u64, Arc<CancelToken>>>,
     /// Circuit breakers per (graph fingerprint, algorithm).
     breakers: Arc<BreakerSet>,
-    /// Degraded-mode detector, sampled at every admission.
-    brownout: Arc<Brownout>,
     /// Resident shard plans sharded jobs run over.
     plans: ShardStore,
+}
+
+impl Shared {
+    /// Whether `queued` jobs put the queue at or above the watermark.
+    fn pressured(&self, queued: usize) -> bool {
+        queued as f64 / self.capacity as f64 >= self.shed_watermark
+    }
 }
 
 /// The jobs waiting for a worker, and whether the workers should exit
@@ -412,10 +420,7 @@ impl JobHandle {
 pub struct Scheduler {
     shared: Arc<Shared>,
     next_id: AtomicU64,
-    capacity: usize,
     default_timeout_ms: u64,
-    /// Occupancy fraction at which overload handling engages.
-    shed_watermark: f64,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -443,7 +448,6 @@ impl Scheduler {
     ) -> Self {
         cache.bind_metrics(&obs.metrics);
         let breakers = Arc::new(BreakerSet::new(config.breaker.clone(), obs.clock(), &obs.metrics));
-        let brownout = Arc::new(Brownout::new(config.brownout.clone(), &obs.metrics));
         let shared = Arc::new(Shared {
             registry,
             cache,
@@ -451,11 +455,12 @@ impl Scheduler {
             obs,
             device: config.device.clone(),
             verify_every: config.verify_every,
+            capacity: config.queue_capacity.max(1),
+            shed_watermark: config.shed_watermark.clamp(0.0, 1.0),
             queue: Lock::outer(Queue::default()),
             work_ready: Condvar::new(),
             live: Lock::new(HashMap::new()),
             breakers,
-            brownout,
             plans: ShardStore::new(PLAN_CAPACITY),
         });
         #[expect(
@@ -477,9 +482,7 @@ impl Scheduler {
         Scheduler {
             shared,
             next_id: AtomicU64::new(1),
-            capacity: config.queue_capacity.max(1),
             default_timeout_ms: config.default_timeout_ms,
-            shed_watermark: config.shed_watermark.clamp(0.0, 1.0),
             workers,
         }
     }
@@ -564,11 +567,10 @@ impl Scheduler {
             }
         };
 
-        let occupancy;
         {
             let mut queue = shared.queue.lock();
             let q = &mut queue.jobs;
-            if q.len() >= self.capacity {
+            if q.len() >= shared.capacity {
                 // Shed stage 1: purge queued jobs whose deadline has
                 // already passed — they could only ever report
                 // DeadlineExceeded, so settle them now and free slots.
@@ -584,7 +586,7 @@ impl Scheduler {
                 // queued job strictly below the incoming class. Equal
                 // priorities never shed each other — FIFO fairness
                 // within a class survives overload.
-                if q.len() >= self.capacity {
+                if q.len() >= shared.capacity {
                     let victim_idx = q
                         .iter()
                         .enumerate()
@@ -597,7 +599,6 @@ impl Scheduler {
                     let Some(victim) = victim_idx.and_then(|i| q.remove(i)) else {
                         shared.m.rejected.inc();
                         shared.breakers.record_neutral(key, job.probe);
-                        shared.brownout.on_sample(1.0);
                         return Err(SubmitError::QueueFull);
                     };
                     let why = format!(
@@ -612,8 +613,7 @@ impl Scheduler {
             // work whose deadline the observed p95 wait already blows —
             // admitting it would only manufacture a DeadlineExceeded
             // after burning a queue slot for the full wait.
-            let occ_now = q.len() as f64 / self.capacity as f64;
-            if occ_now >= self.shed_watermark {
+            if shared.pressured(q.len()) {
                 let wait = shared.m.queue_wait_ms.snapshot();
                 let deadline_ms = deadline.as_millis().min(u128::from(u64::MAX)) as u64;
                 if wait.count >= MIN_WAIT_SAMPLES {
@@ -622,7 +622,6 @@ impl Scheduler {
                         shared.m.rejected.inc();
                         shared.m.unmeetable.inc();
                         shared.breakers.record_neutral(key, job.probe);
-                        shared.brownout.on_sample(occ_now);
                         return Err(SubmitError::DeadlineUnmeetable {
                             p95_wait_ms: p95 as u64,
                             deadline_ms,
@@ -635,9 +634,7 @@ impl Scheduler {
             shared.live.lock().insert(job.id, Arc::clone(&job.token));
             q.push_back(job);
             shared.m.queue_depth.set(q.len() as i64);
-            occupancy = q.len() as f64 / self.capacity as f64;
         }
-        shared.brownout.on_sample(occupancy);
         shared.m.submitted.inc();
         shared.work_ready.notify_one();
         Ok(handle)
@@ -689,7 +686,14 @@ impl Scheduler {
 
     /// The admission bound this scheduler was built with.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.shared.capacity
+    }
+
+    /// Whether `queued` jobs put the queue at or above its shed
+    /// watermark: the one test of pressure admission, pickup and
+    /// `health` apply.
+    pub fn pressured(&self, queued: usize) -> bool {
+        self.shared.pressured(queued)
     }
 
     /// The circuit-breaker set.
@@ -700,11 +704,6 @@ impl Scheduler {
     /// The resident shard plans sharded jobs run over.
     pub fn plans(&self) -> &ShardStore {
         &self.shared.plans
-    }
-
-    /// The brownout (degraded-mode) detector.
-    pub fn brownout(&self) -> &Arc<Brownout> {
-        &self.shared.brownout
     }
 
     /// Observed p95 admission-to-pickup queue wait in milliseconds, or
@@ -763,17 +762,6 @@ fn pop_highest_priority(q: &mut VecDeque<Job>) -> Option<Job> {
         }
     }
     best.and_then(|(i, _)| q.remove(i))
-}
-
-/// Render a `catch_unwind` payload for the outcome's `error` field.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// The one exit every job takes, however it ends: it votes the
@@ -864,20 +852,17 @@ fn settle(shared: &Shared, job: Job, worker: u32, status: JobStatus, detail: Det
     job.reply.book(m, out, ended);
 }
 
-/// One job's engine run, on the whole graph or over its K-shard plan.
-/// A refusal carries its terminal status.
+/// One job's engine run, on the whole graph or over its K-shard plan,
+/// with the sentinel cadence its pickup chose. A refusal carries its
+/// terminal status.
 fn execute_job(
     shared: &Shared,
     job: &Job,
     entry: &GraphEntry,
+    verify_every: u32,
     spans: SpanCtx,
 ) -> Result<Execution, (JobStatus, String)> {
-    // Brownout suspends the divergence sentinel (a full serial
-    // re-derivation every N super-steps) until pressure eases.
-    // Tracing stays: it is ~1 % of a step, and a degraded run is the
-    // one an operator most wants to read.
     let recorder = shared.obs.recorder_for(job.id, &job.spec.graph, job.spec.query.algo());
-    let verify_every = if shared.brownout.active() { 0 } else { shared.verify_every };
     let probe = ProbeHandle::new(Arc::new(JobProbe { token: Arc::clone(&job.token) }));
     let (query, device) = (&job.spec.query, &shared.device);
     match job.shards {
@@ -901,12 +886,12 @@ fn worker_loop(shared: &Shared, worker: u32) {
     let collector = shared.obs.span_collector();
     let clock = shared.obs.clock();
     loop {
-        let mut job = {
+        let (mut job, pressured) = {
             let mut q = shared.queue.lock();
             loop {
                 if let Some(job) = pop_highest_priority(&mut q.jobs) {
                     shared.m.queue_depth.set(q.jobs.len() as i64);
-                    break job;
+                    break (job, shared.pressured(q.jobs.len()));
                 }
                 if q.shutdown {
                     return;
@@ -932,6 +917,15 @@ fn worker_loop(shared: &Shared, worker: u32) {
             settle(shared, job, worker, JobStatus::Error, Detail::Why(why));
             continue;
         };
+        // A job picked up under pressure runs without the divergence
+        // sentinel (a full serial re-derivation every N super-steps).
+        // Tracing stays: it is ~1 % of a step, and a run under pressure
+        // is the one an operator most wants to read.
+        let mut verify_every = shared.verify_every;
+        if pressured && verify_every > 0 && job.shards.is_none() {
+            verify_every = 0;
+            shared.m.sentinel_skipped.inc();
+        }
         let exec_start = clock.now_ns();
         let result = {
             let spans = collector.local(worker, job.id);
@@ -941,7 +935,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
             // — or any lock-holding bystander — down with it. The shared
             // state is poison-recovering, so unwinding through it is safe.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_job(shared, &job, &entry, exec_spans)
+                execute_job(shared, &job, &entry, verify_every, exec_spans)
             }))
         };
         shared.m.execute_ms.observe(clock.elapsed_ms(exec_start));
@@ -1304,6 +1298,43 @@ mod tests {
             p => panic!("wrong payload: {p:?}"),
         }
         s.shutdown();
+    }
+
+    /// Each pickup decides on the sentinel from the queue its worker
+    /// leaves behind. At watermark 0.0 every pickup is at or above it,
+    /// the empty queue included: the job runs without the sentinel and
+    /// the skip is counted. At 1.0 none is, since a pop always leaves
+    /// room: the job runs the sentinel. A sharded job never runs the
+    /// sentinel, so its pickup counts no skip.
+    #[test]
+    fn jobs_picked_up_under_pressure_skip_the_sentinel() {
+        for (watermark, skipped) in [(0.0, 1), (1.0, 0)] {
+            let registry = Arc::new(GraphRegistry::new());
+            registry.insert("kron", gen::kronecker(8, 8, 3));
+            let obs = Arc::new(RuntimeObs::new());
+            let config = SchedulerConfig {
+                workers: 1,
+                verify_every: 1,
+                shed_watermark: watermark,
+                ..Default::default()
+            };
+            let s =
+                Scheduler::with_obs(registry, Arc::new(ConfigCache::new()), config, obs.clone());
+            let job = s.submit(bfs_spec(0)).unwrap();
+            let id = job.id;
+            assert_eq!(job.wait().status, JobStatus::Ok);
+            let sharded = s.submit_sharded(sharded_spec(Query::Cc), 2).unwrap();
+            assert_eq!(sharded.wait().status, JobStatus::Ok);
+            s.shutdown(); // flushes the worker's span buffer
+            let sentinels = obs
+                .spans
+                .snapshot()
+                .iter()
+                .filter(|r| r.job == id && r.kind == SpanKind::Sentinel)
+                .count();
+            assert_eq!(sentinels == 0, skipped == 1, "watermark {watermark}: {sentinels} spans");
+            assert_eq!(obs.metrics.snapshot().counter(metric::SENTINEL_SKIPPED), skipped);
+        }
     }
 
     /// `submit_with_retry` with zero budget behaves exactly like

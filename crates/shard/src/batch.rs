@@ -10,7 +10,7 @@
 use crate::store::ShardPlan;
 use gswitch_algos::{Cc, PageRank};
 use gswitch_core::sharded::{run_sharded, ShardError, ShardedOptions, ShardedRunReport};
-use gswitch_core::{AutoPolicy, RecorderHandle};
+use gswitch_core::{panic_message, AutoPolicy, RecorderHandle};
 use gswitch_obs::{SpanCtx, SpanKind};
 use gswitch_simt::DeviceSpec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -326,13 +326,7 @@ pub fn execute_batch(plan: &ShardPlan, queries: &[BatchQuery], opts: &BatchOptio
                                 Err(payload) => {
                                     let mut out = outcome_shell(i, q.algo());
                                     out.status = QueryStatus::Failed;
-                                    out.error = Some(match payload.downcast_ref::<&str>() {
-                                        Some(s) => (*s).to_string(),
-                                        None => match payload.downcast_ref::<String>() {
-                                            Some(s) => s.clone(),
-                                            None => "opaque panic payload".to_string(),
-                                        },
-                                    });
+                                    out.error = Some(panic_message(payload));
                                     out
                                 }
                             };
