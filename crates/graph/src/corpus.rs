@@ -96,12 +96,6 @@ impl Recipe {
         }
     }
 
-    /// Materialize with deterministic integer edge weights attached
-    /// (required by SSSP).
-    pub fn build_weighted(&self, max_w: u32) -> Graph {
-        gen::with_random_weights(&self.build(), max_w, 0xC0FFEE)
-    }
-
     /// The domain a recipe belongs to.
     pub fn domain(&self) -> Domain {
         match self {
@@ -403,12 +397,5 @@ mod tests {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn weighted_builds_attach_weights() {
-        let r = &training_set()[0];
-        let g = r.build_weighted(64);
-        assert!(g.is_weighted());
     }
 }

@@ -104,35 +104,9 @@ impl Csr {
             .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// The source vertex of edge index `e`, found by binary search on the
-    /// offsets — this is exactly the `sorted_search` primitive the STRICT
-    /// load balancer uses on device (Fig. 6).
-    #[inline]
-    pub fn edge_source(&self, e: usize) -> VertexId {
-        debug_assert!(e < self.num_edges());
-        let e = e as u64;
-        // partition_point returns the first row whose offset exceeds e;
-        // its predecessor owns the edge.
-        let idx = self.offsets.partition_point(|&off| off <= e);
-        (idx - 1) as VertexId
-    }
-
     /// Maximum degree over all vertices (0 on an empty graph).
     pub fn max_degree(&self) -> u32 {
         (0..self.num_vertices() as VertexId).map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
-    /// Sort each adjacency list in place (by target id). Builder output is
-    /// already sorted; loaders use this after permutation tricks.
-    pub fn sort_adjacency(&mut self) {
-        let n = self.num_vertices();
-        // Split borrow: offsets immutably, targets mutably.
-        let offsets = &self.offsets;
-        let targets = &mut self.targets;
-        for v in 0..n {
-            let r = offsets[v] as usize..offsets[v + 1] as usize;
-            targets[r].sort_unstable();
-        }
     }
 }
 
@@ -155,15 +129,6 @@ mod tests {
         assert_eq!(c.neighbors(0), &[1, 2]);
         assert_eq!(c.neighbors(3), &[0]);
         assert_eq!(c.max_degree(), 2);
-    }
-
-    #[test]
-    fn edge_source_by_binary_search() {
-        let c = sample();
-        assert_eq!(c.edge_source(0), 0);
-        assert_eq!(c.edge_source(1), 0);
-        assert_eq!(c.edge_source(2), 1);
-        assert_eq!(c.edge_source(3), 3);
     }
 
     #[test]
@@ -198,13 +163,5 @@ mod tests {
     #[should_panic(expected = "edge count")]
     fn rejects_offset_target_mismatch() {
         Csr::new(vec![0, 2], vec![0]);
-    }
-
-    #[test]
-    fn sort_adjacency_orders_each_row() {
-        let mut c = Csr::new(vec![0, 3, 4], vec![1, 0, 1, 0]);
-        c.sort_adjacency();
-        assert_eq!(c.neighbors(0), &[0, 1, 1]);
-        assert_eq!(c.neighbors(1), &[0]);
     }
 }

@@ -6,15 +6,17 @@
 //! Loaders treat their input as **untrusted**: every id and dimension is
 //! parsed with checked arithmetic, non-finite weights are rejected, and
 //! [`LoadLimits`] bound how large a graph a header may declare (a hostile
-//! header must not be able to command a huge allocation). The `_opts`
-//! variants additionally choose between [`LoadMode::Repair`] — dedupe
-//! parallel edges and drop self loops, reporting counts — and
-//! [`LoadMode::Strict`], which turns any needed repair into an error.
+//! header must not be able to command a huge allocation). Each format has
+//! one loader, and each takes [`LoadOptions`]: [`LoadMode::Repair`] dedupes
+//! parallel edges and drops self loops, reporting counts, and raises
+//! weights below 1; [`LoadMode::Strict`] turns any needed repair into an
+//! error.
 
 use crate::builder::BuildReport;
 use crate::{Graph, GraphBuilder, VertexId, Weight};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
+use std::str::{FromStr, SplitWhitespace};
 
 /// Errors surfaced while parsing a dataset.
 #[derive(Debug)]
@@ -70,7 +72,8 @@ impl Default for LoadLimits {
     }
 }
 
-/// What to do with input that needs repair (self loops, parallel edges).
+/// What to do with input that needs repair (self loops, parallel edges,
+/// weights below 1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LoadMode {
     /// Repair silently-fixable problems and report counts: dedupe
@@ -85,7 +88,7 @@ pub enum LoadMode {
     Strict,
 }
 
-/// Options accepted by the `_opts` loader variants.
+/// Options every loader takes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadOptions {
     /// Size ceilings.
@@ -129,200 +132,199 @@ fn check_counts(line: usize, n: usize, m: usize, limits: &LoadLimits) -> Result<
     Ok(())
 }
 
-/// Build the accumulated edges, enforcing strict mode and bumping the
-/// repair counter.
-fn finish(b: GraphBuilder, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    let (graph, report) = b.build_with_report();
-    if opts.mode == LoadMode::Strict && !report.is_clean() {
-        return perr(
-            0,
-            format!(
-                "strict mode: input needs repair ({} self loops, {} parallel directed edges)",
-                report.self_loops_dropped, report.parallel_edges_deduped
-            ),
-        );
-    }
-    crate::validate::note_edges_repaired(
-        (report.self_loops_dropped + report.parallel_edges_deduped) as u64,
-    );
-    Ok(Loaded { graph, report })
+/// One record of a text format: its 1-based line number and the line.
+type Record = Result<(usize, String), LoadError>;
+
+/// The records of a text format: its non-blank lines that do not start
+/// with one of `comments`.
+fn records(r: impl Read, comments: &'static str) -> impl Iterator<Item = Record> {
+    BufReader::new(r).lines().enumerate().filter_map(move |(i, l)| match l {
+        Ok(l) => {
+            let t = l.trim_start();
+            (!t.is_empty() && !t.starts_with(|c| comments.contains(c))).then_some(Ok((i + 1, l)))
+        }
+        Err(e) => Some(Err(e.into())),
+    })
 }
 
-/// Count a rejection in [`validate::load_rejected`](crate::validate::load_rejected).
-fn track(r: Result<Loaded, LoadError>) -> Result<Loaded, LoadError> {
-    if r.is_err() {
-        crate::validate::note_load_rejected();
+/// The next field of the record on `line` as a `T`; `what` is the error
+/// when it is missing or does not parse.
+fn field<T: FromStr>(it: &mut SplitWhitespace, line: usize, what: &str) -> Result<T, LoadError> {
+    match it.next().map(str::parse) {
+        Some(Ok(v)) => Ok(v),
+        _ => perr(line, what),
     }
-    r
+}
+
+/// A 1-based `u v` pair inside `1..=n`, as 0-based ids.
+fn ids(it: &mut SplitWhitespace, line: usize, n: usize) -> Result<(VertexId, VertexId), LoadError> {
+    let u: usize = field(it, line, "bad source index")?;
+    let v: usize = field(it, line, "bad target index")?;
+    if u == 0 || v == 0 || u > n || v > n {
+        return perr(line, format!("index ({u},{v}) outside 1..={n} (ids are 1-based)"));
+    }
+    Ok(((u - 1) as VertexId, (v - 1) as VertexId))
+}
+
+/// The weight rule of every format: a stored weight is at least 1, so
+/// repair mode raises a smaller one and strict mode refuses it.
+fn weight(line: usize, w: Weight, opts: &LoadOptions) -> Result<Weight, LoadError> {
+    if w < 1 && opts.mode == LoadMode::Strict {
+        return perr(line, format!("strict mode: weight {w} is below 1"));
+    }
+    Ok(w.max(1))
+}
+
+/// An edge as a record yields it: 0-based ids and the weight, if any.
+type Edge = (VertexId, VertexId, Option<Weight>);
+
+/// Read the records after a header on `line` that declared `n` vertices
+/// and `m` records (`noun`), one edge each, parsed by `edge`. More than
+/// `m` is refused in every mode, fewer only under strict mode.
+fn body(
+    recs: impl Iterator<Item = Record>,
+    (line, n, m, noun): (usize, usize, usize, &str),
+    opts: &LoadOptions,
+    mut edge: impl FnMut(&mut SplitWhitespace, usize) -> Result<Edge, LoadError>,
+) -> Result<GraphBuilder, LoadError> {
+    check_counts(line, n, m, &opts.limits)?;
+    let mut b = GraphBuilder::with_capacity(n, m.min(HEADER_RESERVE_CAP));
+    let (mut found, mut last) = (0usize, line);
+    for rec in recs {
+        let (line, text) = rec?;
+        let (u, v, w) = edge(&mut text.split_whitespace(), line)?;
+        (found, last) = (found + 1, line);
+        if found > m {
+            return perr(line, format!("more {noun} than the header declared ({m})"));
+        }
+        match w {
+            Some(w) => b.push_weighted_edge(u, v, w),
+            None => b.push_edge(u, v),
+        }
+    }
+    if opts.mode == LoadMode::Strict && found != m {
+        return perr(last, format!("truncated: header declared {m} {noun}, found {found}"));
+    }
+    Ok(b)
+}
+
+/// Build what a parser read and apply strict mode. Every load ends here,
+/// so this is where its outcome is counted: a refusal in
+/// [`validate::load_rejected`](crate::validate::load_rejected), repairs in
+/// [`validate::edges_repaired`](crate::validate::edges_repaired).
+fn finish(
+    parsed: Result<GraphBuilder, LoadError>,
+    opts: &LoadOptions,
+) -> Result<Loaded, LoadError> {
+    let loaded = parsed.and_then(|b| {
+        let (graph, report) = b.build_with_report();
+        if opts.mode == LoadMode::Strict && !report.is_clean() {
+            return perr(
+                0,
+                format!(
+                    "strict mode: input needs repair ({} self loops, {} parallel directed edges)",
+                    report.self_loops_dropped, report.parallel_edges_deduped
+                ),
+            );
+        }
+        Ok(Loaded { graph, report })
+    });
+    match &loaded {
+        Ok(l) => crate::validate::note_edges_repaired(
+            (l.report.self_loops_dropped + l.report.parallel_edges_deduped) as u64,
+        ),
+        Err(_) => crate::validate::note_load_rejected(),
+    }
+    loaded
 }
 
 /// Load a MatrixMarket coordinate file. Supports `pattern`, `integer`, and
-/// `real` fields; `general` and `symmetric` symmetry. Real weights are
-/// rounded to the nearest positive integer (the paper uses integer-weighted
-/// SSSP). The graph is always symmetrized, matching the paper's
-/// preprocessing. Equivalent to [`load_mtx_opts`] with default options.
-pub fn load_mtx(r: impl Read) -> Result<Graph, LoadError> {
-    load_mtx_opts(r, &LoadOptions::default()).map(|l| l.graph)
+/// `real` fields; `general` and `symmetric` symmetry, and refuses any other
+/// header. Real weights are rounded to the nearest integer (the paper uses
+/// integer-weighted SSSP) before the weight rule applies; a negative weight
+/// is folded to its magnitude, or refused under strict mode. The graph is
+/// always symmetrized, matching the paper's preprocessing.
+pub fn load_mtx(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
+    finish(mtx(r, opts), opts)
 }
 
-/// [`load_mtx`] with explicit [`LoadOptions`], returning repair counts.
-pub fn load_mtx_opts(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    track(load_mtx_inner(r, opts))
-}
+fn mtx(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
+    // Header: %%MatrixMarket matrix coordinate <field> <symmetry>, the first
+    // non-blank line. Lines after it that start with `%` are comments.
+    let mut recs = records(r, "");
+    let (line, header) = recs.next().unwrap_or_else(|| perr(0, "empty file"))?;
+    let h: Vec<&str> = header.split_whitespace().collect();
+    if h.len() < 5 || !h[0].starts_with("%%MatrixMarket") {
+        return perr(line, "missing %%MatrixMarket header");
+    }
+    let is = |i: usize, words: &[&str]| words.iter().any(|w| h[i].eq_ignore_ascii_case(w));
+    if !is(1, &["matrix"]) || !is(2, &["coordinate"]) {
+        return perr(line, "only `matrix coordinate` files are supported");
+    }
+    if !is(3, &["pattern", "integer", "real"]) || !is(4, &["general", "symmetric"]) {
+        return perr(line, format!("unsupported field or symmetry `{} {}`", h[3], h[4]));
+    }
+    let weighted = !is(3, &["pattern"]);
 
-fn load_mtx_inner(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    let mut lines = BufReader::new(r).lines();
-    let mut lineno = 0usize;
-
-    // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
-    let header = loop {
-        lineno += 1;
-        match lines.next() {
-            Some(l) => {
-                let l = l?;
-                if !l.trim().is_empty() {
-                    break l;
-                }
-            }
-            None => return perr(lineno, "empty file"),
-        }
-    };
-    let toks: Vec<&str> = header.split_whitespace().collect();
-    if toks.len() < 4 || !toks[0].starts_with("%%MatrixMarket") {
-        return perr(lineno, "missing %%MatrixMarket header");
+    let mut recs = recs.filter(|r| !matches!(r, Ok((_, l)) if l.trim_start().starts_with('%')));
+    let (line, size) = recs.next().unwrap_or_else(|| perr(line, "missing size line"))?;
+    const SIZE: &str = "bad size line: expected `rows cols nnz`";
+    let mut it = size.split_whitespace();
+    let (rows, cols): (usize, usize) = (field(&mut it, line, SIZE)?, field(&mut it, line, SIZE)?);
+    let nnz: usize = field(&mut it, line, SIZE)?;
+    if it.next().is_some() {
+        return perr(line, SIZE);
     }
-    if !toks[1].eq_ignore_ascii_case("matrix") || !toks[2].eq_ignore_ascii_case("coordinate") {
-        return perr(lineno, "only `matrix coordinate` files are supported");
-    }
-    let field = toks.get(3).copied().unwrap_or("pattern").to_ascii_lowercase();
-    let weighted = matches!(field.as_str(), "integer" | "real");
-
-    // Size line (first non-comment).
-    let size_line = loop {
-        lineno += 1;
-        match lines.next() {
-            Some(l) => {
-                let l = l?;
-                let t = l.trim();
-                if !t.is_empty() && !t.starts_with('%') {
-                    break l;
-                }
-            }
-            None => return perr(lineno, "missing size line"),
+    let n = rows.max(cols);
+    let b = body(recs, (line, n, nnz, "entries"), opts, |it, line| {
+        let (u, v) = ids(it, line, n)?;
+        if !weighted {
+            return Ok((u, v, None));
         }
-    };
-    let dims: Vec<usize> = size_line
-        .split_whitespace()
-        .map(|t| t.parse::<usize>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| LoadError::Parse { line: lineno, msg: format!("bad size line: {e}") })?;
-    if dims.len() != 3 {
-        return perr(lineno, "size line must be `rows cols nnz`");
-    }
-    let n = dims[0].max(dims[1]);
-    let nnz = dims[2];
-    check_counts(lineno, n, nnz, &opts.limits)?;
-
-    let mut b = GraphBuilder::with_capacity(n, nnz.min(HEADER_RESERVE_CAP));
-    let mut entries = 0usize;
-    for l in lines {
-        lineno += 1;
-        let l = l?;
-        let t = l.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+        let w: f64 = field(it, line, "missing weight")?;
+        if !w.is_finite() {
+            return perr(line, format!("non-finite weight {w}"));
         }
-        entries += 1;
-        if entries > nnz {
-            return perr(lineno, format!("more entries than the declared nnz ({nnz})"));
+        if opts.mode == LoadMode::Strict && w < 0.0 {
+            return perr(line, format!("strict mode: negative weight {w}"));
         }
-        let mut it = t.split_whitespace();
-        let u: usize = match it.next().map(str::parse) {
-            Some(Ok(v)) => v,
-            _ => return perr(lineno, "bad row index"),
-        };
-        let v: usize = match it.next().map(str::parse) {
-            Some(Ok(v)) => v,
-            _ => return perr(lineno, "bad col index"),
-        };
-        if u == 0 || v == 0 || u > n || v > n {
-            return perr(lineno, format!("index ({u},{v}) outside 1..={n}"));
-        }
-        let (u, v) = ((u - 1) as VertexId, (v - 1) as VertexId);
-        if weighted {
-            let w: f64 = match it.next().map(str::parse) {
-                Some(Ok(w)) => w,
-                _ => return perr(lineno, "missing weight"),
-            };
-            if !w.is_finite() {
-                return perr(lineno, format!("non-finite weight {w}"));
-            }
-            if opts.mode == LoadMode::Strict && w < 0.0 {
-                return perr(lineno, format!("strict mode: negative weight {w}"));
-            }
-            let w = w.abs().round().max(1.0) as Weight;
-            b.push_weighted_edge(u, v, w);
-        } else {
-            b.push_edge(u, v);
-        }
-    }
-    if opts.mode == LoadMode::Strict && entries != nnz {
-        return perr(lineno, format!("truncated: header declared {nnz} entries, found {entries}"));
-    }
-    finish(b.name("mtx"), opts)
+        Ok((u, v, Some(weight(line, w.abs().round() as Weight, opts)?)))
+    })?;
+    Ok(b.name("mtx"))
 }
 
 /// Load a whitespace/tab edge list (`u v [w]` per line, `#`/`%` comments).
 /// Vertex ids may start at 0 or 1; `n` is inferred as `max_id + 1`.
-/// Equivalent to [`load_edge_list_opts`] with default options.
-pub fn load_edge_list(r: impl Read) -> Result<Graph, LoadError> {
-    load_edge_list_opts(r, &LoadOptions::default()).map(|l| l.graph)
+pub fn load_edge_list(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
+    finish(edge_list(r, opts), opts)
 }
 
-/// [`load_edge_list`] with explicit [`LoadOptions`], returning repair
-/// counts.
-pub fn load_edge_list_opts(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    track(load_edge_list_inner(r, opts))
-}
-
-fn load_edge_list_inner(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    let mut edges: Vec<(VertexId, VertexId, Option<Weight>)> = Vec::new();
+fn edge_list(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
+    let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
+    let mut weighted = None;
     let mut max_id: VertexId = 0;
-    for (i, l) in BufReader::new(r).lines().enumerate() {
-        let lineno = i + 1;
-        let l = l?;
-        let t = l.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let u: VertexId = match it.next().map(str::parse) {
-            Some(Ok(v)) => v,
-            _ => return perr(lineno, "bad source id (must fit a 32-bit unsigned integer)"),
-        };
-        let v: VertexId = match it.next().map(str::parse) {
-            Some(Ok(v)) => v,
-            _ => return perr(lineno, "bad target id (must fit a 32-bit unsigned integer)"),
-        };
+    for rec in records(r, "#%") {
+        let (line, text) = rec?;
+        let mut it = text.split_whitespace();
+        let u: VertexId =
+            field(&mut it, line, "bad source id (must fit a 32-bit unsigned integer)")?;
+        let v: VertexId =
+            field(&mut it, line, "bad target id (must fit a 32-bit unsigned integer)")?;
         let w = match it.next() {
-            Some(tok) => match tok.parse::<Weight>() {
-                Ok(w) => Some(w.max(1)),
-                Err(_) => return perr(lineno, "bad weight"),
-            },
+            Some(w) => Some(weight(line, w.parse().or_else(|_| perr(line, "bad weight"))?, opts)?),
             None => None,
         };
+        if *weighted.get_or_insert(w.is_some()) != w.is_some() {
+            return perr(line, "mixed weighted and unweighted lines");
+        }
         max_id = max_id.max(u).max(v);
-        edges.push((u, v, w));
+        edges.push((u, v, w.unwrap_or(0)));
         if edges.len() > opts.limits.max_edges {
-            return perr(lineno, format!("edge count exceeds limit {}", opts.limits.max_edges));
+            return perr(line, format!("edge count exceeds limit {}", opts.limits.max_edges));
         }
     }
     if edges.is_empty() {
         return perr(0, "no edges in file");
-    }
-    let weighted = edges[0].2.is_some();
-    if edges.iter().any(|e| e.2.is_some() != weighted) {
-        return perr(0, "mixed weighted and unweighted lines");
     }
     // Checked: a hostile id of u32::MAX on a 32-bit host would wrap
     // `max_id + 1` to zero and build an empty vertex set.
@@ -331,93 +333,47 @@ fn load_edge_list_inner(r: impl Read, opts: &LoadOptions) -> Result<Loaded, Load
         msg: format!("vertex id {max_id} overflows"),
     })?;
     check_counts(0, n, edges.len(), &opts.limits)?;
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for (u, v, w) in edges {
-        match w {
-            Some(w) => b.push_weighted_edge(u, v, w),
-            None => b.push_edge(u, v),
-        }
-    }
-    finish(b.name("edgelist"), opts)
+    let b = GraphBuilder::with_capacity(n, edges.len()).name("edgelist");
+    Ok(match weighted {
+        Some(true) => b.weighted_edges(edges),
+        _ => b.edges(edges.into_iter().map(|(u, v, _)| (u, v))),
+    })
 }
 
-/// Load a DIMACS shortest-path `.gr` file (`p sp n m`, `a u v w` arcs,
-/// 1-based ids). Equivalent to [`load_dimacs_opts`] with default options.
-pub fn load_dimacs(r: impl Read) -> Result<Graph, LoadError> {
-    load_dimacs_opts(r, &LoadOptions::default()).map(|l| l.graph)
+/// Load a DIMACS shortest-path `.gr` file: one `p sp n m` problem line,
+/// then `a u v w` arcs with 1-based ids (`c` comments anywhere).
+pub fn load_dimacs(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
+    finish(dimacs(r, opts), opts)
 }
 
-/// [`load_dimacs`] with explicit [`LoadOptions`], returning repair counts.
-pub fn load_dimacs_opts(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    track(load_dimacs_inner(r, opts))
-}
-
-fn load_dimacs_inner(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
-    let mut b: Option<GraphBuilder> = None;
-    let mut n = 0usize;
-    let mut m = 0usize;
-    let mut arcs = 0usize;
-    let mut last_line = 0usize;
-    for (i, l) in BufReader::new(r).lines().enumerate() {
-        let lineno = i + 1;
-        last_line = lineno;
-        let l = l?;
-        let t = l.trim();
-        if t.is_empty() || t.starts_with('c') {
-            continue;
-        }
-        let toks: Vec<&str> = t.split_whitespace().collect();
-        match toks[0] {
-            "p" => {
-                if toks.len() != 4 || toks[1] != "sp" {
-                    return perr(lineno, "expected `p sp n m`");
-                }
-                n = toks[2]
-                    .parse()
-                    .map_err(|_| LoadError::Parse { line: lineno, msg: "bad n".into() })?;
-                m = toks[3]
-                    .parse()
-                    .map_err(|_| LoadError::Parse { line: lineno, msg: "bad m".into() })?;
-                check_counts(lineno, n, m, &opts.limits)?;
-                b = Some(GraphBuilder::with_capacity(n, m.min(HEADER_RESERVE_CAP)));
-            }
-            "a" => {
-                let builder = match b.as_mut() {
-                    Some(b) => b,
-                    None => return perr(lineno, "arc before problem line"),
-                };
-                if toks.len() != 4 {
-                    return perr(lineno, "expected `a u v w`");
-                }
-                arcs += 1;
-                if arcs > m {
-                    return perr(lineno, format!("more arcs than the declared m ({m})"));
-                }
-                let u: usize = toks[1]
-                    .parse()
-                    .map_err(|_| LoadError::Parse { line: lineno, msg: "bad u".into() })?;
-                let v: usize = toks[2]
-                    .parse()
-                    .map_err(|_| LoadError::Parse { line: lineno, msg: "bad v".into() })?;
-                let w: Weight = toks[3]
-                    .parse()
-                    .map_err(|_| LoadError::Parse { line: lineno, msg: "bad w".into() })?;
-                if u == 0 || v == 0 || u > n || v > n {
-                    return perr(lineno, "arc index out of range (DIMACS ids are 1-based)");
-                }
-                builder.push_weighted_edge((u - 1) as VertexId, (v - 1) as VertexId, w.max(1));
-            }
-            other => return perr(lineno, format!("unknown record `{other}`")),
-        }
+fn dimacs(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
+    let mut recs = records(r, "c");
+    let (line, p) = recs.next().unwrap_or_else(|| perr(0, "missing problem line"))?;
+    let mut it = p.split_whitespace();
+    match it.next() {
+        Some("p") => {}
+        Some("a") => return perr(line, "arc before problem line"),
+        other => return perr(line, format!("unknown record `{}`", other.unwrap_or(""))),
     }
-    let b = match b {
-        Some(b) => b,
-        None => return perr(0, "missing problem line"),
-    };
-    if opts.mode == LoadMode::Strict && arcs != m {
-        return perr(last_line, format!("truncated: header declared {m} arcs, found {arcs}"));
+    let sp = it.next() == Some("sp");
+    let (n, m): (usize, usize) = (field(&mut it, line, "bad n")?, field(&mut it, line, "bad m")?);
+    if !sp || it.next().is_some() {
+        return perr(line, "expected `p sp n m`");
     }
-    finish(b.name("dimacs"), opts)
+    let b = body(recs, (line, n, m, "arcs"), opts, |it, line| {
+        match it.next() {
+            Some("a") => {}
+            Some("p") => return perr(line, "second problem line"),
+            other => return perr(line, format!("unknown record `{}`", other.unwrap_or(""))),
+        }
+        let (u, v) = ids(it, line, n)?;
+        let w = weight(line, field(it, line, "bad w")?, opts)?;
+        if it.next().is_some() {
+            return perr(line, "expected `a u v w`");
+        }
+        Ok((u, v, Some(w)))
+    })?;
+    Ok(b.name("dimacs"))
 }
 
 /// Write a graph as a MatrixMarket coordinate file (pattern or integer
@@ -442,42 +398,17 @@ pub fn save_mtx(g: &Graph, mut w: impl std::io::Write) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Write a graph as a whitespace edge list (`u v [w]`, 0-based).
-pub fn save_edge_list(g: &Graph, mut w: impl std::io::Write) -> std::io::Result<()> {
-    writeln!(w, "# {} ({} vertices, {} edges)", g.name(), g.num_vertices(), g.num_edges())?;
-    let csr = g.out_csr();
-    let ws = g.out_weights();
-    for u in 0..g.num_vertices() as VertexId {
-        let r = csr.edge_range(u);
-        for (i, &v) in csr.neighbors(u).iter().enumerate() {
-            match ws {
-                Some(ws) => writeln!(w, "{u} {v} {}", ws[r.start + i])?,
-                None => writeln!(w, "{u} {v}")?,
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Load by file extension: `.mtx`, `.gr`, anything else as an edge list.
-/// Equivalent to [`load_path_opts`] with default options.
-pub fn load_path(path: impl AsRef<Path>) -> Result<Graph, LoadError> {
-    load_path_opts(path, &LoadOptions::default()).map(|l| l.graph)
-}
-
-/// [`load_path`] with explicit [`LoadOptions`], returning repair counts.
-pub fn load_path_opts(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<Loaded, LoadError> {
+/// The graph is named after the file stem.
+pub fn load_path(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<Loaded, LoadError> {
     let path = path.as_ref();
     let f = std::fs::File::open(path)?;
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "dataset".into());
     let mut loaded = match path.extension().and_then(|e| e.to_str()) {
-        Some("mtx") => load_mtx_opts(f, opts)?,
-        Some("gr") => load_dimacs_opts(f, opts)?,
-        _ => load_edge_list_opts(f, opts)?,
+        Some("mtx") => load_mtx(f, opts)?,
+        Some("gr") => load_dimacs(f, opts)?,
+        _ => load_edge_list(f, opts)?,
     };
+    let name = path.file_stem().map_or("dataset".into(), |s| s.to_string_lossy().into_owned());
     loaded.graph = loaded.graph.with_name(name);
     Ok(loaded)
 }
@@ -491,7 +422,7 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate pattern symmetric\n\
                     % a comment\n\
                     4 4 3\n1 2\n2 3\n4 1\n";
-        let g = load_mtx(text.as_bytes()).unwrap();
+        let g = load_mtx(text.as_bytes(), &LoadOptions::default()).unwrap().graph;
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 6);
         assert_eq!(g.out_csr().neighbors(0), &[1, 3]);
@@ -501,7 +432,7 @@ mod tests {
     fn mtx_real_weights_rounded() {
         let text = "%%MatrixMarket matrix coordinate real general\n\
                     3 3 2\n1 2 2.6\n2 3 0.2\n";
-        let g = load_mtx(text.as_bytes()).unwrap();
+        let g = load_mtx(text.as_bytes(), &LoadOptions::default()).unwrap().graph;
         assert!(g.is_weighted());
         let w = g.out_weights().unwrap();
         let r = g.out_csr().edge_range(0);
@@ -513,17 +444,21 @@ mod tests {
 
     #[test]
     fn mtx_rejects_garbage() {
-        assert!(load_mtx("hello world".as_bytes()).is_err());
-        assert!(load_mtx("%%MatrixMarket matrix array real general\n2 2\n".as_bytes()).is_err());
+        assert!(load_mtx("hello world".as_bytes(), &LoadOptions::default()).is_err());
+        assert!(load_mtx(
+            "%%MatrixMarket matrix array real general\n2 2\n".as_bytes(),
+            &LoadOptions::default()
+        )
+        .is_err());
         let bad_idx = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n";
-        assert!(load_mtx(bad_idx.as_bytes()).is_err());
+        assert!(load_mtx(bad_idx.as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
     fn mtx_rejects_nonfinite_weights() {
         for w in ["NaN", "inf", "-inf"] {
             let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 {w}\n");
-            let err = load_mtx(text.as_bytes()).unwrap_err();
+            let err = load_mtx(text.as_bytes(), &LoadOptions::default()).unwrap_err();
             assert!(matches!(err, LoadError::Parse { line: 3, .. }), "{w}: {err}");
         }
     }
@@ -535,57 +470,60 @@ mod tests {
             ..Default::default()
         };
         let big_n = "%%MatrixMarket matrix coordinate pattern general\n9 9 1\n1 2\n";
-        assert!(load_mtx_opts(big_n.as_bytes(), &opts).is_err());
+        assert!(load_mtx(big_n.as_bytes(), &opts).is_err());
         let big_m = "%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n";
-        assert!(load_mtx_opts(big_m.as_bytes(), &opts).is_err());
+        assert!(load_mtx(big_m.as_bytes(), &opts).is_err());
         let ok = "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n";
-        assert!(load_mtx_opts(ok.as_bytes(), &opts).is_ok());
+        assert!(load_mtx(ok.as_bytes(), &opts).is_ok());
     }
 
     #[test]
     fn mtx_strict_vs_repair() {
         // One self loop and one duplicated entry.
         let dirty = "%%MatrixMarket matrix coordinate pattern general\n3 3 4\n1 1\n1 2\n1 2\n2 3\n";
-        let l = load_mtx_opts(dirty.as_bytes(), &LoadOptions::default()).unwrap();
+        let l = load_mtx(dirty.as_bytes(), &LoadOptions::default()).unwrap();
         assert_eq!(l.report.self_loops_dropped, 1);
         assert!(l.report.parallel_edges_deduped > 0);
         assert_eq!(l.graph.num_edges(), 4);
-        assert!(load_mtx_opts(dirty.as_bytes(), &LoadOptions::strict()).is_err());
+        assert!(load_mtx(dirty.as_bytes(), &LoadOptions::strict()).is_err());
         // Truncation (fewer entries than declared) only fails strict.
         let short = "%%MatrixMarket matrix coordinate pattern general\n3 3 3\n1 2\n";
-        assert!(load_mtx_opts(short.as_bytes(), &LoadOptions::default()).is_ok());
-        assert!(load_mtx_opts(short.as_bytes(), &LoadOptions::strict()).is_err());
+        assert!(load_mtx(short.as_bytes(), &LoadOptions::default()).is_ok());
+        assert!(load_mtx(short.as_bytes(), &LoadOptions::strict()).is_err());
         // Extra entries past the declared nnz fail in every mode.
         let long = "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2\n2 3\n";
-        assert!(load_mtx_opts(long.as_bytes(), &LoadOptions::default()).is_err());
+        assert!(load_mtx(long.as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
     fn edge_list_infers_size() {
-        let g = load_edge_list("# c\n0 5\n5 3\n".as_bytes()).unwrap();
+        let g =
+            load_edge_list("# c\n0 5\n5 3\n".as_bytes(), &LoadOptions::default()).unwrap().graph;
         assert_eq!(g.num_vertices(), 6);
         assert_eq!(g.num_edges(), 4);
     }
 
     #[test]
     fn edge_list_weighted() {
-        let g = load_edge_list("0 1 10\n1 2 20\n".as_bytes()).unwrap();
+        let g =
+            load_edge_list("0 1 10\n1 2 20\n".as_bytes(), &LoadOptions::default()).unwrap().graph;
         assert!(g.is_weighted());
     }
 
     #[test]
     fn edge_list_rejects_mixed() {
-        assert!(load_edge_list("0 1 10\n1 2\n".as_bytes()).is_err());
-        assert!(load_edge_list("".as_bytes()).is_err());
+        assert!(load_edge_list("0 1 10\n1 2\n".as_bytes(), &LoadOptions::default()).is_err());
+        assert!(load_edge_list("".as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
     fn edge_list_rejects_oversized_ids() {
         // Larger than u32: must be a structured error, not a wrap.
-        let err = load_edge_list("0 99999999999\n".as_bytes()).unwrap_err();
+        let err =
+            load_edge_list("0 99999999999\n".as_bytes(), &LoadOptions::default()).unwrap_err();
         assert!(matches!(err, LoadError::Parse { line: 1, .. }), "{err}");
         // Negative ids are equally structured.
-        assert!(load_edge_list("0 -3\n".as_bytes()).is_err());
+        assert!(load_edge_list("0 -3\n".as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
@@ -594,12 +532,12 @@ mod tests {
             limits: LoadLimits { max_vertices: 4, max_edges: 10 },
             ..Default::default()
         };
-        assert!(load_edge_list_opts("0 9\n".as_bytes(), &opts).is_err());
+        assert!(load_edge_list("0 9\n".as_bytes(), &opts).is_err());
         let opts = LoadOptions {
             limits: LoadLimits { max_vertices: 100, max_edges: 1 },
             ..Default::default()
         };
-        assert!(load_edge_list_opts("0 1\n1 2\n".as_bytes(), &opts).is_err());
+        assert!(load_edge_list("0 1\n1 2\n".as_bytes(), &opts).is_err());
     }
 
     #[test]
@@ -607,7 +545,7 @@ mod tests {
         let g = crate::gen::with_random_weights(&crate::gen::erdos_renyi(50, 150, 9), 32, 9);
         let mut buf = Vec::new();
         save_mtx(&g, &mut buf).unwrap();
-        let g2 = load_mtx(buf.as_slice()).unwrap();
+        let g2 = load_mtx(buf.as_slice(), &LoadOptions::default()).unwrap().graph;
         assert_eq!(g.out_csr(), g2.out_csr());
         assert_eq!(g.out_weights(), g2.out_weights());
     }
@@ -615,16 +553,15 @@ mod tests {
     #[test]
     fn edge_list_write_read_roundtrip() {
         let g = crate::gen::erdos_renyi(40, 120, 4);
-        let mut buf = Vec::new();
-        save_edge_list(&g, &mut buf).unwrap();
-        let g2 = load_edge_list(buf.as_slice()).unwrap();
+        let text: String = g.out_csr().iter_edges().map(|(u, v)| format!("{u} {v}\n")).collect();
+        let g2 = load_edge_list(text.as_bytes(), &LoadOptions::default()).unwrap().graph;
         assert_eq!(g.out_csr(), g2.out_csr());
     }
 
     #[test]
     fn dimacs_parses_arcs() {
         let text = "c road net\np sp 3 2\na 1 2 4\na 2 3 6\n";
-        let g = load_dimacs(text.as_bytes()).unwrap();
+        let g = load_dimacs(text.as_bytes(), &LoadOptions::default()).unwrap().graph;
         assert_eq!(g.num_vertices(), 3);
         assert!(g.is_weighted());
         assert_eq!(g.num_edges(), 4); // symmetrized
@@ -632,12 +569,13 @@ mod tests {
 
     #[test]
     fn dimacs_rejects_arc_before_header() {
-        assert!(load_dimacs("a 1 2 3\n".as_bytes()).is_err());
+        assert!(load_dimacs("a 1 2 3\n".as_bytes(), &LoadOptions::default()).is_err());
     }
 
     #[test]
     fn dimacs_rejects_zero_based_ids() {
-        let err = load_dimacs("p sp 3 1\na 0 2 4\n".as_bytes()).unwrap_err();
+        let err =
+            load_dimacs("p sp 3 1\na 0 2 4\n".as_bytes(), &LoadOptions::default()).unwrap_err();
         assert!(err.to_string().contains("1-based"), "{err}");
     }
 
@@ -645,10 +583,10 @@ mod tests {
     fn dimacs_arc_count_checks() {
         // More arcs than declared: error in every mode.
         let long = "p sp 3 1\na 1 2 4\na 2 3 6\n";
-        assert!(load_dimacs(long.as_bytes()).is_err());
+        assert!(load_dimacs(long.as_bytes(), &LoadOptions::default()).is_err());
         // Fewer arcs: only strict rejects.
         let short = "p sp 3 2\na 1 2 4\n";
-        assert!(load_dimacs_opts(short.as_bytes(), &LoadOptions::default()).is_ok());
-        assert!(load_dimacs_opts(short.as_bytes(), &LoadOptions::strict()).is_err());
+        assert!(load_dimacs(short.as_bytes(), &LoadOptions::default()).is_ok());
+        assert!(load_dimacs(short.as_bytes(), &LoadOptions::strict()).is_err());
     }
 }

@@ -163,12 +163,6 @@ impl Graph {
         self.out.degree(v)
     }
 
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> u32 {
-        self.incoming.degree(v)
-    }
-
     /// Rename the dataset (used by the corpus to tag scaled twins).
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -261,8 +255,8 @@ mod tests {
         let g = GraphBuilder::new(3).edges([(0, 1), (0, 2), (1, 2)]).symmetric(false).build();
         assert!(!g.is_symmetric());
         assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(0), 0);
-        assert_eq!(g.in_degree(2), 2);
+        assert_eq!(g.in_csr().degree(0), 0);
+        assert_eq!(g.in_csr().degree(2), 2);
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Graph transformations: relabeling and permutation.
-//!
-//! Degree-descending relabeling is the classic GPU graph preprocessing
-//! step (Gunrock and B40C both ship it): hubs get small ids, so sorted
-//! queues and bitmap scans touch them with maximal locality, and TWC's
-//! degree buckets become contiguous id ranges.
+//! Graph transformation: vertex permutation. A permuted graph has the
+//! same structure under new ids, which is what the fingerprint must tell
+//! apart from the original.
 
 use crate::{Graph, GraphBuilder, VertexId};
 
@@ -40,89 +37,6 @@ pub fn permute(g: &Graph, perm: &[VertexId]) -> Graph {
     // directed graphs must stay directed.
     let b = b.symmetric(g.is_symmetric()).dedup(true).drop_self_loops(false);
     b.name(format!("{}-perm", g.name())).build()
-}
-
-/// Relabel vertices in descending out-degree order (stable: ties keep
-/// their original relative order). Returns the relabeled graph and the
-/// permutation used (`perm[old] = new`), so results can be mapped back.
-pub fn relabel_by_degree(g: &Graph) -> (Graph, Vec<VertexId>) {
-    let n = g.num_vertices();
-    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(v)));
-    let mut perm = vec![0 as VertexId; n];
-    for (new, &old) in order.iter().enumerate() {
-        perm[old as usize] = new as VertexId;
-    }
-    let gp = permute(g, &perm);
-    (gp.with_name(format!("{}-bydeg", g.name())), perm)
-}
-
-/// Extract the largest (weakly) connected component, relabeling its
-/// vertices compactly in original id order. Returns the component graph
-/// and the mapping `new_id -> old_id`. Benchmark preprocessing: traversal
-/// metrics over a fragmented graph otherwise measure the fragment lottery
-/// rather than the algorithm.
-pub fn largest_component(g: &Graph) -> (Graph, Vec<VertexId>) {
-    let n = g.num_vertices();
-    // Label components by BFS flood (weak connectivity).
-    let mut comp = vec![u32::MAX; n];
-    let mut sizes: Vec<(u32, usize)> = Vec::new();
-    for s in 0..n as VertexId {
-        if comp[s as usize] != u32::MAX {
-            continue;
-        }
-        let id = sizes.len() as u32;
-        let mut size = 0usize;
-        let mut q = std::collections::VecDeque::from([s]);
-        comp[s as usize] = id;
-        while let Some(u) = q.pop_front() {
-            size += 1;
-            let mut visit = |v: VertexId| {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = id;
-                    q.push_back(v);
-                }
-            };
-            for &v in g.out_csr().neighbors(u) {
-                visit(v);
-            }
-            if !g.is_symmetric() {
-                for &v in g.in_csr().neighbors(u) {
-                    visit(v);
-                }
-            }
-        }
-        sizes.push((id, size));
-    }
-    let (big, big_size) = sizes.iter().max_by_key(|&&(_, s)| s).copied().unwrap_or((0, 0));
-
-    // Compact relabeling of the winning component.
-    let mut old_of_new = Vec::with_capacity(big_size);
-    let mut new_of_old = vec![u32::MAX; n];
-    for v in 0..n as VertexId {
-        if comp[v as usize] == big {
-            new_of_old[v as usize] = old_of_new.len() as VertexId;
-            old_of_new.push(v);
-        }
-    }
-    let csr = g.out_csr();
-    let ws = g.out_weights();
-    let mut b = GraphBuilder::new(big_size);
-    for &old in &old_of_new {
-        let r = csr.edge_range(old);
-        for (i, &t) in csr.neighbors(old).iter().enumerate() {
-            let nt = new_of_old[t as usize];
-            if nt == u32::MAX {
-                continue; // edge leaves the component (directed case)
-            }
-            match ws {
-                Some(ws) => b.push_weighted_edge(new_of_old[old as usize], nt, ws[r.start + i]),
-                None => b.push_edge(new_of_old[old as usize], nt),
-            }
-        }
-    }
-    let b = b.symmetric(g.is_symmetric()).drop_self_loops(false);
-    (b.name(format!("{}-lcc", g.name())).build(), old_of_new)
 }
 
 #[cfg(test)]
@@ -176,83 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn relabel_by_degree_puts_hubs_first() {
-        let g = gen::barabasi_albert(200, 4, 9);
-        let (gp, perm) = relabel_by_degree(&g);
-        // New ids are degree-sorted.
-        for v in 1..200u32 {
-            assert!(gp.out_degree(v - 1) >= gp.out_degree(v), "not sorted at {v}");
-        }
-        // perm is consistent: old max-degree vertex becomes id 0.
-        let old_hub = g.max_degree_vertex().unwrap();
-        assert_eq!(perm[old_hub as usize], 0);
-    }
-
-    #[test]
     #[should_panic(expected = "not a permutation")]
     fn rejects_non_bijection() {
         let g = gen::erdos_renyi(10, 20, 1);
         permute(&g, &[0; 10]);
-    }
-
-    #[test]
-    fn largest_component_extracts_and_maps_back() {
-        // Two components: a triangle {0,1,2} and an edge {3,4}.
-        let g = crate::GraphBuilder::new(5).edges([(0, 1), (1, 2), (2, 0), (3, 4)]).build();
-        let (lcc, old) = largest_component(&g);
-        assert_eq!(lcc.num_vertices(), 3);
-        assert_eq!(lcc.num_edges(), 6);
-        assert_eq!(old, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn largest_component_of_connected_graph_is_identity() {
-        let g = gen::grid2d(8, 8, 0.0, 1);
-        let (lcc, old) = largest_component(&g);
-        assert_eq!(lcc.num_vertices(), g.num_vertices());
-        assert_eq!(lcc.num_edges(), g.num_edges());
-        assert_eq!(old.len(), 64);
-        assert_eq!(lcc.out_csr(), g.out_csr());
-    }
-
-    #[test]
-    fn largest_component_keeps_weights() {
-        let g =
-            crate::GraphBuilder::new(4).weighted_edges([(0, 1, 5), (2, 3, 9), (1, 0, 5)]).build();
-        let (lcc, old) = largest_component(&g);
-        assert_eq!(lcc.num_vertices(), 2);
-        assert!(lcc.is_weighted());
-        let w = lcc.out_weights().unwrap()[0];
-        // Whichever pair won, its weight must have followed.
-        let expect = if old[0] == 0 { 5 } else { 9 };
-        assert_eq!(w, expect);
-    }
-
-    #[test]
-    fn largest_component_on_sparse_er_shrinks() {
-        // Far below the connectivity threshold: many fragments.
-        let g = gen::erdos_renyi(400, 150, 8);
-        let (lcc, _) = largest_component(&g);
-        assert!(lcc.num_vertices() < g.num_vertices());
-        assert!(lcc.num_vertices() >= 2);
-        // The result is itself connected: one label in its CC.
-        let labels = {
-            // simple BFS check
-            let mut seen = vec![false; lcc.num_vertices()];
-            let mut q = std::collections::VecDeque::from([0u32]);
-            seen[0] = true;
-            let mut count = 1;
-            while let Some(u) = q.pop_front() {
-                for &v in lcc.out_csr().neighbors(u) {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        count += 1;
-                        q.push_back(v);
-                    }
-                }
-            }
-            count
-        };
-        assert_eq!(labels, lcc.num_vertices(), "LCC must be connected");
     }
 }

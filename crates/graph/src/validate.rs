@@ -72,16 +72,6 @@ impl ValidationReport {
         self.issues.is_empty()
     }
 
-    /// `Ok(())` when valid, otherwise every issue joined into one
-    /// message (the structured error the runtime surfaces).
-    pub fn into_result(self) -> Result<(), String> {
-        if self.is_valid() {
-            Ok(())
-        } else {
-            Err(self.issues.join("; "))
-        }
-    }
-
     fn push(&mut self, cap: usize, msg: String) {
         if self.issues.len() < cap {
             self.issues.push(msg);
@@ -231,7 +221,6 @@ mod tests {
         let rep = CsrValidator::new().validate_graph(&g);
         assert!(rep.is_valid(), "{rep}");
         assert_eq!((rep.vertices, rep.edges), (4, 6));
-        assert!(rep.into_result().is_ok());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! the ingest counters behind them.
 
 use gswitch_graph::io::{
-    load_dimacs_opts, load_edge_list_opts, load_mtx_opts, LoadError, LoadLimits, LoadMode,
-    LoadOptions,
+    load_dimacs, load_edge_list, load_mtx, LoadError, LoadLimits, LoadMode, LoadOptions,
 };
 use gswitch_graph::validate;
 use proptest::prelude::*;
@@ -27,10 +26,10 @@ proptest! {
     /// Arbitrary bytes never panic any loader.
     #[test]
     fn raw_bytes_never_panic(bytes in proptest::collection::vec(0u8..255, 0..512)) {
-        let _ = load_mtx_opts(&bytes[..], &tight());
-        let _ = load_edge_list_opts(&bytes[..], &tight());
-        let _ = load_dimacs_opts(&bytes[..], &tight());
-        let _ = load_mtx_opts(&bytes[..], &LoadOptions { mode: LoadMode::Strict, ..tight() });
+        let _ = load_mtx(&bytes[..], &tight());
+        let _ = load_edge_list(&bytes[..], &tight());
+        let _ = load_dimacs(&bytes[..], &tight());
+        let _ = load_mtx(&bytes[..], &LoadOptions { mode: LoadMode::Strict, ..tight() });
     }
 
     /// A well-formed MTX header followed by fuzzed printable lines never
@@ -46,7 +45,7 @@ proptest! {
             "%%MatrixMarket matrix coordinate pattern general\n8 8 16\n{}",
             lines.join("\n")
         );
-        let _ = load_mtx_opts(text.as_bytes(), &tight());
+        let _ = load_mtx(text.as_bytes(), &tight());
     }
 
     /// Fuzzed numeric triples (any u64 magnitudes) in an edge list
@@ -59,7 +58,7 @@ proptest! {
         let text: String =
             edges.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
         let opts = tight();
-        if let Ok(l) = load_edge_list_opts(text.as_bytes(), &opts) {
+        if let Ok(l) = load_edge_list(text.as_bytes(), &opts) {
             prop_assert!(l.graph.num_vertices() <= opts.limits.max_vertices);
             prop_assert!(l.graph.num_edges() <= 2 * opts.limits.max_edges);
         }
@@ -76,7 +75,7 @@ proptest! {
         for (u, v, w) in arcs {
             text.push_str(&format!("a {u} {v} {w}\n"));
         }
-        let _ = load_dimacs_opts(text.as_bytes(), &tight());
+        let _ = load_dimacs(text.as_bytes(), &tight());
     }
 }
 
@@ -94,7 +93,7 @@ fn oversized_mtx_header_is_rejected_before_allocation() {
     // Header claims ~10^15 vertices; rejection must come from the limit
     // check, long before any edge storage is reserved.
     let text = "%%MatrixMarket matrix coordinate pattern general\n1000000000000000 1 1\n1 1\n";
-    let msg = is_parse(load_mtx_opts(text.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_mtx(text.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("exceeds limit"), "{msg}");
     assert!(validate::load_rejected() > before, "rejection must be counted");
 }
@@ -103,7 +102,7 @@ fn oversized_mtx_header_is_rejected_before_allocation() {
 fn mtx_size_line_overflow_is_a_parse_error() {
     // Larger than u64::MAX: the usize parse itself must fail cleanly.
     let text = "%%MatrixMarket matrix coordinate pattern general\n99999999999999999999999999 1 1\n";
-    let msg = is_parse(load_mtx_opts(text.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_mtx(text.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("bad size line"), "{msg}");
 }
 
@@ -111,7 +110,7 @@ fn mtx_size_line_overflow_is_a_parse_error() {
 fn mtx_rejects_non_finite_weights() {
     for w in ["nan", "inf", "-inf", "NaN", "Infinity"] {
         let text = format!("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 2 {w}\n");
-        let msg = is_parse(load_mtx_opts(text.as_bytes(), &LoadOptions::default()));
+        let msg = is_parse(load_mtx(text.as_bytes(), &LoadOptions::default()));
         assert!(msg.contains("non-finite"), "weight `{w}`: {msg}");
     }
 }
@@ -119,10 +118,10 @@ fn mtx_rejects_non_finite_weights() {
 #[test]
 fn mtx_strict_rejects_negative_weights_repair_folds_them() {
     let text = "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 2 -4.0\n";
-    let msg = is_parse(load_mtx_opts(text.as_bytes(), &LoadOptions::strict()));
+    let msg = is_parse(load_mtx(text.as_bytes(), &LoadOptions::strict()));
     assert!(msg.contains("negative weight"), "{msg}");
     // Repair mode folds to |w| (the paper's integer-weight preprocessing).
-    let l = load_mtx_opts(text.as_bytes(), &LoadOptions::default()).unwrap();
+    let l = load_mtx(text.as_bytes(), &LoadOptions::default()).unwrap();
     assert_eq!(l.graph.out_weights().unwrap().iter().max(), Some(&4));
 }
 
@@ -130,22 +129,22 @@ fn mtx_strict_rejects_negative_weights_repair_folds_them() {
 fn mtx_truncated_and_overlong_bodies() {
     // Fewer entries than declared: fine in repair mode, an error strictly.
     let short = "%%MatrixMarket matrix coordinate pattern general\n4 4 3\n1 2\n";
-    assert!(load_mtx_opts(short.as_bytes(), &LoadOptions::default()).is_ok());
-    let msg = is_parse(load_mtx_opts(short.as_bytes(), &LoadOptions::strict()));
+    assert!(load_mtx(short.as_bytes(), &LoadOptions::default()).is_ok());
+    let msg = is_parse(load_mtx(short.as_bytes(), &LoadOptions::strict()));
     assert!(msg.contains("truncated"), "{msg}");
     // More entries than declared is hostile in every mode.
     let long = "%%MatrixMarket matrix coordinate pattern general\n4 4 1\n1 2\n2 3\n";
-    let msg = is_parse(load_mtx_opts(long.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_mtx(long.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("more entries"), "{msg}");
 }
 
 #[test]
 fn mtx_indices_outside_declared_range_are_rejected() {
     let zero = "%%MatrixMarket matrix coordinate pattern general\n4 4 1\n0 2\n";
-    let msg = is_parse(load_mtx_opts(zero.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_mtx(zero.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("outside 1..="), "{msg}");
     let big = "%%MatrixMarket matrix coordinate pattern general\n4 4 1\n1 9\n";
-    let msg = is_parse(load_mtx_opts(big.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_mtx(big.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("outside 1..="), "{msg}");
 }
 
@@ -154,7 +153,7 @@ fn edge_list_id_overflow_is_rejected() {
     // u32::MAX as an id would wrap `max_id + 1` on a 32-bit host; the
     // loader must refuse it with a structured error either way.
     let text = format!("0 {}\n", u32::MAX);
-    let r = load_edge_list_opts(text.as_bytes(), &LoadOptions::default());
+    let r = load_edge_list(text.as_bytes(), &LoadOptions::default());
     match r {
         Err(LoadError::Parse { msg, .. }) => {
             assert!(msg.contains("overflow") || msg.contains("exceeds limit"), "{msg}");
@@ -172,10 +171,10 @@ fn edge_list_id_overflow_is_rejected() {
 #[test]
 fn edge_list_rejects_64bit_ids_and_mixed_weight_lines() {
     let huge = format!("{} 1\n", u64::MAX);
-    let msg = is_parse(load_edge_list_opts(huge.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_edge_list(huge.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("bad source id"), "{msg}");
     let mixed = "0 1 5\n1 2\n";
-    let msg = is_parse(load_edge_list_opts(mixed.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_edge_list(mixed.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("mixed weighted"), "{msg}");
 }
 
@@ -184,9 +183,9 @@ fn edge_list_strict_rejects_dirty_input_repair_counts_it() {
     let before = validate::edges_repaired();
     // One self loop and one duplicated edge.
     let dirty = "0 0\n0 1\n1 0\n";
-    let msg = is_parse(load_edge_list_opts(dirty.as_bytes(), &LoadOptions::strict()));
+    let msg = is_parse(load_edge_list(dirty.as_bytes(), &LoadOptions::strict()));
     assert!(msg.contains("strict mode"), "{msg}");
-    let l = load_edge_list_opts(dirty.as_bytes(), &LoadOptions::default()).unwrap();
+    let l = load_edge_list(dirty.as_bytes(), &LoadOptions::default()).unwrap();
     assert_eq!(l.report.self_loops_dropped, 1, "{:?}", l.report);
     assert!(l.report.parallel_edges_deduped > 0, "{:?}", l.report);
     assert!(validate::edges_repaired() > before, "repairs must be counted");
@@ -195,21 +194,21 @@ fn edge_list_strict_rejects_dirty_input_repair_counts_it() {
 #[test]
 fn dimacs_zero_based_ids_are_rejected() {
     let text = "p sp 4 2\na 0 1 5\n";
-    let msg = is_parse(load_dimacs_opts(text.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_dimacs(text.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("1-based"), "{msg}");
 }
 
 #[test]
 fn dimacs_arc_before_problem_line_and_overlong_bodies() {
     let early = "a 1 2 3\np sp 4 4\n";
-    let msg = is_parse(load_dimacs_opts(early.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_dimacs(early.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("before problem line"), "{msg}");
     let long = "p sp 4 1\na 1 2 3\na 2 3 4\n";
-    let msg = is_parse(load_dimacs_opts(long.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_dimacs(long.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("more arcs"), "{msg}");
     let truncated = "p sp 4 3\na 1 2 3\n";
-    assert!(load_dimacs_opts(truncated.as_bytes(), &LoadOptions::default()).is_ok());
-    let msg = is_parse(load_dimacs_opts(truncated.as_bytes(), &LoadOptions::strict()));
+    assert!(load_dimacs(truncated.as_bytes(), &LoadOptions::default()).is_ok());
+    let msg = is_parse(load_dimacs(truncated.as_bytes(), &LoadOptions::strict()));
     assert!(msg.contains("truncated"), "{msg}");
 }
 
@@ -217,7 +216,60 @@ fn dimacs_arc_before_problem_line_and_overlong_bodies() {
 fn dimacs_header_bomb_is_limited() {
     let before = validate::load_rejected();
     let text = "p sp 1000000000000 1000000000000 \n";
-    let msg = is_parse(load_dimacs_opts(text.as_bytes(), &LoadOptions::default()));
+    let msg = is_parse(load_dimacs(text.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("exceeds limit"), "{msg}");
     assert!(validate::load_rejected() > before);
+}
+
+#[test]
+fn dimacs_second_problem_line_is_rejected() {
+    // A second `p` line must not restart the graph and drop earlier arcs.
+    let text = "p sp 3 1\na 1 2 5\np sp 3 1\n";
+    for opts in [LoadOptions::default(), LoadOptions::strict()] {
+        let msg = is_parse(load_dimacs(text.as_bytes(), &opts));
+        assert!(msg.contains("second problem line"), "{msg}");
+    }
+}
+
+/// Strict mode refuses a weight that would be raised to 1; repair mode
+/// raises it. `text` holds one edge between vertices 0 and 1.
+fn strict_refuses_weight_below_one(
+    text: &str,
+    load: impl Fn(&[u8], &LoadOptions) -> Result<gswitch_graph::io::Loaded, LoadError>,
+) {
+    let msg = is_parse(load(text.as_bytes(), &LoadOptions::strict()));
+    assert!(msg.contains("strict mode") && msg.contains("below 1"), "{msg}");
+    let l = load(text.as_bytes(), &LoadOptions::default()).unwrap();
+    assert_eq!(l.graph.out_weights().unwrap(), &[1, 1]);
+}
+
+#[test]
+fn dimacs_strict_rejects_zero_weight() {
+    strict_refuses_weight_below_one("p sp 2 1\na 1 2 0\n", |b, o| load_dimacs(b, o));
+}
+
+#[test]
+fn edge_list_strict_rejects_zero_weight() {
+    strict_refuses_weight_below_one("0 1 0\n", |b, o| load_edge_list(b, o));
+}
+
+#[test]
+fn mtx_strict_rejects_weight_that_rounds_below_one() {
+    let header = "%%MatrixMarket matrix coordinate real general\n2 2 1\n";
+    strict_refuses_weight_below_one(&format!("{header}1 2 0.2\n"), |b, o| load_mtx(b, o));
+    // The check follows the rounding: 0.6 rounds to 1 and needs no repair.
+    let l = load_mtx(format!("{header}1 2 0.6\n").as_bytes(), &LoadOptions::strict()).unwrap();
+    assert_eq!(l.graph.out_weights().unwrap(), &[1, 1]);
+}
+
+#[test]
+fn mtx_rejects_unreadable_field_and_symmetry() {
+    for header in ["complex general", "pattern skew-symmetric", "real hermitian", "integer"] {
+        let text = format!("%%MatrixMarket matrix coordinate {header}\n2 2 1\n1 2 1 0\n");
+        for opts in [LoadOptions::default(), LoadOptions::strict()] {
+            assert!(load_mtx(text.as_bytes(), &opts).is_err(), "`{header}` accepted");
+        }
+    }
+    let ok = "%%MatrixMarket matrix coordinate Integer Symmetric\n2 2 1\n1 2 3\n";
+    assert!(load_mtx(ok.as_bytes(), &LoadOptions::strict()).is_ok());
 }

@@ -206,7 +206,7 @@ fn twin_of_a_loaded_graph_is_its_rebuild() {
     // orientations of one edge: the loader canonicalizes, the twin
     // replaces the weights.
     let gr = "p sp 5 6\na 1 2 7\na 2 3 1\na 3 1 4\na 1 2 2\na 4 5 9\na 5 4 9\n";
-    let g = io::load_dimacs(gr.as_bytes()).unwrap();
+    let g = io::load_dimacs(gr.as_bytes(), &Default::default()).unwrap().graph;
     assert!(g.is_weighted());
     assert_twin(&g, 16, 3);
 }

@@ -155,7 +155,7 @@ fn handle(
                         gswitch_graph::io::LoadOptions::default()
                     };
                     let (entry, report) = registry
-                        .load_path_validated(&name, path, &opts)
+                        .load_path(&name, path, &opts)
                         .map_err(|e| format!("loading `{path}`: {e}"))?;
                     (entry, report.self_loops_dropped + report.parallel_edges_deduped)
                 }

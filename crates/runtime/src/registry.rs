@@ -5,6 +5,8 @@
 //! [`gswitch_graph::fingerprint`]) exactly once at registration, and
 //! all queries against it share the same `Arc` — a thousand concurrent
 //! BFS jobs on the same social graph cost one graph's worth of memory.
+//! Untrusted graphs enter through [`GraphRegistry::insert_validated`],
+//! directly or from a file by [`GraphRegistry::load_path`].
 
 use gswitch_graph::{gen, io, validate, CsrValidator, Fingerprint, Graph};
 use gswitch_obs::sync::RwLock;
@@ -101,27 +103,18 @@ impl GraphRegistry {
     }
 
     /// Load a graph file (MatrixMarket, edge list, or DIMACS — whatever
-    /// [`gswitch_graph::io::load_path`] accepts) and register it.
+    /// [`gswitch_graph::io::load_path`] accepts) under `opts` (size
+    /// limits, strict-vs-repair mode) and register it through
+    /// [`GraphRegistry::insert_validated`]. Returns the entry plus the
+    /// loader's repair report so callers can surface what repair-mode
+    /// loading had to fix.
     pub fn load_path(
-        &self,
-        name: impl Into<String>,
-        path: &str,
-    ) -> Result<Arc<GraphEntry>, io::LoadError> {
-        let graph = io::load_path(path)?;
-        Ok(self.insert(name, graph))
-    }
-
-    /// [`GraphRegistry::load_path`] with explicit [`io::LoadOptions`]
-    /// (size limits, strict-vs-repair mode) and post-load structural
-    /// validation. Returns the entry plus the loader's repair report so
-    /// callers can surface what repair-mode loading had to fix.
-    pub fn load_path_validated(
         &self,
         name: impl Into<String>,
         path: &str,
         opts: &io::LoadOptions,
     ) -> Result<(Arc<GraphEntry>, gswitch_graph::BuildReport), String> {
-        let loaded = io::load_path_opts(path, opts).map_err(|e| e.to_string())?;
+        let loaded = io::load_path(path, opts).map_err(|e| e.to_string())?;
         let entry = self.insert_validated(name, loaded.graph)?;
         Ok((entry, loaded.report))
     }

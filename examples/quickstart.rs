@@ -14,7 +14,7 @@ fn main() {
     // 1. Get a graph: a file (MatrixMarket / edge list / DIMACS), or a
     //    generated scale-free one.
     let g: Graph = match std::env::args().nth(1) {
-        Some(path) => io::load_path(&path).expect("load graph"),
+        Some(path) => io::load_path(&path, &Default::default()).expect("load graph").graph,
         None => gen::kronecker(14, 16, 7),
     };
     let s = g.stats();
