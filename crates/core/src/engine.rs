@@ -64,11 +64,11 @@ pub struct EngineOptions {
     /// cross-checks the chosen variant's frontier (and, for
     /// duplicate-tolerant apps, its vertex values) against a serial
     /// re-derivation from the classification snapshot. On a mismatch
-    /// the run records a [`Provenance::Sentinel`] trace event, bumps
-    /// `gswitch_obs::hardening::sentinel_mismatch`, repairs the damage
-    /// and pins the rest of the run to the reference (push-baseline)
-    /// variant. `0` (the default) disables the sentinel; the checks run
-    /// on the host and are priced at zero simulated cost.
+    /// the run records a [`Provenance::Sentinel`] trace event, counts it
+    /// in [`RunReport::sentinel`], repairs the damage and pins the rest
+    /// of the run to the reference (push-baseline) variant. `0` (the
+    /// default) disables the sentinel; the checks run on the host and
+    /// are priced at zero simulated cost.
     pub verify_every: u32,
     /// Span context: where host wall time goes. Off by default (one
     /// `Option` check per span site); the serving runtime installs a
@@ -152,8 +152,8 @@ pub struct IterationTrace {
 pub struct SentinelReport {
     /// Cross-checks performed.
     pub checks: u32,
-    /// Mismatches detected (each also bumps the global
-    /// `gswitch_obs::hardening::sentinel_mismatch` counter).
+    /// Mismatches detected. This is the only count of them; a serving
+    /// scheduler adds it to its `sentinel_mismatch` counter.
     pub mismatches: u32,
     /// Iteration at which the run was pinned to the reference variant,
     /// if a mismatch ever fired.
@@ -163,7 +163,6 @@ pub struct SentinelReport {
 impl SentinelReport {
     /// A tuned shortcut diverged at `iteration`: count it, pin the run.
     fn mismatch(&mut self, iteration: u32) {
-        gswitch_obs::hardening::note_sentinel_mismatch();
         self.mismatches += 1;
         self.pinned_at.get_or_insert(iteration);
     }

@@ -193,8 +193,7 @@ pub struct ModelPolicy {
     /// Per-feature `[min, max]` seen at training time. Installed by
     /// [`ModelPolicy::load_or_fallback`] from the envelope; when
     /// present, features are clamped into these ranges before every
-    /// prediction (trees extrapolate badly out-of-distribution) and
-    /// each clamp bumps `gswitch_obs::hardening::ood_feature_clamped`.
+    /// prediction (trees extrapolate badly out-of-distribution).
     /// Absent in legacy model files (`Option` fields may be missing).
     pub feature_ranges: Option<Vec<(f64, f64)>>,
 }
@@ -297,28 +296,19 @@ impl ModelPolicy {
     /// any individual tree failing structural validation is dropped to
     /// the heuristic for just its pattern. Accepts both the versioned
     /// [`ModelEnvelope`] format and the legacy bare-model JSON. Never
-    /// fails; what happened is in the [`ModelLoadReport`] and the
-    /// `gswitch_obs::hardening` counters.
+    /// fails; what happened is in the [`ModelLoadReport`].
     pub fn load_or_fallback(path: impl AsRef<std::path::Path>) -> (Self, ModelLoadReport) {
         let mut report = ModelLoadReport::default();
-        let fail = |report: &mut ModelLoadReport, msg: String| {
-            gswitch_obs::hardening::note_model_load_failed();
-            report.error = Some(msg);
-        };
-        let s = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                fail(&mut report, format!("reading model file: {e}"));
-                return (Self::empty(), report);
-            }
-        };
-        let mut model = match Self::decode(&s) {
+        let decoded = std::fs::read_to_string(&path)
+            .map_err(|e| format!("reading model file: {e}"))
+            .and_then(|s| Self::decode(&s));
+        let mut model = match decoded {
             Ok((model, enveloped)) => {
                 report.enveloped = enveloped;
                 model
             }
             Err(e) => {
-                fail(&mut report, e);
+                report.error = Some(e);
                 return (Self::empty(), report);
             }
         };
@@ -326,7 +316,6 @@ impl ModelPolicy {
             let ranges = model.feature_ranges.as_deref();
             let bad = model.tree(p).and_then(|t| validate_tree(p, t, ranges).err());
             if let Some(e) = bad {
-                gswitch_obs::hardening::note_model_fallback();
                 report.dropped.push((p, e.to_string()));
                 model.clear_tree(p);
             }
@@ -335,18 +324,14 @@ impl ModelPolicy {
         (model, report)
     }
 
-    /// Clamp a feature vector into the training ranges, counting every
-    /// out-of-distribution value.
+    /// Clamp a feature vector into the training ranges.
     fn clamp_features(&self, f: &mut [f64; FEATURE_COUNT]) {
         let Some(ranges) = &self.feature_ranges else { return };
-        let mut clamped = 0u64;
         for (x, &(lo, hi)) in f.iter_mut().zip(ranges.iter()) {
             if x.is_finite() && (*x < lo || *x > hi) {
                 *x = x.clamp(lo, hi);
-                clamped += 1;
             }
         }
-        gswitch_obs::hardening::note_ood_features_clamped(clamped);
     }
 }
 
@@ -739,32 +724,28 @@ mod tests {
     #[test]
     fn load_or_fallback_degrades_instead_of_failing() {
         let dir = std::env::temp_dir();
-        let before = gswitch_obs::hardening::snapshot();
+        // Each failed load is one empty model whose report says why.
+        let failed = |path: &std::path::Path, why: &str| {
+            let (m, rep) = ModelPolicy::load_or_fallback(path);
+            assert_eq!(m.n_trees(), 0);
+            assert!(rep.error.as_ref().unwrap().contains(why), "{:?}", rep.error);
+            assert_eq!((rep.kept, rep.dropped.len(), rep.enveloped), (0, 0, false));
+        };
 
-        // Missing file → empty model, counter bumped.
-        let (m, rep) =
-            ModelPolicy::load_or_fallback(dir.join("gswitch-policy-test-does-not-exist.json"));
-        assert_eq!(m.n_trees(), 0);
-        assert!(rep.error.as_ref().unwrap().contains("reading model file"));
+        // Missing file.
+        failed(&dir.join("gswitch-policy-test-does-not-exist.json"), "reading model file");
 
-        // Truncated/garbage JSON → empty model.
+        // Truncated/garbage JSON.
         let garbage = dir.join("gswitch-policy-test-garbage.json");
         std::fs::write(&garbage, "{\"direction\": {\"nodes\": [").unwrap();
-        let (m, rep) = ModelPolicy::load_or_fallback(&garbage);
-        assert_eq!(m.n_trees(), 0);
-        assert!(rep.error.as_ref().unwrap().contains("model JSON rejected"));
+        failed(&garbage, "model JSON rejected");
 
-        // Corrupt envelope (bit-rotted checksum) → empty model.
+        // Corrupt envelope (bit-rotted checksum).
         let rotten = dir.join("gswitch-policy-test-rotten.json");
         let mut env = ModelEnvelope::wrap(trained_policy(), unit_ranges());
         env.checksum = "0000000000000000".into();
         env.save(&rotten).unwrap();
-        let (m, rep) = ModelPolicy::load_or_fallback(&rotten);
-        assert_eq!(m.n_trees(), 0);
-        assert!(rep.error.as_ref().unwrap().contains("checksum"));
-
-        let after = gswitch_obs::hardening::snapshot();
-        assert!(after.model_load_failed >= before.model_load_failed + 3);
+        failed(&rotten, "checksum");
 
         let _ = std::fs::remove_file(garbage);
         let _ = std::fs::remove_file(rotten);
@@ -780,34 +761,31 @@ mod tests {
         let path = std::env::temp_dir().join("gswitch-policy-test-arity.json");
         policy.save(&path).unwrap();
 
-        let before = gswitch_obs::hardening::snapshot();
         let (m, rep) = ModelPolicy::load_or_fallback(&path);
         assert!(rep.error.is_none());
         assert_eq!(rep.kept, 1);
         assert_eq!(rep.dropped.len(), 1);
         assert_eq!(rep.dropped[0].0, Pattern::Fusion);
+        assert_eq!(rep.dropped[0].1, crate::model::TreeRejection::Arity(3).to_string());
         assert!(m.fusion.is_none() && m.direction.is_some());
-        let after = gswitch_obs::hardening::snapshot();
-        assert!(after.model_fallback > before.model_fallback);
 
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn ood_features_clamp_to_training_ranges() {
-        // Train on f13 ∈ [0, 1]; then hand the policy a context whose
-        // e_ap is in-range but set ranges to force clamping of other
-        // features (they sit far outside [0, 0.001]).
+        // The tree pulls iff e_ap (f13) > 0.5. Training saw e_ap only up
+        // to 0.25, so a dense step (e_ap = 0.875) is clamped to the edge
+        // of that range and decides as a step at e_ap = 0.25 does.
         let mut policy = trained_policy();
-        let before = gswitch_obs::hardening::snapshot();
         let dense = ctx(8_000, 70_000, 10_000);
+        let at_edge = ctx(8_000, 20_000, 60_000);
         let unclamped = policy.decide(&dense, &caps()).direction;
-        policy.feature_ranges = Some(unit_ranges());
+        let mut ranges = vec![(0.0, f64::MAX); FEATURE_COUNT];
+        ranges[13] = (0.0, 0.25);
+        policy.feature_ranges = Some(ranges);
         let clamped = policy.decide(&dense, &caps()).direction;
-        // e_ap = 0.875 stays in [0, 1], so the decision is unchanged...
-        assert_eq!(unclamped, clamped);
-        // ...but other features (degrees, counts) were clamped and counted.
-        let after = gswitch_obs::hardening::snapshot();
-        assert!(after.ood_feature_clamped > before.ood_feature_clamped);
+        assert_eq!(clamped, policy.decide(&at_edge, &caps()).direction);
+        assert_eq!((unclamped, clamped), (Direction::Pull, Direction::Push));
     }
 }

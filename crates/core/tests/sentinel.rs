@@ -1,7 +1,7 @@
 //! Divergence-sentinel integration tests, driven by the engine's
 //! `frontier::corrupt` fault site (`--features fault-injection`) and by an
-//! app whose `refilter_hint` under-reports. The armed fault and the
-//! mismatch counter are process-global, so this suite lives in its own
+//! app whose `refilter_hint` under-reports. The armed fault is
+//! process-global, so this suite lives in its own
 //! integration-test binary — its process contains nothing but these
 //! tests — and each test holds `faults::exclusive()`, which empties the
 //! fault table on entry.
@@ -122,20 +122,18 @@ fn sentinel_detects_the_fault_and_recovers_the_exact_answer() {
     let g = path_graph(16);
     let expected = bfs_reference(&g, 0);
     let app = Bfs::new(16, 0);
-    let before = gswitch_obs::hardening::snapshot();
     arm_frontier_corruption();
     let rep = run(&g, &app, &buggy_variant(), &EngineOptions::default().verify_every(1));
     let fired = faults::fired(FRONTIER_CORRUPT);
     faults::reset();
     assert!(fired >= 1, "the fault never actually fired");
     // Detection on the very first corrupted iteration, in-place repair,
-    // and a pinned reference run to the exact BFS levels.
+    // and a pinned reference run to the exact BFS levels: the reference
+    // variant is never corrupted, so nothing mismatches after the pin.
     assert!(rep.converged);
-    assert!(rep.sentinel.mismatches >= 1);
+    assert_eq!(rep.sentinel.mismatches, 1);
     assert_eq!(rep.sentinel.pinned_at, Some(0));
     assert_eq!(app.level.to_vec(), expected);
-    let after = gswitch_obs::hardening::snapshot();
-    assert!(after.sentinel_mismatch > before.sentinel_mismatch);
 }
 
 #[test]
@@ -285,7 +283,6 @@ fn lying_hint_without_sentinel_loses_the_omitted_vertex() {
 #[test]
 fn sentinel_catches_a_lying_hint_before_it_costs_the_answer() {
     let _g = faults::exclusive();
-    let before = gswitch_obs::hardening::snapshot();
     let ring = std::sync::Arc::new(gswitch_obs::TraceRing::new(64));
     let recorder = gswitch_core::RecorderHandle::new(ring.recorder(1, "path", "waves"));
     let opts = EngineOptions { recorder, ..EngineOptions::default().verify_every(1) };
@@ -296,8 +293,6 @@ fn sentinel_catches_a_lying_hint_before_it_costs_the_answer() {
     assert_eq!(rep.sentinel.mismatches, 1);
     assert_eq!(rep.sentinel.pinned_at, Some(21 / WIDTH));
     assert_eq!(stamped, waves_reference());
-    let after = gswitch_obs::hardening::snapshot();
-    assert!(after.sentinel_mismatch > before.sentinel_mismatch);
     let pinned: Vec<u32> = ring
         .snapshot()
         .iter()

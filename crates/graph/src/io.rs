@@ -8,9 +8,8 @@
 //! [`LoadLimits`] bound how large a graph a header may declare (a hostile
 //! header must not be able to command a huge allocation). Each format has
 //! one loader, and each takes [`LoadOptions`]: [`LoadMode::Repair`] dedupes
-//! parallel edges and drops self loops, reporting counts, and raises
-//! weights below 1; [`LoadMode::Strict`] turns any needed repair into an
-//! error.
+//! parallel edges, drops self loops and raises weights below 1, reporting
+//! counts; [`LoadMode::Strict`] turns any needed repair into an error.
 
 use crate::builder::BuildReport;
 use crate::{Graph, GraphBuilder, VertexId, Weight};
@@ -23,11 +22,12 @@ use std::str::{FromStr, SplitWhitespace};
 pub enum LoadError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Structural or lexical problem, with a line number (1-based, 0 when
-    /// unknown) and message.
+    /// Structural or lexical problem, with the line it is on and a
+    /// message.
     Parse {
-        /// 1-based line number (0 when unknown).
-        line: usize,
+        /// 1-based line number; `None` for a problem of the whole file
+        /// (no edges, no header, a strict-mode refusal of repairs).
+        line: Option<usize>,
         /// What went wrong.
         msg: String,
     },
@@ -37,7 +37,10 @@ impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LoadError::Io(e) => write!(f, "i/o error: {e}"),
-            LoadError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            LoadError::Parse { line: Some(line), msg } => {
+                write!(f, "parse error at line {line}: {msg}")
+            }
+            LoadError::Parse { line: None, msg } => write!(f, "parse error: {msg}"),
         }
     }
 }
@@ -50,8 +53,8 @@ impl From<std::io::Error> for LoadError {
     }
 }
 
-fn perr<T>(line: usize, msg: impl Into<String>) -> Result<T, LoadError> {
-    Err(LoadError::Parse { line, msg: msg.into() })
+fn perr<T>(line: impl Into<Option<usize>>, msg: impl Into<String>) -> Result<T, LoadError> {
+    Err(LoadError::Parse { line: line.into(), msg: msg.into() })
 }
 
 /// Hard ceilings on what a loader will accept, regardless of what the
@@ -78,7 +81,8 @@ impl Default for LoadLimits {
 pub enum LoadMode {
     /// Repair silently-fixable problems and report counts: dedupe
     /// parallel edges, drop self loops (the builder's normal
-    /// preprocessing, matching the paper's §5.1). The default.
+    /// preprocessing, matching the paper's §5.1), raise weights below 1.
+    /// The default.
     #[default]
     Repair,
     /// Any needed repair — and any declared-vs-actual entry-count
@@ -112,6 +116,17 @@ pub struct Loaded {
     /// Repair counts (all zero in strict mode — anything non-zero
     /// would have been an error).
     pub report: BuildReport,
+    /// Records whose weight was below 1 and was raised to 1 (zero in
+    /// strict mode, like `report`).
+    pub weights_raised: usize,
+}
+
+impl Loaded {
+    /// Every repair the load made: self loops dropped, parallel edges
+    /// deduped and weights raised.
+    pub fn repairs(&self) -> usize {
+        self.report.self_loops_dropped + self.report.parallel_edges_deduped + self.weights_raised
+    }
 }
 
 /// Reserve at most this many edges up front on the strength of a
@@ -119,15 +134,15 @@ pub struct Loaded {
 /// arrive, so an oversized header alone cannot command the allocation.
 const HEADER_RESERVE_CAP: usize = 1 << 20;
 
-fn check_counts(line: usize, n: usize, m: usize, limits: &LoadLimits) -> Result<(), LoadError> {
+fn check_counts(n: usize, m: usize, limits: &LoadLimits) -> Result<(), String> {
     if n > limits.max_vertices {
-        return perr(line, format!("vertex count {n} exceeds limit {}", limits.max_vertices));
+        return Err(format!("vertex count {n} exceeds limit {}", limits.max_vertices));
     }
     if n > VertexId::MAX as usize {
-        return perr(line, format!("vertex count {n} does not fit a 32-bit vertex id"));
+        return Err(format!("vertex count {n} does not fit a 32-bit vertex id"));
     }
     if m > limits.max_edges {
-        return perr(line, format!("edge count {m} exceeds limit {}", limits.max_edges));
+        return Err(format!("edge count {m} exceeds limit {}", limits.max_edges));
     }
     Ok(())
 }
@@ -167,10 +182,14 @@ fn ids(it: &mut SplitWhitespace, line: usize, n: usize) -> Result<(VertexId, Ver
 }
 
 /// The weight rule of every format: a stored weight is at least 1, so
-/// repair mode raises a smaller one and strict mode refuses it.
-fn weight(line: usize, w: Weight, opts: &LoadOptions) -> Result<Weight, LoadError> {
-    if w < 1 && opts.mode == LoadMode::Strict {
-        return perr(line, format!("strict mode: weight {w} is below 1"));
+/// repair mode raises a smaller one, counting it in `raised`, and strict
+/// mode refuses it.
+fn weight(line: usize, w: Weight, mode: LoadMode, raised: &mut usize) -> Result<Weight, LoadError> {
+    if w < 1 {
+        if mode == LoadMode::Strict {
+            return perr(line, format!("strict mode: weight {w} is below 1"));
+        }
+        *raised += 1;
     }
     Ok(w.max(1))
 }
@@ -187,7 +206,7 @@ fn body(
     opts: &LoadOptions,
     mut edge: impl FnMut(&mut SplitWhitespace, usize) -> Result<Edge, LoadError>,
 ) -> Result<GraphBuilder, LoadError> {
-    check_counts(line, n, m, &opts.limits)?;
+    check_counts(n, m, &opts.limits).or_else(|e| perr(line, e))?;
     let mut b = GraphBuilder::with_capacity(n, m.min(HEADER_RESERVE_CAP));
     let (mut found, mut last) = (0usize, line);
     for rec in recs {
@@ -208,34 +227,23 @@ fn body(
     Ok(b)
 }
 
-/// Build what a parser read and apply strict mode. Every load ends here,
-/// so this is where its outcome is counted: a refusal in
-/// [`validate::load_rejected`](crate::validate::load_rejected), repairs in
-/// [`validate::edges_repaired`](crate::validate::edges_repaired).
-fn finish(
-    parsed: Result<GraphBuilder, LoadError>,
-    opts: &LoadOptions,
-) -> Result<Loaded, LoadError> {
-    let loaded = parsed.and_then(|b| {
-        let (graph, report) = b.build_with_report();
-        if opts.mode == LoadMode::Strict && !report.is_clean() {
-            return perr(
-                0,
-                format!(
-                    "strict mode: input needs repair ({} self loops, {} parallel directed edges)",
-                    report.self_loops_dropped, report.parallel_edges_deduped
-                ),
-            );
-        }
-        Ok(Loaded { graph, report })
-    });
-    match &loaded {
-        Ok(l) => crate::validate::note_edges_repaired(
-            (l.report.self_loops_dropped + l.report.parallel_edges_deduped) as u64,
-        ),
-        Err(_) => crate::validate::note_load_rejected(),
+/// What a parser read: the edges and how many weights it raised.
+type Parsed = Result<(GraphBuilder, usize), LoadError>;
+
+/// Build what a parser read and apply strict mode.
+fn finish(parsed: Parsed, opts: &LoadOptions) -> Result<Loaded, LoadError> {
+    let (b, weights_raised) = parsed?;
+    let (graph, report) = b.build_with_report();
+    if opts.mode == LoadMode::Strict && !report.is_clean() {
+        return perr(
+            None,
+            format!(
+                "strict mode: input needs repair ({} self loops, {} parallel directed edges)",
+                report.self_loops_dropped, report.parallel_edges_deduped
+            ),
+        );
     }
-    loaded
+    Ok(Loaded { graph, report, weights_raised })
 }
 
 /// Load a MatrixMarket coordinate file. Supports `pattern`, `integer`, and
@@ -248,11 +256,11 @@ pub fn load_mtx(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError> {
     finish(mtx(r, opts), opts)
 }
 
-fn mtx(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
+fn mtx(r: impl Read, opts: &LoadOptions) -> Parsed {
     // Header: %%MatrixMarket matrix coordinate <field> <symmetry>, the first
     // non-blank line. Lines after it that start with `%` are comments.
     let mut recs = records(r, "");
-    let (line, header) = recs.next().unwrap_or_else(|| perr(0, "empty file"))?;
+    let (line, header) = recs.next().unwrap_or_else(|| perr(None, "empty file"))?;
     let h: Vec<&str> = header.split_whitespace().collect();
     if h.len() < 5 || !h[0].starts_with("%%MatrixMarket") {
         return perr(line, "missing %%MatrixMarket header");
@@ -276,6 +284,7 @@ fn mtx(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
         return perr(line, SIZE);
     }
     let n = rows.max(cols);
+    let mut raised = 0;
     let b = body(recs, (line, n, nnz, "entries"), opts, |it, line| {
         let (u, v) = ids(it, line, n)?;
         if !weighted {
@@ -288,9 +297,9 @@ fn mtx(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
         if opts.mode == LoadMode::Strict && w < 0.0 {
             return perr(line, format!("strict mode: negative weight {w}"));
         }
-        Ok((u, v, Some(weight(line, w.abs().round() as Weight, opts)?)))
+        Ok((u, v, Some(weight(line, w.abs().round() as Weight, opts.mode, &mut raised)?)))
     })?;
-    Ok(b.name("mtx"))
+    Ok((b.name("mtx"), raised))
 }
 
 /// Load a whitespace/tab edge list (`u v [w]` per line, `#`/`%` comments).
@@ -299,9 +308,9 @@ pub fn load_edge_list(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadEr
     finish(edge_list(r, opts), opts)
 }
 
-fn edge_list(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
+fn edge_list(r: impl Read, opts: &LoadOptions) -> Parsed {
     let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    let mut weighted = None;
+    let (mut weighted, mut raised) = (None, 0);
     let mut max_id: VertexId = 0;
     for rec in records(r, "#%") {
         let (line, text) = rec?;
@@ -311,7 +320,10 @@ fn edge_list(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError
         let v: VertexId =
             field(&mut it, line, "bad target id (must fit a 32-bit unsigned integer)")?;
         let w = match it.next() {
-            Some(w) => Some(weight(line, w.parse().or_else(|_| perr(line, "bad weight"))?, opts)?),
+            Some(w) => {
+                let w = w.parse().or_else(|_| perr(line, "bad weight"))?;
+                Some(weight(line, w, opts.mode, &mut raised)?)
+            }
             None => None,
         };
         if *weighted.get_or_insert(w.is_some()) != w.is_some() {
@@ -324,20 +336,20 @@ fn edge_list(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError
         }
     }
     if edges.is_empty() {
-        return perr(0, "no edges in file");
+        return perr(None, "no edges in file");
     }
     // Checked: a hostile id of u32::MAX on a 32-bit host would wrap
     // `max_id + 1` to zero and build an empty vertex set.
-    let n = (max_id as usize).checked_add(1).ok_or_else(|| LoadError::Parse {
-        line: 0,
-        msg: format!("vertex id {max_id} overflows"),
-    })?;
-    check_counts(0, n, edges.len(), &opts.limits)?;
+    let Some(n) = (max_id as usize).checked_add(1) else {
+        return perr(None, format!("vertex id {max_id} overflows"));
+    };
+    check_counts(n, edges.len(), &opts.limits).or_else(|e| perr(None, e))?;
     let b = GraphBuilder::with_capacity(n, edges.len()).name("edgelist");
-    Ok(match weighted {
+    let b = match weighted {
         Some(true) => b.weighted_edges(edges),
         _ => b.edges(edges.into_iter().map(|(u, v, _)| (u, v))),
-    })
+    };
+    Ok((b, raised))
 }
 
 /// Load a DIMACS shortest-path `.gr` file: one `p sp n m` problem line,
@@ -346,9 +358,9 @@ pub fn load_dimacs(r: impl Read, opts: &LoadOptions) -> Result<Loaded, LoadError
     finish(dimacs(r, opts), opts)
 }
 
-fn dimacs(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
+fn dimacs(r: impl Read, opts: &LoadOptions) -> Parsed {
     let mut recs = records(r, "c");
-    let (line, p) = recs.next().unwrap_or_else(|| perr(0, "missing problem line"))?;
+    let (line, p) = recs.next().unwrap_or_else(|| perr(None, "missing problem line"))?;
     let mut it = p.split_whitespace();
     match it.next() {
         Some("p") => {}
@@ -360,6 +372,7 @@ fn dimacs(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
     if !sp || it.next().is_some() {
         return perr(line, "expected `p sp n m`");
     }
+    let mut raised = 0;
     let b = body(recs, (line, n, m, "arcs"), opts, |it, line| {
         match it.next() {
             Some("a") => {}
@@ -367,13 +380,13 @@ fn dimacs(r: impl Read, opts: &LoadOptions) -> Result<GraphBuilder, LoadError> {
             other => return perr(line, format!("unknown record `{}`", other.unwrap_or(""))),
         }
         let (u, v) = ids(it, line, n)?;
-        let w = weight(line, field(it, line, "bad w")?, opts)?;
+        let w = weight(line, field(it, line, "bad w")?, opts.mode, &mut raised)?;
         if it.next().is_some() {
             return perr(line, "expected `a u v w`");
         }
         Ok((u, v, Some(w)))
     })?;
-    Ok(b.name("dimacs"))
+    Ok((b.name("dimacs"), raised))
 }
 
 /// Write a graph as a MatrixMarket coordinate file (pattern or integer
@@ -459,7 +472,7 @@ mod tests {
         for w in ["NaN", "inf", "-inf"] {
             let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 {w}\n");
             let err = load_mtx(text.as_bytes(), &LoadOptions::default()).unwrap_err();
-            assert!(matches!(err, LoadError::Parse { line: 3, .. }), "{w}: {err}");
+            assert!(matches!(err, LoadError::Parse { line: Some(3), .. }), "{w}: {err}");
         }
     }
 
@@ -521,7 +534,7 @@ mod tests {
         // Larger than u32: must be a structured error, not a wrap.
         let err =
             load_edge_list("0 99999999999\n".as_bytes(), &LoadOptions::default()).unwrap_err();
-        assert!(matches!(err, LoadError::Parse { line: 1, .. }), "{err}");
+        assert!(matches!(err, LoadError::Parse { line: Some(1), .. }), "{err}");
         // Negative ids are equally structured.
         assert!(load_edge_list("0 -3\n".as_bytes(), &LoadOptions::default()).is_err());
     }

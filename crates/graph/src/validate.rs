@@ -1,58 +1,15 @@
-//! Structural validation of CSR graphs, plus the ingest-side hardening
-//! counters.
+//! Structural validation of CSR graphs.
 //!
 //! [`Csr::new`] enforces its invariants with panics — the right contract
 //! for trusted in-process construction, and the wrong one for bytes
 //! that arrived over a socket or from a hostile file. [`CsrValidator`]
 //! re-checks the same invariants (and a few graph-level consistency
 //! rules) without panicking, producing a [`ValidationReport`] the
-//! serving runtime can turn into a structured registration error.
-//!
-//! The counters live here rather than in `gswitch_obs` because this
-//! crate sits *below* the observability crate in the build graph; they
-//! follow the same relaxed-atomic idiom and are exported through the
-//! `gswitch-serve` stats verb.
+//! serving runtime can turn into a structured registration error. It
+//! counts nothing: the serving registry counts its refusals in its own
+//! metrics.
 
 use crate::{Csr, Graph, VertexId};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Loader calls that returned a structured error.
-static LOAD_REJECTED: AtomicU64 = AtomicU64::new(0);
-/// Directed edges repaired (deduped or dropped) by repair-mode loads.
-static EDGES_REPAIRED: AtomicU64 = AtomicU64::new(0);
-/// Graphs rejected by structural validation at registration.
-static GRAPHS_REJECTED: AtomicU64 = AtomicU64::new(0);
-
-/// Loader calls rejected with a structured error, process lifetime.
-pub fn load_rejected() -> u64 {
-    LOAD_REJECTED.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_load_rejected() {
-    LOAD_REJECTED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Directed edges repaired by repair-mode loads, process lifetime.
-pub fn edges_repaired() -> u64 {
-    EDGES_REPAIRED.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_edges_repaired(n: u64) {
-    if n > 0 {
-        EDGES_REPAIRED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Graphs rejected by structural validation, process lifetime.
-pub fn graphs_rejected() -> u64 {
-    GRAPHS_REJECTED.load(Ordering::Relaxed)
-}
-
-/// Record one rejected graph (called by whoever enforces validation,
-/// e.g. the serving runtime's registry).
-pub fn note_graph_rejected() {
-    GRAPHS_REJECTED.fetch_add(1, Ordering::Relaxed);
-}
 
 /// Outcome of a validation pass: size summary plus every violation
 /// found (capped — see [`CsrValidator::max_issues`]).
@@ -260,17 +217,5 @@ mod tests {
         let rep = CsrValidator::new().validate_graph(&bad);
         assert!(!rep.is_valid());
         assert!(rep.to_string().contains("zero"));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let before = (load_rejected(), edges_repaired(), graphs_rejected());
-        note_load_rejected();
-        note_edges_repaired(5);
-        note_edges_repaired(0);
-        note_graph_rejected();
-        assert_eq!(load_rejected() - before.0, 1);
-        assert_eq!(edges_repaired() - before.1, 5);
-        assert_eq!(graphs_rejected() - before.2, 1);
     }
 }

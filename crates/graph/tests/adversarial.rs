@@ -3,12 +3,11 @@
 //! attacker-sized allocation. The property tests throw fuzzed junk at
 //! every format; the explicit cases pin down each hardening rule
 //! (header limits, overflow, non-finite weights, strict-vs-repair) and
-//! the ingest counters behind them.
+//! what each load reports: the line of a refusal, the count of repairs.
 
 use gswitch_graph::io::{
     load_dimacs, load_edge_list, load_mtx, LoadError, LoadLimits, LoadMode, LoadOptions,
 };
-use gswitch_graph::validate;
 use proptest::prelude::*;
 
 /// Tight ceilings so fuzzed headers cannot make a case slow even when
@@ -79,23 +78,27 @@ proptest! {
     }
 }
 
-fn is_parse(r: Result<gswitch_graph::io::Loaded, LoadError>) -> String {
+/// The line and message of a parse error.
+fn refusal(r: Result<gswitch_graph::io::Loaded, LoadError>) -> (Option<usize>, String) {
     match r {
-        Err(LoadError::Parse { msg, .. }) => msg,
+        Err(LoadError::Parse { line, msg }) => (line, msg),
         Err(LoadError::Io(e)) => panic!("expected a parse error, got i/o: {e}"),
         Ok(_) => panic!("hostile input was accepted"),
     }
 }
 
+fn is_parse(r: Result<gswitch_graph::io::Loaded, LoadError>) -> String {
+    refusal(r).1
+}
+
 #[test]
 fn oversized_mtx_header_is_rejected_before_allocation() {
-    let before = validate::load_rejected();
     // Header claims ~10^15 vertices; rejection must come from the limit
-    // check, long before any edge storage is reserved.
+    // check on the size line, long before any edge storage is reserved.
     let text = "%%MatrixMarket matrix coordinate pattern general\n1000000000000000 1 1\n1 1\n";
-    let msg = is_parse(load_mtx(text.as_bytes(), &LoadOptions::default()));
+    let (line, msg) = refusal(load_mtx(text.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("exceeds limit"), "{msg}");
-    assert!(validate::load_rejected() > before, "rejection must be counted");
+    assert_eq!(line, Some(2), "{msg}");
 }
 
 #[test]
@@ -180,15 +183,41 @@ fn edge_list_rejects_64bit_ids_and_mixed_weight_lines() {
 
 #[test]
 fn edge_list_strict_rejects_dirty_input_repair_counts_it() {
-    let before = validate::edges_repaired();
-    // One self loop and one duplicated edge.
+    // One self loop and one edge listed in both orientations.
     let dirty = "0 0\n0 1\n1 0\n";
     let msg = is_parse(load_edge_list(dirty.as_bytes(), &LoadOptions::strict()));
     assert!(msg.contains("strict mode"), "{msg}");
     let l = load_edge_list(dirty.as_bytes(), &LoadOptions::default()).unwrap();
     assert_eq!(l.report.self_loops_dropped, 1, "{:?}", l.report);
-    assert!(l.report.parallel_edges_deduped > 0, "{:?}", l.report);
-    assert!(validate::edges_repaired() > before, "repairs must be counted");
+    // Symmetrized, each orientation is stored twice: two directed
+    // duplicates.
+    assert_eq!(l.report.parallel_edges_deduped, 2, "{:?}", l.report);
+    assert_eq!((l.weights_raised, l.repairs()), (0, 3));
+}
+
+#[test]
+fn raised_weights_are_counted_as_repairs() {
+    let l = load_edge_list("0 1 0\n1 2 5\n".as_bytes(), &LoadOptions::default()).unwrap();
+    assert!(l.report.is_clean(), "{:?}", l.report);
+    assert_eq!((l.weights_raised, l.repairs()), (1, 1));
+    let l = load_dimacs("p sp 3 2\na 1 2 0\na 2 3 0\n".as_bytes(), &LoadOptions::default());
+    assert_eq!(l.unwrap().repairs(), 2);
+}
+
+/// A problem of the whole file (nothing to read, a refused repair) has
+/// no line to point at, so its message names none.
+#[test]
+fn whole_file_errors_name_no_line() {
+    let cases = [
+        (load_mtx("".as_bytes(), &LoadOptions::default()), "empty file"),
+        (load_edge_list("# nothing\n".as_bytes(), &LoadOptions::default()), "no edges in file"),
+        (load_dimacs("c nothing\n".as_bytes(), &LoadOptions::default()), "missing problem line"),
+        (load_edge_list("0 0\n".as_bytes(), &LoadOptions::strict()), "input needs repair"),
+    ];
+    for (r, fragment) in cases {
+        let err = r.map(|_| ()).unwrap_err().to_string();
+        assert!(err.contains(fragment) && !err.contains("at line"), "{err}");
+    }
 }
 
 #[test]
@@ -214,11 +243,10 @@ fn dimacs_arc_before_problem_line_and_overlong_bodies() {
 
 #[test]
 fn dimacs_header_bomb_is_limited() {
-    let before = validate::load_rejected();
     let text = "p sp 1000000000000 1000000000000 \n";
-    let msg = is_parse(load_dimacs(text.as_bytes(), &LoadOptions::default()));
+    let (line, msg) = refusal(load_dimacs(text.as_bytes(), &LoadOptions::default()));
     assert!(msg.contains("exceeds limit"), "{msg}");
-    assert!(validate::load_rejected() > before);
+    assert_eq!(line, Some(1), "{msg}");
 }
 
 #[test]
@@ -241,6 +269,7 @@ fn strict_refuses_weight_below_one(
     assert!(msg.contains("strict mode") && msg.contains("below 1"), "{msg}");
     let l = load(text.as_bytes(), &LoadOptions::default()).unwrap();
     assert_eq!(l.graph.out_weights().unwrap(), &[1, 1]);
+    assert_eq!(l.repairs(), 1, "{:?}", l.report);
 }
 
 #[test]

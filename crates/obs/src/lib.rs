@@ -25,14 +25,15 @@
 //!   feature is on.
 //! * [`sync`] — poison-recovering lock wrappers, so one panicking
 //!   thread cannot wedge every other holder of shared state.
-//! * [`hardening`] — process-global counters for model fallbacks,
-//!   out-of-distribution feature clamps and sentinel mismatches.
+//!
+//! Counts of the tuner's fallbacks are not kept here: each is returned
+//! with its outcome (a model load's report, a run's sentinel report)
+//! and, when serving, summed in the runtime's [`MetricsRegistry`].
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod faults;
-pub mod hardening;
 pub mod metrics;
 pub mod span;
 pub mod summary;

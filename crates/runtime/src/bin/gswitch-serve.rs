@@ -154,10 +154,9 @@ fn handle(
                     } else {
                         gswitch_graph::io::LoadOptions::default()
                     };
-                    let (entry, report) = registry
+                    registry
                         .load_path(&name, path, &opts)
-                        .map_err(|e| format!("loading `{path}`: {e}"))?;
-                    (entry, report.self_loops_dropped + report.parallel_edges_deduped)
+                        .map_err(|e| format!("loading `{path}`: {e}"))?
                 }
                 (None, Some(spec)) => (registry.insert_validated(&name, spec.build()?)?, 0),
                 _ => return Err("load needs exactly one of `path` or `gen`".into()),
@@ -245,18 +244,14 @@ fn handle(
             let metrics: serde_json::Value =
                 serde_json::from_str(&obs.metrics.snapshot().to_json())
                     .map_err(|e| format!("metrics snapshot: {e}"))?;
-            let h = gswitch_obs::hardening::snapshot();
-            // Process-lifetime hardening counters: ingestion-side
-            // rejections/repairs plus model-fallback and sentinel
-            // interventions in the decision layer.
+            // Hardening counters since startup: the registry's refused
+            // loads, repairs and refused graphs, and the sentinel's
+            // mismatches over every job (also inside `metrics`).
             let hardening = serde_json::json!({
-                "load_rejected": gswitch_graph::validate::load_rejected(),
-                "edges_repaired": gswitch_graph::validate::edges_repaired(),
-                "graphs_rejected": gswitch_graph::validate::graphs_rejected(),
-                "model_load_failed": h.model_load_failed,
-                "model_fallback": h.model_fallback,
-                "ood_feature_clamped": h.ood_feature_clamped,
-                "sentinel_mismatch": h.sentinel_mismatch,
+                "load_rejected": obs.metrics.counter(metric::LOAD_REJECTED).get(),
+                "edges_repaired": obs.metrics.counter(metric::EDGES_REPAIRED).get(),
+                "graphs_rejected": obs.metrics.counter(metric::GRAPHS_REJECTED).get(),
+                "sentinel_mismatch": obs.metrics.counter(metric::SENTINEL_MISMATCH).get(),
             });
             // Partitioned-serving surface: the scheduler's resident plan
             // store and the exchange totals of every sharded job (the

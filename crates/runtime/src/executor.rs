@@ -31,6 +31,10 @@ pub struct Execution {
     pub sim_ms: f64,
     /// Whether every engine run converged.
     pub converged: bool,
+    /// Divergence-sentinel mismatches, summed over the engine runs'
+    /// [`RunReport::sentinel`] (0 with the sentinel off, and on the
+    /// sharded path, which never runs it).
+    pub sentinel_mismatches: u32,
     /// Summary metrics.
     pub metrics: Vec<Metric>,
     /// Per-iteration trace.
@@ -196,6 +200,7 @@ pub fn execute(
         config: tuned.map(|c| c.to_string()),
         sim_ms,
         converged,
+        sentinel_mismatches: reports.iter().map(|r| r.sentinel.mismatches).sum(),
         metrics,
         iterations,
         payload,
@@ -263,6 +268,7 @@ pub fn execute_sharded(
         config: None,
         sim_ms: report.total_ms(),
         converged: report.converged,
+        sentinel_mismatches: 0,
         metrics: vec![
             Metric::new("supersteps", report.n_supersteps() as f64),
             Metric::new("exchange_records", exchange.routed as f64),

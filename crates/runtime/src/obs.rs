@@ -81,6 +81,18 @@ pub mod metric {
     /// queue their worker left behind was at or above the shed
     /// watermark (only counted while the sentinel is on).
     pub const SENTINEL_SKIPPED: &str = "sentinel_skipped";
+    /// Counter: divergence-sentinel mismatches, summed over every job's
+    /// `RunReport::sentinel`.
+    pub const SENTINEL_MISMATCH: &str = "sentinel_mismatch";
+    /// Counter: graph-file loads refused with an error (unreadable
+    /// file, parse error, size limit, strict-mode repair).
+    pub const LOAD_REJECTED: &str = "load_rejected";
+    /// Counter: repairs made by repair-mode graph-file loads (self
+    /// loops dropped, parallel edges deduped, weights raised).
+    pub const EDGES_REPAIRED: &str = "edges_repaired";
+    /// Counter: graphs refused by structural validation at
+    /// registration.
+    pub const GRAPHS_REJECTED: &str = "graphs_rejected";
 }
 
 /// Default decision-trace ring capacity (events, not bytes). A

@@ -6,10 +6,13 @@
 //! all queries against it share the same `Arc` — a thousand concurrent
 //! BFS jobs on the same social graph cost one graph's worth of memory.
 //! Untrusted graphs enter through [`GraphRegistry::insert_validated`],
-//! directly or from a file by [`GraphRegistry::load_path`].
+//! directly or from a file by [`GraphRegistry::load_path`], which count
+//! what they refuse and repair.
 
-use gswitch_graph::{gen, io, validate, CsrValidator, Fingerprint, Graph};
+use crate::obs::metric;
+use gswitch_graph::{gen, io, CsrValidator, Fingerprint, Graph};
 use gswitch_obs::sync::RwLock;
+use gswitch_obs::{Counter, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -62,16 +65,30 @@ impl GraphEntry {
     }
 }
 
-/// Thread-safe name → [`GraphEntry`] map.
+/// Thread-safe name → [`GraphEntry`] map, with counts of the loads and
+/// graphs it refused and the repairs its loads made.
 #[derive(Default, Debug)]
 pub struct GraphRegistry {
     entries: RwLock<BTreeMap<String, Arc<GraphEntry>>>,
+    load_rejected: Counter,
+    edges_repaired: Counter,
+    graphs_rejected: Counter,
 }
 
 impl GraphRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Register this registry's counters into `metrics` under the
+    /// canonical names, sharing state, as
+    /// [`ConfigCache::bind_metrics`](crate::ConfigCache::bind_metrics)
+    /// does.
+    pub fn bind_metrics(&self, metrics: &MetricsRegistry) {
+        metrics.adopt_counter(metric::LOAD_REJECTED, &self.load_rejected);
+        metrics.adopt_counter(metric::EDGES_REPAIRED, &self.edges_repaired);
+        metrics.adopt_counter(metric::GRAPHS_REJECTED, &self.graphs_rejected);
     }
 
     /// Register `graph` under `name`, replacing any previous entry of
@@ -86,8 +103,7 @@ impl GraphRegistry {
     /// Register `graph` under `name` after structural validation —
     /// the untrusted-input front door. A graph whose CSR invariants or
     /// weight alignment fail is refused with the joined issue list, is
-    /// never inserted, and is counted in
-    /// [`gswitch_graph::validate::graphs_rejected`].
+    /// never inserted, and is counted in `graphs_rejected`.
     pub fn insert_validated(
         &self,
         name: impl Into<String>,
@@ -96,7 +112,7 @@ impl GraphRegistry {
         let name = name.into();
         let report = CsrValidator::new().validate_graph(&graph);
         if !report.is_valid() {
-            validate::note_graph_rejected();
+            self.graphs_rejected.inc();
             return Err(format!("graph `{name}` rejected: {report}"));
         }
         Ok(self.insert(name, graph))
@@ -106,17 +122,22 @@ impl GraphRegistry {
     /// [`gswitch_graph::io::load_path`] accepts) under `opts` (size
     /// limits, strict-vs-repair mode) and register it through
     /// [`GraphRegistry::insert_validated`]. Returns the entry plus the
-    /// loader's repair report so callers can surface what repair-mode
-    /// loading had to fix.
+    /// number of repairs the load made ([`io::Loaded::repairs`]). A
+    /// refused load, an unreadable file included, is counted in
+    /// `load_rejected`, the repairs in `edges_repaired`.
     pub fn load_path(
         &self,
         name: impl Into<String>,
         path: &str,
         opts: &io::LoadOptions,
-    ) -> Result<(Arc<GraphEntry>, gswitch_graph::BuildReport), String> {
-        let loaded = io::load_path(path, opts).map_err(|e| e.to_string())?;
-        let entry = self.insert_validated(name, loaded.graph)?;
-        Ok((entry, loaded.report))
+    ) -> Result<(Arc<GraphEntry>, usize), String> {
+        let loaded = io::load_path(path, opts).map_err(|e| {
+            self.load_rejected.inc();
+            e.to_string()
+        })?;
+        let repairs = loaded.repairs();
+        self.edges_repaired.add(repairs as u64);
+        Ok((self.insert_validated(name, loaded.graph)?, repairs))
     }
 
     /// Look up a registered graph.
@@ -224,20 +245,60 @@ mod tests {
         assert!(reg.get("ok").is_some());
     }
 
+    /// Sound topology, corrupt weights: zero weight + misaligned length
+    /// — exactly what a hostile pre-built graph could smuggle past the
+    /// builder.
+    fn corrupt_graph() -> Graph {
+        let csr = gswitch_graph::Csr::new(vec![0, 1, 2], vec![1, 0]);
+        Graph::from_parts(csr, None, Some(vec![0]), None, "bad")
+    }
+
+    /// The registry's three counters as its bound metrics read them:
+    /// (load_rejected, edges_repaired, graphs_rejected).
+    fn counts(metrics: &MetricsRegistry) -> (u64, u64, u64) {
+        let snap = metrics.snapshot();
+        let c = |name| snap.counter(name);
+        (c(metric::LOAD_REJECTED), c(metric::EDGES_REPAIRED), c(metric::GRAPHS_REJECTED))
+    }
+
     #[test]
     fn insert_validated_rejects_and_counts_bad_graphs() {
-        use gswitch_graph::Csr;
-        // Sound topology, corrupt weights: zero weight + misaligned
-        // length — exactly what a hostile pre-built graph could smuggle
-        // past the builder.
-        let csr = Csr::new(vec![0, 1, 2], vec![1, 0]);
-        let bad = Graph::from_parts(csr, None, Some(vec![0]), None, "bad");
-        let reg = GraphRegistry::new();
-        let before = validate::graphs_rejected();
-        let err = reg.insert_validated("bad", bad).map(|_| ()).unwrap_err();
+        let (reg, metrics) = (GraphRegistry::new(), MetricsRegistry::new());
+        reg.bind_metrics(&metrics);
+        let err = reg.insert_validated("bad", corrupt_graph()).map(|_| ()).unwrap_err();
         assert!(err.contains("rejected"), "{err}");
         assert!(reg.is_empty(), "rejected graph must not be registered");
-        assert!(validate::graphs_rejected() > before);
+        assert_eq!(counts(&metrics), (0, 0, 1));
+    }
+
+    /// A refused load, a repaired load and an invalid graph each move
+    /// exactly their own counter, by exactly their own amount.
+    #[test]
+    fn each_outcome_moves_only_its_own_counter() {
+        let (reg, metrics) = (GraphRegistry::new(), MetricsRegistry::new());
+        reg.bind_metrics(&metrics);
+        // A self loop, one edge in both orientations (two directed
+        // duplicates once symmetrized) and one weight raised from 0.
+        let dirty = std::env::temp_dir().join(format!("gswitch-dirty-{}.txt", std::process::id()));
+        std::fs::write(&dirty, "0 0 1\n0 1 0\n1 0 2\n").unwrap();
+        let dirty = dirty.to_str().unwrap().to_string();
+
+        let strict = reg.load_path("d", &dirty, &io::LoadOptions::strict());
+        assert!(strict.map(|_| ()).unwrap_err().contains("strict mode"));
+        assert_eq!(counts(&metrics), (1, 0, 0));
+
+        let (_, repairs) = reg.load_path("d", &dirty, &io::LoadOptions::default()).unwrap();
+        assert_eq!(repairs, 4);
+        assert_eq!(counts(&metrics), (1, 4, 0));
+
+        assert!(reg.insert_validated("bad", corrupt_graph()).is_err());
+        assert_eq!(counts(&metrics), (1, 4, 1));
+
+        // A file that cannot be opened is a refused load too.
+        let _ = std::fs::remove_file(&dirty);
+        assert!(reg.load_path("d", &dirty, &io::LoadOptions::default()).is_err());
+        assert_eq!(counts(&metrics), (2, 4, 1));
+        assert_eq!(reg.names(), ["d"]);
     }
 
     #[test]

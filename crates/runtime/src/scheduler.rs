@@ -269,6 +269,7 @@ struct SchedulerMetrics {
     unmeetable: Counter,
     breaker_fastfail: Counter,
     sentinel_skipped: Counter,
+    sentinel_mismatch: Counter,
     queue_wait_ms: Histogram,
     execute_ms: Histogram,
     total_ms: Histogram,
@@ -295,6 +296,7 @@ impl SchedulerMetrics {
             unmeetable: r.counter(metric::JOBS_UNMEETABLE),
             breaker_fastfail: r.counter(metric::JOBS_BREAKER_OPEN),
             sentinel_skipped: r.counter(metric::SENTINEL_SKIPPED),
+            sentinel_mismatch: r.counter(metric::SENTINEL_MISMATCH),
             queue_wait_ms: r.latency(metric::QUEUE_WAIT_MS),
             execute_ms: r.latency(metric::EXECUTE_MS),
             total_ms: r.latency(metric::JOB_TOTAL_MS),
@@ -447,6 +449,7 @@ impl Scheduler {
         obs: Arc<RuntimeObs>,
     ) -> Self {
         cache.bind_metrics(&obs.metrics);
+        registry.bind_metrics(&obs.metrics);
         let breakers = Arc::new(BreakerSet::new(config.breaker.clone(), obs.clock(), &obs.metrics));
         let shared = Arc::new(Shared {
             registry,
@@ -939,8 +942,11 @@ fn worker_loop(shared: &Shared, worker: u32) {
             }))
         };
         shared.m.execute_ms.observe(clock.elapsed_ms(exec_start));
-        if let (Some(_), Ok(Ok(exec))) = (job.shards, &result) {
-            shared.m.record_exchange(&exec.metrics);
+        if let Ok(Ok(exec)) = &result {
+            shared.m.sentinel_mismatch.add(exec.sentinel_mismatches.into());
+            if job.shards.is_some() {
+                shared.m.record_exchange(&exec.metrics);
+            }
         }
         settle(shared, job, worker, JobStatus::Ok, Detail::Ran(result));
     }

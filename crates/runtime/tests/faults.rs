@@ -10,15 +10,18 @@
 
 #![cfg(feature = "fault-injection")]
 
+use gswitch_core::engine::fault_site::FRONTIER_CORRUPT;
+use gswitch_core::{AutoPolicy, ProbeHandle};
 use gswitch_graph::gen;
 use gswitch_obs::sync::poison_recoveries;
+use gswitch_obs::{RecorderHandle, SpanCtx};
 use gswitch_runtime::faults::{
     arm, arm_after, arm_schedule, exclusive, fired, reset, site, Fault, Schedule,
 };
 use gswitch_runtime::obs::metric;
 use gswitch_runtime::{
-    BreakerConfig, ConfigCache, GraphRegistry, JobSpec, JobStatus, Query, RuntimeObs, Scheduler,
-    SchedulerConfig,
+    execute, BreakerConfig, ConfigCache, GraphRegistry, JobSpec, JobStatus, Query, RuntimeObs,
+    Scheduler, SchedulerConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -191,6 +194,41 @@ fn sharded_job_honours_faults_deadline_and_cancel() {
         + snap.counter(metric::JOBS_TIMEOUT_LATE);
     assert_eq!(timeouts, 1);
     h.scheduler.shutdown();
+}
+
+/// With the sentinel on every super-step and `frontier::corrupt` armed,
+/// a job's mismatches reach the `sentinel_mismatch` counter: exactly as
+/// many as the same run's engine report counts.
+#[test]
+fn sentinel_mismatches_of_a_job_reach_the_metrics() {
+    let _g = exclusive();
+    let registry = Arc::new(GraphRegistry::new());
+    let entry = registry.insert("kron", gen::kronecker(8, 8, 3));
+    let config = SchedulerConfig { workers: 1, verify_every: 1, ..Default::default() };
+    arm(FRONTIER_CORRUPT, Fault::Trip);
+    // The job's run outside the scheduler, on a cache of its own.
+    let exec = execute(
+        &entry,
+        &Query::Bfs { src: 0 },
+        &ConfigCache::new(),
+        &AutoPolicy,
+        &config.device,
+        RecorderHandle::none(),
+        ProbeHandle::none(),
+        config.verify_every,
+        SpanCtx::default(),
+    )
+    .unwrap();
+    assert!(exec.sentinel_mismatches >= 1, "the corrupted frontier went unnoticed");
+
+    let obs = Arc::new(RuntimeObs::new());
+    let s = Scheduler::with_obs(registry, Arc::new(ConfigCache::new()), config, Arc::clone(&obs));
+    let out = s.submit(bfs(0)).unwrap().wait();
+    reset();
+    assert_eq!(out.status, JobStatus::Ok);
+    let counted = obs.metrics.snapshot().counter(metric::SENTINEL_MISMATCH);
+    assert_eq!(counted, u64::from(exec.sentinel_mismatches));
+    s.shutdown();
 }
 
 /// A panic while the cache's write lock is held poisons the lock; the
