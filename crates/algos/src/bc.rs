@@ -242,51 +242,22 @@ impl BcResult {
     }
 }
 
-/// Full (multi-source) betweenness centrality over `sources`, summing the
-/// per-source dependencies (exact BC when `sources` is every vertex;
-/// Brandes-sampling approximation otherwise). Returns the centrality
-/// vector and the total simulated time.
-pub fn bc_all(
-    g: &Graph,
-    sources: impl IntoIterator<Item = VertexId>,
-    policy: &dyn Policy,
-    opts: &EngineOptions,
-) -> (Vec<f64>, f64) {
-    let mut centrality = vec![0.0f64; g.num_vertices()];
-    let mut total_ms = 0.0;
-    for src in sources {
-        let r = bc(g, src, policy, opts);
-        for (c, d) in centrality.iter_mut().zip(&r.scores) {
-            *c += d;
-        }
-        total_ms += r.total_ms();
-    }
-    (centrality, total_ms)
-}
-
-/// The backward phase after `forward`. A forward run its probe stopped
-/// left levels that are not a BFS tree (a reached vertex's neighbours may
-/// be unreached), so the backward phase does not run: its report carries
-/// the same stop, with no iterations, and every dependency stays 0.
-pub fn run_backward(
-    g: &Graph,
-    bwd: &BcBackward,
-    forward: &RunReport,
-    policy: &dyn Policy,
-    opts: &EngineOptions,
-) -> RunReport {
-    match forward.stopped {
-        Some(stop) => RunReport { stopped: Some(stop), ..RunReport::default() },
-        None => run(g, bwd, policy, opts),
-    }
-}
-
-/// Run single-source BC from `src` under `policy`.
+/// Run single-source BC from `src` under `policy`. A seed in `opts`
+/// ([`EngineOptions::seed`]) warm-starts the forward phase only: it is
+/// the BFS-like traversal a cached config describes, while the backward
+/// sweep has its own access pattern and always consults the policy. A
+/// forward run its probe stopped left levels that are not a BFS tree (a
+/// reached vertex's neighbours may be unreached), so the backward phase
+/// does not run: its report carries the same stop, with no iterations,
+/// and every dependency stays 0.
 pub fn bc(g: &Graph, src: VertexId, policy: &dyn Policy, opts: &EngineOptions) -> BcResult {
     let fwd = BcForward::new(g.num_vertices(), src);
     let forward = run(g, &fwd, policy, opts);
     let bwd = BcBackward::new(&fwd);
-    let backward = run_backward(g, &bwd, &forward, policy, opts);
+    let backward = match forward.stopped {
+        Some(stop) => RunReport { stopped: Some(stop), ..RunReport::default() },
+        None => run(g, &bwd, policy, &EngineOptions { seed: None, ..opts.clone() }),
+    };
     let mut scores = bwd.deltas();
     if let Some(s) = scores.get_mut(src as usize) {
         *s = 0.0; // Brandes convention: the source accumulates nothing
@@ -344,11 +315,26 @@ mod tests {
         }
     }
 
+    /// Exact BC over `sources`: the per-source dependencies summed, and
+    /// the total simulated time.
+    fn summed(g: &Graph, sources: std::ops::Range<u32>) -> (Vec<f64>, f64) {
+        let mut centrality = vec![0.0f64; g.num_vertices()];
+        let mut total_ms = 0.0;
+        for src in sources {
+            let r = bc(g, src, &AutoPolicy, &EngineOptions::default());
+            for (c, d) in centrality.iter_mut().zip(&r.scores) {
+                *c += d;
+            }
+            total_ms += r.total_ms();
+        }
+        (centrality, total_ms)
+    }
+
     #[test]
     fn bc_all_matches_summed_brandes() {
         // Exact BC on an undirected path: the classic n-choose-2 pattern.
         let g = GraphBuilder::new(5).edges([(0, 1), (1, 2), (2, 3), (3, 4)]).build();
-        let (cent, ms) = bc_all(&g, 0..5, &AutoPolicy, &EngineOptions::default());
+        let (cent, ms) = summed(&g, 0..5);
         // For an undirected path a-b-c-d-e, vertex c lies on 2*(2x2)=8
         // directed shortest paths, b and d on 2*3=6.
         assert_eq!(cent, vec![0.0, 6.0, 8.0, 6.0, 0.0]);
@@ -358,7 +344,7 @@ mod tests {
     #[test]
     fn bc_all_matches_reference_sum_on_random_graph() {
         let g = gen::erdos_renyi(60, 200, 3);
-        let (cent, _) = bc_all(&g, 0..60, &AutoPolicy, &EngineOptions::default());
+        let (cent, _) = summed(&g, 0..60);
         let mut want = vec![0.0; 60];
         for s in 0..60u32 {
             for (w, d) in want.iter_mut().zip(reference::bc(&g, s)) {

@@ -9,7 +9,9 @@
 //! `--stride 1` reproduces the paper's full 644-graph pass; the default
 //! stride 4 labels 161 graphs, which already saturates tree quality.
 //! `--rules` additionally prints each tree as if-else rules (the paper's
-//! portable export).
+//! portable export). The written model is read back through
+//! `ModelPolicy::load_or_fallback`, as serving reads it; the exit status
+//! is 1 unless all five trees pass its validation.
 
 use gswitch_bench::labelling::cached_labels;
 use gswitch_bench::{default_model_path, results_dir};
@@ -118,4 +120,14 @@ fn main() {
     let rules_path = results_dir().join("model_rules.txt");
     let _ = std::fs::write(&rules_path, rules);
     println!("if-else rule export at {}", rules_path.display());
+
+    // The file must pass serving's admission test: read back the way
+    // `gswitch-serve` reads it, every tree kept.
+    let (_, report) = ModelPolicy::load_or_fallback(&out_path);
+    let trees = Pattern::DECISION_ORDER.len();
+    if report.error.is_some() || !report.dropped.is_empty() || report.kept != trees {
+        eprintln!("the written model fails serving's admission test: {report:?}");
+        std::process::exit(1);
+    }
+    println!("read back: all {} trees pass serving's admission test", report.kept);
 }

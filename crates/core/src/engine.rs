@@ -77,6 +77,16 @@ pub struct EngineOptions {
     /// the engine's only wall-time source — host overhead is measured
     /// through it whether or not spans are collected.
     pub spans: SpanCtx,
+    /// Warm start from a previously tuned configuration. When `Some`,
+    /// the first super-step executes the seed (legalised like any
+    /// decision) instead of consulting the policy, and the decision
+    /// history is primed as if the seed had already run a stable streak
+    /// — so the Fig. 10 stability bypass can keep it from the second
+    /// iteration on. The policy regains control the moment the expand
+    /// time drifts, exactly as it would after any stable phase; a stale
+    /// seed therefore costs at most one mis-configured super-step. The
+    /// configuration to cache comes from [`RunReport::dominant_config`].
+    pub seed: Option<KernelConfig>,
 }
 
 impl Default for EngineOptions {
@@ -91,6 +101,7 @@ impl Default for EngineOptions {
             probe: ProbeHandle::none(),
             verify_every: 0,
             spans: SpanCtx::default(),
+            seed: None,
         }
     }
 }
@@ -218,11 +229,6 @@ impl RunReport {
         self.iterations.iter().filter(|t| t.decided).count()
     }
 
-    /// The configuration the final super-step ran, if any ran at all.
-    pub fn final_config(&self) -> Option<KernelConfig> {
-        self.iterations.last().map(|t| t.config)
-    }
-
     /// The configuration that ran the most super-steps — what a
     /// tuned-config cache should remember as "the" tuned configuration
     /// for this (graph, algorithm) pair. Ties break toward the config
@@ -239,7 +245,8 @@ impl RunReport {
     }
 }
 
-/// Run `app` on `g` under `policy` until convergence.
+/// Run `app` on `g` under `policy` until convergence, warm-started from
+/// [`EngineOptions::seed`] when it is set.
 ///
 /// ```
 /// use gswitch_core::{run, AutoPolicy, EngineOptions};
@@ -265,34 +272,12 @@ impl RunReport {
 /// assert!(report.converged);
 /// ```
 pub fn run<A: EdgeApp>(g: &Graph, app: &A, policy: &dyn Policy, opts: &EngineOptions) -> RunReport {
-    run_with_seed_config(g, app, policy, opts, None)
-}
-
-/// Run `app` on `g` like [`run`], warm-started from a previously tuned
-/// configuration.
-///
-/// When `seed` is `Some`, the first super-step executes the seed
-/// configuration (legalised like any decision) instead of
-/// consulting the policy, and the decision history is primed as if the
-/// seed had already run a stable streak — so the Fig. 10 stability
-/// bypass can keep it from the second iteration on. The policy regains
-/// control the moment the expand time drifts, exactly as it would after
-/// any stable phase; a stale seed therefore costs at most one
-/// mis-configured super-step. The caller can extract the configuration
-/// to cache from the returned report via [`RunReport::dominant_config`].
-pub fn run_with_seed_config<A: EdgeApp>(
-    g: &Graph,
-    app: &A,
-    policy: &dyn Policy,
-    opts: &EngineOptions,
-    seed: Option<KernelConfig>,
-) -> RunReport {
     // One lane — the whole graph, the app itself: phases run inline on
     // this thread (so a lane's panic is re-raised as the caller's own) and
     // there is nothing to exchange.
     let mut lanes = [Lane::new(g, app, &opts.device, None, opts.spans.local())];
     let mut report = RunReport::default();
-    let end = drive(app, &mut lanes, policy, opts, seed, &mut |t, _| report.iterations.append(t));
+    let end = drive(app, &mut lanes, policy, opts, &mut |t, _| report.iterations.append(t));
     (report.converged, report.stopped) = end.unwrap_or_else(|f| {
         resume_unwind(f.payload.unwrap_or_else(|| Box::new("engine lane lost")))
     });
@@ -301,7 +286,7 @@ pub fn run_with_seed_config<A: EdgeApp>(
 }
 
 /// What is fixed for a whole run; `reference` is the shape every app can
-/// run (what the divergence sentinel pins to), legalised like the `seed`.
+/// run (what the divergence sentinel pins to), legalised like the seed.
 struct RunEnv<'a> {
     policy: &'a dyn Policy,
     caps: AppCaps,
@@ -447,7 +432,6 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
     lanes: &mut [Lane<'_, L>],
     policy: &dyn Policy,
     opts: &EngineOptions,
-    seed: Option<KernelConfig>,
     sink: &mut dyn FnMut(&mut Vec<IterationTrace>, f64),
 ) -> Result<(bool, Option<StopReason>), LaneFailure> {
     let caps = AppCaps::of::<L>();
@@ -455,7 +439,7 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
     // app cannot smuggle in an illegal shape.
     let legal = |c| caps.legalise(opts.mask, c);
     let reference = legal(KernelConfig::push_baseline());
-    let run = RunEnv { policy, caps, opts, seed: seed.map(legal), reference };
+    let run = RunEnv { policy, caps, opts, seed: opts.seed.map(legal), reference };
     for lane in lanes.iter_mut() {
         // A seed counts as an established streak: the stability bypass
         // may retain it as soon as runtime history exists (iteration 1).
@@ -1391,13 +1375,8 @@ pub(crate) mod tests {
         let tuned = cold.dominant_config().expect("cold run iterated");
 
         let warm_app = Bfs::new(g.num_vertices(), 0);
-        let warm = run_with_seed_config(
-            &g,
-            &warm_app,
-            &AutoPolicy,
-            &EngineOptions::default(),
-            Some(tuned),
-        );
+        let opts = EngineOptions { seed: Some(tuned), ..Default::default() };
+        let warm = run(&g, &warm_app, &AutoPolicy, &opts);
         assert!(warm.converged);
         assert_eq!(warm_app.level.to_vec(), expected);
         // The seed replaces the first decision...
@@ -1418,8 +1397,9 @@ pub(crate) mod tests {
             fusion: Fusion::Fused,
         };
         let app = Bfs::new(g.num_vertices(), 0);
-        let opts = EngineOptions { mask: PatternMask::none(), ..Default::default() };
-        let rep = run_with_seed_config(&g, &app, &AutoPolicy, &opts, Some(seed));
+        let opts =
+            EngineOptions { mask: PatternMask::none(), seed: Some(seed), ..Default::default() };
+        let rep = run(&g, &app, &AutoPolicy, &opts);
         // The mask pins every pattern to the baseline, seed or not.
         let c0 = rep.iterations[0].config;
         assert_eq!(c0.direction, Direction::Push);
@@ -1433,15 +1413,12 @@ pub(crate) mod tests {
         let g = gen::erdos_renyi(400, 1_600, 11);
         let app = Bfs::new(400, 0);
         let rep = run(&g, &app, &AutoPolicy, &EngineOptions::default());
-        let last = rep.iterations.last().unwrap().config;
-        assert_eq!(rep.final_config(), Some(last));
         let dom = rep.dominant_config().unwrap();
         let dom_count = rep.iterations.iter().filter(|t| t.config == dom).count();
         for t in &rep.iterations {
             let c = rep.iterations.iter().filter(|u| u.config == t.config).count();
             assert!(c <= dom_count);
         }
-        assert_eq!(RunReport::default().final_config(), None);
         assert_eq!(RunReport::default().dominant_config(), None);
     }
 

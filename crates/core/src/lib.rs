@@ -32,8 +32,7 @@ pub mod sharded;
 
 pub use cancel::{CancelToken, ProbeHandle, RunProbe, StopReason};
 pub use engine::{
-    panic_message, run, run_with_seed_config, EngineOptions, IterationTrace, PatternMask,
-    RunReport, SentinelReport,
+    panic_message, run, EngineOptions, IterationTrace, PatternMask, RunReport, SentinelReport,
 };
 pub use features::DecisionContext;
 pub use policy::{
@@ -57,6 +56,3 @@ pub use gswitch_kernels::pattern::{
     AsFormat, Direction, Fusion, KernelConfig, LoadBalance, SteppingDelta,
 };
 pub use gswitch_kernels::{EdgeApp as GraphApp, Status};
-
-/// A boxed policy, for APIs that store heterogeneous policies.
-pub type BoxedPolicy = Box<dyn Policy>;

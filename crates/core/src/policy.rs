@@ -273,12 +273,6 @@ impl ModelPolicy {
         std::fs::write(path, self.to_json())
     }
 
-    /// Load from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Remove the tree for one pattern (that pattern falls back to the
     /// built-in [`AutoPolicy`] rule).
     pub fn clear_tree(&mut self, pattern: Pattern) {

@@ -431,7 +431,7 @@ pub fn run_sharded<A: EdgeApp>(
         report.supersteps.push(ss);
     };
     (report.converged, report.stopped) =
-        drive(app, &mut lanes, policy, &opts.engine_options(), None, sink)?;
+        drive(app, &mut lanes, policy, &opts.engine_options(), sink)?;
     Ok(report)
 }
 

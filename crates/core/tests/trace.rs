@@ -141,10 +141,11 @@ fn warm_start_provenance_reaches_the_trace() {
     let ring = Arc::new(TraceRing::new(1024));
     let opts = EngineOptions {
         recorder: RecorderHandle::new(ring.recorder(1, "rmat-9", "bfs")),
+        seed: Some(tuned),
         ..Default::default()
     };
     let warm = Bfs::new(n, 0);
-    gswitch_core::run_with_seed_config(&g, &warm, &AutoPolicy, &opts, Some(tuned));
+    run(&g, &warm, &AutoPolicy, &opts);
     let events = ring.snapshot();
     assert_eq!(events[0].event.provenance, Provenance::WarmStart);
     assert_eq!(events[0].event.config, tuned);

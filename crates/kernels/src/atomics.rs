@@ -8,7 +8,7 @@
 //! cross-thread happens-before the next step needs.
 
 use gswitch_graph::VertexId;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// A scalar storable in an [`AtomicArray`].
 pub trait Value: Copy + PartialEq + Send + Sync + 'static {
@@ -345,9 +345,6 @@ impl std::fmt::Debug for AtomicBitSet {
         write!(f, "AtomicBitSet(len={}, set={})", self.len, self.count())
     }
 }
-
-/// A plain 32-bit atomic counter for queue append cursors.
-pub type Cursor = AtomicU32;
 
 #[cfg(test)]
 #[expect(clippy::disallowed_methods, reason = "the tests race real threads on one cell")]

@@ -52,6 +52,4 @@ pub use span::{
 pub use summary::{
     parse_jsonl, resilience_summary, summarize, DirectionFlip, LbStats, ParsedTrace, TraceSummary,
 };
-pub use trace::{
-    NullRecorder, Provenance, Recorder, RecorderHandle, StampedEvent, TraceEvent, TraceRing,
-};
+pub use trace::{Provenance, Recorder, RecorderHandle, StampedEvent, TraceEvent, TraceRing};

@@ -66,12 +66,6 @@ impl Gauge {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Subtract one.
-    #[inline]
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -419,8 +413,6 @@ mod tests {
 
         let g = reg.gauge("depth");
         g.inc();
-        g.inc();
-        g.dec();
         assert_eq!(reg.gauge("depth").get(), 1);
         g.set(-5);
         assert_eq!(g.get(), -5);

@@ -91,11 +91,6 @@ impl Clock {
         }
     }
 
-    /// Whether this is the hand-advanced test clock.
-    pub fn is_manual(&self) -> bool {
-        matches!(self.0, ClockInner::Manual(_))
-    }
-
     /// The `Instant` a clock reading corresponds to — how deadline
     /// machinery (which compares `Instant`s) anchors to span time.
     /// `None` for a manual clock, which has no wall identity.
@@ -930,7 +925,6 @@ mod tests {
     #[test]
     fn clocks_advance_and_convert() {
         let m = Clock::manual();
-        assert!(m.is_manual());
         assert_eq!(m.now_ns(), 0);
         m.advance_ns(2_500_000);
         assert_eq!(m.now_ns(), 2_500_000);
@@ -938,7 +932,6 @@ mod tests {
         assert!(m.instant_at_ns(0).is_none());
 
         let w = Clock::monotonic();
-        assert!(!w.is_manual());
         let a = w.now_ns();
         let b = w.now_ns();
         assert!(b >= a);

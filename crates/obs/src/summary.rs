@@ -138,9 +138,8 @@ pub fn resilience_summary(doc: &serde_json::Value) -> String {
     };
     let mut out = String::from("overload resilience:\n");
     out.push_str(&format!(
-        "  shed {} | deadline-unmeetable {} | breaker fast-fails {}\n",
+        "  shed {} | breaker fast-fails {}\n",
         counter("jobs_shed"),
-        counter("jobs_deadline_unmeetable"),
         counter("jobs_breaker_open"),
     ));
     out.push_str(&format!(
@@ -554,14 +553,13 @@ mod tests {
             r#"{"ok":"stats","resilience":{"jobs_shed":12,"jobs_breaker_open":7,
                 "breaker_opened":2,"breaker_closed":1,"breakers_open_now":1,
                 "sentinel_skipped":3},
-                "metrics":{"counters":{"jobs_deadline_unmeetable":4}}}"#,
+                "metrics":{"counters":{"breaker_half_open":4}}}"#,
         )
         .unwrap();
         let text = resilience_summary(&stats);
         assert!(text.contains("shed 12"), "{text}");
-        assert!(text.contains("deadline-unmeetable 4"), "{text}");
         assert!(text.contains("breaker fast-fails 7"), "{text}");
-        assert!(text.contains("opened 2 / half-open 0 / closed 1 (open now: 1)"), "{text}");
+        assert!(text.contains("opened 2 / half-open 4 / closed 1 (open now: 1)"), "{text}");
         assert!(text.contains("sentinel skipped under pressure: 3"), "{text}");
 
         // A bare registry snapshot: same counters flat under `counters`.

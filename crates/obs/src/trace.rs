@@ -115,12 +115,6 @@ impl TraceEvent {
             self.task_max_cycles / (self.task_total_cycles / self.task_count as f64)
         }
     }
-
-    /// Signed prediction miss, measured − predicted (positive: the step
-    /// ran longer than the Inspector expected).
-    pub fn prediction_miss_ms(&self) -> f64 {
-        self.measured_ms - self.predicted_ms
-    }
 }
 
 /// The engine-side sink. Implementations must be cheap: `record` runs
@@ -128,14 +122,6 @@ impl TraceEvent {
 pub trait Recorder: Send + Sync {
     /// Append one event.
     fn record(&self, event: &TraceEvent);
-}
-
-/// A recorder that drops everything (useful as an explicit off value).
-#[derive(Debug)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: &TraceEvent) {}
 }
 
 /// The optional recorder slot engine options carry. `Clone`-able and
@@ -494,7 +480,6 @@ mod tests {
         let e = sample_event(0);
         // mean task = 1000/8 = 125; imbalance = 250/125 = 2.
         assert_eq!(e.imbalance(), 2.0);
-        assert!((e.prediction_miss_ms() - 0.5).abs() < 1e-12);
         let mut idle = e;
         idle.task_count = 0;
         assert_eq!(idle.imbalance(), 0.0);
@@ -506,7 +491,7 @@ mod tests {
         assert!(!off.is_enabled());
         assert!(off.active().is_none());
         assert_eq!(format!("{off:?}"), "RecorderHandle(off)");
-        let on = RecorderHandle::new(Arc::new(NullRecorder));
+        let on = RecorderHandle::new(Arc::new(TraceRing::new(4)).recorder(0, "g", "bfs"));
         assert!(on.is_enabled());
         assert!(on.active().is_some());
     }

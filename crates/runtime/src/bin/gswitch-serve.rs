@@ -291,7 +291,6 @@ fn handle(
             let breakers = scheduler.breakers();
             let resilience = serde_json::json!({
                 "jobs_shed": obs.metrics.counter(metric::JOBS_SHED).get(),
-                "jobs_deadline_unmeetable": obs.metrics.counter(metric::JOBS_UNMEETABLE).get(),
                 "jobs_breaker_open": obs.metrics.counter(metric::JOBS_BREAKER_OPEN).get(),
                 "breaker_opened": obs.metrics.counter(metric::BREAKER_OPENED).get(),
                 "breaker_half_open": obs.metrics.counter(metric::BREAKER_HALF_OPEN).get(),

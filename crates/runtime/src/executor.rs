@@ -5,12 +5,9 @@
 use crate::cache::{feature_bucket, CacheKey, ConfigCache};
 use crate::query::{IterStat, JobStatus, Metric, Payload, Query};
 use crate::registry::GraphEntry;
-use gswitch_algos::bc::{self, BcBackward, BcForward};
-use gswitch_algos::{Bfs, Cc, PageRank, Sssp};
+use gswitch_algos::{bc, bfs, cc, pr, sssp};
 use gswitch_core::sharded::{ShardError, ShardedOptions};
-use gswitch_core::{
-    run_with_seed_config, EngineOptions, Policy, ProbeHandle, RunReport, StopReason,
-};
+use gswitch_core::{EngineOptions, Policy, ProbeHandle, RunReport, StopReason};
 use gswitch_obs::{RecorderHandle, SpanCtx};
 use gswitch_shard::{run_query, BatchQuery, BatchResult, ShardStore};
 use gswitch_simt::DeviceSpec;
@@ -27,7 +24,9 @@ pub struct Execution {
     pub cache: Option<&'static str>,
     /// Dominant configuration of the run, display form.
     pub config: Option<String>,
-    /// Total simulated device time (ms).
+    /// Simulated time including tuner overhead (ms): the runs'
+    /// `total_ms()`, which adds host decision time and the simulated
+    /// feedback copy to the device time.
     pub sim_ms: f64,
     /// Whether every engine run converged.
     pub converged: bool,
@@ -98,84 +97,66 @@ pub fn execute(
     let key = CacheKey::new(entry.fingerprint(), query.algo(), &feature_bucket(g.stats()));
     let seed = cache.lookup(&key);
     let cache_hit = seed.is_some();
-    let opts = EngineOptions { recorder, probe, spans, ..EngineOptions::on(device.clone()) }
+    let opts = EngineOptions { recorder, probe, spans, seed, ..EngineOptions::on(device.clone()) }
         .verify_every(verify_every);
 
-    // Run the algorithm; each arm produces (reports, metrics, payload).
+    // Run the algorithm's driver; each arm produces (reports, metrics, payload).
     let (reports, metrics, payload) = match *query {
         Query::Bfs { src } => {
-            let app = Bfs::new(n, src);
-            let report = run_with_seed_config(g, &app, policy, &opts, seed);
-            let levels = app.levels();
-            let reached = levels.iter().filter(|&&l| l != u32::MAX).count();
-            let depth = levels.iter().filter(|&&l| l != u32::MAX).max().copied().unwrap_or(0);
+            let r = bfs::bfs(g, src, policy, &opts);
+            let reached = r.levels.iter().filter(|&&l| l != u32::MAX).count();
+            let depth = r.levels.iter().filter(|&&l| l != u32::MAX).max().copied().unwrap_or(0);
             (
-                vec![report],
+                vec![r.report],
                 vec![Metric::new("reached", reached as f64), Metric::new("depth", depth as f64)],
-                Payload::Levels { values: levels },
+                Payload::Levels { values: r.levels },
             )
         }
         Query::Sssp { src } => {
-            let wg = entry.weighted();
-            let app = Sssp::new(&wg, src);
-            let report = run_with_seed_config(&wg, &app, policy, &opts, seed);
-            let dist = app.distances();
-            let reached = dist.iter().filter(|&&d| d != u32::MAX).count();
-            let max_dist = dist.iter().filter(|&&d| d != u32::MAX).max().copied().unwrap_or(0);
+            let r = sssp::sssp(&entry.weighted(), src, policy, &opts);
+            let reached = r.distances.iter().filter(|&&d| d != u32::MAX).count();
+            let max_dist =
+                r.distances.iter().filter(|&&d| d != u32::MAX).max().copied().unwrap_or(0);
             (
-                vec![report],
+                vec![r.report],
                 vec![
                     Metric::new("reached", reached as f64),
                     Metric::new("max_distance", max_dist as f64),
                 ],
-                Payload::Distances { values: dist },
+                Payload::Distances { values: r.distances },
             )
         }
         Query::Pr { eps } => {
             if !(eps.is_finite() && eps > 0.0) {
                 return Err(format!("pr tolerance must be positive and finite, got {eps}"));
             }
-            let app = PageRank::new(g, eps);
-            let report = run_with_seed_config(g, &app, policy, &opts, seed);
-            let ranks = app.ranks();
-            let sum: f64 = ranks.iter().sum();
-            let max = ranks.iter().cloned().fold(0.0f64, f64::max);
+            let r = pr::pagerank(g, eps, policy, &opts);
+            let sum: f64 = r.ranks.iter().sum();
+            let max = r.ranks.iter().cloned().fold(0.0f64, f64::max);
             (
-                vec![report],
+                vec![r.report],
                 vec![Metric::new("rank_sum", sum), Metric::new("rank_max", max)],
-                Payload::Ranks { values: ranks },
+                Payload::Ranks { values: r.ranks },
             )
         }
         Query::Cc => {
-            let app = Cc::new(n);
-            let report = run_with_seed_config(g, &app, policy, &opts, seed);
-            let labels = app.labels();
-            let components = labels.iter().enumerate().filter(|&(v, &l)| l == v as u32).count();
+            let r = cc::cc(g, policy, &opts);
+            let components = r.labels.iter().enumerate().filter(|&(v, &l)| l == v as u32).count();
             (
-                vec![report],
+                vec![r.report],
                 vec![Metric::new("components", components as f64)],
-                Payload::Labels { values: labels },
+                Payload::Labels { values: r.labels },
             )
         }
         Query::Bc { src } => {
-            // Mirrors gswitch_algos::bc, but the forward phase (a BFS-like
-            // traversal, the part worth seeding) warm-starts from the
-            // cache; the backward sweep has its own access pattern and
-            // always consults the policy.
-            let fwd = BcForward::new(n, src);
-            let forward = run_with_seed_config(g, &fwd, policy, &opts, seed);
-            let bwd = BcBackward::new(&fwd);
-            let backward = bc::run_backward(g, &bwd, &forward, policy, &opts);
-            let mut scores = bwd.deltas();
-            if let Some(s) = scores.get_mut(src as usize) {
-                *s = 0.0;
-            }
-            let nonzero = scores.iter().filter(|&&s| s > 0.0).count();
-            let max = scores.iter().cloned().fold(0.0f64, f64::max);
+            // `bc::bc` seeds the forward phase only.
+            let r = bc::bc(g, src, policy, &opts);
+            let nonzero = r.scores.iter().filter(|&&s| s > 0.0).count();
+            let max = r.scores.iter().cloned().fold(0.0f64, f64::max);
             (
-                vec![forward, backward],
+                vec![r.forward, r.backward],
                 vec![Metric::new("nonzero_scores", nonzero as f64), Metric::new("score_max", max)],
-                Payload::Scores { values: scores },
+                Payload::Scores { values: r.scores },
             )
         }
     };
@@ -486,6 +467,44 @@ mod tests {
         assert!(!r.converged);
         assert_eq!(r.iterations.len(), 3, "the backward phase ran");
         assert_eq!(cache.counters().stores, 0);
+    }
+
+    #[test]
+    fn bc_warm_start_seeds_the_forward_phase_only() {
+        let (reg, cache, dev) = setup();
+        let e = reg.get("kron").unwrap();
+        let want = reference::bc(e.graph(), 0);
+        let runs: Vec<Execution> = (0..2)
+            .map(|_| {
+                execute(
+                    &e,
+                    &Query::Bc { src: 0 },
+                    &cache,
+                    &AutoPolicy,
+                    &dev,
+                    RecorderHandle::none(),
+                    ProbeHandle::none(),
+                    0,
+                    SpanCtx::default(),
+                )
+                .unwrap()
+            })
+            .collect();
+        assert_eq!((runs[0].cache, runs[1].cache), (Some("miss"), Some("hit")));
+        // The forward phase starts on the cached config without deciding...
+        let warm = &runs[1].iterations;
+        assert!(!warm[0].decided);
+        assert_eq!(Some(&warm[0].config), runs[0].config.as_ref());
+        // ...and the backward phase, where `iteration` restarts at 0, decides.
+        let backward = warm.iter().skip(1).position(|t| t.iteration == 0).expect("backward ran");
+        assert!(warm[backward + 1].decided);
+        for r in &runs {
+            let Payload::Scores { values } = &r.payload else { panic!("wrong payload") };
+            assert_eq!(values.len(), want.len());
+            for (i, (a, b)) in values.iter().zip(&want).enumerate() {
+                assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "delta[{i}] = {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   algorithm, feature bucket), it persists the dominant
 //!   [`KernelConfig`](gswitch_kernels::KernelConfig) of a completed run
 //!   to disk as JSON and warm-starts later runs through
-//!   [`run_with_seed_config`](gswitch_core::run_with_seed_config).
+//!   [`EngineOptions::seed`](gswitch_core::EngineOptions::seed).
+//! - [`executor`] — one job: the cache lookup, the query's
+//!   `gswitch_algos` driver run with the seed in its options, and the
+//!   metrics and payload derived from the driver's result.
 //! - [`faults`] — deterministic fault injection at named sites
 //!   (panics, slow iterations, corrupt cache text), compiled to no-ops
 //!   unless the `fault-injection` cargo feature is on; the lever the

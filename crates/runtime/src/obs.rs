@@ -16,8 +16,7 @@ pub mod metric {
     pub const QUEUE_DEPTH: &str = "scheduler_queue_depth";
     /// Counter: jobs admitted into the queue.
     pub const JOBS_SUBMITTED: &str = "jobs_submitted";
-    /// Counter: submissions refused (queue full, unknown graph,
-    /// unmeetable deadline).
+    /// Counter: submissions refused (queue full, unknown graph).
     pub const JOBS_REJECTED: &str = "jobs_rejected";
     /// Counter: jobs that completed `Ok`.
     pub const JOBS_OK: &str = "jobs_ok";
@@ -64,9 +63,6 @@ pub mod metric {
     /// Counter: queued jobs dropped by the overload shed policy to
     /// admit higher-priority work (terminal status `Shed`).
     pub const JOBS_SHED: &str = "jobs_shed";
-    /// Counter: submissions refused at admission because the deadline
-    /// could not be met given the observed p95 queue wait.
-    pub const JOBS_UNMEETABLE: &str = "jobs_deadline_unmeetable";
     /// Counter: jobs failed fast because their (graph, algorithm)
     /// circuit breaker was open (terminal status `BreakerOpen`).
     pub const JOBS_BREAKER_OPEN: &str = "jobs_breaker_open";

@@ -57,7 +57,10 @@
 //!
 //! `stats` returns the legacy cache/queue fields plus a `metrics`
 //! object — the unified registry snapshot (queue depth, stage latency
-//! histograms, job outcome counters including deadline/cancel drops).
+//! histograms, job outcome counters including deadline/cancel drops)
+//! and a `resilience` block: shed and breaker counts, sentinel skips,
+//! queue capacity and p95 queue wait. Admission refuses a job only for
+//! a full queue or an unknown graph; queue pressure never refuses one.
 //! `trace` controls decision tracing: `enable` toggles it, `path`
 //! writes the buffered trace as JSONL (readable by `gswitch-trace`),
 //! `clear` empties the buffer; any combination works in one request.

@@ -261,7 +261,9 @@ pub struct JobOutcome {
     pub config: Option<String>,
     /// Wall-clock time from admission to completion (ms).
     pub wall_ms: f64,
-    /// Total simulated device time (ms).
+    /// Simulated time including tuner overhead (ms): device Filter,
+    /// Expand (and, sharded, exchange) time plus host decision time and
+    /// the simulated feedback copy — `RunReport::total_ms`.
     pub sim_ms: f64,
     /// Whether the engine converged.
     pub converged: bool,

@@ -35,10 +35,7 @@
 //! failing that, the lowest-priority / most-expired queued job strictly
 //! below the incoming class is dropped with the typed
 //! [`JobStatus::Shed`] status to admit the newcomer — equal-priority
-//! traffic still sees [`SubmitError::QueueFull`]. Above the occupancy
-//! watermark, admissions whose deadline cannot be met given the
-//! observed p95 queue wait are refused up front
-//! ([`SubmitError::DeadlineUnmeetable`]). **Circuit breakers**
+//! traffic still sees [`SubmitError::QueueFull`]. **Circuit breakers**
 //! ([`BreakerSet`]): per (graph fingerprint, algorithm), repeated
 //! worker failures open the breaker and subsequent submissions fail
 //! fast with [`JobStatus::BreakerOpen`] until a cooldown probe
@@ -73,8 +70,8 @@ use std::time::Duration;
 
 pub use crate::breaker::BreakerConfig;
 
-/// Queue-wait observations required before the p95 estimate is trusted
-/// for deadline-unmeetable rejection (a cold histogram says nothing).
+/// Queue-wait observations required before the p95 estimate is
+/// reported (a cold histogram says nothing).
 pub const MIN_WAIT_SAMPLES: u64 = 16;
 
 /// Resident shard plans the sharded path keeps: a plan duplicates its
@@ -100,9 +97,8 @@ pub struct SchedulerConfig {
     /// Skipped for a job picked up under pressure (`shed_watermark`).
     pub verify_every: u32,
     /// Queue occupancy (0.0–1.0) at or above which the queue is under
-    /// pressure: admission refuses unmeetable deadlines, a job picked
-    /// up leaving the queue there runs without the sentinel, and
-    /// `health` degrades the scheduler row.
+    /// pressure: a job picked up leaving the queue there runs without
+    /// the sentinel, and `health` degrades the scheduler row.
     pub shed_watermark: f64,
     /// Circuit-breaker thresholds (per graph fingerprint × algorithm).
     pub breaker: BreakerConfig,
@@ -130,16 +126,6 @@ pub enum SubmitError {
     QueueFull,
     /// The named graph is not registered.
     UnknownGraph(String),
-    /// The queue is above its watermark and the observed p95 queue wait
-    /// already exceeds this job's deadline: admitting it would only
-    /// manufacture a `DeadlineExceeded`. Retry with a looser deadline
-    /// or once pressure eases.
-    DeadlineUnmeetable {
-        /// Observed p95 admission-to-pickup wait, milliseconds.
-        p95_wait_ms: u64,
-        /// The deadline the job asked for, milliseconds.
-        deadline_ms: u64,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -147,10 +133,6 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::QueueFull => write!(f, "job queue is full"),
             SubmitError::UnknownGraph(g) => write!(f, "unknown graph `{g}`"),
-            SubmitError::DeadlineUnmeetable { p95_wait_ms, deadline_ms } => write!(
-                f,
-                "deadline {deadline_ms} ms cannot be met: p95 queue wait is {p95_wait_ms} ms"
-            ),
         }
     }
 }
@@ -266,7 +248,6 @@ struct SchedulerMetrics {
     timeout_late: Counter,
     retried: Counter,
     shed: Counter,
-    unmeetable: Counter,
     breaker_fastfail: Counter,
     sentinel_skipped: Counter,
     sentinel_mismatch: Counter,
@@ -293,7 +274,6 @@ impl SchedulerMetrics {
             timeout_late: r.counter(metric::JOBS_TIMEOUT_LATE),
             retried: r.counter(metric::JOBS_RETRIED),
             shed: r.counter(metric::JOBS_SHED),
-            unmeetable: r.counter(metric::JOBS_UNMEETABLE),
             breaker_fastfail: r.counter(metric::JOBS_BREAKER_OPEN),
             sentinel_skipped: r.counter(metric::SENTINEL_SKIPPED),
             sentinel_mismatch: r.counter(metric::SENTINEL_MISMATCH),
@@ -612,26 +592,6 @@ impl Scheduler {
                     settle(shared, victim, ADMISSION_WORKER, JobStatus::Shed, Detail::Why(why));
                 }
             }
-            // Queue-wait-aware rejection: above the watermark, refuse
-            // work whose deadline the observed p95 wait already blows —
-            // admitting it would only manufacture a DeadlineExceeded
-            // after burning a queue slot for the full wait.
-            if shared.pressured(q.len()) {
-                let wait = shared.m.queue_wait_ms.snapshot();
-                let deadline_ms = deadline.as_millis().min(u128::from(u64::MAX)) as u64;
-                if wait.count >= MIN_WAIT_SAMPLES {
-                    let p95 = wait.quantile(0.95);
-                    if p95 > deadline_ms as f64 {
-                        shared.m.rejected.inc();
-                        shared.m.unmeetable.inc();
-                        shared.breakers.record_neutral(key, job.probe);
-                        return Err(SubmitError::DeadlineUnmeetable {
-                            p95_wait_ms: p95 as u64,
-                            deadline_ms,
-                        });
-                    }
-                }
-            }
             // Live before it is visible in the queue: a cancel issued
             // once `submit` has returned always finds the job.
             shared.live.lock().insert(job.id, Arc::clone(&job.token));
@@ -693,8 +653,7 @@ impl Scheduler {
     }
 
     /// Whether `queued` jobs put the queue at or above its shed
-    /// watermark: the one test of pressure admission, pickup and
-    /// `health` apply.
+    /// watermark: the one test of pressure pickup and `health` apply.
     pub fn pressured(&self, queued: usize) -> bool {
         self.shared.pressured(queued)
     }
@@ -1519,11 +1478,11 @@ mod tests {
         s.shutdown();
     }
 
-    /// Above the watermark, a deadline the observed p95 queue wait
-    /// already exceeds is refused at admission instead of being queued
-    /// to die.
+    /// Above the watermark, long waits of lower classes say nothing about
+    /// an Interactive job, which is picked before any of them: it is
+    /// admitted, and answers once the worker frees up.
     #[test]
-    fn unmeetable_deadline_is_rejected_above_watermark() {
+    fn interactive_job_is_admitted_above_watermark_despite_long_waits() {
         let registry = Arc::new(GraphRegistry::new());
         registry.insert("kron", gen::kronecker(8, 8, 3));
         registry.insert("big", gen::kronecker(12, 8, 3));
@@ -1531,8 +1490,8 @@ mod tests {
         let config = SchedulerConfig { workers: 1, queue_capacity: 4, ..Default::default() };
         let s = Scheduler::new(registry, cache, config);
 
-        // Pin the worker, then hold three of four slots: occupancy 0.75
-        // sits exactly at the default watermark.
+        // Pin the worker, then hold three of four slots with best-effort
+        // work: occupancy 0.75 sits exactly at the default watermark.
         let busy = s
             .submit(JobSpec {
                 graph: "big".into(),
@@ -1546,28 +1505,26 @@ mod tests {
         }
         let mut held = Vec::new();
         for src in 0..3 {
-            held.push(s.submit(bfs_spec(src)).unwrap());
+            let mut spec = bfs_spec(src);
+            spec.priority = Some(Priority::BestEffort);
+            held.push(s.submit(spec).unwrap());
         }
+        assert!(s.pressured(s.queued()));
         // Seed the wait histogram past MIN_WAIT_SAMPLES with waits that
         // dwarf the incoming deadline.
         for _ in 0..MIN_WAIT_SAMPLES {
             s.shared.m.queue_wait_ms.observe(10_000.0);
         }
-        let mut doomed = bfs_spec(9);
-        doomed.timeout_ms = Some(1);
-        match s.submit(doomed) {
-            Err(SubmitError::DeadlineUnmeetable { p95_wait_ms, deadline_ms }) => {
-                assert_eq!(deadline_ms, 1);
-                assert!(p95_wait_ms >= 1_000, "p95 {p95_wait_ms} should reflect seeded waits");
-            }
-            other => panic!("expected DeadlineUnmeetable, got {other:?}"),
-        }
-        let snap = s.obs().metrics.snapshot();
-        assert_eq!(snap.counter(metric::JOBS_UNMEETABLE), 1);
+        let mut urgent = bfs_spec(9);
+        urgent.priority = Some(Priority::Interactive);
+        urgent.timeout_ms = Some(5_000);
+        let urgent = s.submit(urgent).expect("admitted above the watermark");
+        s.cancel(busy.id);
+        assert_eq!(urgent.wait().status, JobStatus::Ok);
+        assert_eq!(busy.wait().status, JobStatus::Cancelled);
         for h in held {
-            let _ = h.wait();
+            assert_eq!(h.wait().status, JobStatus::Ok);
         }
-        assert_eq!(busy.wait().status, JobStatus::Ok);
         s.shutdown();
     }
 

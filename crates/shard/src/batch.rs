@@ -172,7 +172,9 @@ impl BatchReport {
         self.outcomes.iter().map(|o| o.imbalance).fold(0.0, f64::max)
     }
 
-    /// Total simulated device time across the batch, ms.
+    /// Simulated time across the batch including tuner overhead (host
+    /// decisions and feedback copies), ms: the sum of each outcome's
+    /// `sim_ms`.
     pub fn sim_ms(&self) -> f64 {
         self.outcomes.iter().map(|o| o.sim_ms).sum()
     }
