@@ -272,6 +272,19 @@ mod tests {
     use gswitch_core::{AutoPolicy, KernelConfig, StaticPolicy};
     use gswitch_graph::{gen, GraphBuilder};
 
+    impl crate::tests::Cells for BcForward {
+        fn cells(&self) -> Vec<u64> {
+            let levels = self.level.to_vec().into_iter().map(u64::from);
+            levels.chain(self.sigma.to_vec().into_iter().map(f64::to_bits)).collect()
+        }
+    }
+
+    impl crate::tests::Cells for BcBackward {
+        fn cells(&self) -> Vec<u64> {
+            self.deltas().into_iter().map(f64::to_bits).collect()
+        }
+    }
+
     fn assert_close(got: &[f64], want: &[f64], tag: &str) {
         assert_eq!(got.len(), want.len());
         for (i, (a, b)) in got.iter().zip(want).enumerate() {

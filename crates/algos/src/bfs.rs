@@ -99,6 +99,12 @@ mod tests {
     use gswitch_core::{AutoPolicy, KernelConfig, StaticPolicy};
     use gswitch_graph::gen;
 
+    impl crate::tests::Cells for Bfs {
+        fn cells(&self) -> Vec<u64> {
+            self.levels().into_iter().map(u64::from).collect()
+        }
+    }
+
     #[test]
     fn matches_reference_on_varied_topologies() {
         let graphs = [

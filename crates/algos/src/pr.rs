@@ -125,6 +125,12 @@ impl GraphApp for PageRank {
         true
     }
 
+    fn pull_rows_independent() -> bool {
+        // A row writes only its receiver's residual, and `emit` reads only
+        // `staged`, which `prepare` wrote before the Expand.
+        true
+    }
+
     fn refilter_hint(&self, _out: &mut Vec<VertexId>) -> bool {
         // A residual leaves the threshold's low side only through the comp
         // that reports the crossing, and its high side only through the
@@ -197,85 +203,13 @@ mod tests {
         assert_close(&push.ranks, &pull.ranks, 1e-9, "push vs pull");
     }
 
-    /// A pull Expand big enough to run on the pool (`run_bucketed` pools
-    /// more than 256 tasks) is exact whatever the schedule: a row writes
-    /// only its own cell and reads nothing another row writes. Five pooled
-    /// repeats agree with each other and with the same task list walked in
-    /// order on this thread, one `comp` per edge — the output fields and
-    /// every residual bit. (The pool is sized once per process, so the
-    /// sequential side is the walk, not a smaller pool.)
-    #[test]
-    fn pooled_pull_expand_is_exact() {
-        use gswitch_core::AsFormat;
-        use gswitch_kernels::{classify, expand, materialize, WorkPlan};
-        use gswitch_simt::DeviceSpec;
-
-        let g = gen::barabasi_albert(30_000, 16, 9);
-        let spec = DeviceSpec::k40m();
-        let cfg = KernelConfig {
-            direction: Direction::Pull,
-            format: AsFormat::UnsortedQueue,
-            ..KernelConfig::push_baseline()
-        };
-        let first_step = || {
-            let app = PageRank::new(&g, 1e-3);
-            let co = classify(&g, &app, &spec);
-            let (frontier, _) =
-                materialize::<PageRank>(&g, &co.status, cfg.direction, cfg.format, &spec);
-            (app, co.status, frontier)
-        };
-        let bits = |app: &PageRank| -> Vec<u64> {
-            app.residual.to_vec().into_iter().map(f64::to_bits).collect()
-        };
-
-        // In order on this thread: the plan's tasks, then each task's rows.
-        let (app, status, frontier) = first_step();
-        let plan = WorkPlan::for_frontier(&g, &frontier, cfg.direction);
-        assert!(plan.tasks().len() > 256, "{} tasks stay on the caller", plan.tasks().len());
-        let entries = frontier.as_queue().expect("a queue workload");
-        let incoming = g.in_csr();
-        let mut touched = vec![0u32; entries.len()];
-        let (mut hits, mut wins) = (0u64, 0u64);
-        let mut activated = Vec::new();
-        for &t in plan.tasks() {
-            for &s in plan.task_slots(t) {
-                let v = entries[s as usize];
-                let before = wins;
-                for &u in &incoming.targets()[incoming.edge_range(v)] {
-                    touched[s as usize] += 1;
-                    if status[u as usize] == Status::Active as u8 {
-                        hits += 1;
-                        wins += u64::from(app.comp(v, app.emit(u, 1)));
-                    }
-                }
-                if wins > before {
-                    activated.push(v);
-                }
-            }
+    impl crate::tests::Cells for PageRank {
+        fn cells(&self) -> Vec<u64> {
+            [&self.rank, &self.residual, &self.staged]
+                .into_iter()
+                .flat_map(|a| a.to_vec().into_iter().map(f64::to_bits))
+                .collect()
         }
-        activated.sort_unstable();
-        let edges: u64 = touched.iter().map(|&t| u64::from(t)).sum();
-        let want = bits(&app);
-
-        let mut profiles = Vec::new();
-        for repeat in 0..5 {
-            let (app, status, frontier) = first_step();
-            let out = expand(&g, &app, &frontier, &status, cfg, &spec);
-            assert_eq!(bits(&app), want, "repeat {repeat}: residual bits");
-            assert_eq!(out.touched, touched, "repeat {repeat}");
-            assert_eq!(out.edges_touched, edges, "repeat {repeat}");
-            assert_eq!(out.activated.to_sorted_vec(), activated, "repeat {repeat}");
-            assert_eq!(out.activations, activated.len() as u64, "repeat {repeat}");
-            assert_eq!(out.distinct_activated, activated.len() as u64, "repeat {repeat}");
-            let read = 4 * entries.len() as u64 + 5 * edges + 32 * hits;
-            assert_eq!(
-                (out.profile.bytes_read, out.profile.bytes_written),
-                (read, 8 * wins),
-                "repeat {repeat}"
-            );
-            profiles.push((out.profile, out.activated_out_edges));
-        }
-        assert!(profiles.windows(2).all(|w| w[0] == w[1]), "{profiles:?}");
     }
 
     #[test]

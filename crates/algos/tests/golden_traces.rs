@@ -39,9 +39,15 @@
 //!
 //! * **Single graph.** The bucketed Expand runs its task list on the
 //!   calling thread up to 256 tasks (`run_bucketed`'s own rule) and as
-//!   parts on the worker pool above that.
-//!   Below that everything is sequential and every field of every
-//!   algorithm reproduces. Above it push tasks race: BFS and BC still
+//!   parts on the worker pool above that. A pull over rows that read
+//!   nothing another row writes (`EdgeApp::pull_rows_independent`: BFS,
+//!   both BC phases, PageRank) goes to the pool from 32 Ki edges too
+//!   while a core is idle, and leaves the same state in any schedule, so
+//!   it moves no digest (`pooled_pull_expand_is_exact` in the crate's
+//!   unit tests holds it to the rows walked in order). CC and SSSP pull
+//!   rows keep the task rule. Below 257 tasks every other Expand is
+//!   sequential and every field of every algorithm reproduces. Above it
+//!   push tasks race: BFS and BC still
 //!   reproduce (first writer claims the level, everyone else ties, so
 //!   the per-step success/conflict totals do not depend on who won), but
 //!   CC and SSSP relax with `fetch_min` over *different* candidate values
@@ -86,7 +92,9 @@ use gswitch_graph::{gen, Graph};
 
 /// `(graph, cell)` pairs whose run reaches an Expand of more than 256
 /// bucketed tasks (which `run_bucketed` cuts into pool parts) *and* whose
-/// trace depends on the interleaving — see the header.
+/// trace depends on the interleaving: CC and SSSP relax labels and
+/// distances other rows are lowering, so their cells flap, and a fused
+/// BFS emits its queue in interleaving order — see the header.
 const PARALLEL_EXPAND: &[(&str, &str)] = &[
     ("soc-orkut", "cc/auto"),
     ("soc-orkut", "cc/fused"),

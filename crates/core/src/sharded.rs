@@ -294,6 +294,8 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
     const NEEDS_WEIGHTS: bool = A::NEEDS_WEIGHTS;
     // PRIORITY_DRIVEN stays at its default (false): the driver rejects
     // priority-driven apps up front, and its mask pins stepping off.
+    // `pull_rows_independent` stays at its default too: P1 is pinned to
+    // push, so a shard never runs a pull Expand.
 
     fn filter(&self, v: VertexId) -> Status {
         if self.shard.is_halo(v) {

@@ -71,6 +71,12 @@ pub trait EdgeApp: Sync {
     /// in a register across the row (one load, one store) and must be
     /// indistinguishable from the default: same final state bit for bit,
     /// same count, same number of messages consumed.
+    ///
+    /// Rows of one Expand may run at once, in any order, on the worker
+    /// pool: always once its plan has more than 256 tasks, and from 32 Ki
+    /// edges when [`pull_rows_independent`](EdgeApp::pull_rows_independent)
+    /// and a core is idle; otherwise the rows run in plan order on the
+    /// calling thread.
     fn gather(&self, dst: VertexId, msgs: impl Iterator<Item = Self::Msg>) -> u64 {
         let mut wins = 0;
         for m in msgs {
@@ -112,6 +118,18 @@ pub trait EdgeApp: Sync {
     /// Dense value-propagating apps (PR) override to include `Active`.
     fn pull_receives(status: Status) -> bool {
         matches!(status, Status::Inactive)
+    }
+
+    /// Does no pull row read a cell that another row of the same Expand
+    /// writes? Then any schedule leaves the rows' state bit for bit, and
+    /// the pull kernel may pool a plan by its edges, not only by its task
+    /// count. A row writes its receiver (`comp`) and reads its Active
+    /// sources (`emit`), so the default — no Active vertex receives —
+    /// holds by construction. PageRank declares it (`emit` reads only what
+    /// `prepare` staged); CC and SSSP must not (`emit` reads the labels and
+    /// distances their rows lower, so the trace depends on row order).
+    fn pull_rows_independent() -> bool {
+        !Self::pull_receives(Status::Active)
     }
 
     /// Adjust the priority threshold per the P4 stepping decision. Only

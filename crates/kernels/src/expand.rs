@@ -254,6 +254,11 @@ pub fn expand_planned<A: EdgeApp>(
 /// Tasks a sweep runs on the calling thread: up to here a pool hand-off
 /// (a queue push and a futex wake, a few µs) costs more than it shares.
 const POOLED_TASKS: usize = 256;
+/// Plan edges from which a pull sweep of independent rows
+/// ([`EdgeApp::pull_rows_independent`]) goes to the pool whatever its task
+/// count: a pull row costs a few ns per edge, so from here the parts
+/// outweigh the hand-off.
+const POOLED_PULL_EDGES: u64 = 1 << 15;
 /// Parts a pooled sweep is cut into: enough that the slowest part is a
 /// few percent of the step whatever the bucket mix, few enough that the
 /// claims (one relaxed `fetch_add` each) stay invisible.
@@ -289,11 +294,14 @@ struct Swept {
 /// tasks of their own, so one hub never serializes its neighbours' work.
 /// Bitmap workloads are first swept word-by-word (zero words skipped,
 /// `trailing_zeros` iteration) into the plan's cached entry list.
+/// `independent`: no row reads what another writes, so the sweep may be
+/// pooled by edges (the caller vouches; see the rule below).
 fn run_bucketed<F>(
     g: &Graph,
     frontier: &Frontier,
     direction: Direction,
     plan: Option<&WorkPlan>,
+    independent: bool,
     process: F,
 ) -> Swept
 where
@@ -316,15 +324,21 @@ where
         None => (plan.entries().unwrap_or(&[]), true),
     };
 
-    // Per task: on the caller up to `POOLED_TASKS` tasks, else
-    // `POOLED_PARTS` parts. Halving the list by count would be the wrong
-    // cut: hub rows sit in tasks of their own at the tail, so the first
-    // half carries nearly all the edges. Many small parts instead, which
-    // the pool's claim counter hands to whichever thread is free; the
-    // accumulators still come back in task order.
+    // Per task: on the caller up to `POOLED_TASKS` tasks — or, for
+    // independent rows, below `POOLED_PULL_EDGES` edges or with no core
+    // idle — else `POOLED_PARTS` parts. Independent rows leave the same
+    // state in any schedule; other rows keep the task rule (push until its
+    // atomics are exact, and a pull whose rows read cells other rows
+    // lower), since pooling them makes the trace depend on the schedule.
+    // Halving the list by count would be the wrong cut: hub rows sit in
+    // tasks of their own at the tail, so the first half carries nearly all
+    // the edges. Many small parts instead, which the pool's claim counter
+    // hands to whichever thread is free; the accumulators still come back
+    // in task order.
     let tasks = plan.tasks();
-    let per =
-        if tasks.len() > POOLED_TASKS { tasks.len().div_ceil(POOLED_PARTS) } else { tasks.len() };
+    let pooled = tasks.len() > POOLED_TASKS
+        || (independent && plan.total_edges() >= POOLED_PULL_EDGES && gswitch_pool::idle());
+    let per = if pooled { tasks.len().div_ceil(POOLED_PARTS) } else { tasks.len() };
     let run = |&t: &Task| {
         let slots = plan.task_slots(t);
         let mut acc = Acc::default();
@@ -428,7 +442,7 @@ fn expand_push<A: EdgeApp>(
         deg
     };
 
-    let swept = run_bucketed(g, frontier, Direction::Push, plan, process);
+    let swept = run_bucketed(g, frontier, Direction::Push, plan, false, process);
     finish::<A>(swept, frontier, cfg, spec, activated)
 }
 
@@ -483,7 +497,8 @@ fn expand_pull<A: EdgeApp>(
         touched
     };
 
-    let swept = run_bucketed(g, frontier, Direction::Pull, plan, process);
+    let swept =
+        run_bucketed(g, frontier, Direction::Pull, plan, A::pull_rows_independent(), process);
     finish::<A>(swept, frontier, cfg, spec, activated)
 }
 

@@ -32,13 +32,10 @@ const FILTER_PREDICATE_CYCLES: f64 = 6.0;
 /// Vertices per chunk of a per-chunk sweep; a chunk is one accumulator.
 const CHUNK: usize = 1 << 13;
 
-/// Chunks one part of a per-chunk sweep over `n` vertices takes. Per
-/// chunk: on the caller up to 256 chunks (2 Mi vertices), else
-/// `min(threads, ⌈chunks / 256⌉)` parts of whole chunks.
-fn chunks_per_part(n: usize) -> usize {
-    let chunks = n.div_ceil(CHUNK);
-    chunks.div_ceil(gswitch_pool::threads().min(chunks.div_ceil(256)).max(1))
-}
+/// Chunks from which [`Classification::sweep`] pools: a vertex there costs
+/// a `filter` and, when Active, a `prepare` (several ns), so two chunks
+/// outweigh a pool hand-off.
+const SWEEP_POOLED_CHUNKS: usize = 2;
 
 /// Degree statistics of one prospective workload (Table 1: `cd`, `r_cd`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -243,12 +240,14 @@ fn member_bits(bytes: &[u8; 64], members: Members) -> u64 {
 /// The workload `members` picks out of `status` as bitmap words — bit `b`
 /// of word `w` is vertex `64*w + b` — and its size: one plain store and
 /// one popcount per 64 vertices. Per chunk of `CHUNK` vertices: on the
-/// caller up to 256 chunks (2 Mi vertices), else the parts
-/// [`Classification::sweep`] cuts.
+/// caller up to 256 chunks (2 Mi vertices), else
+/// `min(threads, ⌈chunks / 256⌉)` parts of whole chunks.
 fn workload_words(status: &[u8], members: Members) -> (Vec<u64>, u64) {
     let n = status.len();
     let mut words = vec![0u64; n.div_ceil(64)];
-    let per = chunks_per_part(n) * (CHUNK / 64);
+    let chunks = n.div_ceil(CHUNK);
+    let chunks_per_part = chunks.div_ceil(gswitch_pool::threads().min(chunks.div_ceil(256)).max(1));
+    let per = chunks_per_part * (CHUNK / 64);
     let counts = gswitch_pool::parts_mut(&mut words, per, |first, part| {
         let bytes = &status[64 * first..n.min(64 * (first + part.len()))];
         let (full, tail) = bytes.as_chunks::<64>();
@@ -351,19 +350,21 @@ impl<'g> Classification<'g> {
     /// Classify every vertex.
     pub fn sweep<A: EdgeApp>(&mut self, app: &A) {
         let csrs = (self.g.out_csr(), self.g.in_csr());
-        let per = chunks_per_part(self.status.len()) * CHUNK;
+        // Per chunk: on the caller below `SWEEP_POOLED_CHUNKS` chunks (16 Ki
+        // vertices) or with no core idle, else one claimed part per chunk.
+        // Each vertex writes only its own status byte, and the partials
+        // merge by integer sums, minima and maxima, so no cut can change
+        // the result.
+        let n = self.status.len();
+        let pooled = n >= SWEEP_POOLED_CHUNKS * CHUNK && gswitch_pool::idle();
+        let per = if pooled { CHUNK } else { n };
         let partials = gswitch_pool::parts_mut(&mut self.status, per, |offset, part| {
-            let per_chunk = part.chunks_mut(CHUNK).enumerate().map(|(ci, chunk)| {
-                let base = (offset + ci * CHUNK) as VertexId;
-                let mut s = no_stats();
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    visit(csrs, app, base + i as VertexId, slot, &mut s);
-                }
-                s
-            });
-            per_chunk.collect::<Vec<_>>()
-        })
-        .concat();
+            let mut s = no_stats();
+            for (i, slot) in part.iter_mut().enumerate() {
+                visit(csrs, app, (offset + i) as VertexId, slot, &mut s);
+            }
+            s
+        });
 
         let mut stats = no_stats();
         for p in &partials {
@@ -706,6 +707,60 @@ mod tests {
         let empty = WorkloadStats::default();
         assert_eq!(empty.avg_degree(), 0.0);
         assert_eq!(empty.rel_range(), 0.0);
+    }
+
+    /// `Classification::sweep` at every cut its rule takes — one part on
+    /// the caller below two chunks, a part per chunk from there — equals
+    /// the per-vertex `visit` loop: status bytes, `IterStats`, and one
+    /// `prepare` per Active vertex and none elsewhere.
+    #[test]
+    fn sweep_equals_the_per_vertex_loop() {
+        /// Pseudo-random statuses; counts its `prepare` calls per vertex.
+        struct Counting {
+            prepared: AtomicArray<u32>,
+        }
+        impl EdgeApp for Counting {
+            type Msg = ();
+            fn filter(&self, v: VertexId) -> Status {
+                [Status::Active, Status::Inactive, Status::Fixed]
+                    [(v.wrapping_mul(0x9e37_79b9) >> 30) as usize % 3]
+            }
+            fn prepare(&self, v: VertexId) {
+                self.prepared.store(v, self.prepared.load(v) + 1);
+            }
+            fn emit(&self, _u: VertexId, _w: u32) {}
+            fn comp_atomic(&self, _d: VertexId, _m: ()) -> bool {
+                false
+            }
+            fn comp(&self, _d: VertexId, _m: ()) -> bool {
+                false
+            }
+            fn pull_receives(status: Status) -> bool {
+                status != Status::Fixed
+            }
+        }
+        let spec = DeviceSpec::k40m();
+        for n in [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 3 * CHUNK + 17, 4 * CHUNK] {
+            let g = gswitch_graph::gen::erdos_renyi(n, 3 * n, n as u64);
+            let counting = || Counting { prepared: AtomicArray::filled(n, 0) };
+            let (serial, mut status, mut stats) = (counting(), vec![0u8; n], no_stats());
+            for (v, slot) in status.iter_mut().enumerate() {
+                visit((g.out_csr(), g.in_csr()), &serial, v as VertexId, slot, &mut stats);
+            }
+            stats.push.finish();
+            stats.pull.finish();
+
+            let app = counting();
+            let mut c = Classification::new(&g, &spec);
+            c.sweep(&app);
+            assert_eq!(c.status(), &status[..], "n = {n}");
+            assert_eq!(c.stats(), &stats, "n = {n}");
+            let once =
+                status.iter().map(|&b| u32::from(b == Status::Active as u8)).collect::<Vec<_>>();
+            assert_eq!(serial.prepared.to_vec(), once, "n = {n}: the loop");
+            assert_eq!(app.prepared.to_vec(), once, "n = {n}: the sweep");
+            assert!(stats.v_active > 0 && stats.v_inactive > 0 && stats.v_fixed > 0, "n = {n}");
+        }
     }
 
     #[test]

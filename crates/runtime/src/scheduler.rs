@@ -893,6 +893,9 @@ fn worker_loop(shared: &Shared, worker: u32) {
             let spans = collector.local(worker, job.id);
             let exec = spans.start(SpanKind::Execute, job.span_id);
             let exec_spans = SpanCtx::new(collector.clone(), exec.id(), worker, job.id);
+            // While every core runs a job, the kernels' exact phases stay
+            // on their caller (`gswitch_pool::idle`).
+            let _busy = gswitch_pool::occupy();
             // Panic isolation: a panicking job must not take the worker
             // — or any lock-holding bystander — down with it. The shared
             // state is poison-recovering, so unwinding through it is safe.
