@@ -72,18 +72,18 @@ impl GraphApp for BcForward {
         claimed
     }
 
+    /// `comp_atomic` on one thread: claim, then add σ whenever the level
+    /// matches (a claimed vertex's σ was 0, so pull rows read the same).
     fn comp(&self, dst: VertexId, (lvl, sig): (u32, f64)) -> bool {
         let cur = self.level.load(dst);
-        if lvl < cur {
+        let claimed = lvl < cur;
+        if claimed {
             self.level.store(dst, lvl);
-            self.sigma.store(dst, sig);
-            true
-        } else if lvl == cur {
-            self.sigma.store(dst, self.sigma.load(dst) + sig);
-            false
-        } else {
-            false
         }
+        if lvl <= cur {
+            self.sigma.store(dst, self.sigma.load(dst) + sig);
+        }
+        claimed
     }
 
     fn advance(&self, iteration: u32) {

@@ -129,6 +129,13 @@ mod tests {
     use gswitch_core::{AutoPolicy, KernelConfig, StaticPolicy};
     use gswitch_graph::{gen, GraphBuilder};
 
+    impl crate::tests::Cells for Cc {
+        fn cells(&self) -> Vec<u64> {
+            let (label, changed) = (self.label.to_vec(), self.changed_at.to_vec());
+            label.into_iter().chain(changed).map(u64::from).collect()
+        }
+    }
+
     #[test]
     fn labels_components_with_min_id() {
         let g = GraphBuilder::new(6).edges([(0, 1), (1, 2), (4, 5)]).build();

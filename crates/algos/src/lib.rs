@@ -33,10 +33,12 @@ mod tests {
     use gswitch_core::{
         run, AsFormat, Direction, EngineOptions, GraphApp, KernelConfig, StaticPolicy, Status,
     };
+    use gswitch_graph::VertexId;
     use gswitch_graph::{gen, Graph};
     use gswitch_kernels::expand::{expand_cost, ExpandCounts, ExpandShape};
-    use gswitch_kernels::{classify, expand, materialize, WorkPlan};
-    use gswitch_simt::DeviceSpec;
+    use gswitch_kernels::{classify, expand, expand_planned, materialize, WorkPlan};
+    use gswitch_kernels::{ExpandOutput, Frontier, Fusion};
+    use gswitch_simt::{DeviceSpec, KernelProfile};
 
     /// Every cell of an app's state, as bits.
     pub(crate) trait Cells {
@@ -150,5 +152,72 @@ mod tests {
         pooled_pull_is_exact("pr", &g, || after(&g, PageRank::new(&g, 1e-3), 2));
         let large = gen::barabasi_albert(30_000, 16, 9);
         pooled_pull_is_exact("pr, large", &large, || PageRank::new(&large, 1e-3));
+    }
+
+    /// What a push Expand leaves for the trace and the next step to see.
+    type Seen = ([u64; 5], Vec<VertexId>, Option<Vec<VertexId>>, KernelProfile);
+
+    fn seen(o: &ExpandOutput) -> Seen {
+        let counts =
+            [o.activations, o.distinct_activated, o.ties, o.edges_touched, o.activated_out_edges];
+        (counts, o.activated.to_sorted_vec(), o.next_queue.clone(), o.profile)
+    }
+
+    /// A push Expand whose caller is the app's sole writer combines with
+    /// `comp`, one that may share the app with `comp_atomic`; on one thread
+    /// the two must not be told apart. From the state `make()` reaches
+    /// after `steps` push super-steps, a standalone step, and a fused step
+    /// followed by the chain's next one (its raw queue re-filtered and
+    /// prepared inside the kernel), leave every app cell, every count, the
+    /// activated set, the fused queue and the priced profile bit for bit
+    /// the same either way. Every plan stays below 257 tasks, so both sides
+    /// run on this thread and the sole-writer side does take `comp`.
+    fn sole_writer_push_is_exact<A: GraphApp + Cells>(
+        tag: &str,
+        g: &Graph,
+        steps: u32,
+        make: impl Fn() -> A,
+    ) {
+        let spec = DeviceSpec::k40m();
+        for fusion in [Fusion::Standalone, Fusion::Fused] {
+            let cfg = KernelConfig { fusion, ..KernelConfig::push_baseline() };
+            let side = |sole_writer: bool| {
+                let app = after(g, make(), steps);
+                let co = classify(g, &app, &spec);
+                let (frontier, _) =
+                    materialize::<A>(g, &co.status, cfg.direction, cfg.format, &spec);
+                let tasks = WorkPlan::for_frontier(g, &frontier, cfg.direction).tasks().len();
+                assert!(tasks <= 256, "{tag}: {tasks} tasks go to the pool");
+                let expand = |f: &Frontier| {
+                    expand_planned(g, &app, f, &co.status, cfg, &spec, None, sole_writer)
+                };
+                let first = expand(&frontier);
+                assert!(first.edges_touched > 0, "{tag}: a step that pushes nothing");
+                let mut outs = vec![seen(&first)];
+                if let Some(queue) = first.next_queue {
+                    app.advance(steps + 1);
+                    outs.push(seen(&expand(&Frontier::RawQueue(queue))));
+                }
+                (outs, app.cells())
+            };
+            let ((sole, sole_cells), (shared, shared_cells)) = (side(true), side(false));
+            assert!(sole_cells == shared_cells, "{tag} {fusion:?}: app state");
+            assert_eq!(sole, shared, "{tag} {fusion:?}");
+        }
+    }
+
+    #[test]
+    fn sole_writer_push_expand_is_exact() {
+        let g = gen::with_random_weights(&gen::barabasi_albert(3_000, 8, 9), 64, 9);
+        let n = g.num_vertices();
+        sole_writer_push_is_exact("bfs", &g, 1, || Bfs::new(n, 0));
+        sole_writer_push_is_exact("cc", &g, 1, || Cc::new(n));
+        sole_writer_push_is_exact("sssp", &g, 2, || Sssp::new(&g, 0));
+        sole_writer_push_is_exact("bellman-ford", &g, 2, || BellmanFord::new(&g, 0));
+        sole_writer_push_is_exact("delta-stepping", &g, 2, || DeltaStepping::new(&g, 0, 16));
+        sole_writer_push_is_exact("pr", &g, 2, || PageRank::new(&g, 1e-3));
+        sole_writer_push_is_exact("bc forward", &g, 1, || BcForward::new(n, 0));
+        let forward = after(&g, BcForward::new(n, 0), u32::MAX);
+        sole_writer_push_is_exact("bc backward", &g, 0, || BcBackward::new(&forward));
     }
 }

@@ -291,6 +291,30 @@ mod tests {
     use gswitch_core::{AutoPolicy, KernelConfig, StaticPolicy};
     use gswitch_graph::gen;
 
+    /// Distances, then the pending set as one cell per vertex.
+    fn state_cells(s: &SsspState) -> Vec<u64> {
+        let pending = (0..s.dist.len() as VertexId).map(|v| u64::from(s.pending.get(v)));
+        s.dist.to_vec().into_iter().map(u64::from).chain(pending).collect()
+    }
+
+    impl crate::tests::Cells for Sssp {
+        fn cells(&self) -> Vec<u64> {
+            state_cells(&self.state)
+        }
+    }
+
+    impl crate::tests::Cells for BellmanFord {
+        fn cells(&self) -> Vec<u64> {
+            state_cells(&self.state)
+        }
+    }
+
+    impl crate::tests::Cells for DeltaStepping {
+        fn cells(&self) -> Vec<u64> {
+            state_cells(&self.state)
+        }
+    }
+
     fn weighted(seed: u64) -> Graph {
         gen::with_random_weights(&gen::erdos_renyi(300, 1_200, seed), 64, seed)
     }

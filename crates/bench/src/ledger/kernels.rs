@@ -75,7 +75,8 @@ fn dense_pull<A: EdgeApp>(g: &gswitch_graph::Graph, make: impl Fn() -> A) -> Row
         let (frontier, _) = materialize::<A>(g, &co.status, cfg.direction, cfg.format, &spec);
         let plan = WorkPlan::for_frontier(g, &frontier, cfg.direction);
         let t0 = Instant::now();
-        let eo = expand_planned(g, &app, &frontier, &co.status, cfg, &spec, Some(&plan));
+        // As the engine's single lane calls it: the sole writer of `app`.
+        let eo = expand_planned(g, &app, &frontier, &co.status, cfg, &spec, Some(&plan), true);
         wall.push(t0.elapsed().as_secs_f64() * 1e6);
         (edges, sim_ms) = (eo.edges_touched, spec.kernel_time_ms(&eo.profile));
     }

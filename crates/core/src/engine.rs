@@ -378,15 +378,17 @@ fn lose_one_entry(f: &mut Frontier) {
 /// Work items — local vertices a phase visits or allocates for, plus the
 /// active vertices and edges an Expand follows — below which a phase's
 /// lanes run on the calling thread. A pool hand-off costs a wake-up and a
-/// join (tens of µs once the worker has parked), which a lane repays only
-/// with about that much work of its own; at 4–10 ns an item that is some
-/// thousands of items per lane. The two ends, measured (CHANGES.md, PR 23):
-/// with every phase on the pool the 300–1 200-vertex benchmark twins run
-/// K = 4 at 1.4–1.7× their K = 1 wall (1.0–1.3× under this rule); with
-/// every phase inline the 10⁴–10⁵-vertex ledger graphs lose the second
-/// core (K = 4 over K = 1, geometric mean: BFS 1.29 vs 1.01, PR 1.18 vs
-/// 0.87).
-const FAN_OUT_MIN_ITEMS: u64 = 16_384;
+/// join, and pooled lanes share the app, so their push Expands combine
+/// with `comp_atomic` — a locked instruction per edge, on cache lines the
+/// other lanes write too; inline lanes run one after another, each the
+/// app's sole writer, and combine with `comp`. Measured on 2 vCPUs (K = 4,
+/// CHANGES.md): PageRank's always-writing `f64` adds never paid for
+/// pooling (BA 2 k × 8: 21 ms pooled vs 15.5 inline; Kronecker scale 15:
+/// 526–564 vs 376–399; a tie at BA 80 k × 8), while `fetch_min` apps gain
+/// from it at scale (BFS on BA 80 k × 8: 25–30 ms pooled vs 40–42). So
+/// every step of the `benchmark/` shard twins (≤ ~45 k items) runs inline
+/// and the dense steps of the `BENCH_shard.json` graphs (≥ ~90 k) pool.
+const FAN_OUT_MIN_ITEMS: u64 = 65_536;
 
 /// Run one phase's `job` for every lane, appending the results to `out`
 /// in lane order, panics contained. A single lane, or a phase with fewer
@@ -394,19 +396,22 @@ const FAN_OUT_MIN_ITEMS: u64 = 16_384;
 /// calling thread in lane order; otherwise the lanes are one task each on
 /// the process-wide worker pool, which the calling thread works through
 /// as well — so K lanes need no K threads, and a lane's kernels may go
-/// parallel on the same pool.
+/// parallel on the same pool. `job` is told which: `inline` means no other
+/// lane of the phase runs while it does, so a lane is then the only writer
+/// of the app its view shares.
 fn fan_out<I: Send, T: Send>(
     lanes: &mut [I],
     phase: &'static str,
     items: u64,
-    job: impl Fn(&mut I) -> T + Sync,
+    job: impl Fn(&mut I, bool) -> T + Sync,
     out: &mut Vec<Result<T, LaneFailure>>,
 ) {
     let fail = |lane: usize, p| LaneFailure { lane: lane as u32, phase, payload: Some(p) };
+    let inline = lanes.len() == 1 || items < FAN_OUT_MIN_ITEMS;
     let contained = |s: usize, lane: &mut I| {
-        catch_unwind(AssertUnwindSafe(|| job(lane))).map_err(|p| fail(s, p))
+        catch_unwind(AssertUnwindSafe(|| job(lane, inline))).map_err(|p| fail(s, p))
     };
-    if lanes.len() == 1 || items < FAN_OUT_MIN_ITEMS {
+    if inline {
         return out.extend(lanes.iter_mut().enumerate().map(|(s, lane)| contained(s, lane)));
     }
     // Per lane: one part each from `FAN_OUT_MIN_ITEMS` work items up.
@@ -465,7 +470,7 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
         root.advance(iteration);
 
         // ---- Inspector, per lane; converged when nothing is active anywhere.
-        let inspect = |l: &mut Lane<'_, L>| l.inspect(&run, iteration, step_id);
+        let inspect = |l: &mut Lane<'_, L>, _| l.inspect(&run, iteration, step_id);
         fan_out(lanes, "classify", local_vertices, inspect, &mut inspected);
         for r in inspected.drain(..) {
             if let Err(reason) = r? {
@@ -480,7 +485,9 @@ pub(crate) fn drive<R: EdgeApp, L: EdgeApp>(
         // barrier where halo-directed updates are settled as exchange.
         let frontier_work: u64 =
             lanes.iter().map(|l| l.hist.ctx.stats).map(|s| s.v_active + s.e_active).sum();
-        let execute = |lane: &mut Lane<'_, L>| lane.execute(&run);
+        // An inline phase runs its lanes one after another: each lane's
+        // Expand is then the app's sole writer.
+        let execute = |lane: &mut Lane<'_, L>, inline| lane.execute(&run, inline);
         fan_out(lanes, "exchange", local_vertices + frontier_work, execute, &mut executed);
         let _exchange = (lanes.len() > 1)
             .then(|| span_local.start_tagged(SpanKind::Exchange, step_id, None, iteration));
@@ -723,8 +730,9 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
     }
 
     /// Selector → Executor → feedback: this lane's super-step after the
-    /// Inspector's barrier.
-    fn execute(&mut self, run: &RunEnv) -> IterationTrace {
+    /// Inspector's barrier; `sole_writer` when no other lane runs
+    /// meanwhile.
+    fn execute(&mut self, run: &RunEnv, sole_writer: bool) -> IterationTrace {
         if let Some(s) = self.shard {
             faults::fire_for(fault_site::SHARD_PANIC, s.into());
         }
@@ -794,7 +802,8 @@ impl<'a, L: EdgeApp> Lane<'a, L> {
         // ---- Expand.
         let e0 = clock.now_ns();
         let status = self.snap.status();
-        let mut eo = expand_planned(g, self.app, &frontier, status, config, spec, Some(&plan));
+        let mut eo =
+            expand_planned(g, self.app, &frontier, status, config, spec, Some(&plan), sole_writer);
         self.record_interval(SpanKind::Expand, e0);
         self.plan = Some(plan);
         if estimated {
@@ -1103,7 +1112,8 @@ pub(crate) mod tests {
         // each lane's job goes parallel itself, as a lane's kernels do.
         let mut lanes: Vec<u64> = (1..=8).collect();
         let mut out = Vec::new();
-        let job = |lane: &mut u64| {
+        let job = |lane: &mut u64, inline: bool| {
+            assert!(!inline, "eight lanes at the threshold are pooled");
             *lane *= 10;
             gswitch_pool::ranges(*lane as usize * 100, 256, |r| r.sum::<usize>() as u64)
                 .into_iter()
@@ -1119,7 +1129,8 @@ pub(crate) mod tests {
     fn fan_out_below_the_threshold_stays_on_the_calling_thread_in_lane_order() {
         let mut lanes: Vec<u32> = (0..4).collect();
         let order = gswitch_obs::sync::Lock::new(Vec::new());
-        let job = |lane: &mut u32| {
+        let job = |lane: &mut u32, inline: bool| {
+            assert!(inline, "a lane below the threshold runs inline");
             order.lock().push(*lane);
             std::thread::current().id()
         };
@@ -1138,7 +1149,8 @@ pub(crate) mod tests {
         let pooled = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
         let meet = std::sync::Barrier::new(2);
         let mut lanes: Vec<u32> = (0..4).collect();
-        let job = |lane: &mut u32| {
+        let job = |lane: &mut u32, inline: bool| {
+            assert!(!inline, "lanes at the threshold are pooled");
             if pooled && *lane < 2 {
                 meet.wait();
             }
@@ -1158,7 +1170,7 @@ pub(crate) mod tests {
         for items in [0, FAN_OUT_MIN_ITEMS] {
             let mut lanes: Vec<u32> = (0..4).collect();
             let mut out = Vec::new();
-            let job = |lane: &mut u32| {
+            let job = |lane: &mut u32, _| {
                 assert!(*lane != 2, "lane {lane} failed");
                 *lane + 100
             };

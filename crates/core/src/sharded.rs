@@ -11,8 +11,11 @@
 //! pull and fused chains would break the exchange protocol (DESIGN §4.11).
 //!
 //! App state lives in one global set of atomic arrays, so a push update
-//! into a halo vertex lands in the owner's data directly — the atomic
-//! *is* the exchange payload. The view counts those halo hits, and each
+//! into a halo vertex lands in the owner's data directly: the combine *is*
+//! the exchange payload — `comp_atomic` while the lanes are pooled, `comp`
+//! when a small step runs them one after another on the calling thread and
+//! each lane is the app's sole writer (`engine::fan_out`). Either way the
+//! view counts those halo hits, and each
 //! super-step's barrier prices the implied frontier-exchange traffic with
 //! [`DeviceSpec::exchange_time_ms`], merging duplicates first unless the
 //! app is `DUP_TOLERANT`. A lane worker that panics (or is lost) surfaces
@@ -276,6 +279,19 @@ impl<'a, A: EdgeApp> ShardView<'a, A> {
         self.shard.to_global(local)
     }
 
+    /// Note a combine into local `dst`: a halo destination is a record to
+    /// route. The combine itself delivers the update to the owner's data
+    /// directly; what remains is the routing cost — charged per attempt
+    /// (`prepare` counted this edge), because a real shard must send the
+    /// message before knowing whether it wins at the owner. Only the first
+    /// record to a destination writes here.
+    #[inline]
+    fn route(&self, dst: VertexId) {
+        if self.shard.is_halo(dst) {
+            self.halo_seen.set(dst - self.shard.n_owned() as VertexId);
+        }
+    }
+
     /// Drain this super-step's exchange counters into a routed profile.
     fn take_exchange(&self) -> ExchangeProfile {
         let records = self.halo_records.swap(0, Ordering::Relaxed);
@@ -322,18 +338,12 @@ impl<A: EdgeApp> EdgeApp for ShardView<'_, A> {
     }
 
     fn comp_atomic(&self, dst: VertexId, msg: A::Msg) -> bool {
-        if self.shard.is_halo(dst) {
-            // The atomic below delivers the update to the owner's data
-            // directly; what remains is the routing cost — charged per
-            // attempt (`prepare` counted this edge), because a real shard
-            // must send the message before knowing whether it wins at the
-            // owner. Only the first record to a destination writes here.
-            self.halo_seen.set(dst - self.shard.n_owned() as VertexId);
-        }
+        self.route(dst);
         self.app.comp_atomic(self.global(dst), msg)
     }
 
     fn comp(&self, dst: VertexId, msg: A::Msg) -> bool {
+        self.route(dst);
         self.app.comp(self.global(dst), msg)
     }
 
@@ -720,5 +730,52 @@ mod tests {
                 .expect("run");
         assert!(rep.converged);
         assert_eq!(app.level.to_vec(), single_levels(&g, 0));
+    }
+    /// A lane that runs alone combines through `ShardView::comp`, a pooled
+    /// one through `comp_atomic`. From the state two super-steps of a K = 2
+    /// run leave, each shard's push Expand leaves the same levels, the
+    /// same output and the same exchange — records, and the distinct halo
+    /// destinations `comp` must mark as `comp_atomic` does — either way.
+    #[test]
+    fn shard_view_sole_writer_push_is_exact() {
+        use gswitch_kernels::{classify, expand_planned, materialize};
+        let g = gen::kronecker(9, 8, 7);
+        let sharded = ShardedCsr::partition(&g, 2).expect("partition");
+        let spec = DeviceSpec::k40m();
+        let cfg = KernelConfig::push_baseline();
+        let at_step_2 = || {
+            let app = Bfs::new(g.num_vertices(), 0);
+            let opts = ShardedOptions { max_supersteps: 2, ..Default::default() };
+            run_sharded(&sharded, &app, &AutoPolicy, &opts).expect("run");
+            app.advance(2);
+            app
+        };
+        let (sole, shared) = (at_step_2(), at_step_2());
+        let mut distinct = 0;
+        for shard in sharded.shards() {
+            let (local, n_local) = (shard.graph(), shard.graph().num_vertices());
+            let step = |app: &Bfs, sole_writer| {
+                let view = ShardView::new(app, shard);
+                let co = classify(local, &view, &spec);
+                let (f, _) = materialize::<ShardView<'_, Bfs>>(
+                    local,
+                    &co.status,
+                    cfg.direction,
+                    cfg.format,
+                    &spec,
+                );
+                let eo =
+                    expand_planned(local, &view, &f, &co.status, cfg, &spec, None, sole_writer);
+                let levels: Vec<u32> =
+                    (0..n_local as VertexId).map(|v| app.level.load(view.global(v))).collect();
+                let out = (eo.activated.to_sorted_vec(), eo.activations, eo.ties, eo.profile);
+                (out, levels, view.take_exchange())
+            };
+            let (a, b) = (step(&sole, true), step(&shared, false));
+            assert_eq!(a, b, "shard of {n_local} local vertices");
+            distinct += b.2.distinct;
+        }
+        assert_eq!(sole.level.to_vec(), shared.level.to_vec());
+        assert!(distinct > 0, "no push crossed a shard border");
     }
 }

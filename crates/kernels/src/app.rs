@@ -51,13 +51,22 @@ pub trait EdgeApp: Sync {
     /// is unweighted).
     fn emit(&self, u: VertexId, w: Weight) -> Self::Msg;
 
-    /// Combine `msg` into `dst` with atomic operations (push mode; many
-    /// writers). Returns `true` when `dst`'s value changed (it becomes an
-    /// activation candidate).
+    /// Combine `msg` into `dst` with atomic operations: the shared-writer
+    /// combine, for a push sweep whose rows run on several threads at once
+    /// or whose app another lane writes meanwhile (paper: `compAtomic`).
+    /// Returns `true` when `dst`'s value changed (it becomes an activation
+    /// candidate).
     fn comp_atomic(&self, dst: VertexId, msg: Self::Msg) -> bool;
 
-    /// Combine `msg` into `dst` without atomics (pull mode; `dst` is owned
-    /// by the calling lane). Returns `true` when the value changed.
+    /// Combine `msg` into `dst` without atomics: the sole-writer combine
+    /// (paper: `comp`), called where nothing else writes `dst` meanwhile —
+    /// every pull row (the row owns its receiver), and a push sweep that
+    /// runs on one thread for a caller that owns the app (the engine's
+    /// single lane, or a sharded step whose lanes run one after another).
+    /// Returns `true` when the value changed. On one thread it must equal
+    /// `comp_atomic`: from the same state, the same final state bit for
+    /// bit and the same return value, so which of the two a step used
+    /// shows in no trace.
     fn comp(&self, dst: VertexId, msg: Self::Msg) -> bool;
 
     /// Combine one pull row: apply [`comp`](EdgeApp::comp)`(dst, m)` to

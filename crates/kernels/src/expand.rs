@@ -220,6 +220,8 @@ const PREFETCH_DIST: usize = 8;
 /// Run the Expand kernel per `cfg` on the workload `frontier` produced by
 /// the Filter (or by a previous fused Expand). `status` is the Filter's
 /// classification snapshot (pull mode and fused re-filtering read it).
+/// Another thread may be writing `app` meanwhile, so push combines with
+/// `comp_atomic`.
 pub fn expand<A: EdgeApp>(
     g: &Graph,
     app: &A,
@@ -228,14 +230,20 @@ pub fn expand<A: EdgeApp>(
     cfg: KernelConfig,
     spec: &DeviceSpec,
 ) -> ExpandOutput {
-    expand_planned(g, app, frontier, status, cfg, spec, None)
+    expand_planned(g, app, frontier, status, cfg, spec, None, false)
 }
 
 /// [`expand`] with an optional pre-built [`WorkPlan`] over this exact
-/// workload (same entries, matching degree source). The engine's
-/// direction-switch fast path passes the previous iteration's plan here
-/// when the workload fingerprint matches, skipping the degree rescan;
-/// `None` builds a fresh plan (identical semantics, identical pricing).
+/// workload (same entries, matching degree source), and the caller's word
+/// on who else writes `app`. The engine's direction-switch fast path
+/// passes the previous iteration's plan here when the workload fingerprint
+/// matches, skipping the degree rescan; `None` builds a fresh plan
+/// (identical semantics, identical pricing). `sole_writer`: nothing but
+/// this call writes `app` until it returns, so a push sweep that stays on
+/// the calling thread combines with [`EdgeApp::comp`] — on one thread the
+/// same state and results as `comp_atomic`, without a locked instruction
+/// per edge. A pooled push keeps `comp_atomic`; pull always uses `comp`.
+#[expect(clippy::too_many_arguments, reason = "the public `expand` plus plan and writer")]
 pub fn expand_planned<A: EdgeApp>(
     g: &Graph,
     app: &A,
@@ -244,9 +252,10 @@ pub fn expand_planned<A: EdgeApp>(
     cfg: KernelConfig,
     spec: &DeviceSpec,
     plan: Option<&WorkPlan>,
+    sole_writer: bool,
 ) -> ExpandOutput {
     match cfg.direction {
-        Direction::Push => expand_push(g, app, frontier, cfg, spec, plan),
+        Direction::Push => expand_push(g, app, frontier, cfg, spec, plan, sole_writer),
         Direction::Pull => expand_pull(g, app, frontier, status, cfg, spec, plan),
     }
 }
@@ -296,16 +305,20 @@ struct Swept {
 /// `trailing_zeros` iteration) into the plan's cached entry list.
 /// `independent`: no row reads what another writes, so the sweep may be
 /// pooled by edges (the caller vouches; see the rule below).
+/// `sole_writer`: nothing outside the sweep writes the app. `process` is
+/// told, per row, whether its writes are the only ones in flight: the
+/// sweep stays on this thread and the caller is the sole writer.
 fn run_bucketed<F>(
     g: &Graph,
     frontier: &Frontier,
     direction: Direction,
     plan: Option<&WorkPlan>,
     independent: bool,
+    sole_writer: bool,
     process: F,
 ) -> Swept
 where
-    F: Fn(VertexId, &mut Acc) -> u32 + Sync,
+    F: Fn(VertexId, &mut Acc, bool) -> u32 + Sync,
 {
     // A usable plan must carry the bitmap entry sweep when the workload
     // is a bitmap; anything else falls back to a fresh build.
@@ -339,13 +352,14 @@ where
     let pooled = tasks.len() > POOLED_TASKS
         || (independent && plan.total_edges() >= POOLED_PULL_EDGES && gswitch_pool::idle());
     let per = if pooled { tasks.len().div_ceil(POOLED_PARTS) } else { tasks.len() };
+    let alone = sole_writer && !pooled;
     let run = |&t: &Task| {
         let slots = plan.task_slots(t);
         let mut acc = Acc::default();
         acc.touched.reserve(slots.len());
         for &s in slots {
             let v = entries[s as usize];
-            let deg = process(v, &mut acc);
+            let deg = process(v, &mut acc, alone);
             acc.touched.push(deg);
         }
         acc
@@ -378,6 +392,7 @@ fn expand_push<A: EdgeApp>(
     cfg: KernelConfig,
     spec: &DeviceSpec,
     plan: Option<&WorkPlan>,
+    sole_writer: bool,
 ) -> ExpandOutput {
     let out = g.out_csr();
     let weights = g.out_weights();
@@ -391,8 +406,9 @@ fn expand_push<A: EdgeApp>(
     let tie_marked = fused.then(|| AtomicBitSet::new(g.num_vertices()));
     let refilter = frontier.may_have_duplicates();
 
-    // One source vertex: emit over all out-edges.
-    let process = |v: VertexId, acc: &mut Acc| -> u32 {
+    // One source vertex: emit over all out-edges, combining with `comp`
+    // when no other writer is in flight (`alone`), else `comp_atomic`.
+    let process = |v: VertexId, acc: &mut Acc, alone: bool| -> u32 {
         if refilter {
             // Fused input: fold the filter predicate in (cheap, no dedup).
             if app.filter(v) != Status::Active {
@@ -414,7 +430,8 @@ fn expand_push<A: EdgeApp>(
                 _ => 1,
             };
             let msg = app.emit(v, w);
-            if app.comp_atomic(u, msg) {
+            let won = if alone { app.comp(u, msg) } else { app.comp_atomic(u, msg) };
+            if won {
                 acc.activations += 1;
                 if activated.set(u) {
                     acc.distinct += 1;
@@ -442,7 +459,7 @@ fn expand_push<A: EdgeApp>(
         deg
     };
 
-    let swept = run_bucketed(g, frontier, Direction::Push, plan, false, process);
+    let swept = run_bucketed(g, frontier, Direction::Push, plan, false, sole_writer, process);
     finish::<A>(swept, frontier, cfg, spec, activated)
 }
 
@@ -459,14 +476,15 @@ fn expand_pull<A: EdgeApp>(
     let weights = g.in_weights();
     let activated = AtomicBitSet::new(g.num_vertices());
 
-    // One receiver vertex (SpMV row) is one `gather`: the row's source ids
+    // One receiver vertex (SpMV row) is one `gather` — `comp` on a cell no
+    // other row writes, whatever the schedule: the row's source ids
     // stream contiguously out of the blocked CSR range, the status probe
     // is a byte of an n-byte array that stays cached, and what the app
     // does with the messages of the Active sources is its own business —
     // one cell write per row for an app that folds in a register. The
     // counts are functions of the row (`touched`, `hits`, `wins`), so they
     // are added once per row, not bumped per edge.
-    let process = |v: VertexId, acc: &mut Acc| -> u32 {
+    let process = |v: VertexId, acc: &mut Acc, _alone: bool| -> u32 {
         let r = incoming.edge_range(v);
         let sources = &incoming.targets()[r.clone()];
         // Messages of the row's Active sources, made as the gather asks
@@ -497,8 +515,8 @@ fn expand_pull<A: EdgeApp>(
         touched
     };
 
-    let swept =
-        run_bucketed(g, frontier, Direction::Pull, plan, A::pull_rows_independent(), process);
+    let independent = A::pull_rows_independent();
+    let swept = run_bucketed(g, frontier, Direction::Pull, plan, independent, false, process);
     finish::<A>(swept, frontier, cfg, spec, activated)
 }
 

@@ -412,7 +412,7 @@ fn planned_expand_with_reused_plan_is_bitwise_identical() {
         materialize::<LevelApp>(&g, &co.status, Direction::Push, AsFormat::SortedQueue, &spec);
     let plan = WorkPlan::for_frontier(&g, &frontier, Direction::Push);
     let c = cfg(Direction::Push, AsFormat::SortedQueue, Fusion::Standalone);
-    let planned = expand_planned(&g, &a1, &frontier, &co.status, c, &spec, Some(&plan));
+    let planned = expand_planned(&g, &a1, &frontier, &co.status, c, &spec, Some(&plan), false);
     let fresh = expand(&g, &a2, &frontier, &co.status, c, &spec);
     assert_eq!(planned.profile, fresh.profile, "plan reuse must not change pricing");
     assert_eq!(planned.activations, fresh.activations);

@@ -236,8 +236,9 @@ fn one_shard_cc_matches_unsharded_trace_for_trace_on_whole_corpus() {
 }
 
 /// An app that counts its own cross-shard messages: every message carries
-/// its source, and a `comp_atomic` whose destination another shard owns is
-/// one exchange record, whatever the driver's accounting says.
+/// its source, and a combine (`comp_atomic`, or `comp` when a lane runs
+/// alone) whose destination another shard owns is one exchange record,
+/// whatever the driver's accounting says.
 struct CutCounter<'a, A> {
     app: A,
     sharded: &'a ShardedCsr,
@@ -253,6 +254,15 @@ impl<'a, A: GraphApp> CutCounter<'a, A> {
     fn new(app: A, sharded: &'a ShardedCsr) -> Self {
         let seen = (0..sharded.k()).map(|_| AtomicBitSet::new(sharded.num_vertices())).collect();
         CutCounter { app, sharded, records: AtomicU64::new(0), seen, steps: Lock::new(Vec::new()) }
+    }
+
+    /// Count a message from `src` to `dst` if it crosses a shard border.
+    fn count(&self, src: VertexId, dst: VertexId) {
+        let from = self.sharded.owner_of(src);
+        if from != self.sharded.owner_of(dst) {
+            self.records.fetch_add(1, Ordering::Relaxed);
+            self.seen[from as usize].set(dst);
+        }
     }
 
     /// The profile the driver must report for closed step `i`.
@@ -280,14 +290,11 @@ impl<A: GraphApp> GraphApp for CutCounter<'_, A> {
         (u, self.app.emit(u, w))
     }
     fn comp_atomic(&self, dst: VertexId, (src, msg): Self::Msg) -> bool {
-        let from = self.sharded.owner_of(src);
-        if from != self.sharded.owner_of(dst) {
-            self.records.fetch_add(1, Ordering::Relaxed);
-            self.seen[from as usize].set(dst);
-        }
+        self.count(src, dst);
         self.app.comp_atomic(dst, msg)
     }
-    fn comp(&self, dst: VertexId, (_, msg): Self::Msg) -> bool {
+    fn comp(&self, dst: VertexId, (src, msg): Self::Msg) -> bool {
+        self.count(src, dst);
         self.app.comp(dst, msg)
     }
     /// Called once per super-step, before any lane works: closes the last.
@@ -308,7 +315,7 @@ impl<A: GraphApp> GraphApp for CutCounter<'_, A> {
 }
 
 /// The driver prices exchange from a per-vertex cut degree; the app counts
-/// the boundary-crossing `comp_atomic` calls themselves. Step for step they
+/// the boundary-crossing combines themselves. Step for step they
 /// must be the same records, distinct destinations and bytes.
 fn assert_exchange_is_the_apps_own_count<A: GraphApp>(g: &Graph, k: u32, app: A, tag: &str) {
     let sharded = ShardedCsr::partition(g, k).expect("partition");
@@ -343,6 +350,33 @@ fn exchange_profile_equals_the_apps_own_cross_shard_count_step_by_step() {
 fn simulated(s: &SuperStep) -> (u32, [u64; 3], ExchangeProfile, u64, u64) {
     let times = [s.filter_ms, s.expand_ms, s.exchange_ms].map(f64::to_bits);
     (s.iteration, times, s.exchange, s.active, s.edges_touched)
+}
+
+/// PageRank's `f64` residual adds depend on their order, so lanes pooled
+/// at once would make its ranks — and the activations, steps and simulated
+/// time that follow — depend on the schedule. Every step of K = 4 over a
+/// BA 1 200 × 16 twin stays below the fan-out threshold (at most ~45 k
+/// work items: ≤ 4 800 local vertices plus 1 200 Active vertices and their
+/// ~38 k edges), so its lanes run one after another on the calling thread,
+/// each the app's sole writer, and two runs agree bit for bit.
+#[test]
+fn small_sharded_pagerank_repeats_bit_for_bit() {
+    let g = gswitch_graph::gen::barabasi_albert(1_200, 16, 7);
+    let sharded = ShardedCsr::partition(&g, 4).expect("partition");
+    let once = || {
+        let app = PageRank::new(&g, PR_EPS);
+        let rep = run_sharded(&sharded, &app, &AutoPolicy, &ShardedOptions::default())
+            .expect("sharded run");
+        assert!(rep.converged);
+        let ranks: Vec<u64> = app.ranks().into_iter().map(f64::to_bits).collect();
+        (ranks, rep.supersteps.iter().map(simulated).collect::<Vec<_>>())
+    };
+    let (ranks, steps) = once();
+    assert!(steps.len() > 2, "PageRank converged in {} steps", steps.len());
+    assert!(steps.iter().any(|s| s.2.records > 0), "nothing crossed a shard border");
+    let (again_ranks, again_steps) = once();
+    assert!(again_ranks == ranks, "the ranks moved between two runs");
+    assert_eq!(again_steps, steps);
 }
 
 /// Below the fan-out threshold the lanes of a step run one after another

@@ -68,6 +68,8 @@ impl GraphApp for WidestPath {
     }
 
     fn comp(&self, dst: VertexId, msg: u32) -> bool {
+        // The sole-writer combine: `comp_atomic` without the CAS loop, same
+        // state and result on one thread.
         if msg > self.cap.load(dst) {
             self.cap.store(dst, msg);
             self.dirty.set(dst);
